@@ -214,14 +214,9 @@ def cmd_verify(args) -> int:
                     if p < 2 * N + 1:  # clamp sweeps to admissible levels
                         continue
                     s = numeric.PSetting(p, N)
-                    o_t, o_ts = numeric.oracle_matrices(s, args.tolerance)
-                    worst = max(
-                        worst,
-                        numeric.max_abs(o_t - numeric.eval_matrix(rs.t_hat, s.A, args.tolerance)),
-                        numeric.max_abs(o_ts - numeric.eval_matrix(rs.tstar_hat, s.A, args.tolerance)),
-                    )
-                ok = worst < 1e-9
-                label = f"oracle equivalence over p={args.p} (N={N}, worst {worst:.2e})"
+                    worst = max(worst, numeric.oracle_deviation(rs, s, args.tolerance))
+                ok = worst <= 1e-9
+                label = f"oracle equivalence over p={args.p} (N={N}, worst relative {worst:.2e})"
             except (BadPError, NearPoleError) as err:
                 ok = False
                 label = f"oracle equivalence over p={args.p} (N={N}): {err}"

@@ -18,13 +18,12 @@ import math
 
 import numpy as np
 
-from . import mcg
 from .classical import hN_matrix
 from .errors import BadPError, ConvergenceError, NearPoleError
 from .field import FMatrix
-from .mcg import NTClass, Word, classify, sl2_image, stretch_factor
+from .mcg import Gen, NTClass, Word, classify, sl2_image, stretch_factor
 from .qsymbols import QContext
-from .repbuild import rep_of_word
+from .repbuild import RepSet, build_repset
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MARGIN = 1e-6
@@ -180,6 +179,23 @@ def eval_matrix(mat: FMatrix, x: complex, tol: float = DEFAULT_TOLERANCE) -> np.
     return out
 
 
+def eval_generators(rs: RepSet, s: PSetting, tol: float = DEFAULT_TOLERANCE):
+    """T and T* of the symbolic build evaluated at A_p: the one numeric
+    evaluation of the representation, shared by the scans and the oracle
+    check."""
+    return eval_matrix(rs.t_hat, s.A, tol), eval_matrix(rs.tstar_hat, s.A, tol)
+
+
+def oracle_deviation(rs: RepSet, s: PSetting, tol: float = DEFAULT_TOLERANCE) -> float:
+    """Largest entrywise disagreement between the evaluated symbolic
+    generators and the oracle's at one level, relative to the oracle matrix's
+    size (floored at 1): max_abs(diff) / max(1, max_abs(oracle))."""
+    return max(
+        max_abs(sym - ora) / max(1.0, max_abs(ora))
+        for sym, ora in zip(eval_generators(rs, s, tol), oracle_matrices(s, tol))
+    )
+
+
 def spectral_radius(m: np.ndarray, max_dim: int = MAX_EIG_DIM) -> float:
     """Largest eigenvalue modulus of a small dense complex matrix."""
     m = np.asarray(m, dtype=complex)
@@ -232,17 +248,30 @@ def _limit_matrix(w: Word, N: int) -> np.ndarray:
 def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     """Per-level rows (p, spectral radius, deviation from the classical limit).
 
+    Each level evaluates only the two generators T and T* at A_p
+    (`eval_generators`), inverts one numerically only where a letter has a
+    negative exponent, and forms the word in numpy: `matrix_power` per letter
+    (binary powering, so the cost is logarithmic in the exponent) and `@`
+    across letters. The exact word product over Q(X) is never formed here: its
+    degree and coefficient size grow with the word, and double-precision
+    Horner on such a product loses most of its digits on the unit circle.
+
     The symbolic representation already carries the character rescaling (its
     generators are the matrices of the rescaled twists), so evaluating at A_p
     and comparing against the SL2(Z) action measures exactly the
     character-normalized distance of the underlying TQFT matrices."""
-    ctx = QContext(N)
-    sym = rep_of_word(w, ctx)
+    rs = build_repset(QContext(N))
     target = _limit_matrix(w, N)
     rows = []
     for p in sorted(p_list):
         s = PSetting(p, N)
-        m_p = eval_matrix(sym, s.A, tol)
+        t, tstar = eval_generators(rs, s, tol)
+        m_p = np.eye(N, dtype=complex)
+        for gen, exp in w.letters:
+            base = t if gen is Gen.TY else tstar
+            if exp < 0:
+                base = np.linalg.inv(base)
+            m_p = m_p @ np.linalg.matrix_power(base, abs(exp))
         rows.append(
             TableRow(
                 p=p,
@@ -286,8 +315,3 @@ def amu_certificate(
         p0_observed=p0,
         margin=margin,
     )
-
-
-def chi_p(w: Word, p: int, N: int, k: int = 1) -> complex:
-    """Re-export of the rescaling character for callers working at this layer."""
-    return mcg.chi_p(w, p, N, k)

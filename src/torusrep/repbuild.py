@@ -69,12 +69,6 @@ def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
     return FMatrix(tuple(rows))
 
 
-def build_that(ctx: QContext) -> FMatrix:
-    """Twist generator: columns built by the recurrence a_{n+1} = M^(n) a_n
-    from a_0 = e."""
-    return build_repset(ctx).t_hat
-
-
 def build_tstar(ctx: QContext, that: FMatrix) -> FMatrix:
     """The second twist generator through the pairing: tstar[n][m] =
     that[m][n] / rhat(n, m)."""
@@ -140,7 +134,8 @@ def _braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
 
 def rep_of_word(w, ctx: QContext) -> FMatrix:
     """Image of a mapping-class word: the ordered product of That/Tstar powers,
-    with negative exponents through the exact inverse."""
+    with negative exponents through the exact inverse. Exact checks only: the
+    certificate scans form words numerically (`numeric.convergence_table`)."""
     rs = build_repset(ctx)
     return rep_of_word_in(w, rs)
 
@@ -160,9 +155,20 @@ def rep_of_word_in(w, rs: RepSet) -> FMatrix:
             base = rs.t_hat if gen is Gen.TY else rs.tstar_hat
         else:
             base = _gen_inverse(rs.ctx, "t" if gen is Gen.TY else "ts")
-        for _ in range(abs(exp)):
-            out = fm_mul(out, base)
+        out = fm_mul(out, _fm_power(base, abs(exp)))
     return out
+
+
+def _fm_power(base: FMatrix, e: int) -> FMatrix:
+    """base^e for e >= 1 by square-and-multiply: O(log e) products."""
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else fm_mul(out, base)
+        e >>= 1
+        if not e:
+            return out
+        base = fm_mul(base, base)
 
 
 def classical_limit(mat: FMatrix):

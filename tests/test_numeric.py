@@ -6,14 +6,16 @@ import pytest
 from torusrep.classical import SL2, hN_matrix
 from torusrep.errors import BadPError, NearPoleError
 from torusrep.field import FMatrix, Poly, RatFunc
-from torusrep.mcg import NTClass, parse_word, sl2_image, stretch_factor
+from torusrep.cli import main
+from torusrep.mcg import NTClass, chi_p, parse_word, sl2_image, stretch_factor
 from torusrep.numeric import (
     PSetting,
     amu_certificate,
-    chi_p,
     convergence_table,
+    eval_generators,
     eval_matrix,
     max_abs,
+    oracle_deviation,
     oracle_m_matrices,
     oracle_matrices,
     oracle_z_matrix,
@@ -80,6 +82,18 @@ def test_oracle_equivalence_full_range():
             t, tstar = oracle_matrices(s)
             assert max_abs(t - eval_matrix(rs.t_hat, s.A)) < 1e-9, (N, p)
             assert max_abs(tstar - eval_matrix(rs.tstar_hat, s.A)) < 1e-9, (N, p)
+
+
+def test_oracle_gate_is_relative_at_n10():
+    # at N = 10, p = 195 the generators reach ~1e3 in size, so a correct build
+    # disagrees with the oracle by more than 1e-9 absolute but ~1e-12 relative
+    s = PSetting(195, 10)
+    rs = build_repset(QContext(10))
+    pairs = list(zip(eval_generators(rs, s), oracle_matrices(s)))
+    assert max(max_abs(sym - ora) for sym, ora in pairs) > 1e-9
+    rel = oracle_deviation(rs, s)
+    assert rel == max(max_abs(sym - ora) / max(1.0, max_abs(ora)) for sym, ora in pairs)
+    assert rel <= 1e-9
 
 
 def test_eval_matrix_identity_and_near_pole():
@@ -198,3 +212,32 @@ def test_alternative_root_choice():
     t, tstar = oracle_matrices(s)
     assert max_abs(t - eval_matrix(rs.t_hat, s.A)) < 1e-10
     assert max_abs(tstar - eval_matrix(rs.tstar_hat, s.A)) < 1e-10
+
+
+@pytest.mark.parametrize("N, p0", [(6, 29), (8, 37)])
+def test_long_word_p0_observed(N, p0):
+    # the word product over Q(X) has degree ~850 at N = 8; evaluating it by
+    # Horner on the unit circle gave spurious rows above 1 + margin (p0 = 13 at
+    # N = 6, 17 at N = 8); 120-digit evaluations put p0 at 29 and 37
+    rep = amu_certificate(parse_word("y^3 z^-2 y z^-5 y^2 z^-1"), N, 101)
+    assert rep.p0_observed == p0
+
+
+def test_long_power_matches_oracle_route():
+    w = parse_word("y^200 z^-1")
+    rows = convergence_table(w, 4, range(9, 42, 2))
+    assert [r.p for r in rows] == list(range(9, 42, 2))
+    for row in rows:
+        t, tstar = oracle_matrices(PSetting(row.p, 4))
+        ref = np.eye(4, dtype=complex)
+        for _ in range(200):
+            ref = ref @ t
+        ref = ref @ np.linalg.inv(tstar)
+        rho = spectral_radius(ref)
+        assert abs(row.spectral_radius - rho) <= 1e-9 * rho, row.p
+
+
+def test_huge_exponent_is_cheap(capsys):
+    code = main(["amu", "--word", "y^1000000 z^-1", "--N", "4", "--pmax", "41"])
+    assert code == 0
+    assert "p0_observed=" in capsys.readouterr().out

@@ -4,14 +4,13 @@ import pytest
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError
-from torusrep.field import FMatrix, RatFunc, fm_eq, fm_mul, signed_power
+from torusrep.field import FMatrix, RatFunc, fm_eq, fm_inv, fm_mul, signed_power
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
 from torusrep.repbuild import (
     _braid_holds,
     build_m,
     build_repset,
-    build_that,
     build_tstar,
     build_y,
     build_z,
@@ -98,13 +97,13 @@ def test_m_tridiagonal_exact():
 
 def test_that_column0_and_n2_limit():
     ctx = QContext(2)
-    that = build_that(ctx)
+    that = build_repset(ctx).t_hat
     assert that.column(0) == (RatFunc.one(), RatFunc.zero())
     assert classical_limit(that) == ((1, 2), (0, 1))
 
 
 def test_that_limit_unitriangular_n5():
-    lim = classical_limit(build_that(QContext(5)))
+    lim = classical_limit(build_repset(QContext(5)).t_hat)
     for m in range(5):
         assert lim[m][m] == 1
         for n in range(m):
@@ -113,7 +112,7 @@ def test_that_limit_unitriangular_n5():
 
 def test_tstar_n2_limit():
     ctx = QContext(2)
-    that = build_that(ctx)
+    that = build_repset(ctx).t_hat
     tstar = build_tstar(ctx, that)
     assert classical_limit(tstar) == ((1, 0), (Fraction(-1, 2), 1))
 
@@ -167,6 +166,12 @@ def test_rep_of_word_basics():
     assert fm_eq(
         rep_of_word(parse_word("y z y"), ctx), rep_of_word(parse_word("z y z"), ctx)
     )
+    # a power is the explicit repeated product (binary powering must agree)
+    rs3 = build_repset(QContext(3))
+    t5 = rs3.t_hat
+    for _ in range(4):
+        t5 = fm_mul(t5, rs3.t_hat)
+    assert fm_eq(rep_of_word(parse_word("y^5"), QContext(3)), t5)
 
 
 def test_rep_of_word_inverse_exponent():
@@ -174,12 +179,18 @@ def test_rep_of_word_inverse_exponent():
     rs = build_repset(ctx)
     w = rep_of_word(parse_word("z^-1"), ctx)
     assert fm_eq(fm_mul(w, rs.tstar_hat), FMatrix.identity(2))
+    rs3 = build_repset(QContext(3))
+    inv = fm_inv(rs3.tstar_hat)
+    w3 = rep_of_word(parse_word("z^-3"), QContext(3))
+    assert fm_eq(w3, fm_mul(fm_mul(inv, inv), inv))
+    assert fm_eq(
+        fm_mul(w3, fm_mul(fm_mul(rs3.tstar_hat, rs3.tstar_hat), rs3.tstar_hat)),
+        FMatrix.identity(3),
+    )
 
 
 def test_that_times_its_inverse_is_identity():
-    from torusrep.field import fm_inv
-
-    that = build_that(QContext(2))
+    that = build_repset(QContext(2)).t_hat
     assert fm_eq(fm_mul(that, fm_inv(that)), FMatrix.identity(2))
 
 
@@ -210,7 +221,7 @@ def test_classical_limit_identity_and_values():
         (0, 0, 1),
     )
     # closed form by hand at N=3: entry (m,n) = 2^(n-m)(2-m)!/((n-m)!(2-n)!)
-    lim = classical_limit(build_that(QContext(3)))
+    lim = classical_limit(build_repset(QContext(3)).t_hat)
     assert lim == ((1, 4, 4), (0, 1, 2), (0, 0, 1))
 
 
