@@ -259,7 +259,12 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     The symbolic representation already carries the character rescaling (its
     generators are the matrices of the rescaled twists), so evaluating at A_p
     and comparing against the SL2(Z) action measures exactly the
-    character-normalized distance of the underlying TQFT matrices."""
+    character-normalized distance of the underlying TQFT matrices.
+
+    N above `MAX_EIG_DIM` is rejected before the exact build, with the
+    ValueError that `spectral_radius` would raise after it."""
+    if N > MAX_EIG_DIM:
+        raise ValueError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
     rs = build_repset(QContext(N))
     target = _limit_matrix(w, N)
     rows = []

@@ -10,11 +10,12 @@ ratios. Everything lives in GL_N(Q(X)) and can be evaluated exactly at X = -1.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PoleError
-from .field import FMatrix, RatFunc, fm_eq, fm_inv, fm_mul
+from .field import FMatrix, Poly, RatFunc, fm_inv, fm_mul, poly_gcd
 from .qsymbols import QContext, lambda_shifted, qint, rhat
 
 
@@ -127,15 +128,106 @@ def verify_braid(ctx: QContext) -> bool:
 
 
 def _braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
-    lhs = fm_mul(fm_mul(t, tstar), t)
-    rhs = fm_mul(fm_mul(tstar, t), tstar)
-    return fm_eq(lhs, rhs)
+    return relation_checks(t, tstar)[0]
+
+
+def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
+    """Exact checks over Q(X): (T T* T == T* T T*, the center C = (T T* T)^2
+    commutes with T and with T*).
+
+    Write T = P_T / D_T and T* = P_S / D_S with integer polynomial matrices P
+    and integer polynomials D. Then the braid relation is
+    D_S P_T P_S P_T == D_T P_S P_T P_S, and with C' = (P_T P_S P_T)^2 the
+    center commutes iff C' P_T == P_T C' and C' P_S == P_S C' (both sides of
+    a commutator share one denominator). Every coefficient of the difference
+    of two sides is at most the sum of their l1-norms, bounded through the
+    nonnegative matrices of entry norms (||fg||_1 <= ||f||_1 ||g||_1). With
+    B = 2^w above twice the largest bound, an integer polynomial with
+    coefficients below B/2 in absolute value is zero iff its value at B is
+    zero, so both identities are decided exactly by comparing Python-int
+    matrices at X = B (Kronecker substitution): no gcd, no probability."""
+    pt, dt = _clear_denominators(t)
+    ps, ds = _clear_denominators(tstar)
+    nt, ns = _norms(pt), _norms(ps)
+    ntst = _int_matmul(_int_matmul(nt, ns), nt)
+    nsts = _int_matmul(_int_matmul(ns, nt), ns)
+    nc = _int_matmul(ntst, ntst)
+    bound = max(
+        _max_sum(_int_scale(ntst, _l1(ds)), _int_scale(nsts, _l1(dt))),
+        _max_sum(_int_matmul(nc, nt), _int_matmul(nt, nc)),
+        _max_sum(_int_matmul(nc, ns), _int_matmul(ns, nc)),
+    )
+    w = (2 * bound).bit_length()  # B = 2^w > 2 * bound
+
+    pt, ps = _eval_matrix_at(pt, w), _eval_matrix_at(ps, w)
+    tst = _int_matmul(_int_matmul(pt, ps), pt)
+    sts = _int_matmul(_int_matmul(ps, pt), ps)
+    braid = _int_scale(tst, _eval_at(ds, w)) == _int_scale(sts, _eval_at(dt, w))
+    c = _int_matmul(tst, tst)
+    center = (
+        _int_matmul(c, pt) == _int_matmul(pt, c)
+        and _int_matmul(c, ps) == _int_matmul(ps, c)
+    )
+    return braid, center
+
+
+def _clear_denominators(m: FMatrix):
+    """(P, D) with m = P / D: D the lcm of the entry denominators times the
+    integer lcm of the coefficient denominators, P a matrix of integer
+    coefficient lists (ascending degree), D one such list."""
+    dens = dict.fromkeys(e.den for row in m.rows for e in row)
+    den = Poly.const(1)
+    for d in dens:
+        den = den * d.exact_div(poly_gcd(den, d))
+    cofactor = {d: den.exact_div(d) for d in dens}
+    nums = [[e.num * cofactor[e.den] for e in row] for row in m.rows]
+    scale = math.lcm(
+        *(c.denominator for p in (den, *(q for r in nums for q in r)) for c in p.coeffs)
+    )
+    return (
+        [[[int(c * scale) for c in q.coeffs] for q in row] for row in nums],
+        [int(c * scale) for c in den.coeffs],
+    )
+
+
+def _l1(coeffs) -> int:
+    return sum(abs(c) for c in coeffs)
+
+
+def _norms(p):
+    return [[_l1(q) for q in row] for row in p]
+
+
+def _eval_at(coeffs, w: int) -> int:
+    """Value of an integer polynomial at X = 2^w (Horner by shifts)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << w) + c
+    return acc
+
+
+def _eval_matrix_at(p, w: int):
+    return [[_eval_at(q, w) for q in row] for row in p]
+
+
+def _int_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _int_scale(a, s: int):
+    return [[s * x for x in row] for row in a]
+
+
+def _max_sum(a, b) -> int:
+    return max(x + y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def rep_of_word(w, ctx: QContext) -> FMatrix:
     """Image of a mapping-class word: the ordered product of That/Tstar powers,
-    with negative exponents through the exact inverse. Exact checks only: the
-    certificate scans form words numerically (`numeric.convergence_table`)."""
+    with negative exponents through the exact inverse. An exact reference for
+    the tests: the certificate scans form words numerically
+    (`numeric.convergence_table`) and `verify` uses `relation_checks`."""
     rs = build_repset(ctx)
     return rep_of_word_in(w, rs)
 

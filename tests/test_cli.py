@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
+from torusrep import repbuild
 from torusrep.cli import canonical_json, main
-from torusrep.field import fm_eq, fmatrix_from_obj, fmatrix_to_obj
+from torusrep.field import FMatrix, fm_eq, fmatrix_from_obj, fmatrix_to_obj
 
 
 def run(capsys, *argv):
@@ -77,10 +79,39 @@ def test_verify_pass_and_exit_zero(capsys):
     assert out.count("PASS") == 14
 
 
-def test_verify_corrupted_build_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--N", "2", "--corrupt")
-    assert code == 1
-    assert "FAIL" in out
+def test_verify_corrupted_build_fails(capsys, monkeypatch):
+    build = repbuild.build_repset
+
+    def corrupted(ctx):
+        rs = build(ctx)
+        rows = [list(r) for r in rs.t_hat.rows]
+        rows[0][0] = rs.t_hat[0][0] - 1
+        return repbuild.RepSet(
+            ctx, rs.z_hat, rs.y_hat, rs.zprime_hat, rs.m_hat, FMatrix(rows), rs.tstar_hat
+        )
+
+    monkeypatch.setattr(repbuild, "build_repset", corrupted)
+    for N in ("2", "5"):
+        code, out, _ = run(capsys, "verify", "--N", N)
+        assert code == 1
+        assert "FAIL" in out
+        assert f"FAIL  braid relation exact (N={N})" in out
+        assert f"FAIL  center commutes with both generators (N={N})" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("amu", "--word", "y z^-1", "--N", "40", "--pmax", "81"),
+        ("limit", "--word", "y z^-1", "--N", "40", "--p", "81..85"),
+    ],
+)
+def test_scan_rejects_large_n_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "dimension 40 exceeds bound 32" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_amu_pretty_and_json(capsys):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
-from torusrep.errors import PoleError
-from torusrep.field import FMatrix, RatFunc, fm_eq, fm_inv, fm_mul, signed_power
+from torusrep.errors import PoleError, SingularError
+from torusrep.field import FMatrix, Poly, RatFunc, fm_eq, fm_inv, fm_mul, signed_power
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
 from torusrep.repbuild import (
@@ -16,6 +18,7 @@ from torusrep.repbuild import (
     build_z,
     build_zprime,
     classical_limit,
+    relation_checks,
     rep_of_word,
     verify_braid,
 )
@@ -253,3 +256,94 @@ def test_limits_match_closed_forms_all_n():
         assert classical_limit(rs.tstar_hat) == cl.tstar_limit
         for n in range(N - 1):
             assert classical_limit(rs.m_hat[n]) == cl.m_limits[n]
+
+
+# --- integer-evaluation checks against the Q(X) products ----------------------
+
+
+def _reference_checks(t, tstar):
+    """The braid and center identities by products and equality over Q(X)."""
+    tst = fm_mul(fm_mul(t, tstar), t)
+    braid = fm_eq(tst, fm_mul(fm_mul(tstar, t), tstar))
+    c = fm_mul(tst, tst)
+    center = fm_eq(fm_mul(c, t), fm_mul(t, c)) and fm_eq(fm_mul(c, tstar), fm_mul(tstar, c))
+    return braid, center
+
+
+coeff = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(
+        Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
+    ),
+)
+polys = st.lists(coeff, min_size=1, max_size=2).map(Poly)
+dens = st.one_of(
+    st.just(Poly((1,))),
+    st.integers(min_value=1, max_value=3).map(Poly.monomial),
+    st.lists(coeff, min_size=2, max_size=2).map(Poly).filter(lambda d: d.degree > 0),
+)
+entries = st.one_of(st.just(RatFunc.zero()), st.builds(RatFunc, polys, dens))
+
+
+@st.composite
+def fmatrices(draw, n):
+    return FMatrix(tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n)))
+
+
+@st.composite
+def generator_pairs(draw):
+    """(T, T*): random pairs, pairs (T, T), and the classical U, V of SL2(Z)
+    acting on degree-(n-1) polynomials conjugated by a random matrix over Q(X),
+    for which both the braid relation and centrality hold, optionally with one
+    entry perturbed."""
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("random", "equal", "conjugated", "perturbed")))
+    g = draw(fmatrices(n))
+    if kind == "random":
+        return g, draw(fmatrices(n))
+    if kind == "equal":
+        return g, g
+    try:
+        g_inv = fm_inv(g)
+    except SingularError:
+        assume(False)
+    u = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 1, 0, 1), n))), g_inv)
+    v = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 0, -1, 1), n))), g_inv)
+    if kind == "perturbed":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = [list(r) for r in u.rows]
+        rows[i][j] = rows[i][j] + draw(entries)
+        u = FMatrix(rows)
+    return u, v
+
+
+@given(generator_pairs())
+@settings(max_examples=40, deadline=None)
+def test_relation_checks_agree_with_qx_products(pair):
+    t, tstar = pair
+    assert relation_checks(t, tstar) == _reference_checks(t, tstar)
+
+
+def test_relation_checks_hold_on_conjugated_classical_pair():
+    g = FMatrix([[RatFunc(Poly((1, 1)), Poly((0, 0, 1))), RatFunc(Fraction(1, 3))],
+                 [RatFunc(2), RatFunc(Poly((0, 1)), Poly((1, 0, 2)))]])
+    g_inv = fm_inv(g)
+    u = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 1, 0, 1), 2))), g_inv)
+    v = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 0, -1, 1), 2))), g_inv)
+    assert relation_checks(u, v) == _reference_checks(u, v) == (True, True)
+    assert relation_checks(u, fm_mul(v, v)) == _reference_checks(u, fm_mul(v, v)) == (False, False)
+
+
+def test_relation_checks_agree_on_generators():
+    for N in range(2, 6):
+        rs = build_repset(QContext(N))
+        assert relation_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+        assert _reference_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_relation_checks_negative_controls(N):
+    rs = build_repset(QContext(N))
+    rows = [list(r) for r in rs.t_hat.rows]
+    rows[0][0] = rows[0][0] - 1
+    assert relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
