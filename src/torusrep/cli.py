@@ -197,13 +197,13 @@ def cmd_verify(args) -> int:
         all_ok &= _check(f"center commutes with both generators (N={N})", center_ok, lines)
 
         if args.oracle:
-            worst = 0.0
             try:
-                for p in _parse_range(args.p, odd=True):
-                    if p < 2 * N + 1:  # clamp sweeps to admissible levels
-                        continue
-                    s = numeric.PSetting(p, N)
-                    worst = max(worst, numeric.oracle_deviation(rs, s, args.tolerance))
+                levels = [
+                    numeric.PSetting(p, N)
+                    for p in _parse_range(args.p, odd=True)
+                    if p >= 2 * N + 1  # clamp sweeps to admissible levels
+                ]
+                worst = numeric.oracle_deviation(rs, levels, args.tolerance)
                 ok = worst <= 1e-9
                 label = f"oracle equivalence over p={args.p} (N={N}, worst relative {worst:.2e})"
             except (BadPError, NearPoleError) as err:

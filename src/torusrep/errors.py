@@ -10,11 +10,13 @@ class PoleError(ArithmeticError):
 
 
 class NearPoleError(ArithmeticError):
-    """Complex evaluation denominator fell below the configured tolerance."""
+    """Complex evaluation denominator fell below the configured tolerance.
+    `point` is the index of the failing point in the array evaluated."""
 
-    def __init__(self, message, entry=None):
+    def __init__(self, message, entry=None, point=None):
         super().__init__(message)
         self.entry = entry
+        self.point = point
 
 
 class SingularError(ArithmeticError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NearPoleError, PoleError, SingularError
+from .errors import PoleError, SingularError
 
 # ---------------------------------------------------------------------------
 # integer coefficient kernels
@@ -297,8 +297,9 @@ class Poly:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation; exact for int/Fraction x, floating for complex."""
-        acc = 0 if not isinstance(x, complex) else 0j
+        """Horner evaluation, exact for int/Fraction x. (Complex evaluation is
+        `numeric.eval_matrix`.)"""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -538,12 +539,6 @@ class RatFunc:
         nv = self.num.eval(x)
         return Fraction(nv) / Fraction(dv)
 
-    def eval_complex(self, x: complex, tol: float = 1e-12) -> complex:
-        dv = self.den.eval(complex(x))
-        if abs(dv) < tol:
-            raise NearPoleError(f"denominator magnitude {abs(dv):.3e} at X = {x}")
-        return self.num.eval(complex(x)) / dv
-
     # -- display -------------------------------------------------------------
 
     def __str__(self):
@@ -598,10 +593,6 @@ def rf_neg(a: RatFunc) -> RatFunc:
 
 def eval_exact(f: RatFunc, x) -> Fraction:
     return f.eval_exact(x)
-
-
-def eval_complex(f: RatFunc, x: complex, tol: float = 1e-12) -> complex:
-    return f.eval_complex(x, tol)
 
 
 # ---------------------------------------------------------------------------

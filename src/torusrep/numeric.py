@@ -3,6 +3,11 @@ independent per-p oracle built straight from the level-dependent definitions,
 matrix evaluation, spectral radii, convergence tables, and the infinite-order
 certificate for pseudo-Anosov classes.
 
+Per-level work is O(p + N^2) plus the dense N x N linear algebra: the oracle
+tabulates its powers and factorials once per level, and symbolic matrices are
+evaluated by one batched Horner pass over a whole block of levels, bit for bit
+equal to CPython's scalar complex evaluation.
+
 The evaluation root is A_p = -exp(2 pi i k/p) with gcd(k, p) = 1 (default
 k = 1), the primitive 2p-th root of unity closest to -1. Its defining property
 (-A_p)^p = 1 is what collapses the shifted-index symbols to the p-independent
@@ -28,6 +33,7 @@ from .repbuild import RepSet, build_repset
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MARGIN = 1e-6
 MAX_EIG_DIM = 32
+BLOCK_LEVELS = 64  # levels evaluated together: memory O(BLOCK_LEVELS N^2)
 
 
 def primitive_root(p: int, k: int = 1) -> complex:
@@ -68,14 +74,27 @@ class PSetting:
 class _RawSymbols:
     """Quantum symbols evaluated numerically at one root, with the color shift
     c appearing literally: the oracle side of the dual route. No reflection
-    identities are used anywhere here."""
+    identities are used anywhere here.
+
+    Per level it tabulates (-A)^n = exp(i w n) once for every |n| up to
+    2c + 2N = p - 1, the largest index the definitions reach, each entry by
+    `cmath.exp` with the exponent unreduced (so (-A)^p = 1 is never assumed),
+    and then the prefix products {n}!, {n}!! and {n}+!. Every symbol, and so
+    every pairing ratio, is then a table lookup: O(p) work per level instead of
+    O(N^2 p)."""
 
     def __init__(self, s: PSetting, tol: float):
-        self._w = 2.0 * math.pi * s.k / s.p  # angle of (-A)
+        w = 2.0 * math.pi * s.k / s.p  # angle of (-A)
+        top = 2 * s.c + 2 * s.N
+        # (-A)^0..(-A)^top, then (-A)^-top..(-A)^-1: Python's negative indexing
+        # makes table[n] = (-A)^n for every |n| <= top
+        table = [cmath.exp(1j * w * n) for n in range(top + 1)]
+        table += [cmath.exp(1j * w * n) for n in range(-top, 0)]
+        self.power = table.__getitem__  # (-A)^n
+        self.qd_fact = _prefix_products(self.qd, top, 1).__getitem__  # {n}!
+        self.qd_dfact = _prefix_products(self.qd, top, 2).__getitem__  # {n}!!
+        self.qp_fact = _prefix_products(self.qp, top, 1).__getitem__  # {n}+!
         self._tol = tol
-
-    def power(self, n: int) -> complex:  # (-A)^n
-        return cmath.exp(1j * self._w * n)
 
     def qd(self, n: int) -> complex:  # {n}
         return self.power(n) - self.power(-n)
@@ -86,29 +105,19 @@ class _RawSymbols:
     def lam(self, n: int) -> complex:  # curve-operator eigenvalue lambda_n
         return -self.qp(2 * n + 2)
 
-    def qd_fact(self, n: int) -> complex:  # {n}!
-        out = 1 + 0j
-        for j in range(1, n + 1):
-            out *= self.qd(j)
-        return out
-
-    def qd_dfact(self, n: int) -> complex:  # {n}!! down to {1} or {2}
-        out = 1 + 0j
-        while n >= 1:
-            out *= self.qd(n)
-            n -= 2
-        return out
-
-    def qp_fact(self, n: int) -> complex:  # {n}+!
-        out = 1 + 0j
-        for j in range(1, n + 1):
-            out *= self.qp(j)
-        return out
-
     def guard(self, value: complex, what: str) -> complex:
         if abs(value) < self._tol:
             raise NearPoleError(f"{what} has magnitude {abs(value):.3e}")
         return value
+
+
+def _prefix_products(f, top: int, step: int) -> list[complex]:
+    """out[n] = f(n) f(n - step) ... down to f(1) or f(2) (out[0] = 1),
+    multiplied in ascending order, for n = 0..top."""
+    out = [1 + 0j] * (top + 1)
+    for n in range(1, top + 1):
+        out[n] = out[max(n - step, 0)] * f(n)
+    return out
 
 
 def _oracle_build(s: PSetting, tol: float):
@@ -167,33 +176,105 @@ def oracle_z_matrix(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     return _oracle_build(s, tol)[0]
 
 
-def eval_matrix(mat: FMatrix, x: complex, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Entrywise complex evaluation of a symbolic matrix."""
-    out = np.zeros((mat.n_rows, mat.n_cols), dtype=complex)
-    for i, row in enumerate(mat.rows):
-        for j, e in enumerate(row):
-            try:
-                out[i, j] = e.eval_complex(x, tol)
-            except NearPoleError as err:
-                raise NearPoleError(f"entry ({i}, {j}): {err}", entry=(i, j)) from None
-    return out
+def eval_matrix(mat: FMatrix, x, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Entrywise complex evaluation of a symbolic matrix at one point x (an
+    r x c array) or at each point of a 1-d array x (a k x r x c stack).
+
+    Horner runs for every entry and point at once on separate real and
+    imaginary float arrays, repeating in order the operations of the scalar
+    loop `acc = acc * x + c` in CPython complex numbers followed by num / den:
+    each product and sum rounds once, adding a coefficient adds 0.0 to the
+    imaginary part, and the quotient is Smith's, as in `_Py_c_quot`. The
+    result is bit for bit that of the scalar loop, signed zeros included. A denominator below
+    `tol` in modulus raises NearPoleError for the first point in array order
+    and, at that point, the first entry in row-major order."""
+    xs = np.asarray(x, dtype=complex)
+    pts = xs.reshape(-1)
+    entries = [e for row in mat.rows for e in row]
+    polys = [e.num for e in entries] + [e.den for e in entries]
+    # longest first: at each Horner step only the polys that have reached
+    # their leading coefficient are updated, a prefix of this order (the
+    # skipped steps would leave acc = 0 exactly, as in the scalar loop)
+    order = sorted(range(len(polys)), key=lambda k: -len(polys[k].coeffs))
+    lengths = np.array([len(polys[k].coeffs) for k in order])
+    coeffs = np.zeros((lengths[0], len(polys)))
+    for col, k in enumerate(order):
+        coeffs[: lengths[col], col] = polys[k].coeffs
+    xr, xi = pts.real, pts.imag
+    acc_re = np.zeros((len(polys), len(pts)))
+    acc_im = np.zeros_like(acc_re)
+    for deg in range(lengths[0] - 1, -1, -1):  # acc = acc * x + c, top degree first
+        n = np.count_nonzero(lengths > deg)
+        re, im = acc_re[:n], acc_im[:n]
+        re, im = re * xr - im * xi + coeffs[deg, :n, None], re * xi + im * xr + 0.0
+        acc_re[:n], acc_im[:n] = re, im
+    re, im = np.empty_like(acc_re), np.empty_like(acc_im)
+    re[order], im[order] = acc_re, acc_im
+    nr, dr = np.split(re, 2)
+    ni, di = np.split(im, 2)
+    bad = np.hypot(dr, di) < tol  # abs(complex) is hypot(re, im)
+    if bad.any():
+        k = np.flatnonzero(bad.any(axis=0))[0]
+        e = np.flatnonzero(bad[:, k])[0]
+        i, j = divmod(int(e), mat.n_cols)
+        raise NearPoleError(
+            f"entry ({i}, {j}): denominator magnitude {np.hypot(dr[e, k], di[e, k]):.3e}"
+            f" at X = {complex(pts[k])}",
+            entry=(i, j),
+            point=int(k),
+        )
+    by_real = np.abs(dr) >= np.abs(di)  # divide through by the larger part
+    u, v = np.where(by_real, dr, di), np.where(by_real, di, dr)
+    ratio = v / u
+    denom = u + v * ratio
+    out_re = np.where(by_real, nr + ni * ratio, nr * ratio + ni) / denom
+    out_im = np.where(by_real, ni - nr * ratio, ni * ratio - nr) / denom
+    out = np.empty((len(pts), mat.n_rows, mat.n_cols), dtype=complex)
+    out.real = out_re.T.reshape(out.shape)
+    out.imag = out_im.T.reshape(out.shape)
+    return out[0] if xs.ndim == 0 else out
 
 
-def eval_generators(rs: RepSet, s: PSetting, tol: float = DEFAULT_TOLERANCE):
-    """T and T* of the symbolic build evaluated at A_p: the one numeric
-    evaluation of the representation, shared by the scans and the oracle
-    check."""
-    return eval_matrix(rs.t_hat, s.A, tol), eval_matrix(rs.tstar_hat, s.A, tol)
+def eval_generators(rs: RepSet, x, tol: float = DEFAULT_TOLERANCE):
+    """T and T* of the symbolic build evaluated at x, one point or a 1-d array
+    of points (`eval_matrix`): the one numeric evaluation of the
+    representation, shared by the scans and the oracle check. NearPoleError
+    names the first failing point, and T before T* at that point."""
+    try:
+        t = eval_matrix(rs.t_hat, x, tol)
+    except NearPoleError as err:
+        if err.point:  # T* may fail at an earlier point
+            eval_matrix(rs.tstar_hat, np.asarray(x)[: err.point], tol)
+        raise
+    return t, eval_matrix(rs.tstar_hat, x, tol)
 
 
-def oracle_deviation(rs: RepSet, s: PSetting, tol: float = DEFAULT_TOLERANCE) -> float:
-    """Largest entrywise disagreement between the evaluated symbolic
-    generators and the oracle's at one level, relative to the oracle matrix's
-    size (floored at 1): max_abs(diff) / max(1, max_abs(oracle))."""
-    return max(
-        max_abs(sym - ora) / max(1.0, max_abs(ora))
-        for sym, ora in zip(eval_generators(rs, s, tol), oracle_matrices(s, tol))
-    )
+def _blocks(levels):
+    """Consecutive runs of at most BLOCK_LEVELS levels and their roots A_p."""
+    levels = list(levels)
+    for start in range(0, len(levels), BLOCK_LEVELS):
+        block = levels[start : start + BLOCK_LEVELS]
+        yield block, np.array([s.A for s in block])
+
+
+def oracle_deviation(rs: RepSet, levels, tol: float = DEFAULT_TOLERANCE) -> float:
+    """Largest entrywise disagreement, over the given levels (PSettings),
+    between the evaluated symbolic generators and the oracle's, relative to
+    the oracle matrix's size (floored at 1): max_abs(diff) / max(1,
+    max_abs(oracle)). 0.0 for no levels. Errors surface in level order, the
+    symbolic side before the oracle at one level."""
+    worst = 0.0
+    for block, xs in _blocks(levels):
+        try:
+            gens = eval_generators(rs, xs, tol)
+        except NearPoleError as err:
+            for s in block[: err.point]:  # an oracle failure at an earlier level
+                oracle_matrices(s, tol)
+            raise
+        for i, s in enumerate(block):
+            for sym, ora in zip(gens, oracle_matrices(s, tol)):
+                worst = max(worst, max_abs(sym[i] - ora) / max(1.0, max_abs(ora)))
+    return worst
 
 
 def spectral_radius(m: np.ndarray, max_dim: int = MAX_EIG_DIM) -> float:
@@ -248,11 +329,15 @@ def _limit_matrix(w: Word, N: int) -> np.ndarray:
 def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     """Per-level rows (p, spectral radius, deviation from the classical limit).
 
-    Each level evaluates only the two generators T and T* at A_p
-    (`eval_generators`), inverts one numerically only where a letter has a
-    negative exponent, and forms the word in numpy: `matrix_power` per letter
+    Levels go in blocks of `BLOCK_LEVELS`, so memory stays O(BLOCK_LEVELS N^2)
+    for any range. Each block evaluates only the two generators T and T* at
+    its roots A_p, in one batched Horner pass each (`eval_generators`),
+    inverts one numerically only where a letter has a negative exponent, and
+    forms the word on the stack of levels in numpy: `matrix_power` per letter
     (binary powering, so the cost is logarithmic in the exponent) and `@`
-    across letters. The exact word product over Q(X) is never formed here: its
+    across letters; the spectral radius is then taken level by level. The
+    rows are bit for bit those of evaluating and multiplying one level at a
+    time. The exact word product over Q(X) is never formed here: its
     degree and coefficient size grow with the word, and double-precision
     Horner on such a product loses most of its digits on the unit circle.
 
@@ -268,22 +353,22 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     rs = build_repset(QContext(N))
     target = _limit_matrix(w, N)
     rows = []
-    for p in sorted(p_list):
-        s = PSetting(p, N)
-        t, tstar = eval_generators(rs, s, tol)
+    for block, xs in _blocks(PSetting(p, N) for p in sorted(p_list)):
+        t, tstar = eval_generators(rs, xs, tol)
         m_p = np.eye(N, dtype=complex)
         for gen, exp in w.letters:
             base = t if gen is Gen.TY else tstar
             if exp < 0:
                 base = np.linalg.inv(base)
             m_p = m_p @ np.linalg.matrix_power(base, abs(exp))
-        rows.append(
+        rows += [
             TableRow(
-                p=p,
-                spectral_radius=spectral_radius(m_p),
-                deviation=max_abs(m_p - target),
+                p=s.p,
+                spectral_radius=spectral_radius(m),
+                deviation=max_abs(m - target),
             )
-        )
+            for s, m in zip(block, m_p)
+        ]
     return rows
 
 

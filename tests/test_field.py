@@ -10,7 +10,6 @@ from torusrep.field import (
     FMatrix,
     Poly,
     RatFunc,
-    eval_complex,
     eval_exact,
     fm_eq,
     fm_inv,
@@ -25,8 +24,13 @@ from torusrep.field import (
     rf_mul,
     signed_power,
 )
+from torusrep.numeric import eval_matrix
 
 X = RatFunc.x()
+
+
+def eval_complex(f, x):
+    return eval_matrix(FMatrix([[f]]), x)[0, 0]
 
 
 def rf(num, den=(1,)):

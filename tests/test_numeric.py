@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from torusrep.errors import BadPError, NearPoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.cli import main
 from torusrep.mcg import NTClass, chi_p, parse_word, sl2_image, stretch_factor
+from torusrep import numeric
 from torusrep.numeric import (
+    BLOCK_LEVELS,
     PSetting,
     amu_certificate,
     convergence_table,
@@ -89,9 +92,9 @@ def test_oracle_gate_is_relative_at_n10():
     # disagrees with the oracle by more than 1e-9 absolute but ~1e-12 relative
     s = PSetting(195, 10)
     rs = build_repset(QContext(10))
-    pairs = list(zip(eval_generators(rs, s), oracle_matrices(s)))
+    pairs = list(zip(eval_generators(rs, s.A), oracle_matrices(s)))
     assert max(max_abs(sym - ora) for sym, ora in pairs) > 1e-9
-    rel = oracle_deviation(rs, s)
+    rel = oracle_deviation(rs, [s])
     assert rel == max(max_abs(sym - ora) / max(1.0, max_abs(ora)) for sym, ora in pairs)
     assert rel <= 1e-9
 
@@ -241,3 +244,194 @@ def test_huge_exponent_is_cheap(capsys):
     code = main(["amu", "--word", "y^1000000 z^-1", "--N", "4", "--pmax", "41"])
     assert code == 0
     assert "p0_observed=" in capsys.readouterr().out
+
+
+# -- batched evaluation is bit for bit the scalar evaluation -----------------
+
+
+def _scalar_eval(mat, x):
+    """The scalar reference, entry by entry: Horner in CPython complex
+    arithmetic on numerator and denominator, then their quotient."""
+
+    def horner(poly):
+        acc = 0j
+        for c in reversed(poly.coeffs):
+            acc = acc * x + c
+        return acc
+
+    return np.array([[horner(e.num) / horner(e.den) for e in row] for row in mat.rows])
+
+
+def _bits(a):
+    # integer view of the float parts: signed zeros (and NaN payloads) count
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_eval_matrix_batched_is_bit_identical_to_scalar(N):
+    rs = build_repset(QContext(N))
+    levels = range(2 * N + 1, 2 * N + 1 + 2 * (BLOCK_LEVELS + 3), 2)
+    xs = np.array([PSetting(p, N).A for p in levels] + [-1.0, 1.0, cmath.exp(1j), cmath.exp(-2.5j)])
+    mats = [rs.z_hat, rs.y_hat, rs.zprime_hat, *rs.m_hat, rs.t_hat, rs.tstar_hat]
+    for mat in mats:
+        batched = eval_matrix(mat, xs)
+        assert batched.shape == (len(xs), N, N)
+        for k, x in enumerate(xs):
+            want = _bits(_scalar_eval(mat, complex(x)))
+            assert np.array_equal(_bits(batched[k]), want), (N, k)
+            if k % 16 == 0:  # one point: an N x N array, also bit for bit
+                assert np.array_equal(_bits(eval_matrix(mat, complex(x))), want)
+
+
+def test_eval_matrix_bit_identity_signed_zeros_and_fractions():
+    # entries whose value has a zero real or imaginary part, a Fraction and a
+    # big integer coefficient, a constant denominator and the zero function
+    from fractions import Fraction
+
+    entries = [
+        RatFunc(Poly((0, 1))),  # X
+        RatFunc(Poly((Fraction(1, 3), 0, -2))),
+        RatFunc(Poly((1,)), Poly((0, 0, 1))),  # X^-2
+        RatFunc(Poly((3 ** 40, -1)), Poly((2, 0, 1))),
+        RatFunc(Poly(())),
+        RatFunc(Poly((-1, 0, 1)), Poly((1, 1, 1))),
+        RatFunc(Poly((-2, 1)), Poly((0, 1))),  # (X - 2)/X: a zero real part at 1 - i
+        RatFunc(Poly((0, 0, 0, -1))),
+        RatFunc(Poly((1, -1)), Poly((3, 1))),
+    ]
+    mat = FMatrix([entries[:3], entries[3:6], entries[6:]])
+    xs = np.array(
+        [1.0, -1.0, 1j, -1j, 1 + 1j, 1 - 1j, complex(2.0, -0.0), 0.3 - 0.4j, -2.5 + 0j, cmath.exp(2j)]
+    )
+    batched = eval_matrix(mat, xs)
+    for k, x in enumerate(xs):
+        assert np.array_equal(_bits(batched[k]), _bits(_scalar_eval(mat, complex(x)))), k
+
+
+def _rows_level_by_level(w, N, levels):
+    """convergence_table's rows built one level at a time from scalar
+    evaluation, with the same numpy calls."""
+    rs = build_repset(QContext(N))
+    target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
+    rows = []
+    for p in levels:
+        x = PSetting(p, N).A
+        t, tstar = _scalar_eval(rs.t_hat, x), _scalar_eval(rs.tstar_hat, x)
+        m = np.eye(N, dtype=complex)
+        for gen, exp in w.letters:
+            base = t if gen.name == "TY" else tstar
+            if exp < 0:
+                base = np.linalg.inv(base)
+            m = m @ np.linalg.matrix_power(base, abs(exp))
+        rows.append((p, spectral_radius(m), max_abs(m - target)))
+    return rows
+
+
+@pytest.mark.parametrize("word, N", [("y z^-1", 3), ("y^3 z^-2 y", 4), ("z^5 y^-7", 2)])
+def test_convergence_table_equals_level_by_level(word, N):
+    w = parse_word(word)
+    levels = range(2 * N + 1, 2 * N + 1 + 2 * (BLOCK_LEVELS + 5), 2)
+    rows = convergence_table(w, N, levels)
+    assert [(r.p, r.spectral_radius, r.deviation) for r in rows] == _rows_level_by_level(w, N, levels)
+
+
+def test_eval_matrix_names_the_point_on_a_pole():
+    m = FMatrix([[RatFunc(Poly((1,))), RatFunc(Poly((1,)), Poly((1, 1)))]])  # [1, 1/(X+1)]
+    xs = np.array([0.5, 2j, -1.0, 3.0])
+    with pytest.raises(NearPoleError) as err:
+        eval_matrix(m, xs)
+    assert err.value.point == 2 and err.value.entry == (0, 1)
+    with pytest.raises(NearPoleError) as one:
+        eval_matrix(m, complex(xs[2]))
+    assert str(err.value) == str(one.value) and "at X = (-1+0j)" in str(one.value)
+    # of two failing points the first in array order is named
+    two = FMatrix([[RatFunc(Poly((1,)), Poly((-1, 1))), RatFunc(Poly((1,)), Poly((1, 1)))]])
+    with pytest.raises(NearPoleError) as err:
+        eval_matrix(two, np.array([0.5, -1.0, 1.0]))
+    assert err.value.point == 1 and err.value.entry == (0, 1)
+
+
+def test_errors_surface_in_level_order(monkeypatch):
+    # |A_p + 1| = 2 sin(pi/p) falls below tol = 0.3 from p = 21 on, and its
+    # square from p = 13 on: over a block of levels the first failing level is
+    # named, T* before a later T failure, and an oracle failure before a later
+    # symbolic one, as when the levels were taken one at a time
+    from types import SimpleNamespace
+
+    one, inv_x1 = RatFunc(Poly((1,))), RatFunc(Poly((1,)), Poly((1, 1)))
+    inv_x1_sq = RatFunc(Poly((1,)), Poly((1, 2, 1)))
+    gens = SimpleNamespace(
+        t_hat=FMatrix([[inv_x1, one], [one, one]]),
+        tstar_hat=FMatrix([[one, one], [inv_x1_sq, one]]),
+    )
+    levels = [PSetting(p, 2) for p in range(5, 41, 2)]
+    with pytest.raises(NearPoleError) as err:
+        eval_generators(gens, np.array([s.A for s in levels]), 0.3)
+    assert err.value.point == levels.index(PSetting(13, 2)) and err.value.entry == (1, 0)
+
+    def oracle(s, tol):
+        if s.p >= 11:
+            raise NearPoleError(f"oracle at p = {s.p}")
+        return np.eye(2), np.eye(2)
+
+    monkeypatch.setattr(numeric, "oracle_matrices", oracle)
+    with pytest.raises(NearPoleError, match="oracle at p = 11"):
+        oracle_deviation(gens, levels, 0.3)
+
+
+# -- the table oracle against the direct products it replaced ----------------
+
+
+class _DirectRawSymbols:
+    """The oracle's symbols as first written: every factorial a direct product
+    of fresh `cmath.exp` powers, O(p) per symbol (slow; reference only)."""
+
+    def __init__(self, s, tol):
+        self._w = 2.0 * math.pi * s.k / s.p
+        self._tol = tol
+
+    def power(self, n):
+        return cmath.exp(1j * self._w * n)
+
+    def qd(self, n):
+        return self.power(n) - self.power(-n)
+
+    def qp(self, n):
+        return self.power(n) + self.power(-n)
+
+    def lam(self, n):
+        return -self.qp(2 * n + 2)
+
+    def qd_fact(self, n):
+        out = 1 + 0j
+        for j in range(1, n + 1):
+            out *= self.qd(j)
+        return out
+
+    def qd_dfact(self, n):
+        out = 1 + 0j
+        while n >= 1:
+            out *= self.qd(n)
+            n -= 2
+        return out
+
+    def qp_fact(self, n):
+        out = 1 + 0j
+        for j in range(1, n + 1):
+            out *= self.qp(j)
+        return out
+
+    def guard(self, value, what):
+        if abs(value) < self._tol:
+            raise NearPoleError(f"{what} has magnitude {abs(value):.3e}")
+        return value
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_table_oracle_matches_direct_products(N, monkeypatch):
+    levels = sorted({2 * N + 1, 2 * N + 3, 2 * N + 5, 51, 101, 153, 201, 257, 301})
+    table = [oracle_matrices(PSetting(p, N)) for p in levels]
+    monkeypatch.setattr(numeric, "_RawSymbols", _DirectRawSymbols)
+    for p, got in zip(levels, table):
+        for mine, ref in zip(got, oracle_matrices(PSetting(p, N))):
+            assert max_abs(mine - ref) <= 1e-11 * max_abs(ref), (N, p)
