@@ -244,8 +244,6 @@ def _report_text(report: numeric.AMUReport, fmt: str, tolerance: float) -> str:
     body = ["p,spectral_radius,deviation"] + [
         f"{r.p},{r.spectral_radius:.12g},{r.deviation:.12g}" for r in report.rows
     ]
-    if fmt == "csv":
-        return "\n".join(head + body) + "\n"
     return "\n".join(head + body) + "\n"
 
 

@@ -141,13 +141,28 @@ class Poly:
     """A univariate polynomial with exact rational coefficients, stored densely
     by ascending degree with trailing zeros trimmed."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int")
 
     def __init__(self, coeffs=()):
         cs = [_norm_coeff(Fraction(c) if isinstance(c, str) else c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._int = all(isinstance(c, int) for c in cs)
+
+    @staticmethod
+    def _raw(cs, is_int=True):
+        """Unchecked constructor for coefficients that need no normalisation:
+        ints (the integer kernels' results) or, with `is_int` False, already
+        normalised coefficients that are not all ints. Trailing zeros are
+        trimmed."""
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        p = object.__new__(Poly)
+        p.coeffs = tuple(cs[:n]) if n < len(cs) else tuple(cs)
+        p._int = is_int
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -187,16 +202,16 @@ class Poly:
         """Multiply by X^k (k >= 0)."""
         if self.is_zero or k == 0:
             return self
-        return Poly((0,) * k + self.coeffs)
+        return Poly._raw((0,) * k + self.coeffs, self._int)
 
     def unshift(self, k):
         """Divide by X^k, assuming valuation >= k."""
         if k == 0 or self.is_zero:
             return self
-        return Poly(self.coeffs[k:])
+        return Poly._raw(self.coeffs[k:], self._int)
 
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.coeffs)
+        return self._int
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -212,7 +227,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._raw(tuple(-c for c in self.coeffs), self._int)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -221,6 +236,8 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
+        if self._int and other._int:
+            return Poly._raw(out)
         return Poly(out)
 
     def __sub__(self, other):
@@ -229,6 +246,8 @@ class Poly:
         out = list(a) + [0] * (n - len(a))
         for i, c in enumerate(b):
             out[i] -= c
+        if self._int and other._int:
+            return Poly._raw(out)
         return Poly(out)
 
     def __mul__(self, other):
@@ -241,8 +260,8 @@ class Poly:
             return other.scale(a[0])
         if len(b) == 1:
             return self.scale(b[0])
-        if self.is_integral() and other.is_integral():
-            return Poly(_int_mul(list(a), list(b)))
+        if self._int and other._int:
+            return Poly._raw(_int_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:
@@ -257,6 +276,8 @@ class Poly:
             return _P_ZERO
         if s == 1:
             return self
+        if self._int and isinstance(s, int):
+            return Poly._raw(tuple(c * s for c in self.coeffs))
         return Poly(tuple(c * s for c in self.coeffs))
 
     def divmod(self, other):
@@ -268,6 +289,7 @@ class Poly:
         rem = list(self.coeffs)
         db = other.degree
         lb = other.lead
+        is_int = self._int and other._int
         q = [0] * (len(rem) - db)
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
@@ -281,11 +303,14 @@ class Poly:
                 qc = c // lb
             else:
                 qc = _norm_coeff(Fraction(c) / Fraction(lb))
+                is_int = False
             q[k - db] = qc
             shift = k - db
             for i, bc in enumerate(other.coeffs[:-1]):
                 rem[shift + i] -= qc * bc
             rem[k] = 0
+        if is_int:
+            return Poly._raw(q), Poly._raw(rem[:db])
         return Poly(q), Poly(rem[:db])
 
     def exact_div(self, other):
@@ -350,9 +375,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd over Q, normalized primitive with positive leading coefficient
     (monic-integer whenever the inputs are monic-integer)."""
     if a.is_zero:
-        return Poly(_int_primitive(_to_int_list(b))) if not b.is_zero else _P_ZERO
+        return Poly._raw(_int_primitive(_to_int_list(b))) if not b.is_zero else _P_ZERO
     if b.is_zero:
-        return Poly(_int_primitive(_to_int_list(a)))
+        return Poly._raw(_int_primitive(_to_int_list(a)))
     va, vb = a.valuation, b.valuation
     v = min(va, vb)
     ia = _to_int_list(a.unshift(va))
@@ -361,7 +386,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         g = [1]  # a unit is the only common divisor once X-powers are stripped
     else:
         g = _int_gcd(ia, ib)
-    return Poly(g).shift(v)
+    return Poly._raw(g).shift(v)
 
 
 # ---------------------------------------------------------------------------
@@ -566,33 +591,6 @@ def signed_power(n: int) -> RatFunc:
     if n >= 0:
         return RatFunc(Poly.monomial(n, sign), _P_ONE, _canonical=True)
     return RatFunc(Poly.const(sign), Poly.monomial(-n), _canonical=True)
-
-
-# function-style aliases ------------------------------------------------------
-
-
-def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a + b
-
-
-def rf_sub(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a - b
-
-
-def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a * b
-
-
-def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a / b
-
-
-def rf_neg(a: RatFunc) -> RatFunc:
-    return -a
-
-
-def eval_exact(f: RatFunc, x) -> Fraction:
-    return f.eval_exact(x)
 
 
 # ---------------------------------------------------------------------------

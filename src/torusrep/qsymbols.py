@@ -66,24 +66,33 @@ def lambda_shifted(k: int, ctx: QContext) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _rhat(n: int, m: int, N: int) -> RatFunc:
-    if n == m:
-        return RatFunc.one()
-    if n < m:
-        return _rhat(m, n, N).reciprocal()
-    out = RatFunc.one() if (n - m) % 2 == 0 else -RatFunc.one()
-    for j in range(m + 1, n + 1):
-        out = out * (qint(2 * N - 2 * j) / qint(j))
-    for k in range(2 * N - n, 2 * N - m):
-        out = out * qint_plus(k)
-    return out
+def _rhat_step(j: int, N: int) -> RatFunc:
+    """The adjacent ratio rhat(j, j - 1) = -{2N-2j}/{j} * {2N-j}+."""
+    return -(qint(2 * N - 2 * j) / qint(j)) * qint_plus(2 * N - j)
+
+
+@lru_cache(maxsize=None)
+def _rhat_row(n: int, N: int) -> tuple[RatFunc, ...]:
+    """(rhat(n, 0), ..., rhat(n, n)), filled downwards from rhat(n, n) = 1 by
+    rhat(n, m) = rhat(n, m + 1) * rhat(m + 1, m)."""
+    row = [RatFunc.one()]
+    for m in range(n - 1, -1, -1):
+        step = _rhat_step(m + 1, N)
+        row.append(step if m == n - 1 else row[-1] * step)
+    return tuple(reversed(row))
 
 
 def rhat(n: int, m: int, ctx: QContext) -> RatFunc:
-    """Hopf-pairing norm ratio of basis vectors n and m, as a telescoped
-    product: (-1)^(n-m) * prod_j {2N-2j}/{j} * prod_k {k}+ for n > m, with
-    rhat(n, n) = 1 and rhat(m, n) = 1/rhat(n, m)."""
+    """Hopf-pairing norm ratio of basis vectors n and m. For n > m it is the
+    telescoped product (-1)^(n-m) * prod_j {2N-2j}/{j} * prod_k {k}+ over
+    j = m+1..n and k = 2N-n..2N-m-1, built from the adjacent steps as
+    rhat(n, m) = rhat(n, m + 1) * rhat(m + 1, m); rhat(n, n) = 1 and
+    rhat(m, n) = 1/rhat(n, m)."""
     N = ctx.N
     if not (0 <= n <= N - 1 and 0 <= m <= N - 1):
         raise ValueError(f"indices ({n}, {m}) outside 0..{N - 1}")
-    return _rhat(n, m, N)
+    if n == m:
+        return RatFunc.one()
+    hi, lo = max(n, m), min(n, m)
+    r = _rhat_step(hi, N) if hi == lo + 1 else _rhat_row(hi, N)[lo]
+    return r if n > m else r.reciprocal()

@@ -1,10 +1,13 @@
 """Construction of the level-independent symbolic matrices.
 
 The curve-operator matrix z is lower bidiagonal; its Hopf transpose y, the
-twisted operator z', and the tridiagonal column-recurrence matrices M^(n) are
-assembled from it. The twist generator That has column n+1 = M^(n) * column n
-starting from e = (1, 0, ..., 0), and Tstar is recovered through the pairing
-ratios. Everything lives in GL_N(Q(X)) and can be evaluated exactly at X = -1.
+twisted operator z', and the tridiagonal column-recurrence matrices
+M^(n) = (z' - lambda_{c+n} I) / {n+1} are assembled from it. The twist
+generator That has column n+1 = M^(n) * column n starting from
+e = (1, 0, ..., 0); it is formed as ((z' - lambda_{c+n} I) * column n) / {n+1},
+so the inner products stay among Laurent polynomials and each column entry
+pays one division. Tstar is recovered through the pairing ratios. Everything
+lives in GL_N(Q(X)) and can be evaluated exactly at X = -1.
 """
 
 from __future__ import annotations
@@ -36,13 +39,7 @@ def build_z(ctx: QContext) -> FMatrix:
 def build_y(ctx: QContext, z: FMatrix) -> FMatrix:
     """Meridian curve operator: the transpose of z through the Hopf pairing,
     y[m][l] = rhat(l, m) * z[l][m]."""
-    N = ctx.N
-    return FMatrix(
-        tuple(
-            tuple(rhat(l, m, ctx) * z[l][m] for l in range(N))
-            for m in range(N)
-        )
-    )
+    return _pairing_transpose(ctx, z)
 
 
 def build_zprime(ctx: QContext, y: FMatrix, z: FMatrix) -> FMatrix:
@@ -72,12 +69,20 @@ def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
 
 def build_tstar(ctx: QContext, that: FMatrix) -> FMatrix:
     """The second twist generator through the pairing: tstar[n][m] =
-    that[m][n] / rhat(n, m)."""
+    that[m][n] / rhat(n, m) = rhat(m, n) * that[m][n]."""
+    return _pairing_transpose(ctx, that)
+
+
+def _pairing_transpose(ctx: QContext, a: FMatrix) -> FMatrix:
+    """out[i][j] = rhat(j, i) * a[j][i]. The ratio is formed only where a[j][i]
+    is nonzero: z is bidiagonal and That triangular, so most pairs are never
+    needed."""
     N = ctx.N
+    zero = RatFunc.zero()
     return FMatrix(
         tuple(
-            tuple(that[m][n] / rhat(n, m, ctx) for m in range(N))
-            for n in range(N)
+            tuple(zero if a[j][i].is_zero else rhat(j, i, ctx) * a[j][i] for j in range(N))
+            for i in range(N)
         )
     )
 
@@ -103,18 +108,25 @@ def build_repset(ctx: QContext) -> RepSet:
     zprime = build_zprime(ctx, y, z)
     m_hat = tuple(build_m(n, ctx, zprime) for n in range(N - 1))
 
+    # Column n+1 = M^(n) * column n, formed as ((z' - lambda_{c+n} I) *
+    # column n) / {n+1}: z' and the columns have Laurent entries, so only the
+    # final division pays a non-trivial gcd.
     cols = [[RatFunc.zero()] * N for _ in range(N)]
     cols[0][0] = RatFunc.one()
     for n in range(N - 1):
         prev = cols[n]
+        lam = lambda_shifted(n, ctx)
+        inv = qint(n + 1).reciprocal()
         nxt = []
         for m in range(N):
             acc = RatFunc.zero()
             for l in range(max(0, m - 1), min(N, m + 2)):
-                e = m_hat[n][m][l]
-                if not (e.is_zero or prev[l].is_zero):
+                if prev[l].is_zero:
+                    continue
+                e = zprime[m][l] - lam if l == m else zprime[m][l]
+                if not e.is_zero:
                     acc = acc + e * prev[l]
-            nxt.append(acc)
+            nxt.append(acc * inv)
         cols[n + 1] = nxt
     that = FMatrix(tuple(tuple(cols[n][m] for n in range(N)) for m in range(N)))
     tstar = build_tstar(ctx, that)

@@ -10,7 +10,6 @@ from torusrep.field import (
     FMatrix,
     Poly,
     RatFunc,
-    eval_exact,
     fm_eq,
     fm_inv,
     fm_mul,
@@ -19,9 +18,6 @@ from torusrep.field import (
     poly_gcd,
     ratfunc_from_obj,
     ratfunc_to_obj,
-    rf_add,
-    rf_div,
-    rf_mul,
     signed_power,
 )
 from torusrep.numeric import eval_matrix
@@ -41,15 +37,15 @@ def rf(num, den=(1,)):
 
 
 def test_additive_inverse():
-    assert rf_add(X, -X) == RatFunc.zero()
+    assert X + (-X) == RatFunc.zero()
 
 
 def test_cancellation_forces_reduction():
-    assert rf_mul(rf((1,), (1, 1)), rf((1, 1))) == RatFunc.one()
+    assert rf((1,), (1, 1)) * rf((1, 1)) == RatFunc.one()
 
 
 def test_exact_polynomial_quotient():
-    assert rf_div(rf((-1, 0, 1)), rf((-1, 1))) == rf((1, 1))
+    assert rf((-1, 0, 1)) / rf((-1, 1)) == rf((1, 1))
 
 
 def test_signed_power_values():
@@ -61,16 +57,16 @@ def test_signed_power_values():
 
 def test_eval_exact_removable_singularity():
     f = rf((-1, 0, 1), (1, 1))  # (X^2-1)/(X+1) reduces to X-1
-    assert eval_exact(f, -1) == -2
+    assert f.eval_exact(-1) == -2
 
 
 def test_eval_exact_plain():
-    assert eval_exact(X, -1) == -1
+    assert X.eval_exact(-1) == -1
 
 
 def test_eval_exact_irreducible_pole():
     with pytest.raises(PoleError):
-        eval_exact(rf((1,), (1, 1)), -1)
+        rf((1,), (1, 1)).eval_exact(-1)
 
 
 def test_eval_complex_basics():
@@ -89,7 +85,7 @@ def test_eval_complex_matches_direct_quantum_integer():
 
 def test_division_by_zero_function():
     with pytest.raises(ZeroDivisionError):
-        rf_div(X, RatFunc.zero())
+        X / RatFunc.zero()
 
 
 # --- canonical form ---------------------------------------------------------
@@ -197,6 +193,57 @@ def test_canonical_form_invariant(f):
     assert g == f
     assert g.den.lead == 1
     assert poly_gcd(g.num, g.den).degree == 0 or g.is_zero
+
+
+# --- Poly normal form ---------------------------------------------------------
+
+poly_coeff = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=3)),
+)
+poly_lists = st.lists(poly_coeff, max_size=5)
+
+
+def _assert_normal(p):
+    """p is what the public constructor makes of its coefficients: no trailing
+    zero, integral Fractions stored as ints, and the integrality flag right."""
+    ref = Poly(p.coeffs)
+    assert p.coeffs == ref.coeffs
+    assert [type(c) for c in p.coeffs] == [type(c) for c in ref.coeffs]
+    assert p.is_integral() == all(isinstance(c, int) for c in p.coeffs)
+
+
+def test_poly_constructor_normalises():
+    p = Poly((Fraction(4, 2), "3/3", 0))
+    assert p.coeffs == (2, 1) and all(type(c) is int for c in p.coeffs)
+    assert p.is_integral()
+    assert not Poly(("1/2", 1)).is_integral()
+    assert Poly(()).is_integral()
+
+
+@given(poly_lists, poly_lists, poly_coeff, st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_poly_results_are_normal(a, b, s, k):
+    a, b = Poly(a), Poly(b)
+    for r in (a + b, a - b, b - a, a * b, -a, a.scale(s), a * s, a.shift(k),
+              a.shift(k).unshift(k), poly_gcd(a, b)):
+        _assert_normal(r)
+    if not b.is_zero:
+        q, r = a.divmod(b)
+        _assert_normal(q)
+        _assert_normal(r)
+        assert q * b + r == a
+
+
+def test_poly_kronecker_results_are_normal():
+    rng = random.Random(5)
+    f = Poly([rng.randint(-9, 9) for _ in range(60)] + [1])
+    g = Poly([rng.randint(-9, 9) for _ in range(55)] + [-3])
+    h = f * g
+    _assert_normal(h)
+    assert h.divmod(g) == (f, Poly(()))
+    assert h.divmod(f) == (g, Poly(()))
+    assert poly_gcd(h, g * g) == -g
 
 
 # --- serialization ----------------------------------------------------------

@@ -151,6 +151,29 @@ def test_rhat_bounds():
         rhat(0, 2, QContext(2))
 
 
+def _direct_rhat(n, m, N):
+    """The pairing ratio as the direct product of its n - m factors, the form
+    rhat had before the ratios were built from adjacent steps."""
+    if n == m:
+        return RatFunc.one()
+    if n < m:
+        return _direct_rhat(m, n, N).reciprocal()
+    out = RatFunc.one() if (n - m) % 2 == 0 else -RatFunc.one()
+    for j in range(m + 1, n + 1):
+        out = out * (qint(2 * N - 2 * j) / qint(j))
+    for k in range(2 * N - n, 2 * N - m):
+        out = out * qint_plus(k)
+    return out
+
+
+def test_rhat_steps_equal_direct_product():
+    for N in range(2, 11):
+        ctx = QContext(N)
+        for n in range(N):
+            for m in range(N):
+                assert rhat(n, m, ctx) == _direct_rhat(n, m, N), (N, n, m)
+
+
 def test_rhat_matches_raw_factorial_ratio():
     # The telescoped product against the raw factorial formula with literal c;
     # this pins the double-factorial termination convention.

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,16 @@ from hypothesis import strategies as st
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, SingularError
-from torusrep.field import FMatrix, Poly, RatFunc, fm_eq, fm_inv, fm_mul, signed_power
+from torusrep.field import (
+    FMatrix,
+    Poly,
+    RatFunc,
+    fm_eq,
+    fm_inv,
+    fm_mul,
+    fmatrix_to_obj,
+    signed_power,
+)
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
 from torusrep.repbuild import (
@@ -256,6 +267,126 @@ def test_limits_match_closed_forms_all_n():
         assert classical_limit(rs.tstar_hat) == cl.tstar_limit
         for n in range(N - 1):
             assert classical_limit(rs.m_hat[n]) == cl.m_limits[n]
+
+
+# --- canonical forms of the build --------------------------------------------
+
+# SHA-256 of the canonical JSON of `fmatrix_to_obj` for each matrix of the
+# build and for the full pairing-ratio matrix R, recorded from the build that
+# formed T through M^(n) and each pairing ratio as a direct product. Any change
+# to the route of the build must leave every canonical form, and so every
+# digest, as it is.
+CANONICAL_DIGESTS = {
+    2: {
+        "Z": "5f0a52e55811c657b2de1f8d647129ac6980d19decdab1166edcd13adac0d0b3",
+        "Y": "ca8029a02422387f0c6e8a5045c31dc079b6e5a92f40c82893fef14ce88b46e6",
+        "Zprime": "849acb1ea7ca7ba7dd7625d95ba4ce35708525353c9d454084983cbbae155c79",
+        "T": "acc7c9cf760d67a88b795768021f024199a6ae64ddf51cf33289c51d529c696e",
+        "Tstar": "10b3baa5fc2ca8ccbc0fff87c70284067b97ad87eb59fe8dafdda8d5087289ed",
+        "R": "4486deb541b4aed51a5e28c8fdda3cf77c9fc1eac1f97deaf494eac867d3991f",
+        "M0": "88b07f8e066f72281eb9f7fa5c27eb555457baec92862af3f651d4c829e1304f",
+    },
+    3: {
+        "Z": "7249cff76ea92883c8a57149ac09e085055b2496ba83d6cc1e43b8e78bad96f0",
+        "Y": "22f286ac5137221e86ce1d6db7bb8b5cc60f056f16d95b8bbfef5088f21f93ba",
+        "Zprime": "13d042c8c549f61b50c2eab89792651b0030f83beb09f2cb25a9f9f6149b6754",
+        "T": "5bdb3e3b44fa9e5fca546834009edda0ea6fc67fa75a0f392826a1ddf21ebdc6",
+        "Tstar": "e042f8fe21326f884ab6ec9421a8732f999f86403d838a0841191e96b326dc6d",
+        "R": "e1c2980d21eb02c08a7f8a67b5824449945ec4399719c0d6cb5da639d5e9847d",
+        "M0": "f9ffe5a6fcb4868a7119631d5357190065884d02957056a3f326948e5dfa1d96",
+        "M1": "fc833b39272589f3867e3def070b54e83be81f6dd9dbbfd54df255ca4ba742ee",
+    },
+    4: {
+        "Z": "3db781ad0ea6bfd98a380e7c5a745438f9bb6d76387fb4929521dc4e196a535e",
+        "Y": "99b9545222c85f64f33567a5359405552d5f5a17d9549c76a78600e96e22908f",
+        "Zprime": "5a8799d60a779147cd82db6305724e113e6094151f90fbdb68125820b7ff283d",
+        "T": "f19b7318466292f0fd14633c170b041b5b83f4aae66ce1e5076a21fb0a7e718f",
+        "Tstar": "7a8a532d83a61f78705545229e968f745917138f7052bba081ba04f94f578252",
+        "R": "e0af0dd55234bb8adf4e84cf6a29c3bb4dc5bd647939886baefc1cd5972f751b",
+        "M0": "e655edf7bf47d834f17118bc300fbf86b177264d15f31ee9d2d9906466a7051d",
+        "M1": "b3e35bb1c3985f8033bc546adea5ca85dc61288d0e7da980644fe8ddf763dbb8",
+        "M2": "bf33a3a77f07fbf54dc5c13d0055aaf2d8ac109b302765cd151d076d50850b4c",
+    },
+    5: {
+        "Z": "aafa281c3124e217405b16235236e2c19d733081c08ba31095d9b8f9332b4fc6",
+        "Y": "e658b0e644cd5120d5448735ae19251649cd2764176355988056f52bfc9789bd",
+        "Zprime": "7255201c199bec89ffc0c69eaa527d6a5ad4c76bd1bea5312a841bfb12bf8eba",
+        "T": "70692ab256d747c1f59c5d378e4b6f740c5c1b87da38d6a057cbcea435e5fe57",
+        "Tstar": "b9b342c74d79c7cb5758c38669bd7775f0e4770a34feecc46d2a747dc1ea99bf",
+        "R": "40aea376e44cdbb1ce1c344e63798338201dfd3f89c054e13e6892ab6a2eb201",
+        "M0": "deda9af025c8d74886d624e0c4de6643bb2ade811ccdfa7f39d6b33b33b71bee",
+        "M1": "a15cd01d308e1f95b8e51b9ff03c4a19b50a5864c752369e0206845a44118cee",
+        "M2": "e5e536d24e8aa7cc35310b3913cc42bf45c98cac3b8491f1c9cb88c1bdb650a1",
+        "M3": "6f6aee8d7611a35e5e51b5518a39921b58f453415d534ad79cf20ba140016771",
+    },
+    6: {
+        "Z": "7e45999839caaf6f6ab75d92afabef1f76a1a4217c5c41aa16b6bd26c8701e1b",
+        "Y": "256eff19482e964d6be481e2f62e465347f0f0d7a32b2e6cd9f37763b63c3d01",
+        "Zprime": "b721cc875ece6c72ca75d7f3742324036be640ff83bd48a4f1baa7aca2db48b0",
+        "T": "41b658bf115adcd85407e04ff692ce074d2eb233395d58bcdb3b499d511492e6",
+        "Tstar": "c39c8e12f2cd23bb29d65ceb33dbe6d8f606e89f1d552f02f45350502937b2c3",
+        "R": "61e21cf5d2f191a65eefcb5302e8dffb2706a7bad3f8c43002a8fa03d158f54d",
+        "M0": "5d13a6d5c929b314fc6f2c518c1d165f587bb8f089ce51ae21cc42e01591da92",
+        "M1": "80a6b59163f7ce9906943b5fff62f4c2590cecdd66f2716efe015473b3825341",
+        "M2": "6e692a95603b9c5c4f2c16caba8079699e7ce40b7c558b03e9cdd366d46caf73",
+        "M3": "4137a42249080314addeeb94f6eb7458ff70c9dcbb0066fb79d9dd1496475693",
+        "M4": "71d5edd5bea2fa817482fe66a19503cb5a7e4d817cbe610ef2ffaa0ba17a6558",
+    },
+    7: {
+        "Z": "d509b7610cf6513cdf672b9a490eab45781819a54eaabf00cc54746a2fd8011f",
+        "Y": "1c0dd0dd0cebbba10ec2c05c9d026f4bdabf0ccfe6d42239aa19720769002f79",
+        "Zprime": "c04ab5ba4869c6ed2f4128af095565251f40d26e5159e5da8c9cfe322411466d",
+        "T": "edba0c38b200b962a1065edcb2a6ecd91b2d38f828e815a1fbb7a15d34dc6e7c",
+        "Tstar": "05f11f2dbd6cd1362e59e681749bd72e8f3e9e916292acdc378f8b60c2a26a60",
+        "R": "eef29c803ed09f77a00df8cb7747fd82fec469eb51fbb59e762da0d1e49a4be6",
+        "M0": "6d9f28d28205086a86a2eea22cb7eec3b141e968078dfb6c0a9c9b6e773a76bc",
+        "M1": "7a314dbf138af58bafff9910ccbf42261f83452f645a8e1665b4fcbce17f6393",
+        "M2": "f4f72383f83a374f5826dcf865124adf4b04a9eb4aa01ed4473c0774cccc750d",
+        "M3": "cfbbfebbcff0ba5123ab85324f432b48a3c10c56335443aeb15056cfb3a18eab",
+        "M4": "a4e77c5bb21eedab0e868d580448cf887e3482eaced2d5601aab30842a74e736",
+        "M5": "00b4b367ed8ed3375dd24c926ec386d8c28a6ab905a4b476a6682fdf6c8c4061",
+    },
+    8: {
+        "Z": "6635c49ff1dffce323136d6a4b356930b70064f0c42984158496ea5b41c47edc",
+        "Y": "9dbbeaff1f05944a3582b7bf840e95b9b1be9bc641e0db85d540d4b8314f2fe8",
+        "Zprime": "eaad3e32ac58a07bd82fd7ab42c79f524a1c5137596a12106d2de87332132964",
+        "T": "dd6c0e90334ff0150b31f434a2b1e3dce5b24a680e7bc42932125cd7aeddcd22",
+        "Tstar": "98493f7f4a52c5d12cdd07196470c91848246e346fe16694b42b3218adee7bfa",
+        "R": "e6841335264994e97b49dd17ce6c42974864724294e3679e9c546299497550b9",
+        "M0": "28cea3d13f5af9b5183742dc188fe0b27397a176b8416adc1bea96fb2fa5a8b8",
+        "M1": "16516fa37aeb0c4fce5f37429e2d54bb142a39a50435d89092ea8c068fa27ccc",
+        "M2": "60ddf8aa1c7c424aa5f56834903c4bc6b3d5cd8ddf31f1cad54765e49d85fd46",
+        "M3": "24e944608af4a64f907aa77e40438523bd8a349bcec694829983f8c028ed29e4",
+        "M4": "02cd770e0022102085f3b5af88fedc5f8aa6acd39b194b59dfb08602e46bf677",
+        "M5": "b26bb6c77061e27a781db21c3aaac0e2e79b327ed28d25d9de486f5d7211cd70",
+        "M6": "e4f4ee9f954610cc71c9a21b398a09cfd521578e159ba68d173f3c16839937ad",
+    },
+}
+
+
+def _digest(m):
+    text = json.dumps(fmatrix_to_obj(m), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_build_canonical_forms_pinned(N):
+    ctx = QContext(N)
+    rs = build_repset(ctx)
+    r = FMatrix(tuple(tuple(rhat(n, m, ctx) for m in range(N)) for n in range(N)))
+    mats = {"Z": rs.z_hat, "Y": rs.y_hat, "Zprime": rs.zprime_hat, "T": rs.t_hat,
+            "Tstar": rs.tstar_hat, "R": r}
+    mats.update({f"M{n}": m for n, m in enumerate(rs.m_hat)})
+    assert {k: _digest(m) for k, m in mats.items()} == CANONICAL_DIGESTS[N]
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_that_columns_follow_m_hat(N):
+    # T is built from z' directly; this ties it back to the published M^(n).
+    rs = build_repset(QContext(N))
+    for n in range(N - 1):
+        col = FMatrix(tuple((e,) for e in rs.t_hat.column(n)))
+        assert fm_mul(rs.m_hat[n], col).column(0) == rs.t_hat.column(n + 1), (N, n)
 
 
 # --- integer-evaluation checks against the Q(X) products ----------------------
