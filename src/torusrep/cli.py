@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import classical, numeric, repbuild
 from .errors import BadPError, NearPoleError, ParseError, PoleError
 from .field import FMatrix, fmatrix_to_obj
-from .mcg import NTClass, parse_word, sl2_image
+from .mcg import parse_word, sl2_image
 from .qsymbols import QContext, rhat
 
 
@@ -108,13 +108,7 @@ def cmd_matrices(args) -> int:
         return 0
 
     rs = repbuild.build_repset(ctx)
-    named = {
-        "T": rs.t_hat,
-        "Tstar": rs.tstar_hat,
-        "Z": rs.z_hat,
-        "Y": rs.y_hat,
-        "Zprime": rs.zprime_hat,
-    }
+    named = {"T": "t_hat", "Tstar": "tstar_hat", "Z": "z_hat", "Y": "y_hat", "Zprime": "zprime_hat"}
     if what == "M":
         if args.index is None or not 0 <= args.index <= N - 2:
             raise ValueError(f"--index must be in 0..{N - 2} for --what M")
@@ -126,7 +120,7 @@ def cmd_matrices(args) -> int:
         )
         name = "R"
     else:
-        sym = named[what]
+        sym = getattr(rs, named[what])  # z, y and z' are built on first use
         name = what
 
     header = f"# {name}  N={N}  eval={args.eval}"
@@ -215,6 +209,16 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _rows_obj(rows) -> list[dict]:
+    return [{"p": r.p, "spectral_radius": r.spectral_radius, "deviation": r.deviation} for r in rows]
+
+
+def _rows_csv(rows) -> list[str]:
+    return ["p,spectral_radius,deviation"] + [
+        f"{r.p},{r.spectral_radius:.12g},{r.deviation:.12g}" for r in rows
+    ]
+
+
 def _report_text(report: numeric.AMUReport, fmt: str, tolerance: float) -> str:
     if fmt == "json":
         obj = {
@@ -226,10 +230,7 @@ def _report_text(report: numeric.AMUReport, fmt: str, tolerance: float) -> str:
             "margin": report.margin,
             "tolerance": tolerance,
             "p0_observed": report.p0_observed,
-            "rows": [
-                {"p": r.p, "spectral_radius": r.spectral_radius, "deviation": r.deviation}
-                for r in report.rows
-            ],
+            "rows": _rows_obj(report.rows),
         }
         return canonical_json(obj)
     head = [
@@ -241,10 +242,7 @@ def _report_text(report: numeric.AMUReport, fmt: str, tolerance: float) -> str:
             f"# stretch={report.stretch:.12g}  target_eig={report.target_eig:.12g}"
         )
     head.append(f"# p0_observed={report.p0_observed}")
-    body = ["p,spectral_radius,deviation"] + [
-        f"{r.p},{r.spectral_radius:.12g},{r.deviation:.12g}" for r in report.rows
-    ]
-    return "\n".join(head + body) + "\n"
+    return "\n".join(head + _rows_csv(report.rows)) + "\n"
 
 
 def cmd_amu(args) -> int:
@@ -260,22 +258,12 @@ def cmd_limit(args) -> int:
     word = parse_word(args.word)
     rows = numeric.convergence_table(word, args.N, _parse_range(args.p, odd=True), args.tolerance)
     if args.format == "json":
-        obj = {
-            "word": str(word),
-            "N": args.N,
-            "tolerance": args.tolerance,
-            "rows": [
-                {"p": r.p, "spectral_radius": r.spectral_radius, "deviation": r.deviation}
-                for r in rows
-            ],
-        }
+        obj = {"word": str(word), "N": args.N, "tolerance": args.tolerance, "rows": _rows_obj(rows)}
         text = canonical_json(obj)
     else:
         head = [f"# word={word}  N={args.N}  tolerance={args.tolerance:g}"]
-        body = ["p,spectral_radius,deviation"] + [
-            f"{r.p},{r.spectral_radius:.12g},{r.deviation:.12g}" for r in rows
-        ]
-        text = "\n".join(head + body) + "\n" if args.format == "pretty" else "\n".join(body) + "\n"
+        body = _rows_csv(rows)
+        text = "\n".join(head + body if args.format == "pretty" else body) + "\n"
     _emit(text, args.out)
     return 0
 
@@ -292,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
         p.add_argument("--tolerance", type=float, default=numeric.DEFAULT_TOLERANCE,
                        help="near-pole tolerance for complex evaluation")
-        p.add_argument("--margin", type=float, default=numeric.DEFAULT_MARGIN,
-                       help="spectral-radius margin over 1 for the certificate")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_m = sub.add_parser("matrices", help="emit one named matrix")
@@ -317,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_a.add_argument("--word", required=True)
     p_a.add_argument("--N", type=int, required=True)
     p_a.add_argument("--pmax", type=int, required=True)
+    p_a.add_argument("--margin", type=float, default=numeric.DEFAULT_MARGIN,
+                     help="spectral-radius margin over 1 for the certificate")
     common(p_a)
     p_a.set_defaults(func=cmd_amu)
 

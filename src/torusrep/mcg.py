@@ -1,6 +1,5 @@
 """Words in the two Dehn-twist generators: parsing, the projection to SL2(Z),
-Nielsen-Thurston classification by trace, and the level-dependent rescaling
-character."""
+and Nielsen-Thurston classification by trace."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ import math
 import re
 
 from .classical import SL2
-from .errors import BadPError, ExponentZeroError, NotHyperbolicError, ParseError
+from .errors import ExponentZeroError, NotHyperbolicError, ParseError
 
 
 class Gen(enum.Enum):
@@ -100,17 +99,3 @@ def stretch_factor(g: SL2) -> float:
 
 def exponent_sum(w: Word) -> int:
     return sum(e for _, e in w.letters)
-
-
-def chi_p(w: Word, p: int, N: int, k: int = 1) -> complex:
-    """Rescaling character: (-A_p)^(c(c+2) * exponent sum) with c = (p-1)/2 - N.
-    A unit-modulus complex number; the angle is reduced mod p exactly before
-    exponentiation."""
-    if p % 2 == 0 or p < 2 * N + 1:
-        raise BadPError(f"need odd p >= 2N+1 = {2 * N + 1}, got p = {p}")
-    if math.gcd(k, p) != 1:
-        raise BadPError(f"root index k = {k} is not coprime to p = {p}")
-    c = (p - 1) // 2 - N
-    e = (c * (c + 2) * exponent_sum(w)) % p
-    # (-A_p) = exp(2 pi i k / p)
-    return complex(math.cos(2 * math.pi * k * e / p), math.sin(2 * math.pi * k * e / p))

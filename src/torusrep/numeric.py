@@ -121,8 +121,9 @@ def _prefix_products(f, top: int, step: int) -> list[complex]:
 
 
 def _oracle_build(s: PSetting, tol: float):
-    """Raw per-level construction shared by the oracle entry points: returns
-    (z, ratios, zprime, Ms, T, Tstar) as complex arrays."""
+    """Raw per-level construction behind `oracle_matrices`: returns
+    (z, ratios, zprime, Ms, T, Tstar) as complex arrays (the tests spot-check
+    z and the Ms too)."""
     N, c = s.N, s.c
     sym = _RawSymbols(s, tol)
 
@@ -164,16 +165,6 @@ def oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     recurrence. Returns two N x N complex arrays."""
     _, _, _, _, t, tstar = _oracle_build(s, tol)
     return t, tstar
-
-
-def oracle_m_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
-    """The oracle's recurrence matrices M^(n), for structural spot checks."""
-    return _oracle_build(s, tol)[3]
-
-
-def oracle_z_matrix(s: PSetting, tol: float = DEFAULT_TOLERANCE):
-    """The oracle's curve-operator matrix, for spot checks of the eigenvalues."""
-    return _oracle_build(s, tol)[0]
 
 
 def eval_matrix(mat: FMatrix, x, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:

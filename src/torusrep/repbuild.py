@@ -1,25 +1,35 @@
 """Construction of the level-independent symbolic matrices.
 
+The twist generators are built straight from their closed product forms.
+With [a, b] = {a}!/({b}! {a-b}!) and e(m, n) = -m(2N-1-m) - (N-1-m)(n-m),
+for n >= m
+
+    T[m][n]  = (-X)^e(m,n) [N-1-m, n-m] prod_{k=2N-n}^{2N-m-1} {k}+,
+    T*[n][m] = T[m][n] / rhat(n, m)
+             = (-1)^(n-m) (-X)^e(m,n) [N-1-m, n-m] prod_{j=m+1}^{n} {j}/{2N-2j},
+
+and both vanish on the other side of the diagonal. At X = -1 these are the
+factorial closed forms of `classical.closed_limits`. Each entry is a sign, a
+power of X and cyclotomic exponents (`qsymbols._product_form`), so its
+canonical form is read off with no gcd, division or recurrence.
+
 The curve-operator matrix z is lower bidiagonal; its Hopf transpose y, the
 twisted operator z', and the tridiagonal column-recurrence matrices
-M^(n) = (z' - lambda_{c+n} I) / {n+1} are assembled from it. The twist
-generator That has column n+1 = M^(n) * column n starting from
-e = (1, 0, ..., 0); it is formed as ((z' - lambda_{c+n} I) * column n) / {n+1},
-so the inner products stay among Laurent polynomials and each column entry
-pays one division. Tstar is recovered through the pairing ratios. Everything
-lives in GL_N(Q(X)) and can be evaluated exactly at X = -1.
+M^(n) = (z' - lambda_{c+n} I) / {n+1} (column n+1 of T is M^(n) times column
+n) are assembled from it over Q(X), on first use only: the certificate scans
+read only T and T*. Everything lives in GL_N(Q(X)) and can be evaluated
+exactly at X = -1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import PoleError
-from .field import FMatrix, Poly, RatFunc, fm_inv, fm_mul, poly_gcd
-from .qsymbols import QContext, lambda_shifted, qint, rhat
+from .field import FMatrix, Poly, RatFunc, fm_mul, poly_gcd
+from .qsymbols import QContext, _product_form, lambda_shifted, qint, rhat
 
 
 def build_z(ctx: QContext) -> FMatrix:
@@ -38,8 +48,15 @@ def build_z(ctx: QContext) -> FMatrix:
 
 def build_y(ctx: QContext, z: FMatrix) -> FMatrix:
     """Meridian curve operator: the transpose of z through the Hopf pairing,
-    y[m][l] = rhat(l, m) * z[l][m]."""
-    return _pairing_transpose(ctx, z)
+    y[m][l] = rhat(l, m) * z[l][m], formed only where z[l][m] is nonzero."""
+    N = ctx.N
+    zero = RatFunc.zero()
+    return FMatrix(
+        tuple(
+            tuple(zero if z[l][m].is_zero else rhat(l, m, ctx) * z[l][m] for l in range(N))
+            for m in range(N)
+        )
+    )
 
 
 def build_zprime(ctx: QContext, y: FMatrix, z: FMatrix) -> FMatrix:
@@ -67,80 +84,56 @@ def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
     return FMatrix(tuple(rows))
 
 
-def build_tstar(ctx: QContext, that: FMatrix) -> FMatrix:
-    """The second twist generator through the pairing: tstar[n][m] =
-    that[m][n] / rhat(n, m) = rhat(m, n) * that[m][n]."""
-    return _pairing_transpose(ctx, that)
-
-
-def _pairing_transpose(ctx: QContext, a: FMatrix) -> FMatrix:
-    """out[i][j] = rhat(j, i) * a[j][i]. The ratio is formed only where a[j][i]
-    is nonzero: z is bidiagonal and That triangular, so most pairs are never
-    needed."""
-    N = ctx.N
+def _twists(N: int) -> tuple[FMatrix, FMatrix]:
+    """(T, T*) entry by entry from their product forms (module docstring)."""
     zero = RatFunc.zero()
-    return FMatrix(
-        tuple(
-            tuple(zero if a[j][i].is_zero else rhat(j, i, ctx) * a[j][i] for j in range(N))
-            for i in range(N)
-        )
-    )
+    t = [[zero] * N for _ in range(N)]
+    tstar = [[zero] * N for _ in range(N)]
+    for m in range(N):
+        for n in range(m, N):
+            e = -m * (2 * N - 1 - m) - (N - 1 - m) * (n - m)
+            # [N-1-m, n-m] = prod_{j=1}^{n-m} {N-1-n+j}/{j}
+            binom = [(N - 1 - n + j, False, 1) for j in range(1, n - m + 1)]
+            binom += [(j, False, -1) for j in range(1, n - m + 1)]
+            plus = [(k, True, 1) for k in range(2 * N - n, 2 * N - m)]
+            ratio = [(j, False, 1) for j in range(m + 1, n + 1)]
+            ratio += [(2 * N - 2 * j, False, -1) for j in range(m + 1, n + 1)]
+            t[m][n] = _product_form(1, e, binom + plus)
+            tstar[n][m] = _product_form((-1) ** (n - m), e, binom + ratio)
+    return FMatrix(tuple(map(tuple, t))), FMatrix(tuple(map(tuple, tstar)))
 
 
 @dataclasses.dataclass(frozen=True)
 class RepSet:
-    """All symbolic matrices for one dimension N, immutable once built."""
+    """All symbolic matrices for one dimension N, immutable once built. The
+    generators T and T* are built with the set; z, y, z' and the M^(n) on
+    first use."""
 
     ctx: QContext
-    z_hat: FMatrix
-    y_hat: FMatrix
-    zprime_hat: FMatrix
-    m_hat: tuple[FMatrix, ...]
     t_hat: FMatrix
     tstar_hat: FMatrix
+
+    @cached_property
+    def z_hat(self) -> FMatrix:
+        return build_z(self.ctx)
+
+    @cached_property
+    def y_hat(self) -> FMatrix:
+        return build_y(self.ctx, self.z_hat)
+
+    @cached_property
+    def zprime_hat(self) -> FMatrix:
+        return build_zprime(self.ctx, self.y_hat, self.z_hat)
+
+    @cached_property
+    def m_hat(self) -> tuple[FMatrix, ...]:
+        return tuple(build_m(n, self.ctx, self.zprime_hat) for n in range(self.ctx.N - 1))
 
 
 @lru_cache(maxsize=None)
 def build_repset(ctx: QContext) -> RepSet:
-    N = ctx.N
-    z = build_z(ctx)
-    y = build_y(ctx, z)
-    zprime = build_zprime(ctx, y, z)
-    m_hat = tuple(build_m(n, ctx, zprime) for n in range(N - 1))
-
-    # Column n+1 = M^(n) * column n, formed as ((z' - lambda_{c+n} I) *
-    # column n) / {n+1}: z' and the columns have Laurent entries, so only the
-    # final division pays a non-trivial gcd.
-    cols = [[RatFunc.zero()] * N for _ in range(N)]
-    cols[0][0] = RatFunc.one()
-    for n in range(N - 1):
-        prev = cols[n]
-        lam = lambda_shifted(n, ctx)
-        inv = qint(n + 1).reciprocal()
-        nxt = []
-        for m in range(N):
-            acc = RatFunc.zero()
-            for l in range(max(0, m - 1), min(N, m + 2)):
-                if prev[l].is_zero:
-                    continue
-                e = zprime[m][l] - lam if l == m else zprime[m][l]
-                if not e.is_zero:
-                    acc = acc + e * prev[l]
-            nxt.append(acc * inv)
-        cols[n + 1] = nxt
-    that = FMatrix(tuple(tuple(cols[n][m] for n in range(N)) for m in range(N)))
-    tstar = build_tstar(ctx, that)
-    return RepSet(ctx, z, y, zprime, m_hat, that, tstar)
-
-
-def verify_braid(ctx: QContext) -> bool:
-    """Exact braid relation That Tstar That == Tstar That Tstar in GL_N(Q(X))."""
-    rs = build_repset(ctx)
-    return _braid_holds(rs.t_hat, rs.tstar_hat)
-
-
-def _braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
-    return relation_checks(t, tstar)[0]
+    """The symbolic matrices of dimension N (the one build entry point)."""
+    return RepSet(ctx, *_twists(ctx.N))
 
 
 def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
@@ -235,46 +228,6 @@ def _max_sum(a, b) -> int:
     return max(x + y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def rep_of_word(w, ctx: QContext) -> FMatrix:
-    """Image of a mapping-class word: the ordered product of That/Tstar powers,
-    with negative exponents through the exact inverse. An exact reference for
-    the tests: the certificate scans form words numerically
-    (`numeric.convergence_table`) and `verify` uses `relation_checks`."""
-    rs = build_repset(ctx)
-    return rep_of_word_in(w, rs)
-
-
-@lru_cache(maxsize=None)
-def _gen_inverse(ctx: QContext, which: str) -> FMatrix:
-    rs = build_repset(ctx)
-    return fm_inv(rs.t_hat if which == "t" else rs.tstar_hat)
-
-
-def rep_of_word_in(w, rs: RepSet) -> FMatrix:
-    from .mcg import Gen  # deferred: mcg has no dependency on this module
-
-    out = FMatrix.identity(rs.ctx.N)
-    for gen, exp in w.letters:
-        if exp > 0:
-            base = rs.t_hat if gen is Gen.TY else rs.tstar_hat
-        else:
-            base = _gen_inverse(rs.ctx, "t" if gen is Gen.TY else "ts")
-        out = fm_mul(out, _fm_power(base, abs(exp)))
-    return out
-
-
-def _fm_power(base: FMatrix, e: int) -> FMatrix:
-    """base^e for e >= 1 by square-and-multiply: O(log e) products."""
-    out = None
-    while True:
-        if e & 1:
-            out = base if out is None else fm_mul(out, base)
-        e >>= 1
-        if not e:
-            return out
-        base = fm_mul(base, base)
-
-
 def classical_limit(mat: FMatrix):
     """Entrywise exact evaluation at X = -1; the PoleError names the entry."""
     out = []
@@ -287,16 +240,3 @@ def classical_limit(mat: FMatrix):
                 raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
         out.append(tuple(vals))
     return tuple(out)
-
-
-def rational_matrix_eq(a, b) -> bool:
-    """Exact equality of two rational matrices given as nested sequences."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if Fraction(x) != Fraction(y):
-                return False
-    return True

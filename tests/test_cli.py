@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from torusrep import repbuild
+from torusrep import field, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.field import FMatrix, fm_eq, fmatrix_from_obj, fmatrix_to_obj
 
@@ -86,9 +86,7 @@ def test_verify_corrupted_build_fails(capsys, monkeypatch):
         rs = build(ctx)
         rows = [list(r) for r in rs.t_hat.rows]
         rows[0][0] = rs.t_hat[0][0] - 1
-        return repbuild.RepSet(
-            ctx, rs.z_hat, rs.y_hat, rs.zprime_hat, rs.m_hat, FMatrix(rows), rs.tstar_hat
-        )
+        return repbuild.RepSet(ctx, FMatrix(rows), rs.tstar_hat)
 
     monkeypatch.setattr(repbuild, "build_repset", corrupted)
     for N in ("2", "5"):
@@ -97,6 +95,44 @@ def test_verify_corrupted_build_fails(capsys, monkeypatch):
         assert "FAIL" in out
         assert f"FAIL  braid relation exact (N={N})" in out
         assert f"FAIL  center commutes with both generators (N={N})" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrices", "--N", "2", "--what", "T"),
+        ("verify", "--N", "2"),
+        ("limit", "--word", "y z^-1", "--N", "2", "--p", "5..9"),
+    ],
+)
+def test_margin_only_on_amu(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--margin", "0.5"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --margin" in capsys.readouterr().err
+
+
+def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
+    # The scans read only T and T*: their product forms need no gcd, and z'
+    # and the M^(n) are built only for verify and `matrices`.
+    calls = {"poly_gcd": 0, "build_zprime": 0, "build_m": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(field, "poly_gcd")
+    counted(repbuild, "build_zprime")
+    counted(repbuild, "build_m")
+    repbuild.build_repset.cache_clear()
+    code, out, _ = run(capsys, "amu", "--word", "y z^-1", "--N", "8", "--pmax", "41")
+    assert code == 0 and "p0_observed=37" in out
+    assert calls == {"poly_gcd": 0, "build_zprime": 0, "build_m": 0}
 
 
 @pytest.mark.parametrize(

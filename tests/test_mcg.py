@@ -15,13 +15,14 @@ from torusrep.mcg import (
     Gen,
     NTClass,
     Word,
-    chi_p,
     classify,
     exponent_sum,
     parse_word,
     sl2_image,
     stretch_factor,
 )
+
+from reference import chi_p
 
 
 def test_parse_basic():

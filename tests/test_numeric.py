@@ -8,7 +8,7 @@ from torusrep.classical import SL2, hN_matrix
 from torusrep.errors import BadPError, NearPoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.cli import main
-from torusrep.mcg import NTClass, chi_p, parse_word, sl2_image, stretch_factor
+from torusrep.mcg import NTClass, parse_word, sl2_image, stretch_factor
 from torusrep import numeric
 from torusrep.numeric import (
     BLOCK_LEVELS,
@@ -19,14 +19,14 @@ from torusrep.numeric import (
     eval_matrix,
     max_abs,
     oracle_deviation,
-    oracle_m_matrices,
     oracle_matrices,
-    oracle_z_matrix,
     primitive_root,
     spectral_radius,
 )
 from torusrep.qsymbols import QContext
-from torusrep.repbuild import build_repset, classical_limit, rep_of_word
+from torusrep.repbuild import build_repset, classical_limit
+
+from reference import chi_p, oracle_m_matrices, oracle_z_matrix, rep_of_word
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 

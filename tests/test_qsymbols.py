@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from torusrep.field import FMatrix, RatFunc, signed_power
 from torusrep.numeric import PSetting, eval_matrix, primitive_root
-from torusrep.qsymbols import QContext, lambda_shifted, mu, qfact, qint, qint_plus, rhat
+from torusrep.qsymbols import (
+    QContext,
+    _product_form,
+    lambda_shifted,
+    mu,
+    qfact,
+    qint,
+    qint_plus,
+    rhat,
+)
 
 
 def _at(f, x):
@@ -152,8 +161,8 @@ def test_rhat_bounds():
 
 
 def _direct_rhat(n, m, N):
-    """The pairing ratio as the direct product of its n - m factors, the form
-    rhat had before the ratios were built from adjacent steps."""
+    """The pairing ratio as the direct product of its factors over Q(X), a
+    reference for its cyclotomic product form."""
     if n == m:
         return RatFunc.one()
     if n < m:
@@ -172,6 +181,14 @@ def test_rhat_steps_equal_direct_product():
         for n in range(N):
             for m in range(N):
                 assert rhat(n, m, ctx) == _direct_rhat(n, m, N), (N, n, m)
+
+
+def test_product_form_of_single_symbols():
+    # {k} and {k}+ read off their cyclotomic exponents (Phi_d up to d = 160)
+    for k in range(1, 41):
+        assert _product_form(1, 0, [(k, False, 1)]) == qint(k), k
+        assert _product_form(1, 0, [(k, True, 1)]) == qint_plus(k), k
+        assert _product_form(-1, k, [(k, True, -1)]) == -signed_power(k) / qint_plus(k), k
 
 
 def test_rhat_matches_raw_factorial_ratio():

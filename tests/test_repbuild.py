@@ -21,15 +21,19 @@ from torusrep.field import (
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
 from torusrep.repbuild import (
-    _braid_holds,
     build_m,
     build_repset,
-    build_tstar,
     build_y,
     build_z,
     build_zprime,
     classical_limit,
     relation_checks,
+)
+
+from reference import (
+    braid_holds,
+    pairing_transpose,
+    recurrence_twists,
     rep_of_word,
     verify_braid,
 )
@@ -127,7 +131,7 @@ def test_that_limit_unitriangular_n5():
 def test_tstar_n2_limit():
     ctx = QContext(2)
     that = build_repset(ctx).t_hat
-    tstar = build_tstar(ctx, that)
+    tstar = pairing_transpose(ctx, that)
     assert classical_limit(tstar) == ((1, 0), (Fraction(-1, 2), 1))
 
 
@@ -169,7 +173,7 @@ def test_braid_negative_control():
     rs = build_repset(QContext(2))
     rows = [list(r) for r in rs.t_hat.rows]
     rows[0][0] = RatFunc.zero()
-    assert not _braid_holds(FMatrix(rows), rs.tstar_hat)
+    assert not braid_holds(FMatrix(rows), rs.tstar_hat)
 
 
 def test_rep_of_word_basics():
@@ -380,9 +384,53 @@ def test_build_canonical_forms_pinned(N):
     assert {k: _digest(m) for k, m in mats.items()} == CANONICAL_DIGESTS[N]
 
 
+# T, T* and R at N = 9..12, recorded from the build that formed T by the
+# column recurrence and T* through the pairing ratios.
+LARGE_N_DIGESTS = {
+    9: {
+        "T": "58aa39a0da7136c792328ea8fca13a2c675f9c81c642f1262b292dd333f0c4d5",
+        "Tstar": "5e81f66a4c327bb75bc9e97164ad404d08576918b4ba2a6a01e963990a7edb51",
+        "R": "5d927fb73b5b97816eef9b4f680819bfa5b25ca5d3d95dee8660c4f278c8d9d6",
+    },
+    10: {
+        "T": "613770c9a8d4dff05186c0e36e8ac438ed961f2e16c988a67b25082f647e7802",
+        "Tstar": "ad5426cdcbe09e337d0738f4ad2bf8d24fec0157c68145b869a7eb76cfd276a8",
+        "R": "50c275866d0e222136a89a995fc318779b21f43539034d586697592b25fbeed4",
+    },
+    11: {
+        "T": "3d6f738ccc4f50902698488f8c44b85fe66ecc8ce8a5af7341178c879bc252b5",
+        "Tstar": "1bbbf8dca1bebd524f162d0a9ec9a547daaaac9586a4034809a04b7d04134327",
+        "R": "51203e0fb04e0d717dde4a5d5d3d417128ff988f4cee8b3449a57840352a7c3c",
+    },
+    12: {
+        "T": "e9fdbca48e7da47248d19eaede54ed41daf1ac6650c075e0aa36db2e76a5a019",
+        "Tstar": "8753e6c7af74e56c1cbd676b6705df51a69283acde8387d66a34178720cdb22f",
+        "R": "66b9171ffe092cc2f856f379c89a87a847c664f7d69a81c2a88d3342bd7a1661",
+    },
+}
+
+
+@pytest.mark.parametrize("N", range(9, 13))
+def test_twists_and_ratios_pinned_large_n(N):
+    ctx = QContext(N)
+    rs = build_repset(ctx)
+    r = FMatrix(tuple(tuple(rhat(n, m, ctx) for m in range(N)) for n in range(N)))
+    got = {"T": _digest(rs.t_hat), "Tstar": _digest(rs.tstar_hat), "R": _digest(r)}
+    assert got == LARGE_N_DIGESTS[N]
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_product_forms_equal_column_recurrence(N):
+    ctx = QContext(N)
+    rs = build_repset(ctx)
+    t, tstar = recurrence_twists(ctx)
+    assert rs.t_hat == t
+    assert rs.tstar_hat == tstar
+
+
 @pytest.mark.parametrize("N", range(2, 9))
 def test_that_columns_follow_m_hat(N):
-    # T is built from z' directly; this ties it back to the published M^(n).
+    # T is built from its product form; this ties it back to the published M^(n).
     rs = build_repset(QContext(N))
     for n in range(N - 1):
         col = FMatrix(tuple((e,) for e in rs.t_hat.column(n)))
