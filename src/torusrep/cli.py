@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
                     for p in _parse_range(args.p, odd=True)
                     if p >= 2 * N + 1  # clamp sweeps to admissible levels
                 ]
-                worst = numeric.oracle_deviation(rs, levels, args.tolerance)
+                worst = numeric.oracle_deviation(N, levels, args.tolerance)
                 ok = worst <= 1e-9
                 label = f"oracle equivalence over p={args.p} (N={N}, worst relative {worst:.2e})"
             except (BadPError, NearPoleError) as err:

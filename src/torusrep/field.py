@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import PoleError, SingularError
+from .errors import PoleError
 
 # ---------------------------------------------------------------------------
 # integer coefficient kernels
@@ -543,15 +543,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero function")
         return RatFunc(*_monicize(self.den, self.num), _canonical=True)
 
-    def __pow__(self, e: int):
-        if e == 0:
-            return _RF_ONE
-        base = self if e > 0 else self.reciprocal()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
-
     # -- evaluation ----------------------------------------------------------
 
     def eval_exact(self, x):
@@ -620,10 +611,6 @@ class FMatrix:
             )
         )
 
-    @staticmethod
-    def zero(n_rows: int, n_cols: int) -> FMatrix:
-        return FMatrix(tuple(tuple(_RF_ZERO for _ in range(n_cols)) for _ in range(n_rows)))
-
     @property
     def n_rows(self):
         return len(self.rows)
@@ -684,41 +671,6 @@ def fm_mul(a: FMatrix, b: FMatrix) -> FMatrix:
             row.append(acc)
         out.append(tuple(row))
     return FMatrix(tuple(out))
-
-
-def fm_inv(a: FMatrix) -> FMatrix:
-    """Exact inverse by Gauss-Jordan elimination, pivoting on the nonzero entry
-    of smallest degree to limit intermediate growth."""
-    n = a.n_rows
-    if n != a.n_cols:
-        raise ValueError("inverse of a non-square matrix")
-    work = [list(r) + [_RF_ONE if i == j else _RF_ZERO for j in range(n)] for i, r in enumerate(a.rows)]
-    for col in range(n):
-        pivot_row = None
-        pivot_size = None
-        for r in range(col, n):
-            e = work[r][col]
-            if not e.is_zero:
-                size = e.num.degree + e.den.degree
-                if pivot_size is None or size < pivot_size:
-                    pivot_row, pivot_size = r, size
-        if pivot_row is None:
-            raise SingularError("matrix determinant is the zero function")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = work[col][col].reciprocal()
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = work[r][col]
-            if f.is_zero:
-                continue
-            work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-    return FMatrix(tuple(tuple(row[n:]) for row in work))
-
-
-def fm_eq(a: FMatrix, b: FMatrix) -> bool:
-    return a.n_rows == b.n_rows and a.n_cols == b.n_cols and a.rows == b.rows
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,3 @@ def stretch_factor(g: SL2) -> float:
     if t <= 2:
         raise NotHyperbolicError(f"|trace| = {t} is not > 2")
     return (t + math.sqrt(t * t - 4)) / 2
-
-
-def exponent_sum(w: Word) -> int:
-    return sum(e for _, e in w.letters)

@@ -1,12 +1,13 @@
 """Everything level-dependent and floating point: the evaluation root, an
 independent per-p oracle built straight from the level-dependent definitions,
-matrix evaluation, spectral radii, convergence tables, and the infinite-order
+the twist generators at A_p from their closed product forms, matrix
+evaluation, spectral radii, convergence tables, and the infinite-order
 certificate for pseudo-Anosov classes.
 
-Per-level work is O(p + N^2) plus the dense N x N linear algebra: the oracle
-tabulates its powers and factorials once per level, and symbolic matrices are
-evaluated by one batched Horner pass over a whole block of levels, bit for bit
-equal to CPython's scalar complex evaluation.
+Per-level work is O(p + N^3) plus the dense N x N linear algebra: the oracle
+tabulates its powers and factorials once per level, and the scans evaluate T
+and T* from their product forms over a block of levels (`eval_twists`).
+`eval_matrix` evaluates any symbolic matrix by Horner, for `matrices --eval`.
 
 The evaluation root is A_p = -exp(2 pi i k/p) with gcd(k, p) = 1 (default
 k = 1), the primitive 2p-th root of unity closest to -1. Its defining property
@@ -20,6 +21,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +29,7 @@ from .classical import hN_matrix
 from .errors import BadPError, ConvergenceError, NearPoleError
 from .field import FMatrix
 from .mcg import Gen, NTClass, Word, classify, sl2_image, stretch_factor
-from .qsymbols import QContext
-from .repbuild import RepSet, build_repset
+from .repbuild import _twist_factors
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MARGIN = 1e-6
@@ -226,45 +227,105 @@ def eval_matrix(mat: FMatrix, x, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     return out[0] if xs.ndim == 0 else out
 
 
-def eval_generators(rs: RepSet, x, tol: float = DEFAULT_TOLERANCE):
-    """T and T* of the symbolic build evaluated at x, one point or a 1-d array
-    of points (`eval_matrix`): the one numeric evaluation of the
-    representation, shared by the scans and the oracle check. NearPoleError
-    names the first failing point, and T before T* at that point."""
-    try:
-        t = eval_matrix(rs.t_hat, x, tol)
-    except NearPoleError as err:
-        if err.point:  # T* may fail at an earlier point
-            eval_matrix(rs.tstar_hat, np.asarray(x)[: err.point], tol)
-        raise
-    return t, eval_matrix(rs.tstar_hat, x, tol)
+@lru_cache(maxsize=None)
+def _twist_plan(N: int):
+    """`repbuild._twist_factors` as arrays per generator (T, then T*): entry
+    rows, columns, powers of -X, quarter turns (i per {k} = 2i sin, two for a
+    minus sign) and factor columns of the `eval_twists` table, 0-padded."""
+    plans = []
+    for entries in _twist_factors(N):
+        ij, signs, powers, factors = zip(*entries)
+        slots = [
+            [k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0) for k, plus, e in f for _ in range(abs(e))]
+            for f in factors
+        ]
+        quarter = [sum(e for _, plus, e in f if not plus) + 1 - s for f, s in zip(factors, signs)]
+        width = max(map(len, slots))
+        padded = np.array([c + [0] * (width - len(c)) for c in slots], dtype=int)
+        plans.append((*np.array(ij).T, np.array(powers), np.array(quarter) % 4, padded))
+    return plans
+
+
+def _cis(a, n):
+    """(cos, sin) of 2 pi a/n for integer arrays a and n > 0, the angle
+    reduced exactly in integers to the nearest quarter turn q and a rest
+    |t| <= pi/4: each value is within about an ulp relative, small ones too."""
+    a = a % n
+    q = (4 * a + n // 2) // n
+    t = (0.5 * math.pi) * ((4 * a - q * n) / n)
+    c, s = np.cos(t), np.sin(t)
+    q %= 4
+    return np.choose(q, (c, -s, -c, s)), np.choose(q, (s, c, -s, -c))
+
+
+def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
+    """T and T* at the roots A_p of the given levels (PSettings of dimension
+    N), as two L x N x N complex arrays, from their closed product forms
+    (`repbuild._twist_factors`), without building anything exact.
+
+    With -A_p = exp(i w), w = 2 pi k/p: (-A_p)^e = exp(i w e), {j} = 2i sin(w j)
+    and {j}+ = 2 cos(w j), each angle reduced exactly (`_cis`). An entry is the
+    product of its real factors and divisor reciprocals, slot by slot, times
+    one unit complex for its sign, power of -X and i's: a few ulp per factor,
+    and bit for bit the values of taking one level at a time.
+
+    A divisor below `tol` in modulus (never below 2 sin(pi/p) at admissible
+    levels) raises NearPoleError for the first such level (`point`), T before
+    T*, first entry in row-major order (`entry`). A level too large for exact
+    angle reduction in int64 raises BadPError."""
+    top = max((s.p for s in levels), default=0)
+    if top * (8 * N * N + 20) >= 2**63:  # bounds every integer formed below
+        raise BadPError(f"level p = {top} is too large to reduce angles exactly in 64-bit integers")
+    p = np.array([s.p for s in levels])[:, None]
+    k = np.array([s.k % s.p for s in levels])[:, None]
+    cos, sin = _cis(k * np.arange(1, 2 * N), p)
+    vals = np.hstack([np.ones_like(cos[:, :1]), 2 * sin, 2 * cos])  # 1, {j}/i, {j}+
+    table = np.hstack([vals, 1 / vals])
+    small = np.hstack([np.zeros(vals.shape, bool), np.abs(vals) < tol])  # small divisors
+    plans = _twist_plan(N)
+    for lvl in np.flatnonzero(small.any(axis=1)):
+        for name, (rows, cols, *_, slots) in zip(("T", "T*"), plans):
+            hit = np.flatnonzero(small[lvl, slots].any(axis=1))
+            if hit.size:
+                i, j = int(rows[hit[0]]), int(cols[hit[0]])
+                msg = f"{name} entry ({i}, {j}): a divisor is below {tol:g} at p = {levels[lvl].p}"
+                raise NearPoleError(msg, entry=(i, j), point=int(lvl))
+    gens = []
+    for rows, cols, power, quarter, slots in plans:
+        mag = np.ones((len(levels), len(rows)))
+        for slot in slots.T:
+            mag = mag * table[:, slot]
+        re, im = _cis(4 * k * power + p * quarter, 4 * p)
+        gen = np.zeros((len(levels), N, N), dtype=complex)
+        gen.real[:, rows, cols], gen.imag[:, rows, cols] = mag * re, mag * im
+        gens.append(gen)
+    return tuple(gens)
 
 
 def _blocks(levels):
-    """Consecutive runs of at most BLOCK_LEVELS levels and their roots A_p."""
+    """Consecutive runs of at most BLOCK_LEVELS levels."""
     levels = list(levels)
-    for start in range(0, len(levels), BLOCK_LEVELS):
-        block = levels[start : start + BLOCK_LEVELS]
-        yield block, np.array([s.A for s in block])
+    return (levels[i : i + BLOCK_LEVELS] for i in range(0, len(levels), BLOCK_LEVELS))
 
 
-def oracle_deviation(rs: RepSet, levels, tol: float = DEFAULT_TOLERANCE) -> float:
-    """Largest entrywise disagreement, over the given levels (PSettings),
-    between the evaluated symbolic generators and the oracle's, relative to
-    the oracle matrix's size (floored at 1): max_abs(diff) / max(1,
-    max_abs(oracle)). 0.0 for no levels. Errors surface in level order, the
-    symbolic side before the oracle at one level."""
+def oracle_deviation(N: int, levels, tol: float = DEFAULT_TOLERANCE) -> float:
+    """Largest entrywise disagreement, over the given levels (PSettings of
+    dimension N), between the closed-form generators the scans evaluate
+    (`eval_twists`) and the oracle's, relative to the oracle matrix's size
+    (floored at 1): max_abs(diff) / max(1, max_abs(oracle)). 0.0 for no
+    levels, NaN if either side is not finite. Errors surface in level order,
+    the closed form before the oracle at one level."""
     worst = 0.0
-    for block, xs in _blocks(levels):
+    for block in _blocks(levels):
         try:
-            gens = eval_generators(rs, xs, tol)
+            gens = eval_twists(N, block, tol)
         except NearPoleError as err:
             for s in block[: err.point]:  # an oracle failure at an earlier level
                 oracle_matrices(s, tol)
             raise
         for i, s in enumerate(block):
             for sym, ora in zip(gens, oracle_matrices(s, tol)):
-                worst = max(worst, max_abs(sym[i] - ora) / max(1.0, max_abs(ora)))
+                worst = float(np.maximum(worst, max_abs(sym[i] - ora) / max(1.0, max_abs(ora))))
     return worst
 
 
@@ -320,32 +381,27 @@ def _limit_matrix(w: Word, N: int) -> np.ndarray:
 def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     """Per-level rows (p, spectral radius, deviation from the classical limit).
 
-    Levels go in blocks of `BLOCK_LEVELS`, so memory stays O(BLOCK_LEVELS N^2)
-    for any range. Each block evaluates only the two generators T and T* at
-    its roots A_p, in one batched Horner pass each (`eval_generators`),
-    inverts one numerically only where a letter has a negative exponent, and
-    forms the word on the stack of levels in numpy: `matrix_power` per letter
-    (binary powering, so the cost is logarithmic in the exponent) and `@`
-    across letters; the spectral radius is then taken level by level. The
-    rows are bit for bit those of evaluating and multiplying one level at a
-    time. The exact word product over Q(X) is never formed here: its
-    degree and coefficient size grow with the word, and double-precision
-    Horner on such a product loses most of its digits on the unit circle.
+    Levels go in blocks of `BLOCK_LEVELS` (memory O(BLOCK_LEVELS N^2) for any
+    range). Each block evaluates T and T* at its roots A_p from their closed
+    product forms (`eval_twists`; nothing exact is built, nothing is Horner
+    evaluated), inverts one where a letter has a negative exponent, and forms
+    the word on the stack of levels: `matrix_power` per letter (cost
+    logarithmic in the exponent) and `@` across letters. The rows are bit for
+    bit those of one level at a time.
 
     The symbolic representation already carries the character rescaling (its
     generators are the matrices of the rescaled twists), so evaluating at A_p
     and comparing against the SL2(Z) action measures exactly the
     character-normalized distance of the underlying TQFT matrices.
 
-    N above `MAX_EIG_DIM` is rejected before the exact build, with the
+    N above `MAX_EIG_DIM` is rejected before any evaluation, with the
     ValueError that `spectral_radius` would raise after it."""
     if N > MAX_EIG_DIM:
         raise ValueError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
-    rs = build_repset(QContext(N))
     target = _limit_matrix(w, N)
     rows = []
-    for block, xs in _blocks(PSetting(p, N) for p in sorted(p_list)):
-        t, tstar = eval_generators(rs, xs, tol)
+    for block in _blocks(PSetting(p, N) for p in sorted(p_list)):
+        t, tstar = eval_twists(N, block, tol)
         m_p = np.eye(N, dtype=complex)
         for gen, exp in w.letters:
             base = t if gen is Gen.TY else tstar

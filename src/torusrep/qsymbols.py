@@ -43,21 +43,6 @@ def qint_plus(n: int) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def qfact(n: int) -> RatFunc:
-    """{n}! = {1}{2}...{n}, with {0}! = 1 and {n}! = 0 for negative n."""
-    if n < 0:
-        return RatFunc.zero()
-    if n == 0:
-        return RatFunc.one()
-    return qfact(n - 1) * qint(n)
-
-
-def mu(n: int) -> RatFunc:
-    """Twist eigenvalue mu_n = (-X)^(n(n+2))."""
-    return signed_power(n * (n + 2))
-
-
-@lru_cache(maxsize=None)
 def _lambda_shifted(k: int, N: int) -> RatFunc:
     return -qint_plus(2 * N - 2 * k - 1)
 

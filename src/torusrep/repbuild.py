@@ -16,8 +16,9 @@ canonical form is read off with no gcd, division or recurrence.
 The curve-operator matrix z is lower bidiagonal; its Hopf transpose y, the
 twisted operator z', and the tridiagonal column-recurrence matrices
 M^(n) = (z' - lambda_{c+n} I) / {n+1} (column n+1 of T is M^(n) times column
-n) are assembled from it over Q(X), on first use only: the certificate scans
-read only T and T*. Everything lives in GL_N(Q(X)) and can be evaluated
+n) are assembled from it over Q(X), on first use only (by `verify` and
+`matrices`; the certificate scans evaluate the product forms at A_p without
+building anything). Everything lives in GL_N(Q(X)) and can be evaluated
 exactly at X = -1.
 """
 
@@ -84,11 +85,13 @@ def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
     return FMatrix(tuple(rows))
 
 
-def _twists(N: int) -> tuple[FMatrix, FMatrix]:
-    """(T, T*) entry by entry from their product forms (module docstring)."""
-    zero = RatFunc.zero()
-    t = [[zero] * N for _ in range(N)]
-    tstar = [[zero] * N for _ in range(N)]
+def _twist_factors(N: int):
+    """The product forms of T and T* (module docstring), written down once for
+    the exact build and for `numeric`'s evaluation at A_p: for each, the
+    nonzero entries in row-major order as ((i, j), sign, power, factors), the
+    entry being sign * (-X)^power * prod {k}^e ({k}+^e where plus) over the
+    triples (k, plus, e) in factors."""
+    t, tstar = [], []
     for m in range(N):
         for n in range(m, N):
             e = -m * (2 * N - 1 - m) - (N - 1 - m) * (n - m)
@@ -98,9 +101,20 @@ def _twists(N: int) -> tuple[FMatrix, FMatrix]:
             plus = [(k, True, 1) for k in range(2 * N - n, 2 * N - m)]
             ratio = [(j, False, 1) for j in range(m + 1, n + 1)]
             ratio += [(2 * N - 2 * j, False, -1) for j in range(m + 1, n + 1)]
-            t[m][n] = _product_form(1, e, binom + plus)
-            tstar[n][m] = _product_form((-1) ** (n - m), e, binom + ratio)
-    return FMatrix(tuple(map(tuple, t))), FMatrix(tuple(map(tuple, tstar)))
+            t.append(((m, n), 1, e, binom + plus))
+            tstar.append(((n, m), (-1) ** (n - m), e, binom + ratio))
+    return t, sorted(tstar)
+
+
+def _twists(N: int) -> tuple[FMatrix, FMatrix]:
+    """(T, T*) entry by entry from their product forms (`_twist_factors`)."""
+    out = []
+    for entries in _twist_factors(N):
+        rows = [[RatFunc.zero()] * N for _ in range(N)]
+        for (i, j), sign, power, factors in entries:
+            rows[i][j] = _product_form(sign, power, factors)
+        out.append(FMatrix(tuple(map(tuple, rows))))
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,18 +1,80 @@
-"""Reference implementations for the tests: exact word products over Q(X),
-T and T* by the column recurrence through M^(n), the oracle's z and M^(n),
-and the rescaling character. None of these is on a production path; the
-tests compare the production code against them."""
+"""Reference implementations for the tests: exact matrix inverse and word
+products over Q(X), T and T* by the column recurrence through M^(n), the
+oracle's z and M^(n), the rescaling character, the q-factorial and twist
+eigenvalue, and symbolic matrices evaluated at A_p in 50-digit decimal
+arithmetic. None of these is on a production path; the tests compare the
+production code against them."""
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 from torusrep.errors import BadPError
-from torusrep.field import FMatrix, RatFunc, fm_inv, fm_mul
-from torusrep.mcg import Gen, Word, exponent_sum
+from torusrep.field import FMatrix, RatFunc, fm_mul, signed_power
+from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_build
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
 from torusrep.repbuild import build_repset, relation_checks
+
+
+# --- exact inverse and equality -------------------------------------------------
+
+
+class SingularError(ArithmeticError):
+    """Matrix inversion of a matrix whose determinant is the zero function."""
+
+
+def fm_inv(a: FMatrix) -> FMatrix:
+    """Exact inverse by Gauss-Jordan elimination, pivoting on the nonzero entry
+    of smallest degree to limit intermediate growth."""
+    n = a.n_rows
+    if n != a.n_cols:
+        raise ValueError("inverse of a non-square matrix")
+    one, zero = RatFunc.one(), RatFunc.zero()
+    work = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(a.rows)]
+    for col in range(n):
+        pivot_row = None
+        pivot_size = None
+        for r in range(col, n):
+            e = work[r][col]
+            if not e.is_zero:
+                size = e.num.degree + e.den.degree
+                if pivot_size is None or size < pivot_size:
+                    pivot_row, pivot_size = r, size
+        if pivot_row is None:
+            raise SingularError("matrix determinant is the zero function")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        inv = work[col][col].reciprocal()
+        work[col] = [e * inv for e in work[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            f = work[r][col]
+            if f.is_zero:
+                continue
+            work[r] = [e - f * p for e, p in zip(work[r], work[col])]
+    return FMatrix(tuple(tuple(row[n:]) for row in work))
+
+
+def fm_eq(a: FMatrix, b: FMatrix) -> bool:
+    return a.n_rows == b.n_rows and a.n_cols == b.n_cols and a.rows == b.rows
+
+
+# --- quantum symbols no production path uses ------------------------------------
+
+
+def qfact(n: int) -> RatFunc:
+    """{n}! = {1}{2}...{n}, with {0}! = 1 and {n}! = 0 for negative n."""
+    out = RatFunc.zero() if n < 0 else RatFunc.one()
+    for k in range(1, n + 1):
+        out = out * qint(k)
+    return out
+
+
+def mu(n: int) -> RatFunc:
+    """Twist eigenvalue mu_n = (-X)^(n(n+2))."""
+    return signed_power(n * (n + 2))
 
 
 # --- T and T* by the column recurrence -----------------------------------------
@@ -111,6 +173,11 @@ def oracle_z_matrix(s: PSetting, tol: float = DEFAULT_TOLERANCE):
 # --- the rescaling character ----------------------------------------------------
 
 
+def exponent_sum(w: Word) -> int:
+    return sum(e for _, e in w.letters)
+
+
+
 def chi_p(w: Word, p: int, N: int, k: int = 1) -> complex:
     """Rescaling character: (-A_p)^(c(c+2) * exponent sum) with c = (p-1)/2 - N.
     A unit-modulus complex number; the angle is reduced mod p exactly before
@@ -123,3 +190,72 @@ def chi_p(w: Word, p: int, N: int, k: int = 1) -> complex:
     e = (c * (c + 2) * exponent_sum(w)) % p
     # (-A_p) = exp(2 pi i k / p)
     return complex(math.cos(2 * math.pi * k * e / p), math.sin(2 * math.pi * k * e / p))
+
+
+# --- high-precision evaluation at A_p -------------------------------------------
+
+
+def _decimal_pi() -> Decimal:
+    """pi by the series of the `decimal` module documentation."""
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    return s
+
+
+def _decimal_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x by their Taylor series, summed until they stop moving."""
+    out = []
+    for term, k in ((Decimal(1), 0), (x, 1)):
+        total, last = term, None
+        while total != last:
+            last = total
+            term = -term * x * x / ((k + 1) * (k + 2))
+            k += 2
+            total += term
+        out.append(total)
+    return out[0], out[1]
+
+
+def decimal_at_root(mat: FMatrix, p: int, k: int = 1, digits: int = 50):
+    """mat evaluated at A_p = -exp(2 pi i k/p) with `digits` significant
+    digits: the root by Taylor series, each canonical numerator and
+    denominator by Horner in complex decimal arithmetic, then their quotient.
+    Entries are (re, im) pairs of Decimals."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        c, s = _decimal_cos_sin(2 * _decimal_pi() * k / p)
+        xr, xi = -c, -s
+
+        def horner(coeffs):
+            re = im = Decimal(0)
+            for a in reversed(coeffs):
+                re, im = re * xr - im * xi + Decimal(a), re * xi + im * xr
+            return re, im
+
+        out = []
+        for row in mat.rows:
+            vals = []
+            for e in row:
+                (nr, ni), (dr, di) = horner(e.num.coeffs), horner(e.den.coeffs)
+                d2 = dr * dr + di * di
+                vals.append(((nr * dr + ni * di) / d2, (ni * dr - nr * di) / d2))
+            out.append(vals)
+        return out
+
+
+def relative_error(approx: complex, exact) -> float:
+    """|approx - exact| / |exact| for an exact (re, im) Decimal pair; 0.0 when
+    both are zero, infinity when only exact is."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        er, ei = exact
+        dr, di = Decimal(approx.real) - er, Decimal(approx.imag) - ei
+        size = er * er + ei * ei
+        if not size:
+            return 0.0 if approx == 0 else math.inf
+        return float(((dr * dr + di * di) / size).sqrt())

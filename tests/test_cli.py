@@ -5,7 +5,7 @@ import pytest
 
 from torusrep import field, repbuild
 from torusrep.cli import canonical_json, main
-from torusrep.field import FMatrix, fm_eq, fmatrix_from_obj, fmatrix_to_obj
+from torusrep.field import FMatrix, fmatrix_from_obj, fmatrix_to_obj
 
 
 def run(capsys, *argv):
@@ -97,6 +97,15 @@ def test_verify_corrupted_build_fails(capsys, monkeypatch):
         assert f"FAIL  center commutes with both generators (N={N})" in out
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_verify_oracle_fails_when_the_oracle_is_not_finite(capsys):
+    # at p = 10001 the oracle's raw factorial products overflow and its T*
+    # is NaN; a NaN must fail the gate, not vanish inside max()
+    code, out, _ = run(capsys, "verify", "--N", "2", "--oracle", "--p", "10001")
+    assert code == 1
+    assert "FAIL  oracle equivalence over p=10001 (N=2, worst relative nan)" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -113,9 +122,9 @@ def test_margin_only_on_amu(capsys, argv):
 
 
 def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
-    # The scans read only T and T*: their product forms need no gcd, and z'
-    # and the M^(n) are built only for verify and `matrices`.
-    calls = {"poly_gcd": 0, "build_zprime": 0, "build_m": 0}
+    # The scans evaluate T and T* at A_p from their product forms: nothing
+    # exact is built, so no gcd, no z' and no M^(n) either.
+    calls = {"poly_gcd": 0, "build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -126,13 +135,22 @@ def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(field, "poly_gcd")
-    counted(repbuild, "build_zprime")
-    counted(repbuild, "build_m")
     repbuild.build_repset.cache_clear()
+    counted(field, "poly_gcd")
+    for name in ("build_zprime", "build_m", "build_repset", "_twists"):
+        counted(repbuild, name)
     code, out, _ = run(capsys, "amu", "--word", "y z^-1", "--N", "8", "--pmax", "41")
     assert code == 0 and "p0_observed=37" in out
-    assert calls == {"poly_gcd": 0, "build_zprime": 0, "build_m": 0}
+    assert calls == {"poly_gcd": 0, "build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
+
+
+def test_amu_at_n24_is_fast_and_right(capsys):
+    # double-precision Horner on the expanded forms put rho at p = 49 above
+    # 1 + margin (1.037; the true value is 1) and p0_observed at 49
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "amu", "--word", "y z^-1", "--N", "24", "--pmax", "61")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "# p0_observed=51" in out
 
 
 @pytest.mark.parametrize(
@@ -148,6 +166,14 @@ def test_scan_rejects_large_n_before_building(capsys, argv):
     assert code == 2
     assert "dimension 40 exceeds bound 32" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_limit_rejects_a_level_too_large_for_exact_angles(capsys):
+    # the angles 2 pi k e/p are reduced in 64-bit integers, which p = 1e18 + 1
+    # would overflow: a typed error, not wrapped-around values
+    code, out, err = run(capsys, "limit", "--word", "y z^-1", "--N", "2", "--p", str(10**18 + 1))
+    assert code == 2 and out == ""
+    assert "too large to reduce angles exactly" in err
 
 
 def test_amu_pretty_and_json(capsys):

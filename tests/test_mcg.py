@@ -16,13 +16,12 @@ from torusrep.mcg import (
     NTClass,
     Word,
     classify,
-    exponent_sum,
     parse_word,
     sl2_image,
     stretch_factor,
 )
 
-from reference import chi_p
+from reference import chi_p, exponent_sum
 
 
 def test_parse_basic():

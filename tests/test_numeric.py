@@ -15,7 +15,7 @@ from torusrep.numeric import (
     PSetting,
     amu_certificate,
     convergence_table,
-    eval_generators,
+    eval_twists,
     eval_matrix,
     max_abs,
     oracle_deviation,
@@ -26,7 +26,14 @@ from torusrep.numeric import (
 from torusrep.qsymbols import QContext
 from torusrep.repbuild import build_repset, classical_limit
 
-from reference import chi_p, oracle_m_matrices, oracle_z_matrix, rep_of_word
+from reference import (
+    chi_p,
+    decimal_at_root,
+    oracle_m_matrices,
+    oracle_z_matrix,
+    relative_error,
+    rep_of_word,
+)
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 
@@ -91,10 +98,9 @@ def test_oracle_gate_is_relative_at_n10():
     # at N = 10, p = 195 the generators reach ~1e3 in size, so a correct build
     # disagrees with the oracle by more than 1e-9 absolute but ~1e-12 relative
     s = PSetting(195, 10)
-    rs = build_repset(QContext(10))
-    pairs = list(zip(eval_generators(rs, s.A), oracle_matrices(s)))
+    pairs = list(zip((g[0] for g in eval_twists(10, [s])), oracle_matrices(s)))
     assert max(max_abs(sym - ora) for sym, ora in pairs) > 1e-9
-    rel = oracle_deviation(rs, [s])
+    rel = oracle_deviation(10, [s])
     assert rel == max(max_abs(sym - ora) / max(1.0, max_abs(ora)) for sym, ora in pairs)
     assert rel <= 1e-9
 
@@ -309,14 +315,12 @@ def test_eval_matrix_bit_identity_signed_zeros_and_fractions():
 
 
 def _rows_level_by_level(w, N, levels):
-    """convergence_table's rows built one level at a time from scalar
-    evaluation, with the same numpy calls."""
-    rs = build_repset(QContext(N))
+    """convergence_table's rows built one level at a time, with the same
+    evaluator and the same numpy calls."""
     target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
     rows = []
     for p in levels:
-        x = PSetting(p, N).A
-        t, tstar = _scalar_eval(rs.t_hat, x), _scalar_eval(rs.tstar_hat, x)
+        t, tstar = (g[0] for g in eval_twists(N, [PSetting(p, N)]))
         m = np.eye(N, dtype=complex)
         for gen, exp in w.letters:
             base = t if gen.name == "TY" else tstar
@@ -352,31 +356,35 @@ def test_eval_matrix_names_the_point_on_a_pole():
 
 
 def test_errors_surface_in_level_order(monkeypatch):
-    # |A_p + 1| = 2 sin(pi/p) falls below tol = 0.3 from p = 21 on, and its
-    # square from p = 13 on: over a block of levels the first failing level is
-    # named, T* before a later T failure, and an oracle failure before a later
-    # symbolic one, as when the levels were taken one at a time
-    from types import SimpleNamespace
-
-    one, inv_x1 = RatFunc(Poly((1,))), RatFunc(Poly((1,)), Poly((1, 1)))
-    inv_x1_sq = RatFunc(Poly((1,)), Poly((1, 2, 1)))
-    gens = SimpleNamespace(
-        t_hat=FMatrix([[inv_x1, one], [one, one]]),
-        tstar_hat=FMatrix([[one, one], [inv_x1_sq, one]]),
-    )
-    levels = [PSetting(p, 2) for p in range(5, 41, 2)]
+    # At N = 4 the smallest divisor of T is {1} = 2i sin(2 pi/p), below
+    # tol = 0.5 from p = 25 on; T* also divides by {6}, of modulus
+    # 2 sin(pi/13) = 0.479 at p = 13, and no divisor of T* is below 0.56 at
+    # p = 9 and 11. Over a block of levels the first failing level is named,
+    # T* before a later T failure, and an oracle failure before a later
+    # closed-form one, as when the levels were taken one at a time.
+    levels = [PSetting(p, 4) for p in range(9, 43, 2)]
     with pytest.raises(NearPoleError) as err:
-        eval_generators(gens, np.array([s.A for s in levels]), 0.3)
-    assert err.value.point == levels.index(PSetting(13, 2)) and err.value.entry == (1, 0)
+        eval_twists(4, levels, 0.5)
+    assert err.value.point == levels.index(PSetting(13, 4)) and err.value.entry == (1, 0)
+    assert str(err.value) == "T* entry (1, 0): a divisor is below 0.5 at p = 13"
+    with pytest.raises(NearPoleError) as later:
+        eval_twists(4, levels[-4:], 0.5)
+    assert later.value.point == 0 and str(later.value).startswith("T entry (0, 1):")
+    for s in levels:  # one level at a time: the same level fails first
+        try:
+            eval_twists(4, [s], 0.5)
+        except NearPoleError as one:
+            assert s.p == 13 and str(one) == str(err.value)
+            break
 
     def oracle(s, tol):
         if s.p >= 11:
             raise NearPoleError(f"oracle at p = {s.p}")
-        return np.eye(2), np.eye(2)
+        return np.eye(4), np.eye(4)
 
     monkeypatch.setattr(numeric, "oracle_matrices", oracle)
     with pytest.raises(NearPoleError, match="oracle at p = 11"):
-        oracle_deviation(gens, levels, 0.3)
+        oracle_deviation(4, levels, 0.5)
 
 
 # -- the table oracle against the direct products it replaced ----------------
@@ -435,3 +443,47 @@ def test_table_oracle_matches_direct_products(N, monkeypatch):
     for p, got in zip(levels, table):
         for mine, ref in zip(got, oracle_matrices(PSetting(p, N))):
             assert max_abs(mine - ref) <= 1e-11 * max_abs(ref), (N, p)
+
+
+# -- the closed-form evaluator: accuracy and block independence --------------
+
+
+@pytest.mark.parametrize(
+    "N, p, k",
+    [(4, 9, 1), (8, 17, 1), (12, 25, 1), (16, 33, 1), (12, 65, 1), (16, 101, 1), (16, 101, 100)],
+)
+def test_eval_twists_entrywise_accurate(N, p, k):
+    # against a 50-digit evaluation of the canonical forms: every entry to
+    # 1e-13 relative, where double-precision Horner on the same forms is 1e-9
+    # (N = 12, p = 65) and 1e-5 (N = 16, p = 101) off; k = 100 reaches angles
+    # 2 pi k e/p far outside one turn, so each must be reduced exactly
+    rs = build_repset(QContext(N))
+    s = PSetting(p, N, k)
+    for got, mat in zip(eval_twists(N, [s]), (rs.t_hat, rs.tstar_hat)):
+        ref = decimal_at_root(mat, p, k)
+        worst = max(
+            relative_error(complex(got[0, i, j]), ref[i][j]) for i in range(N) for j in range(N)
+        )
+        assert worst <= 1e-13, (N, p, k, worst)
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_eval_twists_matches_the_exact_build(N):
+    # the scans' numbers are those of the matrices the exact checks prove
+    rs = build_repset(QContext(N))
+    levels = [PSetting(p, N) for p in (2 * N + 1, 4 * N + 3, 101)]
+    t, tstar = eval_twists(N, levels)
+    for i, s in enumerate(levels):
+        for got, mat in ((t[i], rs.t_hat), (tstar[i], rs.tstar_hat)):
+            want = eval_matrix(mat, s.A)
+            assert max_abs(got - want) <= 1e-12 * max_abs(want), (N, s.p)
+
+
+def test_eval_twists_block_is_bit_identical_to_single_levels():
+    N = 6
+    levels = [PSetting(p, N, k) for p in range(13, 13 + 2 * (BLOCK_LEVELS + 3), 2) for k in (1, 2)]
+    levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
+    block = eval_twists(N, levels)
+    for i, s in enumerate(levels):
+        for got, one in zip(block, eval_twists(N, [s])):
+            assert np.array_equal(_bits(got[i]), _bits(one[0])), s

@@ -11,12 +11,12 @@ from torusrep.qsymbols import (
     QContext,
     _product_form,
     lambda_shifted,
-    mu,
-    qfact,
     qint,
     qint_plus,
     rhat,
 )
+
+from reference import mu, qfact
 
 
 def _at(f, x):

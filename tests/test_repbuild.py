@@ -7,13 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
-from torusrep.errors import PoleError, SingularError
+from torusrep.errors import PoleError
 from torusrep.field import (
     FMatrix,
     Poly,
     RatFunc,
-    fm_eq,
-    fm_inv,
     fm_mul,
     fmatrix_to_obj,
     signed_power,
@@ -31,7 +29,10 @@ from torusrep.repbuild import (
 )
 
 from reference import (
+    SingularError,
     braid_holds,
+    fm_eq,
+    fm_inv,
     pairing_transpose,
     recurrence_twists,
     rep_of_word,
