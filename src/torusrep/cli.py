@@ -143,9 +143,11 @@ def _check(label: str, ok: bool, lines: list[str]) -> bool:
 
 
 def cmd_verify(args) -> int:
+    dims = _parse_range(args.N)
+    numeric.check_dimension(dims[-1])  # before building anything
     lines = [f"# verify  N={args.N}  tolerance={args.tolerance:g}"]
     all_ok = True
-    for N in _parse_range(args.N):
+    for N in dims:
         ctx = QContext(N)
         rs = repbuild.build_repset(ctx)
         cl = classical.closed_limits(N)

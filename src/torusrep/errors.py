@@ -44,3 +44,9 @@ class BadPError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """The eigenvalue solver failed to converge."""
+
+
+class TooLargeError(ValueError):
+    """An input beyond a size the computation is bounded or exact for: a
+    dimension above the cap, or exact modular checks whose float64 arithmetic
+    would leave the range of exactly represented integers."""

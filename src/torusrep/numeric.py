@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classical import hN_matrix
-from .errors import BadPError, ConvergenceError, NearPoleError
+from .errors import BadPError, ConvergenceError, NearPoleError, TooLargeError
 from .field import FMatrix
 from .mcg import Gen, NTClass, Word, classify, sl2_image, stretch_factor
 from .repbuild import _twist_factors
@@ -329,6 +329,13 @@ def oracle_deviation(N: int, levels, tol: float = DEFAULT_TOLERANCE) -> float:
     return worst
 
 
+def check_dimension(N: int) -> None:
+    """Reject N above `MAX_EIG_DIM`, the limit of `amu`, `limit` and
+    `verify`, before any work that grows with N."""
+    if N > MAX_EIG_DIM:
+        raise TooLargeError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
+
+
 def spectral_radius(m: np.ndarray, max_dim: int = MAX_EIG_DIM) -> float:
     """Largest eigenvalue modulus of a small dense complex matrix."""
     m = np.asarray(m, dtype=complex)
@@ -394,10 +401,9 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     and comparing against the SL2(Z) action measures exactly the
     character-normalized distance of the underlying TQFT matrices.
 
-    N above `MAX_EIG_DIM` is rejected before any evaluation, with the
-    ValueError that `spectral_radius` would raise after it."""
-    if N > MAX_EIG_DIM:
-        raise ValueError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
+    N above `MAX_EIG_DIM` is rejected before any evaluation
+    (`check_dimension`)."""
+    check_dimension(N)
     target = _limit_matrix(w, N)
     rows = []
     for block in _blocks(PSetting(p, N) for p in sorted(p_list)):

@@ -28,7 +28,9 @@ import dataclasses
 import math
 from functools import cached_property, lru_cache
 
-from .errors import PoleError
+import numpy as np
+
+from .errors import PoleError, TooLargeError
 from .field import FMatrix, Poly, RatFunc, fm_mul, poly_gcd
 from .qsymbols import QContext, _product_form, lambda_shifted, qint, rhat
 
@@ -158,36 +160,29 @@ def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     and integer polynomials D. Then the braid relation is
     D_S P_T P_S P_T == D_T P_S P_T P_S, and with C' = (P_T P_S P_T)^2 the
     center commutes iff C' P_T == P_T C' and C' P_S == P_S C' (both sides of
-    a commutator share one denominator). Every coefficient of the difference
-    of two sides is at most the sum of their l1-norms, bounded through the
-    nonnegative matrices of entry norms (||fg||_1 <= ||f||_1 ||g||_1). With
-    B = 2^w above twice the largest bound, an integer polynomial with
-    coefficients below B/2 in absolute value is zero iff its value at B is
-    zero, so both identities are decided exactly by comparing Python-int
-    matrices at X = B (Kronecker substitution): no gcd, no probability."""
+    a commutator share one denominator). Each identity says that a difference
+    f of two integer polynomials vanishes, entry by entry, and is decided by
+    multipoint evaluation modulo primes (`_integer_checks`):
+
+    - every coefficient of f is at most `bound` in absolute value, the sum of
+      the l1-norms of the two sides, bounded through the nonnegative matrices
+      of entry norms (||gh||_1 <= ||g||_1 ||h||_1);
+    - deg f < K, with K one more than the larger of max(deg D_T, deg D_S) +
+      3 dmax and 7 dmax, dmax the largest entry degree of P_T and P_S;
+    - f is evaluated at x = 0..K-1 modulo primes q from `_PRIMES`, taken in
+      order until their product exceeds 2 bound. As K < q, these are K
+      distinct points of F_q, and f mod q has degree below K: if it vanishes
+      at all of them, q divides every coefficient of f. If every prime does,
+      so does their product, and a multiple of it below the product in
+      absolute value is 0;
+    - the arithmetic mod q is float64 with every partial sum below 2^53, so
+      BLAS computes it exactly (`_integer_checks` states the invariants and
+      raises `TooLargeError` for an input that would break one).
+
+    So the verdict is exact and deterministic: no gcd, no probability."""
     pt, dt = _clear_denominators(t)
     ps, ds = _clear_denominators(tstar)
-    nt, ns = _norms(pt), _norms(ps)
-    ntst = _int_matmul(_int_matmul(nt, ns), nt)
-    nsts = _int_matmul(_int_matmul(ns, nt), ns)
-    nc = _int_matmul(ntst, ntst)
-    bound = max(
-        _max_sum(_int_scale(ntst, _l1(ds)), _int_scale(nsts, _l1(dt))),
-        _max_sum(_int_matmul(nc, nt), _int_matmul(nt, nc)),
-        _max_sum(_int_matmul(nc, ns), _int_matmul(ns, nc)),
-    )
-    w = (2 * bound).bit_length()  # B = 2^w > 2 * bound
-
-    pt, ps = _eval_matrix_at(pt, w), _eval_matrix_at(ps, w)
-    tst = _int_matmul(_int_matmul(pt, ps), pt)
-    sts = _int_matmul(_int_matmul(ps, pt), ps)
-    braid = _int_scale(tst, _eval_at(ds, w)) == _int_scale(sts, _eval_at(dt, w))
-    c = _int_matmul(tst, tst)
-    center = (
-        _int_matmul(c, pt) == _int_matmul(pt, c)
-        and _int_matmul(c, ps) == _int_matmul(ps, c)
-    )
-    return braid, center
+    return _integer_checks(pt, dt, ps, ds)
 
 
 def _clear_denominators(m: FMatrix):
@@ -209,24 +204,148 @@ def _clear_denominators(m: FMatrix):
     )
 
 
+# The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum
+# of up to 2^13 products of two residues stays below 2^53.
+_PRIMES = (
+    1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
+    1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309,
+)
+_BLOCK_CELLS = 2**13  # a block has 2^13 // N^2 points (128 at N = 8), which bounds its arrays
+_CHUNK = 64  # coefficients per matrix product in `_values`
+
+
+def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
+    """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), as
+    coefficient lists in ascending degree.
+
+    Per prime q, blocks of points are checked at once (`_check_block`). The
+    arithmetic is float64 on integers, exact because every coefficient is
+    below 2^53 and every partial sum of products of residues, which lie in
+    (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1) (q-1)^2 in the
+    evaluation (`_values`), N (q-1)^2 in an N x N product and 2N (q-1)^2 in
+    the difference of two, 2 (q-1)^2 in a difference of scaled sides.
+    `TooLargeError` is raised for an input that would break one of these
+    invariants, K < q, or the reach of the prime table."""
+    n = len(pt)
+    cells, polys = [], []
+    for m, p in enumerate((pt, ps)):
+        for i, row in enumerate(p):
+            for j, poly in enumerate(row):
+                if poly:
+                    cells.append((m, i, j))
+                    polys.append(poly)
+    dmax = max(map(len, polys), default=1) - 1
+    points = 1 + max(max(len(dt), len(ds)) - 1 + 3 * dmax, 7 * dmax)
+    primes = _primes_above(2 * _height_bound(pt, dt, ps, ds))
+    if points >= primes[-1] or max(2 * n, _CHUNK + 1) * (primes[0] - 1) ** 2 >= 2**53:
+        raise TooLargeError("exact checks need K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
+    polys += [dt, ds]
+    coeffs = np.zeros((len(polys), max(map(len, polys))))
+    for r, poly in enumerate(polys):
+        coeffs[r, : len(poly)] = poly
+    if np.abs(coeffs).max() >= 2**53:
+        raise TooLargeError("exact checks need every coefficient below 2^53")
+
+    where = tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)
+    block = max(1, _BLOCK_CELLS // (n * n))
+    buf = np.zeros((2, block, n, n))
+    braid = center = True
+    for prime in primes:
+        q = float(prime)
+        a = _mod(coeffs.copy(), q)
+        for start in range(0, points, block):
+            x = np.arange(start, min(start + block, points), dtype=np.float64)
+            ok = _check_block(_values(a, x, q), where, buf[:, : len(x)], q)
+            braid, center = braid and ok[0], center and ok[1]
+            if not (braid or center):
+                return False, False
+    return braid, center
+
+
+def _height_bound(pt, dt, ps, ds) -> int:
+    """A bound on every coefficient of the difference of the two sides of
+    either identity: ||gh||_1 <= ||g||_1 ||h||_1, through the matrices of
+    entry l1-norms."""
+    nt, ns = _norms(pt), _norms(ps)
+    ntst = _int_matmul(_int_matmul(nt, ns), nt)
+    nsts = _int_matmul(_int_matmul(ns, nt), ns)
+    nc = _int_matmul(ntst, ntst)
+    return max(
+        _max_sum(_int_scale(ntst, _l1(ds)), _int_scale(nsts, _l1(dt))),
+        _max_sum(_int_matmul(nc, nt), _int_matmul(nt, nc)),
+        _max_sum(_int_matmul(nc, ns), _int_matmul(ns, nc)),
+    )
+
+
+def _check_block(vals, where, buf, q: float) -> tuple[bool, bool]:
+    """Both identities at one block of points, from the values mod q of the
+    nonzero entries of P_T and P_S (rows of vals, at `where`) and of D_T and
+    D_S (its last two rows); buf holds the stacks of P_T and P_S, whose zero
+    entries stay zero. The arrays of a block are freed when it returns."""
+    buf[where[0], :, where[1], where[2]] = vals[:-2]
+    p_t, p_s = buf
+    d_t, d_s = vals[-2:, :, None, None]
+    u = _mod(p_s @ p_t, q)
+    tst = _mod(p_t @ u, q)
+    braid = not _mod(tst * d_s - _mod(u @ p_s, q) * d_t, q).any()
+    c = _mod(tst @ tst, q)
+    commutators = c @ buf  # C P_T and C P_S
+    commutators -= buf @ c
+    return braid, not _mod(commutators, q).any()
+
+
+def _primes_above(height: int) -> tuple[int, ...]:
+    """The shortest prefix of `_PRIMES` whose product exceeds `height`."""
+    prod = 1
+    for k, q in enumerate(_PRIMES, 1):
+        prod *= q
+        if prod > height:
+            return _PRIMES[:k]
+    raise TooLargeError("exact checks need a height bound within reach of the prime table")
+
+
+def _values(a, x, q: float):
+    """The rows of a (coefficients mod q, ascending) at the points x, mod q:
+    Horner in x^s over chunks of s = `_CHUNK` coefficients, each chunk one
+    matrix product with x^0..x^(s-1). Unlike one product with the whole
+    Vandermonde matrix, this keeps the arrays and BLAS's packed copies at
+    s rows, whatever the degree."""
+    s = min(_CHUNK, a.shape[1])
+    # x^0..x^s by doubling: rows k..2k-2 are rows 1..k-1 times row k-1 (x < q)
+    powers = np.empty((s + 1, len(x)))
+    powers[0], powers[1] = 1.0, x
+    k = 2
+    while k <= s:
+        step = min(k - 1, s + 1 - k)
+        _mod(np.multiply(powers[1 : step + 1], powers[k - 1], out=powers[k : k + step]), q)
+        k += step
+    top = (a.shape[1] - 1) // s * s
+    acc = _mod(a[:, top:] @ powers[: a.shape[1] - top], q)
+    for k in range(top - s, -1, -s):
+        acc *= powers[s]
+        acc += a[:, k : k + s] @ powers[:s]
+        _mod(acc, q)
+    return acc
+
+
+def _mod(c, q: float):
+    """c - q floor(c/q) in place, for a float64 array of integers with
+    |c| < 2^53: a residue of c in (-q, q). The quotient c/q is correctly
+    rounded, so its floor is the true one or one more. Every bound above
+    holds for such residues, and one of them is 0 mod q iff it is 0."""
+    f = c / q
+    np.floor(f, out=f)
+    f *= q
+    c -= f
+    return c
+
+
 def _l1(coeffs) -> int:
-    return sum(abs(c) for c in coeffs)
+    return sum(map(abs, coeffs))
 
 
 def _norms(p):
     return [[_l1(q) for q in row] for row in p]
-
-
-def _eval_at(coeffs, w: int) -> int:
-    """Value of an integer polynomial at X = 2^w (Horner by shifts)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << w) + c
-    return acc
-
-
-def _eval_matrix_at(p, w: int):
-    return [[_eval_at(q, w) for q in row] for row in p]
 
 
 def _int_matmul(a, b):

@@ -1,8 +1,8 @@
 """Reference implementations for the tests: exact matrix inverse and word
-products over Q(X), T and T* by the column recurrence through M^(n), the
-oracle's z and M^(n), the rescaling character, the q-factorial and twist
-eigenvalue, and symbolic matrices evaluated at A_p in 50-digit decimal
-arithmetic. None of these is on a production path; the tests compare the
+products over Q(X), the braid and center checks by Kronecker substitution,
+T and T* by the column recurrence through M^(n), the oracle's z and M^(n),
+the rescaling character, the q-factorial and twist eigenvalue, and symbolic
+matrices evaluated at A_p in 50-digit decimal arithmetic. None of these is on a production path; the tests compare the
 production code against them."""
 
 from __future__ import annotations
@@ -15,7 +15,14 @@ from torusrep.field import FMatrix, RatFunc, fm_mul, signed_power
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_build
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
-from torusrep.repbuild import build_repset, relation_checks
+from torusrep.repbuild import (
+    _clear_denominators,
+    _height_bound,
+    _int_matmul,
+    _int_scale,
+    build_repset,
+    relation_checks,
+)
 
 
 # --- exact inverse and equality -------------------------------------------------
@@ -155,6 +162,43 @@ def fm_power(base: FMatrix, e: int) -> FMatrix:
         if not e:
             return out
         base = fm_mul(base, base)
+
+
+# --- the exact checks by Kronecker substitution -------------------------------
+
+
+def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
+    """`relation_checks` by Kronecker substitution: the same (P, D) forms and
+    height bound, but each identity is decided by comparing Python-int
+    matrices at X = B = 2^w with B above twice the bound, where an integer
+    polynomial with coefficients below B/2 in absolute value is zero iff its
+    value at B is zero."""
+    pt, dt = _clear_denominators(t)
+    ps, ds = _clear_denominators(tstar)
+    w = (2 * _height_bound(pt, dt, ps, ds)).bit_length()  # B = 2^w > 2 * bound
+
+    pt, ps = _eval_matrix_at(pt, w), _eval_matrix_at(ps, w)
+    tst = _int_matmul(_int_matmul(pt, ps), pt)
+    sts = _int_matmul(_int_matmul(ps, pt), ps)
+    braid = _int_scale(tst, _eval_at(ds, w)) == _int_scale(sts, _eval_at(dt, w))
+    c = _int_matmul(tst, tst)
+    center = (
+        _int_matmul(c, pt) == _int_matmul(pt, c)
+        and _int_matmul(c, ps) == _int_matmul(ps, c)
+    )
+    return braid, center
+
+
+def _eval_at(coeffs, w: int) -> int:
+    """Value of an integer polynomial at X = 2^w (Horner by shifts)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << w) + c
+    return acc
+
+
+def _eval_matrix_at(p, w: int):
+    return [[_eval_at(q, w) for q in row] for row in p]
 
 
 # --- the oracle's intermediate matrices -----------------------------------------

@@ -168,6 +168,15 @@ def test_scan_rejects_large_n_before_building(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("dims", ["40", "2..40"])
+def test_verify_rejects_large_n_before_building(capsys, dims):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--N", dims)
+    assert code == 2 and out == ""
+    assert "dimension 40 exceeds bound 32" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_limit_rejects_a_level_too_large_for_exact_angles(capsys):
     # the angles 2 pi k e/p are reduced in 64-bit integers, which p = 1e18 + 1
     # would overflow: a typed error, not wrapped-around values

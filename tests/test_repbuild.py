@@ -1,13 +1,16 @@
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
-from torusrep.errors import PoleError
+from torusrep.errors import PoleError, TooLargeError
 from torusrep.field import (
     FMatrix,
     Poly,
@@ -19,6 +22,11 @@ from torusrep.field import (
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
 from torusrep.repbuild import (
+    _CHUNK,
+    _PRIMES,
+    _integer_checks,
+    _primes_above,
+    _values,
     build_m,
     build_repset,
     build_y,
@@ -33,6 +41,7 @@ from reference import (
     braid_holds,
     fm_eq,
     fm_inv,
+    kronecker_relation_checks,
     pairing_transpose,
     recurrence_twists,
     rep_of_word,
@@ -502,6 +511,7 @@ def generator_pairs(draw):
 def test_relation_checks_agree_with_qx_products(pair):
     t, tstar = pair
     assert relation_checks(t, tstar) == _reference_checks(t, tstar)
+    assert relation_checks(t, tstar) == kronecker_relation_checks(t, tstar)
 
 
 def test_relation_checks_hold_on_conjugated_classical_pair():
@@ -522,8 +532,96 @@ def test_relation_checks_agree_on_generators():
 
 
 @pytest.mark.parametrize("N", range(2, 9))
+def test_relation_checks_agree_with_kronecker_on_generators(N):
+    rs = build_repset(QContext(N))
+    assert relation_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+    assert kronecker_relation_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
 def test_relation_checks_negative_controls(N):
     rs = build_repset(QContext(N))
     rows = [list(r) for r in rs.t_hat.rows]
     rows[0][0] = rows[0][0] - 1
     assert relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
+    assert kronecker_relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
+
+
+@pytest.mark.parametrize(
+    "t, tstar",
+    [
+        # C commutes with T, not with T*
+        ([[0, 0], [0, Poly((0, -1))]], [[0, 0], [2, 1]]),
+        # C commutes with T*, not with T
+        ([[2, 0], [1, 2]], [[0, 2], [0, -1]]),
+    ],
+)
+def test_center_check_compares_with_both_generators(t, tstar):
+    t, tstar = (FMatrix([[RatFunc(e) for e in row] for row in m]) for m in (t, tstar))
+    assert relation_checks(t, tstar) == (False, False)
+    assert _reference_checks(t, tstar) == kronecker_relation_checks(t, tstar) == (False, False)
+
+
+def test_prime_table_is_the_largest_primes_below_2_20():
+    def is_prime(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    below = [n for n in range(2**20 - 1, _PRIMES[-1] - 1, -1) if is_prime(n)]
+    assert list(_PRIMES) == below
+    assert len(set(_PRIMES)) == len(_PRIMES)
+
+
+@pytest.mark.parametrize("terms", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37])
+def test_values_match_horner_mod_q(terms):
+    rng = random.Random(terms)
+    q = _PRIMES[-1]
+    rows = [[rng.randrange(q) for _ in range(terms)] for _ in range(5)]
+    x = [0, 1, 2, rng.randrange(q), q - 1]
+
+    def horner(row, v):
+        acc = 0
+        for c in reversed(row):
+            acc = (acc * v + c) % q
+        return acc
+
+    got = _values(np.array(rows, dtype=np.float64), np.array(x, dtype=np.float64), float(q))
+    assert got.tolist() == [[horner(row, v) for v in x] for row in rows]
+
+
+# The decision on integer forms, 1 x 1: with P_T = P_S = 1 the braid sides are
+# D_S and D_T, so the difference to detect is D_S - D_T, and the center holds.
+ONE = [[[1]]]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_difference_divisible_by_all_primes_but_the_last_is_detected(k):
+    m = math.prod(_PRIMES[: k - 1])
+    dt, ds = [1], [1 + m]
+    assert _primes_above(2 * (2 + m)) == _PRIMES[:k]  # the bound is |D_T|_1 + |D_S|_1
+    assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
+    assert _integer_checks(ONE, dt, ONE, dt) == (True, True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 16])
+def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
+    # D_S - D_T = X (X - 1) ... (X - d + 1): degree d = K - 1, zero at the
+    # points 0..K-2 and d! at the last one
+    falling = Poly((1,))
+    for x in range(d):
+        falling = falling * Poly((-x, 1))
+    dt = [1]
+    ds = [int(c) for c in (falling + Poly((1,))).coeffs]
+    assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
+
+
+@pytest.mark.parametrize(
+    "pt, dt, ds",
+    [
+        (ONE, [1], [2**53]),  # a coefficient float64 cannot hold exactly
+        ([[[0] * 150_000 + [1]]], [1], [1]),  # K = 7 * 150000 + 1 points >= q
+        ([[[2**50] * 2] * 2] * 2, [1], [1]),  # a height beyond the prime table
+    ],
+)
+def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
+    with pytest.raises(TooLargeError):
+        _integer_checks(pt, dt, pt, ds)
