@@ -6,7 +6,8 @@ Subcommands:
   amu       infinite-order certificate for a word
   limit     convergence table for a word over a level range
 
-Output formats: pretty (default), json (canonical, byte-stable), csv.
+Output formats: pretty (default), json (canonical, byte-stable), csv (not for
+verify).
 Exit status is 0 iff every requested check passed and no error occurred.
 """
 
@@ -137,23 +138,17 @@ def cmd_matrices(args) -> int:
     return 0
 
 
-def _check(label: str, ok: bool, lines: list[str]) -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {label}")
-    return ok
-
-
 def cmd_verify(args) -> int:
     dims = _parse_range(args.N)
     numeric.check_dimension(dims[-1])  # before building anything
-    lines = [f"# verify  N={args.N}  tolerance={args.tolerance:g}"]
-    all_ok = True
+    checks = []  # (label, ok) in order
     for N in dims:
         ctx = QContext(N)
         rs = repbuild.build_repset(ctx)
         cl = classical.closed_limits(N)
 
         braid_ok, center_ok = repbuild.relation_checks(rs.t_hat, rs.tstar_hat)
-        all_ok &= _check(f"braid relation exact (N={N})", braid_ok, lines)
+        checks.append((f"braid relation exact (N={N})", braid_ok))
 
         try:
             t_lim = repbuild.classical_limit(rs.t_hat)
@@ -166,20 +161,20 @@ def cmd_verify(args) -> int:
             )
         except PoleError:
             ok = False
-        all_ok &= _check(f"twist limits match closed forms and hN (N={N})", ok, lines)
+        checks.append((f"twist limits match closed forms and hN (N={N})", ok))
 
         ok = all(
             rhat(n, m, ctx).eval_exact(-1) == cl.r_limit[n][m]
             for n in range(N)
             for m in range(N)
         )
-        all_ok &= _check(f"pairing-ratio limits exact (N={N})", ok, lines)
+        checks.append((f"pairing-ratio limits exact (N={N})", ok))
 
         ok = all(
             repbuild.classical_limit(rs.m_hat[n]) == cl.m_limits[n]
             for n in range(N - 1)
         )
-        all_ok &= _check(f"recurrence-matrix limits exact (N={N})", ok, lines)
+        checks.append((f"recurrence-matrix limits exact (N={N})", ok))
 
         ok = all(
             rs.m_hat[n][m][l].is_zero
@@ -188,9 +183,9 @@ def cmd_verify(args) -> int:
             for l in range(N)
             if abs(m - l) >= 2
         )
-        all_ok &= _check(f"recurrence matrices tridiagonal (N={N})", ok, lines)
+        checks.append((f"recurrence matrices tridiagonal (N={N})", ok))
 
-        all_ok &= _check(f"center commutes with both generators (N={N})", center_ok, lines)
+        checks.append((f"center commutes with both generators (N={N})", center_ok))
 
         if args.oracle:
             try:
@@ -205,9 +200,22 @@ def cmd_verify(args) -> int:
             except (BadPError, NearPoleError) as err:
                 ok = False
                 label = f"oracle equivalence over p={args.p} (N={N}): {err}"
-            all_ok &= _check(label, ok, lines)
+            checks.append((label, ok))
 
-    _emit("\n".join(lines) + "\n", args.out)
+    all_ok = all(ok for _, ok in checks)
+    if args.format == "json":
+        obj = {
+            "N": args.N,
+            "tolerance": args.tolerance,
+            "checks": [{"name": label, "ok": bool(ok)} for label, ok in checks],
+            "ok": all_ok,
+        }
+        text = canonical_json(obj)
+    else:
+        lines = [f"# verify  N={args.N}  tolerance={args.tolerance:g}"]
+        lines += [f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks]
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return 0 if all_ok else 1
 
 
@@ -278,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+    def common(p, formats=("pretty", "json", "csv")):
+        p.add_argument("--format", choices=formats, default="pretty")
         p.add_argument("--tolerance", type=float, default=numeric.DEFAULT_TOLERANCE,
                        help="near-pole tolerance for complex evaluation")
         p.add_argument("--out", default=None, help="write output to this path")
@@ -298,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--N", required=True, help="dimension or range a..b")
     p_v.add_argument("--oracle", action="store_true", help="also run the per-level oracle comparison")
     p_v.add_argument("--p", default="5..31", help="level range a..b for --oracle")
-    common(p_v)
+    common(p_v, formats=("pretty", "json"))
     p_v.set_defaults(func=cmd_verify)
 
     p_a = sub.add_parser("amu", help="infinite-order certificate for a word")

@@ -1,10 +1,12 @@
-"""Exact arithmetic in Q(X): dense polynomials over exact rationals, reduced
-fractions of them, and small matrices over the resulting field.
+"""Exact arithmetic in Q(X): dense polynomials over Z, reduced fractions of
+them, and small matrices over the resulting field.
 
-Coefficients are Python ints whenever possible and `fractions.Fraction`
-otherwise; the quantum-integer pipeline stays integral throughout, which keeps
-gcd reduction cheap. Every `RatFunc` is kept in canonical form at all times:
-gcd(num, den) = 1 and den monic.
+Coefficients are Python ints only: the representations are integral
+(Gilmer-Masbaum), and every entry built has a monic denominator. Every
+`RatFunc` is kept in the canonical form of Q(X) = Frac(Z[X]) at all times:
+num and den in Z[X] with no common factor, polynomial or integer, and den with
+a positive leading coefficient. For a monic den this is gcd(num, den) = 1 over
+Q with den monic.
 """
 
 from __future__ import annotations
@@ -127,41 +129,30 @@ def _int_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    if isinstance(c, float):
-        raise TypeError("exact polynomials do not accept float coefficients")
-    return c
-
-
 class Poly:
-    """A univariate polynomial with exact rational coefficients, stored densely
-    by ascending degree with trailing zeros trimmed."""
+    """A univariate polynomial over Z, stored densely by ascending degree with
+    trailing zeros trimmed."""
 
-    __slots__ = ("coeffs", "_int")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(Fraction(c) if isinstance(c, str) else c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"polynomial coefficients must be ints, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._int = all(isinstance(c, int) for c in cs)
 
     @staticmethod
-    def _raw(cs, is_int=True):
-        """Unchecked constructor for coefficients that need no normalisation:
-        ints (the integer kernels' results) or, with `is_int` False, already
-        normalised coefficients that are not all ints. Trailing zeros are
-        trimmed."""
+    def _raw(cs):
+        """Unchecked constructor for int coefficients (the integer kernels'
+        results). Trailing zeros are trimmed."""
         n = len(cs)
         while n and not cs[n - 1]:
             n -= 1
         p = object.__new__(Poly)
         p.coeffs = tuple(cs[:n]) if n < len(cs) else tuple(cs)
-        p._int = is_int
         return p
 
     # -- constructors ------------------------------------------------------
@@ -202,16 +193,13 @@ class Poly:
         """Multiply by X^k (k >= 0)."""
         if self.is_zero or k == 0:
             return self
-        return Poly._raw((0,) * k + self.coeffs, self._int)
+        return Poly._raw((0,) * k + self.coeffs)
 
     def unshift(self, k):
         """Divide by X^k, assuming valuation >= k."""
         if k == 0 or self.is_zero:
             return self
-        return Poly._raw(self.coeffs[k:], self._int)
-
-    def is_integral(self):
-        return self._int
+        return Poly._raw(self.coeffs[k:])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -227,7 +215,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Poly._raw(tuple(-c for c in self.coeffs), self._int)
+        return Poly._raw(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -236,9 +224,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        if self._int and other._int:
-            return Poly._raw(out)
-        return Poly(out)
+        return Poly._raw(out)
 
     def __sub__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -246,12 +232,10 @@ class Poly:
         out = list(a) + [0] * (n - len(a))
         for i, c in enumerate(b):
             out[i] -= c
-        if self._int and other._int:
-            return Poly._raw(out)
-        return Poly(out)
+        return Poly._raw(out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -260,14 +244,7 @@ class Poly:
             return other.scale(a[0])
         if len(b) == 1:
             return self.scale(b[0])
-        if self._int and other._int:
-            return Poly._raw(_int_mul(a, b))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return Poly(out)
+        return Poly._raw(_int_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -276,21 +253,18 @@ class Poly:
             return _P_ZERO
         if s == 1:
             return self
-        if self._int and isinstance(s, int):
-            return Poly._raw(tuple(c * s for c in self.coeffs))
-        return Poly(tuple(c * s for c in self.coeffs))
+        return Poly._raw(tuple(c * s for c in self.coeffs))
 
-    def divmod(self, other):
-        """Exact long division: (quotient, remainder) over the rationals."""
+    def exact_div(self, other):
+        """The quotient in Z[X] of a division known to be exact, such as one by
+        a primitive divisor over Q (Gauss's lemma); ArithmeticError if the
+        division is not exact in Z[X]."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return _P_ZERO, self
         rem = list(self.coeffs)
         db = other.degree
         lb = other.lead
-        is_int = self._int and other._int
-        q = [0] * (len(rem) - db)
+        q = [0] * max(len(rem) - db, 0)
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
             if c == 0:
@@ -299,31 +273,24 @@ class Poly:
                 qc = c
             elif lb == -1:
                 qc = -c
-            elif isinstance(c, int) and isinstance(lb, int) and c % lb == 0:
-                qc = c // lb
             else:
-                qc = _norm_coeff(Fraction(c) / Fraction(lb))
-                is_int = False
+                qc = c // lb
+                if qc * lb != c:
+                    raise ArithmeticError("division was not exact")
             q[k - db] = qc
             shift = k - db
             for i, bc in enumerate(other.coeffs[:-1]):
                 rem[shift + i] -= qc * bc
             rem[k] = 0
-        if is_int:
-            return Poly._raw(q), Poly._raw(rem[:db])
-        return Poly(q), Poly(rem[:db])
-
-    def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero:
+        if any(rem[:db]):
             raise ArithmeticError("division was not exact")
-        return q
+        return Poly._raw(q)
 
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation, exact for int/Fraction x. (Complex evaluation is
-        `numeric.eval_matrix`.)"""
+        """Horner evaluation, exact for int/Fraction x (and CPython complex
+        arithmetic for complex x, as in `numeric.eval_matrix`)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -360,28 +327,17 @@ _P_ONE = Poly((1,))
 _P_X = Poly((0, 1))
 
 
-def _to_int_list(p: Poly):
-    """Scale to an integer coefficient list (gcd is insensitive to scalars)."""
-    if p.is_integral():
-        return list(p.coeffs)
-    lcm = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in p.coeffs]
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd over Q, normalized primitive with positive leading coefficient
-    (monic-integer whenever the inputs are monic-integer)."""
+    (monic whenever the inputs are monic)."""
     if a.is_zero:
-        return Poly._raw(_int_primitive(_to_int_list(b))) if not b.is_zero else _P_ZERO
+        return Poly._raw(_int_primitive(list(b.coeffs))) if not b.is_zero else _P_ZERO
     if b.is_zero:
-        return Poly._raw(_int_primitive(_to_int_list(a)))
+        return Poly._raw(_int_primitive(list(a.coeffs)))
     va, vb = a.valuation, b.valuation
     v = min(va, vb)
-    ia = _to_int_list(a.unshift(va))
-    ib = _to_int_list(b.unshift(vb))
+    ia = a.unshift(va).coeffs
+    ib = b.unshift(vb).coeffs
     if len(ia) == 1 or len(ib) == 1:
         g = [1]  # a unit is the only common divisor once X-powers are stripped
     else:
@@ -395,28 +351,30 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _monicize(num: Poly, den: Poly):
+    """Divide num and den, coprime over Q, by their common integer content,
+    signed so that den's leading coefficient is positive."""
     lead = den.lead
     if lead == 1:
         return num, den
-    if lead == -1:
-        return -num, -den
-    inv = Fraction(1, lead) if isinstance(lead, int) else 1 / lead
-    return num.scale(inv), den.scale(inv)
+    g = math.gcd(_int_content(num.coeffs), _int_content(den.coeffs))
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return Poly._raw([c // g for c in num.coeffs]), Poly._raw([c // g for c in den.coeffs])
 
 
 class RatFunc:
-    """An element of Q(X) in reduced canonical form: gcd(num, den) = 1 and den
-    monic. All operations return reduced results."""
+    """An element of Q(X) in reduced canonical form (module docstring): num
+    and den in Z[X] with no common factor and den with a positive leading
+    coefficient. num may also be an int or Fraction constant. All operations
+    return reduced results."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, *, _canonical=False):
+    def __init__(self, num, den=_P_ONE, *, _canonical=False):
         if isinstance(num, (int, Fraction)):
-            num = Poly((num,))
-        if den is None:
-            den = _P_ONE
-        elif isinstance(den, (int, Fraction)):
-            den = Poly((den,))
+            num, den = Poly((num.numerator,)), den.scale(num.denominator)
         if den.is_zero:
             raise ZeroDivisionError("division by the zero function")
         if not _canonical:
@@ -680,16 +638,13 @@ def fm_mul(a: FMatrix, b: FMatrix) -> FMatrix:
 
 def ratfunc_to_obj(f: RatFunc) -> dict:
     return {
-        "num": [str(Fraction(c)) for c in f.num.coeffs],
-        "den": [str(Fraction(c)) for c in f.den.coeffs],
+        "num": [str(c) for c in f.num.coeffs],
+        "den": [str(c) for c in f.den.coeffs],
     }
 
 
 def ratfunc_from_obj(obj: dict) -> RatFunc:
-    return RatFunc(
-        Poly([Fraction(s) for s in obj["num"]]),
-        Poly([Fraction(s) for s in obj["den"]]),
-    )
+    return RatFunc(Poly([int(s) for s in obj["num"]]), Poly([int(s) for s in obj["den"]]))
 
 
 def fmatrix_to_obj(m: FMatrix, name: str | None = None, N: int | None = None) -> dict:

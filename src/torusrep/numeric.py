@@ -7,7 +7,7 @@ certificate for pseudo-Anosov classes.
 Per-level work is O(p + N^3) plus the dense N x N linear algebra: the oracle
 tabulates its powers and factorials once per level, and the scans evaluate T
 and T* from their product forms over a block of levels (`eval_twists`).
-`eval_matrix` evaluates any symbolic matrix by Horner, for `matrices --eval`.
+`eval_matrix` evaluates any symbolic matrix at one point, for `matrices --eval`.
 
 The evaluation root is A_p = -exp(2 pi i k/p) with gcd(k, p) = 1 (default
 k = 1), the primitive 2p-th root of unity closest to -1. Its defining property
@@ -168,63 +168,25 @@ def oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     return t, tstar
 
 
-def eval_matrix(mat: FMatrix, x, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Entrywise complex evaluation of a symbolic matrix at one point x (an
-    r x c array) or at each point of a 1-d array x (a k x r x c stack).
-
-    Horner runs for every entry and point at once on separate real and
-    imaginary float arrays, repeating in order the operations of the scalar
-    loop `acc = acc * x + c` in CPython complex numbers followed by num / den:
-    each product and sum rounds once, adding a coefficient adds 0.0 to the
-    imaginary part, and the quotient is Smith's, as in `_Py_c_quot`. The
-    result is bit for bit that of the scalar loop, signed zeros included. A denominator below
-    `tol` in modulus raises NearPoleError for the first point in array order
-    and, at that point, the first entry in row-major order."""
-    xs = np.asarray(x, dtype=complex)
-    pts = xs.reshape(-1)
-    entries = [e for row in mat.rows for e in row]
-    polys = [e.num for e in entries] + [e.den for e in entries]
-    # longest first: at each Horner step only the polys that have reached
-    # their leading coefficient are updated, a prefix of this order (the
-    # skipped steps would leave acc = 0 exactly, as in the scalar loop)
-    order = sorted(range(len(polys)), key=lambda k: -len(polys[k].coeffs))
-    lengths = np.array([len(polys[k].coeffs) for k in order])
-    coeffs = np.zeros((lengths[0], len(polys)))
-    for col, k in enumerate(order):
-        coeffs[: lengths[col], col] = polys[k].coeffs
-    xr, xi = pts.real, pts.imag
-    acc_re = np.zeros((len(polys), len(pts)))
-    acc_im = np.zeros_like(acc_re)
-    for deg in range(lengths[0] - 1, -1, -1):  # acc = acc * x + c, top degree first
-        n = np.count_nonzero(lengths > deg)
-        re, im = acc_re[:n], acc_im[:n]
-        re, im = re * xr - im * xi + coeffs[deg, :n, None], re * xi + im * xr + 0.0
-        acc_re[:n], acc_im[:n] = re, im
-    re, im = np.empty_like(acc_re), np.empty_like(acc_im)
-    re[order], im[order] = acc_re, acc_im
-    nr, dr = np.split(re, 2)
-    ni, di = np.split(im, 2)
-    bad = np.hypot(dr, di) < tol  # abs(complex) is hypot(re, im)
-    if bad.any():
-        k = np.flatnonzero(bad.any(axis=0))[0]
-        e = np.flatnonzero(bad[:, k])[0]
-        i, j = divmod(int(e), mat.n_cols)
-        raise NearPoleError(
-            f"entry ({i}, {j}): denominator magnitude {np.hypot(dr[e, k], di[e, k]):.3e}"
-            f" at X = {complex(pts[k])}",
-            entry=(i, j),
-            point=int(k),
-        )
-    by_real = np.abs(dr) >= np.abs(di)  # divide through by the larger part
-    u, v = np.where(by_real, dr, di), np.where(by_real, di, dr)
-    ratio = v / u
-    denom = u + v * ratio
-    out_re = np.where(by_real, nr + ni * ratio, nr * ratio + ni) / denom
-    out_im = np.where(by_real, ni - nr * ratio, ni * ratio - nr) / denom
-    out = np.empty((len(pts), mat.n_rows, mat.n_cols), dtype=complex)
-    out.real = out_re.T.reshape(out.shape)
-    out.imag = out_im.T.reshape(out.shape)
-    return out[0] if xs.ndim == 0 else out
+def eval_matrix(mat: FMatrix, x: complex, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Entrywise complex evaluation of a symbolic matrix at one point x, as an
+    r x c array: Horner (`Poly.eval`) on numerator and denominator in CPython
+    complex arithmetic, then their quotient. A denominator below `tol` in
+    modulus raises NearPoleError for the first such entry in row-major
+    order."""
+    x = complex(x)
+    out = np.empty((mat.n_rows, mat.n_cols), dtype=complex)
+    for i, row in enumerate(mat.rows):
+        for j, e in enumerate(row):
+            den = e.den.eval(x)
+            if abs(den) < tol:
+                raise NearPoleError(
+                    f"entry ({i}, {j}): denominator magnitude {abs(den):.3e} at X = {x}",
+                    entry=(i, j),
+                    point=0,
+                )
+            out[i, j] = e.num.eval(x) / den
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,6 @@ exactly at X = -1.
 from __future__ import annotations
 
 import dataclasses
-import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -186,22 +185,16 @@ def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
 
 
 def _clear_denominators(m: FMatrix):
-    """(P, D) with m = P / D: D the lcm of the entry denominators times the
-    integer lcm of the coefficient denominators, P a matrix of integer
-    coefficient lists (ascending degree), D one such list."""
+    """(P, D) with m = P / D: D a common multiple in Z[X] of the entry
+    denominators (their lcm when each is primitive, as every built one is
+    monic), P a matrix of integer coefficient lists (ascending degree), D one
+    such list."""
     dens = dict.fromkeys(e.den for row in m.rows for e in row)
     den = Poly.const(1)
     for d in dens:
         den = den * d.exact_div(poly_gcd(den, d))
     cofactor = {d: den.exact_div(d) for d in dens}
-    nums = [[e.num * cofactor[e.den] for e in row] for row in m.rows]
-    scale = math.lcm(
-        *(c.denominator for p in (den, *(q for r in nums for q in r)) for c in p.coeffs)
-    )
-    return (
-        [[[int(c * scale) for c in q.coeffs] for q in row] for row in nums],
-        [int(c * scale) for c in den.coeffs],
-    )
+    return [[list((e.num * cofactor[e.den]).coeffs) for e in row] for row in m.rows], list(den.coeffs)
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum

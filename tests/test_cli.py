@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -72,6 +73,42 @@ def test_matrices_hN_word(capsys):
     assert out.splitlines() == ["1,0", "-1/2,1"]
 
 
+# SHA-256 of `matrices --format json --N 5 --eval E --what W` for every W
+# (M with --index 0..3), recorded from the build whose coefficients could be
+# Fractions and whose `eval_matrix` was a batched Horner over many points.
+EVAL_DIGESTS = {
+    ("T", "p=31"): "af8e9c1fdf597f4feb1d62772e6915df814a826f32d0500d6503ee801e732c9c",
+    ("Tstar", "p=31"): "eb509b72c5cae984a42e45747d21219998a39d31d4b501f0f2c5adad31ed8779",
+    ("Z", "p=31"): "d8bcf1ef951e879c08ac235e6e1953c8048ee629a0903d5657e3d33c0f8db89a",
+    ("Y", "p=31"): "974a965169cc76ab5f73ed89ecc5bd2709baab3b7a94e1527c226d671460b15d",
+    ("Zprime", "p=31"): "79b02c6088a2d1b2a7349814b74347210a5e89810af83a5c6774950a91837bc5",
+    ("R", "p=31"): "b6d66b5169980caae4487a058049d6d7f221c2751e9dd643e28b2338109eda0a",
+    ("M0", "p=31"): "430ebc73345edfa875375abce4a27b8c56e0a75e1c40eb2c582360831bb682f5",
+    ("M1", "p=31"): "32b5392decd95e0cde58f3a75c157cf28ade85d5931a93ec3041706dbd7b5f54",
+    ("M2", "p=31"): "6ea731c1ceac62d65d8df95d3bb1cb6905ac9a8d8610837b70f0b5fdad53df55",
+    ("M3", "p=31"): "a6427dfbe973500f215d10b49d87ba977f2faf94518f3e864a105e430a6f29f3",
+    ("T", "x=-1"): "753b143b16f29ecd03d3706a94aefa0d91217e5067f4f9c811bf821ebfb76ce2",
+    ("Tstar", "x=-1"): "f7291fa4b6ef10cf68b8b1ae0e712687bd4f74bd48646bff5ed47b68530294ca",
+    ("Z", "x=-1"): "4947a98a76afda9b7b1a6afb83939a586eaf3ebf273b966f5ceb8889d8eb04cc",
+    ("Y", "x=-1"): "4947a98a76afda9b7b1a6afb83939a586eaf3ebf273b966f5ceb8889d8eb04cc",
+    ("Zprime", "x=-1"): "4947a98a76afda9b7b1a6afb83939a586eaf3ebf273b966f5ceb8889d8eb04cc",
+    ("R", "x=-1"): "228cd7622ddfc3aa8315c2bd3dce4d4a2cc22aa1f2e25c723fa05009dfc31cc3",
+    ("M0", "x=-1"): "c726723e6a47e00349500e82d7043f4e20d401621cfcb216cbd7214fc3b0923c",
+    ("M1", "x=-1"): "f864598292e3668ce62a559f7706f709c90b0a2b0a558c62d6b7a57d28ec9edc",
+    ("M2", "x=-1"): "4d4ff26d3b94925f304167353404b72aef0d7a605815c61a5c62bb589dfddeef",
+    ("M3", "x=-1"): "e86d59b280ecd7cd46bf31205056d15d3a543df741939a64581490a4789969d6",
+}
+
+
+@pytest.mark.parametrize("what, ev", list(EVAL_DIGESTS))
+def test_evaluated_matrices_pinned(capsys, what, ev):
+    argv = ["matrices", "--format", "json", "--N", "5", "--eval", ev]
+    argv += ["--what", "M", "--index", what[1:]] if what.startswith("M") else ["--what", what]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_DIGESTS[what, ev]
+
+
 def test_verify_pass_and_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--N", "2..3", "--oracle", "--p", "5..13")
     assert code == 0
@@ -95,6 +132,32 @@ def test_verify_corrupted_build_fails(capsys, monkeypatch):
         assert "FAIL" in out
         assert f"FAIL  braid relation exact (N={N})" in out
         assert f"FAIL  center commutes with both generators (N={N})" in out
+        code, out, _ = run(capsys, "verify", "--N", N, "--format", "json")
+        obj = json.loads(out)
+        assert code == 1 and obj["ok"] is False
+        failed = {c["name"] for c in obj["checks"] if not c["ok"]}
+        assert {f"braid relation exact (N={N})", f"center commutes with both generators (N={N})"} <= failed
+
+
+def test_verify_json_carries_the_pretty_checks(capsys):
+    code, out, _ = run(capsys, "verify", "--N", "2..3", "--oracle", "--p", "5..13", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert out == canonical_json(obj)
+    assert (obj["N"], obj["tolerance"], obj["ok"]) == ("2..3", 1e-12, True)
+    assert all(set(c) == {"name", "ok"} for c in obj["checks"])
+    _, text, _ = run(capsys, "verify", "--N", "2..3", "--oracle", "--p", "5..13")
+    assert text.splitlines() == ["# verify  N=2..3  tolerance=1e-12"] + [
+        f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']}" for c in obj["checks"]
+    ]
+
+
+def test_verify_rejects_csv(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--N", "3", "--format", "csv"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'csv'" in captured.err
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -99,8 +100,11 @@ def test_canonical_den_monic_and_coprime():
 
 
 def test_fraction_coefficients_supported():
-    f = RatFunc(Poly((Fraction(1, 2), 1)), Poly((1,)))
+    f = RatFunc(Fraction(1, 2)) + X  # X + 1/2 = (2X + 1)/2 over Z[X]
+    assert (f.num.coeffs, f.den.coeffs) == ((1, 2), (2,))
     assert f.eval_exact(1) == Fraction(3, 2)
+    third = RatFunc(Fraction(1, 3))
+    assert (third.num.coeffs, third.den.coeffs) == ((1,), (3,))
 
 
 def test_float_coefficients_rejected():
@@ -191,34 +195,34 @@ def test_eval_is_multiplicative(a, b, x):
 def test_canonical_form_invariant(f):
     g = f + f - f  # exercise add/sub paths
     assert g == f
-    assert g.den.lead == 1
+    # the Z[X] canonical form: den lead > 0, no common integer content, no
+    # common polynomial factor
+    assert g.den.lead > 0
+    assert math.gcd(*g.num.coeffs, *g.den.coeffs) == 1
     assert poly_gcd(g.num, g.den).degree == 0 or g.is_zero
 
 
 # --- Poly normal form ---------------------------------------------------------
 
-poly_coeff = st.one_of(
-    st.integers(min_value=-6, max_value=6),
-    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=3)),
-)
+poly_coeff = st.integers(min_value=-6, max_value=6)
 poly_lists = st.lists(poly_coeff, max_size=5)
 
 
 def _assert_normal(p):
-    """p is what the public constructor makes of its coefficients: no trailing
-    zero, integral Fractions stored as ints, and the integrality flag right."""
+    """p is what the public constructor makes of its coefficients: ints, no
+    trailing zero."""
     ref = Poly(p.coeffs)
     assert p.coeffs == ref.coeffs
-    assert [type(c) for c in p.coeffs] == [type(c) for c in ref.coeffs]
-    assert p.is_integral() == all(isinstance(c, int) for c in p.coeffs)
+    assert all(type(c) is int for c in p.coeffs)
 
 
 def test_poly_constructor_normalises():
-    p = Poly((Fraction(4, 2), "3/3", 0))
+    p = Poly((2, 1, 0, 0))
     assert p.coeffs == (2, 1) and all(type(c) is int for c in p.coeffs)
-    assert p.is_integral()
-    assert not Poly(("1/2", 1)).is_integral()
-    assert Poly(()).is_integral()
+    assert Poly((0, 0)).coeffs == ()
+    for bad in ((Fraction(1, 2),), ("1/2",), (Fraction(4, 2), 1), (1, "3")):
+        with pytest.raises(TypeError):
+            Poly(bad)
 
 
 @given(poly_lists, poly_lists, poly_coeff, st.integers(min_value=0, max_value=3))
@@ -229,10 +233,16 @@ def test_poly_results_are_normal(a, b, s, k):
               a.shift(k).unshift(k), poly_gcd(a, b)):
         _assert_normal(r)
     if not b.is_zero:
-        q, r = a.divmod(b)
+        q = (a * b).exact_div(b)
         _assert_normal(q)
-        _assert_normal(r)
-        assert q * b + r == a
+        assert q == a
+
+
+def test_exact_div_refuses_a_division_inexact_in_z():
+    assert Poly((2, 2)).exact_div(Poly((2,))) == Poly((1, 1))
+    for a, b in [((3,), (2,)), ((0, 3), (0, 2)), ((1, 1), (0, 2)), ((1,), (1, 1)), ((1, 0, 1), (1, 1))]:
+        with pytest.raises(ArithmeticError):
+            Poly(a).exact_div(Poly(b))
 
 
 def test_poly_kronecker_results_are_normal():
@@ -241,8 +251,8 @@ def test_poly_kronecker_results_are_normal():
     g = Poly([rng.randint(-9, 9) for _ in range(55)] + [-3])
     h = f * g
     _assert_normal(h)
-    assert h.divmod(g) == (f, Poly(()))
-    assert h.divmod(f) == (g, Poly(()))
+    assert h.exact_div(g) == f
+    assert h.exact_div(f) == g
     assert poly_gcd(h, g * g) == -g
 
 
@@ -262,7 +272,10 @@ def test_fmatrix_roundtrip():
 
 
 def test_serialized_coefficients_are_exact_strings():
-    f = RatFunc(Poly((Fraction(1, 2),)), Poly((1, 1)))
+    f = RatFunc(Fraction(1, 2)) / RatFunc(Poly((1, 1)))  # 1 / (2 + 2X)
     obj = ratfunc_to_obj(f)
-    assert obj["num"] == ["1/2"]
-    assert obj["den"] == ["1", "1"]
+    assert obj["num"] == ["1"]
+    assert obj["den"] == ["2", "2"]
+    assert ratfunc_from_obj(obj) == f
+    with pytest.raises(ValueError):
+        ratfunc_from_obj({"num": ["1/2"], "den": ["1", "1"]})

@@ -420,6 +420,17 @@ LARGE_N_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("N", range(2, 9))
+def test_every_built_denominator_is_monic(N):
+    # with a monic den the Z[X] canonical form (no common factor, den lead > 0)
+    # is the Q(X) one with den monic, so every emitted form is the same in both
+    ctx = QContext(N)
+    rs = build_repset(ctx)
+    r = FMatrix(tuple(tuple(rhat(n, m, ctx) for m in range(N)) for n in range(N)))
+    for mat in (rs.z_hat, rs.y_hat, rs.zprime_hat, *rs.m_hat, rs.t_hat, rs.tstar_hat, r):
+        assert all(e.den.lead == 1 for row in mat.rows for e in row), N
+
+
 @pytest.mark.parametrize("N", range(9, 13))
 def test_twists_and_ratios_pinned_large_n(N):
     ctx = QContext(N)
@@ -465,13 +476,28 @@ coeff = st.one_of(
         Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
     ),
 )
-polys = st.lists(coeff, min_size=1, max_size=2).map(Poly)
+
+
+def _over_integer(cs):
+    """The polynomial with rational coefficients cs as (integer polynomial,
+    positive integer) with that quotient."""
+    d = math.lcm(*(Fraction(c).denominator for c in cs))
+    return Poly([int(c * d) for c in cs]), d
+
+
+def _entry(num, den):
+    """(pn / dn) / (pd / dd) as a RatFunc over Z[X]."""
+    (pn, dn), (pd, dd) = num, den
+    return RatFunc(pn.scale(dd), pd.scale(dn))
+
+
+polys = st.lists(coeff, min_size=1, max_size=2).map(_over_integer)
 dens = st.one_of(
-    st.just(Poly((1,))),
-    st.integers(min_value=1, max_value=3).map(Poly.monomial),
-    st.lists(coeff, min_size=2, max_size=2).map(Poly).filter(lambda d: d.degree > 0),
+    st.just((Poly((1,)), 1)),
+    st.integers(min_value=1, max_value=3).map(lambda k: (Poly.monomial(k), 1)),
+    st.lists(coeff, min_size=2, max_size=2).map(_over_integer).filter(lambda d: d[0].degree > 0),
 )
-entries = st.one_of(st.just(RatFunc.zero()), st.builds(RatFunc, polys, dens))
+entries = st.one_of(st.just(RatFunc.zero()), st.builds(_entry, polys, dens))
 
 
 @st.composite
