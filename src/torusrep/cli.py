@@ -131,6 +131,9 @@ def cmd_matrices(args) -> int:
         return 0
     if mode == "classical":
         obj = _rational_obj(repbuild.classical_limit(sym))
+    elif what in ("T", "Tstar"):  # from the product forms, as the scans evaluate them
+        t, tstar = numeric.eval_twists(N, [numeric.PSetting(p, N)], args.tolerance)
+        obj = _complex_obj((t if what == "T" else tstar)[0])
     else:
         setting = numeric.PSetting(p, N)
         obj = _complex_obj(numeric.eval_matrix(sym, setting.A, args.tolerance))

@@ -4,9 +4,9 @@ the twist generators at A_p from their closed product forms, matrix
 evaluation, spectral radii, convergence tables, and the infinite-order
 certificate for pseudo-Anosov classes.
 
-Per-level work is O(p + N^3) plus the dense N x N linear algebra: the oracle
-tabulates its powers and factorials once per level, and the scans evaluate T
-and T* from their product forms over a block of levels (`eval_twists`).
+Per-level work is O(N^3), whatever p is: the scans evaluate T and T* from
+their product forms over a block of levels (`eval_twists`), and the oracle
+builds them from the raw definitions over the same blocks (`_oracle_block`).
 `eval_matrix` evaluates any symbolic matrix at one point, for `matrices --eval`.
 
 The evaluation root is A_p = -exp(2 pi i k/p) with gcd(k, p) = 1 (default
@@ -72,100 +72,80 @@ class PSetting:
         return primitive_root(self.p, self.k)
 
 
-class _RawSymbols:
-    """Quantum symbols evaluated numerically at one root, with the color shift
-    c appearing literally: the oracle side of the dual route. No reflection
-    identities are used anywhere here.
+def _oracle_block(N: int, levels, tol: float = DEFAULT_TOLERANCE):
+    """The raw construction behind `oracle_matrices` for a block of levels
+    (PSettings of dimension N): (z, ratios, zprime, Ms, T, Tstar), each an
+    L x N x N complex array with the level first (Ms a list of N - 1 of them).
 
-    Per level it tabulates (-A)^n = exp(i w n) once for every |n| up to
-    2c + 2N = p - 1, the largest index the definitions reach, each entry by
-    `cmath.exp` with the exponent unreduced (so (-A)^p = 1 is never assumed),
-    and then the prefix products {n}!, {n}!! and {n}+!. Every symbol, and so
-    every pairing ratio, is then a table lookup: O(p) work per level instead of
-    O(N^2 p)."""
+    The symbols are the raw ones at A_p, with the color shift c appearing
+    literally: (-A)^n = exp(i w n), w = 2 pi k/p, the exponent never reduced,
+    {n} = (-A)^n - (-A)^-n and {n}+ = (-A)^n + (-A)^-n. Neither (-A)^p = 1 nor
+    a reflection identity is used. z has the eigenvalues
+    lambda_{c+m} = -{2c+2m+2}+ and the subdiagonal {m}. The pairing ratio
+    R(n, m) = {m}! {2c+2n+1}!! {2c+n+1}+! / ({n}! {2c+2m+1}!! {2c+m+1}+!)
+    telescopes to h(m)/h(n), h(n) = prod_{j<=n} {j} / ({2c+2j+1} {2c+j+1}+),
+    so a level costs O(N) symbols and O(N^3) arithmetic whatever p is. Then
+    y = (R o z)^T, z' = (A yz - zy/A)/{2}, M^(n) = (z' - lambda_{c+n})/{n+1},
+    column n+1 of T is M^(n) times column n from column 0 = e, and
+    T*[n, m] = T[m, n]/R(n, m). Every step is element-wise or a batched
+    product, so each level's values are bit for bit those of taking it alone.
 
-    def __init__(self, s: PSetting, tol: float):
-        w = 2.0 * math.pi * s.k / s.p  # angle of (-A)
-        top = 2 * s.c + 2 * s.N
-        # (-A)^0..(-A)^top, then (-A)^-top..(-A)^-1: Python's negative indexing
-        # makes table[n] = (-A)^n for every |n| <= top
-        table = [cmath.exp(1j * w * n) for n in range(top + 1)]
-        table += [cmath.exp(1j * w * n) for n in range(-top, 0)]
-        self.power = table.__getitem__  # (-A)^n
-        self.qd_fact = _prefix_products(self.qd, top, 1).__getitem__  # {n}!
-        self.qd_dfact = _prefix_products(self.qd, top, 2).__getitem__  # {n}!!
-        self.qp_fact = _prefix_products(self.qp, top, 1).__getitem__  # {n}+!
-        self._tol = tol
+    A divisor ({2c+2j+1}, {2c+j+1}+, {2} or {n+1}: unit-circle sums of modulus
+    at most 2) below `tol` in modulus raises NearPoleError for the first such
+    level (`point`)."""
+    w = np.array([2.0 * math.pi * s.k / s.p for s in levels])[:, None]  # angle of -A
+    c = np.array([s.c for s in levels])[:, None]
 
-    def qd(self, n: int) -> complex:  # {n}
-        return self.power(n) - self.power(-n)
+    def power(n):  # (-A)^n
+        return np.exp(1j * (w * n))
 
-    def qp(self, n: int) -> complex:  # {n}+
-        return self.power(n) + self.power(-n)
+    def qd(n):  # {n}
+        return power(n) - power(-n)
 
-    def lam(self, n: int) -> complex:  # curve-operator eigenvalue lambda_n
-        return -self.qp(2 * n + 2)
+    def qp(n):  # {n}+
+        return power(n) + power(-n)
 
-    def guard(self, value: complex, what: str) -> complex:
-        if abs(value) < self._tol:
-            raise NearPoleError(f"{what} has magnitude {abs(value):.3e}")
-        return value
+    j, m = np.arange(1, N), np.arange(N)
+    # the divisors: {2c+2j+1} and {2c+j+1}+ of the ratios, {1}..{N-1} and {2}
+    index = (2 * c + 2 * j + 1, 2 * c + j + 1, np.arange(1, max(N, 3)) + 0 * c)
+    odd, plus, low = qd(index[0]), qp(index[1]), qd(index[2])
+    divisors = np.hstack([odd, plus, low])
+    small = np.abs(divisors) < tol
+    if small.any():
+        lvl = int(np.flatnonzero(small.any(axis=1))[0])
+        col = int(np.flatnonzero(small[lvl])[0])
+        names = [fmt % k for fmt, ks in zip(("{%d}", "{%d}+", "{%d}"), index) for k in ks[lvl]]
+        msg = f"oracle divisor {names[col]} has magnitude {abs(divisors[lvl, col]):.3e}"
+        raise NearPoleError(f"{msg} at p = {levels[lvl].p}", point=lvl)
 
+    h = np.cumprod(np.hstack([np.ones_like(w), low[:, : N - 1] / (odd * plus)]), axis=1)
+    ratios = h[:, None, :] / h[:, :, None]  # R(n, m) = h(m)/h(n)
+    lam = -qp(2 * (c + m) + 2)
+    z = np.zeros((len(levels), N, N), dtype=complex)
+    z[:, m, m] = lam
+    z[:, j, j - 1] = low[:, : N - 1]
+    y = (ratios * z).transpose(0, 2, 1)  # y[m, l] = R(l, m) z[l, m]
 
-def _prefix_products(f, top: int, step: int) -> list[complex]:
-    """out[n] = f(n) f(n - step) ... down to f(1) or f(2) (out[0] = 1),
-    multiplied in ascending order, for n = 0..top."""
-    out = [1 + 0j] * (top + 1)
-    for n in range(1, top + 1):
-        out[n] = out[max(n - step, 0)] * f(n)
-    return out
-
-
-def _oracle_build(s: PSetting, tol: float):
-    """Raw per-level construction behind `oracle_matrices`: returns
-    (z, ratios, zprime, Ms, T, Tstar) as complex arrays (the tests spot-check
-    z and the Ms too)."""
-    N, c = s.N, s.c
-    sym = _RawSymbols(s, tol)
-
-    def pairing_ratio(n: int, m: int) -> complex:
-        num = sym.qd_fact(m) * sym.qd_dfact(2 * c + 2 * n + 1) * sym.qp_fact(2 * c + n + 1)
-        den = sym.qd_fact(n) * sym.qd_dfact(2 * c + 2 * m + 1) * sym.qp_fact(2 * c + m + 1)
-        return num / sym.guard(den, f"pairing-ratio denominator ({n},{m})")
-
-    z = np.zeros((N, N), dtype=complex)
-    for m in range(N):
-        z[m, m] = sym.lam(c + m)
-        if m >= 1:
-            z[m, m - 1] = sym.qd(m)
-
-    ratios = np.array([[pairing_ratio(n, m) for m in range(N)] for n in range(N)])
-    y = ratios.T * z.T  # y[m, l] = R(l, m) * z[l, m]
-
-    a = -sym.power(1)  # A = -(-A)
-    zprime = (a * (y @ z) - (z @ y) / a) / sym.guard(sym.qd(2), "{2}")
-
-    ms = []
-    cols = [np.zeros(N, dtype=complex) for _ in range(N)]
-    cols[0][0] = 1.0
-    for n in range(N - 1):
-        m_n = (zprime - sym.lam(c + n) * np.eye(N)) / sym.guard(
-            sym.qd(n + 1), f"{{{n + 1}}}"
-        )
-        ms.append(m_n)
-        cols[n + 1] = m_n @ cols[n]
-    t = np.column_stack(cols)
-    tstar = t.T / ratios  # tstar[n, m] = t[m, n] / R(n, m)
+    a = -power(1)[:, :, None]  # A = -(-A)
+    zprime = (a * (y @ z) - (z @ y) / a) / low[:, 1, None, None]
+    ms = [(zprime - lam[:, n, None, None] * np.eye(N)) / low[:, n, None, None] for n in range(N - 1)]
+    cols = [np.zeros((len(levels), N, 1), dtype=complex)]
+    cols[0][:, 0] = 1.0
+    for m_n in ms:
+        cols.append(m_n @ cols[-1])
+    t = np.concatenate(cols, axis=2)
+    tstar = t.transpose(0, 2, 1) / ratios  # tstar[n, m] = t[m, n] / R(n, m)
     return z, ratios, zprime, ms, t, tstar
 
 
 def oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
-    """Independent per-level construction of (T, Tstar) from the raw
-    definitions: eigenvalues -{2n+2}+ with the color shift appearing literally,
-    raw factorial pairing ratios, the skein-relation twist, and the column
+    """Independent construction of (T, Tstar) at one level from the raw
+    definitions (`_oracle_block` on a block of one): eigenvalues -{2n+2}+ with
+    the color shift appearing literally, the raw factorial pairing ratios in
+    their telescoped form, the skein-relation twist and the column
     recurrence. Returns two N x N complex arrays."""
-    _, _, _, _, t, tstar = _oracle_build(s, tol)
-    return t, tstar
+    _, _, _, _, t, tstar = _oracle_block(s.N, [s], tol)
+    return t[0], tstar[0]
 
 
 def eval_matrix(mat: FMatrix, x: complex, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -273,22 +253,25 @@ def _blocks(levels):
 def oracle_deviation(N: int, levels, tol: float = DEFAULT_TOLERANCE) -> float:
     """Largest entrywise disagreement, over the given levels (PSettings of
     dimension N), between the closed-form generators the scans evaluate
-    (`eval_twists`) and the oracle's, relative to the oracle matrix's size
-    (floored at 1): max_abs(diff) / max(1, max_abs(oracle)). 0.0 for no
-    levels, NaN if either side is not finite. Errors surface in level order,
-    the closed form before the oracle at one level."""
+    (`eval_twists`) and the oracle's (`_oracle_block`), relative to the oracle
+    matrix's size (floored at 1): max_abs(diff) / max(1, max_abs(oracle)),
+    both sides evaluated and reduced over blocks of levels in numpy. 0.0 for
+    no levels, NaN if either side is not finite. Errors surface in level
+    order, the closed form before the oracle at one level."""
     worst = 0.0
     for block in _blocks(levels):
-        try:
-            gens = eval_twists(N, block, tol)
-        except NearPoleError as err:
-            for s in block[: err.point]:  # an oracle failure at an earlier level
-                oracle_matrices(s, tol)
-            raise
-        for i, s in enumerate(block):
-            for sym, ora in zip(gens, oracle_matrices(s, tol)):
-                worst = float(np.maximum(worst, max_abs(sym[i] - ora) / max(1.0, max_abs(ora))))
-    return worst
+        pairs, errors = [], []
+        for evaluate in (eval_twists, _oracle_block):
+            try:
+                pairs.append(evaluate(N, block, tol)[-2:])
+            except NearPoleError as err:
+                errors.append(err)
+        if errors:  # min keeps the closed form's error at a tie
+            raise min(errors, key=lambda err: err.point)
+        for sym, ora in zip(*pairs):
+            diff = np.abs(sym - ora).max(axis=(1, 2))
+            worst = np.maximum(worst, np.max(diff / np.maximum(1.0, np.abs(ora).max(axis=(1, 2)))))
+    return float(worst)
 
 
 def check_dimension(N: int) -> None:

@@ -1,19 +1,22 @@
 """Reference implementations for the tests: exact matrix inverse and word
 products over Q(X), the braid and center checks by Kronecker substitution,
 T and T* by the column recurrence through M^(n), the oracle's z and M^(n),
-the rescaling character, the q-factorial and twist eigenvalue, and symbolic
+the oracle from direct raw factorial products, the rescaling character, the q-factorial and twist eigenvalue, and symbolic
 matrices evaluated at A_p in 50-digit decimal arithmetic. None of these is on a production path; the tests compare the
 production code against them."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 
-from torusrep.errors import BadPError
+import numpy as np
+
+from torusrep.errors import BadPError, NearPoleError
 from torusrep.field import FMatrix, RatFunc, fm_mul, signed_power
 from torusrep.mcg import Gen, Word
-from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_build
+from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
 from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
 from torusrep.repbuild import (
     _clear_denominators,
@@ -206,12 +209,92 @@ def _eval_matrix_at(p, w: int):
 
 def oracle_m_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     """The oracle's recurrence matrices M^(n), for structural spot checks."""
-    return _oracle_build(s, tol)[3]
+    return [m_n[0] for m_n in _oracle_block(s.N, [s], tol)[3]]
 
 
 def oracle_z_matrix(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     """The oracle's curve-operator matrix, for spot checks of the eigenvalues."""
-    return _oracle_build(s, tol)[0]
+    return _oracle_block(s.N, [s], tol)[0][0]
+
+
+# --- the oracle from direct raw factorial products ------------------------------
+
+
+class _DirectRawSymbols:
+    """The oracle's symbols as first written: every factorial a direct product
+    of fresh `cmath.exp` powers, O(p) per symbol (slow; reference only)."""
+
+    def __init__(self, s, tol):
+        self._w = 2.0 * math.pi * s.k / s.p
+        self._tol = tol
+
+    def power(self, n):
+        return cmath.exp(1j * self._w * n)
+
+    def qd(self, n):
+        return self.power(n) - self.power(-n)
+
+    def qp(self, n):
+        return self.power(n) + self.power(-n)
+
+    def lam(self, n):
+        return -self.qp(2 * n + 2)
+
+    def qd_fact(self, n):
+        out = 1 + 0j
+        for j in range(1, n + 1):
+            out *= self.qd(j)
+        return out
+
+    def qd_dfact(self, n):
+        out = 1 + 0j
+        while n >= 1:
+            out *= self.qd(n)
+            n -= 2
+        return out
+
+    def qp_fact(self, n):
+        out = 1 + 0j
+        for j in range(1, n + 1):
+            out *= self.qp(j)
+        return out
+
+    def guard(self, value, what):
+        if abs(value) < self._tol:
+            raise NearPoleError(f"{what} has magnitude {abs(value):.3e}")
+        return value
+
+
+def direct_oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
+    """(T, T*) at one level from the raw definitions, one level and one entry
+    at a time: each pairing ratio the quotient of its full factorial products
+    {m}! {2c+2n+1}!! {2c+n+1}+! / ({n}! {2c+2m+1}!! {2c+m+1}+!), then the
+    skein-relation twist and the column recurrence. Its raw products overflow
+    from about p = 10001."""
+    N, c = s.N, s.c
+    sym = _DirectRawSymbols(s, tol)
+
+    def pairing_ratio(n, m):
+        num = sym.qd_fact(m) * sym.qd_dfact(2 * c + 2 * n + 1) * sym.qp_fact(2 * c + n + 1)
+        den = sym.qd_fact(n) * sym.qd_dfact(2 * c + 2 * m + 1) * sym.qp_fact(2 * c + m + 1)
+        return num / sym.guard(den, f"pairing-ratio denominator ({n},{m})")
+
+    z = np.zeros((N, N), dtype=complex)
+    for m in range(N):
+        z[m, m] = sym.lam(c + m)
+        if m >= 1:
+            z[m, m - 1] = sym.qd(m)
+    ratios = np.array([[pairing_ratio(n, m) for m in range(N)] for n in range(N)])
+    y = ratios.T * z.T  # y[m, l] = R(l, m) * z[l, m]
+    a = -sym.power(1)  # A = -(-A)
+    zprime = (a * (y @ z) - (z @ y) / a) / sym.guard(sym.qd(2), "{2}")
+    cols = [np.zeros(N, dtype=complex) for _ in range(N)]
+    cols[0][0] = 1.0
+    for n in range(N - 1):
+        m_n = (zprime - sym.lam(c + n) * np.eye(N)) / sym.guard(sym.qd(n + 1), f"{{{n + 1}}}")
+        cols[n + 1] = m_n @ cols[n]
+    t = np.column_stack(cols)
+    return t, t.T / ratios
 
 
 # --- the rescaling character ----------------------------------------------------
@@ -219,7 +302,6 @@ def oracle_z_matrix(s: PSetting, tol: float = DEFAULT_TOLERANCE):
 
 def exponent_sum(w: Word) -> int:
     return sum(e for _, e in w.letters)
-
 
 
 def chi_p(w: Word, p: int, N: int, k: int = 1) -> complex:

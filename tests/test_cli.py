@@ -1,12 +1,17 @@
 import hashlib
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
-from torusrep import field, repbuild
+from torusrep import field, numeric, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.field import FMatrix, fmatrix_from_obj, fmatrix_to_obj
+from torusrep.qsymbols import QContext
+
+from reference import decimal_at_root, relative_error
 
 
 def run(capsys, *argv):
@@ -75,10 +80,12 @@ def test_matrices_hN_word(capsys):
 
 # SHA-256 of `matrices --format json --N 5 --eval E --what W` for every W
 # (M with --index 0..3), recorded from the build whose coefficients could be
-# Fractions and whose `eval_matrix` was a batched Horner over many points.
+# Fractions and whose `eval_matrix` was a batched Horner over many points; T
+# and T* at p = 31 re-recorded once they came from their product forms
+# (`eval_twists`), which moved their last bits (4.3e-14 and 7e-16 relative).
 EVAL_DIGESTS = {
-    ("T", "p=31"): "af8e9c1fdf597f4feb1d62772e6915df814a826f32d0500d6503ee801e732c9c",
-    ("Tstar", "p=31"): "eb509b72c5cae984a42e45747d21219998a39d31d4b501f0f2c5adad31ed8779",
+    ("T", "p=31"): "c60d6a19cd7149a9749b65b3e9615adec57ddee1ced54d27fae0dd88ade13e79",
+    ("Tstar", "p=31"): "afe0b6e7853cc94b206280c908a79b5183c813977851785583f39ad3aeb2d2a0",
     ("Z", "p=31"): "d8bcf1ef951e879c08ac235e6e1953c8048ee629a0903d5657e3d33c0f8db89a",
     ("Y", "p=31"): "974a965169cc76ab5f73ed89ecc5bd2709baab3b7a94e1527c226d671460b15d",
     ("Zprime", "p=31"): "79b02c6088a2d1b2a7349814b74347210a5e89810af83a5c6774950a91837bc5",
@@ -107,6 +114,21 @@ def test_evaluated_matrices_pinned(capsys, what, ev):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_DIGESTS[what, ev]
+
+
+def test_matrices_twists_at_root_are_accurate(capsys):
+    # T and T* come from their product forms (`eval_twists`): Horner on the
+    # expanded canonical form of T is 9e-6 relative off at N = 16, p = 101
+    rs = repbuild.build_repset(QContext(16))
+    for what, mat in (("T", rs.t_hat), ("Tstar", rs.tstar_hat)):
+        _, out, _ = run(capsys, "matrices", "--what", what, "--N", "16", "--eval", "p=101", "--format", "json")
+        got, ref = json.loads(out), decimal_at_root(mat, 101)
+        worst = max(
+            relative_error(complex(e["re"], e["im"]), ref[i][j])
+            for i, row in enumerate(got)
+            for j, e in enumerate(row)
+        )
+        assert worst <= 1e-13, (what, worst)
 
 
 def test_verify_pass_and_exit_zero(capsys):
@@ -160,13 +182,47 @@ def test_verify_rejects_csv(capsys):
     assert captured.out == "" and "invalid choice: 'csv'" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_verify_oracle_fails_when_the_oracle_is_not_finite(capsys):
-    # at p = 10001 the oracle's raw factorial products overflow and its T*
-    # is NaN; a NaN must fail the gate, not vanish inside max()
+def test_verify_oracle_fails_when_the_oracle_is_not_finite(capsys, monkeypatch):
+    # a NaN must fail the gate, not vanish inside max()
+    real = numeric._oracle_block
+
+    def nan_oracle(N, block, tol):
+        *rest, t, tstar = real(N, block, tol)
+        tstar[:, 1, 0] = np.nan
+        return (*rest, t, tstar)
+
+    monkeypatch.setattr(numeric, "_oracle_block", nan_oracle)
     code, out, _ = run(capsys, "verify", "--N", "2", "--oracle", "--p", "10001")
     assert code == 1
     assert "FAIL  oracle equivalence over p=10001 (N=2, worst relative nan)" in out
+
+
+def _worst_relative(out, p, N):
+    head = f"oracle equivalence over p={p} (N={N}, worst relative "
+    line = next(line for line in out.splitlines() if head in line)
+    return line[:4], float(line.split(head)[1].rstrip(")"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_oracle_is_finite_and_cheap_at_large_levels(capsys):
+    # the oracle's raw factorial products used to overflow to NaN from about
+    # p = 10001; their telescoped quotient has N factors of modulus O(1)
+    code, out, _ = run(capsys, "verify", "--N", "2", "--oracle", "--p", "10001")
+    assert code == 0
+    assert _worst_relative(out, 10001, 2)[0] == "PASS"
+    start = time.perf_counter()
+    _, out, _ = run(capsys, "verify", "--N", "2", "--oracle", "--p", "400001")
+    assert time.perf_counter() - start < 0.5
+    # finite, and a FAIL: the recurrence's float conditioning (1.3e-7 here)
+    verdict, worst = _worst_relative(out, 400001, 2)
+    assert verdict == "FAIL" and math.isfinite(worst)
+
+
+def test_verify_oracle_guard_is_not_tripped_at_n14(capsys):
+    # the absolute guard on the raw factorial products rejected correct data
+    # at N = 14 from p = 359; each divisor now has modulus O(1)
+    _, out, _ = run(capsys, "verify", "--N", "14", "--oracle", "--p", "359..401")
+    assert _worst_relative(out, "359..401", 14)[0] == "PASS"
 
 
 @pytest.mark.parametrize(

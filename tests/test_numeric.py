@@ -29,6 +29,7 @@ from torusrep.repbuild import build_repset, classical_limit
 from reference import (
     chi_p,
     decimal_at_root,
+    direct_oracle_matrices,
     oracle_m_matrices,
     oracle_z_matrix,
     relative_error,
@@ -355,8 +356,8 @@ def test_errors_surface_in_level_order(monkeypatch):
     # tol = 0.5 from p = 25 on; T* also divides by {6}, of modulus
     # 2 sin(pi/13) = 0.479 at p = 13, and no divisor of T* is below 0.56 at
     # p = 9 and 11. Over a block of levels the first failing level is named,
-    # T* before a later T failure, and an oracle failure before a later
-    # closed-form one, as when the levels were taken one at a time.
+    # T* before a later T failure, as when the levels were taken one at a
+    # time.
     levels = [PSetting(p, 4) for p in range(9, 43, 2)]
     with pytest.raises(NearPoleError) as err:
         eval_twists(4, levels, 0.5)
@@ -372,72 +373,60 @@ def test_errors_surface_in_level_order(monkeypatch):
             assert s.p == 13 and str(one) == str(err.value)
             break
 
-    def oracle(s, tol):
-        if s.p >= 11:
-            raise NearPoleError(f"oracle at p = {s.p}")
-        return np.eye(4), np.eye(4)
+    # between the closed form and the oracle, the first failing level comes
+    # first, and at one level the closed form does
+    def oracle_failing_from(p0):
+        def oracle(N, block, tol):
+            failing = [i for i, s in enumerate(block) if s.p >= p0]
+            if failing:
+                raise NearPoleError(f"oracle at p = {block[failing[0]].p}", point=failing[0])
+            return (np.array([np.eye(N)] * len(block)),) * 2
 
-    monkeypatch.setattr(numeric, "oracle_matrices", oracle)
-    with pytest.raises(NearPoleError, match="oracle at p = 11"):
+        return oracle
+
+    for p0, want in ((11, "oracle at p = 11"), (13, str(err.value)), (15, str(err.value))):
+        monkeypatch.setattr(numeric, "_oracle_block", oracle_failing_from(p0))
+        with pytest.raises(NearPoleError) as first:
+            oracle_deviation(4, levels, 0.5)
+        assert str(first.value) == want, p0
+
+
+def test_oracle_names_its_first_failing_level():
+    # {2c+j+1}+ = {2}+ = 2 cos(4 pi/9) = 0.347 at N = 4, p = 9 (c = 0): below
+    # tol = 0.5 before any closed-form divisor is
+    levels = [PSetting(p, 4) for p in range(9, 43, 2)]
+    with pytest.raises(NearPoleError) as err:
         oracle_deviation(4, levels, 0.5)
+    assert err.value.point == 0
+    assert str(err.value) == "oracle divisor {2}+ has magnitude 3.473e-01 at p = 9"
+    with pytest.raises(NearPoleError) as err:
+        oracle_matrices(PSetting(9, 4), 0.5)
+    assert err.value.point == 0
 
 
-# -- the table oracle against the direct products it replaced ----------------
-
-
-class _DirectRawSymbols:
-    """The oracle's symbols as first written: every factorial a direct product
-    of fresh `cmath.exp` powers, O(p) per symbol (slow; reference only)."""
-
-    def __init__(self, s, tol):
-        self._w = 2.0 * math.pi * s.k / s.p
-        self._tol = tol
-
-    def power(self, n):
-        return cmath.exp(1j * self._w * n)
-
-    def qd(self, n):
-        return self.power(n) - self.power(-n)
-
-    def qp(self, n):
-        return self.power(n) + self.power(-n)
-
-    def lam(self, n):
-        return -self.qp(2 * n + 2)
-
-    def qd_fact(self, n):
-        out = 1 + 0j
-        for j in range(1, n + 1):
-            out *= self.qd(j)
-        return out
-
-    def qd_dfact(self, n):
-        out = 1 + 0j
-        while n >= 1:
-            out *= self.qd(n)
-            n -= 2
-        return out
-
-    def qp_fact(self, n):
-        out = 1 + 0j
-        for j in range(1, n + 1):
-            out *= self.qp(j)
-        return out
-
-    def guard(self, value, what):
-        if abs(value) < self._tol:
-            raise NearPoleError(f"{what} has magnitude {abs(value):.3e}")
-        return value
+# -- the block oracle against the direct products it replaced ----------------
 
 
 @pytest.mark.parametrize("N", range(2, 9))
-def test_table_oracle_matches_direct_products(N, monkeypatch):
+def test_table_oracle_matches_direct_products(N):
     levels = sorted({2 * N + 1, 2 * N + 3, 2 * N + 5, 51, 101, 153, 201, 257, 301})
-    table = [oracle_matrices(PSetting(p, N)) for p in levels]
-    monkeypatch.setattr(numeric, "_RawSymbols", _DirectRawSymbols)
-    for p, got in zip(levels, table):
-        for mine, ref in zip(got, oracle_matrices(PSetting(p, N))):
-            assert max_abs(mine - ref) <= 1e-11 * max_abs(ref), (N, p)
+    block = numeric._oracle_block(N, [PSetting(p, N) for p in levels])[-2:]
+    for i, p in enumerate(levels):
+        for mine, ref in zip(block, direct_oracle_matrices(PSetting(p, N))):
+            assert max_abs(mine[i] - ref) <= 1e-11 * max_abs(ref), (N, p)
+
+
+def test_oracle_block_is_bit_identical_to_single_levels():
+    for N in (2, 6, 12):
+        levels = [PSetting(p, N, k) for p in range(2 * N + 1, 2 * N + 1 + 2 * (BLOCK_LEVELS + 3), 2) for k in (1, 2)]
+        levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
+        z, ratios, zprime, ms, t, tstar = numeric._oracle_block(N, levels)
+        for i, s in enumerate(levels):
+            one = numeric._oracle_block(N, [s])
+            for got, single in zip((z, ratios, zprime, *ms), (*one[:3], *one[3])):
+                assert np.array_equal(_bits(got[i]), _bits(single[0])), (N, s)
+            for got, single in zip((t, tstar), oracle_matrices(s)):
+                assert np.array_equal(_bits(got[i]), _bits(single)), (N, s)
 
 
 # -- the closed-form evaluator: accuracy and block independence --------------
