@@ -8,7 +8,7 @@ per-level oracle, and produces spectral-radius certificates for pseudo-Anosov
 mapping classes.
 """
 
-from .field import FMatrix, Poly, RatFunc, signed_power
+from .field import FMatrix, Poly, RatFunc
 
-__all__ = ["FMatrix", "Poly", "RatFunc", "signed_power"]
+__all__ = ["FMatrix", "Poly", "RatFunc"]
 __version__ = "0.1.0"

@@ -197,6 +197,8 @@ def cmd_verify(args) -> int:
                     for p in _parse_range(args.p, odd=True)
                     if p >= 2 * N + 1  # clamp sweeps to admissible levels
                 ]
+                if not levels:
+                    raise BadPError(f"no odd level p >= 2N+1 = {2 * N + 1}")
                 worst = numeric.oracle_deviation(N, levels, args.tolerance)
                 ok = worst <= 1e-9
                 label = f"oracle equivalence over p={args.p} (N={N}, worst relative {worst:.2e})"
@@ -269,7 +271,10 @@ def cmd_amu(args) -> int:
 
 def cmd_limit(args) -> int:
     word = parse_word(args.word)
-    rows = numeric.convergence_table(word, args.N, _parse_range(args.p, odd=True), args.tolerance)
+    levels = _parse_range(args.p, odd=True)
+    if not levels:
+        raise BadPError(f"--p {args.p} holds no odd level")
+    rows = numeric.convergence_table(word, args.N, levels, args.tolerance)
     if args.format == "json":
         obj = {"word": str(word), "N": args.N, "tolerance": args.tolerance, "rows": _rows_obj(rows)}
         text = canonical_json(obj)

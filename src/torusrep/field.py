@@ -1,17 +1,18 @@
-"""Exact arithmetic in Q(X): dense polynomials over Z, reduced fractions of
-them, and small matrices over the resulting field.
+"""Exact values in Q(X): dense polynomials over Z with their arithmetic, and
+elements and small matrices of Q(X) held in canonical form.
 
 Coefficients are Python ints only: the representations are integral
-(Gilmer-Masbaum), and every entry built has a monic denominator. Every
-`RatFunc` is kept in the canonical form of Q(X) = Frac(Z[X]) at all times:
-num and den in Z[X] with no common factor, polynomial or integer, and den with
-a positive leading coefficient. For a monic den this is gcd(num, den) = 1 over
-Q with den monic.
+(Gilmer-Masbaum), and every entry built has a monic denominator. A `RatFunc`
+is in the canonical form of Q(X) = Frac(Z[X]): num and den in Z[X] with no
+common factor, polynomial or integer, and den with a positive leading
+coefficient. For a monic den this is num and den coprime over Q with den
+monic. Nothing here computes a common divisor or does field arithmetic:
+`qsymbols` reaches the canonical form of every entry from its cyclotomic
+factors, and `repbuild` decides identities on integer polynomials.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import PoleError
@@ -69,61 +70,6 @@ def _kronecker_mul(f, g):
     return [a - b for a, b in zip(pos, neg)]
 
 
-def _int_content(coeffs):
-    g = 0
-    for c in coeffs:
-        if c:
-            g = math.gcd(g, c)
-            if g == 1:
-                return 1
-    return g or 1
-
-
-def _int_primitive(coeffs):
-    """Divide out the content and force a positive leading coefficient."""
-    g = _int_content(coeffs)
-    if coeffs[-1] < 0:
-        g = -g
-    if g != 1:
-        coeffs = [c // g for c in coeffs]
-    return coeffs
-
-
-def _int_prem(a, b):
-    """A pseudo-remainder of int coefficient lists: some nonzero scalar multiple
-    of (a mod b). Only used inside the primitive-PRS gcd, so the scalar is
-    irrelevant."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db:
-        dr = len(r) - 1
-        lead = r[-1]
-        shift = dr - db
-        r = [lb * c for c in r[:-1]]
-        for i in range(db):
-            r[shift + i] -= lead * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-    return r
-
-
-def _int_gcd(a, b):
-    """Primitive positive-lead gcd of two nonzero int coefficient lists via the
-    primitive polynomial remainder sequence."""
-    a = _int_primitive(list(a))
-    b = _int_primitive(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _int_prem(a, b)
-        if not r:
-            return b
-        a, b = b, _int_primitive(r)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -156,10 +102,6 @@ class Poly:
         return p
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def const(c):
-        return Poly((c,))
 
     @staticmethod
     def monomial(k, c=1):
@@ -264,6 +206,7 @@ class Poly:
         rem = list(self.coeffs)
         db = other.degree
         lb = other.lead
+        terms = [(i, bc) for i, bc in enumerate(other.coeffs[:-1]) if bc]
         q = [0] * max(len(rem) - db, 0)
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
@@ -279,7 +222,7 @@ class Poly:
                     raise ArithmeticError("division was not exact")
             q[k - db] = qc
             shift = k - db
-            for i, bc in enumerate(other.coeffs[:-1]):
+            for i, bc in terms:
                 rem[shift + i] -= qc * bc
             rem[k] = 0
         if any(rem[:db]):
@@ -324,25 +267,6 @@ class Poly:
 
 _P_ZERO = Poly(())
 _P_ONE = Poly((1,))
-_P_X = Poly((0, 1))
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd over Q, normalized primitive with positive leading coefficient
-    (monic whenever the inputs are monic)."""
-    if a.is_zero:
-        return Poly._raw(_int_primitive(list(b.coeffs))) if not b.is_zero else _P_ZERO
-    if b.is_zero:
-        return Poly._raw(_int_primitive(list(a.coeffs)))
-    va, vb = a.valuation, b.valuation
-    v = min(va, vb)
-    ia = a.unshift(va).coeffs
-    ib = b.unshift(vb).coeffs
-    if len(ia) == 1 or len(ib) == 1:
-        g = [1]  # a unit is the only common divisor once X-powers are stripped
-    else:
-        g = _int_gcd(ia, ib)
-    return Poly._raw(g).shift(v)
 
 
 # ---------------------------------------------------------------------------
@@ -350,53 +274,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _monicize(num: Poly, den: Poly):
-    """Divide num and den, coprime over Q, by their common integer content,
-    signed so that den's leading coefficient is positive."""
-    lead = den.lead
-    if lead == 1:
-        return num, den
-    g = math.gcd(_int_content(num.coeffs), _int_content(den.coeffs))
-    if lead < 0:
-        g = -g
-    if g == 1:
-        return num, den
-    return Poly._raw([c // g for c in num.coeffs]), Poly._raw([c // g for c in den.coeffs])
-
-
 class RatFunc:
-    """An element of Q(X) in reduced canonical form (module docstring): num
-    and den in Z[X] with no common factor and den with a positive leading
-    coefficient. num may also be an int or Fraction constant. All operations
-    return reduced results."""
+    """An element of Q(X) in canonical form (module docstring). The
+    constructor takes num and den already in that form, as the builders in
+    `qsymbols` make them, and does not reduce; an int or Fraction is taken as
+    the constant it is."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=_P_ONE, *, _canonical=False):
+    def __init__(self, num, den=_P_ONE):
         if isinstance(num, (int, Fraction)):
-            num, den = Poly((num.numerator,)), den.scale(num.denominator)
+            num, den = Poly((num.numerator,)), Poly((num.denominator,))
         if den.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        if not _canonical:
-            num, den = self._reduce(num, den)
         self.num = num
         self.den = den
-
-    @staticmethod
-    def _reduce(num: Poly, den: Poly):
-        if num.is_zero:
-            return _P_ZERO, _P_ONE
-        vn, vd = num.valuation, den.valuation
-        v = min(vn, vd)
-        if v:
-            num, den = num.unshift(v), den.unshift(v)
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        return _monicize(num, den)
-
-    # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero():
@@ -405,12 +297,6 @@ class RatFunc:
     @staticmethod
     def one():
         return _RF_ONE
-
-    @staticmethod
-    def x():
-        return _RF_X
-
-    # -- structure -----------------------------------------------------------
 
     @property
     def is_zero(self):
@@ -429,80 +315,6 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den, _canonical=True)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        g = poly_gcd(self.den, other.den)
-        if g.degree == 0:
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero:
-                return _RF_ZERO
-            return RatFunc(*_monicize(num, self.den * other.den), _canonical=True)
-        da = self.den.exact_div(g)
-        db = other.den.exact_div(g)
-        num = self.num * db + other.num * da
-        if num.is_zero:
-            return _RF_ZERO
-        h = poly_gcd(num, g)
-        den = da * other.den
-        if h.degree > 0:
-            num = num.exact_div(h)
-            den = den.exact_div(h)
-        return RatFunc(*_monicize(num, den), _canonical=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        if self.is_zero or other.is_zero:
-            return _RF_ZERO
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        na = self.num.exact_div(g1) if g1.degree > 0 else self.num
-        db = other.den.exact_div(g1) if g1.degree > 0 else other.den
-        nb = other.num.exact_div(g2) if g2.degree > 0 else other.num
-        da = self.den.exact_div(g2) if g2.degree > 0 else self.den
-        return RatFunc(*_monicize(na * nb, da * db), _canonical=True)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        return other / self
-
-    def reciprocal(self):
-        if self.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RatFunc(*_monicize(self.den, self.num), _canonical=True)
-
-    # -- evaluation ----------------------------------------------------------
-
     def eval_exact(self, x):
         """Evaluate at an exact rational point; PoleError on a genuine pole."""
         if not isinstance(x, (int, Fraction)):
@@ -512,8 +324,6 @@ class RatFunc:
             raise PoleError(f"pole at X = {x}")
         nv = self.num.eval(x)
         return Fraction(nv) / Fraction(dv)
-
-    # -- display -------------------------------------------------------------
 
     def __str__(self):
         if self.den == _P_ONE:
@@ -529,17 +339,8 @@ class RatFunc:
     __repr__ = __str__
 
 
-_RF_ZERO = RatFunc(_P_ZERO, _P_ONE, _canonical=True)
-_RF_ONE = RatFunc(_P_ONE, _P_ONE, _canonical=True)
-_RF_X = RatFunc(_P_X, _P_ONE, _canonical=True)
-
-
-def signed_power(n: int) -> RatFunc:
-    """(-X)^n for any integer n; negative n puts X^|n| in the denominator."""
-    sign = -1 if n % 2 else 1
-    if n >= 0:
-        return RatFunc(Poly.monomial(n, sign), _P_ONE, _canonical=True)
-    return RatFunc(Poly.const(sign), Poly.monomial(-n), _canonical=True)
+_RF_ZERO = RatFunc(_P_ZERO)
+_RF_ONE = RatFunc(_P_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -588,47 +389,8 @@ class FMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __mul__(self, other):
-        if isinstance(other, FMatrix):
-            return fm_mul(self, other)
-        return NotImplemented
-
-    def scale(self, s: RatFunc) -> FMatrix:
-        return FMatrix(tuple(tuple(s * e for e in r) for r in self.rows))
-
-    def __add__(self, other):
-        return FMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def __sub__(self, other):
-        return FMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
     def column(self, j):
         return tuple(r[j] for r in self.rows)
-
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)
-
-
-def fm_mul(a: FMatrix, b: FMatrix) -> FMatrix:
-    if a.n_cols != b.n_rows:
-        raise ValueError(f"dimension mismatch: {a.n_rows}x{a.n_cols} times {b.n_rows}x{b.n_cols}")
-    bt = list(zip(*b.rows))
-    out = []
-    for ra in a.rows:
-        row = []
-        for cb in bt:
-            acc = _RF_ZERO
-            for x, y in zip(ra, cb):
-                if x.is_zero or y.is_zero:
-                    continue
-                acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
-    return FMatrix(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +405,6 @@ def ratfunc_to_obj(f: RatFunc) -> dict:
     }
 
 
-def ratfunc_from_obj(obj: dict) -> RatFunc:
-    return RatFunc(Poly([int(s) for s in obj["num"]]), Poly([int(s) for s in obj["den"]]))
-
-
 def fmatrix_to_obj(m: FMatrix, name: str | None = None, N: int | None = None) -> dict:
     obj = {
         "n_rows": m.n_rows,
@@ -658,7 +416,3 @@ def fmatrix_to_obj(m: FMatrix, name: str | None = None, N: int | None = None) ->
     if N is not None:
         obj["N"] = N
     return obj
-
-
-def fmatrix_from_obj(obj: dict) -> FMatrix:
-    return FMatrix(tuple(tuple(ratfunc_from_obj(e) for e in row) for row in obj["entries"]))

@@ -281,13 +281,14 @@ def check_dimension(N: int) -> None:
         raise TooLargeError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
 
 
-def spectral_radius(m: np.ndarray, max_dim: int = MAX_EIG_DIM) -> float:
-    """Largest eigenvalue modulus of a small dense complex matrix."""
+def spectral_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a small dense complex matrix (at most
+    `MAX_EIG_DIM` square)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
-    if m.shape[0] > max_dim:
-        raise ValueError(f"dimension {m.shape[0]} exceeds bound {max_dim}")
+    if m.shape[0] > MAX_EIG_DIM:
+        raise ValueError(f"dimension {m.shape[0]} exceeds bound {MAX_EIG_DIM}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix has non-finite entries")
     try:

@@ -1,13 +1,15 @@
-"""Quantum-integer calculus over Q(X).
+"""Quantum-integer calculus over Q(X), by cyclotomic exponents.
 
-All symbols live p-independently inside Q(X), with the building block
-(-X)^n supplied by `field.signed_power`. The index-shifted eigenvalue and the
-pairing ratio are the reflected forms valid at every primitive 2p-th root of
-unity, which is what makes them independent of the level.
+All symbols live p-independently inside Q(X). The index-shifted eigenvalue and
+the pairing ratio are the reflected forms valid at every primitive 2p-th root
+of unity, which is what makes them independent of the level.
 
-Products and quotients of the quantum integers {k} and {k}+ (the pairing
-ratios here, the twist generators in `repbuild`) are formed from their
-cyclotomic exponents by `_product_form`, with no gcd and no division.
+Every symbol here, and every entry of the matrices `repbuild` builds, is a
+product of the quantum integers {k} and {k}+ or a short sum of such products.
+A product is read off its cyclotomic exponents (`_product_form`); a sum is
+taken over the common denominator that the exponent maxima of its terms give,
+then divided by that denominator's cyclotomic factors as far as they go
+(`_sum_form`, `_reduce`). Neither computes a common divisor.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import dataclasses
 import math
 from functools import lru_cache
 
-from .field import Poly, RatFunc, _int_mul, signed_power
+from .field import Poly, RatFunc, _int_mul
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,21 +32,9 @@ class QContext:
             raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
 
 
-@lru_cache(maxsize=None)
-def qint(n: int) -> RatFunc:
-    """Quantum integer {n} = (-X)^n - (-X)^(-n)."""
-    return signed_power(n) - signed_power(-n)
-
-
-@lru_cache(maxsize=None)
-def qint_plus(n: int) -> RatFunc:
-    """{n}+ = (-X)^n + (-X)^(-n)."""
-    return signed_power(n) + signed_power(-n)
-
-
-@lru_cache(maxsize=None)
-def _lambda_shifted(k: int, N: int) -> RatFunc:
-    return -qint_plus(2 * N - 2 * k - 1)
+def _lambda_form(k: int, N: int):
+    """lambda_{c+k} = -{2N-2k-1}+ as (sign, power, factors) (`_product_form`)."""
+    return -1, 0, [(2 * N - 2 * k - 1, True, 1)]
 
 
 def lambda_shifted(k: int, ctx: QContext) -> RatFunc:
@@ -53,7 +43,16 @@ def lambda_shifted(k: int, ctx: QContext) -> RatFunc:
     -{2N-2k-1}+."""
     if not 0 <= k <= ctx.N - 1:
         raise ValueError(f"index k = {k} outside 0..{ctx.N - 1}")
-    return _lambda_shifted(k, ctx.N)
+    return _product_form(*_lambda_form(k, ctx.N))
+
+
+def _rhat_factors(n: int, m: int, N: int):
+    """The factors (k, plus, e) of rhat(n, m) for n > m, as `_product_form`
+    takes them; its sign is (-1)^(n-m)."""
+    factors = [(2 * N - 2 * j, False, 1) for j in range(m + 1, n + 1)]
+    factors += [(j, False, -1) for j in range(m + 1, n + 1)]
+    factors += [(k, True, 1) for k in range(2 * N - n, 2 * N - m)]
+    return factors
 
 
 def rhat(n: int, m: int, ctx: QContext) -> RatFunc:
@@ -64,19 +63,18 @@ def rhat(n: int, m: int, ctx: QContext) -> RatFunc:
     N = ctx.N
     if not (0 <= n <= N - 1 and 0 <= m <= N - 1):
         raise ValueError(f"indices ({n}, {m}) outside 0..{N - 1}")
-    if n == m:
-        return RatFunc.one()
-    r = _rhat_below(max(n, m), min(n, m), N)
-    return r if n > m else r.reciprocal()
+    return _rhat(n, m, N)
 
 
 @lru_cache(maxsize=None)
-def _rhat_below(n: int, m: int, N: int) -> RatFunc:
-    """rhat(n, m) for n > m, read off its cyclotomic exponents."""
-    factors = [(2 * N - 2 * j, False, 1) for j in range(m + 1, n + 1)]
-    factors += [(j, False, -1) for j in range(m + 1, n + 1)]
-    factors += [(k, True, 1) for k in range(2 * N - n, 2 * N - m)]
-    return _product_form((-1) ** (n - m), 0, factors)
+def _rhat(n: int, m: int, N: int) -> RatFunc:
+    """rhat(n, m), read off its cyclotomic exponents."""
+    if n == m:
+        return RatFunc.one()
+    factors = _rhat_factors(max(n, m), min(n, m), N)
+    if n < m:
+        factors = [(k, plus, -e) for k, plus, e in factors]
+    return _product_form(-1 if (n - m) % 2 else 1, 0, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +87,8 @@ def _rhat_below(n: int, m: int, N: int) -> RatFunc:
 # and a product or quotient of such symbols is a sign, a power of X and a map
 # d -> e_d of exponents that add. The Phi_d are distinct monic irreducibles,
 # so collecting the positive exponents in the numerator and the negative ones
-# in the denominator gives the canonical RatFunc (gcd 1, den monic) with no
-# gcd and no division.
+# in the denominator gives the canonical RatFunc (coprime, den monic) with no
+# division.
 # ---------------------------------------------------------------------------
 
 
@@ -136,11 +134,10 @@ def _poly_product(polys) -> list[int]:
     return list(polys[0])
 
 
-def _product_form(sign: int, power: int, factors) -> RatFunc:
+def _exponents(sign: int, power: int, factors):
     """sign * (-X)^power * prod {k}^e, with {k}+^e where `plus`, over the
-    triples (k, plus, e) in `factors` (k >= 1), in canonical form: with a the
-    net power of X, num = +-X^max(a, 0) prod_{e_d > 0} Phi_d^e_d and
-    den = X^max(-a, 0) prod_{e_d < 0} Phi_d^-e_d."""
+    triples (k, plus, e) in `factors` (k >= 1), as (s, a, exps): the value is
+    s X^a prod Phi_d^e_d over the exponents d -> e_d in exps."""
     odd, xpow, exps = power, power, {}
     for k, plus, e in factors:
         odd += k * e
@@ -148,10 +145,71 @@ def _product_form(sign: int, power: int, factors) -> RatFunc:
         for d in _divisors(4 * k if plus else 2 * k):
             if not plus or (2 * k) % d:
                 exps[d] = exps.get(d, 0) + e
-    num = _poly_product(_cyclotomic(d) for d, e in exps.items() for _ in range(e))
-    den = _poly_product(_cyclotomic(d) for d, e in exps.items() for _ in range(-e))
-    if odd % 2:
-        sign = -sign
-    num = [0] * max(xpow, 0) + [sign * c for c in num]
-    den = [0] * max(-xpow, 0) + den
-    return RatFunc(Poly._raw(num), Poly._raw(den), _canonical=True)
+    return (-sign if odd % 2 else sign), xpow, exps
+
+
+def _poly(sign: int, xpow: int, exps) -> Poly:
+    """sign X^xpow prod Phi_d^e_d, for xpow >= 0 and every e_d >= 0."""
+    coeffs = _poly_product(_cyclotomic(d) for d, e in exps.items() for _ in range(e))
+    return Poly._raw([0] * xpow + [sign * c for c in coeffs])
+
+
+def _denominator(terms):
+    """(a, exps) with X^a prod Phi_d^e_d the least common denominator of
+    terms (s, a, exps) as `_exponents` gives them: a and each e_d are the
+    largest of the terms' denominator exponents."""
+    xpow, exps = 0, {}
+    for _, a, term in terms:
+        xpow = max(xpow, -a)
+        for d, e in term.items():
+            if e < 0:
+                exps[d] = max(exps.get(d, 0), -e)
+    return xpow, exps
+
+
+def _product_form(sign: int, power: int, factors) -> RatFunc:
+    """The product of `_exponents` in canonical form: with a the net power of
+    X, num = +-X^max(a, 0) prod_{e_d > 0} Phi_d^e_d and
+    den = X^max(-a, 0) prod_{e_d < 0} Phi_d^-e_d."""
+    s, a, exps = _exponents(sign, power, factors)
+    num = _poly(s, max(a, 0), {d: e for d, e in exps.items() if e > 0})
+    return RatFunc(num, _poly(1, max(-a, 0), {d: -e for d, e in exps.items() if e < 0}))
+
+
+def _sum_form(forms) -> RatFunc:
+    """The sum of the products (sign, power, factors) in `forms` (as
+    `_product_form` takes them) in canonical form: each term is put over the
+    common denominator of `_denominator` by adding that denominator's
+    exponents to its own, and the sum is `_reduce`d."""
+    terms = [_exponents(*form) for form in forms]
+    xpow, den = _denominator(terms)
+    num = Poly()
+    for s, a, exps in terms:
+        over = {d: exps.get(d, 0) + den.get(d, 0) for d in exps.keys() | den.keys()}
+        num = num + _poly(s, a + xpow, over)
+    return _reduce(num, xpow, den)
+
+
+def _reduce(num: Poly, xpow: int, exps) -> RatFunc:
+    """num / (X^xpow prod Phi_d^e_d) in canonical form, for e_d >= 0 (a
+    negative xpow multiplies): Phi_d is divided out of num (`Poly.exact_div`,
+    exact in Z[X] as Phi_d is monic) as often as it goes, at most e_d times,
+    and the power of X that num and the denominator share is cancelled. The
+    Phi_d are distinct monic irreducibles, so what is left is coprime and the
+    denominator is monic."""
+    if num.is_zero:
+        return RatFunc.zero()
+    if xpow < 0:
+        num, xpow = num.shift(-xpow), 0
+    left = {}
+    for d, e in exps.items():
+        phi = Poly._raw(_cyclotomic(d))
+        while e:
+            try:
+                num = num.exact_div(phi)
+            except ArithmeticError:
+                break
+            e -= 1
+        left[d] = e
+    v = min(num.valuation, xpow)
+    return RatFunc(num.unshift(v), _poly(1, xpow - v, left))

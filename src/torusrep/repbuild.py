@@ -9,17 +9,22 @@ for n >= m
              = (-1)^(n-m) (-X)^e(m,n) [N-1-m, n-m] prod_{j=m+1}^{n} {j}/{2N-2j},
 
 and both vanish on the other side of the diagonal. At X = -1 these are the
-factorial closed forms of `classical.closed_limits`. Each entry is a sign, a
-power of X and cyclotomic exponents (`qsymbols._product_form`), so its
-canonical form is read off with no gcd, division or recurrence.
+factorial closed forms of `classical.closed_limits`.
 
-The curve-operator matrix z is lower bidiagonal; its Hopf transpose y, the
-twisted operator z', and the tridiagonal column-recurrence matrices
-M^(n) = (z' - lambda_{c+n} I) / {n+1} (column n+1 of T is M^(n) times column
-n) are assembled from it over Q(X), on first use only (by `verify` and
-`matrices`; the certificate scans evaluate the product forms at A_p without
-building anything). Everything lives in GL_N(Q(X)) and can be evaluated
-exactly at X = -1.
+The curve-operator matrix z is lower bidiagonal, with z[m][m] =
+lambda_{c+m} = -{2N-2m-1}+ and z[m][m-1] = {m}; its Hopf transpose y is upper
+bidiagonal, y[m][l] = rhat(l, m) z[l][m]. Every entry of T, T*, z and y is a
+sign, a power of X and cyclotomic exponents, from which the canonical form
+is read off (`qsymbols._product_form`). The twisted operator
+z' = (X yz - X^-1 zy)/{2} has entries that are sums of at most four such
+products, summed over their common denominator and divided by its
+cyclotomic factors (`qsymbols._sum_form`); they are Laurent polynomials. The
+tridiagonal column-recurrence matrices M^(n) = (z' - lambda_{c+n} I) / {n+1}
+(column n+1 of T is M^(n) times column n) take one Laurent subtraction and a
+trial division by the Phi_d, d | 2n+2, from z'. z, y, z' and the M^(n) are
+built on first use only (by `verify` and `matrices`; the certificate scans
+evaluate the product forms at A_p without building anything). Everything can
+be evaluated exactly at X = -1.
 """
 
 from __future__ import annotations
@@ -30,60 +35,104 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PoleError, TooLargeError
-from .field import FMatrix, Poly, RatFunc, fm_mul, poly_gcd
-from .qsymbols import QContext, _product_form, lambda_shifted, qint, rhat
+from .field import FMatrix, RatFunc
+from .qsymbols import (
+    QContext,
+    _denominator,
+    _divisors,
+    _exponents,
+    _lambda_form,
+    _poly,
+    _product_form,
+    _reduce,
+    _rhat_factors,
+    _sum_form,
+    lambda_shifted,
+)
+
+_X_HALF = (-1, 1, [(2, False, -1)])  # X/{2}, X = -(-X)
+_MINUS_INV_HALF = (1, -1, [(2, False, -1)])  # -X^-1/{2}
+
+
+def _curve_factors(N: int):
+    """The product forms (sign, power, factors) of the nonzero entries of z
+    and y (module docstring), as two maps (i, j) -> form; y[m-1][m] =
+    rhat(m, m-1) {m}."""
+    z, y = {}, {}
+    for m in range(N):
+        z[m, m] = y[m, m] = _lambda_form(m, N)
+        if m:
+            z[m, m - 1] = (1, 0, [(m, False, 1)])
+            y[m - 1, m] = (-1, 0, _rhat_factors(m, m - 1, N) + [(m, False, 1)])
+    return z, y
+
+
+def _matrix(N: int, entries) -> FMatrix:
+    """The N x N matrix with the given ((i, j), value) entries, zero elsewhere."""
+    rows = [[RatFunc.zero()] * N for _ in range(N)]
+    for (i, j), value in entries:
+        rows[i][j] = value
+    return FMatrix(tuple(map(tuple, rows)))
 
 
 def build_z(ctx: QContext) -> FMatrix:
     """Lower-bidiagonal matrix of the longitude curve operator: diagonal entry
     m is the shifted eigenvalue, subdiagonal entry (m, m-1) is {m}."""
+    z = _curve_factors(ctx.N)[0]
+    return _matrix(ctx.N, ((ij, _product_form(*form)) for ij, form in z.items()))
+
+
+def build_y(ctx: QContext) -> FMatrix:
+    """Meridian curve operator: the transpose of z through the Hopf pairing,
+    y[m][l] = rhat(l, m) * z[l][m]."""
+    y = _curve_factors(ctx.N)[1]
+    return _matrix(ctx.N, ((ij, _product_form(*form)) for ij, form in y.items()))
+
+
+def build_zprime(ctx: QContext) -> FMatrix:
+    """Image of the longitude under the meridian twist, via the skein relation:
+    (X * y@z - X^(-1) * z@y) / {2}, entry by entry the sum of the products of
+    the forms of y and z (`qsymbols._sum_form`)."""
+    z, y = _curve_factors(ctx.N)
+    terms = {}
+    for (r, c, h), left, right in ((_X_HALF, y, z), (_MINUS_INV_HALF, z, y)):
+        for (i, k), (s, a, f) in left.items():
+            for (l, j), (t, b, g) in right.items():
+                if k == l:
+                    terms.setdefault((i, j), []).append((r * s * t, a + b + c, f + g + h))
+    return _matrix(ctx.N, ((ij, _sum_form(forms)) for ij, forms in terms.items()))
+
+
+def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
+    """Column-recurrence matrix M^(n) = (z' - lambda_{c+n} I) / {n+1}, from
+    the Laurent entries of z': with 1/{n+1} = (-1)^(n+1) X^(n+1) /
+    prod_{d | 2n+2} Phi_d, each entry is `qsymbols._reduce`d by those Phi_d.
+    As {n+1} is squarefree apart from its power of X, this is the canonical
+    form."""
     N = ctx.N
+    if not 0 <= n <= N - 2:
+        raise ValueError(f"recurrence index n = {n} outside 0..{N - 2}")
+    lam, j = _laurent(lambda_shifted(n, ctx))
+    sign, phis = (-1) ** (n + 1), dict.fromkeys(_divisors(2 * n + 2), 1)
     rows = []
     for m in range(N):
-        row = [RatFunc.zero()] * N
-        row[m] = lambda_shifted(m, ctx)
-        if m >= 1:
-            row[m - 1] = qint(m)
+        row = []
+        for l in range(N):
+            num, k = _laurent(zprime[m][l])
+            if l == m:
+                num, k = num.shift(max(j - k, 0)) - lam.shift(max(k - j, 0)), max(j, k)
+            row.append(_reduce(num.scale(sign), k - n - 1, phis))
         rows.append(tuple(row))
     return FMatrix(tuple(rows))
 
 
-def build_y(ctx: QContext, z: FMatrix) -> FMatrix:
-    """Meridian curve operator: the transpose of z through the Hopf pairing,
-    y[m][l] = rhat(l, m) * z[l][m], formed only where z[l][m] is nonzero."""
-    N = ctx.N
-    zero = RatFunc.zero()
-    return FMatrix(
-        tuple(
-            tuple(zero if z[l][m].is_zero else rhat(l, m, ctx) * z[l][m] for l in range(N))
-            for m in range(N)
-        )
-    )
-
-
-def build_zprime(ctx: QContext, y: FMatrix, z: FMatrix) -> FMatrix:
-    """Image of the longitude under the meridian twist, via the skein relation:
-    (X * y@z - X^(-1) * z@y) / {2}."""
-    x = RatFunc.x()
-    lhs = fm_mul(y, z).scale(x)
-    rhs = fm_mul(z, y).scale(x.reciprocal())
-    inv2 = qint(2).reciprocal()
-    return (lhs - rhs).scale(inv2)
-
-
-def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
-    """Column-recurrence matrix M^(n) = (z' - lambda_{c+n} I) / {n+1}."""
-    if not 0 <= n <= ctx.N - 2:
-        raise ValueError(f"recurrence index n = {n} outside 0..{ctx.N - 2}")
-    N = ctx.N
-    lam = lambda_shifted(n, ctx)
-    inv = qint(n + 1).reciprocal()
-    rows = []
-    for m in range(N):
-        row = list(zprime[m])
-        row[m] = row[m] - lam
-        rows.append(tuple(e * inv for e in row))
-    return FMatrix(tuple(rows))
+def _laurent(f: RatFunc):
+    """(num, k) with f = num / X^k; ArithmeticError unless f's denominator is
+    a power of X."""
+    k = f.den.degree
+    if f.den.valuation != k or f.den.lead != 1:
+        raise ArithmeticError(f"{f} is not a Laurent polynomial")
+    return f.num, k
 
 
 def _twist_factors(N: int):
@@ -109,13 +158,10 @@ def _twist_factors(N: int):
 
 def _twists(N: int) -> tuple[FMatrix, FMatrix]:
     """(T, T*) entry by entry from their product forms (`_twist_factors`)."""
-    out = []
-    for entries in _twist_factors(N):
-        rows = [[RatFunc.zero()] * N for _ in range(N)]
-        for (i, j), sign, power, factors in entries:
-            rows[i][j] = _product_form(sign, power, factors)
-        out.append(FMatrix(tuple(map(tuple, rows))))
-    return tuple(out)
+    return tuple(
+        _matrix(N, ((ij, _product_form(*form)) for ij, *form in entries))
+        for entries in _twist_factors(N)
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,11 +180,11 @@ class RepSet:
 
     @cached_property
     def y_hat(self) -> FMatrix:
-        return build_y(self.ctx, self.z_hat)
+        return build_y(self.ctx)
 
     @cached_property
     def zprime_hat(self) -> FMatrix:
-        return build_zprime(self.ctx, self.y_hat, self.z_hat)
+        return build_zprime(self.ctx)
 
     @cached_property
     def m_hat(self) -> tuple[FMatrix, ...]:
@@ -156,7 +202,9 @@ def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     commutes with T and with T*).
 
     Write T = P_T / D_T and T* = P_S / D_S with integer polynomial matrices P
-    and integer polynomials D. Then the braid relation is
+    and D_T, D_S the least common denominators of the product forms of T and
+    T* (`_integer_form`; an entry whose denominator does not divide them
+    raises ArithmeticError). Then the braid relation is
     D_S P_T P_S P_T == D_T P_S P_T P_S, and with C' = (P_T P_S P_T)^2 the
     center commutes iff C' P_T == P_T C' and C' P_S == P_S C' (both sides of
     a commutator share one denominator). Each identity says that a difference
@@ -178,22 +226,22 @@ def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
       BLAS computes it exactly (`_integer_checks` states the invariants and
       raises `TooLargeError` for an input that would break one).
 
-    So the verdict is exact and deterministic: no gcd, no probability."""
-    pt, dt = _clear_denominators(t)
-    ps, ds = _clear_denominators(tstar)
-    return _integer_checks(pt, dt, ps, ds)
+    So the verdict is exact and deterministic, with no common divisor taken
+    and no probability of a wrong answer."""
+    forms = [_integer_form(m, entries) for m, entries in zip((t, tstar), _twist_factors(t.n_rows))]
+    return _integer_checks(*forms[0], *forms[1])
 
 
-def _clear_denominators(m: FMatrix):
-    """(P, D) with m = P / D: D a common multiple in Z[X] of the entry
-    denominators (their lcm when each is primitive, as every built one is
-    monic), P a matrix of integer coefficient lists (ascending degree), D one
-    such list."""
-    dens = dict.fromkeys(e.den for row in m.rows for e in row)
-    den = Poly.const(1)
-    for d in dens:
-        den = den * d.exact_div(poly_gcd(den, d))
-    cofactor = {d: den.exact_div(d) for d in dens}
+def _integer_form(m: FMatrix, entries):
+    """(P, D) with m = P / D, for a matrix m whose entries have the
+    denominators of the product forms `entries` (`_twist_factors`): D is
+    their least common denominator, X^a prod Phi_d^e_d with a and e_d the
+    largest exponents of the forms' denominators (`qsymbols._denominator`),
+    and each entry of P is num * (D / den) of the entry of m, so P is read
+    from m itself. P is a matrix of integer coefficient lists (ascending
+    degree), D one such list."""
+    den = _poly(1, *_denominator([_exponents(*form) for _, *form in entries]))
+    cofactor = {d: den.exact_div(d) for d in {e.den for row in m.rows for e in row}}
     return [[list((e.num * cofactor[e.den]).coeffs) for e in row] for row in m.rows], list(den.coeffs)
 
 

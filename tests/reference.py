@@ -1,31 +1,257 @@
-"""Reference implementations for the tests: exact matrix inverse and word
-products over Q(X), the braid and center checks by Kronecker substitution,
-T and T* by the column recurrence through M^(n), the oracle's z and M^(n),
-the oracle from direct raw factorial products, the rescaling character, the q-factorial and twist eigenvalue, and symbolic
-matrices evaluated at A_p in 50-digit decimal arithmetic. None of these is on a production path; the tests compare the
-production code against them."""
+"""Reference implementations for the tests: Q(X) arithmetic by polynomial
+gcd, the build of y, z' and M^(n) by that arithmetic, exact matrix inverse and
+word products over Q(X), the braid and center checks by Kronecker
+substitution, T and T* by the column recurrence through M^(n), the oracle's z
+and M^(n), the oracle from direct raw factorial products, the rescaling
+character, the q-factorial and twist eigenvalue, and symbolic matrices
+evaluated at A_p in 50-digit decimal arithmetic. None of these is on a
+production path; the tests compare the production code against them."""
 
 from __future__ import annotations
 
 import cmath
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 from torusrep.errors import BadPError, NearPoleError
-from torusrep.field import FMatrix, RatFunc, fm_mul, signed_power
+from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
-from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
+from torusrep.qsymbols import QContext, lambda_shifted, rhat
 from torusrep.repbuild import (
-    _clear_denominators,
     _height_bound,
     _int_matmul,
     _int_scale,
     build_repset,
     relation_checks,
 )
+
+
+# --- Q(X) arithmetic by polynomial gcd ------------------------------------------
+#
+# Every result is reduced to the canonical form of `field.RatFunc` (num and den
+# coprime in Z[X], den with a positive leading coefficient) by the gcd of the
+# primitive polynomial remainder sequence. Operands may be ints or Fractions.
+
+
+def _content(coeffs):
+    g = 0
+    for c in coeffs:
+        if c:
+            g = math.gcd(g, c)
+            if g == 1:
+                return 1
+    return g or 1
+
+
+def _primitive(coeffs):
+    """Divide out the content and force a positive leading coefficient."""
+    g = _content(coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    if g != 1:
+        coeffs = [c // g for c in coeffs]
+    return coeffs
+
+
+def _prem(a, b):
+    """A pseudo-remainder of int coefficient lists: some nonzero scalar
+    multiple of (a mod b), which is all the primitive-PRS gcd needs."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    while len(r) - 1 >= db:
+        lead = r[-1]
+        shift = len(r) - 1 - db
+        r = [lb * c for c in r[:-1]]
+        for i in range(db):
+            r[shift + i] -= lead * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+    return r
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Gcd over Q, normalized primitive with positive leading coefficient
+    (monic whenever the inputs are monic)."""
+    if a.is_zero or b.is_zero:
+        return Poly(_primitive(list((a or b).coeffs))) if (a or b) else Poly()
+    v = min(a.valuation, b.valuation)
+    a = _primitive(list(a.unshift(a.valuation).coeffs))
+    b = _primitive(list(b.unshift(b.valuation).coeffs))
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            break
+        a, b = b, _primitive(r)
+    return Poly(b if len(b) > 1 else [1]).shift(v)
+
+
+def _monicize(num: Poly, den: Poly) -> RatFunc:
+    """num / den for num and den coprime over Q, divided by their common
+    integer content and signed so that den's leading coefficient is
+    positive."""
+    g = math.gcd(_content(num.coeffs), _content(den.coeffs))
+    if den.lead < 0:
+        g = -g
+    if g != 1:
+        num, den = Poly([c // g for c in num.coeffs]), Poly([c // g for c in den.coeffs])
+    return RatFunc(num, den)
+
+
+def reduced(num: Poly, den: Poly = Poly((1,))) -> RatFunc:
+    """num / den in canonical form."""
+    if den.is_zero:
+        raise ZeroDivisionError("division by the zero function")
+    if num.is_zero:
+        return RatFunc.zero()
+    v = min(num.valuation, den.valuation)
+    num, den = num.unshift(v), den.unshift(v)
+    g = poly_gcd(num, den)
+    return _monicize(num.exact_div(g), den.exact_div(g))
+
+
+def _lift(a) -> RatFunc:
+    return RatFunc(a) if isinstance(a, (int, Fraction)) else a
+
+
+def neg(a) -> RatFunc:
+    a = _lift(a)
+    return RatFunc(a.num.scale(-1), a.den)
+
+
+def add(a, b) -> RatFunc:
+    """a + b over the lcm of the denominators, cancelling only what the sum
+    can share with their gcd."""
+    a, b = _lift(a), _lift(b)
+    if a.is_zero or b.is_zero:
+        return b if a.is_zero else a
+    g = poly_gcd(a.den, b.den)
+    da, db = a.den.exact_div(g), b.den.exact_div(g)
+    num = a.num * db + b.num * da
+    if num.is_zero:
+        return RatFunc.zero()
+    h = poly_gcd(num, g)
+    return _monicize(num.exact_div(h), (da * b.den).exact_div(h))
+
+
+def sub(a, b) -> RatFunc:
+    return add(a, neg(b))
+
+
+def mul(a, b) -> RatFunc:
+    """a * b with the cross gcds cancelled before multiplying."""
+    a, b = _lift(a), _lift(b)
+    if a.is_zero or b.is_zero:
+        return RatFunc.zero()
+    g1, g2 = poly_gcd(a.num, b.den), poly_gcd(b.num, a.den)
+    num = a.num.exact_div(g1) * b.num.exact_div(g2)
+    return _monicize(num, a.den.exact_div(g2) * b.den.exact_div(g1))
+
+
+def reciprocal(a) -> RatFunc:
+    a = _lift(a)
+    if a.is_zero:
+        raise ZeroDivisionError("division by the zero function")
+    return _monicize(a.den, a.num)
+
+
+def div(a, b) -> RatFunc:
+    return mul(a, reciprocal(b))
+
+
+def signed_power(n: int) -> RatFunc:
+    """(-X)^n for any integer n; negative n puts X^|n| in the denominator."""
+    sign = -1 if n % 2 else 1
+    if n >= 0:
+        return RatFunc(Poly.monomial(n, sign))
+    return RatFunc(Poly((sign,)), Poly.monomial(-n))
+
+
+def qint(n: int) -> RatFunc:
+    """Quantum integer {n} = (-X)^n - (-X)^(-n)."""
+    return sub(signed_power(n), signed_power(-n))
+
+
+def qint_plus(n: int) -> RatFunc:
+    """{n}+ = (-X)^n + (-X)^(-n)."""
+    return add(signed_power(n), signed_power(-n))
+
+
+def fm_mul(a: FMatrix, b: FMatrix) -> FMatrix:
+    if a.n_cols != b.n_rows:
+        raise ValueError(f"dimension mismatch: {a.n_rows}x{a.n_cols} times {b.n_rows}x{b.n_cols}")
+    out = []
+    for ra in a.rows:
+        row = []
+        for cb in zip(*b.rows):
+            acc = RatFunc.zero()
+            for x, y in zip(ra, cb):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            row.append(acc)
+        out.append(tuple(row))
+    return FMatrix(tuple(out))
+
+
+def fm_scale(m: FMatrix, s) -> FMatrix:
+    return FMatrix(tuple(tuple(mul(s, e) for e in r) for r in m.rows))
+
+
+def fm_sub(a: FMatrix, b: FMatrix) -> FMatrix:
+    return FMatrix(tuple(tuple(sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)))
+
+
+def lcm_form(m: FMatrix):
+    """(P, D) with m = P / D as `repbuild._integer_form` gives them, for any
+    matrix over Q(X): D the lcm of the entry denominators by gcd (primitive,
+    as each of them is), P the matrix of num * (D / den) as integer
+    coefficient lists."""
+    den = Poly((1,))
+    for d in dict.fromkeys(e.den for row in m.rows for e in row):
+        den = den * d.exact_div(poly_gcd(den, d))
+    return [[list((e.num * den.exact_div(e.den)).coeffs) for e in row] for row in m.rows], list(den.coeffs)
+
+
+def ratfunc_from_obj(obj: dict) -> RatFunc:
+    return reduced(Poly([int(s) for s in obj["num"]]), Poly([int(s) for s in obj["den"]]))
+
+
+def fmatrix_from_obj(obj: dict) -> FMatrix:
+    return FMatrix(tuple(tuple(ratfunc_from_obj(e) for e in row) for row in obj["entries"]))
+
+
+# --- y, z' and M^(n) by Q(X) arithmetic -----------------------------------------
+
+
+def build_y(ctx: QContext, z: FMatrix) -> FMatrix:
+    """y[m][l] = rhat(l, m) * z[l][m], formed only where z[l][m] is nonzero."""
+    return pairing_transpose(ctx, z)
+
+
+def build_zprime(ctx: QContext, y: FMatrix, z: FMatrix) -> FMatrix:
+    """(X * y@z - X^(-1) * z@y) / {2} by matrix products over Q(X)."""
+    x = RatFunc(Poly((0, 1)))
+    diff = fm_sub(fm_scale(fm_mul(y, z), x), fm_scale(fm_mul(z, y), reciprocal(x)))
+    return fm_scale(diff, reciprocal(qint(2)))
+
+
+def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
+    """M^(n) = (z' - lambda_{c+n} I) / {n+1} entry by entry over Q(X)."""
+    lam, inv = lambda_shifted(n, ctx), reciprocal(qint(n + 1))
+    return FMatrix(
+        tuple(
+            tuple(mul(sub(e, lam) if l == m else e, inv) for l, e in enumerate(row))
+            for m, row in enumerate(zprime.rows)
+        )
+    )
 
 
 # --- exact inverse and equality -------------------------------------------------
@@ -55,15 +281,15 @@ def fm_inv(a: FMatrix) -> FMatrix:
         if pivot_row is None:
             raise SingularError("matrix determinant is the zero function")
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = work[col][col].reciprocal()
-        work[col] = [e * inv for e in work[col]]
+        inv = reciprocal(work[col][col])
+        work[col] = [mul(e, inv) for e in work[col]]
         for r in range(n):
             if r == col:
                 continue
             f = work[r][col]
             if f.is_zero:
                 continue
-            work[r] = [e - f * p for e, p in zip(work[r], work[col])]
+            work[r] = [sub(e, mul(f, p)) for e, p in zip(work[r], work[col])]
     return FMatrix(tuple(tuple(row[n:]) for row in work))
 
 
@@ -78,7 +304,7 @@ def qfact(n: int) -> RatFunc:
     """{n}! = {1}{2}...{n}, with {0}! = 1 and {n}! = 0 for negative n."""
     out = RatFunc.zero() if n < 0 else RatFunc.one()
     for k in range(1, n + 1):
-        out = out * qint(k)
+        out = mul(out, qint(k))
     return out
 
 
@@ -96,7 +322,7 @@ def pairing_transpose(ctx: QContext, a: FMatrix) -> FMatrix:
     zero = RatFunc.zero()
     return FMatrix(
         tuple(
-            tuple(zero if a[j][i].is_zero else rhat(j, i, ctx) * a[j][i] for j in range(N))
+            tuple(zero if a[j][i].is_zero else mul(rhat(j, i, ctx), a[j][i]) for j in range(N))
             for i in range(N)
         )
     )
@@ -113,17 +339,17 @@ def recurrence_twists(ctx: QContext) -> tuple[FMatrix, FMatrix]:
     for n in range(N - 1):
         prev = cols[n]
         lam = lambda_shifted(n, ctx)
-        inv = qint(n + 1).reciprocal()
+        inv = reciprocal(qint(n + 1))
         nxt = []
         for m in range(N):
             acc = RatFunc.zero()
             for l in range(max(0, m - 1), min(N, m + 2)):
                 if prev[l].is_zero:
                     continue
-                e = zprime[m][l] - lam if l == m else zprime[m][l]
+                e = sub(zprime[m][l], lam) if l == m else zprime[m][l]
                 if not e.is_zero:
-                    acc = acc + e * prev[l]
-            nxt.append(acc * inv)
+                    acc = add(acc, mul(e, prev[l]))
+            nxt.append(mul(acc, inv))
         cols[n + 1] = nxt
     that = FMatrix(tuple(tuple(cols[n][m] for n in range(N)) for m in range(N)))
     return that, pairing_transpose(ctx, that)
@@ -171,13 +397,14 @@ def fm_power(base: FMatrix, e: int) -> FMatrix:
 
 
 def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
-    """`relation_checks` by Kronecker substitution: the same (P, D) forms and
-    height bound, but each identity is decided by comparing Python-int
+    """`relation_checks` by Kronecker substitution: the (P, D) forms by lcm
+    (`lcm_form`, those of `relation_checks` on the built generators) and the
+    same height bound, but each identity is decided by comparing Python-int
     matrices at X = B = 2^w with B above twice the bound, where an integer
     polynomial with coefficients below B/2 in absolute value is zero iff its
     value at B is zero."""
-    pt, dt = _clear_denominators(t)
-    ps, ds = _clear_denominators(tstar)
+    pt, dt = lcm_form(t)
+    ps, ds = lcm_form(tstar)
     w = (2 * _height_bound(pt, dt, ps, ds)).bit_length()  # B = 2^w > 2 * bound
 
     pt, ps = _eval_matrix_at(pt, w), _eval_matrix_at(ps, w)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
-from torusrep.field import FMatrix, RatFunc, fm_mul
+from torusrep.field import FMatrix, RatFunc
 from torusrep.mcg import NTClass, parse_word, sl2_image
 from torusrep.numeric import (
     PSetting,
@@ -20,7 +20,7 @@ from torusrep.numeric import (
 from torusrep.qsymbols import QContext, rhat
 from torusrep.repbuild import build_repset, classical_limit
 
-from reference import braid_holds, fm_eq, rep_of_word, verify_braid
+from reference import braid_holds, fm_eq, fm_mul, rep_of_word, verify_braid
 
 N_RANGE = range(2, 7)
 

@@ -6,12 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from torusrep import field, numeric, repbuild
+from torusrep import numeric, repbuild
 from torusrep.cli import canonical_json, main
-from torusrep.field import FMatrix, fmatrix_from_obj, fmatrix_to_obj
+from torusrep.field import FMatrix, fmatrix_to_obj
 from torusrep.qsymbols import QContext
 
-from reference import decimal_at_root, relative_error
+from reference import decimal_at_root, fmatrix_from_obj, relative_error, sub
 
 
 def run(capsys, *argv):
@@ -144,7 +144,7 @@ def test_verify_corrupted_build_fails(capsys, monkeypatch):
     def corrupted(ctx):
         rs = build(ctx)
         rows = [list(r) for r in rs.t_hat.rows]
-        rows[0][0] = rs.t_hat[0][0] - 1
+        rows[0][0] = sub(rs.t_hat[0][0], 1)
         return repbuild.RepSet(ctx, FMatrix(rows), rs.tstar_hat)
 
     monkeypatch.setattr(repbuild, "build_repset", corrupted)
@@ -225,6 +225,33 @@ def test_verify_oracle_guard_is_not_tripped_at_n14(capsys):
     assert _worst_relative(out, "359..401", 14)[0] == "PASS"
 
 
+@pytest.mark.parametrize("N, p", [(4, "5..7"), (2, "4"), (3, "8")])
+def test_verify_oracle_over_no_admissible_level_fails(capsys, N, p):
+    # every level of --p is below 2N+1 (or there is no odd one): nothing was
+    # compared, so the check cannot pass
+    code, out, _ = run(capsys, "verify", "--N", str(N), "--oracle", "--p", p)
+    assert code == 1
+    line = f"FAIL  oracle equivalence over p={p} (N={N}): no odd level p >= 2N+1 = {2 * N + 1}"
+    assert line in out.splitlines()
+    code, out, _ = run(capsys, "verify", "--N", str(N), "--oracle", "--p", p, "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == 1 and checks[-1] == {"name": line[6:], "ok": False}
+
+
+def test_verify_oracle_fails_only_the_dimension_without_levels(capsys):
+    # p = 5..7 holds admissible levels for N = 2 and 3 but none for N = 4
+    code, out, _ = run(capsys, "verify", "--N", "2..4", "--oracle", "--p", "5..7")
+    assert code == 1
+    oracle = [line for line in out.splitlines() if "oracle" in line]
+    assert [line[:4] for line in oracle] == ["PASS", "PASS", "FAIL"]
+
+
+def test_limit_over_no_odd_level_is_an_error(capsys):
+    code, out, err = run(capsys, "limit", "--word", "y z^-1", "--N", "2", "--p", "4")
+    assert code == 2 and out == ""
+    assert "--p 4 holds no odd level" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -242,8 +269,8 @@ def test_margin_only_on_amu(capsys, argv):
 
 def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
     # The scans evaluate T and T* at A_p from their product forms: nothing
-    # exact is built, so no gcd, no z' and no M^(n) either.
-    calls = {"poly_gcd": 0, "build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
+    # exact is built, so no z' and no M^(n) either.
+    calls = {"build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -255,12 +282,11 @@ def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     repbuild.build_repset.cache_clear()
-    counted(field, "poly_gcd")
     for name in ("build_zprime", "build_m", "build_repset", "_twists"):
         counted(repbuild, name)
     code, out, _ = run(capsys, "amu", "--word", "y z^-1", "--N", "8", "--pmax", "41")
     assert code == 0 and "p0_observed=37" in out
-    assert calls == {"poly_gcd": 0, "build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
+    assert calls == {"build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
 
 
 def test_amu_at_n24_is_fast_and_right(capsys):

@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusrep.field import FMatrix, RatFunc, signed_power
+from torusrep.field import FMatrix, RatFunc
 from torusrep.numeric import PSetting, eval_matrix, primitive_root
-from torusrep.qsymbols import (
-    QContext,
-    _product_form,
-    lambda_shifted,
+from torusrep.qsymbols import QContext, _product_form, _sum_form, lambda_shifted, rhat
+
+from reference import (
+    add,
+    div,
+    mu,
+    mul,
+    neg,
+    qfact,
     qint,
     qint_plus,
-    rhat,
+    reciprocal,
+    signed_power,
+    sub,
 )
-
-from reference import mu, qfact
 
 
 def _at(f, x):
@@ -31,12 +36,12 @@ def test_qcontext_validation():
 
 def test_qint_values():
     assert qint(0) == RatFunc.zero()
-    assert qint(1) == signed_power(1) - signed_power(-1)  # -X + 1/X
+    assert qint(1) == sub(signed_power(1), signed_power(-1))  # -X + 1/X
     assert qint(1).eval_exact(2) == Fraction(-3, 2)
 
 
 def test_qint_antisymmetry_small():
-    assert qint(-3) == -qint(3)
+    assert qint(-3) == neg(qint(3))
 
 
 def test_qint_plus_values():
@@ -48,14 +53,14 @@ def test_qint_plus_values():
 @given(st.integers(min_value=-24, max_value=24))
 @settings(max_examples=49, deadline=None)
 def test_qint_symmetries(n):
-    assert qint(-n) == -qint(n)
+    assert qint(-n) == neg(qint(n))
     assert qint_plus(-n) == qint_plus(n)
 
 
 def test_qfact():
     assert qfact(0) == RatFunc.one()
     assert qfact(-2) == RatFunc.zero()
-    assert qfact(2) == qint(1) * qint(2)
+    assert qfact(2) == mul(qint(1), qint(2))
 
 
 def test_mu():
@@ -67,8 +72,8 @@ def test_mu():
 
 def test_lambda_shifted_forms():
     ctx = QContext(2)
-    assert lambda_shifted(0, ctx) == -(signed_power(-3) + signed_power(3))
-    assert lambda_shifted(1, ctx) == -(signed_power(-1) + signed_power(1))
+    assert lambda_shifted(0, ctx) == neg(add(signed_power(-3), signed_power(3)))
+    assert lambda_shifted(1, ctx) == neg(add(signed_power(-1), signed_power(1)))
     for k in (0, 1):
         assert lambda_shifted(k, ctx).eval_exact(-1) == -2
 
@@ -100,7 +105,7 @@ def test_lambda_matches_raw_eigenvalue_at_roots():
 def test_limit_law_qint_ratio():
     for N in (2, 6):
         for a in range(1, 4 * N + 1):
-            assert (qint(a) / qint(1)).eval_exact(-1) == a
+            assert div(qint(a), qint(1)).eval_exact(-1) == a
 
 
 def test_reflection_identities_numeric():
@@ -152,7 +157,7 @@ def test_rhat_limit_worked_example():
 
 def test_rhat_reciprocal_symmetry():
     ctx = QContext(4)
-    assert rhat(2, 0, ctx) * rhat(0, 2, ctx) == RatFunc.one()
+    assert mul(rhat(2, 0, ctx), rhat(0, 2, ctx)) == RatFunc.one()
 
 
 def test_rhat_bounds():
@@ -166,12 +171,12 @@ def _direct_rhat(n, m, N):
     if n == m:
         return RatFunc.one()
     if n < m:
-        return _direct_rhat(m, n, N).reciprocal()
-    out = RatFunc.one() if (n - m) % 2 == 0 else -RatFunc.one()
+        return reciprocal(_direct_rhat(m, n, N))
+    out = RatFunc(1 if (n - m) % 2 == 0 else -1)
     for j in range(m + 1, n + 1):
-        out = out * (qint(2 * N - 2 * j) / qint(j))
+        out = mul(out, div(qint(2 * N - 2 * j), qint(j)))
     for k in range(2 * N - n, 2 * N - m):
-        out = out * qint_plus(k)
+        out = mul(out, qint_plus(k))
     return out
 
 
@@ -188,7 +193,29 @@ def test_product_form_of_single_symbols():
     for k in range(1, 41):
         assert _product_form(1, 0, [(k, False, 1)]) == qint(k), k
         assert _product_form(1, 0, [(k, True, 1)]) == qint_plus(k), k
-        assert _product_form(-1, k, [(k, True, -1)]) == -signed_power(k) / qint_plus(k), k
+        assert _product_form(-1, k, [(k, True, -1)]) == neg(div(signed_power(k), qint_plus(k))), k
+
+
+def test_sum_form_divides_a_repeated_factor_out():
+    # {m}^2 = {m+1}{m-1} + {1}^2, so the sum over {m}^2 is 1: every Phi_d of
+    # {m} goes out of the numerator twice
+    for m in range(2, 9):
+        forms = [(1, 0, [(m + 1, False, 1), (m - 1, False, 1), (m, False, -2)]),
+                 (1, 0, [(1, False, 2), (m, False, -2)])]
+        assert _sum_form(forms) == RatFunc.one(), m
+
+
+factor = st.tuples(st.integers(1, 6), st.booleans(), st.integers(-2, 2))
+form = st.tuples(st.sampled_from((1, -1)), st.integers(-3, 3), st.lists(factor, max_size=3))
+
+
+@given(st.lists(form, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_sum_form_equals_the_sum_over_qx(forms):
+    want = RatFunc.zero()
+    for f in forms:
+        want = add(want, _product_form(*f))
+    assert _sum_form(forms) == want
 
 
 def test_rhat_matches_raw_factorial_ratio():

@@ -11,21 +11,16 @@ from hypothesis import strategies as st
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
-from torusrep.field import (
-    FMatrix,
-    Poly,
-    RatFunc,
-    fm_mul,
-    fmatrix_to_obj,
-    signed_power,
-)
+from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
-from torusrep.qsymbols import QContext, lambda_shifted, qint, rhat
+from torusrep.qsymbols import QContext, lambda_shifted, rhat
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
     _integer_checks,
+    _integer_form,
     _primes_above,
+    _twist_factors,
     _values,
     build_m,
     build_repset,
@@ -36,15 +31,24 @@ from torusrep.repbuild import (
     relation_checks,
 )
 
+import reference
 from reference import (
     SingularError,
+    add,
     braid_holds,
     fm_eq,
     fm_inv,
+    fm_mul,
     kronecker_relation_checks,
+    lcm_form,
+    mul,
     pairing_transpose,
+    qint,
     recurrence_twists,
+    reduced,
     rep_of_word,
+    signed_power,
+    sub,
     verify_braid,
 )
 
@@ -73,27 +77,25 @@ def test_build_z_bidiagonal_and_diagonal_limits():
 def test_build_y_structure():
     ctx = QContext(3)
     z = build_z(ctx)
-    y = build_y(ctx, z)
+    y = build_y(ctx)
     for m in range(3):
         for l in range(3):
             if l not in (m, m + 1):
                 assert y[m][l].is_zero
         assert y[m][m] == z[m][m]
-    assert y[0][1] == rhat(1, 0, ctx) * qint(1)
+    assert y[0][1] == mul(rhat(1, 0, ctx), qint(1))
 
 
 def test_build_zprime_tridiagonal_and_subdiagonal_form():
     for N in (2, 4):
         ctx = QContext(N)
-        z = build_z(ctx)
-        y = build_y(ctx, z)
-        zp = build_zprime(ctx, y, z)
+        zp = build_zprime(ctx)
         for m in range(N):
             for l in range(N):
                 if abs(m - l) >= 2:
                     assert zp[m][l].is_zero
         for m in range(1, N):
-            assert zp[m][m - 1] == qint(m) * signed_power(-2 * N + 2 * m)
+            assert zp[m][m - 1] == mul(qint(m), signed_power(-2 * N + 2 * m))
 
 
 def test_build_m_classical_entries():
@@ -171,7 +173,7 @@ def test_transpose_relation_exact():
         rs = build_repset(ctx)
         for m in range(N):
             for n in range(N):
-                assert rs.t_hat[m][n] == rhat(n, m, ctx) * rs.tstar_hat[n][m]
+                assert rs.t_hat[m][n] == mul(rhat(n, m, ctx), rs.tstar_hat[n][m])
 
 
 def test_braid_exact_small():
@@ -254,16 +256,10 @@ def test_classical_limit_identity_and_values():
 
 
 def test_classical_limit_pole_reports_entry():
-    bad = FMatrix([[RatFunc.one(), RatFunc(1) / RatFunc(Poly_xp1())]])
+    bad = FMatrix([[RatFunc.one(), RatFunc(Poly((1,)), Poly((1, 1)))]])  # 1/(X+1)
     with pytest.raises(PoleError) as err:
         classical_limit(bad)
     assert err.value.entry == (0, 1)
-
-
-def Poly_xp1():
-    from torusrep.field import Poly
-
-    return Poly((1, 1))
 
 
 def test_classical_limit_of_word_matches_hN():
@@ -458,6 +454,32 @@ def test_that_columns_follow_m_hat(N):
         assert fm_mul(rs.m_hat[n], col).column(0) == rs.t_hat.column(n + 1), (N, n)
 
 
+@pytest.mark.parametrize("N", range(2, 13))
+def test_gcd_free_build_equals_qx_reference(N):
+    # z, y, z' and every M^(n) from product forms equal, canonical form for
+    # canonical form, the build by matrix products and gcd over Q(X)
+    ctx = QContext(N)
+    rs = build_repset(ctx)
+    y = reference.build_y(ctx, rs.z_hat)
+    zprime = reference.build_zprime(ctx, y, rs.z_hat)
+    assert rs.y_hat == y
+    assert rs.zprime_hat == zprime
+    assert rs.m_hat == tuple(reference.build_m(n, ctx, zprime) for n in range(N - 1))
+    assert rs.z_hat == FMatrix(
+        tuple(tuple(lambda_shifted(m, ctx) if l == m else qint(m) if l == m - 1 else 0
+                    for l in range(N)) for m in range(N))
+    )
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_integer_forms_equal_the_lcm_by_gcd(N):
+    # D from the exponent maxima of the product forms is the lcm of the built
+    # denominators, so P and D are those of the gcd route
+    rs = build_repset(QContext(N))
+    for m, entries in zip((rs.t_hat, rs.tstar_hat), _twist_factors(N)):
+        assert _integer_form(m, entries) == lcm_form(m)
+
+
 # --- integer-evaluation checks against the Q(X) products ----------------------
 
 
@@ -488,7 +510,7 @@ def _over_integer(cs):
 def _entry(num, den):
     """(pn / dn) / (pd / dd) as a RatFunc over Z[X]."""
     (pn, dn), (pd, dd) = num, den
-    return RatFunc(pn.scale(dd), pd.scale(dn))
+    return reduced(pn.scale(dd), pd.scale(dn))
 
 
 polys = st.lists(coeff, min_size=1, max_size=2).map(_over_integer)
@@ -527,7 +549,7 @@ def generator_pairs(draw):
     if kind == "perturbed":
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         rows = [list(r) for r in u.rows]
-        rows[i][j] = rows[i][j] + draw(entries)
+        rows[i][j] = add(rows[i][j], draw(entries))
         u = FMatrix(rows)
     return u, v
 
@@ -536,8 +558,8 @@ def generator_pairs(draw):
 @settings(max_examples=40, deadline=None)
 def test_relation_checks_agree_with_qx_products(pair):
     t, tstar = pair
-    assert relation_checks(t, tstar) == _reference_checks(t, tstar)
-    assert relation_checks(t, tstar) == kronecker_relation_checks(t, tstar)
+    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == _reference_checks(t, tstar)
+    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == kronecker_relation_checks(t, tstar)
 
 
 def test_relation_checks_hold_on_conjugated_classical_pair():
@@ -546,8 +568,9 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
     g_inv = fm_inv(g)
     u = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 1, 0, 1), 2))), g_inv)
     v = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 0, -1, 1), 2))), g_inv)
-    assert relation_checks(u, v) == _reference_checks(u, v) == (True, True)
-    assert relation_checks(u, fm_mul(v, v)) == _reference_checks(u, fm_mul(v, v)) == (False, False)
+    v2 = fm_mul(v, v)
+    assert _integer_checks(*lcm_form(u), *lcm_form(v)) == _reference_checks(u, v) == (True, True)
+    assert _integer_checks(*lcm_form(u), *lcm_form(v2)) == _reference_checks(u, v2) == (False, False)
 
 
 def test_relation_checks_agree_on_generators():
@@ -568,7 +591,7 @@ def test_relation_checks_agree_with_kronecker_on_generators(N):
 def test_relation_checks_negative_controls(N):
     rs = build_repset(QContext(N))
     rows = [list(r) for r in rs.t_hat.rows]
-    rows[0][0] = rows[0][0] - 1
+    rows[0][0] = sub(rows[0][0], 1)
     assert relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
     assert kronecker_relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
 
