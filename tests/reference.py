@@ -211,12 +211,16 @@ def fm_sub(a: FMatrix, b: FMatrix) -> FMatrix:
 
 def lcm_form(m: FMatrix):
     """(P, D) with m = P / D as `repbuild._integer_form` gives them, for any
-    matrix over Q(X): D the lcm of the entry denominators by gcd (primitive,
-    as each of them is), P the matrix of num * (D / den) as integer
-    coefficient lists."""
+    matrix over Q(X): D the lcm in Z[X] of the entry denominators by gcd, P
+    the matrix of num * (D / den) as integer coefficient lists. A canonical
+    denominator may carry an integer content (1/(2X) has den 2X), so the gcd
+    taken out of each product is the primitive gcd times the gcd of the
+    contents; with the primitive gcd alone the contents multiply up, as in
+    lcm(4X, 6X) = 24X, and P and D outgrow the exact checks' limits."""
     den = Poly((1,))
     for d in dict.fromkeys(e.den for row in m.rows for e in row):
-        den = den * d.exact_div(poly_gcd(den, d))
+        g = poly_gcd(den, d).scale(math.gcd(_content(den.coeffs), _content(d.coeffs)))
+        den = den * d.exact_div(g)
     return [[list((e.num * den.exact_div(e.den)).coeffs) for e in row] for row in m.rows], list(den.coeffs)
 
 
