@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import classical, numeric, repbuild
-from .errors import BadPError, NearPoleError, ParseError, PoleError
+from .errors import BadPError, NearPoleError, PoleError
 from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
 from .qsymbols import QContext, rhat
@@ -93,6 +93,7 @@ def _matrix_text(obj, fmt: str, header: str, sym: FMatrix | None = None) -> str:
 
 
 def cmd_matrices(args) -> int:
+    numeric.check_dimension(args.N)  # before building anything
     mode, p = _parse_eval(args.eval)
     N = args.N
     ctx = QContext(N)
@@ -341,9 +342,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (BadPError, PoleError, NearPoleError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

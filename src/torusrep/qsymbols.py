@@ -9,16 +9,18 @@ product of the quantum integers {k} and {k}+ or a short sum of such products.
 A product is read off its cyclotomic exponents (`_product_form`); a sum is
 taken over the common denominator that the exponent maxima of its terms give,
 then divided by that denominator's cyclotomic factors as far as they go
-(`_sum_form`, `_reduce`). Neither computes a common divisor.
+(`_sum_form`, `_reduce`). Neither computes a common divisor. Every product of
+cyclotomic polynomials, a single Phi_d included, is expanded by one routine,
+`_poly`: a cut power series in the factors (1 - X^m) that Moebius inversion
+gives.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from functools import lru_cache
 
-from .field import Poly, RatFunc, _int_mul
+from .field import Poly, RatFunc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,34 +106,9 @@ def _moebius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d (ascending degree). For d > 1, Phi_d = prod_{e | d}
-    (1 - X^e)^moebius(d/e), expanded as a power series cut at degree phi(d):
-    a factor (1 - X^e) subtracts the series shifted by e, its inverse
-    1 + X^e + X^2e + ... adds it cumulatively."""
-    if d == 1:
-        return (-1, 1)
-    deg = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
-    c = [1] + [0] * deg
-    for e in _divisors(d):
-        mu = _moebius(d // e)
-        if mu == 1:
-            for i in range(deg, e - 1, -1):
-                c[i] -= c[i - e]
-        elif mu == -1:
-            for i in range(e, deg + 1):
-                c[i] += c[i - e]
-    return tuple(c)
-
-
-def _poly_product(polys) -> list[int]:
-    """Product of integer coefficient lists by a balanced tree of `_int_mul`,
-    so the large products pair operands of similar length."""
-    polys = list(polys) or [(1,)]
-    while len(polys) > 1:
-        paired = [_int_mul(a, b) for a, b in zip(polys[::2], polys[1::2])]
-        polys = paired + polys[len(paired) * 2 :]
-    return list(polys[0])
+def _cyclotomic(d: int) -> Poly:
+    """Phi_d, which `_reduce` divides by."""
+    return _poly(1, 0, {d: 1})
 
 
 def _exponents(sign: int, power: int, factors):
@@ -149,9 +126,27 @@ def _exponents(sign: int, power: int, factors):
 
 
 def _poly(sign: int, xpow: int, exps) -> Poly:
-    """sign X^xpow prod Phi_d^e_d, for xpow >= 0 and every e_d >= 0."""
-    coeffs = _poly_product(_cyclotomic(d) for d, e in exps.items() for _ in range(e))
-    return Poly._raw([0] * xpow + [sign * c for c in coeffs])
+    """sign X^xpow prod Phi_d^e_d, for xpow >= 0 and every e_d >= 0. By
+    Moebius inversion prod Phi_d^e_d = (-1)^e_1 prod_m (1 - X^m)^f_m with
+    f_m = sum_{m | d} e_d moebius(d/m) (Phi_1 = -(1 - X)), expanded as a power
+    series cut at its degree sum m f_m: a factor (1 - X^m) subtracts the series
+    shifted by m, its inverse 1 + X^m + X^2m + ... adds it cumulatively."""
+    f = {}
+    for d, e in exps.items():
+        for m in _divisors(d):
+            f[m] = f.get(m, 0) + e * _moebius(d // m)
+    deg = sum(m * e for m, e in f.items())
+    c = [1] + [0] * deg
+    for m, e in f.items():
+        for _ in range(e):
+            for i in range(deg, m - 1, -1):
+                c[i] -= c[i - m]
+        for _ in range(-e):
+            for i in range(m, deg + 1):
+                c[i] += c[i - m]
+    if exps.get(1, 0) % 2:
+        sign = -sign
+    return Poly._raw([0] * xpow + [sign * x for x in c])
 
 
 def _denominator(terms):
@@ -203,7 +198,7 @@ def _reduce(num: Poly, xpow: int, exps) -> RatFunc:
         num, xpow = num.shift(-xpow), 0
     left = {}
     for d, e in exps.items():
-        phi = Poly._raw(_cyclotomic(d))
+        phi = _cyclotomic(d)
         while e:
             try:
                 num = num.exact_div(phi)

@@ -322,6 +322,15 @@ def test_verify_rejects_large_n_before_building(capsys, dims):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("what", ["T", "hN"])
+def test_matrices_rejects_large_n_before_building(capsys, what):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "matrices", "--N", "40", "--what", what)
+    assert code == 2 and out == ""
+    assert "dimension 40 exceeds bound 32" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_limit_rejects_a_level_too_large_for_exact_angles(capsys):
     # the angles 2 pi k e/p are reduced in 64-bit integers, which p = 1e18 + 1
     # would overflow: a typed error, not wrapped-around values

@@ -1,13 +1,21 @@
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusrep.field import FMatrix, RatFunc
+from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.numeric import PSetting, eval_matrix, primitive_root
-from torusrep.qsymbols import QContext, _product_form, _sum_form, lambda_shifted, rhat
+from torusrep.qsymbols import (
+    QContext,
+    _poly,
+    _product_form,
+    _sum_form,
+    lambda_shifted,
+    rhat,
+)
 
 from reference import (
     add,
@@ -194,6 +202,45 @@ def test_product_form_of_single_symbols():
         assert _product_form(1, 0, [(k, False, 1)]) == qint(k), k
         assert _product_form(1, 0, [(k, True, 1)]) == qint_plus(k), k
         assert _product_form(-1, k, [(k, True, -1)]) == neg(div(signed_power(k), qint_plus(k))), k
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@lru_cache(maxsize=None)
+def _phi(d):
+    """Phi_d as (X^d - 1) / prod_{e | d, e < d} Phi_e, by exact division."""
+    rest = Poly((1,))
+    for e in _divisors(d)[:-1]:
+        rest = rest * _phi(e)
+    return (Poly.monomial(d) - Poly((1,))).exact_div(rest)
+
+
+def test_poly_factors_x_to_the_n_minus_one():
+    # X^n - 1 = prod_{d | n} Phi_d, expanded at once and as a product of the
+    # single Phi_d multiplied by Poly.__mul__; this pins every Phi_d, d <= 60
+    for n in range(1, 61):
+        want = Poly.monomial(n) - Poly((1,))
+        assert _poly(1, 0, {d: 1 for d in _divisors(n)}) == want, n
+        got = Poly((1,))
+        for d in _divisors(n):
+            got = got * _poly(1, 0, {d: 1})
+        assert got == want, n
+
+
+@given(
+    st.sampled_from((1, -1)),
+    st.integers(0, 3),
+    st.dictionaries(st.integers(1, 40), st.integers(0, 3), max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_poly_equals_the_product_of_its_factors(sign, xpow, exps):
+    want = Poly.monomial(xpow, sign)
+    for d, e in exps.items():
+        for _ in range(e):
+            want = want * _phi(d)
+    assert _poly(sign, xpow, exps) == want
 
 
 def test_sum_form_divides_a_repeated_factor_out():
