@@ -63,9 +63,11 @@ def _binomial_expand(u: int, v: int, k: int) -> list[int]:
 def hN_matrix(g: SL2, N: int) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of g acting on degree-(N-1) homogeneous polynomials in the
     rescaled basis; column n holds the coordinates of the image of basis
-    vector n, computed by exact binomial convolution."""
+    vector n, computed by exact binomial convolution; entry (m, n) is
+    alpha_n c / alpha_m, formed as one integer quotient."""
     if N < 2:
         raise ValueError("N must be >= 2")
+    f = [factorial(m) * factorial(N - 1 - m) for m in range(N)]
     cols = []
     for n in range(N):
         left = _binomial_expand(g.a, g.c, N - n - 1)
@@ -75,8 +77,7 @@ def hN_matrix(g: SL2, N: int) -> tuple[tuple[Fraction, ...], ...]:
             if ci:
                 for j, cj in enumerate(right):
                     coeff[i + j] += ci * cj
-        an = alpha(n, N)
-        cols.append([an * c / alpha(m, N) for m, c in enumerate(coeff)])
+        cols.append([Fraction(c * 2**n * f[m], 2**m * f[n]) for m, c in enumerate(coeff)])
     return tuple(tuple(cols[n][m] for n in range(N)) for m in range(N))
 
 

@@ -4,9 +4,9 @@ the twist generators at A_p from their closed product forms, matrix
 evaluation, spectral radii, convergence tables, and the infinite-order
 certificate for pseudo-Anosov classes.
 
-Per-level work is O(N^3), whatever p is: the scans evaluate T and T* from
-their product forms over a block of levels (`eval_twists`), and the oracle
-builds them from the raw definitions over the same blocks (`_oracle_block`).
+Per-level work is O(N^3), whatever p is, on stacks of levels (`block_levels`):
+the scans evaluate T and T* from their product forms (`eval_twists`), the oracle
+from the raw definitions (`_oracle_block`); one eigenvalue call per stack.
 `eval_matrix` evaluates any symbolic matrix at one point, for `matrices --eval`.
 
 The evaluation root is A_p = -exp(2 pi i k/p) with gcd(k, p) = 1 (default
@@ -22,6 +22,7 @@ import cmath
 import dataclasses
 import math
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .repbuild import _twist_factors
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MARGIN = 1e-6
 MAX_EIG_DIM = 32
-BLOCK_LEVELS = 64  # levels evaluated together: memory O(BLOCK_LEVELS N^2)
 
 
 def primitive_root(p: int, k: int = 1) -> complex:
@@ -177,14 +177,14 @@ def _twist_plan(N: int):
     plans = []
     for entries in _twist_factors(N):
         ij, signs, powers, factors = zip(*entries)
-        slots = [
-            [k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0) for k, plus, e in f for _ in range(abs(e))]
-            for f in factors
-        ]
-        quarter = [sum(e for _, plus, e in f if not plus) + 1 - s for f, s in zip(factors, signs)]
-        width = max(map(len, slots))
-        padded = np.array([c + [0] * (width - len(c)) for c in slots], dtype=int)
-        plans.append((*np.array(ij).T, np.array(powers), np.array(quarter) % 4, padded))
+        k, plus, e = np.fromiter(chain.from_iterable(chain(*factors)), int).reshape(-1, 3).T
+        row = np.repeat(np.arange(len(factors)), [len(f) for f in factors])
+        size = np.bincount(row, abs(e), len(factors)).astype(int)
+        quarter = np.bincount(row, e * (1 - plus), len(factors)).astype(int) + 1 - np.array(signs)
+        column = k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0)
+        slots = np.zeros((len(factors), size.max()), dtype=int)
+        slots[np.arange(size.max()) < size[:, None]] = np.repeat(column, abs(e))  # row by row, in order
+        plans.append((*np.array(ij).T, np.array(powers), quarter % 4, slots))
     return plans
 
 
@@ -244,22 +244,28 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     return tuple(gens)
 
 
-def _blocks(levels):
-    """Consecutive runs of at most BLOCK_LEVELS levels."""
-    levels = list(levels)
-    return (levels[i : i + BLOCK_LEVELS] for i in range(0, len(levels), BLOCK_LEVELS))
+def block_levels(N: int) -> int:
+    """Levels per stack at dimension N: at most 64 MAX_EIG_DIM^2 matrix
+    entries, so memory is bounded for any range (64 levels at N = 32)."""
+    return max(1, 64 * MAX_EIG_DIM**2 // N**2)
+
+
+def _blocks(N: int, levels):
+    """Consecutive runs of at most `block_levels(N)` levels."""
+    levels, size = list(levels), block_levels(N)
+    return (levels[i : i + size] for i in range(0, len(levels), size))
 
 
 def oracle_deviation(N: int, levels, tol: float = DEFAULT_TOLERANCE) -> float:
     """Largest entrywise disagreement, over the given levels (PSettings of
     dimension N), between the closed-form generators the scans evaluate
     (`eval_twists`) and the oracle's (`_oracle_block`), relative to the oracle
-    matrix's size (floored at 1): max_abs(diff) / max(1, max_abs(oracle)),
+    matrix's size (floored at 1): max|diff| / max(1, max|oracle|),
     both sides evaluated and reduced over blocks of levels in numpy. 0.0 for
     no levels, NaN if either side is not finite. Errors surface in level
     order, the closed form before the oracle at one level."""
     worst = 0.0
-    for block in _blocks(levels):
+    for block in _blocks(N, levels):
         pairs, errors = [], []
         for evaluate in (eval_twists, _oracle_block):
             try:
@@ -281,26 +287,26 @@ def check_dimension(N: int) -> None:
         raise TooLargeError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
 
 
-def spectral_radius(m: np.ndarray) -> float:
+def spectral_radius(m: np.ndarray, levels=None):
     """Largest eigenvalue modulus of a small dense complex matrix (at most
-    `MAX_EIG_DIM` square)."""
+    `MAX_EIG_DIM` square), or the L radii of an L x n x n stack from one
+    `eigvals` call, bit for bit. A non-finite stack raises ValueError naming
+    the level p in `levels`, if given, of its first non-finite matrix."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"square matrix required, got shape {m.shape}")
-    if m.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds bound {MAX_EIG_DIM}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix has non-finite entries")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"square matrix or stack of them required, got shape {m.shape}")
+    if m.shape[-1] > MAX_EIG_DIM:
+        raise ValueError(f"dimension {m.shape[-1]} exceeds bound {MAX_EIG_DIM}")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        at = f" at p = {levels[np.argmin(finite)]}" if levels is not None else ""
+        raise ValueError(f"matrix has non-finite entries{at}")
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"eigenvalue solver failed: {err}") from None
-    return float(np.max(np.abs(eigs)))
-
-
-def max_abs(m: np.ndarray) -> float:
-    """Entrywise max-modulus norm used for all deviation measurements."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    radii = np.abs(eigs).max(axis=-1)
+    return float(radii) if m.ndim == 2 else radii
 
 
 @dataclasses.dataclass(frozen=True)
@@ -327,19 +333,16 @@ class AMUReport:
     margin: float = DEFAULT_MARGIN
 
 
-def _limit_matrix(w: Word, N: int) -> np.ndarray:
-    return np.array(hN_matrix(sl2_image(w), N), dtype=complex)
-
-
 def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     """Per-level rows (p, spectral radius, deviation from the classical limit).
 
-    Levels go in blocks of `BLOCK_LEVELS` (memory O(BLOCK_LEVELS N^2) for any
-    range). Each block evaluates T and T* at its roots A_p from their closed
-    product forms (`eval_twists`; nothing exact is built, nothing is Horner
-    evaluated), inverts one where a letter has a negative exponent, and forms
-    the word on the stack of levels: `matrix_power` per letter (cost
-    logarithmic in the exponent) and `@` across letters. The rows are bit for
+    Levels go in blocks (`block_levels`). Each block evaluates T and T* at its
+    roots A_p from their closed product forms (`eval_twists`; nothing exact is
+    built, nothing is Horner evaluated), inverts one where a letter has a
+    negative exponent, and forms the word on the stack of levels:
+    `matrix_power` per letter (cost logarithmic in the exponent) and `@`
+    across letters. One stacked `spectral_radius` call (ValueError naming p
+    if not finite) and one max|M_p - h_N(w)| reduction give the rows, bit for
     bit those of one level at a time.
 
     The symbolic representation already carries the character rescaling (its
@@ -350,9 +353,9 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     N above `MAX_EIG_DIM` is rejected before any evaluation
     (`check_dimension`)."""
     check_dimension(N)
-    target = _limit_matrix(w, N)
+    target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
     rows = []
-    for block in _blocks(PSetting(p, N) for p in sorted(p_list)):
+    for block in _blocks(N, (PSetting(p, N) for p in sorted(p_list))):
         t, tstar = eval_twists(N, block, tol)
         m_p = np.eye(N, dtype=complex)
         for gen, exp in w.letters:
@@ -360,14 +363,10 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
             if exp < 0:
                 base = np.linalg.inv(base)
             m_p = m_p @ np.linalg.matrix_power(base, abs(exp))
-        rows += [
-            TableRow(
-                p=s.p,
-                spectral_radius=spectral_radius(m),
-                deviation=max_abs(m - target),
-            )
-            for s, m in zip(block, m_p)
-        ]
+        m_p = np.broadcast_to(m_p, (len(block), N, N))  # the empty word too
+        ps = [s.p for s in block]
+        deviations = np.abs(m_p - target).max(axis=(1, 2))
+        rows += map(TableRow, ps, spectral_radius(m_p, ps).tolist(), deviations.tolist())
     return rows
 
 

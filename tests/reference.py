@@ -3,9 +3,10 @@ gcd, the build of y, z' and M^(n) by that arithmetic, exact matrix inverse and
 word products over Q(X), the braid and center checks by Kronecker
 substitution, T and T* by the column recurrence through M^(n), the oracle's z
 and M^(n), the oracle from direct raw factorial products, the rescaling
-character, the q-factorial and twist eigenvalue, and symbolic matrices
-evaluated at A_p in 50-digit decimal arithmetic. None of these is on a
-production path; the tests compare the production code against them."""
+character, the q-factorial and twist eigenvalue, symbolic matrices evaluated
+at A_p in 50-digit decimal arithmetic, the entrywise max-modulus norm of a
+float matrix, and the twist evaluation plan built entry by entry. None of these is on a production path; the tests compare the
+production code against them."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from torusrep.repbuild import (
     _height_bound,
     _int_matmul,
     _int_scale,
+    _twist_factors,
     build_repset,
     relation_checks,
 )
@@ -616,3 +618,27 @@ def relative_error(approx: complex, exact) -> float:
         if not size:
             return 0.0 if approx == 0 else math.inf
         return float(((dr * dr + di * di) / size).sqrt())
+
+
+def max_abs(m: np.ndarray) -> float:
+    """Entrywise max-modulus norm of a float matrix (0.0 when empty)."""
+    return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def twist_plan_by_entry(N: int):
+    """`numeric._twist_plan` built entry by entry in Python lists: each
+    (k, plus, e) triple's table column k + (2N-1) plus + (4N-1) [e < 0],
+    |e| times, padded with 0 to the longest entry, and the quarter turns
+    sum of e over the {k} factors + 1 - sign, mod 4."""
+    plans = []
+    for entries in _twist_factors(N):
+        ij, signs, powers, factors = zip(*entries)
+        slots = [
+            [k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0) for k, plus, e in f for _ in range(abs(e))]
+            for f in factors
+        ]
+        quarter = [sum(e for _, plus, e in f if not plus) + 1 - s for f, s in zip(factors, signs)]
+        width = max(map(len, slots))
+        padded = np.array([c + [0] * (width - len(c)) for c in slots], dtype=int)
+        plans.append((*np.array(ij).T, np.array(powers), np.array(quarter) % 4, padded))
+    return plans

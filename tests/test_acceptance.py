@@ -13,14 +13,13 @@ from torusrep.numeric import (
     PSetting,
     amu_certificate,
     eval_matrix,
-    max_abs,
     oracle_matrices,
     spectral_radius,
 )
 from torusrep.qsymbols import QContext, rhat
 from torusrep.repbuild import build_repset, classical_limit
 
-from reference import braid_holds, fm_eq, fm_mul, rep_of_word, verify_braid
+from reference import braid_holds, fm_eq, fm_mul, max_abs, rep_of_word, verify_braid
 
 N_RANGE = range(2, 7)
 

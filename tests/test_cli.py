@@ -197,6 +197,23 @@ def test_verify_oracle_fails_when_the_oracle_is_not_finite(capsys, monkeypatch):
     assert "FAIL  oracle equivalence over p=10001 (N=2, worst relative nan)" in out
 
 
+def test_scan_names_the_level_whose_matrix_is_not_finite(capsys, monkeypatch):
+    # a NaN at one level of a block fails the stacked eigenvalue call with an
+    # error that names that level, not only "non-finite entries"
+    real = numeric.eval_twists
+
+    def nan_twists(N, block, tol):
+        t, tstar = real(N, block, tol)
+        t[[s.p for s in block].index(21), 0, 1] = np.nan
+        return t, tstar
+
+    monkeypatch.setattr(numeric, "eval_twists", nan_twists)
+    for argv in (("amu", "--pmax", "41"), ("limit", "--p", "7..41")):
+        code, out, err = run(capsys, argv[0], "--word", "y z^-1", "--N", "3", *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "error: matrix has non-finite entries at p = 21\n"
+
+
 def _worst_relative(out, p, N):
     head = f"oracle equivalence over p={p} (N={N}, worst relative "
     line = next(line for line in out.splitlines() if head in line)

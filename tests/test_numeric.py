@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusrep.classical import SL2, hN_matrix
 from torusrep.errors import BadPError, NearPoleError
@@ -11,13 +13,12 @@ from torusrep.cli import main
 from torusrep.mcg import NTClass, parse_word, sl2_image, stretch_factor
 from torusrep import numeric
 from torusrep.numeric import (
-    BLOCK_LEVELS,
     PSetting,
     amu_certificate,
+    block_levels,
     convergence_table,
     eval_twists,
     eval_matrix,
-    max_abs,
     oracle_deviation,
     oracle_matrices,
     primitive_root,
@@ -30,10 +31,12 @@ from reference import (
     chi_p,
     decimal_at_root,
     direct_oracle_matrices,
+    max_abs,
     oracle_m_matrices,
     oracle_z_matrix,
     relative_error,
     rep_of_word,
+    twist_plan_by_entry,
 )
 
 GOLDEN = (3 + math.sqrt(5)) / 2
@@ -133,6 +136,43 @@ def test_spectral_radius_basics():
         spectral_radius(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         spectral_radius(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_spectral_radius_of_a_stack():
+    stack = np.array([np.eye(3), np.diag([2.0, 0.5, 1.0]), np.diag([0.25, -3.0, 1j])])
+    radii = spectral_radius(stack)
+    assert radii.shape == (3,) and np.allclose(radii, [1, 2, 3], rtol=1e-12)
+    assert spectral_radius(stack[:0]).shape == (0,)
+    with pytest.raises(ValueError, match="exceeds bound 32"):
+        spectral_radius(np.zeros((3, 40, 40)))
+    with pytest.raises(ValueError, match="square"):
+        spectral_radius(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        spectral_radius(np.zeros((2, 3, 3, 3)))
+    stack[1, 0, 2] = np.nan
+    stack[2, 1, 1] = np.inf
+    with pytest.raises(ValueError) as err:
+        spectral_radius(stack)
+    assert str(err.value) == "matrix has non-finite entries"
+    with pytest.raises(ValueError) as err:
+        spectral_radius(stack, [7, 9, 11])
+    assert str(err.value) == "matrix has non-finite entries at p = 9"
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=32),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=-30, max_value=30),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_spectral_radius_is_bit_identical_to_one_matrix_at_a_time(seed, n, L, scale):
+    rng = np.random.default_rng(seed)
+    stack = (rng.standard_normal((L, n, n)) + 1j * rng.standard_normal((L, n, n))) * 10.0**scale
+    stack[:, rng.random((n, n)) < 0.3] = 0  # some structure: zeros, triangular blocks
+    radii = spectral_radius(stack)
+    assert np.array_equal(radii, [np.abs(np.linalg.eigvals(m)).max() for m in stack])
+    assert [spectral_radius(m) for m in stack] == radii.tolist()
 
 
 def test_spectral_radius_of_hN_matches_stretch_power():
@@ -277,7 +317,8 @@ def _bits(a):
 @pytest.mark.parametrize("N", range(2, 9))
 def test_eval_matrix_is_bit_identical_to_scalar(N):
     rs = build_repset(QContext(N))
-    levels = range(2 * N + 1, 2 * N + 1 + 2 * (BLOCK_LEVELS + 3), 32)
+    span = block_levels(N) + 3  # levels past one block, at five points
+    levels = range(2 * N + 1, 2 * N + 1 + 2 * span, 2 * (span // 4))
     xs = [PSetting(p, N).A for p in levels] + [-1.0, 1.0, cmath.exp(1j), cmath.exp(-2.5j)]
     mats = [rs.z_hat, rs.y_hat, rs.zprime_hat, *rs.m_hat, rs.t_hat, rs.tstar_hat]
     for mat in mats:
@@ -307,13 +348,21 @@ def test_eval_matrix_bit_identity_signed_zeros_and_fractions():
         assert np.array_equal(_bits(eval_matrix(mat, x)), _bits(_scalar_eval(mat, complex(x)))), k
 
 
+def _spread(count, *extra):
+    """A spread of at most about 150 of `count` indices, the first, the last
+    and `extra` included: the levels of a long list compared with one level
+    at a time."""
+    return sorted({*range(0, count, count // 150 + 1), count - 1, *extra})
+
+
 def _rows_level_by_level(w, N, levels):
     """convergence_table's rows built one level at a time, with the same
-    evaluator and the same numpy calls."""
+    numpy calls. The generators of all levels come from one `eval_twists`
+    call, bit for bit those of one level at a time
+    (`test_eval_twists_block_is_bit_identical_to_single_levels`)."""
     target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
     rows = []
-    for p in levels:
-        t, tstar = (g[0] for g in eval_twists(N, [PSetting(p, N)]))
+    for p, t, tstar in zip(levels, *eval_twists(N, [PSetting(p, N) for p in levels])):
         m = np.eye(N, dtype=complex)
         for gen, exp in w.letters:
             base = t if gen.name == "TY" else tstar
@@ -327,9 +376,28 @@ def _rows_level_by_level(w, N, levels):
 @pytest.mark.parametrize("word, N", [("y z^-1", 3), ("y^3 z^-2 y", 4), ("z^5 y^-7", 2)])
 def test_convergence_table_equals_level_by_level(word, N):
     w = parse_word(word)
-    levels = range(2 * N + 1, 2 * N + 1 + 2 * (BLOCK_LEVELS + 5), 2)
+    size = block_levels(N)
+    levels = list(range(2 * N + 1, 2 * N + 1 + 2 * (size + 5), 2))  # two blocks
     rows = convergence_table(w, N, levels)
-    assert [(r.p, r.spectral_radius, r.deviation) for r in rows] == _rows_level_by_level(w, N, levels)
+    assert [r.p for r in rows] == levels
+    checked = _spread(len(levels), size - 1, size)  # both sides of the block boundary
+    got = [(rows[i].p, rows[i].spectral_radius, rows[i].deviation) for i in checked]
+    assert got == _rows_level_by_level(w, N, [levels[i] for i in checked])
+
+
+def test_blocks_are_sized_by_matrix_entries():
+    # 64 levels at N = 32 bounds the largest stack; every benchmark scan (at
+    # most 145 levels at N <= 12) is one block
+    assert block_levels(32) == 64
+    levels = [PSetting(p, 32) for p in range(65, 65 + 2 * 200, 2)]
+    assert [len(b) for b in numeric._blocks(32, levels)] == [64, 64, 64, 8]
+    assert all(block_levels(N) >= 145 for N in range(2, 13))
+    assert all(block_levels(N) * N * N <= 64 * 32 * 32 for N in range(2, 33))
+
+
+def test_empty_word_scans_to_the_identity():
+    rows = convergence_table(parse_word(""), 3, [7, 9, 11])
+    assert [(r.p, r.spectral_radius, r.deviation) for r in rows] == [(p, 1.0, 0.0) for p in (7, 9, 11)]
 
 
 def test_eval_matrix_names_the_point_on_a_pole():
@@ -416,12 +484,20 @@ def test_table_oracle_matches_direct_products(N):
             assert max_abs(mine[i] - ref) <= 1e-11 * max_abs(ref), (N, p)
 
 
+def _past_one_block(N, first):
+    """Levels with k = 1, 2 from `first` on, past one block at N, and the
+    indices of those compared with single levels (`_spread`)."""
+    levels = [PSetting(p, N, k) for p in range(first, first + 2 * (block_levels(N) + 3), 2) for k in (1, 2)]
+    levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
+    return levels, _spread(len(levels))
+
+
 def test_oracle_block_is_bit_identical_to_single_levels():
     for N in (2, 6, 12):
-        levels = [PSetting(p, N, k) for p in range(2 * N + 1, 2 * N + 1 + 2 * (BLOCK_LEVELS + 3), 2) for k in (1, 2)]
-        levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
+        levels, checked = _past_one_block(N, 2 * N + 1)
         z, ratios, zprime, ms, t, tstar = numeric._oracle_block(N, levels)
-        for i, s in enumerate(levels):
+        for i in checked:
+            s = levels[i]
             one = numeric._oracle_block(N, [s])
             for got, single in zip((z, ratios, zprime, *ms), (*one[:3], *one[3])):
                 assert np.array_equal(_bits(got[i]), _bits(single[0])), (N, s)
@@ -463,11 +539,20 @@ def test_eval_twists_matches_the_exact_build(N):
             assert max_abs(got - want) <= 1e-12 * max_abs(want), (N, s.p)
 
 
+def test_twist_plan_equals_the_entry_by_entry_build():
+    # the arrays fix the order of every product in `eval_twists`, so they must
+    # be equal in value, shape and dtype, not only give close values
+    for N in (*range(2, 13), 16, 24, 32):
+        for got, want in zip(numeric._twist_plan(N), twist_plan_by_entry(N)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), N
+
+
 def test_eval_twists_block_is_bit_identical_to_single_levels():
     N = 6
-    levels = [PSetting(p, N, k) for p in range(13, 13 + 2 * (BLOCK_LEVELS + 3), 2) for k in (1, 2)]
-    levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
+    levels, checked = _past_one_block(N, 13)
     block = eval_twists(N, levels)
-    for i, s in enumerate(levels):
+    for i in checked:
+        s = levels[i]
         for got, one in zip(block, eval_twists(N, [s])):
             assert np.array_equal(_bits(got[i]), _bits(one[0])), s
