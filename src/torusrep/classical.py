@@ -48,13 +48,6 @@ class SL2:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-def alpha(n: int, N: int) -> Fraction:
-    """Basis rescaling alpha_n = 2^n / (n! (N-1-n)!)."""
-    if not 0 <= n <= N - 1:
-        raise ValueError(f"basis index n = {n} outside 0..{N - 1}")
-    return Fraction(2**n, factorial(n) * factorial(N - 1 - n))
-
-
 def _binomial_expand(u: int, v: int, k: int) -> list[int]:
     """Coefficients of (u*X + v*Y)^k by Y-degree: entry j multiplies X^(k-j) Y^j."""
     return [comb(k, j) * u ** (k - j) * v**j for j in range(k + 1)]
@@ -64,7 +57,8 @@ def hN_matrix(g: SL2, N: int) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of g acting on degree-(N-1) homogeneous polynomials in the
     rescaled basis; column n holds the coordinates of the image of basis
     vector n, computed by exact binomial convolution; entry (m, n) is
-    alpha_n c / alpha_m, formed as one integer quotient."""
+    alpha_n c / alpha_m with alpha_n = 2^n / (n! (N-1-n)!), formed as one
+    integer quotient."""
     if N < 2:
         raise ValueError("N must be >= 2")
     f = [factorial(m) * factorial(N - 1 - m) for m in range(N)]

@@ -22,7 +22,6 @@ import cmath
 import dataclasses
 import math
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -74,8 +73,9 @@ class PSetting:
 
 def _oracle_block(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     """The raw construction behind `oracle_matrices` for a block of levels
-    (PSettings of dimension N): (z, ratios, zprime, Ms, T, Tstar), each an
-    L x N x N complex array with the level first (Ms a list of N - 1 of them).
+    (PSettings of dimension N): (z, ratios, zprime, M, T, Tstar), each an
+    L x N x N complex array with the level first, except M: a function taking
+    n to the stack of M^(n), formed on each call, so that memory is O(L N^2).
 
     The symbols are the raw ones at A_p, with the color shift c appearing
     literally: (-A)^n = exp(i w n), w = 2 pi k/p, the exponent never reduced,
@@ -128,14 +128,17 @@ def _oracle_block(N: int, levels, tol: float = DEFAULT_TOLERANCE):
 
     a = -power(1)[:, :, None]  # A = -(-A)
     zprime = (a * (y @ z) - (z @ y) / a) / low[:, 1, None, None]
-    ms = [(zprime - lam[:, n, None, None] * np.eye(N)) / low[:, n, None, None] for n in range(N - 1)]
+
+    def m_stack(n):  # M^(n), formed when asked: one stack alive at a time
+        return (zprime - lam[:, n, None, None] * np.eye(N)) / low[:, n, None, None]
+
     cols = [np.zeros((len(levels), N, 1), dtype=complex)]
     cols[0][:, 0] = 1.0
-    for m_n in ms:
-        cols.append(m_n @ cols[-1])
+    for n in range(N - 1):
+        cols.append(m_stack(n) @ cols[-1])
     t = np.concatenate(cols, axis=2)
     tstar = t.transpose(0, 2, 1) / ratios  # tstar[n, m] = t[m, n] / R(n, m)
-    return z, ratios, zprime, ms, t, tstar
+    return z, ratios, zprime, m_stack, t, tstar
 
 
 def oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
@@ -177,14 +180,14 @@ def _twist_plan(N: int):
     plans = []
     for entries in _twist_factors(N):
         ij, signs, powers, factors = zip(*entries)
-        k, plus, e = np.fromiter(chain.from_iterable(chain(*factors)), int).reshape(-1, 3).T
-        row = np.repeat(np.arange(len(factors)), [len(f) for f in factors])
-        size = np.bincount(row, abs(e), len(factors)).astype(int)
-        quarter = np.bincount(row, e * (1 - plus), len(factors)).astype(int) + 1 - np.array(signs)
-        column = k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0)
-        slots = np.zeros((len(factors), size.max()), dtype=int)
-        slots[np.arange(size.max()) < size[:, None]] = np.repeat(column, abs(e))  # row by row, in order
-        plans.append((*np.array(ij).T, np.array(powers), quarter % 4, slots))
+        slots = [
+            [k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0) for k, plus, e in f for _ in range(abs(e))]
+            for f in factors
+        ]
+        quarter = [sum(e for _, plus, e in f if not plus) + 1 - s for f, s in zip(factors, signs)]
+        width = max(map(len, slots))
+        padded = np.array([c + [0] * (width - len(c)) for c in slots], dtype=int)
+        plans.append((*np.array(ij).T, np.array(powers), np.array(quarter) % 4, padded))
     return plans
 
 

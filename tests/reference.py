@@ -4,9 +4,10 @@ word products over Q(X), the braid and center checks by Kronecker
 substitution, T and T* by the column recurrence through M^(n), the oracle's z
 and M^(n), the oracle from direct raw factorial products, the rescaling
 character, the q-factorial and twist eigenvalue, symbolic matrices evaluated
-at A_p in 50-digit decimal arithmetic, the entrywise max-modulus norm of a
-float matrix, and the twist evaluation plan built entry by entry. None of these is on a production path; the tests compare the
-production code against them."""
+at A_p in 50-digit decimal arithmetic, the basis rescaling alpha_n of the
+classical target, and the entrywise max-modulus norm of a float matrix. None
+of these is on a production path; the tests compare the production code
+against them."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from torusrep.repbuild import (
     _height_bound,
     _int_matmul,
     _int_scale,
-    _twist_factors,
     build_repset,
     relation_checks,
 )
@@ -442,7 +442,8 @@ def _eval_matrix_at(p, w: int):
 
 def oracle_m_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     """The oracle's recurrence matrices M^(n), for structural spot checks."""
-    return [m_n[0] for m_n in _oracle_block(s.N, [s], tol)[3]]
+    m_stack = _oracle_block(s.N, [s], tol)[3]
+    return [m_stack(n)[0] for n in range(s.N - 1)]
 
 
 def oracle_z_matrix(s: PSetting, tol: float = DEFAULT_TOLERANCE):
@@ -620,25 +621,14 @@ def relative_error(approx: complex, exact) -> float:
         return float(((dr * dr + di * di) / size).sqrt())
 
 
+def alpha(n: int, N: int) -> Fraction:
+    """Basis rescaling alpha_n = 2^n / (n! (N-1-n)!) of `classical.hN_matrix`."""
+    if not 0 <= n <= N - 1:
+        raise ValueError(f"basis index n = {n} outside 0..{N - 1}")
+    return Fraction(2**n, math.factorial(n) * math.factorial(N - 1 - n))
+
+
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-modulus norm of a float matrix (0.0 when empty)."""
     return float(np.max(np.abs(m))) if m.size else 0.0
 
-
-def twist_plan_by_entry(N: int):
-    """`numeric._twist_plan` built entry by entry in Python lists: each
-    (k, plus, e) triple's table column k + (2N-1) plus + (4N-1) [e < 0],
-    |e| times, padded with 0 to the longest entry, and the quarter turns
-    sum of e over the {k} factors + 1 - sign, mod 4."""
-    plans = []
-    for entries in _twist_factors(N):
-        ij, signs, powers, factors = zip(*entries)
-        slots = [
-            [k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0) for k, plus, e in f for _ in range(abs(e))]
-            for f in factors
-        ]
-        quarter = [sum(e for _, plus, e in f if not plus) + 1 - s for f, s in zip(factors, signs)]
-        width = max(map(len, slots))
-        padded = np.array([c + [0] * (width - len(c)) for c in slots], dtype=int)
-        plans.append((*np.array(ij).T, np.array(powers), np.array(quarter) % 4, padded))
-    return plans

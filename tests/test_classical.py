@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from torusrep.classical import SL2, alpha, closed_limits, hN_matrix
+from torusrep.classical import SL2, _binomial_expand, closed_limits, hN_matrix
+
+from reference import alpha
 
 
 def mat_mul(a, b):
@@ -38,6 +40,24 @@ def test_alpha_values():
     assert alpha(2, 4) == 2  # 4 / 2!
     with pytest.raises(ValueError):
         alpha(2, 2)
+
+
+def test_hN_matrix_rescales_the_binomial_action_by_alpha():
+    # entry (m, n) is alpha_n / alpha_m times the Y^m coefficient of
+    # (aX + cY)^(N-1-n) (bX + dY)^n, three Fraction operations apart
+    rng = random.Random(11)
+    gens = [TY, TZ, TY.inverse(), TZ.inverse()]
+    for n_dim in range(2, 9):
+        g = SL2.identity()
+        for _ in range(rng.randint(0, 6)):
+            g = g * rng.choice(gens)
+        h = hN_matrix(g, n_dim)
+        for n in range(n_dim):
+            left = _binomial_expand(g.a, g.c, n_dim - 1 - n)
+            right = _binomial_expand(g.b, g.d, n)
+            for m in range(n_dim):
+                c = sum(left[i] * right[m - i] for i in range(len(left)) if 0 <= m - i < len(right))
+                assert h[m][n] == alpha(n, n_dim) * c / alpha(m, n_dim), (g, m, n)
 
 
 def test_hN_identity():

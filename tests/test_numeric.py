@@ -36,7 +36,6 @@ from reference import (
     oracle_z_matrix,
     relative_error,
     rep_of_word,
-    twist_plan_by_entry,
 )
 
 GOLDEN = (3 + math.sqrt(5)) / 2
@@ -317,8 +316,7 @@ def _bits(a):
 @pytest.mark.parametrize("N", range(2, 9))
 def test_eval_matrix_is_bit_identical_to_scalar(N):
     rs = build_repset(QContext(N))
-    span = block_levels(N) + 3  # levels past one block, at five points
-    levels = range(2 * N + 1, 2 * N + 1 + 2 * span, 2 * (span // 4))
+    levels = range(2 * N + 1, 2 * N + 1 + 2 * 67, 32)
     xs = [PSetting(p, N).A for p in levels] + [-1.0, 1.0, cmath.exp(1j), cmath.exp(-2.5j)]
     mats = [rs.z_hat, rs.y_hat, rs.zprime_hat, *rs.m_hat, rs.t_hat, rs.tstar_hat]
     for mat in mats:
@@ -348,21 +346,13 @@ def test_eval_matrix_bit_identity_signed_zeros_and_fractions():
         assert np.array_equal(_bits(eval_matrix(mat, x)), _bits(_scalar_eval(mat, complex(x)))), k
 
 
-def _spread(count, *extra):
-    """A spread of at most about 150 of `count` indices, the first, the last
-    and `extra` included: the levels of a long list compared with one level
-    at a time."""
-    return sorted({*range(0, count, count // 150 + 1), count - 1, *extra})
-
-
 def _rows_level_by_level(w, N, levels):
     """convergence_table's rows built one level at a time, with the same
-    numpy calls. The generators of all levels come from one `eval_twists`
-    call, bit for bit those of one level at a time
-    (`test_eval_twists_block_is_bit_identical_to_single_levels`)."""
+    evaluator and the same numpy calls."""
     target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
     rows = []
-    for p, t, tstar in zip(levels, *eval_twists(N, [PSetting(p, N) for p in levels])):
+    for p in levels:
+        t, tstar = (g[0] for g in eval_twists(N, [PSetting(p, N)]))
         m = np.eye(N, dtype=complex)
         for gen, exp in w.letters:
             base = t if gen.name == "TY" else tstar
@@ -374,15 +364,17 @@ def _rows_level_by_level(w, N, levels):
 
 
 @pytest.mark.parametrize("word, N", [("y z^-1", 3), ("y^3 z^-2 y", 4), ("z^5 y^-7", 2)])
-def test_convergence_table_equals_level_by_level(word, N):
+def test_convergence_table_equals_level_by_level(word, N, monkeypatch):
     w = parse_word(word)
-    size = block_levels(N)
-    levels = list(range(2 * N + 1, 2 * N + 1 + 2 * (size + 5), 2))  # two blocks
-    rows = convergence_table(w, N, levels)
-    assert [r.p for r in rows] == levels
-    checked = _spread(len(levels), size - 1, size)  # both sides of the block boundary
-    got = [(rows[i].p, rows[i].spectral_radius, rows[i].deviation) for i in checked]
-    assert got == _rows_level_by_level(w, N, [levels[i] for i in checked])
+    levels = range(2 * N + 1, 2 * N + 1 + 2 * (64 + 5), 2)
+    want = _rows_level_by_level(w, N, levels)
+    # one block under the real rule, then two with the blocks cut to 64 levels
+    for size in (block_levels(N), 64):
+        monkeypatch.setattr(numeric, "block_levels", lambda N: size)
+        blocks = numeric._blocks(N, [PSetting(p, N) for p in levels])
+        assert [len(b) for b in blocks] == ([69] if size > 69 else [64, 5])
+        rows = convergence_table(w, N, levels)
+        assert [(r.p, r.spectral_radius, r.deviation) for r in rows] == want, size
 
 
 def test_blocks_are_sized_by_matrix_entries():
@@ -484,22 +476,15 @@ def test_table_oracle_matches_direct_products(N):
             assert max_abs(mine[i] - ref) <= 1e-11 * max_abs(ref), (N, p)
 
 
-def _past_one_block(N, first):
-    """Levels with k = 1, 2 from `first` on, past one block at N, and the
-    indices of those compared with single levels (`_spread`)."""
-    levels = [PSetting(p, N, k) for p in range(first, first + 2 * (block_levels(N) + 3), 2) for k in (1, 2)]
-    levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
-    return levels, _spread(len(levels))
-
-
 def test_oracle_block_is_bit_identical_to_single_levels():
     for N in (2, 6, 12):
-        levels, checked = _past_one_block(N, 2 * N + 1)
-        z, ratios, zprime, ms, t, tstar = numeric._oracle_block(N, levels)
-        for i in checked:
-            s = levels[i]
+        levels = [PSetting(p, N, k) for p in range(2 * N + 1, 2 * N + 1 + 2 * 67, 2) for k in (1, 2)]
+        levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
+        z, ratios, zprime, m, t, tstar = numeric._oracle_block(N, levels)
+        for i, s in enumerate(levels):
             one = numeric._oracle_block(N, [s])
-            for got, single in zip((z, ratios, zprime, *ms), (*one[:3], *one[3])):
+            ms, ones = [m(n) for n in range(N - 1)], [one[3](n) for n in range(N - 1)]
+            for got, single in zip((z, ratios, zprime, *ms), (*one[:3], *ones)):
                 assert np.array_equal(_bits(got[i]), _bits(single[0])), (N, s)
             for got, single in zip((t, tstar), oracle_matrices(s)):
                 assert np.array_equal(_bits(got[i]), _bits(single)), (N, s)
@@ -539,20 +524,11 @@ def test_eval_twists_matches_the_exact_build(N):
             assert max_abs(got - want) <= 1e-12 * max_abs(want), (N, s.p)
 
 
-def test_twist_plan_equals_the_entry_by_entry_build():
-    # the arrays fix the order of every product in `eval_twists`, so they must
-    # be equal in value, shape and dtype, not only give close values
-    for N in (*range(2, 13), 16, 24, 32):
-        for got, want in zip(numeric._twist_plan(N), twist_plan_by_entry(N)):
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), N
-
-
 def test_eval_twists_block_is_bit_identical_to_single_levels():
     N = 6
-    levels, checked = _past_one_block(N, 13)
+    levels = [PSetting(p, N, k) for p in range(13, 13 + 2 * 67, 2) for k in (1, 2)]
+    levels = [s for s in levels if math.gcd(s.k, s.p) == 1]
     block = eval_twists(N, levels)
-    for i in checked:
-        s = levels[i]
+    for i, s in enumerate(levels):
         for got, one in zip(block, eval_twists(N, [s])):
             assert np.array_equal(_bits(got[i]), _bits(one[0])), s
