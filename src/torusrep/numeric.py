@@ -290,26 +290,24 @@ def check_dimension(N: int) -> None:
         raise TooLargeError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
 
 
-def spectral_radius(m: np.ndarray, levels=None):
-    """Largest eigenvalue modulus of a small dense complex matrix (at most
-    `MAX_EIG_DIM` square), or the L radii of an L x n x n stack from one
-    `eigvals` call, bit for bit. A non-finite stack raises ValueError naming
-    the level p in `levels`, if given, of its first non-finite matrix."""
+def spectral_radius(m: np.ndarray, levels):
+    """The L largest eigenvalue moduli of an L x n x n stack of small dense
+    complex matrices (n at most `MAX_EIG_DIM`), from one `eigvals` call. A
+    non-finite stack raises ValueError naming the level p in `levels` of its
+    first non-finite matrix."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"square matrix or stack of them required, got shape {m.shape}")
+    if m.ndim != 3 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"stack of square matrices required, got shape {m.shape}")
     if m.shape[-1] > MAX_EIG_DIM:
         raise ValueError(f"dimension {m.shape[-1]} exceeds bound {MAX_EIG_DIM}")
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
-        at = f" at p = {levels[np.argmin(finite)]}" if levels is not None else ""
-        raise ValueError(f"matrix has non-finite entries{at}")
+        raise ValueError(f"matrix has non-finite entries at p = {levels[np.argmin(finite)]}")
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"eigenvalue solver failed: {err}") from None
-    radii = np.abs(eigs).max(axis=-1)
-    return float(radii) if m.ndim == 2 else radii
+    return np.abs(eigs).max(axis=-1)
 
 
 @dataclasses.dataclass(frozen=True)

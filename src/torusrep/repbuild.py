@@ -214,14 +214,15 @@ def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     - every coefficient of f is at most `bound` in absolute value, the sum of
       the l1-norms of the two sides, bounded through the nonnegative matrices
       of entry norms (||gh||_1 <= ||g||_1 ||h||_1);
-    - deg f < K, with K one more than the larger of max(deg D_T, deg D_S) +
-      3 dmax and 7 dmax, dmax the largest entry degree of P_T and P_S;
-    - f is evaluated at x = 0..K-1 modulo primes q from `_PRIMES`, taken in
+    - every nonzero coefficient of f has its degree in the span [lo, hi] of
+      its identity (`_spans`), so f = X^lo g with deg g < K, K one more than
+      the larger width hi - lo of the two identities;
+    - f is evaluated at x = 1..K modulo primes q from `_PRIMES`, taken in
       order until their product exceeds 2 bound. As K < q, these are K
-      distinct points of F_q, and f mod q has degree below K: if it vanishes
-      at all of them, q divides every coefficient of f. If every prime does,
-      so does their product, and a multiple of it below the product in
-      absolute value is 0;
+      distinct nonzero points of F_q: if f vanishes at all of them, so does
+      g mod q, and q divides every coefficient of g, hence of f. If every
+      prime does, so does their product, and a multiple of it below the
+      product in absolute value is 0;
     - the arithmetic mod q is float64 with every partial sum below 2^53, so
       BLAS computes it exactly (`_integer_checks` states the invariants and
       raises `TooLargeError` for an input that would break one).
@@ -259,48 +260,72 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), as
     coefficient lists in ascending degree.
 
-    Per prime q, blocks of points are checked at once (`_check_block`). The
-    arithmetic is float64 on integers, exact because every coefficient is
-    below 2^53 and every partial sum of products of residues, which lie in
-    (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1) (q-1)^2 in the
-    evaluation (`_values`), N (q-1)^2 in an N x N product and 2N (q-1)^2 in
-    the difference of two, 2 (q-1)^2 in a difference of scaled sides.
-    `TooLargeError` is raised for an input that would break one of these
-    invariants, K < q, or the reach of the prime table."""
+    Per prime q, blocks of the points x = 1..K are checked at once
+    (`_check_block`). The arithmetic is float64 on integers, exact because
+    every coefficient is below 2^53 and every partial sum of products of
+    residues, which lie in (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1)
+    (q-1)^2 in the evaluation (`_values`), N (q-1)^2 in an N x N product and
+    2N (q-1)^2 in the difference of two, 2 (q-1)^2 in a difference of scaled
+    sides. `TooLargeError` is raised for an input that would break one of
+    these invariants, K < q, or the reach of the prime table."""
     n = len(pt)
-    cells, polys = [], []
-    for m, p in enumerate((pt, ps)):
-        for i, row in enumerate(p):
-            for j, poly in enumerate(row):
-                if poly:
-                    cells.append((m, i, j))
-                    polys.append(poly)
-    dmax = max(map(len, polys), default=1) - 1
-    points = 1 + max(max(len(dt), len(ds)) - 1 + 3 * dmax, 7 * dmax)
+    where, coeffs = _coefficient_rows(pt, dt, ps, ds)
+    if np.abs(coeffs).max() >= 2**53:
+        raise TooLargeError("exact checks need every coefficient below 2^53")
+    points = 1 + int(max(0, *(hi - lo for lo, hi in _spans(where, coeffs, n))))
     primes = _primes_above(2 * _height_bound(pt, dt, ps, ds))
     if points >= primes[-1] or max(2 * n, _CHUNK + 1) * (primes[0] - 1) ** 2 >= 2**53:
         raise TooLargeError("exact checks need K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
-    polys += [dt, ds]
-    coeffs = np.zeros((len(polys), max(map(len, polys))))
-    for r, poly in enumerate(polys):
-        coeffs[r, : len(poly)] = poly
-    if np.abs(coeffs).max() >= 2**53:
-        raise TooLargeError("exact checks need every coefficient below 2^53")
 
-    where = tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)
     block = max(1, _BLOCK_CELLS // (n * n))
     buf = np.zeros((2, block, n, n))
     braid = center = True
     for prime in primes:
         q = float(prime)
         a = _mod(coeffs.copy(), q)
-        for start in range(0, points, block):
-            x = np.arange(start, min(start + block, points), dtype=np.float64)
+        for start in range(1, points + 1, block):
+            x = np.arange(start, min(start + block, points + 1), dtype=np.float64)
             ok = _check_block(_values(a, x, q), where, buf[:, : len(x)], q)
             braid, center = braid and ok[0], center and ok[1]
             if not (braid or center):
                 return False, False
     return braid, center
+
+
+def _coefficient_rows(pt, dt, ps, ds):
+    """(where, coeffs): the cells (m, i, j) of the nonzero entries of P_T (m = 0)
+    and P_S (m = 1), and the float64 coefficient rows of those, D_T and D_S."""
+    cells, polys = [], []
+    for m, p in enumerate((pt, ps)):
+        for i, row in enumerate(p):
+            for j, poly in enumerate(row):
+                if any(poly):
+                    cells.append((m, i, j))
+                    polys.append(poly)
+    polys += [dt, ds]
+    coeffs = np.zeros((len(polys), max(map(len, polys))))
+    for r, poly in enumerate(polys):
+        coeffs[r, : len(poly)] = poly
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), coeffs
+
+
+def _spans(where, coeffs, n):
+    """[(lo, hi)] for the braid and the center: every nonzero coefficient of
+    D_S P_T P_S P_T - D_T P_S P_T P_S, and of C' P - P C' for P = P_T, P_S, has
+    its degree in [lo, hi]. The rows' valuations lo and degrees hi go through
+    the products as (lo, -hi), both in (min, +); a zero entry has no span."""
+    def product(a, b):  # of (lo, -hi) stacks of span matrices, broadcast
+        return (a[..., None] + b[..., None, :, :]).min(-2)
+
+    nz = coeffs != 0
+    first, last = nz.argmax(1), coeffs.shape[1] - 1 - nz[:, ::-1].argmax(1)
+    p = np.full((2, 2, n, n), np.inf)  # (lo, -hi) of (P_T, P_S)
+    p[0][where], p[1][where] = first[:-2], -last[:-2]
+    tst_sts = product(product(p, p[:, ::-1]), p)
+    d = np.array((first[-2:], -last[-2:]))[:, ::-1, None, None]  # (D_S, D_T)
+    c = product(tst_sts[:, :1], tst_sts[:, :1])
+    commutators = np.concatenate((product(c, p), product(p, c)), axis=1)
+    return [(s[0].min(), -s[1].min()) for s in (tst_sts + d, commutators)]
 
 
 def _height_bound(pt, dt, ps, ds) -> int:

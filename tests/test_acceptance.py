@@ -113,7 +113,7 @@ def test_criterion_6_amu_certificate_desk_scale():
         ok &= rep.classification is NTClass.PSEUDO_ANOSOV
         ok &= rep.p0_observed is not None
         ok &= rep.rows[0].deviation >= 5 * rep.rows[-1].deviation
-        radius = spectral_radius(np.array(hN_matrix(g, N), dtype=complex))
+        radius = spectral_radius(np.array([hN_matrix(g, N)], dtype=complex), [101])[0]
         ok &= abs(radius - golden ** (N - 1)) < 1e-9
     _report(6, "pseudo-Anosov certificate at p_max=101, N=2,3", ok)
 

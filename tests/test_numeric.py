@@ -127,32 +127,31 @@ def test_eval_matrix_at_minus_one_matches_exact_limit():
 
 
 def test_spectral_radius_basics():
-    assert abs(spectral_radius(np.eye(4)) - 1) < 1e-12
-    assert abs(spectral_radius(np.diag([2.0, 0.5])) - 2) < 1e-12
+    assert abs(spectral_radius(np.eye(4)[None], [7])[0] - 1) < 1e-12
+    assert abs(spectral_radius(np.diag([2.0, 0.5])[None], [7])[0] - 2) < 1e-12
     with pytest.raises(ValueError):
-        spectral_radius(np.zeros((40, 40)))
+        spectral_radius(np.zeros((1, 40, 40)), [7])
     with pytest.raises(ValueError):
-        spectral_radius(np.zeros((2, 3)))
+        spectral_radius(np.zeros((1, 2, 3)), [7])
     with pytest.raises(ValueError):
-        spectral_radius(np.array([[np.nan, 0], [0, 1]]))
+        spectral_radius(np.array([[[np.nan, 0], [0, 1]]]), [7])
+    with pytest.raises(ValueError, match="stack"):
+        spectral_radius(np.eye(2), [7])  # one matrix, not a stack
 
 
 def test_spectral_radius_of_a_stack():
     stack = np.array([np.eye(3), np.diag([2.0, 0.5, 1.0]), np.diag([0.25, -3.0, 1j])])
-    radii = spectral_radius(stack)
+    radii = spectral_radius(stack, [7, 9, 11])
     assert radii.shape == (3,) and np.allclose(radii, [1, 2, 3], rtol=1e-12)
-    assert spectral_radius(stack[:0]).shape == (0,)
+    assert spectral_radius(stack[:0], []).shape == (0,)
     with pytest.raises(ValueError, match="exceeds bound 32"):
-        spectral_radius(np.zeros((3, 40, 40)))
+        spectral_radius(np.zeros((3, 40, 40)), [7, 9, 11])
     with pytest.raises(ValueError, match="square"):
-        spectral_radius(np.zeros((3, 2, 3)))
+        spectral_radius(np.zeros((3, 2, 3)), [7, 9, 11])
     with pytest.raises(ValueError, match="square"):
-        spectral_radius(np.zeros((2, 3, 3, 3)))
+        spectral_radius(np.zeros((2, 3, 3, 3)), [7, 9])
     stack[1, 0, 2] = np.nan
     stack[2, 1, 1] = np.inf
-    with pytest.raises(ValueError) as err:
-        spectral_radius(stack)
-    assert str(err.value) == "matrix has non-finite entries"
     with pytest.raises(ValueError) as err:
         spectral_radius(stack, [7, 9, 11])
     assert str(err.value) == "matrix has non-finite entries at p = 9"
@@ -169,9 +168,9 @@ def test_stacked_spectral_radius_is_bit_identical_to_one_matrix_at_a_time(seed, 
     rng = np.random.default_rng(seed)
     stack = (rng.standard_normal((L, n, n)) + 1j * rng.standard_normal((L, n, n))) * 10.0**scale
     stack[:, rng.random((n, n)) < 0.3] = 0  # some structure: zeros, triangular blocks
-    radii = spectral_radius(stack)
+    radii = spectral_radius(stack, range(L))
     assert np.array_equal(radii, [np.abs(np.linalg.eigvals(m)).max() for m in stack])
-    assert [spectral_radius(m) for m in stack] == radii.tolist()
+    assert [spectral_radius(m[None], [0]).item() for m in stack] == radii.tolist()
 
 
 def test_spectral_radius_of_hN_matches_stretch_power():
@@ -179,7 +178,7 @@ def test_spectral_radius_of_hN_matches_stretch_power():
     lam = stretch_factor(g)
     for N in (2, 3, 4):
         m = np.array(hN_matrix(g, N), dtype=complex)
-        assert abs(spectral_radius(m) - lam ** (N - 1)) < 1e-9
+        assert abs(spectral_radius(m[None], [0])[0] - lam ** (N - 1)) < 1e-9
 
 
 def test_unitarity_of_rescaling():
@@ -188,7 +187,8 @@ def test_unitarity_of_rescaling():
         chi = chi_p(w, p, 2)
         assert abs(abs(chi) - 1) < 1e-12
         m = eval_matrix(rep_of_word(w, QContext(2)), PSetting(p, 2).A)
-        assert abs(spectral_radius(m / chi) - spectral_radius(m)) < 1e-12
+        radii = spectral_radius(np.array([m / chi, m]), [p, p])
+        assert abs(radii[0] - radii[1]) < 1e-12
 
 
 def test_braid_numerics_spot():
@@ -282,7 +282,7 @@ def test_long_power_matches_oracle_route():
         for _ in range(200):
             ref = ref @ t
         ref = ref @ np.linalg.inv(tstar)
-        rho = spectral_radius(ref)
+        rho = spectral_radius(ref[None], [row.p])[0]
         assert abs(row.spectral_radius - rho) <= 1e-9 * rho, row.p
 
 
@@ -359,7 +359,7 @@ def _rows_level_by_level(w, N, levels):
             if exp < 0:
                 base = np.linalg.inv(base)
             m = m @ np.linalg.matrix_power(base, abs(exp))
-        rows.append((p, spectral_radius(m), max_abs(m - target)))
+        rows.append((p, spectral_radius(m[None], [p]).item(), max_abs(m - target)))
     return rows
 
 

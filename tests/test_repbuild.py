@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
@@ -17,9 +17,11 @@ from torusrep.qsymbols import QContext, lambda_shifted, rhat
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
+    _coefficient_rows,
     _integer_checks,
     _integer_form,
     _primes_above,
+    _spans,
     _twist_factors,
     _values,
     build_m,
@@ -39,6 +41,8 @@ from reference import (
     fm_eq,
     fm_inv,
     fm_mul,
+    fm_scale,
+    fm_sub,
     kronecker_relation_checks,
     lcm_form,
     mul,
@@ -653,24 +657,83 @@ def test_difference_divisible_by_all_primes_but_the_last_is_detected(k):
 
 @pytest.mark.parametrize("d", [1, 2, 7, 16])
 def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
-    # D_S - D_T = X (X - 1) ... (X - d + 1): degree d = K - 1, zero at the
-    # points 0..K-2 and d! at the last one
+    # D_S - D_T = X^v (X - 1) ... (X - d): its span gives K = d + 1 points,
+    # and it is zero at the points 1..K-1, nonzero at the last one (and zero
+    # at x = 0 when v > 0, which is why 0 is not a point)
     falling = Poly((1,))
-    for x in range(d):
+    for x in range(1, d + 1):
         falling = falling * Poly((-x, 1))
-    dt = [1]
-    ds = [int(c) for c in (falling + Poly((1,))).coeffs]
-    assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
+    for v in (0, 3):
+        dt = [0] * v + [1]
+        ds = list((falling + Poly((1,))).shift(v).coeffs)
+        assert _points(ONE, dt, ONE, ds) == d + 1
+        assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
 
 
 @pytest.mark.parametrize(
     "pt, dt, ds",
     [
         (ONE, [1], [2**53]),  # a coefficient float64 cannot hold exactly
-        ([[[0] * 150_000 + [1]]], [1], [1]),  # K = 7 * 150000 + 1 points >= q
+        ([[[1] + [0] * 150_000 + [1]]], [1], [1]),  # 1 + X^150001: K = 7 * 150001 + 1 >= q
         ([[[2**50] * 2] * 2] * 2, [1], [1]),  # a height beyond the prime table
     ],
 )
 def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
     with pytest.raises(TooLargeError):
         _integer_checks(pt, dt, pt, ds)
+
+
+# --- the degree spans that set the number of points ----------------------------
+
+
+def _points(pt, dt, ps, ds):
+    """K, the number of points `_integer_checks` evaluates at."""
+    return 1 + max(hi - lo for lo, hi in _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt)))
+
+
+@pytest.mark.parametrize(
+    "N, points",
+    [(2, 25), (3, 78), (4, 160), (5, 272), (6, 413), (7, 583), (8, 783), (12, 1875)],
+)
+def test_points_on_the_generators(N, points):
+    # 1 + max(deg D + 3 dmax, 7 dmax), with every entry taken at degree dmax
+    # and valuation 0, is 43 at N = 2, 1212 at N = 8 and 2878 at N = 12
+    rs = build_repset(QContext(N))
+    (pt, dt), (ps, ds) = (
+        _integer_form(m, entries) for m, entries in zip((rs.t_hat, rs.tstar_hat), _twist_factors(N))
+    )
+    assert _points(pt, dt, ps, ds) == points
+
+
+small_polys = st.lists(st.integers(min_value=-2, max_value=2), max_size=5)  # zeros at either end
+
+
+@st.composite
+def integer_forms(draw):
+    """(P_T, D_T, P_S, D_S) as coefficient lists: small random entries, zero
+    ones among them, and now and then an all-zero matrix."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    matrices = st.one_of(
+        st.just([[[]] * n] * n),
+        st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n),
+    )
+    dens = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3).filter(any)
+    return draw(matrices), draw(dens), draw(matrices), draw(dens)
+
+
+@given(integer_forms())
+# P_T C' has a term X^6, C' P_T and C' P_S only X^7: both sides' spans count
+@example(([[[-1], [0, -1]], [[0], [0, 1]]], [1], [[[], []], [[], [0, -1]]], [1]))
+@settings(max_examples=60, deadline=None)
+def test_spans_hold_every_nonzero_coefficient(forms):
+    pt, dt, ps, ds = forms
+    t, tstar = (FMatrix([[RatFunc(Poly(e)) for e in row] for row in p]) for p in (pt, ps))
+    d_t, d_s = RatFunc(Poly(dt)), RatFunc(Poly(ds))
+    tst = fm_mul(fm_mul(t, tstar), t)
+    braid = fm_sub(fm_scale(tst, d_s), fm_scale(fm_mul(fm_mul(tstar, t), tstar), d_t))
+    c = fm_mul(tst, tst)
+    center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
+    for (lo, hi), diffs in zip(_spans(*_coefficient_rows(*forms), len(pt)), ([braid], center)):
+        for e in (e for m in diffs for row in m.rows for e in row):
+            assert e.den == Poly((1,))
+            assert all(lo <= k <= hi for k, a in enumerate(e.num.coeffs) if a)
