@@ -93,7 +93,7 @@ def _matrix_text(obj, fmt: str, header: str, sym: FMatrix | None = None) -> str:
 
 
 def cmd_matrices(args) -> int:
-    numeric.check_dimension(args.N)  # before building anything
+    numeric.check_size(args.N)  # before building anything
     mode, p = _parse_eval(args.eval)
     N = args.N
     ctx = QContext(N)
@@ -144,7 +144,8 @@ def cmd_matrices(args) -> int:
 
 def cmd_verify(args) -> int:
     dims = _parse_range(args.N)
-    numeric.check_dimension(dims[-1])  # before building anything
+    width = len(_parse_range(args.p, odd=True)) if args.oracle else 0
+    numeric.check_size(dims[-1], width)  # before building anything
     checks = []  # (label, ok) in order
     for N in dims:
         ctx = QContext(N)

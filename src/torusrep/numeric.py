@@ -4,9 +4,10 @@ the twist generators at A_p from their closed product forms, matrix
 evaluation, spectral radii, convergence tables, and the infinite-order
 certificate for pseudo-Anosov classes.
 
-Per-level work is O(N^3), whatever p is, on stacks of levels (`block_levels`):
-the scans evaluate T and T* from their product forms (`eval_twists`), the oracle
-from the raw definitions (`_oracle_block`); one eigenvalue call per stack.
+Per-level work does not grow with p and runs on stacks of levels
+(`block_levels`), at most `MAX_LEVELS` per scan: the scans evaluate T and T*
+by ratio recurrences in O(N^2) (`eval_twists`), then words and one eigenvalue
+call per stack in O(N^3); the oracle builds from the raw definitions in O(N^3).
 `eval_matrix` evaluates any symbolic matrix at one point, for `matrices --eval`.
 
 The evaluation root is A_p = -exp(2 pi i k/p) with gcd(k, p) = 1 (default
@@ -21,7 +22,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,11 +29,12 @@ from .classical import hN_matrix
 from .errors import BadPError, ConvergenceError, NearPoleError, TooLargeError
 from .field import FMatrix
 from .mcg import Gen, NTClass, Word, classify, sl2_image, stretch_factor
-from .repbuild import _twist_factors
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MARGIN = 1e-6
 MAX_EIG_DIM = 32
+MAX_LEVELS = 100_000
+_QUARTER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
 
 
 def primitive_root(p: int, k: int = 1) -> complex:
@@ -172,79 +173,73 @@ def eval_matrix(mat: FMatrix, x: complex, tol: float = DEFAULT_TOLERANCE) -> np.
     return out
 
 
-@lru_cache(maxsize=None)
-def _twist_plan(N: int):
-    """`repbuild._twist_factors` as arrays per generator (T, then T*): entry
-    rows, columns, powers of -X, quarter turns (i per {k} = 2i sin, two for a
-    minus sign) and factor columns of the `eval_twists` table, 0-padded."""
-    plans = []
-    for entries in _twist_factors(N):
-        ij, signs, powers, factors = zip(*entries)
-        slots = [
-            [k + (2 * N - 1) * plus + (4 * N - 1) * (e < 0) for k, plus, e in f for _ in range(abs(e))]
-            for f in factors
-        ]
-        quarter = [sum(e for _, plus, e in f if not plus) + 1 - s for f, s in zip(factors, signs)]
-        width = max(map(len, slots))
-        padded = np.array([c + [0] * (width - len(c)) for c in slots], dtype=int)
-        plans.append((*np.array(ij).T, np.array(powers), np.array(quarter) % 4, padded))
-    return plans
-
-
 def _cis(a, n):
-    """(cos, sin) of 2 pi a/n for integer arrays a and n > 0, the angle
-    reduced exactly in integers to the nearest quarter turn q and a rest
-    |t| <= pi/4: each value is within about an ulp relative, small ones too."""
-    a = a % n
-    q = (4 * a + n // 2) // n
-    t = (0.5 * math.pi) * ((4 * a - q * n) / n)
+    """(cos, sin) of 2 pi a/n for int64 arrays a and n > 0 with
+    4|a| + n < 2^63, the angle reduced exactly in integers to the nearest
+    quarter turn q and a rest |t| <= pi/4: each value is within about an ulp
+    relative, small ones too."""
+    q, r = np.divmod(4 * a + n // 2, n)  # 4a = q n + (r - n//2)
+    t = (0.5 * math.pi) * ((r - n // 2) / n)
     c, s = np.cos(t), np.sin(t)
-    q %= 4
-    return np.choose(q, (c, -s, -c, s)), np.choose(q, (s, c, -s, -c))
+    q &= 3
+    odd = (q & 1).astype(bool)  # turn (c, s) by q quarters: swap for odd q, then signs
+    return np.where(odd, s, c) * _QUARTER_SIGNS[0, q], np.where(odd, c, s) * _QUARTER_SIGNS[1, q]
 
 
 def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     """T and T* at the roots A_p of the given levels (PSettings of dimension
-    N), as two L x N x N complex arrays, from their closed product forms
-    (`repbuild._twist_factors`), without building anything exact.
+    N), as two L x N x N complex arrays, in O(N^2) per level and without
+    building anything exact, from recurrences that the closed forms of
+    `repbuild`'s docstring give along each row, outward from the unit diagonal:
 
-    With -A_p = exp(i w), w = 2 pi k/p: (-A_p)^e = exp(i w e), {j} = 2i sin(w j)
-    and {j}+ = 2 cos(w j), each angle reduced exactly (`_cis`). An entry is the
-    product of its real factors and divisor reciprocals, slot by slot, times
-    one unit complex for its sign, power of -X and i's: a few ulp per factor,
-    and bit for bit the values of taking one level at a time.
+        T[m][n+1]  = T[m][n] (-A)^-(N-1-m) {N-1-n} {2N-1-n}+ / {n+1-m},
+        T*[n+1][m] = -T*[n][m] (-A)^-(N-1-m) {N-1-n} {n+1} / ({n+1-m} {2N-2n-2}).
+
+    With -A_p = exp(i w), w = 2 pi k/p, {j} = 2i sin(w j) and {j}+ = 2 cos(w j),
+    each angle reduced exactly (`_cis`). The i's cancel, so each step but its
+    power of -A is a real ratio, an entry is the running product (`cumprod`)
+    of its row's ratios, and one unit complex (-A)^e(m,n) that T and T* share
+    gives its phase. A ratio carries at most 7 relative errors of size eps
+    (a reduced sine or cosine, or one operation), so an entry n - m steps
+    from the diagonal is within about (8 (n - m) + 2) eps relative, to first
+    order (Higham, ch. 3), whatever p is. Every operation is element-wise
+    along the level axis: each level's values are bit for bit those of
+    taking it alone.
 
     A divisor below `tol` in modulus (never below 2 sin(pi/p) at admissible
     levels) raises NearPoleError for the first such level (`point`), T before
-    T*, first entry in row-major order (`entry`). A level too large for exact
+    T*, first entry in row-major order (`entry`): {j}, j < N, first divides
+    T[0][j], and {2N-2j} first divides T*[j][0]. A level too large for exact
     angle reduction in int64 raises BadPError."""
     top = max((s.p for s in levels), default=0)
     if top * (8 * N * N + 20) >= 2**63:  # bounds every integer formed below
         raise BadPError(f"level p = {top} is too large to reduce angles exactly in 64-bit integers")
     p = np.array([s.p for s in levels])[:, None]
     k = np.array([s.k % s.p for s in levels])[:, None]
-    cos, sin = _cis(k * np.arange(1, 2 * N), p)
-    vals = np.hstack([np.ones_like(cos[:, :1]), 2 * sin, 2 * cos])  # 1, {j}/i, {j}+
-    table = np.hstack([vals, 1 / vals])
-    small = np.hstack([np.zeros(vals.shape, bool), np.abs(vals) < tol])  # small divisors
-    plans = _twist_plan(N)
-    for lvl in np.flatnonzero(small.any(axis=1)):
-        for name, (rows, cols, *_, slots) in zip(("T", "T*"), plans):
-            hit = np.flatnonzero(small[lvl, slots].any(axis=1))
-            if hit.size:
-                i, j = int(rows[hit[0]]), int(cols[hit[0]])
-                msg = f"{name} entry ({i}, {j}): a divisor is below {tol:g} at p = {levels[lvl].p}"
-                raise NearPoleError(msg, entry=(i, j), point=int(lvl))
-    gens = []
-    for rows, cols, power, quarter, slots in plans:
-        mag = np.ones((len(levels), len(rows)))
-        for slot in slots.T:
-            mag = mag * table[:, slot]
-        re, im = _cis(4 * k * power + p * quarter, 4 * p)
-        gen = np.zeros((len(levels), N, N), dtype=complex)
-        gen.real[:, rows, cols], gen.imag[:, rows, cols] = mag * re, mag * im
-        gens.append(gen)
-    return tuple(gens)
+    cos, sin = _cis(k * np.arange(2 * N), p)  # column j: w j
+    j = np.arange(1, N)
+    low, even = (np.abs(2 * sin[:, d]) < tol for d in (j, 2 * N - 2 * j))
+    failing = np.flatnonzero(low.any(axis=1) | even.any(axis=1))
+    if failing.size:
+        lvl = int(failing[0])
+        if low[lvl].any():
+            name, entry = "T", (0, 1 + int(np.argmax(low[lvl])))
+        else:
+            name, entry = "T*", (1 + int(np.argmax(even[lvl])), 0)
+        msg = f"{name} entry {entry}: a divisor is below {tol:g} at p = {levels[lvl].p}"
+        raise NearPoleError(msg, entry=entry, point=lvl)
+
+    m, n = np.arange(N)[:, None], np.arange(N)  # the step into T[m][n], T*[n][m]
+    upper, col = n > m, np.maximum(n, 1)
+    ratio = sin[:, None, N - n] / sin[:, np.where(upper, n - m, 1)]  # {N-n}/{n-m}
+    steps = np.array([2 * cos[:, 2 * N - col], -sin[:, col] / sin[:, 2 * N - 2 * col]])
+    mags = np.cumprod(np.where(upper, ratio * steps[:, :, None], 1.0), axis=-1)
+    rows, cols = np.nonzero(n >= m)
+    re, im = _cis(k * (-rows * (2 * N - 1 - rows) - (N - 1 - rows) * (cols - rows)), p)
+    gens = np.zeros((2, len(levels), N, N), dtype=complex)
+    for gen, mag, (i, j) in zip(gens, mags[:, :, rows, cols], ((rows, cols), (cols, rows))):
+        gen.real[:, i, j], gen.imag[:, i, j] = mag * re, mag * im
+    return gens[0], gens[1]
 
 
 def block_levels(N: int) -> int:
@@ -283,11 +278,14 @@ def oracle_deviation(N: int, levels, tol: float = DEFAULT_TOLERANCE) -> float:
     return float(worst)
 
 
-def check_dimension(N: int) -> None:
-    """Reject N above `MAX_EIG_DIM`, the limit of `amu`, `limit` and
-    `verify`, before any work that grows with N."""
+def check_size(N: int, levels: int = 0) -> None:
+    """Reject N above `MAX_EIG_DIM` and a scan of more than `MAX_LEVELS`
+    levels, the limits of `amu`, `limit` and `verify`, from the numbers alone,
+    before any work that grows with them."""
     if N > MAX_EIG_DIM:
         raise TooLargeError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
+    if levels > MAX_LEVELS:
+        raise TooLargeError(f"scan of {levels} levels exceeds bound {MAX_LEVELS}")
 
 
 def spectral_radius(m: np.ndarray, levels):
@@ -351,9 +349,9 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     and comparing against the SL2(Z) action measures exactly the
     character-normalized distance of the underlying TQFT matrices.
 
-    N above `MAX_EIG_DIM` is rejected before any evaluation
-    (`check_dimension`)."""
-    check_dimension(N)
+    N above `MAX_EIG_DIM` and more than `MAX_LEVELS` levels are rejected
+    before any evaluation (`check_size`)."""
+    check_size(N, len(p_list))
     target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
     rows = []
     for block in _blocks(N, (PSetting(p, N) for p in sorted(p_list))):

@@ -3,8 +3,9 @@ gcd, the build of y, z' and M^(n) by that arithmetic, exact matrix inverse and
 word products over Q(X), the braid and center checks by Kronecker
 substitution, T and T* by the column recurrence through M^(n), the oracle's z
 and M^(n), the oracle from direct raw factorial products, the rescaling
-character, the q-factorial and twist eigenvalue, symbolic matrices evaluated
-at A_p in 50-digit decimal arithmetic, the basis rescaling alpha_n of the
+character, the q-factorial and twist eigenvalue, symbolic matrices and the factor
+lists of T and T* evaluated at A_p in 50-digit decimal arithmetic, the
+near-pole error those lists predict, the basis rescaling alpha_n of the
 classical target, and the entrywise max-modulus norm of a float matrix. None
 of these is on a production path; the tests compare the production code
 against them."""
@@ -15,6 +16,7 @@ import cmath
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from torusrep.repbuild import (
     _height_bound,
     _int_matmul,
     _int_scale,
+    _twist_factors,
     build_repset,
     relation_checks,
 )
@@ -606,6 +609,59 @@ def decimal_at_root(mat: FMatrix, p: int, k: int = 1, digits: int = 50):
                 vals.append(((nr * dr + ni * di) / d2, (ni * dr - nr * di) / d2))
             out.append(vals)
         return out
+
+
+_factor_lists = lru_cache(maxsize=None)(_twist_factors)
+
+
+def decimal_twists(N: int, p: int, k: int = 1, digits: int = 50):
+    """T and T* at A_p straight from their factor lists
+    (`repbuild._twist_factors`) with `digits` significant digits: -A_p =
+    omega = exp(2 pi i k/p) by Taylor series, its powers by repeated products,
+    {j} = 2i Im omega^j, {j}+ = 2 Re omega^j, and each entry
+    sign * omega^power * prod {j}^e. Two maps (i, j) -> (re, im) of Decimals,
+    one per generator, holding exactly the entries the lists name."""
+    gens = _factor_lists(N)
+    top = max(2 * N, *(abs(power) for gen in gens for _, _, power, _ in gen))
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        c, s = _decimal_cos_sin(2 * _decimal_pi() * (k % p) / p)
+        powers = [(Decimal(1), Decimal(0))]
+        for _ in range(top):
+            re, im = powers[-1]
+            powers.append((re * c - im * s, re * s + im * c))
+        real = {}  # {j}/i and {j}+ and their reciprocals, by factor
+        for j, (re, im) in enumerate(powers[1 : 2 * N], start=1):
+            for plus, value in ((False, 2 * im), (True, 2 * re)):
+                real[j, plus, 1], real[j, plus, -1] = value, 1 / value
+        out = []
+        for gen in gens:
+            values = {}
+            for ij, sign, power, factors in gen:
+                mag = sign * math.prod(real[f] for f in factors)
+                quarter = sum(e for _, plus, e in factors if not plus)
+                re, im = powers[abs(power)]
+                im = im if power >= 0 else -im
+                for _ in range(quarter % 4):  # times i
+                    re, im = -im, re
+                values[ij] = (mag * re, mag * im)
+            out.append(values)
+        return out
+
+
+def predicted_near_pole(N: int, levels, tol: float):
+    """What `numeric.eval_twists` raises over the given levels, derived from
+    the factor lists (`repbuild._twist_factors`): (message, entry, point) for
+    the first level, there T before T*, and the first entry in row-major order
+    with a divisor {j} or {j}+ of modulus below tol; None if no entry has
+    one."""
+    for point, s in enumerate(levels):
+        for name, gen in zip(("T", "T*"), _factor_lists(N)):
+            for (i, j), _, _, factors in gen:
+                angles = [(2 * math.pi * (s.k * d % s.p) / s.p, plus) for d, plus, e in factors if e < 0]
+                if any(abs(2 * (math.cos(a) if plus else math.sin(a))) < tol for a, plus in angles):
+                    return f"{name} entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j), point
+    return None
 
 
 def relative_error(approx: complex, exact) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from torusrep import numeric, repbuild
 from torusrep.cli import canonical_json, main
+from torusrep.errors import TooLargeError
 from torusrep.field import FMatrix, fmatrix_to_obj
 from torusrep.qsymbols import QContext
 
@@ -82,10 +83,12 @@ def test_matrices_hN_word(capsys):
 # (M with --index 0..3), recorded from the build whose coefficients could be
 # Fractions and whose `eval_matrix` was a batched Horner over many points; T
 # and T* at p = 31 re-recorded once they came from their product forms
-# (`eval_twists`), which moved their last bits (4.3e-14 and 7e-16 relative).
+# (`eval_twists`), which moved their last bits (4.3e-14 and 7e-16 relative),
+# and T* again once it came from ratio recurrences along the rows, which
+# moved its last bits (worst entry 2.4e-16 -> 2.2e-16 off 50 digits).
 EVAL_DIGESTS = {
     ("T", "p=31"): "c60d6a19cd7149a9749b65b3e9615adec57ddee1ced54d27fae0dd88ade13e79",
-    ("Tstar", "p=31"): "afe0b6e7853cc94b206280c908a79b5183c813977851785583f39ad3aeb2d2a0",
+    ("Tstar", "p=31"): "cd55e74d69148191a832d28e8da6144f697f9be1a0912406a2519f9277783c5a",
     ("Z", "p=31"): "d8bcf1ef951e879c08ac235e6e1953c8048ee629a0903d5657e3d33c0f8db89a",
     ("Y", "p=31"): "974a965169cc76ab5f73ed89ecc5bd2709baab3b7a94e1527c226d671460b15d",
     ("Zprime", "p=31"): "79b02c6088a2d1b2a7349814b74347210a5e89810af83a5c6774950a91837bc5",
@@ -346,6 +349,31 @@ def test_matrices_rejects_large_n_before_building(capsys, what):
     assert code == 2 and out == ""
     assert "dimension 40 exceeds bound 32" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("amu", "--word", "y z^-1", "--N", "2", "--pmax", str(10**12)),
+        ("limit", "--word", "y z^-1", "--N", "2", "--p", f"5..{10**12}"),
+        ("verify", "--N", "2", "--oracle", "--p", f"5..{10**12}"),
+    ],
+)
+def test_scans_wider_than_the_level_cap_are_refused_at_once(capsys, argv):
+    # 5e11 levels: refused from the range's length, before any level exists
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: scan of 499999999998 levels exceeds bound {numeric.MAX_LEVELS}\n"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_level_cap_admits_the_widest_documented_scan():
+    # `limit --N 2 --p 5..200001`, 99,999 levels, is the widest README or CI run
+    assert len(range(5, 200002, 2)) <= numeric.MAX_LEVELS
+    numeric.check_size(2, numeric.MAX_LEVELS)
+    with pytest.raises(TooLargeError, match="scan of 100001 levels exceeds bound 100000"):
+        numeric.check_size(2, numeric.MAX_LEVELS + 1)
 
 
 def test_limit_rejects_a_level_too_large_for_exact_angles(capsys):

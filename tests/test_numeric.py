@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,10 +31,12 @@ from torusrep.repbuild import build_repset, classical_limit
 from reference import (
     chi_p,
     decimal_at_root,
+    decimal_twists,
     direct_oracle_matrices,
     max_abs,
     oracle_m_matrices,
     oracle_z_matrix,
+    predicted_near_pole,
     relative_error,
     rep_of_word,
 )
@@ -451,6 +454,23 @@ def test_errors_surface_in_level_order(monkeypatch):
         assert str(first.value) == want, p0
 
 
+@pytest.mark.parametrize("N", range(2, 9))
+def test_near_pole_errors_follow_the_factor_lists(N):
+    # the error of every block p = p0..61 and tolerance is the one the
+    # factor lists give: first level, T before T*, first row-major entry
+    levels = [PSetting(p, N) for p in range(2 * N + 1, 62, 2)]
+    for tol in (0.3, 0.5, 1.0, 3.0):
+        for start in range(len(levels)):
+            block = levels[start:]
+            want = predicted_near_pole(N, block, tol)
+            if want is None:
+                eval_twists(N, block, tol)
+                continue
+            with pytest.raises(NearPoleError) as err:
+                eval_twists(N, block, tol)
+            assert (str(err.value), err.value.entry, err.value.point) == want, (N, tol, block[0].p)
+
+
 def test_oracle_names_its_first_failing_level():
     # {2c+j+1}+ = {2}+ = 2 cos(4 pi/9) = 0.347 at N = 4, p = 9 (c = 0): below
     # tol = 0.5 before any closed-form divisor is
@@ -510,6 +530,28 @@ def test_eval_twists_entrywise_accurate(N, p, k):
             relative_error(complex(got[0, i, j]), ref[i][j]) for i in range(N) for j in range(N)
         )
         assert worst <= 1e-13, (N, p, k, worst)
+
+
+def test_eval_twists_matches_the_factor_lists_at_scale():
+    # the recurrences the scans run against each entry's factor list
+    # (`repbuild._twist_factors`, the forms the exact checks prove) in 50
+    # digits, at sizes where evaluating the expanded build is too slow and at
+    # levels near 1e12, where a form through quotients of q-factorial
+    # prefixes would go subnormal
+    start = time.perf_counter()
+    for N in (2, 8, 16, 32):
+        for p in (2 * N + 1, 101, 10**6 + 3, 10**12 + 39):
+            for k in (1, 2, 100):
+                if math.gcd(k, p) != 1:
+                    continue
+                for got, ref in zip(eval_twists(N, [PSetting(p, N, k)]), decimal_twists(N, p, k)):
+                    want = np.zeros((N, N), dtype=complex)  # rounded once, to 1.2e-16
+                    for ij, (re, im) in ref.items():
+                        want[ij] = complex(float(re), float(im))
+                    assert np.array_equal(got[0] == 0, want == 0), (N, p, k)
+                    worst = np.max(np.abs(got[0] - want) / np.where(want == 0, 1.0, np.abs(want)))
+                    assert worst <= 1e-13, (N, p, k, worst)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("N", range(2, 11))
