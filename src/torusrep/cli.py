@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
         rs = repbuild.build_repset(ctx)
         cl = classical.closed_limits(N)
 
-        braid_ok, center_ok = repbuild.relation_checks(rs.t_hat, rs.tstar_hat)
+        braid_ok, center_ok = repbuild.relation_checks(N)
         checks.append((f"braid relation exact (N={N})", braid_ok))
 
         try:
@@ -338,9 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # once per process; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (BadPError, PoleError, NearPoleError, ValueError) as err:

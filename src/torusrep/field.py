@@ -1,5 +1,9 @@
-"""Exact values in Q(X): dense polynomials over Z with their arithmetic, and
-elements and small matrices of Q(X) held in canonical form.
+"""Exact values in Q(X): dense polynomials over Z, and elements and small
+matrices of Q(X) held in canonical form.
+
+A `Poly` adds, scales, shifts, divides exactly and evaluates, but never
+multiplies by another: every product needed is one of cyclotomic
+polynomials, which `qsymbols._poly` expands as one power series.
 
 Coefficients are Python ints only: the representations are integral
 (Gilmer-Masbaum), and every entry built has a monic denominator. A `RatFunc`
@@ -16,59 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PoleError
-
-# ---------------------------------------------------------------------------
-# integer coefficient kernels
-# ---------------------------------------------------------------------------
-
-_KARATSUBA_CUTOFF = 48  # below this, schoolbook beats Kronecker packing
-
-
-def _int_mul(f, g):
-    """Multiply two dense int coefficient lists (ascending degree)."""
-    if min(len(f), len(g)) < _KARATSUBA_CUTOFF:
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
-        return out
-    return _kronecker_mul(f, g)
-
-
-def _pack(coeffs, width):
-    return int.from_bytes(
-        b"".join(c.to_bytes(width, "little") for c in coeffs), "little"
-    )
-
-
-def _unpack(packed, width, count):
-    raw = packed.to_bytes(width * count + width, "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
-
-
-def _kronecker_mul(f, g):
-    """Multiply via Kronecker substitution: pack into big ints and let CPython's
-    integer multiplication do the convolution. Signs are handled by splitting
-    each operand into positive and negative parts (four unsigned products)."""
-    mf = max(abs(c) for c in f)
-    mg = max(abs(c) for c in g)
-    bound = mf * mg * min(len(f), len(g))
-    width = (bound.bit_length() + 2 + 7) // 8  # +1 guard bit for pairwise sums
-    fp = [c if c > 0 else 0 for c in f]
-    fn = [-c if c < 0 else 0 for c in f]
-    gp = [c if c > 0 else 0 for c in g]
-    gn = [-c if c < 0 else 0 for c in g]
-    pfp, pfn = _pack(fp, width), _pack(fn, width)
-    pgp, pgn = _pack(gp, width), _pack(gn, width)
-    n_out = len(f) + len(g) - 1
-    pos = _unpack(pfp * pgp + pfn * pgn, width, n_out)
-    neg = _unpack(pfp * pgn + pfn * pgp, width, n_out)
-    return [a - b for a, b in zip(pos, neg)]
-
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -92,8 +43,8 @@ class Poly:
 
     @staticmethod
     def _raw(cs):
-        """Unchecked constructor for int coefficients (the integer kernels'
-        results). Trailing zeros are trimmed."""
+        """Unchecked constructor for int coefficients (the results of the
+        arithmetic here and of `qsymbols._poly`). Trailing zeros are trimmed."""
         n = len(cs)
         while n and not cs[n - 1]:
             n -= 1
@@ -156,9 +107,6 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return Poly._raw(tuple(-c for c in self.coeffs))
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -175,20 +123,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] -= c
         return Poly._raw(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _P_ZERO
-        if len(a) == 1:
-            return other.scale(a[0])
-        if len(b) == 1:
-            return self.scale(b[0])
-        return Poly._raw(_int_mul(a, b))
-
-    __rmul__ = __mul__
 
     def scale(self, s):
         if s == 0:
@@ -388,9 +322,6 @@ class FMatrix:
 
     def __hash__(self):
         return hash(self.rows)
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
 
 
 # ---------------------------------------------------------------------------

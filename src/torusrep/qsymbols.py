@@ -7,12 +7,13 @@ of unity, which is what makes them independent of the level.
 Every symbol here, and every entry of the matrices `repbuild` builds, is a
 product of the quantum integers {k} and {k}+ or a short sum of such products.
 A product is read off its cyclotomic exponents (`_product_form`); a sum is
-taken over the common denominator that the exponent maxima of its terms give,
-then divided by that denominator's cyclotomic factors as far as they go
-(`_sum_form`, `_reduce`). Neither computes a common divisor. Every product of
-cyclotomic polynomials, a single Phi_d included, is expanded by one routine,
-`_poly`: a cut power series in the factors (1 - X^m) that Moebius inversion
-gives.
+taken over the common denominator that the exponent maxima of its terms give
+(`_over_denominator`, which also gives `repbuild`'s exact checks their
+integer forms), then divided by that denominator's cyclotomic factors as far
+as they go (`_sum_form`, `_reduce`). Neither computes a common divisor.
+Every product of cyclotomic polynomials, a single Phi_d included, is
+expanded by one routine, `_poly`: a cut power series in the factors
+(1 - X^m) that Moebius inversion gives.
 """
 
 from __future__ import annotations
@@ -149,19 +150,6 @@ def _poly(sign: int, xpow: int, exps) -> Poly:
     return Poly._raw([0] * xpow + [sign * x for x in c])
 
 
-def _denominator(terms):
-    """(a, exps) with X^a prod Phi_d^e_d the least common denominator of
-    terms (s, a, exps) as `_exponents` gives them: a and each e_d are the
-    largest of the terms' denominator exponents."""
-    xpow, exps = 0, {}
-    for _, a, term in terms:
-        xpow = max(xpow, -a)
-        for d, e in term.items():
-            if e < 0:
-                exps[d] = max(exps.get(d, 0), -e)
-    return xpow, exps
-
-
 def _product_form(sign: int, power: int, factors) -> RatFunc:
     """The product of `_exponents` in canonical form: with a the net power of
     X, num = +-X^max(a, 0) prod_{e_d > 0} Phi_d^e_d and
@@ -171,18 +159,31 @@ def _product_form(sign: int, power: int, factors) -> RatFunc:
     return RatFunc(num, _poly(1, max(-a, 0), {d: -e for d, e in exps.items() if e < 0}))
 
 
-def _sum_form(forms) -> RatFunc:
-    """The sum of the products (sign, power, factors) in `forms` (as
-    `_product_form` takes them) in canonical form: each term is put over the
-    common denominator of `_denominator` by adding that denominator's
-    exponents to its own, and the sum is `_reduce`d."""
+def _over_denominator(forms):
+    """(xpow, den, nums): the products (sign, power, factors) in `forms` (as
+    `_product_form` takes them) over their least common denominator
+    X^xpow prod Phi_d^den_d, whose exponents are the largest of the forms'
+    denominator exponents; each numerator, in the order of forms, is its
+    form's exponents plus the denominator's, expanded by `_poly`."""
     terms = [_exponents(*form) for form in forms]
-    xpow, den = _denominator(terms)
-    num = Poly()
-    for s, a, exps in terms:
-        over = {d: exps.get(d, 0) + den.get(d, 0) for d in exps.keys() | den.keys()}
-        num = num + _poly(s, a + xpow, over)
-    return _reduce(num, xpow, den)
+    xpow, den = 0, {}
+    for _, a, exps in terms:
+        xpow = max(xpow, -a)
+        for d, e in exps.items():
+            if e < 0:
+                den[d] = max(den.get(d, 0), -e)
+    return xpow, den, [
+        _poly(s, a + xpow, {d: exps.get(d, 0) + den.get(d, 0) for d in exps.keys() | den.keys()})
+        for s, a, exps in terms
+    ]
+
+
+def _sum_form(forms) -> RatFunc:
+    """The sum of the products in `forms` in canonical form: the numerators
+    over their common denominator (`_over_denominator`) are added, and the
+    sum is `_reduce`d."""
+    xpow, den, nums = _over_denominator(forms)
+    return _reduce(sum(nums, Poly()), xpow, den)
 
 
 def _reduce(num: Poly, xpow: int, exps) -> RatFunc:

@@ -38,10 +38,9 @@ from .errors import PoleError, TooLargeError
 from .field import FMatrix, RatFunc
 from .qsymbols import (
     QContext,
-    _denominator,
     _divisors,
-    _exponents,
     _lambda_form,
+    _over_denominator,
     _poly,
     _product_form,
     _reduce,
@@ -137,10 +136,10 @@ def _laurent(f: RatFunc):
 
 def _twist_factors(N: int):
     """The product forms of T and T* (module docstring), written down once for
-    the exact build and for `numeric`'s evaluation at A_p: for each, the
-    nonzero entries in row-major order as ((i, j), sign, power, factors), the
-    entry being sign * (-X)^power * prod {k}^e ({k}+^e where plus) over the
-    triples (k, plus, e) in factors."""
+    the exact build and for the exact checks: for each, the nonzero entries
+    in row-major order as ((i, j), sign, power, factors), the entry being
+    sign * (-X)^power * prod {k}^e ({k}+^e where plus) over the triples
+    (k, plus, e) in factors."""
     t, tstar = [], []
     for m in range(N):
         for n in range(m, N):
@@ -197,19 +196,19 @@ def build_repset(ctx: QContext) -> RepSet:
     return RepSet(ctx, *_twists(ctx.N))
 
 
-def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
-    """Exact checks over Q(X): (T T* T == T* T T*, the center C = (T T* T)^2
-    commutes with T and with T*).
+def relation_checks(N: int) -> tuple[bool, bool]:
+    """Exact checks over Q(X) of the generators of dimension N: (T T* T ==
+    T* T T*, the center C = (T T* T)^2 commutes with T and with T*).
 
     Write T = P_T / D_T and T* = P_S / D_S with integer polynomial matrices P
     and D_T, D_S the least common denominators of the product forms of T and
-    T* (`_integer_form`; an entry whose denominator does not divide them
-    raises ArithmeticError). Then the braid relation is
-    D_S P_T P_S P_T == D_T P_S P_T P_S, and with C' = (P_T P_S P_T)^2 the
-    center commutes iff C' P_T == P_T C' and C' P_S == P_S C' (both sides of
-    a commutator share one denominator). Each identity says that a difference
-    f of two integer polynomials vanishes, entry by entry, and is decided by
-    multipoint evaluation modulo primes (`_integer_checks`):
+    T*, read straight from the factor lists (`_integer_form`). Then the braid
+    relation is D_S P_T P_S P_T == D_T P_S P_T P_S, and with
+    C' = (P_T P_S P_T)^2 the center commutes iff C' P_T == P_T C' and
+    C' P_S == P_S C' (both sides of a commutator share one denominator). Each
+    identity says that a difference f of two integer polynomials vanishes,
+    entry by entry, and is decided by multipoint evaluation modulo primes
+    (`_integer_checks`):
 
     - every coefficient of f is at most `bound` in absolute value, the sum of
       the l1-norms of the two sides, bounded through the nonnegative matrices
@@ -229,21 +228,22 @@ def relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
 
     So the verdict is exact and deterministic, with no common divisor taken
     and no probability of a wrong answer."""
-    forms = [_integer_form(m, entries) for m, entries in zip((t, tstar), _twist_factors(t.n_rows))]
-    return _integer_checks(*forms[0], *forms[1])
+    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in _twist_factors(N))
+    return _integer_checks(pt, dt, ps, ds)
 
 
-def _integer_form(m: FMatrix, entries):
-    """(P, D) with m = P / D, for a matrix m whose entries have the
-    denominators of the product forms `entries` (`_twist_factors`): D is
-    their least common denominator, X^a prod Phi_d^e_d with a and e_d the
-    largest exponents of the forms' denominators (`qsymbols._denominator`),
-    and each entry of P is num * (D / den) of the entry of m, so P is read
-    from m itself. P is a matrix of integer coefficient lists (ascending
-    degree), D one such list."""
-    den = _poly(1, *_denominator([_exponents(*form) for _, *form in entries]))
-    cofactor = {d: den.exact_div(d) for d in {e.den for row in m.rows for e in row}}
-    return [[list((e.num * cofactor[e.den]).coeffs) for e in row] for row in m.rows], list(den.coeffs)
+def _integer_form(entries, N: int):
+    """(P, D) with P / D the N x N matrix of the product forms `entries`
+    (`_twist_factors`), zero off them: D is their least common denominator,
+    X^a prod Phi_d^e_d with a and e_d the largest exponents of the forms'
+    denominators, and each entry of P its form's numerator over D
+    (`qsymbols._over_denominator`). P is a matrix of integer coefficient
+    lists (ascending degree), D one such list."""
+    xpow, den, nums = _over_denominator([form for _, *form in entries])
+    p = [[[] for _ in range(N)] for _ in range(N)]
+    for ((i, j), *_), num in zip(entries, nums):
+        p[i][j] = list(num.coeffs)
+    return p, list(_poly(1, xpow, den).coeffs)
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum

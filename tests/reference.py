@@ -1,14 +1,14 @@
-"""Reference implementations for the tests: Q(X) arithmetic by polynomial
-gcd, the build of y, z' and M^(n) by that arithmetic, exact matrix inverse and
-word products over Q(X), the braid and center checks by Kronecker
-substitution, T and T* by the column recurrence through M^(n), the oracle's z
-and M^(n), the oracle from direct raw factorial products, the rescaling
-character, the q-factorial and twist eigenvalue, symbolic matrices and the factor
-lists of T and T* evaluated at A_p in 50-digit decimal arithmetic, the
-near-pole error those lists predict, the basis rescaling alpha_n of the
-classical target, and the entrywise max-modulus norm of a float matrix. None
-of these is on a production path; the tests compare the production code
-against them."""
+"""Reference implementations for the tests: polynomial multiplication, Q(X)
+arithmetic by polynomial gcd, the build of y, z' and M^(n) by that
+arithmetic, exact matrix inverse and word products over Q(X), the braid and
+center checks by Kronecker substitution, T and T* by the column recurrence
+through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
+products, the rescaling character, the q-factorial and twist eigenvalue,
+symbolic matrices and the factor lists of T and T* evaluated at A_p in
+50-digit decimal arithmetic, the near-pole error those lists predict, the
+basis rescaling alpha_n of the classical target, and the entrywise
+max-modulus norm of a float matrix. None of these is on a production path;
+the tests compare the production code against them."""
 
 from __future__ import annotations
 
@@ -29,10 +29,75 @@ from torusrep.repbuild import (
     _height_bound,
     _int_matmul,
     _int_scale,
+    _integer_checks,
     _twist_factors,
     build_repset,
-    relation_checks,
 )
+
+
+# --- polynomial multiplication ---------------------------------------------------
+#
+# Nothing in `torusrep` multiplies two polynomials; the Q(X) reference
+# arithmetic below does.
+
+_KARATSUBA_CUTOFF = 48  # below this, schoolbook beats Kronecker packing
+
+
+def _int_mul(f, g):
+    """Multiply two dense int coefficient lists (ascending degree)."""
+    if min(len(f), len(g)) < _KARATSUBA_CUTOFF:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return out
+    return _kronecker_mul(f, g)
+
+
+def _pack(coeffs, width):
+    return int.from_bytes(
+        b"".join(c.to_bytes(width, "little") for c in coeffs), "little"
+    )
+
+
+def _unpack(packed, width, count):
+    raw = packed.to_bytes(width * count + width, "little")
+    return [
+        int.from_bytes(raw[i * width : (i + 1) * width], "little")
+        for i in range(count)
+    ]
+
+
+def _kronecker_mul(f, g):
+    """Multiply via Kronecker substitution: pack into big ints and let CPython's
+    integer multiplication do the convolution. Signs are handled by splitting
+    each operand into positive and negative parts (four unsigned products)."""
+    mf = max(abs(c) for c in f)
+    mg = max(abs(c) for c in g)
+    bound = mf * mg * min(len(f), len(g))
+    width = (bound.bit_length() + 2 + 7) // 8  # +1 guard bit for pairwise sums
+    fp = [c if c > 0 else 0 for c in f]
+    fn = [-c if c < 0 else 0 for c in f]
+    gp = [c if c > 0 else 0 for c in g]
+    gn = [-c if c < 0 else 0 for c in g]
+    pfp, pfn = _pack(fp, width), _pack(fn, width)
+    pgp, pgn = _pack(gp, width), _pack(gn, width)
+    n_out = len(f) + len(g) - 1
+    pos = _unpack(pfp * pgp + pfn * pgn, width, n_out)
+    neg = _unpack(pfp * pgn + pfn * pgp, width, n_out)
+    return [a - b for a, b in zip(pos, neg)]
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    x, y = a.coeffs, b.coeffs
+    if not x or not y:
+        return Poly()
+    if len(x) == 1:
+        return b.scale(x[0])
+    if len(y) == 1:
+        return a.scale(y[0])
+    return Poly._raw(_int_mul(x, y))
 
 
 # --- Q(X) arithmetic by polynomial gcd ------------------------------------------
@@ -140,11 +205,11 @@ def add(a, b) -> RatFunc:
         return b if a.is_zero else a
     g = poly_gcd(a.den, b.den)
     da, db = a.den.exact_div(g), b.den.exact_div(g)
-    num = a.num * db + b.num * da
+    num = poly_mul(a.num, db) + poly_mul(b.num, da)
     if num.is_zero:
         return RatFunc.zero()
     h = poly_gcd(num, g)
-    return _monicize(num.exact_div(h), (da * b.den).exact_div(h))
+    return _monicize(num.exact_div(h), poly_mul(da, b.den).exact_div(h))
 
 
 def sub(a, b) -> RatFunc:
@@ -157,8 +222,8 @@ def mul(a, b) -> RatFunc:
     if a.is_zero or b.is_zero:
         return RatFunc.zero()
     g1, g2 = poly_gcd(a.num, b.den), poly_gcd(b.num, a.den)
-    num = a.num.exact_div(g1) * b.num.exact_div(g2)
-    return _monicize(num, a.den.exact_div(g2) * b.den.exact_div(g1))
+    num = poly_mul(a.num.exact_div(g1), b.num.exact_div(g2))
+    return _monicize(num, poly_mul(a.den.exact_div(g2), b.den.exact_div(g1)))
 
 
 def reciprocal(a) -> RatFunc:
@@ -215,18 +280,19 @@ def fm_sub(a: FMatrix, b: FMatrix) -> FMatrix:
 
 
 def lcm_form(m: FMatrix):
-    """(P, D) with m = P / D as `repbuild._integer_form` gives them, for any
-    matrix over Q(X): D the lcm in Z[X] of the entry denominators by gcd, P
-    the matrix of num * (D / den) as integer coefficient lists. A canonical
-    denominator may carry an integer content (1/(2X) has den 2X), so the gcd
-    taken out of each product is the primitive gcd times the gcd of the
-    contents; with the primitive gcd alone the contents multiply up, as in
-    lcm(4X, 6X) = 24X, and P and D outgrow the exact checks' limits."""
+    """(P, D) with m = P / D as `repbuild._integer_form` gives them from the
+    factor lists, for any matrix over Q(X): D the lcm in Z[X] of the entry
+    denominators by gcd, P the matrix of num * (D / den) as integer
+    coefficient lists. A canonical denominator may carry an integer content
+    (1/(2X) has den 2X), so the gcd taken out of each product is the
+    primitive gcd times the gcd of the contents; with the primitive gcd alone
+    the contents multiply up, as in lcm(4X, 6X) = 24X, and P and D outgrow
+    the exact checks' limits."""
     den = Poly((1,))
     for d in dict.fromkeys(e.den for row in m.rows for e in row):
         g = poly_gcd(den, d).scale(math.gcd(_content(den.coeffs), _content(d.coeffs)))
-        den = den * d.exact_div(g)
-    return [[list((e.num * den.exact_div(e.den)).coeffs) for e in row] for row in m.rows], list(den.coeffs)
+        den = poly_mul(den, d.exact_div(g))
+    return [[list(poly_mul(e.num, den.exact_div(e.den)).coeffs) for e in row] for row in m.rows], list(den.coeffs)
 
 
 def ratfunc_from_obj(obj: dict) -> RatFunc:
@@ -374,7 +440,9 @@ def verify_braid(ctx: QContext) -> bool:
 
 
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
-    return relation_checks(t, tstar)[0]
+    """The braid relation for any pair over Q(X), by `relation_checks`'
+    decision procedure on their (P, D) forms by lcm."""
+    return _integer_checks(*lcm_form(t), *lcm_form(tstar))[0]
 
 
 def rep_of_word(w: Word, ctx: QContext) -> FMatrix:
@@ -402,12 +470,23 @@ def fm_power(base: FMatrix, e: int) -> FMatrix:
         base = fm_mul(base, base)
 
 
+def changed_factor(t, tstar, N: int):
+    """The factor lists (`repbuild._twist_factors`) with one factor changed,
+    a mutation the exact checks must catch: T[0][1]'s {2N-1}+ read as
+    {2N-1}."""
+    t = [
+        (ij, sign, power, [(k, plus and (ij, k) != ((0, 1), 2 * N - 1), e) for k, plus, e in factors])
+        for ij, sign, power, factors in t
+    ]
+    return t, tstar
+
+
 # --- the exact checks by Kronecker substitution -------------------------------
 
 
 def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     """`relation_checks` by Kronecker substitution: the (P, D) forms by lcm
-    (`lcm_form`, those of `relation_checks` on the built generators) and the
+    (`lcm_form`, those of `relation_checks` for the built generators) and the
     same height bound, but each identity is decided by comparing Python-int
     matrices at X = B = 2^w with B above twice the bound, where an integer
     polynomial with coefficients below B/2 in absolute value is zero iff its

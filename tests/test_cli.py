@@ -1,18 +1,22 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import torusrep
 from torusrep import numeric, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.errors import TooLargeError
-from torusrep.field import FMatrix, fmatrix_to_obj
+from torusrep.field import fmatrix_to_obj
 from torusrep.qsymbols import QContext
 
-from reference import decimal_at_root, fmatrix_from_obj, relative_error, sub
+from reference import changed_factor, decimal_at_root, fmatrix_from_obj, relative_error
 
 
 def run(capsys, *argv):
@@ -142,15 +146,11 @@ def test_verify_pass_and_exit_zero(capsys):
 
 
 def test_verify_corrupted_build_fails(capsys, monkeypatch):
-    build = repbuild.build_repset
-
-    def corrupted(ctx):
-        rs = build(ctx)
-        rows = [list(r) for r in rs.t_hat.rows]
-        rows[0][0] = sub(rs.t_hat[0][0], 1)
-        return repbuild.RepSet(ctx, FMatrix(rows), rs.tstar_hat)
-
-    monkeypatch.setattr(repbuild, "build_repset", corrupted)
+    # one factor of T changed in the lists that the exact checks and the
+    # build read; the corrupted build is not cached, so no other test sees it
+    factors = repbuild._twist_factors
+    monkeypatch.setattr(repbuild, "_twist_factors", lambda N: changed_factor(*factors(N), N))
+    monkeypatch.setattr(repbuild, "build_repset", lambda ctx: repbuild.RepSet(ctx, *repbuild._twists(ctx.N)))
     for N in ("2", "5"):
         code, out, _ = run(capsys, "verify", "--N", N)
         assert code == 1
@@ -441,3 +441,22 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["matrix_name"] == "T"
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(capsys):
+    # `main` parses every call with the one parser built at import: a call
+    # after others, with other commands and options, prints what it prints
+    # in a process of its own
+    calls = [
+        ("matrices", "--N", "3", "--what", "M", "--index", "0", "--format", "json"),
+        ("verify", "--N", "2..3"),
+        ("amu", "--word", "y z^-1", "--N", "3", "--pmax", "21"),
+    ]
+    together = [run(capsys, *argv) for argv in calls]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(torusrep.__file__))}
+    for argv, got in zip(calls, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "torusrep.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv

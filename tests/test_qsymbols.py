@@ -23,6 +23,7 @@ from reference import (
     mu,
     mul,
     neg,
+    poly_mul,
     qfact,
     qint,
     qint_plus,
@@ -213,19 +214,19 @@ def _phi(d):
     """Phi_d as (X^d - 1) / prod_{e | d, e < d} Phi_e, by exact division."""
     rest = Poly((1,))
     for e in _divisors(d)[:-1]:
-        rest = rest * _phi(e)
+        rest = poly_mul(rest, _phi(e))
     return (Poly.monomial(d) - Poly((1,))).exact_div(rest)
 
 
 def test_poly_factors_x_to_the_n_minus_one():
     # X^n - 1 = prod_{d | n} Phi_d, expanded at once and as a product of the
-    # single Phi_d multiplied by Poly.__mul__; this pins every Phi_d, d <= 60
+    # single Phi_d multiplied by `reference.poly_mul`; this pins every Phi_d, d <= 60
     for n in range(1, 61):
         want = Poly.monomial(n) - Poly((1,))
         assert _poly(1, 0, {d: 1 for d in _divisors(n)}) == want, n
         got = Poly((1,))
         for d in _divisors(n):
-            got = got * _poly(1, 0, {d: 1})
+            got = poly_mul(got, _poly(1, 0, {d: 1}))
         assert got == want, n
 
 
@@ -239,7 +240,7 @@ def test_poly_equals_the_product_of_its_factors(sign, xpow, exps):
     want = Poly.monomial(xpow, sign)
     for d, e in exps.items():
         for _ in range(e):
-            want = want * _phi(d)
+            want = poly_mul(want, _phi(d))
     assert _poly(sign, xpow, exps) == want
 
 

@@ -38,6 +38,7 @@ from reference import (
     SingularError,
     add,
     braid_holds,
+    changed_factor,
     fm_eq,
     fm_inv,
     fm_mul,
@@ -47,6 +48,7 @@ from reference import (
     lcm_form,
     mul,
     pairing_transpose,
+    poly_mul,
     qint,
     recurrence_twists,
     reduced,
@@ -132,7 +134,7 @@ def test_m_tridiagonal_exact():
 def test_that_column0_and_n2_limit():
     ctx = QContext(2)
     that = build_repset(ctx).t_hat
-    assert that.column(0) == (RatFunc.one(), RatFunc.zero())
+    assert tuple(row[0] for row in that.rows) == (RatFunc.one(), RatFunc.zero())
     assert classical_limit(that) == ((1, 2), (0, 1))
 
 
@@ -454,8 +456,9 @@ def test_that_columns_follow_m_hat(N):
     # T is built from its product form; this ties it back to the published M^(n).
     rs = build_repset(QContext(N))
     for n in range(N - 1):
-        col = FMatrix(tuple((e,) for e in rs.t_hat.column(n)))
-        assert fm_mul(rs.m_hat[n], col).column(0) == rs.t_hat.column(n + 1), (N, n)
+        col = FMatrix(tuple((row[n],) for row in rs.t_hat.rows))
+        nxt = FMatrix(tuple((row[n + 1],) for row in rs.t_hat.rows))
+        assert fm_mul(rs.m_hat[n], col) == nxt, (N, n)
 
 
 @pytest.mark.parametrize("N", range(2, 13))
@@ -477,11 +480,13 @@ def test_gcd_free_build_equals_qx_reference(N):
 
 @pytest.mark.parametrize("N", range(2, 17))
 def test_integer_forms_equal_the_lcm_by_gcd(N):
-    # D from the exponent maxima of the product forms is the lcm of the built
-    # denominators, so P and D are those of the gcd route
+    # (P, D) read from the factor lists are those of the gcd route on the
+    # built generators: D from the exponent maxima of the product forms is
+    # the lcm of the built denominators, and each numerator over D is the
+    # built entry times D over its denominator
     rs = build_repset(QContext(N))
     for m, entries in zip((rs.t_hat, rs.tstar_hat), _twist_factors(N)):
-        assert _integer_form(m, entries) == lcm_form(m)
+        assert _integer_form(entries, N) == lcm_form(m)
 
 
 # --- integer-evaluation checks against the Q(X) products ----------------------
@@ -580,14 +585,14 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
 def test_relation_checks_agree_on_generators():
     for N in range(2, 6):
         rs = build_repset(QContext(N))
-        assert relation_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+        assert relation_checks(N) == (True, True)
         assert _reference_checks(rs.t_hat, rs.tstar_hat) == (True, True)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_relation_checks_agree_with_kronecker_on_generators(N):
     rs = build_repset(QContext(N))
-    assert relation_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+    assert relation_checks(N) == (True, True)
     assert kronecker_relation_checks(rs.t_hat, rs.tstar_hat) == (True, True)
 
 
@@ -596,8 +601,16 @@ def test_relation_checks_negative_controls(N):
     rs = build_repset(QContext(N))
     rows = [list(r) for r in rs.t_hat.rows]
     rows[0][0] = sub(rows[0][0], 1)
-    assert relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
+    assert _integer_checks(*lcm_form(FMatrix(rows)), *lcm_form(rs.tstar_hat)) == (False, False)
     assert kronecker_relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_relation_checks_fail_on_a_changed_factor(N):
+    # T[0][1] with its factor {2N-1}+ read as {2N-1}, on the lists the
+    # checks read: both identities fail
+    t, tstar = changed_factor(*_twist_factors(N), N)
+    assert _integer_checks(*_integer_form(t, N), *_integer_form(tstar, N)) == (False, False)
 
 
 @pytest.mark.parametrize(
@@ -611,7 +624,7 @@ def test_relation_checks_negative_controls(N):
 )
 def test_center_check_compares_with_both_generators(t, tstar):
     t, tstar = (FMatrix([[RatFunc(e) for e in row] for row in m]) for m in (t, tstar))
-    assert relation_checks(t, tstar) == (False, False)
+    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == (False, False)
     assert _reference_checks(t, tstar) == kronecker_relation_checks(t, tstar) == (False, False)
 
 
@@ -662,7 +675,7 @@ def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
     # at x = 0 when v > 0, which is why 0 is not a point)
     falling = Poly((1,))
     for x in range(1, d + 1):
-        falling = falling * Poly((-x, 1))
+        falling = poly_mul(falling, Poly((-x, 1)))
     for v in (0, 3):
         dt = [0] * v + [1]
         ds = list((falling + Poly((1,))).shift(v).coeffs)
@@ -698,10 +711,7 @@ def _points(pt, dt, ps, ds):
 def test_points_on_the_generators(N, points):
     # 1 + max(deg D + 3 dmax, 7 dmax), with every entry taken at degree dmax
     # and valuation 0, is 43 at N = 2, 1212 at N = 8 and 2878 at N = 12
-    rs = build_repset(QContext(N))
-    (pt, dt), (ps, ds) = (
-        _integer_form(m, entries) for m, entries in zip((rs.t_hat, rs.tstar_hat), _twist_factors(N))
-    )
+    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in _twist_factors(N))
     assert _points(pt, dt, ps, ds) == points
 
 
