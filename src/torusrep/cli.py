@@ -22,7 +22,7 @@ from . import classical, numeric, repbuild
 from .errors import BadPError, NearPoleError, PoleError
 from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
-from .qsymbols import QContext, rhat
+from .qsymbols import rhat
 
 
 def canonical_json(obj) -> str:
@@ -95,9 +95,7 @@ def _matrix_text(obj, fmt: str, header: str, sym: FMatrix | None = None) -> str:
 def cmd_matrices(args) -> int:
     numeric.check_size(args.N)  # before building anything
     mode, p = _parse_eval(args.eval)
-    N = args.N
-    ctx = QContext(N)
-    what = args.what
+    N, what = args.N, args.what
 
     if what == "hN":
         word = parse_word(args.word)
@@ -109,35 +107,32 @@ def cmd_matrices(args) -> int:
         _emit(_matrix_text(obj, args.format, f"# hN  N={N}  word={word}"), args.out)
         return 0
 
-    rs = repbuild.build_repset(ctx)
-    named = {"T": "t_hat", "Tstar": "tstar_hat", "Z": "z_hat", "Y": "y_hat", "Zprime": "zprime_hat"}
-    if what == "M":
-        if args.index is None or not 0 <= args.index <= N - 2:
-            raise ValueError(f"--index must be in 0..{N - 2} for --what M")
-        sym = rs.m_hat[args.index]
-        name = f"M{args.index}"
-    elif what == "R":
-        sym = FMatrix(
-            tuple(tuple(rhat(n, m, ctx) for m in range(N)) for n in range(N))
-        )
-        name = "R"
-    else:
-        sym = getattr(rs, named[what])  # z, y and z' are built on first use
-        name = what
-
+    if what == "M" and (args.index is None or not 0 <= args.index <= N - 2):
+        raise ValueError(f"--index must be in 0..{N - 2} for --what M")
+    name = f"M{args.index}" if what == "M" else what
     header = f"# {name}  N={N}  eval={args.eval}"
+    if mode == "root" and what in ("T", "Tstar"):  # from the product forms, as the scans evaluate them
+        t, tstar = numeric.eval_twists(N, [numeric.PSetting(p, N)], args.tolerance)
+        _emit(_matrix_text(_complex_obj((t if what == "T" else tstar)[0]), args.format, header), args.out)
+        return 0
+
+    if what == "M":
+        sym = repbuild.build_m(args.index, N, repbuild.build_zprime(N))
+    elif what == "R":
+        sym = FMatrix(tuple(tuple(rhat(n, m, N) for m in range(N)) for n in range(N)))
+    elif what in ("T", "Tstar"):
+        t, tstar = repbuild.build_twists(N)
+        sym = t if what == "T" else tstar
+    else:
+        sym = {"Z": repbuild.build_z, "Y": repbuild.build_y, "Zprime": repbuild.build_zprime}[what](N)
     if mode == "symbolic":
         obj = fmatrix_to_obj(sym, name=name, N=N)
         _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
         return 0
     if mode == "classical":
         obj = _rational_obj(repbuild.classical_limit(sym))
-    elif what in ("T", "Tstar"):  # from the product forms, as the scans evaluate them
-        t, tstar = numeric.eval_twists(N, [numeric.PSetting(p, N)], args.tolerance)
-        obj = _complex_obj((t if what == "T" else tstar)[0])
     else:
-        setting = numeric.PSetting(p, N)
-        obj = _complex_obj(numeric.eval_matrix(sym, setting.A, args.tolerance))
+        obj = _complex_obj(numeric.eval_matrix(sym, numeric.PSetting(p, N).A, args.tolerance))
     _emit(_matrix_text(obj, args.format, header), args.out)
     return 0
 
@@ -145,19 +140,21 @@ def cmd_matrices(args) -> int:
 def cmd_verify(args) -> int:
     dims = _parse_range(args.N)
     width = len(_parse_range(args.p, odd=True)) if args.oracle else 0
-    numeric.check_size(dims[-1], width)  # before building anything
+    numeric.check_size(dims[-1], width)  # both ends, before building anything
+    numeric.check_size(dims[0])
     checks = []  # (label, ok) in order
     for N in dims:
-        ctx = QContext(N)
-        rs = repbuild.build_repset(ctx)
+        t, tstar = repbuild.build_twists(N)
+        zprime = repbuild.build_zprime(N)
+        ms = [repbuild.build_m(n, N, zprime) for n in range(N - 1)]
         cl = classical.closed_limits(N)
 
         braid_ok, center_ok = repbuild.relation_checks(N)
         checks.append((f"braid relation exact (N={N})", braid_ok))
 
         try:
-            t_lim = repbuild.classical_limit(rs.t_hat)
-            ts_lim = repbuild.classical_limit(rs.tstar_hat)
+            t_lim = repbuild.classical_limit(t)
+            ts_lim = repbuild.classical_limit(tstar)
             ok = (
                 t_lim == cl.that_limit
                 and ts_lim == cl.tstar_limit
@@ -169,24 +166,17 @@ def cmd_verify(args) -> int:
         checks.append((f"twist limits match closed forms and hN (N={N})", ok))
 
         ok = all(
-            rhat(n, m, ctx).eval_exact(-1) == cl.r_limit[n][m]
+            rhat(n, m, N).eval_exact(-1) == cl.r_limit[n][m]
             for n in range(N)
             for m in range(N)
         )
         checks.append((f"pairing-ratio limits exact (N={N})", ok))
 
-        ok = all(
-            repbuild.classical_limit(rs.m_hat[n]) == cl.m_limits[n]
-            for n in range(N - 1)
-        )
+        ok = all(repbuild.classical_limit(mat) == cl.m_limits[n] for n, mat in enumerate(ms))
         checks.append((f"recurrence-matrix limits exact (N={N})", ok))
 
         ok = all(
-            rs.m_hat[n][m][l].is_zero
-            for n in range(N - 1)
-            for m in range(N)
-            for l in range(N)
-            if abs(m - l) >= 2
+            mat[m][l].is_zero for mat in ms for m in range(N) for l in range(N) if abs(m - l) >= 2
         )
         checks.append((f"recurrence matrices tridiagonal (N={N})", ok))
 

@@ -52,14 +52,6 @@ class Poly:
         p.coeffs = tuple(cs[:n]) if n < len(cs) else tuple(cs)
         return p
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def monomial(k, c=1):
-        if k < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return Poly((0,) * k + (c,))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -294,15 +286,6 @@ class FMatrix:
             if any(len(r) != w for r in rows):
                 raise ValueError("ragged rows")
         self.rows = rows
-
-    @staticmethod
-    def identity(n: int) -> FMatrix:
-        return FMatrix(
-            tuple(
-                tuple(_RF_ONE if i == j else _RF_ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
 
     @property
     def n_rows(self):

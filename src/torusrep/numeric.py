@@ -279,9 +279,11 @@ def oracle_deviation(N: int, levels, tol: float = DEFAULT_TOLERANCE) -> float:
 
 
 def check_size(N: int, levels: int = 0) -> None:
-    """Reject N above `MAX_EIG_DIM` and a scan of more than `MAX_LEVELS`
-    levels, the limits of `amu`, `limit` and `verify`, from the numbers alone,
+    """Reject N below 2 or above `MAX_EIG_DIM` and a scan of more than
+    `MAX_LEVELS` levels, the limits of every command, from the numbers alone,
     before any work that grows with them."""
+    if N < 2:
+        raise ValueError(f"N must be an integer >= 2, got {N}")
     if N > MAX_EIG_DIM:
         raise TooLargeError(f"dimension {N} exceeds bound {MAX_EIG_DIM}")
     if levels > MAX_LEVELS:

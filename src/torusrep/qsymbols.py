@@ -18,35 +18,17 @@ expanded by one routine, `_poly`: a cut power series in the factors
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
 from .field import Poly, RatFunc
 
 
-@dataclasses.dataclass(frozen=True)
-class QContext:
-    """Fixes the representation dimension N >= 2 for one session."""
-
-    N: int
-
-    def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
-
-
 def _lambda_form(k: int, N: int):
-    """lambda_{c+k} = -{2N-2k-1}+ as (sign, power, factors) (`_product_form`)."""
-    return -1, 0, [(2 * N - 2 * k - 1, True, 1)]
-
-
-def lambda_shifted(k: int, ctx: QContext) -> RatFunc:
     """The curve-operator eigenvalue at shifted color index c + k, as the
-    p-independent reflected form -((-X)^(2k+1-2N) + (-X)^(2N-2k-1)), which is
-    -{2N-2k-1}+."""
-    if not 0 <= k <= ctx.N - 1:
-        raise ValueError(f"index k = {k} outside 0..{ctx.N - 1}")
-    return _product_form(*_lambda_form(k, ctx.N))
+    p-independent reflected form lambda_{c+k} = -((-X)^(2k+1-2N) +
+    (-X)^(2N-2k-1)) = -{2N-2k-1}+, given as (sign, power, factors)
+    (`_product_form`)."""
+    return -1, 0, [(2 * N - 2 * k - 1, True, 1)]
 
 
 def _rhat_factors(n: int, m: int, N: int):
@@ -58,20 +40,11 @@ def _rhat_factors(n: int, m: int, N: int):
     return factors
 
 
-def rhat(n: int, m: int, ctx: QContext) -> RatFunc:
-    """Hopf-pairing norm ratio of basis vectors n and m. For n > m it is the
-    telescoped product (-1)^(n-m) * prod_j {2N-2j}/{j} * prod_k {k}+ over
-    j = m+1..n and k = 2N-n..2N-m-1; rhat(n, n) = 1 and rhat(m, n) =
-    1/rhat(n, m)."""
-    N = ctx.N
-    if not (0 <= n <= N - 1 and 0 <= m <= N - 1):
-        raise ValueError(f"indices ({n}, {m}) outside 0..{N - 1}")
-    return _rhat(n, m, N)
-
-
-@lru_cache(maxsize=None)
-def _rhat(n: int, m: int, N: int) -> RatFunc:
-    """rhat(n, m), read off its cyclotomic exponents."""
+def rhat(n: int, m: int, N: int) -> RatFunc:
+    """Hopf-pairing norm ratio of basis vectors n and m in dimension N, read
+    off its cyclotomic exponents. For n > m it is the telescoped product
+    (-1)^(n-m) * prod_j {2N-2j}/{j} * prod_k {k}+ over j = m+1..n and
+    k = 2N-n..2N-m-1; rhat(n, n) = 1 and rhat(m, n) = 1/rhat(n, m)."""
     if n == m:
         return RatFunc.one()
     factors = _rhat_factors(max(n, m), min(n, m), N)

@@ -21,23 +21,19 @@ products, summed over their common denominator and divided by its
 cyclotomic factors (`qsymbols._sum_form`); they are Laurent polynomials. The
 tridiagonal column-recurrence matrices M^(n) = (z' - lambda_{c+n} I) / {n+1}
 (column n+1 of T is M^(n) times column n) take one Laurent subtraction and a
-trial division by the Phi_d, d | 2n+2, from z'. z, y, z' and the M^(n) are
-built on first use only (by `verify` and `matrices`; the certificate scans
-evaluate the product forms at A_p without building anything). Everything can
-be evaluated exactly at X = -1.
+trial division by the Phi_d, d | 2n+2, from z'. Each builder is a plain
+function of N, called by `verify` and `matrices` for what they need (the
+certificate scans evaluate the product forms at A_p without building
+anything). Everything can be evaluated exactly at X = -1.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import PoleError, TooLargeError
 from .field import FMatrix, RatFunc
 from .qsymbols import (
-    QContext,
     _divisors,
     _lambda_form,
     _over_denominator,
@@ -46,7 +42,6 @@ from .qsymbols import (
     _reduce,
     _rhat_factors,
     _sum_form,
-    lambda_shifted,
 )
 
 _X_HALF = (-1, 1, [(2, False, -1)])  # X/{2}, X = -(-X)
@@ -74,44 +69,41 @@ def _matrix(N: int, entries) -> FMatrix:
     return FMatrix(tuple(map(tuple, rows)))
 
 
-def build_z(ctx: QContext) -> FMatrix:
+def build_z(N: int) -> FMatrix:
     """Lower-bidiagonal matrix of the longitude curve operator: diagonal entry
     m is the shifted eigenvalue, subdiagonal entry (m, m-1) is {m}."""
-    z = _curve_factors(ctx.N)[0]
-    return _matrix(ctx.N, ((ij, _product_form(*form)) for ij, form in z.items()))
+    z = _curve_factors(N)[0]
+    return _matrix(N, ((ij, _product_form(*form)) for ij, form in z.items()))
 
 
-def build_y(ctx: QContext) -> FMatrix:
+def build_y(N: int) -> FMatrix:
     """Meridian curve operator: the transpose of z through the Hopf pairing,
     y[m][l] = rhat(l, m) * z[l][m]."""
-    y = _curve_factors(ctx.N)[1]
-    return _matrix(ctx.N, ((ij, _product_form(*form)) for ij, form in y.items()))
+    y = _curve_factors(N)[1]
+    return _matrix(N, ((ij, _product_form(*form)) for ij, form in y.items()))
 
 
-def build_zprime(ctx: QContext) -> FMatrix:
+def build_zprime(N: int) -> FMatrix:
     """Image of the longitude under the meridian twist, via the skein relation:
     (X * y@z - X^(-1) * z@y) / {2}, entry by entry the sum of the products of
     the forms of y and z (`qsymbols._sum_form`)."""
-    z, y = _curve_factors(ctx.N)
+    z, y = _curve_factors(N)
     terms = {}
     for (r, c, h), left, right in ((_X_HALF, y, z), (_MINUS_INV_HALF, z, y)):
         for (i, k), (s, a, f) in left.items():
             for (l, j), (t, b, g) in right.items():
                 if k == l:
                     terms.setdefault((i, j), []).append((r * s * t, a + b + c, f + g + h))
-    return _matrix(ctx.N, ((ij, _sum_form(forms)) for ij, forms in terms.items()))
+    return _matrix(N, ((ij, _sum_form(forms)) for ij, forms in terms.items()))
 
 
-def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
-    """Column-recurrence matrix M^(n) = (z' - lambda_{c+n} I) / {n+1}, from
-    the Laurent entries of z': with 1/{n+1} = (-1)^(n+1) X^(n+1) /
-    prod_{d | 2n+2} Phi_d, each entry is `qsymbols._reduce`d by those Phi_d.
-    As {n+1} is squarefree apart from its power of X, this is the canonical
-    form."""
-    N = ctx.N
-    if not 0 <= n <= N - 2:
-        raise ValueError(f"recurrence index n = {n} outside 0..{N - 2}")
-    lam, j = _laurent(lambda_shifted(n, ctx))
+def build_m(n: int, N: int, zprime: FMatrix) -> FMatrix:
+    """Column-recurrence matrix M^(n) = (z' - lambda_{c+n} I) / {n+1},
+    0 <= n <= N-2, from the Laurent entries of z': with 1/{n+1} =
+    (-1)^(n+1) X^(n+1) / prod_{d | 2n+2} Phi_d, each entry is
+    `qsymbols._reduce`d by those Phi_d. As {n+1} is squarefree apart from its
+    power of X, this is the canonical form."""
+    lam, j = _laurent(_product_form(*_lambda_form(n, N)))
     sign, phis = (-1) ** (n + 1), dict.fromkeys(_divisors(2 * n + 2), 1)
     rows = []
     for m in range(N):
@@ -155,45 +147,12 @@ def _twist_factors(N: int):
     return t, sorted(tstar)
 
 
-def _twists(N: int) -> tuple[FMatrix, FMatrix]:
+def build_twists(N: int) -> tuple[FMatrix, FMatrix]:
     """(T, T*) entry by entry from their product forms (`_twist_factors`)."""
     return tuple(
         _matrix(N, ((ij, _product_form(*form)) for ij, *form in entries))
         for entries in _twist_factors(N)
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class RepSet:
-    """All symbolic matrices for one dimension N, immutable once built. The
-    generators T and T* are built with the set; z, y, z' and the M^(n) on
-    first use."""
-
-    ctx: QContext
-    t_hat: FMatrix
-    tstar_hat: FMatrix
-
-    @cached_property
-    def z_hat(self) -> FMatrix:
-        return build_z(self.ctx)
-
-    @cached_property
-    def y_hat(self) -> FMatrix:
-        return build_y(self.ctx)
-
-    @cached_property
-    def zprime_hat(self) -> FMatrix:
-        return build_zprime(self.ctx)
-
-    @cached_property
-    def m_hat(self) -> tuple[FMatrix, ...]:
-        return tuple(build_m(n, self.ctx, self.zprime_hat) for n in range(self.ctx.N - 1))
-
-
-@lru_cache(maxsize=None)
-def build_repset(ctx: QContext) -> RepSet:
-    """The symbolic matrices of dimension N (the one build entry point)."""
-    return RepSet(ctx, *_twists(ctx.N))
 
 
 def relation_checks(N: int) -> tuple[bool, bool]:

@@ -1,5 +1,6 @@
 """Reference implementations for the tests: polynomial multiplication, Q(X)
-arithmetic by polynomial gcd, the build of y, z' and M^(n) by that
+arithmetic by polynomial gcd, monomials and the identity matrix, the
+eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
 arithmetic, exact matrix inverse and word products over Q(X), the braid and
 center checks by Kronecker substitution, T and T* by the column recurrence
 through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
@@ -20,18 +21,18 @@ from functools import lru_cache
 
 import numpy as np
 
+from torusrep import repbuild
 from torusrep.errors import BadPError, NearPoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
-from torusrep.qsymbols import QContext, lambda_shifted, rhat
+from torusrep.qsymbols import rhat
 from torusrep.repbuild import (
     _height_bound,
     _int_matmul,
     _int_scale,
     _integer_checks,
     _twist_factors,
-    build_repset,
 )
 
 
@@ -237,12 +238,22 @@ def div(a, b) -> RatFunc:
     return mul(a, reciprocal(b))
 
 
+def monomial(k: int, c: int = 1) -> Poly:
+    """c X^k for k >= 0."""
+    return Poly((0,) * k + (c,))
+
+
+def identity(n: int) -> FMatrix:
+    """The n x n identity matrix over Q(X)."""
+    return FMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
 def signed_power(n: int) -> RatFunc:
     """(-X)^n for any integer n; negative n puts X^|n| in the denominator."""
     sign = -1 if n % 2 else 1
     if n >= 0:
-        return RatFunc(Poly.monomial(n, sign))
-    return RatFunc(Poly((sign,)), Poly.monomial(-n))
+        return RatFunc(monomial(n, sign))
+    return RatFunc(Poly((sign,)), monomial(-n))
 
 
 def qint(n: int) -> RatFunc:
@@ -306,21 +317,26 @@ def fmatrix_from_obj(obj: dict) -> FMatrix:
 # --- y, z' and M^(n) by Q(X) arithmetic -----------------------------------------
 
 
-def build_y(ctx: QContext, z: FMatrix) -> FMatrix:
+def lambda_shifted(k: int, N: int) -> RatFunc:
+    """The curve-operator eigenvalue lambda_{c+k} = -{2N-2k-1}+."""
+    return neg(qint_plus(2 * N - 2 * k - 1))
+
+
+def build_y(N: int, z: FMatrix) -> FMatrix:
     """y[m][l] = rhat(l, m) * z[l][m], formed only where z[l][m] is nonzero."""
-    return pairing_transpose(ctx, z)
+    return pairing_transpose(N, z)
 
 
-def build_zprime(ctx: QContext, y: FMatrix, z: FMatrix) -> FMatrix:
+def build_zprime(y: FMatrix, z: FMatrix) -> FMatrix:
     """(X * y@z - X^(-1) * z@y) / {2} by matrix products over Q(X)."""
     x = RatFunc(Poly((0, 1)))
     diff = fm_sub(fm_scale(fm_mul(y, z), x), fm_scale(fm_mul(z, y), reciprocal(x)))
     return fm_scale(diff, reciprocal(qint(2)))
 
 
-def build_m(n: int, ctx: QContext, zprime: FMatrix) -> FMatrix:
+def build_m(n: int, N: int, zprime: FMatrix) -> FMatrix:
     """M^(n) = (z' - lambda_{c+n} I) / {n+1} entry by entry over Q(X)."""
-    lam, inv = lambda_shifted(n, ctx), reciprocal(qint(n + 1))
+    lam, inv = lambda_shifted(n, N), reciprocal(qint(n + 1))
     return FMatrix(
         tuple(
             tuple(mul(sub(e, lam) if l == m else e, inv) for l, e in enumerate(row))
@@ -391,29 +407,33 @@ def mu(n: int) -> RatFunc:
 # --- T and T* by the column recurrence -----------------------------------------
 
 
-def pairing_transpose(ctx: QContext, a: FMatrix) -> FMatrix:
+def pairing_transpose(N: int, a: FMatrix) -> FMatrix:
     """out[i][j] = rhat(j, i) * a[j][i], formed only where a[j][i] is nonzero."""
-    N = ctx.N
     zero = RatFunc.zero()
     return FMatrix(
         tuple(
-            tuple(zero if a[j][i].is_zero else mul(rhat(j, i, ctx), a[j][i]) for j in range(N))
+            tuple(zero if a[j][i].is_zero else mul(rhat(j, i, N), a[j][i]) for j in range(N))
             for i in range(N)
         )
     )
 
 
-def recurrence_twists(ctx: QContext) -> tuple[FMatrix, FMatrix]:
+def recurrence_matrices(N: int) -> tuple[FMatrix, ...]:
+    """The production M^(0), ..., M^(N-2), all from one z'."""
+    zprime = repbuild.build_zprime(N)
+    return tuple(repbuild.build_m(n, N, zprime) for n in range(N - 1))
+
+
+def recurrence_twists(N: int) -> tuple[FMatrix, FMatrix]:
     """(T, T*) as the column recurrence builds them: column n+1 of T is
     ((z' - lambda_{c+n} I) * column n) / {n+1} from column 0 = e, and
     T*[n][m] = rhat(m, n) * T[m][n]."""
-    N = ctx.N
-    zprime = build_repset(ctx).zprime_hat
+    zprime = repbuild.build_zprime(N)
     cols = [[RatFunc.zero()] * N for _ in range(N)]
     cols[0][0] = RatFunc.one()
     for n in range(N - 1):
         prev = cols[n]
-        lam = lambda_shifted(n, ctx)
+        lam = lambda_shifted(n, N)
         inv = reciprocal(qint(n + 1))
         nxt = []
         for m in range(N):
@@ -427,16 +447,15 @@ def recurrence_twists(ctx: QContext) -> tuple[FMatrix, FMatrix]:
             nxt.append(mul(acc, inv))
         cols[n + 1] = nxt
     that = FMatrix(tuple(tuple(cols[n][m] for n in range(N)) for m in range(N)))
-    return that, pairing_transpose(ctx, that)
+    return that, pairing_transpose(N, that)
 
 
 # --- exact word products -------------------------------------------------------
 
 
-def verify_braid(ctx: QContext) -> bool:
+def verify_braid(N: int) -> bool:
     """Exact braid relation T T* T == T* T T* in GL_N(Q(X))."""
-    rs = build_repset(ctx)
-    return braid_holds(rs.t_hat, rs.tstar_hat)
+    return braid_holds(*repbuild.build_twists(N))
 
 
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
@@ -445,13 +464,13 @@ def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
     return _integer_checks(*lcm_form(t), *lcm_form(tstar))[0]
 
 
-def rep_of_word(w: Word, ctx: QContext) -> FMatrix:
+def rep_of_word(w: Word, N: int) -> FMatrix:
     """Image of a mapping-class word: the ordered product of T/T* powers, with
     negative exponents through the exact inverse."""
-    rs = build_repset(ctx)
-    out = FMatrix.identity(ctx.N)
+    t, tstar = repbuild.build_twists(N)
+    out = identity(N)
     for gen, exp in w.letters:
-        base = rs.t_hat if gen is Gen.TY else rs.tstar_hat
+        base = t if gen is Gen.TY else tstar
         if exp < 0:
             base = fm_inv(base)
         out = fm_mul(out, fm_power(base, abs(exp)))

@@ -16,10 +16,18 @@ from torusrep.numeric import (
     oracle_matrices,
     spectral_radius,
 )
-from torusrep.qsymbols import QContext, rhat
-from torusrep.repbuild import build_repset, classical_limit
+from torusrep.qsymbols import rhat
+from torusrep.repbuild import build_twists, classical_limit
 
-from reference import braid_holds, fm_eq, fm_mul, max_abs, rep_of_word, verify_braid
+from reference import (
+    braid_holds,
+    fm_eq,
+    fm_mul,
+    max_abs,
+    recurrence_matrices,
+    rep_of_word,
+    verify_braid,
+)
 
 N_RANGE = range(2, 7)
 
@@ -30,31 +38,30 @@ def _report(num, label, ok):
 
 
 def test_criterion_1_braid_relation_exact():
-    ok = all(verify_braid(QContext(N)) for N in N_RANGE)
+    ok = all(verify_braid(N) for N in N_RANGE)
     _report(1, "braid relation exact, N=2..6", ok)
 
 
 def test_criterion_2_classical_limits_exact():
     ok = True
     for N in N_RANGE:
-        rs = build_repset(QContext(N))
+        t, tstar = build_twists(N)
         cl = closed_limits(N)
-        t_lim = classical_limit(rs.t_hat)
-        ts_lim = classical_limit(rs.tstar_hat)
+        t_lim = classical_limit(t)
+        ts_lim = classical_limit(tstar)
         ok &= t_lim == cl.that_limit
         ok &= ts_lim == cl.tstar_limit
         ok &= t_lim == hN_matrix(SL2(1, 1, 0, 1), N)
         ok &= ts_lim == hN_matrix(SL2(1, 0, -1, 1), N)
-    rs2 = build_repset(QContext(2))
-    ok &= classical_limit(rs2.t_hat) == ((1, 2), (0, 1))
-    ok &= classical_limit(rs2.tstar_hat) == ((1, 0), (Fraction(-1, 2), 1))
+    t2, tstar2 = build_twists(2)
+    ok &= classical_limit(t2) == ((1, 2), (0, 1))
+    ok &= classical_limit(tstar2) == ((1, 0), (Fraction(-1, 2), 1))
     _report(2, "twist limits equal closed forms and hN, N=2..6", ok)
 
 
 def test_criterion_3_pairing_ratio_limits_exact():
     ok = True
     for N in N_RANGE:
-        ctx = QContext(N)
         for n in range(N):
             for m in range(N):
                 want = Fraction(
@@ -64,16 +71,15 @@ def test_criterion_3_pairing_ratio_limits_exact():
                     math.factorial(m) * math.factorial(N - 1 - m),
                     math.factorial(n) * math.factorial(N - 1 - n),
                 )
-                ok &= rhat(n, m, ctx).eval_exact(-1) == want
+                ok &= rhat(n, m, N).eval_exact(-1) == want
     _report(3, "pairing-ratio limits exact, all pairs, N=2..6", ok)
 
 
 def test_criterion_4_recurrence_limits_exact():
     ok = True
     for N in N_RANGE:
-        rs = build_repset(QContext(N))
-        for n in range(N - 1):
-            lim = classical_limit(rs.m_hat[n])
+        for n, mat in enumerate(recurrence_matrices(N)):
+            lim = classical_limit(mat)
             for m in range(N):
                 for l in range(N):
                     if l == m - 1:
@@ -91,14 +97,14 @@ def test_criterion_4_recurrence_limits_exact():
 def test_criterion_5_oracle_equivalence():
     worst = 0.0
     for N in (2, 3, 4):
-        rs = build_repset(QContext(N))
+        t_sym, tstar_sym = build_twists(N)
         for p in range(2 * N + 1, 52, 2):
             s = PSetting(p, N)
             t, tstar = oracle_matrices(s)
             worst = max(
                 worst,
-                max_abs(t - eval_matrix(rs.t_hat, s.A)),
-                max_abs(tstar - eval_matrix(rs.tstar_hat, s.A)),
+                max_abs(t - eval_matrix(t_sym, s.A)),
+                max_abs(tstar - eval_matrix(tstar_sym, s.A)),
             )
     _report(5, f"oracle equivalence < 1e-9 (worst {worst:.2e})", worst < 1e-9)
 
@@ -142,18 +148,18 @@ def test_criterion_7_structural_suite():
         ok &= mul(mul(uvu, uvu), mul(uvu, uvu)) == tuple(
             tuple(Fraction(int(i == j)) for j in range(N)) for i in range(N)
         )
-        rs = build_repset(QContext(N))
-        c = rep_of_word(parse_word("y z y y z y"), QContext(N))
-        ok &= fm_eq(fm_mul(c, rs.t_hat), fm_mul(rs.t_hat, c))
-        ok &= fm_eq(fm_mul(c, rs.tstar_hat), fm_mul(rs.tstar_hat, c))
+        t, tstar = build_twists(N)
+        c = rep_of_word(parse_word("y z y y z y"), N)
+        ok &= fm_eq(fm_mul(c, t), fm_mul(t, c))
+        ok &= fm_eq(fm_mul(c, tstar), fm_mul(tstar, c))
     _report(7, "hN homomorphism, (UVU)^4 = I, centrality, N=2..6", ok)
 
 
 def test_criterion_8_negative_controls():
-    rs = build_repset(QContext(3))
-    rows = [list(r) for r in rs.t_hat.rows]
+    t, tstar = build_twists(3)
+    rows = [list(r) for r in t.rows]
     rows[0][0] = RatFunc.zero()
-    corrupted_fails = not braid_holds(FMatrix(rows), rs.tstar_hat)
+    corrupted_fails = not braid_holds(FMatrix(rows), tstar)
 
     no_spurious_p0 = True
     for text in ("y", "z^-3", "y z y", "y z y y z y"):

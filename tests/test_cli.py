@@ -14,7 +14,6 @@ from torusrep import numeric, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.errors import TooLargeError
 from torusrep.field import fmatrix_to_obj
-from torusrep.qsymbols import QContext
 
 from reference import changed_factor, decimal_at_root, fmatrix_from_obj, relative_error
 
@@ -126,8 +125,7 @@ def test_evaluated_matrices_pinned(capsys, what, ev):
 def test_matrices_twists_at_root_are_accurate(capsys):
     # T and T* come from their product forms (`eval_twists`): Horner on the
     # expanded canonical form of T is 9e-6 relative off at N = 16, p = 101
-    rs = repbuild.build_repset(QContext(16))
-    for what, mat in (("T", rs.t_hat), ("Tstar", rs.tstar_hat)):
+    for what, mat in zip(("T", "Tstar"), repbuild.build_twists(16)):
         _, out, _ = run(capsys, "matrices", "--what", what, "--N", "16", "--eval", "p=101", "--format", "json")
         got, ref = json.loads(out), decimal_at_root(mat, 101)
         worst = max(
@@ -147,10 +145,9 @@ def test_verify_pass_and_exit_zero(capsys):
 
 def test_verify_corrupted_build_fails(capsys, monkeypatch):
     # one factor of T changed in the lists that the exact checks and the
-    # build read; the corrupted build is not cached, so no other test sees it
+    # build read
     factors = repbuild._twist_factors
     monkeypatch.setattr(repbuild, "_twist_factors", lambda N: changed_factor(*factors(N), N))
-    monkeypatch.setattr(repbuild, "build_repset", lambda ctx: repbuild.RepSet(ctx, *repbuild._twists(ctx.N)))
     for N in ("2", "5"):
         code, out, _ = run(capsys, "verify", "--N", N)
         assert code == 1
@@ -287,26 +284,86 @@ def test_margin_only_on_amu(capsys, argv):
     assert "unrecognized arguments: --margin" in capsys.readouterr().err
 
 
-def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
-    # The scans evaluate T and T* at A_p from their product forms: nothing
-    # exact is built, so no z' and no M^(n) either.
-    calls = {"build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
+BUILDERS = ("build_twists", "build_z", "build_y", "build_zprime", "build_m")
 
-    def counted(module, name):
-        fn = getattr(module, name)
 
-        def wrapper(*args):
+def count_builds(monkeypatch):
+    """Count the calls of each exact builder of `repbuild`, by name."""
+    calls = dict.fromkeys(BUILDERS, 0)
+    for name in BUILDERS:
+        def counted(*args, fn=getattr(repbuild, name), name=name):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(repbuild, name, counted)
+    return calls
 
-    repbuild.build_repset.cache_clear()
-    for name in ("build_zprime", "build_m", "build_repset", "_twists"):
-        counted(repbuild, name)
+
+def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
+    # The scans evaluate T and T* at A_p from their product forms: nothing
+    # exact is built, so no z' and no M^(n) either.
+    calls = count_builds(monkeypatch)
     code, out, _ = run(capsys, "amu", "--word", "y z^-1", "--N", "8", "--pmax", "41")
     assert code == 0 and "p0_observed=37" in out
-    assert calls == {"build_zprime": 0, "build_m": 0, "build_repset": 0, "_twists": 0}
+    assert calls == dict.fromkeys(BUILDERS, 0)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("--what", "Z"), {"build_z": 1}),
+        (("--what", "Zprime", "--eval", "x=-1"), {"build_zprime": 1}),
+        (("--what", "T"), {"build_twists": 1}),
+        (("--what", "Tstar", "--eval", "p=31"), {}),  # from the product forms
+        (("--what", "M", "--index", "1"), {"build_zprime": 1, "build_m": 1}),
+        (("--what", "R"), {}),
+    ],
+)
+def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
+    calls = count_builds(monkeypatch)
+    code, _, _ = run(capsys, "matrices", "--N", "4", *argv)
+    assert code == 0
+    assert calls == {**dict.fromkeys(BUILDERS, 0), **built}
+
+
+def test_verify_builds_each_matrix_once_per_dimension(capsys, monkeypatch):
+    # T and T* once, z' once and each M^(n) once per N: sum (N-1) = 10 M^(n)
+    calls = count_builds(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--N", "2..5")
+    assert code == 0
+    assert calls == {"build_twists": 4, "build_z": 0, "build_y": 0, "build_zprime": 4, "build_m": 10}
+
+
+SMALL_N_ARGV = [
+    *(("matrices", "--N", N, "--what", what) for N in ("1", "0")
+      for what in ("T", "Tstar", "M", "Z", "Y", "Zprime", "R", "hN")),
+    ("verify", "--N", "1"),
+    ("verify", "--N", "0"),
+    ("verify", "--N", "1..3"),
+    ("verify", "--N", "0..3"),
+    ("amu", "--word", "y z^-1", "--N", "1", "--pmax", "9"),
+    ("amu", "--word", "y z^-1", "--N", "0", "--pmax", "9"),
+    ("limit", "--word", "y z^-1", "--N", "1", "--p", "3..9"),
+    ("limit", "--word", "y z^-1", "--N", "0", "--p", "3..9"),
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_N_ARGV, ids=" ".join)
+def test_every_command_rejects_n_below_two(capsys, monkeypatch, argv):
+    # one message from the size gate, before anything is built or printed
+    calls = count_builds(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    N = argv[argv.index("--N") + 1].split("..")[0]
+    assert (code, out, err) == (2, "", f"error: N must be an integer >= 2, got {N}\n")
+    assert calls == dict.fromkeys(BUILDERS, 0)
+
+
+@pytest.mark.parametrize("index", ["-1", "3"])
+def test_matrices_rejects_a_recurrence_index_outside_the_range(capsys, monkeypatch, index):
+    calls = count_builds(monkeypatch)
+    code, out, err = run(capsys, "matrices", "--N", "4", "--what", "M", "--index", index)
+    assert (code, out, err) == (2, "", "error: --index must be in 0..2 for --what M\n")
+    assert calls == dict.fromkeys(BUILDERS, 0)
 
 
 def test_amu_at_n24_is_fast_and_right(capsys):

@@ -25,18 +25,19 @@ from torusrep.numeric import (
     primitive_root,
     spectral_radius,
 )
-from torusrep.qsymbols import QContext
-from torusrep.repbuild import build_repset, classical_limit
+from torusrep.repbuild import build_twists, build_y, build_z, build_zprime, classical_limit
 
 from reference import (
     chi_p,
     decimal_at_root,
     decimal_twists,
     direct_oracle_matrices,
+    identity,
     max_abs,
     oracle_m_matrices,
     oracle_z_matrix,
     predicted_near_pole,
+    recurrence_matrices,
     relative_error,
     rep_of_word,
 )
@@ -83,21 +84,21 @@ def test_oracle_z_diagonal_tends_to_minus_two():
 def test_oracle_equivalence_spot():
     for N, p in ((2, 7), (3, 7), (4, 51)):
         s = PSetting(p, N)
-        rs = build_repset(QContext(N))
+        t_sym, tstar_sym = build_twists(N)
         t, tstar = oracle_matrices(s)
-        assert max_abs(t - eval_matrix(rs.t_hat, s.A)) < 1e-10
-        assert max_abs(tstar - eval_matrix(rs.tstar_hat, s.A)) < 1e-10
+        assert max_abs(t - eval_matrix(t_sym, s.A)) < 1e-10
+        assert max_abs(tstar - eval_matrix(tstar_sym, s.A)) < 1e-10
 
 
 def test_oracle_equivalence_full_range():
     # N in {2,3,4}, every odd p from the boundary 2N+1 up to 51
     for N in (2, 3, 4):
-        rs = build_repset(QContext(N))
+        t_sym, tstar_sym = build_twists(N)
         for p in range(2 * N + 1, 52, 2):
             s = PSetting(p, N)
             t, tstar = oracle_matrices(s)
-            assert max_abs(t - eval_matrix(rs.t_hat, s.A)) < 1e-9, (N, p)
-            assert max_abs(tstar - eval_matrix(rs.tstar_hat, s.A)) < 1e-9, (N, p)
+            assert max_abs(t - eval_matrix(t_sym, s.A)) < 1e-9, (N, p)
+            assert max_abs(tstar - eval_matrix(tstar_sym, s.A)) < 1e-9, (N, p)
 
 
 def test_oracle_gate_is_relative_at_n10():
@@ -112,7 +113,7 @@ def test_oracle_gate_is_relative_at_n10():
 
 
 def test_eval_matrix_identity_and_near_pole():
-    m = eval_matrix(FMatrix.identity(3), 1.0 + 0j)
+    m = eval_matrix(identity(3), 1.0 + 0j)
     assert max_abs(m - np.eye(3)) == 0
     bad = FMatrix([[RatFunc(Poly((1,)), Poly((1, 1)))]])  # 1/(X+1)
     with pytest.raises(NearPoleError) as err:
@@ -122,11 +123,11 @@ def test_eval_matrix_identity_and_near_pole():
 
 def test_eval_matrix_at_minus_one_matches_exact_limit():
     for N in (2, 3, 4):
-        rs = build_repset(QContext(N))
+        t = build_twists(N)[0]
         lim = np.array(
-            [[float(e) for e in row] for row in classical_limit(rs.t_hat)]
+            [[float(e) for e in row] for row in classical_limit(t)]
         )
-        assert max_abs(eval_matrix(rs.t_hat, -1 + 0j) - lim) < 1e-12
+        assert max_abs(eval_matrix(t, -1 + 0j) - lim) < 1e-12
 
 
 def test_spectral_radius_basics():
@@ -189,7 +190,7 @@ def test_unitarity_of_rescaling():
     for p in (7, 13):
         chi = chi_p(w, p, 2)
         assert abs(abs(chi) - 1) < 1e-12
-        m = eval_matrix(rep_of_word(w, QContext(2)), PSetting(p, 2).A)
+        m = eval_matrix(rep_of_word(w, 2), PSetting(p, 2).A)
         radii = spectral_radius(np.array([m / chi, m]), [p, p])
         assert abs(radii[0] - radii[1]) < 1e-12
 
@@ -197,9 +198,7 @@ def test_unitarity_of_rescaling():
 def test_braid_numerics_spot():
     for N, p in ((3, 11), (5, 13)):
         s = PSetting(p, N)
-        rs = build_repset(QContext(N))
-        t = eval_matrix(rs.t_hat, s.A)
-        ts = eval_matrix(rs.tstar_hat, s.A)
+        t, ts = (eval_matrix(g, s.A) for g in build_twists(N))
         assert max_abs(t @ ts @ t - ts @ t @ ts) < 1e-10
 
 
@@ -260,10 +259,10 @@ def test_boundary_level_included_and_clean():
 def test_alternative_root_choice():
     # the equivalence holds at any admissible root: k = 2 also matches
     s = PSetting(11, 2, k=2)
-    rs = build_repset(QContext(2))
+    t_sym, tstar_sym = build_twists(2)
     t, tstar = oracle_matrices(s)
-    assert max_abs(t - eval_matrix(rs.t_hat, s.A)) < 1e-10
-    assert max_abs(tstar - eval_matrix(rs.tstar_hat, s.A)) < 1e-10
+    assert max_abs(t - eval_matrix(t_sym, s.A)) < 1e-10
+    assert max_abs(tstar - eval_matrix(tstar_sym, s.A)) < 1e-10
 
 
 @pytest.mark.parametrize("N, p0", [(6, 29), (8, 37)])
@@ -318,10 +317,9 @@ def _bits(a):
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_eval_matrix_is_bit_identical_to_scalar(N):
-    rs = build_repset(QContext(N))
     levels = range(2 * N + 1, 2 * N + 1 + 2 * 67, 32)
     xs = [PSetting(p, N).A for p in levels] + [-1.0, 1.0, cmath.exp(1j), cmath.exp(-2.5j)]
-    mats = [rs.z_hat, rs.y_hat, rs.zprime_hat, *rs.m_hat, rs.t_hat, rs.tstar_hat]
+    mats = [build_z(N), build_y(N), build_zprime(N), *recurrence_matrices(N), *build_twists(N)]
     for mat in mats:
         for k, x in enumerate(xs):
             got = eval_matrix(mat, x)
@@ -522,9 +520,8 @@ def test_eval_twists_entrywise_accurate(N, p, k):
     # 1e-13 relative, where double-precision Horner on the same forms is 1e-9
     # (N = 12, p = 65) and 1e-5 (N = 16, p = 101) off; k = 100 reaches angles
     # 2 pi k e/p far outside one turn, so each must be reduced exactly
-    rs = build_repset(QContext(N))
     s = PSetting(p, N, k)
-    for got, mat in zip(eval_twists(N, [s]), (rs.t_hat, rs.tstar_hat)):
+    for got, mat in zip(eval_twists(N, [s]), build_twists(N)):
         ref = decimal_at_root(mat, p, k)
         worst = max(
             relative_error(complex(got[0, i, j]), ref[i][j]) for i in range(N) for j in range(N)
@@ -557,11 +554,11 @@ def test_eval_twists_matches_the_factor_lists_at_scale():
 @pytest.mark.parametrize("N", range(2, 11))
 def test_eval_twists_matches_the_exact_build(N):
     # the scans' numbers are those of the matrices the exact checks prove
-    rs = build_repset(QContext(N))
+    t_sym, tstar_sym = build_twists(N)
     levels = [PSetting(p, N) for p in (2 * N + 1, 4 * N + 3, 101)]
     t, tstar = eval_twists(N, levels)
     for i, s in enumerate(levels):
-        for got, mat in ((t[i], rs.t_hat), (tstar[i], rs.tstar_hat)):
+        for got, mat in ((t[i], t_sym), (tstar[i], tstar_sym)):
             want = eval_matrix(mat, s.A)
             assert max_abs(got - want) <= 1e-12 * max_abs(want), (N, s.p)
 

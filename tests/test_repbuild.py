@@ -13,7 +13,7 @@ from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
 from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
-from torusrep.qsymbols import QContext, lambda_shifted, rhat
+from torusrep.qsymbols import rhat
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
@@ -24,8 +24,7 @@ from torusrep.repbuild import (
     _spans,
     _twist_factors,
     _values,
-    build_m,
-    build_repset,
+    build_twists,
     build_y,
     build_z,
     build_zprime,
@@ -44,12 +43,16 @@ from reference import (
     fm_mul,
     fm_scale,
     fm_sub,
+    identity,
     kronecker_relation_checks,
+    lambda_shifted,
     lcm_form,
+    monomial,
     mul,
     pairing_transpose,
     poly_mul,
     qint,
+    recurrence_matrices,
     recurrence_twists,
     reduced,
     rep_of_word,
@@ -60,18 +63,16 @@ from reference import (
 
 
 def test_build_z_structure_n2():
-    ctx = QContext(2)
-    z = build_z(ctx)
-    assert z[0][0] == lambda_shifted(0, ctx)
-    assert z[1][1] == lambda_shifted(1, ctx)
+    z = build_z(2)
+    assert z[0][0] == lambda_shifted(0, 2)
+    assert z[1][1] == lambda_shifted(1, 2)
     assert z[1][0] == qint(1)
     assert z[0][1].is_zero
 
 
 def test_build_z_bidiagonal_and_diagonal_limits():
     for N in (3, 5):
-        ctx = QContext(N)
-        z = build_z(ctx)
+        z = build_z(N)
         for m in range(N):
             for l in range(N):
                 if l not in (m, m - 1):
@@ -81,21 +82,19 @@ def test_build_z_bidiagonal_and_diagonal_limits():
 
 
 def test_build_y_structure():
-    ctx = QContext(3)
-    z = build_z(ctx)
-    y = build_y(ctx)
+    z = build_z(3)
+    y = build_y(3)
     for m in range(3):
         for l in range(3):
             if l not in (m, m + 1):
                 assert y[m][l].is_zero
         assert y[m][m] == z[m][m]
-    assert y[0][1] == mul(rhat(1, 0, ctx), qint(1))
+    assert y[0][1] == mul(rhat(1, 0, 3), qint(1))
 
 
 def test_build_zprime_tridiagonal_and_subdiagonal_form():
     for N in (2, 4):
-        ctx = QContext(N)
-        zp = build_zprime(ctx)
+        zp = build_zprime(N)
         for m in range(N):
             for l in range(N):
                 if abs(m - l) >= 2:
@@ -105,41 +104,29 @@ def test_build_zprime_tridiagonal_and_subdiagonal_form():
 
 
 def test_build_m_classical_entries():
-    ctx = QContext(3)
-    rs = build_repset(ctx)
-    m0 = classical_limit(rs.m_hat[0])
+    m0, m1 = map(classical_limit, recurrence_matrices(3))
     assert m0[0][0] == 4
     assert m0[0][1] == -8
-    m1 = classical_limit(rs.m_hat[1])
     assert m1[1][0] == Fraction(1, 2)
-
-
-def test_build_m_index_bounds():
-    ctx = QContext(3)
-    zp = build_repset(ctx).zprime_hat
-    with pytest.raises(ValueError):
-        build_m(2, ctx, zp)
 
 
 def test_m_tridiagonal_exact():
     for N in range(2, 7):
-        rs = build_repset(QContext(N))
-        for n in range(N - 1):
+        for mat in recurrence_matrices(N):
             for m in range(N):
                 for l in range(N):
                     if abs(m - l) >= 2:
-                        assert rs.m_hat[n][m][l].is_zero
+                        assert mat[m][l].is_zero
 
 
 def test_that_column0_and_n2_limit():
-    ctx = QContext(2)
-    that = build_repset(ctx).t_hat
+    that = build_twists(2)[0]
     assert tuple(row[0] for row in that.rows) == (RatFunc.one(), RatFunc.zero())
     assert classical_limit(that) == ((1, 2), (0, 1))
 
 
 def test_that_limit_unitriangular_n5():
-    lim = classical_limit(build_repset(QContext(5)).t_hat)
+    lim = classical_limit(build_twists(5)[0])
     for m in range(5):
         assert lim[m][m] == 1
         for n in range(m):
@@ -147,15 +134,12 @@ def test_that_limit_unitriangular_n5():
 
 
 def test_tstar_n2_limit():
-    ctx = QContext(2)
-    that = build_repset(ctx).t_hat
-    tstar = pairing_transpose(ctx, that)
+    tstar = pairing_transpose(2, build_twists(2)[0])
     assert classical_limit(tstar) == ((1, 0), (Fraction(-1, 2), 1))
 
 
 def test_tstar_limit_lower_unitriangular_n4():
-    rs = build_repset(QContext(4))
-    lim = classical_limit(rs.tstar_hat)
+    lim = classical_limit(build_twists(4)[1])
     for n in range(4):
         assert lim[n][n] == 1
         for m in range(n + 1, 4):
@@ -164,100 +148,92 @@ def test_tstar_limit_lower_unitriangular_n4():
 
 def test_pairing_consistency_n2():
     # a_{0,1}(-1) = R_{1,0}(-1) * b_{1,0}(-1): 2 = (-4) * (-1/2)
-    ctx = QContext(2)
-    rs = build_repset(ctx)
-    a01 = rs.t_hat[0][1].eval_exact(-1)
-    b10 = rs.tstar_hat[1][0].eval_exact(-1)
-    r10 = rhat(1, 0, ctx).eval_exact(-1)
+    t, tstar = build_twists(2)
+    a01 = t[0][1].eval_exact(-1)
+    b10 = tstar[1][0].eval_exact(-1)
+    r10 = rhat(1, 0, 2).eval_exact(-1)
     assert a01 == 2 and b10 == Fraction(-1, 2) and r10 == -4
     assert a01 == r10 * b10
 
 
 def test_transpose_relation_exact():
     for N in (2, 3, 4):
-        ctx = QContext(N)
-        rs = build_repset(ctx)
+        t, tstar = build_twists(N)
         for m in range(N):
             for n in range(N):
-                assert rs.t_hat[m][n] == mul(rhat(n, m, ctx), rs.tstar_hat[n][m])
+                assert t[m][n] == mul(rhat(n, m, N), tstar[n][m])
 
 
 def test_braid_exact_small():
-    assert verify_braid(QContext(2))
-    assert verify_braid(QContext(3))
+    assert verify_braid(2)
+    assert verify_braid(3)
 
 
 def test_braid_negative_control():
-    rs = build_repset(QContext(2))
-    rows = [list(r) for r in rs.t_hat.rows]
+    t, tstar = build_twists(2)
+    rows = [list(r) for r in t.rows]
     rows[0][0] = RatFunc.zero()
-    assert not braid_holds(FMatrix(rows), rs.tstar_hat)
+    assert not braid_holds(FMatrix(rows), tstar)
 
 
 def test_rep_of_word_basics():
-    ctx = QContext(2)
-    rs = build_repset(ctx)
-    assert fm_eq(rep_of_word(parse_word(""), ctx), FMatrix.identity(2))
-    assert fm_eq(rep_of_word(parse_word("y"), ctx), rs.t_hat)
+    assert fm_eq(rep_of_word(parse_word(""), 2), identity(2))
+    assert fm_eq(rep_of_word(parse_word("y"), 2), build_twists(2)[0])
     assert fm_eq(
-        rep_of_word(parse_word("y z y"), ctx), rep_of_word(parse_word("z y z"), ctx)
+        rep_of_word(parse_word("y z y"), 2), rep_of_word(parse_word("z y z"), 2)
     )
     # a power is the explicit repeated product (binary powering must agree)
-    rs3 = build_repset(QContext(3))
-    t5 = rs3.t_hat
+    t3 = build_twists(3)[0]
+    t5 = t3
     for _ in range(4):
-        t5 = fm_mul(t5, rs3.t_hat)
-    assert fm_eq(rep_of_word(parse_word("y^5"), QContext(3)), t5)
+        t5 = fm_mul(t5, t3)
+    assert fm_eq(rep_of_word(parse_word("y^5"), 3), t5)
 
 
 def test_rep_of_word_inverse_exponent():
-    ctx = QContext(2)
-    rs = build_repset(ctx)
-    w = rep_of_word(parse_word("z^-1"), ctx)
-    assert fm_eq(fm_mul(w, rs.tstar_hat), FMatrix.identity(2))
-    rs3 = build_repset(QContext(3))
-    inv = fm_inv(rs3.tstar_hat)
-    w3 = rep_of_word(parse_word("z^-3"), QContext(3))
+    w = rep_of_word(parse_word("z^-1"), 2)
+    assert fm_eq(fm_mul(w, build_twists(2)[1]), identity(2))
+    tstar3 = build_twists(3)[1]
+    inv = fm_inv(tstar3)
+    w3 = rep_of_word(parse_word("z^-3"), 3)
     assert fm_eq(w3, fm_mul(fm_mul(inv, inv), inv))
     assert fm_eq(
-        fm_mul(w3, fm_mul(fm_mul(rs3.tstar_hat, rs3.tstar_hat), rs3.tstar_hat)),
-        FMatrix.identity(3),
+        fm_mul(w3, fm_mul(fm_mul(tstar3, tstar3), tstar3)),
+        identity(3),
     )
 
 
 def test_that_times_its_inverse_is_identity():
-    that = build_repset(QContext(2)).t_hat
-    assert fm_eq(fm_mul(that, fm_inv(that)), FMatrix.identity(2))
+    that = build_twists(2)[0]
+    assert fm_eq(fm_mul(that, fm_inv(that)), identity(2))
 
 
 def test_adjacent_letters_same_generator():
-    ctx = QContext(2)
-    rs = build_repset(ctx)
+    t = build_twists(2)[0]
     assert fm_eq(
-        rep_of_word(parse_word("y y"), ctx), fm_mul(rs.t_hat, rs.t_hat)
+        rep_of_word(parse_word("y y"), 2), fm_mul(t, t)
     )
     assert fm_eq(
-        rep_of_word(parse_word("y y"), ctx), rep_of_word(parse_word("y^2"), ctx)
+        rep_of_word(parse_word("y y"), 2), rep_of_word(parse_word("y^2"), 2)
     )
 
 
 def test_centrality_commutes():
     for N in range(2, 7):
-        ctx = QContext(N)
-        rs = build_repset(ctx)
-        c = rep_of_word(parse_word("y z y y z y"), ctx)
-        assert fm_eq(fm_mul(c, rs.t_hat), fm_mul(rs.t_hat, c))
-        assert fm_eq(fm_mul(c, rs.tstar_hat), fm_mul(rs.tstar_hat, c))
+        t, tstar = build_twists(N)
+        c = rep_of_word(parse_word("y z y y z y"), N)
+        assert fm_eq(fm_mul(c, t), fm_mul(t, c))
+        assert fm_eq(fm_mul(c, tstar), fm_mul(tstar, c))
 
 
 def test_classical_limit_identity_and_values():
-    assert classical_limit(FMatrix.identity(3)) == (
+    assert classical_limit(identity(3)) == (
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
     )
     # closed form by hand at N=3: entry (m,n) = 2^(n-m)(2-m)!/((n-m)!(2-n)!)
-    lim = classical_limit(build_repset(QContext(3)).t_hat)
+    lim = classical_limit(build_twists(3)[0])
     assert lim == ((1, 4, 4), (0, 1, 2), (0, 0, 1))
 
 
@@ -272,17 +248,17 @@ def test_classical_limit_of_word_matches_hN():
     w = parse_word("y z^-1")
     g = SL2(1, 1, 0, 1) * SL2(1, 0, -1, 1).inverse()
     for N in (2, 3):
-        assert classical_limit(rep_of_word(w, QContext(N))) == hN_matrix(g, N)
+        assert classical_limit(rep_of_word(w, N)) == hN_matrix(g, N)
 
 
 def test_limits_match_closed_forms_all_n():
     for N in range(2, 7):
-        rs = build_repset(QContext(N))
+        t, tstar = build_twists(N)
         cl = closed_limits(N)
-        assert classical_limit(rs.t_hat) == cl.that_limit
-        assert classical_limit(rs.tstar_hat) == cl.tstar_limit
-        for n in range(N - 1):
-            assert classical_limit(rs.m_hat[n]) == cl.m_limits[n]
+        assert classical_limit(t) == cl.that_limit
+        assert classical_limit(tstar) == cl.tstar_limit
+        for n, mat in enumerate(recurrence_matrices(N)):
+            assert classical_limit(mat) == cl.m_limits[n]
 
 
 # --- canonical forms of the build --------------------------------------------
@@ -385,14 +361,17 @@ def _digest(m):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _ratios(N):
+    """The full pairing-ratio matrix R[n][m] = rhat(n, m)."""
+    return FMatrix(tuple(tuple(rhat(n, m, N) for m in range(N)) for n in range(N)))
+
+
 @pytest.mark.parametrize("N", range(2, 9))
 def test_build_canonical_forms_pinned(N):
-    ctx = QContext(N)
-    rs = build_repset(ctx)
-    r = FMatrix(tuple(tuple(rhat(n, m, ctx) for m in range(N)) for n in range(N)))
-    mats = {"Z": rs.z_hat, "Y": rs.y_hat, "Zprime": rs.zprime_hat, "T": rs.t_hat,
-            "Tstar": rs.tstar_hat, "R": r}
-    mats.update({f"M{n}": m for n, m in enumerate(rs.m_hat)})
+    t, tstar = build_twists(N)
+    mats = {"Z": build_z(N), "Y": build_y(N), "Zprime": build_zprime(N), "T": t,
+            "Tstar": tstar, "R": _ratios(N)}
+    mats.update({f"M{n}": m for n, m in enumerate(recurrence_matrices(N))})
     assert {k: _digest(m) for k, m in mats.items()} == CANONICAL_DIGESTS[N]
 
 
@@ -426,54 +405,45 @@ LARGE_N_DIGESTS = {
 def test_every_built_denominator_is_monic(N):
     # with a monic den the Z[X] canonical form (no common factor, den lead > 0)
     # is the Q(X) one with den monic, so every emitted form is the same in both
-    ctx = QContext(N)
-    rs = build_repset(ctx)
-    r = FMatrix(tuple(tuple(rhat(n, m, ctx) for m in range(N)) for n in range(N)))
-    for mat in (rs.z_hat, rs.y_hat, rs.zprime_hat, *rs.m_hat, rs.t_hat, rs.tstar_hat, r):
+    mats = (build_z(N), build_y(N), build_zprime(N), *recurrence_matrices(N), *build_twists(N))
+    for mat in (*mats, _ratios(N)):
         assert all(e.den.lead == 1 for row in mat.rows for e in row), N
 
 
 @pytest.mark.parametrize("N", range(9, 13))
 def test_twists_and_ratios_pinned_large_n(N):
-    ctx = QContext(N)
-    rs = build_repset(ctx)
-    r = FMatrix(tuple(tuple(rhat(n, m, ctx) for m in range(N)) for n in range(N)))
-    got = {"T": _digest(rs.t_hat), "Tstar": _digest(rs.tstar_hat), "R": _digest(r)}
+    t, tstar = build_twists(N)
+    got = {"T": _digest(t), "Tstar": _digest(tstar), "R": _digest(_ratios(N))}
     assert got == LARGE_N_DIGESTS[N]
 
 
 @pytest.mark.parametrize("N", range(2, 13))
 def test_product_forms_equal_column_recurrence(N):
-    ctx = QContext(N)
-    rs = build_repset(ctx)
-    t, tstar = recurrence_twists(ctx)
-    assert rs.t_hat == t
-    assert rs.tstar_hat == tstar
+    assert build_twists(N) == recurrence_twists(N)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_that_columns_follow_m_hat(N):
     # T is built from its product form; this ties it back to the published M^(n).
-    rs = build_repset(QContext(N))
-    for n in range(N - 1):
-        col = FMatrix(tuple((row[n],) for row in rs.t_hat.rows))
-        nxt = FMatrix(tuple((row[n + 1],) for row in rs.t_hat.rows))
-        assert fm_mul(rs.m_hat[n], col) == nxt, (N, n)
+    t = build_twists(N)[0]
+    for n, mat in enumerate(recurrence_matrices(N)):
+        col = FMatrix(tuple((row[n],) for row in t.rows))
+        nxt = FMatrix(tuple((row[n + 1],) for row in t.rows))
+        assert fm_mul(mat, col) == nxt, (N, n)
 
 
 @pytest.mark.parametrize("N", range(2, 13))
 def test_gcd_free_build_equals_qx_reference(N):
     # z, y, z' and every M^(n) from product forms equal, canonical form for
     # canonical form, the build by matrix products and gcd over Q(X)
-    ctx = QContext(N)
-    rs = build_repset(ctx)
-    y = reference.build_y(ctx, rs.z_hat)
-    zprime = reference.build_zprime(ctx, y, rs.z_hat)
-    assert rs.y_hat == y
-    assert rs.zprime_hat == zprime
-    assert rs.m_hat == tuple(reference.build_m(n, ctx, zprime) for n in range(N - 1))
-    assert rs.z_hat == FMatrix(
-        tuple(tuple(lambda_shifted(m, ctx) if l == m else qint(m) if l == m - 1 else 0
+    z = build_z(N)
+    y = reference.build_y(N, z)
+    zprime = reference.build_zprime(y, z)
+    assert build_y(N) == y
+    assert build_zprime(N) == zprime
+    assert recurrence_matrices(N) == tuple(reference.build_m(n, N, zprime) for n in range(N - 1))
+    assert z == FMatrix(
+        tuple(tuple(lambda_shifted(m, N) if l == m else qint(m) if l == m - 1 else 0
                     for l in range(N)) for m in range(N))
     )
 
@@ -484,8 +454,7 @@ def test_integer_forms_equal_the_lcm_by_gcd(N):
     # built generators: D from the exponent maxima of the product forms is
     # the lcm of the built denominators, and each numerator over D is the
     # built entry times D over its denominator
-    rs = build_repset(QContext(N))
-    for m, entries in zip((rs.t_hat, rs.tstar_hat), _twist_factors(N)):
+    for m, entries in zip(build_twists(N), _twist_factors(N)):
         assert _integer_form(entries, N) == lcm_form(m)
 
 
@@ -525,7 +494,7 @@ def _entry(num, den):
 polys = st.lists(coeff, min_size=1, max_size=2).map(_over_integer)
 dens = st.one_of(
     st.just((Poly((1,)), 1)),
-    st.integers(min_value=1, max_value=3).map(lambda k: (Poly.monomial(k), 1)),
+    st.integers(min_value=1, max_value=3).map(lambda k: (monomial(k), 1)),
     st.lists(coeff, min_size=2, max_size=2).map(_over_integer).filter(lambda d: d[0].degree > 0),
 )
 entries = st.one_of(st.just(RatFunc.zero()), st.builds(_entry, polys, dens))
@@ -584,25 +553,23 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
 
 def test_relation_checks_agree_on_generators():
     for N in range(2, 6):
-        rs = build_repset(QContext(N))
         assert relation_checks(N) == (True, True)
-        assert _reference_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+        assert _reference_checks(*build_twists(N)) == (True, True)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_relation_checks_agree_with_kronecker_on_generators(N):
-    rs = build_repset(QContext(N))
     assert relation_checks(N) == (True, True)
-    assert kronecker_relation_checks(rs.t_hat, rs.tstar_hat) == (True, True)
+    assert kronecker_relation_checks(*build_twists(N)) == (True, True)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_relation_checks_negative_controls(N):
-    rs = build_repset(QContext(N))
-    rows = [list(r) for r in rs.t_hat.rows]
+    t, tstar = build_twists(N)
+    rows = [list(r) for r in t.rows]
     rows[0][0] = sub(rows[0][0], 1)
-    assert _integer_checks(*lcm_form(FMatrix(rows)), *lcm_form(rs.tstar_hat)) == (False, False)
-    assert kronecker_relation_checks(FMatrix(rows), rs.tstar_hat) == (False, False)
+    assert _integer_checks(*lcm_form(FMatrix(rows)), *lcm_form(tstar)) == (False, False)
+    assert kronecker_relation_checks(FMatrix(rows), tstar) == (False, False)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
