@@ -22,7 +22,6 @@ from . import classical, numeric, repbuild
 from .errors import BadPError, NearPoleError, PoleError
 from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
-from .qsymbols import rhat
 
 
 def canonical_json(obj) -> str:
@@ -97,43 +96,41 @@ def cmd_matrices(args) -> int:
     mode, p = _parse_eval(args.eval)
     N, what = args.N, args.what
 
-    if what == "hN":
-        word = parse_word(args.word)
-        mat = classical.hN_matrix(sl2_image(word), N)
-        if mode == "root":
-            obj = _complex_obj([[complex(e) for e in row] for row in mat])
-        else:
-            obj = _rational_obj(mat)
-        _emit(_matrix_text(obj, args.format, f"# hN  N={N}  word={word}"), args.out)
-        return 0
-
     if what == "M" and (args.index is None or not 0 <= args.index <= N - 2):
         raise ValueError(f"--index must be in 0..{N - 2} for --what M")
     name = f"M{args.index}" if what == "M" else what
-    header = f"# {name}  N={N}  eval={args.eval}"
-    if mode == "root" and what in ("T", "Tstar"):  # from the product forms, as the scans evaluate them
+    header, sym = f"# {name}  N={N}  eval={args.eval}", None
+    if what == "hN":
+        word = parse_word(args.word)
+        mat = classical.hN_matrix(sl2_image(word), N)
+        obj = _complex_obj([[complex(e) for e in row] for row in mat]) if mode == "root" else _rational_obj(mat)
+        header = f"# hN  N={N}  word={word}"
+    elif mode == "root" and what in ("T", "Tstar"):  # from the product forms, as the scans evaluate them
         t, tstar = numeric.eval_twists(N, [numeric.PSetting(p, N)], args.tolerance)
-        _emit(_matrix_text(_complex_obj((t if what == "T" else tstar)[0]), args.format, header), args.out)
-        return 0
-
-    if what == "M":
-        sym = repbuild.build_m(args.index, N, repbuild.build_zprime(N))
-    elif what == "R":
-        sym = FMatrix(tuple(tuple(rhat(n, m, N) for m in range(N)) for n in range(N)))
-    elif what in ("T", "Tstar"):
-        t, tstar = repbuild.build_twists(N)
-        sym = t if what == "T" else tstar
+        obj = _complex_obj((t if what == "T" else tstar)[0])
+    elif mode == "classical" and what in ("T", "Tstar", "Z", "Y", "R"):  # read off the product forms
+        if what == "R":
+            forms = repbuild._ratio_factors(N)
+        else:
+            pair = repbuild._twist_factors(N) if what in ("T", "Tstar") else repbuild._curve_factors(N)
+            forms = pair[what in ("Tstar", "Y")]
+        obj = _rational_obj(repbuild.form_limit(N, forms))
     else:
-        sym = {"Z": repbuild.build_z, "Y": repbuild.build_y, "Zprime": repbuild.build_zprime}[what](N)
-    if mode == "symbolic":
-        obj = fmatrix_to_obj(sym, name=name, N=N)
-        _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
-        return 0
-    if mode == "classical":
-        obj = _rational_obj(repbuild.classical_limit(sym))
-    else:
-        obj = _complex_obj(numeric.eval_matrix(sym, numeric.PSetting(p, N).A, args.tolerance))
-    _emit(_matrix_text(obj, args.format, header), args.out)
+        if what == "M":
+            mat = repbuild.build_m(args.index, N, repbuild.build_zprime(N))
+        elif what == "R":
+            mat = repbuild._matrix(N, repbuild._ratio_factors(N))
+        elif what in ("T", "Tstar"):
+            mat = repbuild.build_twists(N)[what == "Tstar"]
+        else:
+            mat = {"Z": repbuild.build_z, "Y": repbuild.build_y, "Zprime": repbuild.build_zprime}[what](N)
+        if mode == "symbolic":
+            obj, sym = fmatrix_to_obj(mat, name=name, N=N), mat
+        elif mode == "classical":
+            obj = _rational_obj(repbuild.classical_limit(mat))
+        else:
+            obj = _complex_obj(numeric.eval_matrix(mat, numeric.PSetting(p, N).A, args.tolerance))
+    _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
     return 0
 
 
@@ -144,7 +141,6 @@ def cmd_verify(args) -> int:
     numeric.check_size(dims[0])
     checks = []  # (label, ok) in order
     for N in dims:
-        t, tstar = repbuild.build_twists(N)
         zprime = repbuild.build_zprime(N)
         ms = [repbuild.build_m(n, N, zprime) for n in range(N - 1)]
         cl = classical.closed_limits(N)
@@ -153,8 +149,7 @@ def cmd_verify(args) -> int:
         checks.append((f"braid relation exact (N={N})", braid_ok))
 
         try:
-            t_lim = repbuild.classical_limit(t)
-            ts_lim = repbuild.classical_limit(tstar)
+            t_lim, ts_lim = (repbuild.form_limit(N, forms) for forms in repbuild._twist_factors(N))
             ok = (
                 t_lim == cl.that_limit
                 and ts_lim == cl.tstar_limit
@@ -165,11 +160,10 @@ def cmd_verify(args) -> int:
             ok = False
         checks.append((f"twist limits match closed forms and hN (N={N})", ok))
 
-        ok = all(
-            rhat(n, m, N).eval_exact(-1) == cl.r_limit[n][m]
-            for n in range(N)
-            for m in range(N)
-        )
+        try:
+            ok = repbuild.form_limit(N, repbuild._ratio_factors(N)) == cl.r_limit
+        except PoleError:
+            ok = False
         checks.append((f"pairing-ratio limits exact (N={N})", ok))
 
         ok = all(repbuild.classical_limit(mat) == cl.m_limits[n] for n, mat in enumerate(ms))

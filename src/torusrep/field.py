@@ -220,10 +220,6 @@ class RatFunc:
     def zero():
         return _RF_ZERO
 
-    @staticmethod
-    def one():
-        return _RF_ONE
-
     @property
     def is_zero(self):
         return self.num.is_zero
@@ -266,7 +262,6 @@ class RatFunc:
 
 
 _RF_ZERO = RatFunc(_P_ZERO)
-_RF_ONE = RatFunc(_P_ONE)
 
 
 # ---------------------------------------------------------------------------

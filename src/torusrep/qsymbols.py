@@ -13,13 +13,17 @@ integer forms), then divided by that denominator's cyclotomic factors as far
 as they go (`_sum_form`, `_reduce`). Neither computes a common divisor.
 Every product of cyclotomic polynomials, a single Phi_d included, is
 expanded by one routine, `_poly`: a cut power series in the factors
-(1 - X^m) that Moebius inversion gives.
+(1 - X^m) that Moebius inversion gives. A product's value at X = -1 is read
+from its factors in integers (`_limit`), with no canonical form built.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
+from .errors import PoleError
 from .field import Poly, RatFunc
 
 
@@ -31,26 +35,21 @@ def _lambda_form(k: int, N: int):
     return -1, 0, [(2 * N - 2 * k - 1, True, 1)]
 
 
-def _rhat_factors(n: int, m: int, N: int):
-    """The factors (k, plus, e) of rhat(n, m) for n > m, as `_product_form`
-    takes them; its sign is (-1)^(n-m)."""
-    factors = [(2 * N - 2 * j, False, 1) for j in range(m + 1, n + 1)]
-    factors += [(j, False, -1) for j in range(m + 1, n + 1)]
-    factors += [(k, True, 1) for k in range(2 * N - n, 2 * N - m)]
-    return factors
+def _rhat_form(n: int, m: int, N: int):
+    """The Hopf-pairing norm ratio rhat(n, m) of basis vectors n and m in
+    dimension N as (sign, power, factors) (`_product_form`): for n >= m
+    (-1)^(n-m) prod_j {2N-2j}/{j} prod_k {k}+ over j = m+1..n and
+    k = 2N-n..2N-m-1, and rhat(m, n) = 1/rhat(n, m)."""
+    lo, hi, e = min(n, m), max(n, m), 1 if n > m else -1
+    factors = [(2 * N - 2 * j, False, e) for j in range(lo + 1, hi + 1)]
+    factors += [(j, False, -e) for j in range(lo + 1, hi + 1)]
+    factors += [(k, True, e) for k in range(2 * N - hi, 2 * N - lo)]
+    return (-1 if (n - m) % 2 else 1), 0, factors
 
 
 def rhat(n: int, m: int, N: int) -> RatFunc:
-    """Hopf-pairing norm ratio of basis vectors n and m in dimension N, read
-    off its cyclotomic exponents. For n > m it is the telescoped product
-    (-1)^(n-m) * prod_j {2N-2j}/{j} * prod_k {k}+ over j = m+1..n and
-    k = 2N-n..2N-m-1; rhat(n, n) = 1 and rhat(m, n) = 1/rhat(n, m)."""
-    if n == m:
-        return RatFunc.one()
-    factors = _rhat_factors(max(n, m), min(n, m), N)
-    if n < m:
-        factors = [(k, plus, -e) for k, plus, e in factors]
-    return _product_form(-1 if (n - m) % 2 else 1, 0, factors)
+    """rhat(n, m) (`_rhat_form`) in canonical form."""
+    return _product_form(*_rhat_form(n, m, N))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +129,19 @@ def _product_form(sign: int, power: int, factors) -> RatFunc:
     s, a, exps = _exponents(sign, power, factors)
     num = _poly(s, max(a, 0), {d: e for d, e in exps.items() if e > 0})
     return RatFunc(num, _poly(1, max(-a, 0), {d: -e for d, e in exps.items() if e < 0}))
+
+
+def _limit(sign: int, power: int, factors) -> Fraction:
+    """The value at X = -1 of the product `_exponents` reads, in integers:
+    with -X = 1 + t, {k} = 2kt + O(t^2) and {k}+ = 2 + O(t^2), so with s the
+    sum of the exponents of the {k} the product tends to sign prod (2k)^e
+    prod 2^e when s = 0 and to 0 when s > 0, and has a pole when s < 0."""
+    s = sum(e for _, plus, e in factors if not plus)
+    if s < 0:
+        raise PoleError("pole at X = -1")
+    num = prod((2 if plus else 2 * k) ** e for k, plus, e in factors if e > 0)
+    den = prod((2 if plus else 2 * k) ** -e for k, plus, e in factors if e < 0)
+    return Fraction(sign * num if s == 0 else 0, den)
 
 
 def _over_denominator(forms):

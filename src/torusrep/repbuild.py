@@ -13,21 +13,28 @@ factorial closed forms of `classical.closed_limits`.
 
 The curve-operator matrix z is lower bidiagonal, with z[m][m] =
 lambda_{c+m} = -{2N-2m-1}+ and z[m][m-1] = {m}; its Hopf transpose y is upper
-bidiagonal, y[m][l] = rhat(l, m) z[l][m]. Every entry of T, T*, z and y is a
-sign, a power of X and cyclotomic exponents, from which the canonical form
-is read off (`qsymbols._product_form`). The twisted operator
+bidiagonal, y[m][l] = rhat(l, m) z[l][m]. T, T*, z, y and the pairing ratios
+R[n][m] = rhat(n, m) are each held as one row-major map (i, j) ->
+(sign, power, factors) of their nonzero entries, the entry being
+sign (-X)^power prod {k}^e ({k}+^e where plus) over the (k, plus, e) in
+factors. The exact build (`_matrix`, by `qsymbols._product_form`), the
+integer forms of the exact checks (`_integer_form`) and the limits at X = -1
+(`form_limit`, in integers) all read these maps. The twisted operator
 z' = (X yz - X^-1 zy)/{2} has entries that are sums of at most four such
 products, summed over their common denominator and divided by its
 cyclotomic factors (`qsymbols._sum_form`); they are Laurent polynomials. The
 tridiagonal column-recurrence matrices M^(n) = (z' - lambda_{c+n} I) / {n+1}
 (column n+1 of T is M^(n) times column n) take one Laurent subtraction and a
 trial division by the Phi_d, d | 2n+2, from z'. Each builder is a plain
-function of N, called by `verify` and `matrices` for what they need (the
-certificate scans evaluate the product forms at A_p without building
-anything). Everything can be evaluated exactly at X = -1.
+function of N. `matrices` builds only the matrix it emits, and none for the
+limits at X = -1 of a product-form matrix; `verify` builds only z' and the
+M^(n), whose limits (`classical_limit`) are taken from the built sums; the
+certificate scans evaluate the product forms at A_p and build nothing.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,11 +43,12 @@ from .field import FMatrix, RatFunc
 from .qsymbols import (
     _divisors,
     _lambda_form,
+    _limit,
     _over_denominator,
     _poly,
     _product_form,
     _reduce,
-    _rhat_factors,
+    _rhat_form,
     _sum_form,
 )
 
@@ -49,38 +57,41 @@ _MINUS_INV_HALF = (1, -1, [(2, False, -1)])  # -X^-1/{2}
 
 
 def _curve_factors(N: int):
-    """The product forms (sign, power, factors) of the nonzero entries of z
-    and y (module docstring), as two maps (i, j) -> form; y[m-1][m] =
+    """The product forms of z and y (module docstring); y[m-1][m] =
     rhat(m, m-1) {m}."""
     z, y = {}, {}
     for m in range(N):
-        z[m, m] = y[m, m] = _lambda_form(m, N)
         if m:
             z[m, m - 1] = (1, 0, [(m, False, 1)])
-            y[m - 1, m] = (-1, 0, _rhat_factors(m, m - 1, N) + [(m, False, 1)])
+            y[m - 1, m] = (-1, 0, _rhat_form(m, m - 1, N)[2] + [(m, False, 1)])
+        z[m, m] = y[m, m] = _lambda_form(m, N)
     return z, y
 
 
-def _matrix(N: int, entries) -> FMatrix:
-    """The N x N matrix with the given ((i, j), value) entries, zero elsewhere."""
+def _ratio_factors(N: int):
+    """The product forms of the pairing-ratio matrix R[n][m] = rhat(n, m)."""
+    return {(n, m): _rhat_form(n, m, N) for n in range(N) for m in range(N)}
+
+
+def _matrix(N: int, forms, value=lambda form: _product_form(*form)) -> FMatrix:
+    """The N x N matrix with entry (i, j) the canonical form value(forms[i, j])
+    (by default of a product form), zero off the keys of forms."""
     rows = [[RatFunc.zero()] * N for _ in range(N)]
-    for (i, j), value in entries:
-        rows[i][j] = value
+    for (i, j), form in forms.items():
+        rows[i][j] = value(form)
     return FMatrix(tuple(map(tuple, rows)))
 
 
 def build_z(N: int) -> FMatrix:
     """Lower-bidiagonal matrix of the longitude curve operator: diagonal entry
     m is the shifted eigenvalue, subdiagonal entry (m, m-1) is {m}."""
-    z = _curve_factors(N)[0]
-    return _matrix(N, ((ij, _product_form(*form)) for ij, form in z.items()))
+    return _matrix(N, _curve_factors(N)[0])
 
 
 def build_y(N: int) -> FMatrix:
     """Meridian curve operator: the transpose of z through the Hopf pairing,
     y[m][l] = rhat(l, m) * z[l][m]."""
-    y = _curve_factors(N)[1]
-    return _matrix(N, ((ij, _product_form(*form)) for ij, form in y.items()))
+    return _matrix(N, _curve_factors(N)[1])
 
 
 def build_zprime(N: int) -> FMatrix:
@@ -94,7 +105,7 @@ def build_zprime(N: int) -> FMatrix:
             for (l, j), (t, b, g) in right.items():
                 if k == l:
                     terms.setdefault((i, j), []).append((r * s * t, a + b + c, f + g + h))
-    return _matrix(N, ((ij, _sum_form(forms)) for ij, forms in terms.items()))
+    return _matrix(N, terms, _sum_form)
 
 
 def build_m(n: int, N: int, zprime: FMatrix) -> FMatrix:
@@ -127,12 +138,9 @@ def _laurent(f: RatFunc):
 
 
 def _twist_factors(N: int):
-    """The product forms of T and T* (module docstring), written down once for
-    the exact build and for the exact checks: for each, the nonzero entries
-    in row-major order as ((i, j), sign, power, factors), the entry being
-    sign * (-X)^power * prod {k}^e ({k}+^e where plus) over the triples
-    (k, plus, e) in factors."""
-    t, tstar = [], []
+    """The product forms of T and T* (module docstring), written down once
+    for the exact build, the exact checks and the limits at X = -1."""
+    t, tstar = {}, {}
     for m in range(N):
         for n in range(m, N):
             e = -m * (2 * N - 1 - m) - (N - 1 - m) * (n - m)
@@ -142,17 +150,14 @@ def _twist_factors(N: int):
             plus = [(k, True, 1) for k in range(2 * N - n, 2 * N - m)]
             ratio = [(j, False, 1) for j in range(m + 1, n + 1)]
             ratio += [(2 * N - 2 * j, False, -1) for j in range(m + 1, n + 1)]
-            t.append(((m, n), 1, e, binom + plus))
-            tstar.append(((n, m), (-1) ** (n - m), e, binom + ratio))
-    return t, sorted(tstar)
+            t[m, n] = 1, e, binom + plus
+            tstar[n, m] = (-1) ** (n - m), e, binom + ratio
+    return t, dict(sorted(tstar.items()))
 
 
 def build_twists(N: int) -> tuple[FMatrix, FMatrix]:
     """(T, T*) entry by entry from their product forms (`_twist_factors`)."""
-    return tuple(
-        _matrix(N, ((ij, _product_form(*form)) for ij, *form in entries))
-        for entries in _twist_factors(N)
-    )
+    return tuple(_matrix(N, forms) for forms in _twist_factors(N))
 
 
 def relation_checks(N: int) -> tuple[bool, bool]:
@@ -191,16 +196,16 @@ def relation_checks(N: int) -> tuple[bool, bool]:
     return _integer_checks(pt, dt, ps, ds)
 
 
-def _integer_form(entries, N: int):
-    """(P, D) with P / D the N x N matrix of the product forms `entries`
+def _integer_form(forms, N: int):
+    """(P, D) with P / D the N x N matrix of the product forms `forms`
     (`_twist_factors`), zero off them: D is their least common denominator,
     X^a prod Phi_d^e_d with a and e_d the largest exponents of the forms'
     denominators, and each entry of P its form's numerator over D
     (`qsymbols._over_denominator`). P is a matrix of integer coefficient
     lists (ascending degree), D one such list."""
-    xpow, den, nums = _over_denominator([form for _, *form in entries])
+    xpow, den, nums = _over_denominator(forms.values())
     p = [[[] for _ in range(N)] for _ in range(N)]
-    for ((i, j), *_), num in zip(entries, nums):
+    for (i, j), num in zip(forms, nums):
         p[i][j] = list(num.coeffs)
     return p, list(_poly(1, xpow, den).coeffs)
 
@@ -290,15 +295,14 @@ def _spans(where, coeffs, n):
 def _height_bound(pt, dt, ps, ds) -> int:
     """A bound on every coefficient of the difference of the two sides of
     either identity: ||gh||_1 <= ||g||_1 ||h||_1, through the matrices of
-    entry l1-norms."""
-    nt, ns = _norms(pt), _norms(ps)
-    ntst = _int_matmul(_int_matmul(nt, ns), nt)
-    nsts = _int_matmul(_int_matmul(ns, nt), ns)
-    nc = _int_matmul(ntst, ntst)
+    entry l1-norms (numpy arrays of Python ints)."""
+    nt, ns = (np.array([[sum(map(abs, q)) for q in row] for row in p], dtype=object) for p in (pt, ps))
+    tst, sts = nt @ ns @ nt, ns @ nt @ ns
+    c = tst @ tst
     return max(
-        _max_sum(_int_scale(ntst, _l1(ds)), _int_scale(nsts, _l1(dt))),
-        _max_sum(_int_matmul(nc, nt), _int_matmul(nt, nc)),
-        _max_sum(_int_matmul(nc, ns), _int_matmul(ns, nc)),
+        (tst * sum(map(abs, ds)) + sts * sum(map(abs, dt))).max(),
+        (c @ nt + nt @ c).max(),
+        (c @ ns + ns @ c).max(),
     )
 
 
@@ -365,29 +369,18 @@ def _mod(c, q: float):
     return c
 
 
-def _l1(coeffs) -> int:
-    return sum(map(abs, coeffs))
-
-
-def _norms(p):
-    return [[_l1(q) for q in row] for row in p]
-
-
-def _int_matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _int_scale(a, s: int):
-    return [[s * x for x in row] for row in a]
-
-
-def _max_sum(a, b) -> int:
-    return max(x + y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def form_limit(N: int, forms):
+    """The N x N matrix of the product forms `forms` at X = -1, zero off
+    them, read in integers (`qsymbols._limit`) with nothing built over Q(X)."""
+    out = [[Fraction(0)] * N for _ in range(N)]
+    for (i, j), form in forms.items():
+        out[i][j] = _limit(*form)
+    return tuple(map(tuple, out))
 
 
 def classical_limit(mat: FMatrix):
-    """Entrywise exact evaluation at X = -1; the PoleError names the entry."""
+    """Entrywise exact evaluation at X = -1, for z' and the M^(n), whose
+    entries are sums; the PoleError names the entry."""
     out = []
     for i, row in enumerate(mat.rows):
         vals = []

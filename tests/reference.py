@@ -27,13 +27,7 @@ from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
 from torusrep.qsymbols import rhat
-from torusrep.repbuild import (
-    _height_bound,
-    _int_matmul,
-    _int_scale,
-    _integer_checks,
-    _twist_factors,
-)
+from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
 
 # --- polynomial multiplication ---------------------------------------------------
@@ -358,7 +352,7 @@ def fm_inv(a: FMatrix) -> FMatrix:
     n = a.n_rows
     if n != a.n_cols:
         raise ValueError("inverse of a non-square matrix")
-    one, zero = RatFunc.one(), RatFunc.zero()
+    one, zero = RatFunc(1), RatFunc.zero()
     work = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(a.rows)]
     for col in range(n):
         pivot_row = None
@@ -393,7 +387,7 @@ def fm_eq(a: FMatrix, b: FMatrix) -> bool:
 
 def qfact(n: int) -> RatFunc:
     """{n}! = {1}{2}...{n}, with {0}! = 1 and {n}! = 0 for negative n."""
-    out = RatFunc.zero() if n < 0 else RatFunc.one()
+    out = RatFunc.zero() if n < 0 else RatFunc(1)
     for k in range(1, n + 1):
         out = mul(out, qint(k))
     return out
@@ -430,7 +424,7 @@ def recurrence_twists(N: int) -> tuple[FMatrix, FMatrix]:
     T*[n][m] = rhat(m, n) * T[m][n]."""
     zprime = repbuild.build_zprime(N)
     cols = [[RatFunc.zero()] * N for _ in range(N)]
-    cols[0][0] = RatFunc.one()
+    cols[0][0] = RatFunc(1)
     for n in range(N - 1):
         prev = cols[n]
         lam = lambda_shifted(n, N)
@@ -490,13 +484,13 @@ def fm_power(base: FMatrix, e: int) -> FMatrix:
 
 
 def changed_factor(t, tstar, N: int):
-    """The factor lists (`repbuild._twist_factors`) with one factor changed,
-    a mutation the exact checks must catch: T[0][1]'s {2N-1}+ read as
-    {2N-1}."""
-    t = [
-        (ij, sign, power, [(k, plus and (ij, k) != ((0, 1), 2 * N - 1), e) for k, plus, e in factors])
-        for ij, sign, power, factors in t
-    ]
+    """The product forms (`repbuild._twist_factors`) with one factor changed,
+    a mutation the exact checks and the twist limits must catch: T[0][1]'s
+    {2N-1}+ read as {2N-1}."""
+    t = {
+        ij: (sign, power, [(k, plus and (ij, k) != ((0, 1), 2 * N - 1), e) for k, plus, e in factors])
+        for ij, (sign, power, factors) in t.items()
+    }
     return t, tstar
 
 
@@ -514,16 +508,12 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     ps, ds = lcm_form(tstar)
     w = (2 * _height_bound(pt, dt, ps, ds)).bit_length()  # B = 2^w > 2 * bound
 
-    pt, ps = _eval_matrix_at(pt, w), _eval_matrix_at(ps, w)
-    tst = _int_matmul(_int_matmul(pt, ps), pt)
-    sts = _int_matmul(_int_matmul(ps, pt), ps)
-    braid = _int_scale(tst, _eval_at(ds, w)) == _int_scale(sts, _eval_at(dt, w))
-    c = _int_matmul(tst, tst)
-    center = (
-        _int_matmul(c, pt) == _int_matmul(pt, c)
-        and _int_matmul(c, ps) == _int_matmul(ps, c)
-    )
-    return braid, center
+    pt, ps = (np.array(_eval_matrix_at(p, w), dtype=object) for p in (pt, ps))
+    tst, sts = pt @ ps @ pt, ps @ pt @ ps
+    braid = (tst * _eval_at(ds, w) == sts * _eval_at(dt, w)).all()
+    c = tst @ tst
+    center = (c @ pt == pt @ c).all() and (c @ ps == ps @ c).all()
+    return bool(braid), bool(center)
 
 
 def _eval_at(coeffs, w: int) -> int:
@@ -720,7 +710,7 @@ def decimal_twists(N: int, p: int, k: int = 1, digits: int = 50):
     sign * omega^power * prod {j}^e. Two maps (i, j) -> (re, im) of Decimals,
     one per generator, holding exactly the entries the lists name."""
     gens = _factor_lists(N)
-    top = max(2 * N, *(abs(power) for gen in gens for _, _, power, _ in gen))
+    top = max(2 * N, *(abs(power) for gen in gens for _, power, _ in gen.values()))
     with localcontext() as ctx:
         ctx.prec = digits + 10
         c, s = _decimal_cos_sin(2 * _decimal_pi() * (k % p) / p)
@@ -735,7 +725,7 @@ def decimal_twists(N: int, p: int, k: int = 1, digits: int = 50):
         out = []
         for gen in gens:
             values = {}
-            for ij, sign, power, factors in gen:
+            for ij, (sign, power, factors) in gen.items():
                 mag = sign * math.prod(real[f] for f in factors)
                 quarter = sum(e for _, plus, e in factors if not plus)
                 re, im = powers[abs(power)]
@@ -755,7 +745,7 @@ def predicted_near_pole(N: int, levels, tol: float):
     one."""
     for point, s in enumerate(levels):
         for name, gen in zip(("T", "T*"), _factor_lists(N)):
-            for (i, j), _, _, factors in gen:
+            for (i, j), (_, _, factors) in gen.items():
                 angles = [(2 * math.pi * (s.k * d % s.p) / s.p, plus) for d, plus, e in factors if e < 0]
                 if any(abs(2 * (math.cos(a) if plus else math.sin(a))) < tol for a, plus in angles):
                     return f"{name} entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j), point

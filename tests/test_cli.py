@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import torusrep
-from torusrep import numeric, repbuild
+from torusrep import numeric, qsymbols, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.errors import TooLargeError
 from torusrep.field import fmatrix_to_obj
@@ -144,21 +144,41 @@ def test_verify_pass_and_exit_zero(capsys):
 
 
 def test_verify_corrupted_build_fails(capsys, monkeypatch):
-    # one factor of T changed in the lists that the exact checks and the
-    # build read
+    # one factor of T changed in the forms that the exact checks, the twist
+    # limits and the build read
     factors = repbuild._twist_factors
     monkeypatch.setattr(repbuild, "_twist_factors", lambda N: changed_factor(*factors(N), N))
-    for N in ("2", "5"):
+    for N in map(str, range(2, 9)):
         code, out, _ = run(capsys, "verify", "--N", N)
         assert code == 1
         assert "FAIL" in out
         assert f"FAIL  braid relation exact (N={N})" in out
         assert f"FAIL  center commutes with both generators (N={N})" in out
+        assert f"FAIL  twist limits match closed forms and hN (N={N})" in out
         code, out, _ = run(capsys, "verify", "--N", N, "--format", "json")
         obj = json.loads(out)
         assert code == 1 and obj["ok"] is False
         failed = {c["name"] for c in obj["checks"] if not c["ok"]}
         assert {f"braid relation exact (N={N})", f"center commutes with both generators (N={N})"} <= failed
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_verify_fails_the_pairing_ratio_limits_on_a_changed_factor(capsys, monkeypatch, N):
+    # R[1][0] with its factor {2N-1}+ read as {2N-1}: only that line fails
+    ratios = repbuild._ratio_factors
+
+    def changed(N):
+        r = ratios(N)
+        sign, power, factors = r[1, 0]
+        r[1, 0] = sign, power, [(k, plus and k != 2 * N - 1, e) for k, plus, e in factors]
+        return r
+
+    monkeypatch.setattr(repbuild, "_ratio_factors", changed)
+    code, out, _ = run(capsys, "verify", "--N", str(N))
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  pairing-ratio limits exact (N={N})"
+    ]
 
 
 def test_verify_json_carries_the_pretty_checks(capsys):
@@ -317,6 +337,7 @@ def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
         (("--what", "Tstar", "--eval", "p=31"), {}),  # from the product forms
         (("--what", "M", "--index", "1"), {"build_zprime": 1, "build_m": 1}),
         (("--what", "R"), {}),
+        *((("--what", what, "--eval", "x=-1"), {}) for what in ("T", "Tstar", "Z", "Y", "R")),
     ],
 )
 def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
@@ -327,11 +348,16 @@ def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
 
 
 def test_verify_builds_each_matrix_once_per_dimension(capsys, monkeypatch):
-    # T and T* once, z' once and each M^(n) once per N: sum (N-1) = 10 M^(n)
+    # z' once and each M^(n) once per N: sum (N-1) = 10 M^(n); T, T* and R
+    # are read at X = -1 from their product forms, so neither they nor any
+    # rhat are built
     calls = count_builds(monkeypatch)
+    rhats = []
+    monkeypatch.setattr(qsymbols, "rhat", lambda *args: rhats.append(args))
     code, _, _ = run(capsys, "verify", "--N", "2..5")
     assert code == 0
-    assert calls == {"build_twists": 4, "build_z": 0, "build_y": 0, "build_zprime": 4, "build_m": 10}
+    assert calls == {"build_twists": 0, "build_z": 0, "build_y": 0, "build_zprime": 4, "build_m": 10}
+    assert rhats == []
 
 
 SMALL_N_ARGV = [

@@ -2,12 +2,14 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusrep.errors import PoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.numeric import PSetting, eval_matrix, primitive_root
-from torusrep.qsymbols import _lambda_form, _poly, _product_form, _sum_form, rhat
+from torusrep.qsymbols import _lambda_form, _limit, _poly, _product_form, _sum_form, rhat
 
 from reference import (
     add,
@@ -59,13 +61,13 @@ def test_qint_symmetries(n):
 
 
 def test_qfact():
-    assert qfact(0) == RatFunc.one()
+    assert qfact(0) == RatFunc(1)
     assert qfact(-2) == RatFunc.zero()
     assert qfact(2) == mul(qint(1), qint(2))
 
 
 def test_mu():
-    assert mu(0) == RatFunc.one()
+    assert mu(0) == RatFunc(1)
     assert mu(1) == signed_power(3)
     assert mu(1).eval_exact(2) == -8
     assert mu(-1) == signed_power(-1)
@@ -119,7 +121,7 @@ def test_reflection_identities_numeric():
 
 
 def test_rhat_equal_indices():
-    assert rhat(1, 1, 4) == RatFunc.one()
+    assert rhat(1, 1, 4) == RatFunc(1)
 
 
 def test_rhat_classical_limit_closed_form():
@@ -147,14 +149,29 @@ def test_rhat_limit_worked_example():
 
 
 def test_rhat_reciprocal_symmetry():
-    assert mul(rhat(2, 0, 4), rhat(0, 2, 4)) == RatFunc.one()
+    assert mul(rhat(2, 0, 4), rhat(0, 2, 4)) == RatFunc(1)
+
+
+def test_limit_of_a_finite_form_a_zero_and_a_pole():
+    # the {k} exponents sum to 0: {4}/{2} = {2}+ tends to 2
+    finite = (-1, 5, [(4, False, 1), (2, False, -1)])
+    assert _limit(*finite) == _product_form(*finite).eval_exact(-1) == -2
+    # they sum to 1: {3}/{2}+ tends to 0
+    zero = (1, 0, [(3, False, 1), (2, True, -1)])
+    assert _limit(*zero) == _product_form(*zero).eval_exact(-1) == 0
+    # they sum to -1: {3}+/({2}{4}) has a pole
+    pole = (1, 0, [(3, True, 1), (2, False, -1), (4, False, -1)])
+    with pytest.raises(PoleError):
+        _limit(*pole)
+    with pytest.raises(PoleError):
+        _product_form(*pole).eval_exact(-1)
 
 
 def _direct_rhat(n, m, N):
     """The pairing ratio as the direct product of its factors over Q(X), a
     reference for its cyclotomic product form."""
     if n == m:
-        return RatFunc.one()
+        return RatFunc(1)
     if n < m:
         return reciprocal(_direct_rhat(m, n, N))
     out = RatFunc(1 if (n - m) % 2 == 0 else -1)
@@ -225,7 +242,7 @@ def test_sum_form_divides_a_repeated_factor_out():
     for m in range(2, 9):
         forms = [(1, 0, [(m + 1, False, 1), (m - 1, False, 1), (m, False, -2)]),
                  (1, 0, [(1, False, 2), (m, False, -2)])]
-        assert _sum_form(forms) == RatFunc.one(), m
+        assert _sum_form(forms) == RatFunc(1), m
 
 
 factor = st.tuples(st.integers(1, 6), st.booleans(), st.integers(-2, 2))

@@ -18,9 +18,11 @@ from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
     _coefficient_rows,
+    _curve_factors,
     _integer_checks,
     _integer_form,
     _primes_above,
+    _ratio_factors,
     _spans,
     _twist_factors,
     _values,
@@ -29,6 +31,7 @@ from torusrep.repbuild import (
     build_z,
     build_zprime,
     classical_limit,
+    form_limit,
     relation_checks,
 )
 
@@ -121,7 +124,7 @@ def test_m_tridiagonal_exact():
 
 def test_that_column0_and_n2_limit():
     that = build_twists(2)[0]
-    assert tuple(row[0] for row in that.rows) == (RatFunc.one(), RatFunc.zero())
+    assert tuple(row[0] for row in that.rows) == (RatFunc(1), RatFunc.zero())
     assert classical_limit(that) == ((1, 2), (0, 1))
 
 
@@ -238,7 +241,7 @@ def test_classical_limit_identity_and_values():
 
 
 def test_classical_limit_pole_reports_entry():
-    bad = FMatrix([[RatFunc.one(), RatFunc(Poly((1,)), Poly((1, 1)))]])  # 1/(X+1)
+    bad = FMatrix([[RatFunc(1), RatFunc(Poly((1,)), Poly((1, 1)))]])  # 1/(X+1)
     with pytest.raises(PoleError) as err:
         classical_limit(bad)
     assert err.value.entry == (0, 1)
@@ -249,6 +252,23 @@ def test_classical_limit_of_word_matches_hN():
     g = SL2(1, 1, 0, 1) * SL2(1, 0, -1, 1).inverse()
     for N in (2, 3):
         assert classical_limit(rep_of_word(w, N)) == hN_matrix(g, N)
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_form_limits_equal_the_built_matrices_at_minus_one(N):
+    # the product forms of T, T*, z, y and R read at X = -1 in integers are
+    # the built canonical forms evaluated there
+    z, y = _curve_factors(N)
+    built = (*build_twists(N), build_z(N), build_y(N), _ratios(N))
+    for forms, mat in zip((*_twist_factors(N), z, y, _ratio_factors(N)), built):
+        assert form_limit(N, forms) == classical_limit(mat)
+
+
+@pytest.mark.parametrize("N", (24, 32))
+def test_twist_limits_are_the_classical_action_at_large_n(N):
+    t, tstar = (form_limit(N, forms) for forms in _twist_factors(N))
+    assert t == hN_matrix(SL2(1, 1, 0, 1), N)
+    assert tstar == hN_matrix(SL2(1, 0, -1, 1), N)
 
 
 def test_limits_match_closed_forms_all_n():
