@@ -22,6 +22,7 @@ from . import classical, numeric, repbuild
 from .errors import BadPError, NearPoleError, PoleError
 from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
+from .qsymbols import _limit, _sum_form
 
 
 def canonical_json(obj) -> str:
@@ -108,7 +109,12 @@ def cmd_matrices(args) -> int:
     elif mode == "root" and what in ("T", "Tstar"):  # from the product forms, as the scans evaluate them
         t, tstar = numeric.eval_twists(N, [numeric.PSetting(p, N)], args.tolerance)
         obj = _complex_obj((t if what == "T" else tstar)[0])
-    elif mode == "classical" and what in ("T", "Tstar", "Z", "Y", "R"):  # read off the product forms
+    elif mode == "classical" and what in ("M", "Zprime"):  # read off the sums of products
+        terms = repbuild._zprime_terms(N)
+        if what == "M":
+            terms = repbuild._recurrence_terms(args.index, N, terms)
+        obj = _rational_obj(repbuild.form_limit(N, terms, _limit))
+    elif mode == "classical":  # read off the product forms
         if what == "R":
             forms = repbuild._ratio_factors(N)
         else:
@@ -117,7 +123,7 @@ def cmd_matrices(args) -> int:
         obj = _rational_obj(repbuild.form_limit(N, forms))
     else:
         if what == "M":
-            mat = repbuild.build_m(args.index, N, repbuild.build_zprime(N))
+            mat = repbuild.build_m(args.index, N)
         elif what == "R":
             mat = repbuild._matrix(N, repbuild._ratio_factors(N))
         elif what in ("T", "Tstar"):
@@ -126,8 +132,6 @@ def cmd_matrices(args) -> int:
             mat = {"Z": repbuild.build_z, "Y": repbuild.build_y, "Zprime": repbuild.build_zprime}[what](N)
         if mode == "symbolic":
             obj, sym = fmatrix_to_obj(mat, name=name, N=N), mat
-        elif mode == "classical":
-            obj = _rational_obj(repbuild.classical_limit(mat))
         else:
             obj = _complex_obj(numeric.eval_matrix(mat, numeric.PSetting(p, N).A, args.tolerance))
     _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
@@ -141,8 +145,6 @@ def cmd_verify(args) -> int:
     numeric.check_size(dims[0])
     checks = []  # (label, ok) in order
     for N in dims:
-        zprime = repbuild.build_zprime(N)
-        ms = [repbuild.build_m(n, N, zprime) for n in range(N - 1)]
         cl = classical.closed_limits(N)
 
         braid_ok, center_ok = repbuild.relation_checks(N)
@@ -166,12 +168,18 @@ def cmd_verify(args) -> int:
             ok = False
         checks.append((f"pairing-ratio limits exact (N={N})", ok))
 
-        ok = all(repbuild.classical_limit(mat) == cl.m_limits[n] for n, mat in enumerate(ms))
+        terms = repbuild._zprime_terms(N)
+        try:
+            ok = all(
+                repbuild.form_limit(N, repbuild._recurrence_terms(n, N, terms), _limit) == cl.m_limits[n]
+                for n in range(N - 1)
+            )
+        except PoleError:
+            ok = False
         checks.append((f"recurrence-matrix limits exact (N={N})", ok))
 
-        ok = all(
-            mat[m][l].is_zero for mat in ms for m in range(N) for l in range(N) if abs(m - l) >= 2
-        )
+        # M^(n) is z' / {n+1} off the diagonal: zero exactly where z' is
+        ok = all(_sum_form(forms).is_zero for (m, l), forms in terms.items() if abs(m - l) >= 2)
         checks.append((f"recurrence matrices tridiagonal (N={N})", ok))
 
         checks.append((f"center commutes with both generators (N={N})", center_ok))

@@ -1,8 +1,8 @@
 """Exact values in Q(X): dense polynomials over Z, and elements and small
 matrices of Q(X) held in canonical form.
 
-A `Poly` adds, scales, shifts, divides exactly and evaluates, but never
-multiplies by another: every product needed is one of cyclotomic
+A `Poly` adds, divides exactly (by a power of X too) and evaluates, but
+never multiplies by another: every product needed is one of cyclotomic
 polynomials, which `qsymbols._poly` expands as one power series.
 
 Coefficients are Python ints only: the representations are integral
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PoleError
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -74,12 +73,6 @@ class Poly:
                 return i
         return 0
 
-    def shift(self, k):
-        """Multiply by X^k (k >= 0)."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly._raw((0,) * k + self.coeffs)
-
     def unshift(self, k):
         """Divide by X^k, assuming valuation >= k."""
         if k == 0 or self.is_zero:
@@ -107,21 +100,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] += c
         return Poly._raw(out)
-
-    def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = list(a) + [0] * (n - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return Poly._raw(out)
-
-    def scale(self, s):
-        if s == 0:
-            return _P_ZERO
-        if s == 1:
-            return self
-        return Poly._raw(tuple(c * s for c in self.coeffs))
 
     def exact_div(self, other):
         """The quotient in Z[X] of a division known to be exact, such as one by
@@ -236,16 +214,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def eval_exact(self, x):
-        """Evaluate at an exact rational point; PoleError on a genuine pole."""
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError("eval_exact expects an exact rational point")
-        dv = self.den.eval(x)
-        if dv == 0:
-            raise PoleError(f"pole at X = {x}")
-        nv = self.num.eval(x)
-        return Fraction(nv) / Fraction(dv)
 
     def __str__(self):
         if self.den == _P_ONE:

@@ -13,15 +13,28 @@ integer forms), then divided by that denominator's cyclotomic factors as far
 as they go (`_sum_form`, `_reduce`). Neither computes a common divisor.
 Every product of cyclotomic polynomials, a single Phi_d included, is
 expanded by one routine, `_poly`: a cut power series in the factors
-(1 - X^m) that Moebius inversion gives. A product's value at X = -1 is read
-from its factors in integers (`_limit`), with no canonical form built.
+(1 - X^m) that Moebius inversion gives.
+
+Values at X = -1 are read exactly off the factors, with nothing built over
+Q(X) (`_limit`). Write -X = e^s: (-X)^a = e^(as), {k}+ = 2 cosh(ks) and
+{k} = 2 sinh(ks). As log cosh x = x^2/2 + O(x^4) and
+log(sinh x / x) = x^2/6 + O(x^4) are even, a product sign (-X)^P prod {k}^e
+(some of its factors {k}+) is the s-jet
+
+    s^v c (1 + P s + (P^2/2 + Q) s^2 + O(s^3)),
+
+with v the sum of the exponents of its {k}, c = sign prod (2k)^e prod 2^e
+over its {k} and {k}+, and Q = sum e k^2/2 over its {k}+ plus sum e k^2/6
+over its {k}. A sum of products is finite at X = -1 iff no negative power of
+s survives in the sum of their jets, and its value is the coefficient of
+s^0. With s = log(1 + t) this is the convention -X = 1 + t, with the same
+orders of vanishing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
 from .errors import PoleError
 from .field import Poly, RatFunc
@@ -45,11 +58,6 @@ def _rhat_form(n: int, m: int, N: int):
     factors += [(j, False, -e) for j in range(lo + 1, hi + 1)]
     factors += [(k, True, e) for k in range(2 * N - hi, 2 * N - lo)]
     return (-1 if (n - m) % 2 else 1), 0, factors
-
-
-def rhat(n: int, m: int, N: int) -> RatFunc:
-    """rhat(n, m) (`_rhat_form`) in canonical form."""
-    return _product_form(*_rhat_form(n, m, N))
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +139,30 @@ def _product_form(sign: int, power: int, factors) -> RatFunc:
     return RatFunc(num, _poly(1, max(-a, 0), {d: -e for d, e in exps.items() if e < 0}))
 
 
-def _limit(sign: int, power: int, factors) -> Fraction:
-    """The value at X = -1 of the product `_exponents` reads, in integers:
-    with -X = 1 + t, {k} = 2kt + O(t^2) and {k}+ = 2 + O(t^2), so with s the
-    sum of the exponents of the {k} the product tends to sign prod (2k)^e
-    prod 2^e when s = 0 and to 0 when s > 0, and has a pole when s < 0."""
-    s = sum(e for _, plus, e in factors if not plus)
-    if s < 0:
+def _limit(forms) -> Fraction:
+    """The value at X = -1 of the sum of the products in `forms` (as
+    `_exponents` takes them): the coefficient c_0 of s^0 in the sum of their
+    jets (module docstring), to which a product of order v >= -2 adds its
+    terms at s^v, s^(v+1) and s^(v+2). PoleError when c_-2 or c_-1 is not 0;
+    ValueError for a product of order below -2, whose s^3 term is not kept."""
+    jet = [Fraction(0)] * 3  # c_-2, c_-1, c_0
+    for sign, power, factors in forms:
+        i, num, den, q = 2, sign, 6, 3 * power * power  # i = v + 2, q = 6 (P^2/2 + Q)
+        for k, plus, e in factors:
+            b = 2 if plus else 2 * k
+            if e > 0:
+                num *= b**e
+            else:
+                den *= b**-e
+            i += 0 if plus else e
+            q += (3 if plus else 1) * e * k * k
+        if i < 0:
+            raise ValueError(f"a product of order {i - 2} in s at X = -1")
+        for r, x in enumerate((6, 6 * power, q)[: max(3 - i, 0)], i):
+            jet[r] += Fraction(num * x, den)
+    if jet[0] or jet[1]:
         raise PoleError("pole at X = -1")
-    num = prod((2 if plus else 2 * k) ** e for k, plus, e in factors if e > 0)
-    den = prod((2 if plus else 2 * k) ** -e for k, plus, e in factors if e < 0)
-    return Fraction(sign * num if s == 0 else 0, den)
+    return jet[2]
 
 
 def _over_denominator(forms):
@@ -172,16 +193,14 @@ def _sum_form(forms) -> RatFunc:
 
 
 def _reduce(num: Poly, xpow: int, exps) -> RatFunc:
-    """num / (X^xpow prod Phi_d^e_d) in canonical form, for e_d >= 0 (a
-    negative xpow multiplies): Phi_d is divided out of num (`Poly.exact_div`,
+    """num / (X^xpow prod Phi_d^e_d) in canonical form, for xpow >= 0 and
+    e_d >= 0: Phi_d is divided out of num (`Poly.exact_div`,
     exact in Z[X] as Phi_d is monic) as often as it goes, at most e_d times,
     and the power of X that num and the denominator share is cancelled. The
     Phi_d are distinct monic irreducibles, so what is left is coprime and the
     denominator is monic."""
     if num.is_zero:
         return RatFunc.zero()
-    if xpow < 0:
-        num, xpow = num.shift(-xpow), 0
     left = {}
     for d, e in exps.items():
         phi = _cyclotomic(d)

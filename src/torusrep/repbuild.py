@@ -19,17 +19,18 @@ R[n][m] = rhat(n, m) are each held as one row-major map (i, j) ->
 sign (-X)^power prod {k}^e ({k}+^e where plus) over the (k, plus, e) in
 factors. The exact build (`_matrix`, by `qsymbols._product_form`), the
 integer forms of the exact checks (`_integer_form`) and the limits at X = -1
-(`form_limit`, in integers) all read these maps. The twisted operator
-z' = (X yz - X^-1 zy)/{2} has entries that are sums of at most four such
-products, summed over their common denominator and divided by its
-cyclotomic factors (`qsymbols._sum_form`); they are Laurent polynomials. The
-tridiagonal column-recurrence matrices M^(n) = (z' - lambda_{c+n} I) / {n+1}
-(column n+1 of T is M^(n) times column n) take one Laurent subtraction and a
-trial division by the Phi_d, d | 2n+2, from z'. Each builder is a plain
-function of N. `matrices` builds only the matrix it emits, and none for the
-limits at X = -1 of a product-form matrix; `verify` builds only z' and the
-M^(n), whose limits (`classical_limit`) are taken from the built sums; the
-certificate scans evaluate the product forms at A_p and build nothing.
+(`form_limit`, by `qsymbols._limit`) all read these maps. The twisted
+operator z' = (X yz - X^-1 zy)/{2} has entries that are sums of at most four
+such products (`_zprime_terms`), summed over their common denominator and
+divided by its cyclotomic factors (`qsymbols._sum_form`); they are Laurent
+polynomials. The entries of the tridiagonal column-recurrence matrices
+M^(n) = (z' - lambda_{c+n} I) / {n+1} (column n+1 of T is M^(n) times
+column n) are such sums too, with one more factor {n+1}^-1
+(`_recurrence_terms`). Each builder is a plain function of N. `matrices`
+builds only the matrix it emits, and nothing for a limit at X = -1: every
+limit, of a product or of a sum, is read off the factors
+(`qsymbols._limit`), so `verify` builds nothing over Q(X), and the
+certificate scans evaluate the product forms at A_p.
 """
 
 from __future__ import annotations
@@ -40,17 +41,7 @@ import numpy as np
 
 from .errors import PoleError, TooLargeError
 from .field import FMatrix, RatFunc
-from .qsymbols import (
-    _divisors,
-    _lambda_form,
-    _limit,
-    _over_denominator,
-    _poly,
-    _product_form,
-    _reduce,
-    _rhat_form,
-    _sum_form,
-)
+from .qsymbols import _lambda_form, _limit, _over_denominator, _poly, _product_form, _rhat_form, _sum_form
 
 _X_HALF = (-1, 1, [(2, False, -1)])  # X/{2}, X = -(-X)
 _MINUS_INV_HALF = (1, -1, [(2, False, -1)])  # -X^-1/{2}
@@ -94,10 +85,10 @@ def build_y(N: int) -> FMatrix:
     return _matrix(N, _curve_factors(N)[1])
 
 
-def build_zprime(N: int) -> FMatrix:
-    """Image of the longitude under the meridian twist, via the skein relation:
-    (X * y@z - X^(-1) * z@y) / {2}, entry by entry the sum of the products of
-    the forms of y and z (`qsymbols._sum_form`)."""
+def _zprime_terms(N: int):
+    """(i, j) -> the products whose sum is z'[i][j]: by the skein relation
+    z' = (X y@z - X^-1 z@y) / {2}, the products of the forms of y and z
+    (`_curve_factors`) that meet at each (i, j)."""
     z, y = _curve_factors(N)
     terms = {}
     for (r, c, h), left, right in ((_X_HALF, y, z), (_MINUS_INV_HALF, z, y)):
@@ -105,36 +96,30 @@ def build_zprime(N: int) -> FMatrix:
             for (l, j), (t, b, g) in right.items():
                 if k == l:
                     terms.setdefault((i, j), []).append((r * s * t, a + b + c, f + g + h))
-    return _matrix(N, terms, _sum_form)
+    return terms
 
 
-def build_m(n: int, N: int, zprime: FMatrix) -> FMatrix:
-    """Column-recurrence matrix M^(n) = (z' - lambda_{c+n} I) / {n+1},
-    0 <= n <= N-2, from the Laurent entries of z': with 1/{n+1} =
-    (-1)^(n+1) X^(n+1) / prod_{d | 2n+2} Phi_d, each entry is
-    `qsymbols._reduce`d by those Phi_d. As {n+1} is squarefree apart from its
-    power of X, this is the canonical form."""
-    lam, j = _laurent(_product_form(*_lambda_form(n, N)))
-    sign, phis = (-1) ** (n + 1), dict.fromkeys(_divisors(2 * n + 2), 1)
-    rows = []
+def build_zprime(N: int) -> FMatrix:
+    """Image of the longitude under the meridian twist, entry by entry the sum
+    of its products (`_zprime_terms`, `qsymbols._sum_form`)."""
+    return _matrix(N, _zprime_terms(N), _sum_form)
+
+
+def _recurrence_terms(n: int, N: int, terms):
+    """(i, j) -> the products whose sum is M^(n)[i][j], from z''s products
+    `terms` (`_zprime_terms`): M^(n) = (z' - lambda_{c+n} I) / {n+1}."""
+    inv = [(n + 1, False, -1)]
+    out = {ij: [(s, a, f + inv) for s, a, f in forms] for ij, forms in terms.items()}
+    sign, power, f = _lambda_form(n, N)
     for m in range(N):
-        row = []
-        for l in range(N):
-            num, k = _laurent(zprime[m][l])
-            if l == m:
-                num, k = num.shift(max(j - k, 0)) - lam.shift(max(k - j, 0)), max(j, k)
-            row.append(_reduce(num.scale(sign), k - n - 1, phis))
-        rows.append(tuple(row))
-    return FMatrix(tuple(rows))
+        out.setdefault((m, m), []).append((-sign, power, f + inv))
+    return out
 
 
-def _laurent(f: RatFunc):
-    """(num, k) with f = num / X^k; ArithmeticError unless f's denominator is
-    a power of X."""
-    k = f.den.degree
-    if f.den.valuation != k or f.den.lead != 1:
-        raise ArithmeticError(f"{f} is not a Laurent polynomial")
-    return f.num, k
+def build_m(n: int, N: int) -> FMatrix:
+    """Column-recurrence matrix M^(n), 0 <= n <= N-2, entry by entry the sum
+    of its products (`_recurrence_terms`, `qsymbols._sum_form`)."""
+    return _matrix(N, _recurrence_terms(n, N, _zprime_terms(N)), _sum_form)
 
 
 def _twist_factors(N: int):
@@ -177,9 +162,10 @@ def relation_checks(N: int) -> tuple[bool, bool]:
     - every coefficient of f is at most `bound` in absolute value, the sum of
       the l1-norms of the two sides, bounded through the nonnegative matrices
       of entry norms (||gh||_1 <= ||g||_1 ||h||_1);
-    - every nonzero coefficient of f has its degree in the span [lo, hi] of
-      its identity (`_spans`), so f = X^lo g with deg g < K, K one more than
-      the larger width hi - lo of the two identities;
+    - every nonzero coefficient of an entry f of either difference has its
+      degree in the span [lo, hi] of that entry (`_spans`), so f = X^lo g
+      with deg g < K, K one more than the largest width hi - lo over the
+      entries of both identities;
     - f is evaluated at x = 1..K modulo primes q from `_PRIMES`, taken in
       order until their product exceeds 2 bound. As K < q, these are K
       distinct nonzero points of F_q: if f vanishes at all of them, so does
@@ -236,7 +222,7 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     where, coeffs = _coefficient_rows(pt, dt, ps, ds)
     if np.abs(coeffs).max() >= 2**53:
         raise TooLargeError("exact checks need every coefficient below 2^53")
-    points = 1 + int(max(0, *(hi - lo for lo, hi in _spans(where, coeffs, n))))
+    points = 1 + int(max(0, *((hi - lo).max() for lo, hi in _spans(where, coeffs, n))))
     primes = _primes_above(2 * _height_bound(pt, dt, ps, ds))
     if points >= primes[-1] or max(2 * n, _CHUNK + 1) * (primes[0] - 1) ** 2 >= 2**53:
         raise TooLargeError("exact checks need K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
@@ -274,10 +260,13 @@ def _coefficient_rows(pt, dt, ps, ds):
 
 
 def _spans(where, coeffs, n):
-    """[(lo, hi)] for the braid and the center: every nonzero coefficient of
-    D_S P_T P_S P_T - D_T P_S P_T P_S, and of C' P - P C' for P = P_T, P_S, has
-    its degree in [lo, hi]. The rows' valuations lo and degrees hi go through
-    the products as (lo, -hi), both in (min, +); a zero entry has no span."""
+    """[(lo, hi)] for the braid and the center, arrays of shape (n, n) and
+    (2, n, n): every nonzero coefficient of entry (i, j) of
+    D_S P_T P_S P_T - D_T P_S P_T P_S, and of C' P - P C' for P = P_T, P_S,
+    has its degree in [lo, hi] at (i, j), the hull of the spans of that entry
+    on the two sides. The rows' valuations lo and degrees hi go through the
+    products as (lo, -hi), both in (min, +); a zero entry has lo = inf and
+    hi = -inf."""
     def product(a, b):  # of (lo, -hi) stacks of span matrices, broadcast
         return (a[..., None] + b[..., None, :, :]).min(-2)
 
@@ -288,8 +277,8 @@ def _spans(where, coeffs, n):
     tst_sts = product(product(p, p[:, ::-1]), p)
     d = np.array((first[-2:], -last[-2:]))[:, ::-1, None, None]  # (D_S, D_T)
     c = product(tst_sts[:, :1], tst_sts[:, :1])
-    commutators = np.concatenate((product(c, p), product(p, c)), axis=1)
-    return [(s[0].min(), -s[1].min()) for s in (tst_sts + d, commutators)]
+    commutators = np.stack((product(c, p), product(p, c)), axis=1)  # (C' P, P C')
+    return [(s[0].min(0), -s[1].min(0)) for s in (tst_sts + d, commutators)]
 
 
 def _height_bound(pt, dt, ps, ds) -> int:
@@ -369,25 +358,14 @@ def _mod(c, q: float):
     return c
 
 
-def form_limit(N: int, forms):
-    """The N x N matrix of the product forms `forms` at X = -1, zero off
-    them, read in integers (`qsymbols._limit`) with nothing built over Q(X)."""
+def form_limit(N: int, forms, value=lambda form: _limit([form])):
+    """The N x N matrix of value(forms[i, j]) at X = -1, zero off the keys of
+    forms, by default of a product form (`qsymbols._limit`); the PoleError
+    names the first such entry in row-major order."""
     out = [[Fraction(0)] * N for _ in range(N)]
-    for (i, j), form in forms.items():
-        out[i][j] = _limit(*form)
+    for (i, j), form in sorted(forms.items()):
+        try:
+            out[i][j] = value(form)
+        except PoleError:
+            raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
     return tuple(map(tuple, out))
-
-
-def classical_limit(mat: FMatrix):
-    """Entrywise exact evaluation at X = -1, for z' and the M^(n), whose
-    entries are sums; the PoleError names the entry."""
-    out = []
-    for i, row in enumerate(mat.rows):
-        vals = []
-        for j, e in enumerate(row):
-            try:
-                vals.append(e.eval_exact(-1))
-            except PoleError:
-                raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
-        out.append(tuple(vals))
-    return tuple(out)

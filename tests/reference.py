@@ -1,15 +1,16 @@
 """Reference implementations for the tests: polynomial multiplication, Q(X)
-arithmetic by polynomial gcd, monomials and the identity matrix, the
-eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
-arithmetic, exact matrix inverse and word products over Q(X), the braid and
-center checks by Kronecker substitution, T and T* by the column recurrence
-through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
-products, the rescaling character, the q-factorial and twist eigenvalue,
-symbolic matrices and the factor lists of T and T* evaluated at A_p in
-50-digit decimal arithmetic, the near-pole error those lists predict, the
-basis rescaling alpha_n of the classical target, and the entrywise
-max-modulus norm of a float matrix. None of these is on a production path;
-the tests compare the production code against them."""
+arithmetic by polynomial gcd, monomials and the identity matrix, exact values
+at a rational point (entrywise for a matrix, naming the entry of a pole), the
+eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that arithmetic,
+exact matrix inverse and word products over Q(X), the braid and center checks
+by Kronecker substitution, T and T* by the column recurrence through M^(n),
+the oracle's z and M^(n), the oracle from direct raw factorial products, the
+rescaling character, the q-factorial, the twist eigenvalue and the pairing
+ratio over Q(X), symbolic matrices and the factor lists of T and T*
+evaluated at A_p in 50-digit decimal arithmetic, the near-pole error those
+lists predict, the basis rescaling alpha_n of the classical target, and the
+entrywise max-modulus norm of a float matrix. None of these is on a
+production path; the tests compare the production code against them."""
 
 from __future__ import annotations
 
@@ -22,18 +23,34 @@ from functools import lru_cache
 import numpy as np
 
 from torusrep import repbuild
-from torusrep.errors import BadPError, NearPoleError
+from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
-from torusrep.qsymbols import rhat
+from torusrep.qsymbols import _product_form, _rhat_form
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
 
-# --- polynomial multiplication ---------------------------------------------------
+# --- polynomial subtraction, scaling, shifts and multiplication --------------------
 #
-# Nothing in `torusrep` multiplies two polynomials; the Q(X) reference
-# arithmetic below does.
+# Nothing in `torusrep` subtracts, scales, shifts up or multiplies
+# polynomials; the Q(X) reference arithmetic below does.
+
+
+def poly_sub(a: Poly, b: Poly) -> Poly:
+    out = list(a.coeffs) + [0] * max(len(b.coeffs) - len(a.coeffs), 0)
+    for i, c in enumerate(b.coeffs):
+        out[i] -= c
+    return Poly._raw(out)
+
+
+def poly_scale(a: Poly, s: int) -> Poly:
+    return Poly._raw([c * s for c in a.coeffs])
+
+
+def poly_shift(a: Poly, k: int) -> Poly:
+    """a X^k for k >= 0."""
+    return Poly._raw([0] * k + list(a.coeffs))
 
 _KARATSUBA_CUTOFF = 48  # below this, schoolbook beats Kronecker packing
 
@@ -89,9 +106,9 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     if not x or not y:
         return Poly()
     if len(x) == 1:
-        return b.scale(x[0])
+        return poly_scale(b, x[0])
     if len(y) == 1:
-        return a.scale(y[0])
+        return poly_scale(a, y[0])
     return Poly._raw(_int_mul(x, y))
 
 
@@ -156,7 +173,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if not r:
             break
         a, b = b, _primitive(r)
-    return Poly(b if len(b) > 1 else [1]).shift(v)
+    return poly_shift(Poly(b if len(b) > 1 else [1]), v)
 
 
 def _monicize(num: Poly, den: Poly) -> RatFunc:
@@ -189,7 +206,7 @@ def _lift(a) -> RatFunc:
 
 def neg(a) -> RatFunc:
     a = _lift(a)
-    return RatFunc(a.num.scale(-1), a.den)
+    return RatFunc(poly_scale(a.num, -1), a.den)
 
 
 def add(a, b) -> RatFunc:
@@ -295,7 +312,7 @@ def lcm_form(m: FMatrix):
     the exact checks' limits."""
     den = Poly((1,))
     for d in dict.fromkeys(e.den for row in m.rows for e in row):
-        g = poly_gcd(den, d).scale(math.gcd(_content(den.coeffs), _content(d.coeffs)))
+        g = poly_scale(poly_gcd(den, d), math.gcd(_content(den.coeffs), _content(d.coeffs)))
         den = poly_mul(den, d.exact_div(g))
     return [[list(poly_mul(e.num, den.exact_div(e.den)).coeffs) for e in row] for row in m.rows], list(den.coeffs)
 
@@ -306,6 +323,32 @@ def ratfunc_from_obj(obj: dict) -> RatFunc:
 
 def fmatrix_from_obj(obj: dict) -> FMatrix:
     return FMatrix(tuple(tuple(ratfunc_from_obj(e) for e in row) for row in obj["entries"]))
+
+
+# --- exact values at a rational point ------------------------------------------
+
+
+def eval_exact(f: RatFunc, x):
+    """f at the rational point x; PoleError where f's canonical denominator
+    vanishes."""
+    dv = f.den.eval(x)
+    if dv == 0:
+        raise PoleError(f"pole at X = {x}")
+    return Fraction(f.num.eval(x)) / Fraction(dv)
+
+
+def classical_limit(mat: FMatrix):
+    """Entrywise `eval_exact` at X = -1; the PoleError names the entry."""
+    out = []
+    for i, row in enumerate(mat.rows):
+        vals = []
+        for j, e in enumerate(row):
+            try:
+                vals.append(eval_exact(e, -1))
+            except PoleError:
+                raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
+        out.append(tuple(vals))
+    return tuple(out)
 
 
 # --- y, z' and M^(n) by Q(X) arithmetic -----------------------------------------
@@ -398,6 +441,12 @@ def mu(n: int) -> RatFunc:
     return signed_power(n * (n + 2))
 
 
+def rhat(n: int, m: int, N: int) -> RatFunc:
+    """The pairing ratio rhat(n, m) in canonical form, from its product form
+    (`qsymbols._rhat_form`)."""
+    return _product_form(*_rhat_form(n, m, N))
+
+
 # --- T and T* by the column recurrence -----------------------------------------
 
 
@@ -413,9 +462,8 @@ def pairing_transpose(N: int, a: FMatrix) -> FMatrix:
 
 
 def recurrence_matrices(N: int) -> tuple[FMatrix, ...]:
-    """The production M^(0), ..., M^(N-2), all from one z'."""
-    zprime = repbuild.build_zprime(N)
-    return tuple(repbuild.build_m(n, N, zprime) for n in range(N - 1))
+    """The production M^(0), ..., M^(N-2)."""
+    return tuple(repbuild.build_m(n, N) for n in range(N - 1))
 
 
 def recurrence_twists(N: int) -> tuple[FMatrix, FMatrix]:
@@ -492,6 +540,18 @@ def changed_factor(t, tstar, N: int):
         for ij, (sign, power, factors) in t.items()
     }
     return t, tstar
+
+
+def flipped_curve_factor(z, y, i: int):
+    """The product forms of z and y (`repbuild._curve_factors`) with factor i
+    of y[0][1] = -{2N-2} {1}^-1 {2N-1}+ {1} read with its plus flag flipped,
+    a mutation the recurrence-matrix limits must catch: the trailing {1} as
+    {1}+ (i = -1) gives every M^(n) a pole, {2N-1}+ as {2N-1} (i = -2) other
+    finite limits."""
+    sign, power, factors = y[0, 1]
+    k, plus, e = factors[i]
+    y = {**y, (0, 1): (sign, power, [*factors[:i], (k, not plus, e), *factors[i:][1:]])}
+    return z, y
 
 
 # --- the exact checks by Kronecker substitution -------------------------------

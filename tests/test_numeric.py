@@ -25,10 +25,11 @@ from torusrep.numeric import (
     primitive_root,
     spectral_radius,
 )
-from torusrep.repbuild import build_twists, build_y, build_z, build_zprime, classical_limit
+from torusrep.repbuild import build_twists, build_y, build_z, build_zprime
 
 from reference import (
     chi_p,
+    classical_limit,
     decimal_at_root,
     decimal_twists,
     direct_oracle_matrices,

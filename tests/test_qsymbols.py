@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from torusrep.errors import PoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.numeric import PSetting, eval_matrix, primitive_root
-from torusrep.qsymbols import _lambda_form, _limit, _poly, _product_form, _sum_form, rhat
+from torusrep.qsymbols import _lambda_form, _limit, _poly, _product_form, _sum_form
 
 from reference import (
     add,
     div,
+    eval_exact,
     mu,
     monomial,
     mul,
@@ -23,6 +24,7 @@ from reference import (
     qint,
     qint_plus,
     reciprocal,
+    rhat,
     signed_power,
     sub,
 )
@@ -40,7 +42,7 @@ def lambda_shifted(k, N):
 def test_qint_values():
     assert qint(0) == RatFunc.zero()
     assert qint(1) == sub(signed_power(1), signed_power(-1))  # -X + 1/X
-    assert qint(1).eval_exact(2) == Fraction(-3, 2)
+    assert eval_exact(qint(1), 2) == Fraction(-3, 2)
 
 
 def test_qint_antisymmetry_small():
@@ -49,7 +51,7 @@ def test_qint_antisymmetry_small():
 
 def test_qint_plus_values():
     assert qint_plus(0) == RatFunc(2)
-    assert qint_plus(5).eval_exact(-1) == 2
+    assert eval_exact(qint_plus(5), -1) == 2
     assert qint_plus(-4) == qint_plus(4)
 
 
@@ -69,7 +71,7 @@ def test_qfact():
 def test_mu():
     assert mu(0) == RatFunc(1)
     assert mu(1) == signed_power(3)
-    assert mu(1).eval_exact(2) == -8
+    assert eval_exact(mu(1), 2) == -8
     assert mu(-1) == signed_power(-1)
 
 
@@ -77,13 +79,13 @@ def test_lambda_shifted_forms():
     assert lambda_shifted(0, 2) == neg(add(signed_power(-3), signed_power(3)))
     assert lambda_shifted(1, 2) == neg(add(signed_power(-1), signed_power(1)))
     for k in (0, 1):
-        assert lambda_shifted(k, 2).eval_exact(-1) == -2
+        assert eval_exact(lambda_shifted(k, 2), -1) == -2
 
 
 def test_lambda_shifted_limit_is_minus_two_every_k():
     for N in range(2, 7):
         for k in range(N):
-            assert lambda_shifted(k, N).eval_exact(-1) == -2
+            assert eval_exact(lambda_shifted(k, N), -1) == -2
 
 
 def test_lambda_matches_raw_eigenvalue_at_roots():
@@ -100,7 +102,7 @@ def test_lambda_matches_raw_eigenvalue_at_roots():
 def test_limit_law_qint_ratio():
     for N in (2, 6):
         for a in range(1, 4 * N + 1):
-            assert div(qint(a), qint(1)).eval_exact(-1) == a
+            assert eval_exact(div(qint(a), qint(1)), -1) == a
 
 
 def test_reflection_identities_numeric():
@@ -130,7 +132,7 @@ def test_rhat_classical_limit_closed_form():
     for N in range(2, 7):
         for n in range(N):
             for m in range(N):
-                got = rhat(n, m, N).eval_exact(-1)
+                got = eval_exact(rhat(n, m, N), -1)
                 if n >= m:
                     want = Fraction(
                         (-4) ** (n - m) * factorial(m) * factorial(N - 1 - m),
@@ -145,7 +147,7 @@ def test_rhat_classical_limit_closed_form():
 
 
 def test_rhat_limit_worked_example():
-    assert rhat(1, 0, 3).eval_exact(-1) == -8
+    assert eval_exact(rhat(1, 0, 3), -1) == -8
 
 
 def test_rhat_reciprocal_symmetry():
@@ -155,16 +157,89 @@ def test_rhat_reciprocal_symmetry():
 def test_limit_of_a_finite_form_a_zero_and_a_pole():
     # the {k} exponents sum to 0: {4}/{2} = {2}+ tends to 2
     finite = (-1, 5, [(4, False, 1), (2, False, -1)])
-    assert _limit(*finite) == _product_form(*finite).eval_exact(-1) == -2
+    assert _limit([finite]) == eval_exact(_product_form(*finite), -1) == -2
     # they sum to 1: {3}/{2}+ tends to 0
     zero = (1, 0, [(3, False, 1), (2, True, -1)])
-    assert _limit(*zero) == _product_form(*zero).eval_exact(-1) == 0
+    assert _limit([zero]) == eval_exact(_product_form(*zero), -1) == 0
     # they sum to -1: {3}+/({2}{4}) has a pole
     pole = (1, 0, [(3, True, 1), (2, False, -1), (4, False, -1)])
     with pytest.raises(PoleError):
-        _limit(*pole)
+        _limit([pole])
     with pytest.raises(PoleError):
-        _product_form(*pole).eval_exact(-1)
+        eval_exact(_product_form(*pole), -1)
+
+
+factor_lists = st.lists(
+    st.tuples(st.integers(1, 9), st.booleans(), st.integers(-2, 2)), max_size=5
+)
+product_forms = st.tuples(st.sampled_from([1, -1]), st.integers(-6, 6), factor_lists)
+
+
+def _order(form):
+    """The order in s = log(-X) of a product form: the sum of its {k} exponents."""
+    return sum(e for _, plus, e in form[2] if not plus)
+
+
+finite_forms = product_forms.filter(lambda f: _order(f) >= 0)
+
+
+@given(product_forms)
+@settings(max_examples=200, deadline=None)
+def test_limit_of_a_product_is_its_canonical_form_at_minus_one(form):
+    # finite from order 0 on; a pole at order -1 or -2, and below that the
+    # s^3 terms the reading would need are not kept
+    if _order(form) >= 0:
+        assert _limit([form]) == eval_exact(_product_form(*form), -1)
+    elif _order(form) >= -2:
+        with pytest.raises(PoleError):
+            _limit([form])
+        with pytest.raises(PoleError):
+            eval_exact(_product_form(*form), -1)
+    else:
+        with pytest.raises(ValueError):
+            _limit([form])
+
+
+def _times(form, sign, power, factors):
+    return form[0] * sign, form[1] + power, form[2] + factors
+
+
+@given(
+    finite_forms,
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(1, 9),
+    st.integers(1, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_limit_of_a_sum_whose_poles_cancel_is_its_canonical_form_at_minus_one(f, a, b, k, j):
+    # sums whose terms have poles of order 1 or 2 that cancel: every term of
+    # the jets, P and P^2/2 + Q of (-X)^a, {k}+ and {k} included, is read
+    inv1, inv2 = [(1, False, -1)], [(1, False, -2)]
+    sums = [
+        # f ((-X)^a {k}+ - (-X)^b {j}+) / {1}
+        [_times(f, 1, a, [(k, True, 1)] + inv1), _times(f, -1, b, [(j, True, 1)] + inv1)],
+        # f (-X)^a ({k}+ - {j}+) / {1}^2
+        [_times(f, 1, a, [(k, True, 1)] + inv2), _times(f, -1, a, [(j, True, 1)] + inv2)],
+        # f ((-X)^a + (-X)^-a - 2) / {1}^2
+        [_times(f, 1, a, inv2), _times(f, 1, -a, inv2), _times(f, -1, 0, inv2), _times(f, -1, 0, inv2)],
+        # f ({2k}/{k} - {j}+) / {1}^2
+        [_times(f, 1, a, [(2 * k, False, 1), (k, False, -1)] + inv2), _times(f, -1, a, [(j, True, 1)] + inv2)],
+    ]
+    for forms in sums:
+        assert _limit(forms) == eval_exact(_sum_form(forms), -1)
+
+
+@given(st.lists(product_forms.filter(lambda f: _order(f) >= -2), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_limit_of_a_sum_is_its_canonical_form_at_minus_one(forms):
+    try:
+        want = eval_exact(_sum_form(forms), -1)
+    except PoleError:
+        with pytest.raises(PoleError):
+            _limit(forms)
+    else:
+        assert _limit(forms) == want
 
 
 def _direct_rhat(n, m, N):
@@ -207,14 +282,14 @@ def _phi(d):
     rest = Poly((1,))
     for e in _divisors(d)[:-1]:
         rest = poly_mul(rest, _phi(e))
-    return (monomial(d) - Poly((1,))).exact_div(rest)
+    return (monomial(d) + Poly((-1,))).exact_div(rest)
 
 
 def test_poly_factors_x_to_the_n_minus_one():
     # X^n - 1 = prod_{d | n} Phi_d, expanded at once and as a product of the
     # single Phi_d multiplied by `reference.poly_mul`; this pins every Phi_d, d <= 60
     for n in range(1, 61):
-        want = monomial(n) - Poly((1,))
+        want = monomial(n) + Poly((-1,))
         assert _poly(1, 0, {d: 1 for d in _divisors(n)}) == want, n
         got = Poly((1,))
         for d in _divisors(n):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from torusrep import repbuild
 from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
 from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
-from torusrep.qsymbols import rhat
+from torusrep.qsymbols import _limit
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
@@ -25,12 +26,13 @@ from torusrep.repbuild import (
     _ratio_factors,
     _spans,
     _twist_factors,
+    _recurrence_terms,
     _values,
+    _zprime_terms,
     build_twists,
     build_y,
     build_z,
     build_zprime,
-    classical_limit,
     form_limit,
     relation_checks,
 )
@@ -41,6 +43,9 @@ from reference import (
     add,
     braid_holds,
     changed_factor,
+    classical_limit,
+    eval_exact,
+    flipped_curve_factor,
     fm_eq,
     fm_inv,
     fm_mul,
@@ -54,11 +59,14 @@ from reference import (
     mul,
     pairing_transpose,
     poly_mul,
+    poly_scale,
+    poly_shift,
     qint,
     recurrence_matrices,
     recurrence_twists,
     reduced,
     rep_of_word,
+    rhat,
     signed_power,
     sub,
     verify_braid,
@@ -81,7 +89,7 @@ def test_build_z_bidiagonal_and_diagonal_limits():
                 if l not in (m, m - 1):
                     assert z[m][l].is_zero
         for m in range(N):
-            assert z[m][m].eval_exact(-1) == -2
+            assert eval_exact(z[m][m], -1) == -2
 
 
 def test_build_y_structure():
@@ -152,9 +160,9 @@ def test_tstar_limit_lower_unitriangular_n4():
 def test_pairing_consistency_n2():
     # a_{0,1}(-1) = R_{1,0}(-1) * b_{1,0}(-1): 2 = (-4) * (-1/2)
     t, tstar = build_twists(2)
-    a01 = t[0][1].eval_exact(-1)
-    b10 = tstar[1][0].eval_exact(-1)
-    r10 = rhat(1, 0, 2).eval_exact(-1)
+    a01 = eval_exact(t[0][1], -1)
+    b10 = eval_exact(tstar[1][0], -1)
+    r10 = eval_exact(rhat(1, 0, 2), -1)
     assert a01 == 2 and b10 == Fraction(-1, 2) and r10 == -4
     assert a01 == r10 * b10
 
@@ -269,6 +277,46 @@ def test_twist_limits_are_the_classical_action_at_large_n(N):
     t, tstar = (form_limit(N, forms) for forms in _twist_factors(N))
     assert t == hN_matrix(SL2(1, 1, 0, 1), N)
     assert tstar == hN_matrix(SL2(1, 0, -1, 1), N)
+
+
+def _recurrence_limit(n, N):
+    """M^(n) at X = -1, read off its products."""
+    return form_limit(N, _recurrence_terms(n, N, _zprime_terms(N)), _limit)
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_sum_limits_equal_the_qx_build_at_minus_one(N):
+    # z' and the M^(n) read at X = -1 off their products are the build by
+    # matrix products and gcd over Q(X) evaluated there
+    zprime = build_zprime(N)
+    assert form_limit(N, _zprime_terms(N), _limit) == classical_limit(zprime)
+    for n in range(N - 1):
+        assert _recurrence_limit(n, N) == classical_limit(reference.build_m(n, N, zprime))
+
+
+@pytest.mark.parametrize("N", (24, 32))
+def test_recurrence_limits_are_the_closed_forms_at_large_n(N):
+    assert [_recurrence_limit(n, N) for n in range(N - 1)] == list(closed_limits(N).m_limits)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("i", [-1, -2], ids=["pole", "finite"])
+def test_recurrence_limits_follow_a_changed_curve_factor(monkeypatch, i, N):
+    # the limits read off the products are those of the changed z' over
+    # Q(X), the entry of the pole too
+    z, y = flipped_curve_factor(*_curve_factors(N), i)
+    monkeypatch.setattr(repbuild, "_curve_factors", lambda N: (z, y))
+    zprime = build_zprime(N)
+    for n in range(N - 1):
+        if i == -1:
+            with pytest.raises(PoleError) as want:
+                classical_limit(reference.build_m(n, N, zprime))
+            with pytest.raises(PoleError) as got:
+                _recurrence_limit(n, N)
+            assert got.value.entry == want.value.entry
+        else:
+            want = classical_limit(reference.build_m(n, N, zprime))
+            assert _recurrence_limit(n, N) == want != closed_limits(N).m_limits[n]
 
 
 def test_limits_match_closed_forms_all_n():
@@ -508,7 +556,7 @@ def _over_integer(cs):
 def _entry(num, den):
     """(pn / dn) / (pd / dd) as a RatFunc over Z[X]."""
     (pn, dn), (pd, dd) = num, den
-    return reduced(pn.scale(dd), pd.scale(dn))
+    return reduced(poly_scale(pn, dd), poly_scale(pd, dn))
 
 
 polys = st.lists(coeff, min_size=1, max_size=2).map(_over_integer)
@@ -665,7 +713,7 @@ def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
         falling = poly_mul(falling, Poly((-x, 1)))
     for v in (0, 3):
         dt = [0] * v + [1]
-        ds = list((falling + Poly((1,))).shift(v).coeffs)
+        ds = list(poly_shift(falling + Poly((1,)), v).coeffs)
         assert _points(ONE, dt, ONE, ds) == d + 1
         assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
 
@@ -688,7 +736,12 @@ def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
 
 def _points(pt, dt, ps, ds):
     """K, the number of points `_integer_checks` evaluates at."""
-    return 1 + max(hi - lo for lo, hi in _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt)))
+    return 1 + max((hi - lo).max() for lo, hi in _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt)))
+
+
+def _generator_spans(N):
+    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in _twist_factors(N))
+    return _spans(*_coefficient_rows(pt, dt, ps, ds), N)
 
 
 @pytest.mark.parametrize(
@@ -696,10 +749,19 @@ def _points(pt, dt, ps, ds):
     [(2, 25), (3, 78), (4, 160), (5, 272), (6, 413), (7, 583), (8, 783), (12, 1875)],
 )
 def test_points_on_the_generators(N, points):
+    # one span per identity, the hull of its entries' spans: 1 + its width.
     # 1 + max(deg D + 3 dmax, 7 dmax), with every entry taken at degree dmax
     # and valuation 0, is 43 at N = 2, 1212 at N = 8 and 2878 at N = 12
-    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in _twist_factors(N))
-    assert _points(pt, dt, ps, ds) == points
+    assert 1 + max(hi.max() - lo.min() for lo, hi in _generator_spans(N)) == points
+
+
+@pytest.mark.parametrize(
+    "N, points",
+    [(2, 25), (3, 77), (4, 157), (5, 267), (6, 405), (7, 571), (8, 767), (12, 1835)],
+)
+def test_points_per_entry_on_the_generators(N, points):
+    # K is 1 + the widest span of one entry, at most the hull's (above)
+    assert 1 + max((hi - lo).max() for lo, hi in _generator_spans(N)) == points
 
 
 small_polys = st.lists(st.integers(min_value=-2, max_value=2), max_size=5)  # zeros at either end
@@ -731,6 +793,8 @@ def test_spans_hold_every_nonzero_coefficient(forms):
     c = fm_mul(tst, tst)
     center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
     for (lo, hi), diffs in zip(_spans(*_coefficient_rows(*forms), len(pt)), ([braid], center)):
-        for e in (e for m in diffs for row in m.rows for e in row):
-            assert e.den == Poly((1,))
-            assert all(lo <= k <= hi for k, a in enumerate(e.num.coeffs) if a)
+        lo, hi = lo.reshape(len(diffs), -1), hi.reshape(len(diffs), -1)
+        for m, diff in enumerate(diffs):
+            for cell, e in enumerate(e for row in diff.rows for e in row):
+                assert e.den == Poly((1,))
+                assert all(lo[m, cell] <= k <= hi[m, cell] for k, a in enumerate(e.num.coeffs) if a)
