@@ -12,8 +12,9 @@ taken over the common denominator that the exponent maxima of its terms give
 integer forms), then divided by that denominator's cyclotomic factors as far
 as they go (`_sum_form`, `_reduce`). Neither computes a common divisor.
 Every product of cyclotomic polynomials, a single Phi_d included, is
-expanded by one routine, `_poly`: a cut power series in the factors
-(1 - X^m) that Moebius inversion gives.
+expanded as a cut power series in the factors (1 - X^m) that Moebius
+inversion gives (`_poly`, by `_times`); the numerators over a common
+denominator take each series from the previous one where that is shorter.
 
 Values at X = -1 are read exactly off the factors, with nothing built over
 Q(X) (`_limit`). Write -X = e^s: (-X)^a = e^(as), {k}+ = 2 cosh(ks) and
@@ -33,6 +34,7 @@ orders of vanishing.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -109,15 +111,26 @@ def _exponents(sign: int, power: int, factors):
 def _poly(sign: int, xpow: int, exps) -> Poly:
     """sign X^xpow prod Phi_d^e_d, for xpow >= 0 and every e_d >= 0. By
     Moebius inversion prod Phi_d^e_d = (-1)^e_1 prod_m (1 - X^m)^f_m with
-    f_m = sum_{m | d} e_d moebius(d/m) (Phi_1 = -(1 - X)), expanded as a power
-    series cut at its degree sum m f_m: a factor (1 - X^m) subtracts the series
-    shifted by m, its inverse 1 + X^m + X^2m + ... adds it cumulatively."""
+    f_m = sum_{m | d} e_d moebius(d/m) (Phi_1 = -(1 - X); `_factors`),
+    expanded as a power series cut at its degree sum m f_m (`_times`)."""
+    f = _factors(exps)
+    return _signed(sign, xpow, exps, _times([1] + [0] * sum(m * e for m, e in f.items()), f))
+
+
+def _factors(exps):
+    """The exponents m -> f_m of the factors (1 - X^m) of prod Phi_d^e_d."""
     f = {}
     for d, e in exps.items():
         for m in _divisors(d):
             f[m] = f.get(m, 0) + e * _moebius(d // m)
-    deg = sum(m * e for m, e in f.items())
-    c = [1] + [0] * deg
+    return f
+
+
+def _times(c, f):
+    """The power series c times prod_m (1 - X^m)^f_m, cut at the degree of c,
+    in place: a factor (1 - X^m) subtracts the series shifted by m, its
+    inverse 1 + X^m + X^2m + ... adds it cumulatively."""
+    deg = len(c) - 1
     for m, e in f.items():
         for _ in range(e):
             for i in range(deg, m - 1, -1):
@@ -125,6 +138,11 @@ def _poly(sign: int, xpow: int, exps) -> Poly:
         for _ in range(-e):
             for i in range(m, deg + 1):
                 c[i] += c[i - m]
+    return c
+
+
+def _signed(sign: int, xpow: int, exps, c) -> Poly:
+    """sign X^xpow (-1)^e_1 c, for the coefficients c of prod_m (1 - X^m)^f_m."""
     if exps.get(1, 0) % 2:
         sign = -sign
     return Poly._raw([0] * xpow + [sign * x for x in c])
@@ -143,9 +161,11 @@ def _limit(forms) -> Fraction:
     """The value at X = -1 of the sum of the products in `forms` (as
     `_exponents` takes them): the coefficient c_0 of s^0 in the sum of their
     jets (module docstring), to which a product of order v >= -2 adds its
-    terms at s^v, s^(v+1) and s^(v+2). PoleError when c_-2 or c_-1 is not 0;
-    ValueError for a product of order below -2, whose s^3 term is not kept."""
-    jet = [Fraction(0)] * 3  # c_-2, c_-1, c_0
+    terms at s^v, s^(v+1) and s^(v+2). The coefficients are summed as
+    integers over the lcm of the products' denominators, and one Fraction is
+    made at the end. PoleError when c_-2 or c_-1 is not 0; ValueError for a
+    product of order below -2, whose s^3 term is not kept."""
+    jet, lcm = [0, 0, 0], 1  # c_-2, c_-1, c_0 times lcm
     for sign, power, factors in forms:
         i, num, den, q = 2, sign, 6, 3 * power * power  # i = v + 2, q = 6 (P^2/2 + Q)
         for k, plus, e in factors:
@@ -158,11 +178,16 @@ def _limit(forms) -> Fraction:
             q += (3 if plus else 1) * e * k * k
         if i < 0:
             raise ValueError(f"a product of order {i - 2} in s at X = -1")
+        if lcm % den:
+            grow = den // math.gcd(lcm, den)
+            jet = [x * grow for x in jet]
+            lcm *= grow
+        num *= lcm // den
         for r, x in enumerate((6, 6 * power, q)[: max(3 - i, 0)], i):
-            jet[r] += Fraction(num * x, den)
+            jet[r] += num * x
     if jet[0] or jet[1]:
         raise PoleError("pole at X = -1")
-    return jet[2]
+    return Fraction(jet[2], lcm)
 
 
 def _over_denominator(forms):
@@ -170,7 +195,15 @@ def _over_denominator(forms):
     `_product_form` takes them) over their least common denominator
     X^xpow prod Phi_d^den_d, whose exponents are the largest of the forms'
     denominator exponents; each numerator, in the order of forms, is its
-    form's exponents plus the denominator's, expanded by `_poly`."""
+    form's exponents plus the denominator's, expanded as `_poly` does.
+
+    Neighbouring forms share most factors (T[m][n+1] / T[m][n] is a few
+    {k}), so each numerator's series is the previous one cut or padded to the
+    new degree and multiplied by the factors (1 - X^m) of the difference of
+    their exponents f_m, unless that difference has no fewer factors than
+    the new numerator, which is then expanded afresh. Both are exact: the
+    previous series is a polynomial, and every step is a ring operation on
+    power series cut at the new degree, which is the new numerator's."""
     terms = [_exponents(*form) for form in forms]
     xpow, den = 0, {}
     for _, a, exps in terms:
@@ -178,10 +211,19 @@ def _over_denominator(forms):
         for d, e in exps.items():
             if e < 0:
                 den[d] = max(den.get(d, 0), -e)
-    return xpow, den, [
-        _poly(s, a + xpow, {d: exps.get(d, 0) + den.get(d, 0) for d in exps.keys() | den.keys()})
-        for s, a, exps in terms
-    ]
+    nums, last, c = [], {}, [1]
+    for s, a, exps in terms:
+        exps = {d: exps.get(d, 0) + den.get(d, 0) for d in exps.keys() | den.keys()}
+        f = _factors(exps)
+        deg = sum(m * e for m, e in f.items())
+        step = {m: f.get(m, 0) - last.get(m, 0) for m in f.keys() | last.keys()}
+        if sum(map(abs, step.values())) < sum(map(abs, f.values())):
+            c = _times(c[: deg + 1] + [0] * (deg + 1 - len(c)), step)
+        else:
+            c = _times([1] + [0] * deg, f)
+        nums.append(_signed(s, a + xpow, exps, c))
+        last = f
+    return xpow, den, nums
 
 
 def _sum_form(forms) -> RatFunc:

@@ -154,18 +154,31 @@ def relation_checks(N: int) -> tuple[bool, bool]:
     T*, read straight from the factor lists (`_integer_form`). Then the braid
     relation is D_S P_T P_S P_T == D_T P_S P_T P_S, and with
     C' = (P_T P_S P_T)^2 the center commutes iff C' P_T == P_T C' and
-    C' P_S == P_S C' (both sides of a commutator share one denominator). Each
-    identity says that a difference f of two integer polynomials vanishes,
-    entry by entry, and is decided by multipoint evaluation modulo primes
-    (`_integer_checks`):
+    C' P_S == P_S C' (both sides of a commutator share one denominator).
+
+    The braid identity implies the center one, as (T T* T)^2 is central in
+    the braid group <T, T* | T T* T = T* T T*>. With A = P_T, B = P_S,
+    d = D_T, e = D_S and W = ABA, suppose e ABA = d BAB. Then
+    d BW = (d BAB) A = e WA and d WB = A (d BAB) = e AW, so
+    d e W^2 A = d W (d BW) = d (e AW) W = d e A W^2 and
+    d W^2 B = W (e AW) = (e WA) W = d B W^2. Z[X] has no zero divisors and
+    d, e are nonzero (they are denominators; `_integer_checks` refuses zero
+    ones), so C' = W^2 commutes with A and with B. The center identity is
+    therefore evaluated only when the braid identity fails; when it holds,
+    the center verdict is True by this proof.
+
+    Each identity says that a difference f of two integer polynomials
+    vanishes, entry by entry, and is decided by multipoint evaluation modulo
+    primes (`_integer_checks`):
 
     - every coefficient of f is at most `bound` in absolute value, the sum of
       the l1-norms of the two sides, bounded through the nonnegative matrices
-      of entry norms (||gh||_1 <= ||g||_1 ||h||_1);
-    - every nonzero coefficient of an entry f of either difference has its
+      of entry norms (||gh||_1 <= ||g||_1 ||h||_1), one bound per identity
+      (`_height_bound`);
+    - every nonzero coefficient of an entry f of the difference has its
       degree in the span [lo, hi] of that entry (`_spans`), so f = X^lo g
       with deg g < K, K one more than the largest width hi - lo over the
-      entries of both identities;
+      entries of that identity's difference;
     - f is evaluated at x = 1..K modulo primes q from `_PRIMES`, taken in
       order until their product exceeds 2 bound. As K < q, these are K
       distinct nonzero points of F_q: if f vanishes at all of them, so does
@@ -208,38 +221,48 @@ _CHUNK = 64  # coefficients per matrix product in `_values`
 
 def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), as
-    coefficient lists in ascending degree.
+    coefficient lists in ascending degree, D_T and D_S nonzero.
 
-    Per prime q, blocks of the points x = 1..K are checked at once
-    (`_check_block`). The arithmetic is float64 on integers, exact because
-    every coefficient is below 2^53 and every partial sum of products of
-    residues, which lie in (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1)
-    (q-1)^2 in the evaluation (`_values`), N (q-1)^2 in an N x N product and
-    2N (q-1)^2 in the difference of two, 2 (q-1)^2 in a difference of scaled
-    sides. `TooLargeError` is raised for an input that would break one of
-    these invariants, K < q, or the reach of the prime table."""
+    The braid identity is decided first; the center identity, which it
+    implies, only when it fails. Per prime, blocks of the points x = 1..K
+    are checked at once (`_check_block`). Each identity has its own K
+    (`_spans`) and its own primes (`_height_bound`). The arithmetic is
+    float64 on integers, exact because every coefficient is below 2^53 and
+    every partial sum of products of residues, which lie in (-q, q) (`_mod`),
+    stays below it: (`_CHUNK` + 1) (q-1)^2 in the evaluation (`_values`),
+    N (q-1)^2 in an N x N product and 2N (q-1)^2 in the difference of two,
+    2 (q-1)^2 in a difference of scaled sides. `TooLargeError` is raised,
+    before anything is evaluated, for an input that would break one of these
+    invariants, K < q, or the reach of the prime table for either identity,
+    whether or not the center identity is then evaluated."""
     n = len(pt)
     where, coeffs = _coefficient_rows(pt, dt, ps, ds)
     if np.abs(coeffs).max() >= 2**53:
         raise TooLargeError("exact checks need every coefficient below 2^53")
-    points = 1 + int(max(0, *((hi - lo).max() for lo, hi in _spans(where, coeffs, n))))
-    primes = _primes_above(2 * _height_bound(pt, dt, ps, ds))
-    if points >= primes[-1] or max(2 * n, _CHUNK + 1) * (primes[0] - 1) ** 2 >= 2**53:
+    points = [1 + int(max(0, (hi - lo).max())) for lo, hi in _spans(where, coeffs, n)]
+    primes = [_primes_above(2 * bound) for bound in _height_bound(pt, dt, ps, ds)]
+    if max(points) >= min(p[-1] for p in primes) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
         raise TooLargeError("exact checks need K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
+    if not (coeffs[-2].any() and coeffs[-1].any()):
+        raise ValueError("exact checks need nonzero denominators D_T and D_S")
 
     block = max(1, _BLOCK_CELLS // (n * n))
     buf = np.zeros((2, block, n, n))
-    braid = center = True
-    for prime in primes:
-        q = float(prime)
-        a = _mod(coeffs.copy(), q)
-        for start in range(1, points + 1, block):
-            x = np.arange(start, min(start + block, points + 1), dtype=np.float64)
-            ok = _check_block(_values(a, x, q), where, buf[:, : len(x)], q)
-            braid, center = braid and ok[0], center and ok[1]
-            if not (braid or center):
-                return False, False
-    return braid, center
+
+    def holds(center: bool, points: int, primes) -> bool:
+        # per prime, blocks of the points x = 1..points at once; the first
+        # block where the identity fails decides
+        for prime in primes:
+            q = float(prime)
+            a = _mod(coeffs.copy(), q)
+            for start in range(1, points + 1, block):
+                x = np.arange(start, min(start + block, points + 1), dtype=np.float64)
+                if not _check_block(_values(a, x, q), where, buf[:, : len(x)], q, center):
+                    return False
+        return True
+
+    braid = holds(False, points[0], primes[0])
+    return braid, braid or holds(True, points[1], primes[1])
 
 
 def _coefficient_rows(pt, dt, ps, ds):
@@ -281,35 +304,36 @@ def _spans(where, coeffs, n):
     return [(s[0].min(0), -s[1].min(0)) for s in (tst_sts + d, commutators)]
 
 
-def _height_bound(pt, dt, ps, ds) -> int:
-    """A bound on every coefficient of the difference of the two sides of
-    either identity: ||gh||_1 <= ||g||_1 ||h||_1, through the matrices of
-    entry l1-norms (numpy arrays of Python ints)."""
+def _height_bound(pt, dt, ps, ds) -> tuple[int, int]:
+    """(braid, center): bounds on every coefficient of the difference of the
+    two sides of each identity, ||gh||_1 <= ||g||_1 ||h||_1 through the
+    matrices of entry l1-norms (numpy arrays of Python ints)."""
     nt, ns = (np.array([[sum(map(abs, q)) for q in row] for row in p], dtype=object) for p in (pt, ps))
     tst, sts = nt @ ns @ nt, ns @ nt @ ns
     c = tst @ tst
-    return max(
+    return (
         (tst * sum(map(abs, ds)) + sts * sum(map(abs, dt))).max(),
-        (c @ nt + nt @ c).max(),
-        (c @ ns + ns @ c).max(),
+        max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max()),
     )
 
 
-def _check_block(vals, where, buf, q: float) -> tuple[bool, bool]:
-    """Both identities at one block of points, from the values mod q of the
-    nonzero entries of P_T and P_S (rows of vals, at `where`) and of D_T and
-    D_S (its last two rows); buf holds the stacks of P_T and P_S, whose zero
-    entries stay zero. The arrays of a block are freed when it returns."""
+def _check_block(vals, where, buf, q: float, center: bool) -> bool:
+    """The braid identity, or the center identity if `center`, at one block of
+    points, from the values mod q of the nonzero entries of P_T and P_S (rows
+    of vals, at `where`) and of D_T and D_S (its last two rows); buf holds the
+    stacks of P_T and P_S, whose zero entries stay zero. The arrays of a
+    block are freed when it returns."""
     buf[where[0], :, where[1], where[2]] = vals[:-2]
     p_t, p_s = buf
     d_t, d_s = vals[-2:, :, None, None]
     u = _mod(p_s @ p_t, q)
     tst = _mod(p_t @ u, q)
-    braid = not _mod(tst * d_s - _mod(u @ p_s, q) * d_t, q).any()
+    if not center:
+        return not _mod(tst * d_s - _mod(u @ p_s, q) * d_t, q).any()
     c = _mod(tst @ tst, q)
     commutators = c @ buf  # C P_T and C P_S
     commutators -= buf @ c
-    return braid, not _mod(commutators, q).any()
+    return not _mod(commutators, q).any()
 
 
 def _primes_above(height: int) -> tuple[int, ...]:

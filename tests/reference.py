@@ -560,13 +560,14 @@ def flipped_curve_factor(z, y, i: int):
 def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     """`relation_checks` by Kronecker substitution: the (P, D) forms by lcm
     (`lcm_form`, those of `relation_checks` for the built generators) and the
-    same height bound, but each identity is decided by comparing Python-int
-    matrices at X = B = 2^w with B above twice the bound, where an integer
-    polynomial with coefficients below B/2 in absolute value is zero iff its
-    value at B is zero."""
+    same height bounds, but each identity is decided by comparing Python-int
+    matrices at X = B = 2^w with B above twice the larger bound, where an
+    integer polynomial with coefficients below B/2 in absolute value is zero
+    iff its value at B is zero. Both identities are evaluated, so a center
+    verdict here never rests on the braid implying it."""
     pt, dt = lcm_form(t)
     ps, ds = lcm_form(tstar)
-    w = (2 * _height_bound(pt, dt, ps, ds)).bit_length()  # B = 2^w > 2 * bound
+    w = (2 * max(_height_bound(pt, dt, ps, ds))).bit_length()  # B = 2^w > 2 * bound
 
     pt, ps = (np.array(_eval_matrix_at(p, w), dtype=object) for p in (pt, ps))
     tst, sts = pt @ ps @ pt, ps @ pt @ ps

@@ -663,6 +663,71 @@ def test_center_check_compares_with_both_generators(t, tstar):
     assert _reference_checks(t, tstar) == kronecker_relation_checks(t, tstar) == (False, False)
 
 
+def test_kronecker_reference_bounds_both_identities():
+    # the center's bound is 0 here, the braid's 2: B = 2^w must exceed twice
+    # the larger, or the braid difference D_S E_22 reads 0 at X = B = 1
+    z, one = RatFunc.zero(), RatFunc(1)
+    t = FMatrix(((z, z, z), (z, z, z), (z, z, one)))
+    tstar = FMatrix(((z, z, z), (z, z, one), (RatFunc(Poly((-1,)), Poly((-1, 1))), z, z)))
+    assert kronecker_relation_checks(t, tstar) == _reference_checks(t, tstar) == (False, True)
+
+
+def _blocks(monkeypatch):
+    """Patch `_check_block` to log (center, q, points) per block it checks."""
+    log, check = [], repbuild._check_block
+
+    def logged(vals, where, buf, q, center):
+        log.append((center, q, vals.shape[1]))
+        return check(vals, where, buf, q, center)
+
+    monkeypatch.setattr(repbuild, "_check_block", logged)
+    return log
+
+
+def _points_per_prime(log, center):
+    out = {}
+    for c, q, k in log:
+        if c == center:
+            out[q] = out.get(q, 0) + k
+    return out
+
+
+@pytest.mark.parametrize(
+    "N, points, primes",
+    [(2, 15, 1), (3, 45, 1), (4, 91, 1), (5, 153, 1), (6, 231, 2), (7, 325, 2), (8, 435, 2), (12, 1035, 3)],
+)
+def test_a_holding_braid_decides_the_center_unevaluated(monkeypatch, N, points, primes):
+    # the braid identity implies the center one, so when it holds the center
+    # is never evaluated; the braid takes its own K and its own primes
+    log = _blocks(monkeypatch)
+    assert relation_checks(N) == (True, True)
+    assert _points_per_prime(log, True) == {}
+    assert _points_per_prime(log, False) == {float(q): points for q in _PRIMES[:primes]}
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_a_failing_braid_evaluates_the_center(monkeypatch, N):
+    log = _blocks(monkeypatch)
+    t, tstar = changed_factor(*_twist_factors(N), N)
+    assert _integer_checks(*_integer_form(t, N), *_integer_form(tstar, N)) == (False, False)
+    assert _points_per_prime(log, True)
+
+
+def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
+    # the braid difference D_S - D_T = X - 1 takes K = 2 points on one prime
+    # and fails in its one block; the 1 x 1 commutators vanish, K = 1
+    log = _blocks(monkeypatch)
+    assert _integer_checks(ONE, [1], ONE, [0, 1]) == (False, True)
+    assert _points_per_prime(log, False) == {float(_PRIMES[0]): 2}
+    assert _points_per_prime(log, True) == {float(_PRIMES[0]): 1}
+
+
+def test_integer_checks_refuse_zero_denominators():
+    # the braid implies the center only over nonzero D_T and D_S
+    with pytest.raises(ValueError):
+        _integer_checks(ONE, [0], ONE, [1])
+
+
 def test_prime_table_is_the_largest_primes_below_2_20():
     def is_prime(n):
         return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
