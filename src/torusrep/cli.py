@@ -79,14 +79,12 @@ def _matrix_text(obj, fmt: str, header: str, sym: FMatrix | None = None) -> str:
     if sym is not None:
         lines = ["; ".join(str(e) for e in row) for row in sym.rows]
     else:
-        rows = obj["entries"] if isinstance(obj, dict) else obj
-
         def cell(e):
             if isinstance(e, dict):
                 return f"{e['re']:+.12g}{e['im']:+.12g}j"
             return str(e)
 
-        lines = [",".join(cell(e) for e in row) for row in rows]
+        lines = [",".join(cell(e) for e in row) for row in obj]
     if fmt == "csv":
         return "\n".join(lines) + "\n"
     return header + "\n" + "\n".join("  [" + line + "]" for line in lines) + "\n"
@@ -104,24 +102,9 @@ def cmd_matrices(args) -> int:
     if what == "hN":
         word = parse_word(args.word)
         mat = classical.hN_matrix(sl2_image(word), N)
-        obj = _complex_obj([[complex(e) for e in row] for row in mat]) if mode == "root" else _rational_obj(mat)
+        obj = (_complex_obj if mode == "root" else _rational_obj)(mat)
         header = f"# hN  N={N}  word={word}"
-    elif mode == "root" and what in ("T", "Tstar"):  # from the product forms, as the scans evaluate them
-        t, tstar = numeric.eval_twists(N, [numeric.PSetting(p, N)], args.tolerance)
-        obj = _complex_obj((t if what == "T" else tstar)[0])
-    elif mode == "classical" and what in ("M", "Zprime"):  # read off the sums of products
-        terms = repbuild._zprime_terms(N)
-        if what == "M":
-            terms = repbuild._recurrence_terms(args.index, N, terms)
-        obj = _rational_obj(repbuild.form_limit(N, terms, _limit))
-    elif mode == "classical":  # read off the product forms
-        if what == "R":
-            forms = repbuild._ratio_factors(N)
-        else:
-            pair = repbuild._twist_factors(N) if what in ("T", "Tstar") else repbuild._curve_factors(N)
-            forms = pair[what in ("Tstar", "Y")]
-        obj = _rational_obj(repbuild.form_limit(N, forms))
-    else:
+    elif mode == "symbolic":
         if what == "M":
             mat = repbuild.build_m(args.index, N)
         elif what == "R":
@@ -130,10 +113,21 @@ def cmd_matrices(args) -> int:
             mat = repbuild.build_twists(N)[what == "Tstar"]
         else:
             mat = {"Z": repbuild.build_z, "Y": repbuild.build_y, "Zprime": repbuild.build_zprime}[what](N)
-        if mode == "symbolic":
-            obj, sym = fmatrix_to_obj(mat, name=name, N=N), mat
+        obj, sym = fmatrix_to_obj(mat, name=name, N=N), mat
+    else:  # read off the product forms, or the sums of them, with nothing built
+        sums = what in ("M", "Zprime")
+        if sums:
+            forms = repbuild._zprime_terms(N)
+            forms = repbuild._recurrence_terms(args.index, N, forms) if what == "M" else forms
+        elif what == "R":
+            forms = repbuild._ratio_factors(N)
         else:
-            obj = _complex_obj(numeric.eval_matrix(mat, numeric.PSetting(p, N).A, args.tolerance))
+            pair = repbuild._twist_factors(N) if what in ("T", "Tstar") else repbuild._curve_factors(N)
+            forms = pair[what in ("Tstar", "Y")]
+        if mode == "classical":
+            obj = _rational_obj(repbuild.form_limit(N, forms, _limit) if sums else repbuild.form_limit(N, forms))
+        else:
+            obj = _complex_obj(numeric.eval_forms(N, forms, numeric.PSetting(p, N), args.tolerance, sums))
     _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
     return 0
 

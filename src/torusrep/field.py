@@ -1,8 +1,8 @@
 """Exact values in Q(X): dense polynomials over Z, and elements and small
 matrices of Q(X) held in canonical form.
 
-A `Poly` adds, divides exactly (by a power of X too) and evaluates, but
-never multiplies by another: every product needed is one of cyclotomic
+A `Poly` adds and divides exactly (by a power of X too), but never
+multiplies by another: every product needed is one of cyclotomic
 polynomials, which `qsymbols._poly` expands as one power series.
 
 Coefficients are Python ints only: the representations are integral
@@ -132,16 +132,6 @@ class Poly:
         if any(rem[:db]):
             raise ArithmeticError("division was not exact")
         return Poly._raw(q)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval(self, x):
-        """Horner evaluation, exact for int/Fraction x (and CPython complex
-        arithmetic for complex x, as in `numeric.eval_matrix`)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- display -------------------------------------------------------------
 

@@ -58,10 +58,6 @@ def parse_word(text: str) -> Word:
     return Word(tuple(letters))
 
 
-_TY_IMAGE = SL2(1, 1, 0, 1)
-_TZ_IMAGE = SL2(1, 0, -1, 1)
-
-
 def sl2_image(w: Word) -> SL2:
     """Project to SL2(Z): t_y -> (1 1; 0 1), t_z -> (1 0; -1 1); both powers
     have closed forms."""

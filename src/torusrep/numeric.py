@@ -1,14 +1,13 @@
 """Everything level-dependent and floating point: the evaluation root, an
 independent per-p oracle built straight from the level-dependent definitions,
-the twist generators at A_p from their closed product forms, matrix
-evaluation, spectral radii, convergence tables, and the infinite-order
-certificate for pseudo-Anosov classes.
+the twist generators at A_p from their closed product forms, any form map at
+one A_p (`eval_forms`), spectral radii, convergence tables, and the
+infinite-order certificate for pseudo-Anosov classes.
 
 Per-level work does not grow with p and runs on stacks of levels
 (`block_levels`), at most `MAX_LEVELS` per scan: the scans evaluate T and T*
 by ratio recurrences in O(N^2) (`eval_twists`), then words and one eigenvalue
 call per stack in O(N^3); the oracle builds from the raw definitions in O(N^3).
-`eval_matrix` evaluates any symbolic matrix at one point, for `matrices --eval`.
 
 The evaluation root is A_p = -exp(2 pi i k/p) with gcd(k, p) = 1 (default
 k = 1), the primitive 2p-th root of unity closest to -1. Its defining property
@@ -27,20 +26,14 @@ import numpy as np
 
 from .classical import hN_matrix
 from .errors import BadPError, ConvergenceError, NearPoleError, TooLargeError
-from .field import FMatrix
 from .mcg import Gen, NTClass, Word, classify, sl2_image, stretch_factor
+from .qsymbols import _cyclotomic, _exponents, _factors, _sum_factors
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MARGIN = 1e-6
 MAX_EIG_DIM = 32
 MAX_LEVELS = 100_000
 _QUARTER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
-
-
-def primitive_root(p: int, k: int = 1) -> complex:
-    """A_p = -exp(2 pi i k/p): a primitive 2p-th root of unity with
-    (-A_p)^p = 1, tending to -1 as p grows (for k = 1)."""
-    return -cmath.exp(2j * cmath.pi * k / p)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,7 +62,9 @@ class PSetting:
 
     @property
     def A(self) -> complex:
-        return primitive_root(self.p, self.k)
+        """A_p = -exp(2 pi i k/p): a primitive 2p-th root of unity with
+        (-A_p)^p = 1, tending to -1 as p grows (for k = 1)."""
+        return -cmath.exp(2j * cmath.pi * self.k / self.p)
 
 
 def _oracle_block(N: int, levels, tol: float = DEFAULT_TOLERANCE):
@@ -152,27 +147,6 @@ def oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     return t[0], tstar[0]
 
 
-def eval_matrix(mat: FMatrix, x: complex, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Entrywise complex evaluation of a symbolic matrix at one point x, as an
-    r x c array: Horner (`Poly.eval`) on numerator and denominator in CPython
-    complex arithmetic, then their quotient. A denominator below `tol` in
-    modulus raises NearPoleError for the first such entry in row-major
-    order."""
-    x = complex(x)
-    out = np.empty((mat.n_rows, mat.n_cols), dtype=complex)
-    for i, row in enumerate(mat.rows):
-        for j, e in enumerate(row):
-            den = e.den.eval(x)
-            if abs(den) < tol:
-                raise NearPoleError(
-                    f"entry ({i}, {j}): denominator magnitude {abs(den):.3e} at X = {x}",
-                    entry=(i, j),
-                    point=0,
-                )
-            out[i, j] = e.num.eval(x) / den
-    return out
-
-
 def _cis(a, n):
     """(cos, sin) of 2 pi a/n for int64 arrays a and n > 0 with
     4|a| + n < 2^63, the angle reduced exactly in integers to the nearest
@@ -240,6 +214,49 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     for gen, mag, (i, j) in zip(gens, mags[:, :, rows, cols], ((rows, cols), (cols, rows))):
         gen.real[:, i, j], gen.imag[:, i, j] = mag * re, mag * im
     return gens[0], gens[1]
+
+
+def eval_forms(N: int, forms, s: PSetting, tol: float = DEFAULT_TOLERANCE, sums: bool = False) -> np.ndarray:
+    """The float twin of `repbuild.form_limit`: the N x N complex matrix of
+    the product forms `forms` (sums of them if `sums`) at A_p of level s,
+    zero off the keys of forms. An entry c(X) X^a prod Phi_d^e_d
+    (`qsymbols._exponents`, `_sum_factors`, with Phi_2 = 1 + X, which
+    vanishes at X = -1 near A_p, divided out of c) is (-1)^e_1 c(X) X^a
+    prod_m (1 - X^m)^f_m (`qsymbols._factors`); with A = exp(2 pi i t/2p),
+    t = p + 2k, 1 - A^m = -2i sin(theta_m) e^(i theta_m), theta_m =
+    2 pi m t/4p. So it is a product of sines, each within an ulp or so,
+    times sum_j c_j A^j and a phase, every angle an integer over 4p reduced
+    exactly (`_cis`). A divisor (1 - A^m, f_m < 0) below `tol` in modulus
+    raises NearPoleError for the first such entry in row-major order; a
+    level too large for exact angle reduction in int64 raises BadPError."""
+    n, t = 4 * s.p, s.p + 2 * s.k
+    if 5 * n >= 2**63:  # bounds every integer `_cis` forms
+        raise BadPError(f"level p = {s.p} is too large to reduce angles exactly in 64-bit integers")
+    entries = []
+    for ij, form in sorted(forms.items()):
+        if sums:
+            num, xpow, den = _sum_factors(form)
+            a, exps = -xpow, {d: -e for d, e in den.items()}
+            while num and sum(num.coeffs[::2]) == sum(num.coeffs[1::2]):  # num(-1) = 0
+                num, exps[2] = num.exact_div(_cyclotomic(2)), exps.get(2, 0) + 1
+            c = num.coeffs
+        else:
+            sign, a, exps = _exponents(*form)
+            c = (sign,)
+        f = {m: e for m, e in _factors(exps).items() if e}
+        turn = 2 * a * t + 2 * s.p * exps.get(1, 0) + sum(e * (m * t - s.p) for m, e in f.items())
+        entries.append((ij, c, f, turn))
+    top = max((m for _, _, f, _ in entries for m in f), default=0)
+    sines = 2 * _cis(np.array([m * t % n for m in range(top + 1)]), n)[1]
+    mant, expo = (x.tolist() for x in np.frexp(sines))
+    out = np.zeros((N, N), dtype=complex)
+    for (i, j), c, f, turn in entries:
+        if any(e < 0 and abs(sines[m]) < tol for m, e in f.items()):
+            raise NearPoleError(f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", entry=(i, j), point=0)
+        mag = math.ldexp(math.prod(mant[m] ** e for m, e in f.items()), sum(expo[m] * e for m, e in f.items()))
+        cos, sin = _cis(np.array([(2 * x * t + turn) % n for x in range(len(c))], dtype=np.int64), n)
+        out[i, j] = mag * complex(cos @ c, sin @ c)  # 0 for a sum that vanishes
+    return out
 
 
 def block_levels(N: int) -> int:

@@ -10,7 +10,8 @@ A product is read off its cyclotomic exponents (`_product_form`); a sum is
 taken over the common denominator that the exponent maxima of its terms give
 (`_over_denominator`, which also gives `repbuild`'s exact checks their
 integer forms), then divided by that denominator's cyclotomic factors as far
-as they go (`_sum_form`, `_reduce`). Neither computes a common divisor.
+as they go (`_sum_factors`, which `numeric.eval_forms` reads factored;
+`_sum_form` expands it). Neither computes a common divisor.
 Every product of cyclotomic polynomials, a single Phi_d included, is
 expanded as a cut power series in the factors (1 - X^m) that Moebius
 inversion gives (`_poly`, by `_times`); the numerators over a common
@@ -90,7 +91,7 @@ def _moebius(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> Poly:
-    """Phi_d, which `_reduce` divides by."""
+    """Phi_d, which `_sum_factors` divides by."""
     return _poly(1, 0, {d: 1})
 
 
@@ -227,23 +228,22 @@ def _over_denominator(forms):
 
 
 def _sum_form(forms) -> RatFunc:
-    """The sum of the products in `forms` in canonical form: the numerators
-    over their common denominator (`_over_denominator`) are added, and the
-    sum is `_reduce`d."""
-    xpow, den, nums = _over_denominator(forms)
-    return _reduce(sum(nums, Poly()), xpow, den)
+    """The sum of the products in `forms` in canonical form (`_sum_factors`)."""
+    num, xpow, den = _sum_factors(forms)
+    return RatFunc(num, _poly(1, xpow, den)) if num else RatFunc.zero()
 
 
-def _reduce(num: Poly, xpow: int, exps) -> RatFunc:
-    """num / (X^xpow prod Phi_d^e_d) in canonical form, for xpow >= 0 and
-    e_d >= 0: Phi_d is divided out of num (`Poly.exact_div`,
-    exact in Z[X] as Phi_d is monic) as often as it goes, at most e_d times,
-    and the power of X that num and the denominator share is cancelled. The
-    Phi_d are distinct monic irreducibles, so what is left is coprime and the
-    denominator is monic."""
+def _sum_factors(forms):
+    """(num, xpow, den): the sum of the products in `forms` as
+    num / (X^xpow prod Phi_d^den_d) in lowest terms, 0 as (0, 0, {}). The
+    numerators over their common denominator (`_over_denominator`) are
+    added, and each Phi_d (distinct monic irreducibles) divided out of the
+    sum as often as it goes and the denominator has it, as is the power of X
+    they share: what is left is coprime, its expanded denominator monic."""
+    xpow, exps, nums = _over_denominator(forms)
+    num, den = sum(nums, Poly()), {}
     if num.is_zero:
-        return RatFunc.zero()
-    left = {}
+        return num, 0, den
     for d, e in exps.items():
         phi = _cyclotomic(d)
         while e:
@@ -252,6 +252,6 @@ def _reduce(num: Poly, xpow: int, exps) -> RatFunc:
             except ArithmeticError:
                 break
             e -= 1
-        left[d] = e
+        den[d] = e
     v = min(num.valuation, xpow)
-    return RatFunc(num.unshift(v), _poly(1, xpow - v, left))
+    return num.unshift(v), xpow - v, den

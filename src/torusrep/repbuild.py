@@ -27,10 +27,10 @@ polynomials. The entries of the tridiagonal column-recurrence matrices
 M^(n) = (z' - lambda_{c+n} I) / {n+1} (column n+1 of T is M^(n) times
 column n) are such sums too, with one more factor {n+1}^-1
 (`_recurrence_terms`). Each builder is a plain function of N. `matrices`
-builds only the matrix it emits, and nothing for a limit at X = -1: every
-limit, of a product or of a sum, is read off the factors
-(`qsymbols._limit`), so `verify` builds nothing over Q(X), and the
-certificate scans evaluate the product forms at A_p.
+builds only the matrix it emits, and nothing for a value at X = -1 or A_p:
+every limit is read off the factors (`qsymbols._limit`), and so is every
+value at A_p (`numeric.eval_forms`), so `verify` builds nothing over Q(X),
+and the certificate scans evaluate the product forms at A_p.
 """
 
 from __future__ import annotations

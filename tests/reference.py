@@ -6,11 +6,11 @@ exact matrix inverse and word products over Q(X), the braid and center checks
 by Kronecker substitution, T and T* by the column recurrence through M^(n),
 the oracle's z and M^(n), the oracle from direct raw factorial products, the
 rescaling character, the q-factorial, the twist eigenvalue and the pairing
-ratio over Q(X), symbolic matrices and the factor lists of T and T*
-evaluated at A_p in 50-digit decimal arithmetic, the near-pole error those
-lists predict, the basis rescaling alpha_n of the classical target, and the
-entrywise max-modulus norm of a float matrix. None of these is on a
-production path; the tests compare the production code against them."""
+ratio over Q(X), complex values by Horner's rule, symbolic matrices and the
+form maps of `repbuild` evaluated at A_p in decimal arithmetic, the near-pole
+errors those maps predict, the basis rescaling alpha_n of the classical
+target, and the entrywise max-modulus norm of a float matrix. None of these is
+on a production path; the tests compare the production code against them."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
-from torusrep.qsymbols import _product_form, _rhat_form
+from torusrep.qsymbols import _exponents, _factors, _product_form, _rhat_form, _sum_factors
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
 
@@ -325,16 +325,42 @@ def fmatrix_from_obj(obj: dict) -> FMatrix:
     return FMatrix(tuple(tuple(ratfunc_from_obj(e) for e in row) for row in obj["entries"]))
 
 
-# --- exact values at a rational point ------------------------------------------
+# --- values at a point by Horner's rule -----------------------------------------
+
+
+def horner(poly: Poly, x):
+    """poly at x by Horner's rule: exact for an int or Fraction x, CPython
+    complex arithmetic for a complex one."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def horner_value(f: RatFunc, x) -> complex:
+    """f at the complex point x: Horner on its canonical numerator and
+    denominator, then their quotient. A reference for entries of low degree
+    only: on high-degree ones it loses digits (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 5)."""
+    x = complex(x)
+    return horner(f.num, x) / horner(f.den, x)
+
+
+def horner_matrix(mat: FMatrix, x) -> np.ndarray:
+    """`horner_value` entry by entry, as an r x c complex array."""
+    out = np.zeros((mat.n_rows, mat.n_cols), dtype=complex)
+    for i, row in enumerate(mat.rows):
+        out[i] = [horner_value(e, x) for e in row]
+    return out
 
 
 def eval_exact(f: RatFunc, x):
     """f at the rational point x; PoleError where f's canonical denominator
     vanishes."""
-    dv = f.den.eval(x)
+    dv = horner(f.den, x)
     if dv == 0:
         raise PoleError(f"pole at X = {x}")
-    return Fraction(f.num.eval(x)) / Fraction(dv)
+    return Fraction(horner(f.num, x)) / Fraction(dv)
 
 
 def classical_limit(mat: FMatrix):
@@ -763,39 +789,94 @@ def decimal_at_root(mat: FMatrix, p: int, k: int = 1, digits: int = 50):
 _factor_lists = lru_cache(maxsize=None)(_twist_factors)
 
 
-def decimal_twists(N: int, p: int, k: int = 1, digits: int = 50):
-    """T and T* at A_p straight from their factor lists
-    (`repbuild._twist_factors`) with `digits` significant digits: -A_p =
-    omega = exp(2 pi i k/p) by Taylor series, its powers by repeated products,
-    {j} = 2i Im omega^j, {j}+ = 2 Re omega^j, and each entry
-    sign * omega^power * prod {j}^e. Two maps (i, j) -> (re, im) of Decimals,
-    one per generator, holding exactly the entries the lists name."""
-    gens = _factor_lists(N)
-    top = max(2 * N, *(abs(power) for gen in gens for _, power, _ in gen.values()))
+def decimal_forms(forms, p: int, k: int = 1, digits: int = 60, sums: bool = False):
+    """A form map of `repbuild` ((i, j) -> (sign, power, factors), or to a
+    list of such products if `sums`) at A_p with `digits` significant
+    digits: -A_p = omega = exp(2 pi i k/p) by Taylor series, one table of
+    omega^j (j <= p/2, as omega^p = 1 and omega^-j is its conjugate) by
+    repeated products, {j} = 2i Im omega^j, {j}+ = 2 Re omega^j, each
+    product sign * omega^power * prod {j}^e, and each sum added term by term.
+    A map (i, j) -> (re, im) of Decimals holding exactly the entries forms
+    names."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
         c, s = _decimal_cos_sin(2 * _decimal_pi() * (k % p) / p)
-        powers = [(Decimal(1), Decimal(0))]
-        for _ in range(top):
-            re, im = powers[-1]
-            powers.append((re * c - im * s, re * s + im * c))
-        real = {}  # {j}/i and {j}+ and their reciprocals, by factor
-        for j, (re, im) in enumerate(powers[1 : 2 * N], start=1):
-            for plus, value in ((False, 2 * im), (True, 2 * re)):
-                real[j, plus, 1], real[j, plus, -1] = value, 1 / value
-        out = []
-        for gen in gens:
-            values = {}
-            for ij, (sign, power, factors) in gen.items():
-                mag = sign * math.prod(real[f] for f in factors)
-                quarter = sum(e for _, plus, e in factors if not plus)
-                re, im = powers[abs(power)]
-                im = im if power >= 0 else -im
-                for _ in range(quarter % 4):  # times i
-                    re, im = -im, re
-                values[ij] = (mag * re, mag * im)
-            out.append(values)
+        powers, real = [(Decimal(1), Decimal(0))], {}  # omega^j; {j}/i or {j}+ to the e, by factor
+
+        def omega(j):
+            j %= p
+            if 2 * j > p:  # the conjugate of omega^(p - j)
+                re, im = omega(p - j)
+                return re, -im
+            while len(powers) <= j:
+                re, im = powers[-1]
+                powers.append((re * c - im * s, re * s + im * c))
+            return powers[j]
+
+        def product(sign, power, factors):
+            mag, quarter = Decimal(sign), 0
+            for f in factors:
+                if f not in real:
+                    re, im = omega(f[0])
+                    real[f] = (2 * re if f[1] else 2 * im) ** f[2]
+                mag *= real[f]
+                quarter += 0 if f[1] else f[2]
+            re, im = omega(power)
+            for _ in range(quarter % 4):  # times i
+                re, im = -im, re
+            return mag * re, mag * im
+
+        out = {}
+        for ij, value in forms.items():
+            terms = [product(*form) for form in (value if sums else [value])]
+            out[ij] = sum(re for re, _ in terms), sum(im for _, im in terms)
         return out
+
+
+def decimal_twists(N: int, p: int, k: int = 1, digits: int = 50):
+    """T and T* at A_p straight from their factor lists
+    (`repbuild._twist_factors`, `decimal_forms`): two maps (i, j) ->
+    (re, im) of Decimals, one per generator."""
+    return [decimal_forms(gen, p, k, digits) for gen in _factor_lists(N)]
+
+
+def named_forms(N: int, name: str):
+    """(forms, sums): the form map of `repbuild` that `matrices --what`
+    evaluates for a matrix name (M0, M1, ... for M with its index), and
+    whether its entries are sums of products."""
+    if name.startswith("M") or name == "Zprime":
+        terms = repbuild._zprime_terms(N)
+        return (terms if name == "Zprime" else repbuild._recurrence_terms(int(name[1:]), N, terms)), True
+    if name == "R":
+        return repbuild._ratio_factors(N), False
+    pair = _factor_lists(N) if name in ("T", "Tstar") else repbuild._curve_factors(N)
+    return pair[name in ("Tstar", "Y")], False
+
+
+def what_argv(name: str):
+    """The `matrices` options that select a matrix name (M0, M1, ... for M
+    with its index)."""
+    return ["--what", "M", "--index", name[1:]] if name.startswith("M") else ["--what", name]
+
+
+def predicted_form_pole(forms, s: PSetting, tol: float, sums: bool = False):
+    """What `numeric.eval_forms` raises at level s, derived from the factors
+    (1 - X^m)^f_m (`qsymbols._factors`) of each entry's cyclotomic exponents:
+    those of a product, or a sum's denominator and the factors 1 + X of its
+    numerator. (message, entry) for the first entry in row-major order with
+    a factor of f_m < 0 and |1 - A_p^m| below tol, taken in CPython complex
+    arithmetic; None if no entry has one."""
+    for (i, j), form in sorted(forms.items()):
+        if sums:
+            num, _, den = _sum_factors(form)
+            exps = {d: -e for d, e in den.items()}
+            while num and horner(num, -1) == 0:
+                num, exps[2] = num.exact_div(Poly((1, 1))), exps.get(2, 0) + 1
+        else:
+            exps = _exponents(*form)[2]
+        if any(f < 0 and abs(1 - s.A**m) < tol for m, f in _factors(exps).items()):
+            return f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j)
+    return None
 
 
 def predicted_near_pole(N: int, levels, tol: float):

@@ -18,9 +18,12 @@ from torusrep.field import RatFunc, fmatrix_to_obj
 from reference import (
     changed_factor,
     decimal_at_root,
+    decimal_forms,
     flipped_curve_factor,
     fmatrix_from_obj,
+    named_forms,
     relative_error,
+    what_argv,
 )
 
 
@@ -89,23 +92,25 @@ def test_matrices_hN_word(capsys):
 
 
 # SHA-256 of `matrices --format json --N 5 --eval E --what W` for every W
-# (M with --index 0..3), recorded from the build whose coefficients could be
-# Fractions and whose `eval_matrix` was a batched Horner over many points; T
-# and T* at p = 31 re-recorded once they came from their product forms
-# (`eval_twists`), which moved their last bits (4.3e-14 and 7e-16 relative),
-# and T* again once it came from ratio recurrences along the rows, which
-# moved its last bits (worst entry 2.4e-16 -> 2.2e-16 off 50 digits).
+# (M with --index 0..3). The X = -1 entries were recorded from the build
+# whose coefficients could be Fractions. The p = 31 entries were re-recorded
+# once every matrix came from its factored form at exactly reduced angles
+# (`numeric.eval_forms`), which moved their last bits: worst entry off 50
+# digits 1.9e-16 -> 3.3e-16 (T), 2.1e-16 -> 2.4e-16 (T*), 1.5e-15 -> 1.8e-16
+# (Z), 5.1e-15 -> 1.8e-16 (Y), 5.1e-15 -> 8.3e-16 (Zprime), 1.6e-13 -> 4e-16
+# (R), 6.6e-15 -> 9.5e-16 (M0), 4.4e-15 -> 5.8e-16 (M1), 1.8e-15 -> 3.3e-16
+# (M2) and 4.5e-15 -> 5.5e-16 (M3).
 EVAL_DIGESTS = {
-    ("T", "p=31"): "c60d6a19cd7149a9749b65b3e9615adec57ddee1ced54d27fae0dd88ade13e79",
-    ("Tstar", "p=31"): "cd55e74d69148191a832d28e8da6144f697f9be1a0912406a2519f9277783c5a",
-    ("Z", "p=31"): "d8bcf1ef951e879c08ac235e6e1953c8048ee629a0903d5657e3d33c0f8db89a",
-    ("Y", "p=31"): "974a965169cc76ab5f73ed89ecc5bd2709baab3b7a94e1527c226d671460b15d",
-    ("Zprime", "p=31"): "79b02c6088a2d1b2a7349814b74347210a5e89810af83a5c6774950a91837bc5",
-    ("R", "p=31"): "b6d66b5169980caae4487a058049d6d7f221c2751e9dd643e28b2338109eda0a",
-    ("M0", "p=31"): "430ebc73345edfa875375abce4a27b8c56e0a75e1c40eb2c582360831bb682f5",
-    ("M1", "p=31"): "32b5392decd95e0cde58f3a75c157cf28ade85d5931a93ec3041706dbd7b5f54",
-    ("M2", "p=31"): "6ea731c1ceac62d65d8df95d3bb1cb6905ac9a8d8610837b70f0b5fdad53df55",
-    ("M3", "p=31"): "a6427dfbe973500f215d10b49d87ba977f2faf94518f3e864a105e430a6f29f3",
+    ("T", "p=31"): "460c1e034eda25a521b54dbb9ee3a7910b9a9d486a9a9f81001c9297eb68a8dc",
+    ("Tstar", "p=31"): "2f9d227559f2ee43a9ec5ed9b587c1fd429e857c6479984264d3678bb4973544",
+    ("Z", "p=31"): "0c4760f818db6a26dd4f7c0f99db89fa7a8221166c745699a6615c9b3a1e1571",
+    ("Y", "p=31"): "b1518979b96a10ecf4659a10f8176e28e509a7c8506ffa9c125d75afe910d4d3",
+    ("Zprime", "p=31"): "cd6c4db3ba21597cc70bb86a0b98ca63595356a9e3196e9a7218ea2bd5046785",
+    ("R", "p=31"): "28af324f578d5a8cbb705f64ed2546a5796f6027480dba4f4b0612e2dbf646d7",
+    ("M0", "p=31"): "bb8198de7ac5e45b67ad46f0a41a1f275ddec34d79c5c669e8d6e0ac9f34301a",
+    ("M1", "p=31"): "8b293ef5e196e876fca29b6a9203b1d11bf491860bfe37a754122e96b53a55c9",
+    ("M2", "p=31"): "da79c1b960f49bdaea6379eca510a9046c534ec0b962fd611019dd16343cc243",
+    ("M3", "p=31"): "464188d11a6f184fec52726ae32e6355e4bb521a7f8ee4dd0b1a1db424a1d45c",
     ("T", "x=-1"): "753b143b16f29ecd03d3706a94aefa0d91217e5067f4f9c811bf821ebfb76ce2",
     ("Tstar", "x=-1"): "f7291fa4b6ef10cf68b8b1ae0e712687bd4f74bd48646bff5ed47b68530294ca",
     ("Z", "x=-1"): "4947a98a76afda9b7b1a6afb83939a586eaf3ebf273b966f5ceb8889d8eb04cc",
@@ -129,8 +134,9 @@ def test_evaluated_matrices_pinned(capsys, what, ev):
 
 
 def test_matrices_twists_at_root_are_accurate(capsys):
-    # T and T* come from their product forms (`eval_twists`): Horner on the
-    # expanded canonical form of T is 9e-6 relative off at N = 16, p = 101
+    # T and T* come from their product forms (`numeric.eval_forms`): Horner
+    # on the expanded canonical form of T is 9e-6 relative off at N = 16,
+    # p = 101
     for what, mat in zip(("T", "Tstar"), repbuild.build_twists(16)):
         _, out, _ = run(capsys, "matrices", "--what", what, "--N", "16", "--eval", "p=101", "--format", "json")
         got, ref = json.loads(out), decimal_at_root(mat, 101)
@@ -140,6 +146,30 @@ def test_matrices_twists_at_root_are_accurate(capsys):
             for j, e in enumerate(row)
         )
         assert worst <= 1e-13, (what, worst)
+
+
+@pytest.mark.parametrize("N", [*range(2, 13), 16, 24, 32])
+def test_matrices_at_a_root_match_60_digits(capsys, N):
+    # every --what at A_p from its factored form (`numeric.eval_forms`),
+    # against its form map evaluated term by term in 60 digits, to 1e-12
+    # relative; Horner on the expanded build was 1.1e-8 off for R at N = 12,
+    # p = 25, and 2.9e8 at N = 32, p = 65. T and T* agree with the scans'
+    # recurrences (`eval_twists`) to 1e-13.
+    for name in ("T", "Tstar", "Z", "Y", "R", "Zprime", "M0", f"M{N - 2}"):
+        forms, sums = named_forms(N, name)
+        for p in (2 * N + 1, 101, *[20001] * sums):
+            argv = ["matrices", "--N", str(N), *what_argv(name), "--eval", f"p={p}", "--format", "json"]
+            code, out, _ = run(capsys, *argv)
+            got = np.array([[complex(e["re"], e["im"]) for e in row] for row in json.loads(out)])
+            want = np.zeros((N, N), dtype=complex)
+            for ij, (re, im) in decimal_forms(forms, p, sums=sums).items():
+                want[ij] = complex(float(re), float(im))
+            zero = np.abs(want) < 1e-40  # a sum that vanishes identically
+            assert code == 0 and (got[zero] == 0).all(), (name, p)
+            assert (np.abs(got - want)[~zero] <= 1e-12 * np.abs(want[~zero])).all(), (name, p)
+            if name in ("T", "Tstar"):
+                scan = numeric.eval_twists(N, [numeric.PSetting(p, N)])[name == "Tstar"][0]
+                assert (np.abs(got - scan) <= 1e-13 * np.abs(scan)).all(), (name, p)
 
 
 def test_verify_pass_and_exit_zero(capsys):
@@ -356,6 +386,9 @@ def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
         (("--what", "R"), {}),
         *((("--what", what, "--eval", "x=-1"), {}) for what in ("T", "Tstar", "Z", "Y", "R")),
         (("--what", "M", "--index", "1", "--eval", "x=-1"), {}),
+        # at A_p every matrix is read off its factored form
+        *((("--what", what, "--eval", "p=9"), {}) for what in ("T", "Tstar", "Z", "Y", "R", "Zprime")),
+        (("--what", "M", "--index", "1", "--eval", "p=9"), {}),
     ],
 )
 def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
