@@ -226,8 +226,10 @@ def eval_forms(N: int, forms, s: PSetting, tol: float = DEFAULT_TOLERANCE, sums:
     t = p + 2k, 1 - A^m = -2i sin(theta_m) e^(i theta_m), theta_m =
     2 pi m t/4p. So it is a product of sines, each within an ulp or so,
     times sum_j c_j A^j and a phase, every angle an integer over 4p reduced
-    exactly (`_cis`). A divisor (1 - A^m, f_m < 0) below `tol` in modulus
-    raises NearPoleError for the first such entry in row-major order; a
+    exactly (`_cis`). A divisor Phi_d(A) of the entry's reduced denominator
+    (e_d < 0), |Phi_d(A)| = prod_{m | d} |1 - A^m|^moebius(d/m), below `tol`
+    in modulus raises NearPoleError for the first such entry in row-major
+    order; a factor 1 - A^m that the numerator cancels is no divisor. A
     level too large for exact angle reduction in int64 raises BadPError."""
     n, t = 4 * s.p, s.p + 2 * s.k
     if 5 * n >= 2**63:  # bounds every integer `_cis` forms
@@ -245,13 +247,13 @@ def eval_forms(N: int, forms, s: PSetting, tol: float = DEFAULT_TOLERANCE, sums:
             c = (sign,)
         f = {m: e for m, e in _factors(exps).items() if e}
         turn = 2 * a * t + 2 * s.p * exps.get(1, 0) + sum(e * (m * t - s.p) for m, e in f.items())
-        entries.append((ij, c, f, turn))
-    top = max((m for _, _, f, _ in entries for m in f), default=0)
+        entries.append((ij, c, f, turn, [d for d, e in exps.items() if e < 0]))
+    top = max((m for _, _, f, _, _ in entries for m in f), default=0)
     sines = 2 * _cis(np.array([m * t % n for m in range(top + 1)]), n)[1]
     mant, expo = (x.tolist() for x in np.frexp(sines))
     out = np.zeros((N, N), dtype=complex)
-    for (i, j), c, f, turn in entries:
-        if any(e < 0 and abs(sines[m]) < tol for m, e in f.items()):
+    for (i, j), c, f, turn, den in entries:
+        if any(math.prod(abs(sines[m]) ** e for m, e in _factors({d: 1}).items()) < tol for d in den):
             raise NearPoleError(f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", entry=(i, j), point=0)
         mag = math.ldexp(math.prod(mant[m] ** e for m, e in f.items()), sum(expo[m] * e for m, e in f.items()))
         cos, sin = _cis(np.array([(2 * x * t + turn) % n for x in range(len(c))], dtype=np.int64), n)

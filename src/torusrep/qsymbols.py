@@ -14,8 +14,13 @@ as they go (`_sum_factors`, which `numeric.eval_forms` reads factored;
 `_sum_form` expands it). Neither computes a common divisor.
 Every product of cyclotomic polynomials, a single Phi_d included, is
 expanded as a cut power series in the factors (1 - X^m) that Moebius
-inversion gives (`_poly`, by `_times`); the numerators over a common
-denominator take each series from the previous one where that is shorter.
+inversion gives (`_poly`, by `_times`). A product of symbols is X^a times a
+polynomial in Y = X^2: up to sign, {k} = X^-k (Y^k - 1) and
+{k}+ = X^-k (Y^k + 1) = X^-k (Y^2k - 1)/(Y^k - 1), so {k}^e brings the
+factor (1 - Y^k)^e and {k}+^e brings (1 - Y^2k)^e (1 - Y^k)^-e. The
+numerators over a common denominator are expanded as series in Y, at half
+the length of those in X, from these factors read straight off the symbols
+(`_over_denominator`), each from the previous one where that is shorter.
 
 Values at X = -1 are read exactly off the factors, with nothing built over
 Q(X) (`_limit`). Write -X = e^s: (-X)^a = e^(as), {k}+ = 2 cosh(ks) and
@@ -196,35 +201,72 @@ def _over_denominator(forms):
     `_product_form` takes them) over their least common denominator
     X^xpow prod Phi_d^den_d, whose exponents are the largest of the forms'
     denominator exponents; each numerator, in the order of forms, is its
-    form's exponents plus the denominator's, expanded as `_poly` does.
+    form's value times the denominator, a Poly as `_poly` gives it.
+
+    Every product is worked in Y = X^2 (module docstring): its factor
+    exponents f_m, of (1 - Y^m), come straight off its triples
+    (`_y_factors`), its cyclotomic exponents in Y are E_d = sum of f_m over
+    the multiples m of d, and the denominator's maxima are taken over these
+    once, then inverted once into the denominator's own factor exponents.
+    A numerator's factors are its form's plus the denominator's.
 
     Neighbouring forms share most factors (T[m][n+1] / T[m][n] is a few
-    {k}), so each numerator's series is the previous one cut or padded to the
-    new degree and multiplied by the factors (1 - X^m) of the difference of
-    their exponents f_m, unless that difference has no fewer factors than
-    the new numerator, which is then expanded afresh. Both are exact: the
-    previous series is a polynomial, and every step is a ring operation on
-    power series cut at the new degree, which is the new numerator's."""
-    terms = [_exponents(*form) for form in forms]
-    xpow, den = 0, {}
-    for _, a, exps in terms:
+    {k}), so each numerator's series in Y is the previous one cut or padded
+    to the new degree and multiplied by the factors (1 - Y^m) of the
+    difference of their exponents, unless that difference has no fewer
+    factors than the new numerator, which is then expanded afresh. Both are
+    exact: the previous series is a polynomial, and every step is a ring
+    operation on power series cut at the new degree, which is the new
+    numerator's."""
+    terms, xpow, den = [], 0, {}
+    for form in forms:
+        s, a, f = _y_factors(*form)
+        cyclotomic = {}
+        for m, e in f.items():
+            for d in _divisors(m):
+                cyclotomic[d] = cyclotomic.get(d, 0) + e
+        for d, e in cyclotomic.items():
+            if e < -den.get(d, 0):
+                den[d] = -e
         xpow = max(xpow, -a)
-        for d, e in exps.items():
-            if e < 0:
-                den[d] = max(den.get(d, 0), -e)
+        terms.append((s, a, f))
+    base = _factors(den)
     nums, last, c = [], {}, [1]
-    for s, a, exps in terms:
-        exps = {d: exps.get(d, 0) + den.get(d, 0) for d in exps.keys() | den.keys()}
-        f = _factors(exps)
-        deg = sum(m * e for m, e in f.items())
-        step = {m: f.get(m, 0) - last.get(m, 0) for m in f.keys() | last.keys()}
-        if sum(map(abs, step.values())) < sum(map(abs, f.values())):
+    for s, a, f in terms:
+        g = {m: f.get(m, 0) + base.get(m, 0) for m in f.keys() | base.keys()}
+        deg = sum(m * e for m, e in g.items())
+        step = {m: g.get(m, 0) - last.get(m, 0) for m in g.keys() | last.keys()}
+        if sum(map(abs, step.values())) < sum(map(abs, g.values())):
             c = _times(c[: deg + 1] + [0] * (deg + 1 - len(c)), step)
         else:
-            c = _times([1] + [0] * deg, f)
-        nums.append(_signed(s, a + xpow, exps, c))
-        last = f
-    return xpow, den, nums
+            c = _times([1] + [0] * deg, g)
+        if sum(g.values()) % 2:  # prod (Y^m - 1)^g_m = (-1)^(sum g_m) prod (1 - Y^m)^g_m
+            s = -s
+        x = [0] * (a + xpow + 2 * deg + 1)
+        x[a + xpow :: 2] = [s * y for y in c]
+        nums.append(Poly._raw(x))
+        last = g
+    exps = {}  # Phi_d(Y) = Phi_2d(X) for even d, Phi_d(X) Phi_2d(X) for odd d
+    for d, e in den.items():
+        exps[2 * d] = e
+        if d % 2:
+            exps[d] = e
+    return xpow, exps, nums
+
+
+def _y_factors(sign: int, power: int, factors):
+    """sign * (-X)^power * prod {k}^e, with {k}+^e where `plus`, as (s, a, f):
+    the value is s X^a prod_m (Y^m - 1)^f_m in Y = X^2, as {k} =
+    (-1)^k X^-k (Y^k - 1) and {k}+ = (-1)^k X^-k (Y^2k - 1)/(Y^k - 1)."""
+    odd, a, f = power, power, {}
+    for k, plus, e in factors:
+        odd += k * e
+        a -= k * e
+        if plus:
+            f[2 * k] = f.get(2 * k, 0) + e
+            e = -e
+        f[k] = f.get(k, 0) + e
+    return (-sign if odd % 2 else sign), a, f
 
 
 def _sum_form(forms) -> RatFunc:
@@ -233,24 +275,37 @@ def _sum_form(forms) -> RatFunc:
     return RatFunc(num, _poly(1, xpow, den)) if num else RatFunc.zero()
 
 
+def _at_two(poly: Poly) -> int:
+    """The value of poly at X = 2."""
+    return sum(c << i for i, c in enumerate(poly.coeffs))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_at_two(d: int) -> int:
+    return _at_two(_cyclotomic(d))
+
+
 def _sum_factors(forms):
     """(num, xpow, den): the sum of the products in `forms` as
     num / (X^xpow prod Phi_d^den_d) in lowest terms, 0 as (0, 0, {}). The
     numerators over their common denominator (`_over_denominator`) are
     added, and each Phi_d (distinct monic irreducibles) divided out of the
     sum as often as it goes and the denominator has it, as is the power of X
-    they share: what is left is coprime, its expanded denominator monic."""
+    they share: what is left is coprime, its expanded denominator monic. A
+    division is tried only where Phi_d(2) divides num(2), as it must for
+    Phi_d to divide num (num(2) = quotient(2) Phi_d(2) in Z)."""
     xpow, exps, nums = _over_denominator(forms)
     num, den = sum(nums, Poly()), {}
     if num.is_zero:
         return num, 0, den
+    at_two = _at_two(num)
     for d, e in exps.items():
-        phi = _cyclotomic(d)
-        while e:
+        while e and not at_two % _cyclotomic_at_two(d):
             try:
-                num = num.exact_div(phi)
+                num = num.exact_div(_cyclotomic(d))
             except ArithmeticError:
                 break
+            at_two //= _cyclotomic_at_two(d)
             e -= 1
         den[d] = e
     v = min(num.valuation, xpow)

@@ -177,14 +177,26 @@ def relation_checks(N: int) -> tuple[bool, bool]:
       (`_height_bound`);
     - every nonzero coefficient of an entry f of the difference has its
       degree in the span [lo, hi] of that entry (`_spans`), so f = X^lo g
-      with deg g < K, K one more than the largest width hi - lo over the
-      entries of that identity's difference;
+      with deg g <= hi - lo;
+    - every symbol is X^-k times a polynomial in Y = X^2: {k} = X^-k (Y^k -
+      1) and {k}+ = X^-k (Y^k + 1) up to sign, so every entry of P_T, P_S,
+      D_T and D_S is X^t g(X^2) (`qsymbols`), and so is every product of
+      them. `_spans` follows the parity of the degrees through the products:
+      where every term of an entry f has the parity of lo, f = X^lo h(X^2)
+      with deg h <= (hi - lo)/2. Such an entry needs (hi - lo)/2 + 1 points
+      with distinct squares, and one of mixed parity (as from an arbitrary
+      integer input) hi - lo + 1 distinct points; K is the largest of these
+      over the entries of that identity's difference, and a zero entry adds
+      nothing;
     - f is evaluated at x = 1..K modulo primes q from `_PRIMES`, taken in
-      order until their product exceeds 2 bound. As K < q, these are K
-      distinct nonzero points of F_q: if f vanishes at all of them, so does
-      g mod q, and q divides every coefficient of g, hence of f. If every
-      prime does, so does their product, and a multiple of it below the
-      product in absolute value is 0;
+      order until their product exceeds 2 bound. As 2K < q, these are K
+      nonzero points of F_q with distinct squares (x^2 = x'^2 forces
+      x' = +-x, and 0 < x + x' < q). If f vanishes at all of them, then
+      h(x^2) = f(x) / x^lo does at K distinct points y = x^2, or g(x) at K
+      distinct points x, more than its degree: so h, or g, is 0 mod q, and q
+      divides every coefficient of f. If every prime does, so does their
+      product, and a multiple of it below the product in absolute value is
+      0;
     - the arithmetic mod q is float64 with every partial sum below 2^53, so
       BLAS computes it exactly (`_integer_checks` states the invariants and
       raises `TooLargeError` for an input that would break one).
@@ -224,28 +236,39 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     coefficient lists in ascending degree, D_T and D_S nonzero.
 
     The braid identity is decided first; the center identity, which it
-    implies, only when it fails. Per prime, blocks of the points x = 1..K
-    are checked at once (`_check_block`). Each identity has its own K
-    (`_spans`) and its own primes (`_height_bound`). The arithmetic is
-    float64 on integers, exact because every coefficient is below 2^53 and
-    every partial sum of products of residues, which lie in (-q, q) (`_mod`),
-    stays below it: (`_CHUNK` + 1) (q-1)^2 in the evaluation (`_values`),
-    N (q-1)^2 in an N x N product and 2N (q-1)^2 in the difference of two,
-    2 (q-1)^2 in a difference of scaled sides. `TooLargeError` is raised,
-    before anything is evaluated, for an input that would break one of these
-    invariants, K < q, or the reach of the prime table for either identity,
-    whether or not the center identity is then evaluated."""
+    implies, only when it fails. Each row is split once into its even and
+    odd halves (`_coefficient_rows`), f(x) = E(x^2) + x O(x^2), and only the
+    halves that are not zero are evaluated, at y = x^2. Per prime, blocks of
+    the points x = 1..K are checked at once (`_check_block`). Each identity
+    has its own K (`_spans`) and its own primes (`_height_bound`). The
+    arithmetic is float64 on integers, exact because every coefficient is
+    below 2^53 and every partial sum of products of residues, which lie in
+    (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1) (q-1)^2 in the
+    evaluation (`_values`), q^2 in x^2 and in E + x O (x < q/2), N (q-1)^2 in
+    an N x N product and 2N (q-1)^2 in the difference of two, 2 (q-1)^2 in a
+    difference of scaled sides. `TooLargeError` is raised, before anything
+    is evaluated, for an input that would break one of these invariants,
+    2K < q, or the reach of the prime table for either identity, whether or
+    not the center identity is then evaluated."""
     n = len(pt)
-    where, coeffs = _coefficient_rows(pt, dt, ps, ds)
-    if np.abs(coeffs).max() >= 2**53:
+    where, halves = _coefficient_rows(pt, dt, ps, ds)
+    if np.abs(halves).max() >= 2**53:
         raise TooLargeError("exact checks need every coefficient below 2^53")
-    points = [1 + int(max(0, (hi - lo).max())) for lo, hi in _spans(where, coeffs, n)]
+    points = [1 + int(max(0, ((hi - lo) / (1 + single)).max())) for lo, hi, single in _spans(where, halves, n)]
     primes = [_primes_above(2 * bound) for bound in _height_bound(pt, dt, ps, ds)]
-    if max(points) >= min(p[-1] for p in primes) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
-        raise TooLargeError("exact checks need K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
-    if not (coeffs[-2].any() and coeffs[-1].any()):
+    if 2 * max(points) >= min(p[-1] for p in primes) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
+        raise TooLargeError("exact checks need 2K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
+    if not (halves[-2].any() and halves[-1].any()):
         raise ValueError("exact checks need nonzero denominators D_T and D_S")
 
+    # the halves, row r's even one at 2r and odd one at 2r + 1 in `index`,
+    # longest first and cut after the first zero one, which stands for every
+    # zero half: value r is E_r + x O_r
+    length = _lengths(halves != 0).ravel()
+    rank = np.argsort(-length, kind="stable")
+    order = rank[: np.count_nonzero(length) + 1]
+    rows, lengths = halves.reshape(len(length), -1)[order], length[order]
+    index = np.minimum(np.argsort(rank), len(order) - 1).reshape(-1, 2).T
     block = max(1, _BLOCK_CELLS // (n * n))
     buf = np.zeros((2, block, n, n))
 
@@ -254,10 +277,12 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
         # block where the identity fails decides
         for prime in primes:
             q = float(prime)
-            a = _mod(coeffs.copy(), q)
+            a = _mod(rows.copy(), q)
             for start in range(1, points + 1, block):
                 x = np.arange(start, min(start + block, points + 1), dtype=np.float64)
-                if not _check_block(_values(a, x, q), where, buf[:, : len(x)], q, center):
+                v = _values(a, lengths, _mod(x * x, q), q)
+                vals = _mod(v[index[0]] + v[index[1]] * x, q)
+                if not _check_block(vals, where, buf[:, : len(x)], q, center):
                     return False
         return True
 
@@ -266,8 +291,9 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
 
 
 def _coefficient_rows(pt, dt, ps, ds):
-    """(where, coeffs): the cells (m, i, j) of the nonzero entries of P_T (m = 0)
-    and P_S (m = 1), and the float64 coefficient rows of those, D_T and D_S."""
+    """(where, halves): the cells (m, i, j) of the nonzero entries of P_T
+    (m = 0) and P_S (m = 1), and the float64 coefficients of those, D_T and
+    D_S split into halves, row r's coefficient of X^(2i+t) at [r, t, i]."""
     cells, polys = [], []
     for m, p in enumerate((pt, ps)):
         for i, row in enumerate(p):
@@ -276,32 +302,59 @@ def _coefficient_rows(pt, dt, ps, ds):
                     cells.append((m, i, j))
                     polys.append(poly)
     polys += [dt, ds]
-    coeffs = np.zeros((len(polys), max(map(len, polys))))
+    coeffs = np.zeros((len(polys), (max(map(len, polys)) + 1) // 2 * 2))
     for r, poly in enumerate(polys):
         coeffs[r, : len(poly)] = poly
-    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), coeffs
+    halves = coeffs.reshape(len(polys), -1, 2).transpose(0, 2, 1).copy()
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), halves
 
 
-def _spans(where, coeffs, n):
-    """[(lo, hi)] for the braid and the center, arrays of shape (n, n) and
-    (2, n, n): every nonzero coefficient of entry (i, j) of
+def _lengths(nz):
+    """The number of coefficients of each half up to its last nonzero one,
+    from the mask nz of the nonzero ones."""
+    return (nz * np.arange(1, nz.shape[-1] + 1)).max(-1)
+
+
+_FLIP = np.array([[0, 1], [1, 0]])  # [t, u] -> the parity t + u
+
+
+def _spans(where, halves, n):
+    """[(lo, hi, single)] for the braid and the center, arrays of shape (n, n)
+    and (2, n, n): every nonzero coefficient of entry (i, j) of
     D_S P_T P_S P_T - D_T P_S P_T P_S, and of C' P - P C' for P = P_T, P_S,
     has its degree in [lo, hi] at (i, j), the hull of the spans of that entry
-    on the two sides. The rows' valuations lo and degrees hi go through the
-    products as (lo, -hi), both in (min, +); a zero entry has lo = inf and
+    on the two sides, and where single is True all of them have the parity
+    of lo and hi. Each span is kept per parity of the degree, the rows'
+    valuations lo and degrees hi go through the products as (lo, -hi), both
+    in (min, +), and a product's parity is the sum of its factors': an n x n
+    matrix of spans is the 2n x 2n one whose entry (2i + u, 2j + v) is the
+    span of parity u + v (mod 2) of entry (i, j), so its products are those
+    of the 2n x 2n matrices, and the span of parity t of (i, j) is read at
+    (2i, 2j + t). A zero entry, or a parity with no terms, has lo = inf and
     hi = -inf."""
     def product(a, b):  # of (lo, -hi) stacks of span matrices, broadcast
         return (a[..., None] + b[..., None, :, :]).min(-2)
 
-    nz = coeffs != 0
-    first, last = nz.argmax(1), coeffs.shape[1] - 1 - nz[:, ::-1].argmax(1)
-    p = np.full((2, 2, n, n), np.inf)  # (lo, -hi) of (P_T, P_S)
-    p[0][where], p[1][where] = first[:-2], -last[:-2]
+    def entries(m):  # (..., 2n, 2n) -> (..., n, n, 2), the spans of each parity
+        return m.reshape(*m.shape[:-2], n, 2, n, 2)[..., 0, :, :]
+
+    nz = halves != 0
+    length = _lengths(nz)
+    # (lo, -hi) of each half of each row, the degrees of its first and last
+    # nonzero coefficient, as 2 x 2 blocks
+    ends = np.where(length > 0, (2 * nz.argmax(-1) + (0, 1), (2, 1) - 2 * length), np.inf)
+    blocks = ends[..., _FLIP]
+    p = np.full((2, 2, n, n, 2, 2), np.inf)  # of (P_T, P_S)
+    p[:, where[0], where[1], where[2]] = blocks[:, :-2]
+    p = p.transpose(0, 1, 2, 4, 3, 5).reshape(2, 2, 2 * n, 2 * n)
     tst_sts = product(product(p, p[:, ::-1]), p)
-    d = np.array((first[-2:], -last[-2:]))[:, ::-1, None, None]  # (D_S, D_T)
+    d = blocks[:, :-3:-1, None, None]  # (D_S, D_T)
+    sides = (entries(tst_sts)[..., None] + d).min(-2)  # (D_S TST, D_T STS)
     c = product(tst_sts[:, :1], tst_sts[:, :1])
-    commutators = np.stack((product(c, p), product(p, c)), axis=1)  # (C' P, P C')
-    return [(s[0].min(0), -s[1].min(0)) for s in (tst_sts + d, commutators)]
+    commutators = np.minimum(product(c, p), product(p, c))  # (C' P, P C')
+    s = np.concatenate((sides.min(1, keepdims=True), entries(commutators)), 1)
+    (lo, hi), single = s.min(-1), (s[0] < np.inf).sum(-1) == 1
+    return [(lo[0], -hi[0], single[0]), (lo[1:], -hi[1:], single[1:])]
 
 
 def _height_bound(pt, dt, ps, ds) -> tuple[int, int]:
@@ -346,12 +399,13 @@ def _primes_above(height: int) -> tuple[int, ...]:
     raise TooLargeError("exact checks need a height bound within reach of the prime table")
 
 
-def _values(a, x, q: float):
-    """The rows of a (coefficients mod q, ascending) at the points x, mod q:
+def _values(a, lengths, x, q: float):
+    """The rows of a (coefficients mod q, ascending) at the points x, mod q,
+    row r zero from its coefficient lengths[r] on, lengths descending:
     Horner in x^s over chunks of s = `_CHUNK` coefficients, each chunk one
-    matrix product with x^0..x^(s-1). Unlike one product with the whole
-    Vandermonde matrix, this keeps the arrays and BLAS's packed copies at
-    s rows, whatever the degree."""
+    matrix product with x^0..x^(s-1) on the rows that reach it, which come
+    first. Unlike one product with the whole Vandermonde matrix, this keeps
+    the arrays and BLAS's packed copies at s rows, whatever the degree."""
     s = min(_CHUNK, a.shape[1])
     # x^0..x^s by doubling: rows k..2k-2 are rows 1..k-1 times row k-1 (x < q)
     powers = np.empty((s + 1, len(x)))
@@ -361,12 +415,14 @@ def _values(a, x, q: float):
         step = min(k - 1, s + 1 - k)
         _mod(np.multiply(powers[1 : step + 1], powers[k - 1], out=powers[k : k + step]), q)
         k += step
-    top = (a.shape[1] - 1) // s * s
-    acc = _mod(a[:, top:] @ powers[: a.shape[1] - top], q)
-    for k in range(top - s, -1, -s):
-        acc *= powers[s]
-        acc += a[:, k : k + s] @ powers[:s]
-        _mod(acc, q)
+    starts = range((a.shape[1] - 1) // s * s, -1, -s)
+    reach = np.searchsorted(-lengths, -np.array(starts))  # the rows longer than each start
+    acc = np.zeros((len(a), len(x)))
+    for k, r in zip(starts, reach.tolist()):
+        part = acc[:r]  # the rows after r are still 0
+        part *= powers[s]
+        part += a[:r, k : k + s] @ powers[: min(s, a.shape[1] - k)]
+        _mod(part, q)
     return acc
 
 

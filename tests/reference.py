@@ -27,7 +27,9 @@ from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
-from torusrep.qsymbols import _exponents, _factors, _product_form, _rhat_form, _sum_factors
+from torusrep.qsymbols import (
+    _cyclotomic, _exponents, _factors, _product_form, _rhat_form, _signed, _sum_factors, _times,
+)
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
 
@@ -323,6 +325,37 @@ def ratfunc_from_obj(obj: dict) -> RatFunc:
 
 def fmatrix_from_obj(obj: dict) -> FMatrix:
     return FMatrix(tuple(tuple(ratfunc_from_obj(e) for e in row) for row in obj["entries"]))
+
+
+# --- products over a common denominator by Moebius inversion --------------------
+
+
+def moebius_over_denominator(forms):
+    """`qsymbols._over_denominator` worked in X: each product's cyclotomic
+    exponents (`qsymbols._exponents`), their maxima the denominator, and
+    each numerator's factors (1 - X^m)^f_m by Moebius inversion of its
+    exponents plus the denominator's (`qsymbols._factors`), expanded as a
+    cut power series in X, each from its neighbour's where that is shorter."""
+    terms = [_exponents(*form) for form in forms]
+    xpow, den = 0, {}
+    for _, a, exps in terms:
+        xpow = max(xpow, -a)
+        for d, e in exps.items():
+            if e < 0:
+                den[d] = max(den.get(d, 0), -e)
+    nums, last, c = [], {}, [1]
+    for s, a, exps in terms:
+        exps = {d: exps.get(d, 0) + den.get(d, 0) for d in exps.keys() | den.keys()}
+        f = _factors(exps)
+        deg = sum(m * e for m, e in f.items())
+        step = {m: f.get(m, 0) - last.get(m, 0) for m in f.keys() | last.keys()}
+        if sum(map(abs, step.values())) < sum(map(abs, f.values())):
+            c = _times(c[: deg + 1] + [0] * (deg + 1 - len(c)), step)
+        else:
+            c = _times([1] + [0] * deg, f)
+        nums.append(_signed(s, a + xpow, exps, c))
+        last = f
+    return xpow, den, nums
 
 
 # --- values at a point by Horner's rule -----------------------------------------
@@ -860,12 +893,13 @@ def what_argv(name: str):
 
 
 def predicted_form_pole(forms, s: PSetting, tol: float, sums: bool = False):
-    """What `numeric.eval_forms` raises at level s, derived from the factors
-    (1 - X^m)^f_m (`qsymbols._factors`) of each entry's cyclotomic exponents:
-    those of a product, or a sum's denominator and the factors 1 + X of its
-    numerator. (message, entry) for the first entry in row-major order with
-    a factor of f_m < 0 and |1 - A_p^m| below tol, taken in CPython complex
-    arithmetic; None if no entry has one."""
+    """What `numeric.eval_forms` raises at level s, derived from each entry's
+    reduced denominator prod Phi_d^-e_d (e_d < 0): that of a product's
+    cyclotomic exponents, or a sum's denominator with the factors 1 + X of
+    its numerator taken off. (message, entry) for the first entry in
+    row-major order with a divisor Phi_d of |Phi_d(A_p)| below tol, Phi_d
+    evaluated by Horner in CPython complex arithmetic; None if no entry has
+    one."""
     for (i, j), form in sorted(forms.items()):
         if sums:
             num, _, den = _sum_factors(form)
@@ -874,7 +908,7 @@ def predicted_form_pole(forms, s: PSetting, tol: float, sums: bool = False):
                 num, exps[2] = num.exact_div(Poly((1, 1))), exps.get(2, 0) + 1
         else:
             exps = _exponents(*form)[2]
-        if any(f < 0 and abs(1 - s.A**m) < tol for m, f in _factors(exps).items()):
+        if any(e < 0 and abs(horner(_cyclotomic(d), s.A)) < tol for d, e in exps.items()):
             return f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j)
     return None
 

@@ -332,7 +332,7 @@ def test_eval_forms_names_the_first_entry_below_the_tolerance(capsys):
         for name in ("T", "Tstar", "Z", "Y", "R", "Zprime", *(f"M{n}" for n in range(N - 1))):
             forms, sums = named_forms(N, name)
             for p in (2 * N + 1, 2 * N + 9):
-                for tol in ("0.5", "1.5"):
+                for tol in ("0.3", "0.5", "1.5"):
                     want = predicted_form_pole(forms, PSetting(p, N), float(tol), sums)
                     argv = ["matrices", "--N", str(N), *what_argv(name), "--eval", f"p={p}", "--tolerance", tol]
                     code, out, err = main(argv), *capsys.readouterr()
@@ -345,6 +345,29 @@ def test_eval_forms_names_the_first_entry_below_the_tolerance(capsys):
                         eval_forms(N, forms, PSetting(p, N), float(tol), sums)
                     assert (pole.value.entry, pole.value.point) == (want[1], 0)
     assert len(seen) > 5  # the guard trips, and not always at one entry
+
+
+def test_eval_forms_guards_no_factor_its_numerator_cancels(capsys):
+    # T[0][1] at N = 2 is (-X)^-1 {3}+ once its {1}/{1} cancels; {3}+ =
+    # (1 - X^12)/(1 - X^6) up to a unit brings a factor 1 - X^6 with f_6 < 0,
+    # but no divisor, so a tolerance of 1.5 refuses nothing
+    argv = ["matrices", "--N", "2", "--what", "T", "--eval", "p=5"]
+    assert main([*argv, "--tolerance", "1.5"]) == 0
+    loose = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == loose
+
+
+def test_eval_forms_refuses_a_small_divisor_of_the_reduced_denominator():
+    # T*[15][0] at N = 32 has Phi_68 in its reduced denominator, and
+    # |Phi_68(A_67)| = 0.0235
+    forms, _ = named_forms(32, "Tstar")
+    s = PSetting(67, 32)
+    with pytest.raises(NearPoleError) as pole:
+        eval_forms(32, forms, s, 0.03)
+    assert (pole.value.entry, str(pole.value)) == ((15, 0), predicted_form_pole(forms, s, 0.03)[0])
+    assert predicted_form_pole(forms, s, 0.02) is None
+    assert np.isfinite(eval_forms(32, forms, s, 0.02)).all()
 
 
 @pytest.mark.parametrize("N", [5, 11])

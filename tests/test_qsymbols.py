@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from torusrep.errors import PoleError
 from torusrep.field import Poly, RatFunc
 from torusrep.numeric import PSetting
-from torusrep.qsymbols import _lambda_form, _limit, _poly, _product_form, _sum_form
+from torusrep.qsymbols import _lambda_form, _limit, _over_denominator, _poly, _product_form, _sum_form
+from torusrep.repbuild import _recurrence_terms, _twist_factors, _zprime_terms
 
 from reference import (
     add,
@@ -17,6 +18,7 @@ from reference import (
     eval_exact,
     horner_value,
     mu,
+    moebius_over_denominator,
     monomial,
     mul,
     neg,
@@ -328,6 +330,22 @@ def test_sum_form_equals_the_sum_over_qx(forms):
     for f in forms:
         want = add(want, _product_form(*f))
     assert _sum_form(forms) == want
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_over_denominator_in_y_equals_the_moebius_route(N):
+    # worked in Y = X^2 off the triples, the numerators and the denominator
+    # are those of the route by cyclotomic exponents and Moebius inversion,
+    # coefficient for coefficient: T and T* as one set of forms each, and
+    # every entry of z' and of every M^(n)
+    zprime = _zprime_terms(N)
+    sets = [list(forms.values()) for forms in _twist_factors(N)] + list(zprime.values())
+    for n in range(N - 1):
+        sets += _recurrence_terms(n, N, zprime).values()
+    for forms in sets:
+        xpow, den, nums = _over_denominator(forms)
+        want = moebius_over_denominator(forms)
+        assert (xpow, den, [p.coeffs for p in nums]) == (want[0], want[1], [p.coeffs for p in want[2]])
 
 
 def test_rhat_matches_raw_factorial_ratio():

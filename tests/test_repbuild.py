@@ -692,17 +692,26 @@ def _points_per_prime(log, center):
     return out
 
 
+# K of the braid at each N: every entry of its difference is X^t g(X^2), so
+# K = (width - 1) / 2 + 1 points x with distinct squares x^2
+_BRAID_POINTS = {2: 8, 3: 23, 4: 46, 5: 77, 6: 116, 7: 163, 8: 218, 12: 518}
+
+
 @pytest.mark.parametrize(
-    "N, points, primes",
+    "N, width, primes",
     [(2, 15, 1), (3, 45, 1), (4, 91, 1), (5, 153, 1), (6, 231, 2), (7, 325, 2), (8, 435, 2), (12, 1035, 3)],
 )
-def test_a_holding_braid_decides_the_center_unevaluated(monkeypatch, N, points, primes):
+def test_a_holding_braid_decides_the_center_unevaluated(monkeypatch, N, width, primes):
     # the braid identity implies the center one, so when it holds the center
-    # is never evaluated; the braid takes its own K and its own primes
+    # is never evaluated; the braid takes its own K and its own primes, K
+    # about half the widest span of one entry of its difference (`width`
+    # degrees, the number of points before the parity was read)
     log = _blocks(monkeypatch)
     assert relation_checks(N) == (True, True)
     assert _points_per_prime(log, True) == {}
-    assert _points_per_prime(log, False) == {float(q): points for q in _PRIMES[:primes]}
+    assert _points_per_prime(log, False) == {float(q): _BRAID_POINTS[N] for q in _PRIMES[:primes]}
+    lo, hi, single = _generator_spans(N)[0]
+    assert 1 + (hi - lo).max() == width and single[hi >= lo].all()
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -741,7 +750,9 @@ def test_prime_table_is_the_largest_primes_below_2_20():
 def test_values_match_horner_mod_q(terms):
     rng = random.Random(terms)
     q = _PRIMES[-1]
-    rows = [[rng.randrange(q) for _ in range(terms)] for _ in range(5)]
+    # rows longest first, zero past their lengths: the longest has `terms`
+    lengths = sorted([terms] + [rng.randrange(terms + 1) for _ in range(4)], reverse=True)
+    rows = [[rng.randrange(q) for _ in range(k)] + [0] * (terms - k) for k in lengths]
     x = [0, 1, 2, rng.randrange(q), q - 1]
 
     def horner(row, v):
@@ -750,7 +761,7 @@ def test_values_match_horner_mod_q(terms):
             acc = (acc * v + c) % q
         return acc
 
-    got = _values(np.array(rows, dtype=np.float64), np.array(x, dtype=np.float64), float(q))
+    got = _values(np.array(rows, dtype=np.float64), np.array(lengths), np.array(x, dtype=np.float64), float(q))
     assert got.tolist() == [[horner(row, v) for v in x] for row in rows]
 
 
@@ -783,6 +794,24 @@ def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
         assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
 
 
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_zero_entries_never_shrink_the_points(monkeypatch, d):
+    # the braid difference is D_S - D_T = X^2 (X^2 - 1^2) ... (X^2 - d^2) at
+    # (0, 0) and zero (width -inf) at the other three entries: one parity,
+    # width 2d, so K = d + 1 points, and it is zero at x = 1..d, nonzero at
+    # the last point
+    log = _blocks(monkeypatch)
+    squares = Poly((1,))
+    for x in range(1, d + 1):
+        squares = poly_mul(squares, Poly((-x * x, 0, 1)))
+    dt = [0, 0, 1]
+    ds = list(poly_shift(squares + Poly((1,)), 2).coeffs)
+    pt = [[[1], []], [[], []]]
+    assert _points(pt, dt, pt, ds) == d + 1
+    assert _integer_checks(pt, dt, pt, ds) == (False, True)
+    assert _points_per_prime(log, False) == {float(_PRIMES[0]): d + 1}
+
+
 @pytest.mark.parametrize(
     "pt, dt, ds",
     [
@@ -800,8 +829,10 @@ def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
 
 
 def _points(pt, dt, ps, ds):
-    """K, the number of points `_integer_checks` evaluates at."""
-    return 1 + max((hi - lo).max() for lo, hi in _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt)))
+    """K, the number of points `_integer_checks` evaluates at: 1 + the widest
+    span of one entry, halved where the entry has one parity."""
+    spans = _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt))
+    return 1 + max(np.where(single, (hi - lo) / 2, hi - lo).max() for lo, hi, single in spans)
 
 
 def _generator_spans(N):
@@ -817,7 +848,7 @@ def test_points_on_the_generators(N, points):
     # one span per identity, the hull of its entries' spans: 1 + its width.
     # 1 + max(deg D + 3 dmax, 7 dmax), with every entry taken at degree dmax
     # and valuation 0, is 43 at N = 2, 1212 at N = 8 and 2878 at N = 12
-    assert 1 + max(hi.max() - lo.min() for lo, hi in _generator_spans(N)) == points
+    assert 1 + max(hi.max() - lo.min() for lo, hi, _ in _generator_spans(N)) == points
 
 
 @pytest.mark.parametrize(
@@ -826,7 +857,7 @@ def test_points_on_the_generators(N, points):
 )
 def test_points_per_entry_on_the_generators(N, points):
     # K is 1 + the widest span of one entry, at most the hull's (above)
-    assert 1 + max((hi - lo).max() for lo, hi in _generator_spans(N)) == points
+    assert 1 + max((hi - lo).max() for lo, hi, _ in _generator_spans(N)) == points
 
 
 small_polys = st.lists(st.integers(min_value=-2, max_value=2), max_size=5)  # zeros at either end
@@ -842,7 +873,21 @@ def integer_forms(draw):
         st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n),
     )
     dens = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3).filter(any)
-    return draw(matrices), draw(dens), draw(matrices), draw(dens)
+    pt, dt, ps, ds = draw(matrices), draw(dens), draw(matrices), draw(dens)
+    if draw(st.booleans()):
+        # entry (i, j) X^((a_i + a_j) mod 2) g(X^2), D_T and D_S X^t g(X^2):
+        # every entry of each side has one parity, and so has every entry of
+        # the center's differences, and of the braid's where t is the same
+        a = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        pt, ps = ([[_spread(e, (a[i] + a[j]) % 2) for j, e in enumerate(row)] for i, row in enumerate(m)]
+                  for m in (pt, ps))
+        dt, ds = (_spread(d, draw(st.integers(0, 1))) for d in (dt, ds))
+    return pt, dt, ps, ds
+
+
+def _spread(c, t):
+    """The coefficient list of X^t c(X^2)."""
+    return [0] * t + [x for y in c for x in (y, 0)][:-1] if c else []
 
 
 @given(integer_forms())
@@ -857,9 +902,15 @@ def test_spans_hold_every_nonzero_coefficient(forms):
     braid = fm_sub(fm_scale(tst, d_s), fm_scale(fm_mul(fm_mul(tstar, t), tstar), d_t))
     c = fm_mul(tst, tst)
     center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
-    for (lo, hi), diffs in zip(_spans(*_coefficient_rows(*forms), len(pt)), ([braid], center)):
-        lo, hi = lo.reshape(len(diffs), -1), hi.reshape(len(diffs), -1)
+    for (lo, hi, single), diffs in zip(_spans(*_coefficient_rows(*forms), len(pt)), ([braid], center)):
+        lo, hi, single = (a.reshape(len(diffs), -1) for a in (lo, hi, single))
         for m, diff in enumerate(diffs):
             for cell, e in enumerate(e for row in diff.rows for e in row):
                 assert e.den == Poly((1,))
                 assert all(lo[m, cell] <= k <= hi[m, cell] for k, a in enumerate(e.num.coeffs) if a)
+                if single[m, cell]:
+                    assert lo[m, cell] % 2 == hi[m, cell] % 2
+                    assert all(k % 2 == lo[m, cell] % 2 for k, a in enumerate(e.num.coeffs) if a)
+    # and the points they give decide both identities as the products do
+    zero = [all(not e for d in diffs for row in d.rows for e in row) for diffs in ([braid], center)]
+    assert _integer_checks(*forms) == tuple(zero)
