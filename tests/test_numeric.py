@@ -11,7 +11,7 @@ from torusrep.classical import SL2, hN_matrix
 from torusrep.errors import BadPError, NearPoleError
 from torusrep.cli import main
 from torusrep.mcg import NTClass, parse_word, sl2_image, stretch_factor
-from torusrep import numeric
+from torusrep import numeric, repbuild
 from torusrep.numeric import (
     PSetting,
     amu_certificate,
@@ -23,7 +23,6 @@ from torusrep.numeric import (
     oracle_matrices,
     spectral_radius,
 )
-from torusrep.repbuild import build_twists
 
 from reference import (
     chi_p,
@@ -33,13 +32,14 @@ from reference import (
     direct_oracle_matrices,
     horner_matrix,
     max_abs,
-    named_forms,
+    named,
     oracle_m_matrices,
     oracle_z_matrix,
     predicted_form_pole,
     predicted_near_pole,
     relative_error,
     rep_of_word,
+    twists,
     what_argv,
 )
 
@@ -85,7 +85,7 @@ def test_oracle_z_diagonal_tends_to_minus_two():
 def test_oracle_equivalence_spot():
     for N, p in ((2, 7), (3, 7), (4, 51)):
         s = PSetting(p, N)
-        t_sym, tstar_sym = build_twists(N)
+        t_sym, tstar_sym = twists(N)
         t, tstar = oracle_matrices(s)
         assert max_abs(t - horner_matrix(t_sym, s.A)) < 1e-10
         assert max_abs(tstar - horner_matrix(tstar_sym, s.A)) < 1e-10
@@ -94,7 +94,7 @@ def test_oracle_equivalence_spot():
 def test_oracle_equivalence_full_range():
     # N in {2,3,4}, every odd p from the boundary 2N+1 up to 51
     for N in (2, 3, 4):
-        t_sym, tstar_sym = build_twists(N)
+        t_sym, tstar_sym = twists(N)
         for p in range(2 * N + 1, 52, 2):
             s = PSetting(p, N)
             t, tstar = oracle_matrices(s)
@@ -181,7 +181,7 @@ def test_unitarity_of_rescaling():
 def test_braid_numerics_spot():
     for N, p in ((3, 11), (5, 13)):
         s = PSetting(p, N)
-        t, ts = (horner_matrix(g, s.A) for g in build_twists(N))
+        t, ts = (horner_matrix(g, s.A) for g in twists(N))
         assert max_abs(t @ ts @ t - ts @ t @ ts) < 1e-10
 
 
@@ -242,7 +242,7 @@ def test_boundary_level_included_and_clean():
 def test_alternative_root_choice():
     # the equivalence holds at any admissible root: k = 2 also matches
     s = PSetting(11, 2, k=2)
-    t_sym, tstar_sym = build_twists(2)
+    t_sym, tstar_sym = twists(2)
     t, tstar = oracle_matrices(s)
     assert max_abs(t - horner_matrix(t_sym, s.A)) < 1e-10
     assert max_abs(tstar - horner_matrix(tstar_sym, s.A)) < 1e-10
@@ -329,12 +329,12 @@ def test_eval_forms_names_the_first_entry_below_the_tolerance(capsys):
     # order, as the factors of the entries predict; nothing printed
     seen = set()
     for N in range(2, 5):
-        for name in ("T", "Tstar", "Z", "Y", "R", "Zprime", *(f"M{n}" for n in range(N - 1))):
-            forms, sums = named_forms(N, name)
+        for what, index in named(N):
+            forms = repbuild.forms(what, N, index)
             for p in (2 * N + 1, 2 * N + 9):
                 for tol in ("0.3", "0.5", "1.5"):
-                    want = predicted_form_pole(forms, PSetting(p, N), float(tol), sums)
-                    argv = ["matrices", "--N", str(N), *what_argv(name), "--eval", f"p={p}", "--tolerance", tol]
+                    want = predicted_form_pole(forms, PSetting(p, N), float(tol))
+                    argv = ["matrices", "--N", str(N), *what_argv(what, index), "--eval", f"p={p}", "--tolerance", tol]
                     code, out, err = main(argv), *capsys.readouterr()
                     if want is None:
                         assert code == 0, argv
@@ -342,7 +342,7 @@ def test_eval_forms_names_the_first_entry_below_the_tolerance(capsys):
                     seen.add(want[1])
                     assert (code, out, err) == (2, "", f"error: {want[0]}\n"), argv
                     with pytest.raises(NearPoleError) as pole:
-                        eval_forms(N, forms, PSetting(p, N), float(tol), sums)
+                        eval_forms(N, forms, PSetting(p, N), float(tol))
                     assert (pole.value.entry, pole.value.point) == (want[1], 0)
     assert len(seen) > 5  # the guard trips, and not always at one entry
 
@@ -361,7 +361,7 @@ def test_eval_forms_guards_no_factor_its_numerator_cancels(capsys):
 def test_eval_forms_refuses_a_small_divisor_of_the_reduced_denominator():
     # T*[15][0] at N = 32 has Phi_68 in its reduced denominator, and
     # |Phi_68(A_67)| = 0.0235
-    forms, _ = named_forms(32, "Tstar")
+    forms = repbuild.forms("Tstar", 32)
     s = PSetting(67, 32)
     with pytest.raises(NearPoleError) as pole:
         eval_forms(32, forms, s, 0.03)
@@ -376,12 +376,12 @@ def test_eval_forms_divides_the_factors_one_plus_x_out_of_a_sum(N):
     # left in cancels: summed as it stands, it put M^(N-2) 1.9e-12 (N = 5) and
     # 5.7e-12 (N = 11) relative off 60 digits at p = 200001
     s = PSetting(200001, N)
-    for name in ("Zprime", "M0", f"M{N - 2}"):
-        forms, _ = named_forms(N, name)
-        got = eval_forms(N, forms, s, sums=True)
-        for (i, j), (re, im) in decimal_forms(forms, s.p, sums=True).items():
+    for what, index in (("Zprime", None), ("M", 0), ("M", N - 2)):
+        forms = repbuild.forms(what, N, index)
+        got = eval_forms(N, forms, s)
+        for (i, j), (re, im) in decimal_forms(forms, s.p).items():
             if abs(re) + abs(im) > 1e-40:
-                assert relative_error(complex(got[i, j]), (re, im)) <= 1e-14, (name, i, j)
+                assert relative_error(complex(got[i, j]), (re, im)) <= 1e-14, (what, index, i, j)
 
 
 def test_errors_surface_in_level_order(monkeypatch):
@@ -498,7 +498,7 @@ def test_eval_twists_entrywise_accurate(N, p, k):
     # (N = 12, p = 65) and 1e-5 (N = 16, p = 101) off; k = 100 reaches angles
     # 2 pi k e/p far outside one turn, so each must be reduced exactly
     s = PSetting(p, N, k)
-    for got, mat in zip(eval_twists(N, [s]), build_twists(N)):
+    for got, mat in zip(eval_twists(N, [s]), twists(N)):
         ref = decimal_at_root(mat, p, k)
         worst = max(
             relative_error(complex(got[0, i, j]), ref[i][j]) for i in range(N) for j in range(N)
@@ -531,7 +531,7 @@ def test_eval_twists_matches_the_factor_lists_at_scale():
 @pytest.mark.parametrize("N", range(2, 11))
 def test_eval_twists_matches_the_exact_build(N):
     # the scans' numbers are those of the matrices the exact checks prove
-    t_sym, tstar_sym = build_twists(N)
+    t_sym, tstar_sym = twists(N)
     levels = [PSetting(p, N) for p in (2 * N + 1, 4 * N + 3, 101)]
     t, tstar = eval_twists(N, levels)
     for i, s in enumerate(levels):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from torusrep.errors import PoleError
 from torusrep.field import Poly, RatFunc
 from torusrep.numeric import PSetting
-from torusrep.qsymbols import _lambda_form, _limit, _over_denominator, _poly, _product_form, _sum_form
+from torusrep.qsymbols import _lambda_form, _limit, _over_denominator, _poly, _sum_form
 from torusrep.repbuild import _recurrence_terms, _twist_factors, _zprime_terms
 
 from reference import (
@@ -23,6 +23,7 @@ from reference import (
     mul,
     neg,
     poly_mul,
+    product_over_qx,
     qfact,
     qint,
     qint_plus,
@@ -34,8 +35,8 @@ from reference import (
 
 
 def lambda_shifted(k, N):
-    """The eigenvalue lambda_{c+k} as the build reads it off its exponents."""
-    return _product_form(*_lambda_form(k, N))
+    """The eigenvalue lambda_{c+k} as the build reads it off its factors."""
+    return _sum_form([_lambda_form(k, N)])
 
 
 def test_qint_values():
@@ -156,16 +157,16 @@ def test_rhat_reciprocal_symmetry():
 def test_limit_of_a_finite_form_a_zero_and_a_pole():
     # the {k} exponents sum to 0: {4}/{2} = {2}+ tends to 2
     finite = (-1, 5, [(4, False, 1), (2, False, -1)])
-    assert _limit([finite]) == eval_exact(_product_form(*finite), -1) == -2
+    assert _limit([finite]) == eval_exact(_sum_form([finite]), -1) == -2
     # they sum to 1: {3}/{2}+ tends to 0
     zero = (1, 0, [(3, False, 1), (2, True, -1)])
-    assert _limit([zero]) == eval_exact(_product_form(*zero), -1) == 0
+    assert _limit([zero]) == eval_exact(_sum_form([zero]), -1) == 0
     # they sum to -1: {3}+/({2}{4}) has a pole
     pole = (1, 0, [(3, True, 1), (2, False, -1), (4, False, -1)])
     with pytest.raises(PoleError):
         _limit([pole])
     with pytest.raises(PoleError):
-        eval_exact(_product_form(*pole), -1)
+        eval_exact(_sum_form([pole]), -1)
 
 
 factor_lists = st.lists(
@@ -188,12 +189,12 @@ def test_limit_of_a_product_is_its_canonical_form_at_minus_one(form):
     # finite from order 0 on; a pole at order -1 or -2, and below that the
     # s^3 terms the reading would need are not kept
     if _order(form) >= 0:
-        assert _limit([form]) == eval_exact(_product_form(*form), -1)
+        assert _limit([form]) == eval_exact(_sum_form([form]), -1)
     elif _order(form) >= -2:
         with pytest.raises(PoleError):
             _limit([form])
         with pytest.raises(PoleError):
-            eval_exact(_product_form(*form), -1)
+            eval_exact(_sum_form([form]), -1)
     else:
         with pytest.raises(ValueError):
             _limit([form])
@@ -264,11 +265,11 @@ def test_rhat_steps_equal_direct_product():
 
 
 def test_product_form_of_single_symbols():
-    # {k} and {k}+ read off their cyclotomic exponents (Phi_d up to d = 160)
+    # {k} and {k}+ over their own denominators (Phi_d up to d = 160)
     for k in range(1, 41):
-        assert _product_form(1, 0, [(k, False, 1)]) == qint(k), k
-        assert _product_form(1, 0, [(k, True, 1)]) == qint_plus(k), k
-        assert _product_form(-1, k, [(k, True, -1)]) == neg(div(signed_power(k), qint_plus(k))), k
+        assert _sum_form([(1, 0, [(k, False, 1)])]) == qint(k), k
+        assert _sum_form([(1, 0, [(k, True, 1)])]) == qint_plus(k), k
+        assert _sum_form([(-1, k, [(k, True, -1)])]) == neg(div(signed_power(k), qint_plus(k))), k
 
 
 def _divisors(n):
@@ -328,7 +329,7 @@ form = st.tuples(st.sampled_from((1, -1)), st.integers(-3, 3), st.lists(factor, 
 def test_sum_form_equals_the_sum_over_qx(forms):
     want = RatFunc.zero()
     for f in forms:
-        want = add(want, _product_form(*f))
+        want = add(want, product_over_qx(*f))
     assert _sum_form(forms) == want
 
 
@@ -339,7 +340,7 @@ def test_over_denominator_in_y_equals_the_moebius_route(N):
     # coefficient for coefficient: T and T* as one set of forms each, and
     # every entry of z' and of every M^(n)
     zprime = _zprime_terms(N)
-    sets = [list(forms.values()) for forms in _twist_factors(N)] + list(zprime.values())
+    sets = [[form for [form] in forms.values()] for forms in _twist_factors(N)] + list(zprime.values())
     for n in range(N - 1):
         sets += _recurrence_terms(n, N, zprime).values()
     for forms in sets:

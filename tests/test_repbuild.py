@@ -14,7 +14,6 @@ from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
 from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
-from torusrep.qsymbols import _limit
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
@@ -29,10 +28,6 @@ from torusrep.repbuild import (
     _recurrence_terms,
     _values,
     _zprime_terms,
-    build_twists,
-    build_y,
-    build_z,
-    build_zprime,
     form_limit,
     relation_checks,
 )
@@ -42,6 +37,7 @@ from reference import (
     SingularError,
     add,
     braid_holds,
+    built,
     changed_factor,
     classical_limit,
     eval_exact,
@@ -69,12 +65,13 @@ from reference import (
     rhat,
     signed_power,
     sub,
+    twists,
     verify_braid,
 )
 
 
 def test_build_z_structure_n2():
-    z = build_z(2)
+    z = built("Z", 2)
     assert z[0][0] == lambda_shifted(0, 2)
     assert z[1][1] == lambda_shifted(1, 2)
     assert z[1][0] == qint(1)
@@ -83,7 +80,7 @@ def test_build_z_structure_n2():
 
 def test_build_z_bidiagonal_and_diagonal_limits():
     for N in (3, 5):
-        z = build_z(N)
+        z = built("Z", N)
         for m in range(N):
             for l in range(N):
                 if l not in (m, m - 1):
@@ -93,8 +90,8 @@ def test_build_z_bidiagonal_and_diagonal_limits():
 
 
 def test_build_y_structure():
-    z = build_z(3)
-    y = build_y(3)
+    z = built("Z", 3)
+    y = built("Y", 3)
     for m in range(3):
         for l in range(3):
             if l not in (m, m + 1):
@@ -105,7 +102,7 @@ def test_build_y_structure():
 
 def test_build_zprime_tridiagonal_and_subdiagonal_form():
     for N in (2, 4):
-        zp = build_zprime(N)
+        zp = built("Zprime", N)
         for m in range(N):
             for l in range(N):
                 if abs(m - l) >= 2:
@@ -131,13 +128,13 @@ def test_m_tridiagonal_exact():
 
 
 def test_that_column0_and_n2_limit():
-    that = build_twists(2)[0]
+    that = twists(2)[0]
     assert tuple(row[0] for row in that.rows) == (RatFunc(1), RatFunc.zero())
     assert classical_limit(that) == ((1, 2), (0, 1))
 
 
 def test_that_limit_unitriangular_n5():
-    lim = classical_limit(build_twists(5)[0])
+    lim = classical_limit(twists(5)[0])
     for m in range(5):
         assert lim[m][m] == 1
         for n in range(m):
@@ -145,12 +142,12 @@ def test_that_limit_unitriangular_n5():
 
 
 def test_tstar_n2_limit():
-    tstar = pairing_transpose(2, build_twists(2)[0])
+    tstar = pairing_transpose(2, twists(2)[0])
     assert classical_limit(tstar) == ((1, 0), (Fraction(-1, 2), 1))
 
 
 def test_tstar_limit_lower_unitriangular_n4():
-    lim = classical_limit(build_twists(4)[1])
+    lim = classical_limit(twists(4)[1])
     for n in range(4):
         assert lim[n][n] == 1
         for m in range(n + 1, 4):
@@ -159,7 +156,7 @@ def test_tstar_limit_lower_unitriangular_n4():
 
 def test_pairing_consistency_n2():
     # a_{0,1}(-1) = R_{1,0}(-1) * b_{1,0}(-1): 2 = (-4) * (-1/2)
-    t, tstar = build_twists(2)
+    t, tstar = twists(2)
     a01 = eval_exact(t[0][1], -1)
     b10 = eval_exact(tstar[1][0], -1)
     r10 = eval_exact(rhat(1, 0, 2), -1)
@@ -169,7 +166,7 @@ def test_pairing_consistency_n2():
 
 def test_transpose_relation_exact():
     for N in (2, 3, 4):
-        t, tstar = build_twists(N)
+        t, tstar = twists(N)
         for m in range(N):
             for n in range(N):
                 assert t[m][n] == mul(rhat(n, m, N), tstar[n][m])
@@ -181,7 +178,7 @@ def test_braid_exact_small():
 
 
 def test_braid_negative_control():
-    t, tstar = build_twists(2)
+    t, tstar = twists(2)
     rows = [list(r) for r in t.rows]
     rows[0][0] = RatFunc.zero()
     assert not braid_holds(FMatrix(rows), tstar)
@@ -189,12 +186,12 @@ def test_braid_negative_control():
 
 def test_rep_of_word_basics():
     assert fm_eq(rep_of_word(parse_word(""), 2), identity(2))
-    assert fm_eq(rep_of_word(parse_word("y"), 2), build_twists(2)[0])
+    assert fm_eq(rep_of_word(parse_word("y"), 2), twists(2)[0])
     assert fm_eq(
         rep_of_word(parse_word("y z y"), 2), rep_of_word(parse_word("z y z"), 2)
     )
     # a power is the explicit repeated product (binary powering must agree)
-    t3 = build_twists(3)[0]
+    t3 = twists(3)[0]
     t5 = t3
     for _ in range(4):
         t5 = fm_mul(t5, t3)
@@ -203,8 +200,8 @@ def test_rep_of_word_basics():
 
 def test_rep_of_word_inverse_exponent():
     w = rep_of_word(parse_word("z^-1"), 2)
-    assert fm_eq(fm_mul(w, build_twists(2)[1]), identity(2))
-    tstar3 = build_twists(3)[1]
+    assert fm_eq(fm_mul(w, twists(2)[1]), identity(2))
+    tstar3 = twists(3)[1]
     inv = fm_inv(tstar3)
     w3 = rep_of_word(parse_word("z^-3"), 3)
     assert fm_eq(w3, fm_mul(fm_mul(inv, inv), inv))
@@ -215,12 +212,12 @@ def test_rep_of_word_inverse_exponent():
 
 
 def test_that_times_its_inverse_is_identity():
-    that = build_twists(2)[0]
+    that = twists(2)[0]
     assert fm_eq(fm_mul(that, fm_inv(that)), identity(2))
 
 
 def test_adjacent_letters_same_generator():
-    t = build_twists(2)[0]
+    t = twists(2)[0]
     assert fm_eq(
         rep_of_word(parse_word("y y"), 2), fm_mul(t, t)
     )
@@ -231,7 +228,7 @@ def test_adjacent_letters_same_generator():
 
 def test_centrality_commutes():
     for N in range(2, 7):
-        t, tstar = build_twists(N)
+        t, tstar = twists(N)
         c = rep_of_word(parse_word("y z y y z y"), N)
         assert fm_eq(fm_mul(c, t), fm_mul(t, c))
         assert fm_eq(fm_mul(c, tstar), fm_mul(tstar, c))
@@ -244,7 +241,7 @@ def test_classical_limit_identity_and_values():
         (0, 0, 1),
     )
     # closed form by hand at N=3: entry (m,n) = 2^(n-m)(2-m)!/((n-m)!(2-n)!)
-    lim = classical_limit(build_twists(3)[0])
+    lim = classical_limit(twists(3)[0])
     assert lim == ((1, 4, 4), (0, 1, 2), (0, 0, 1))
 
 
@@ -267,8 +264,8 @@ def test_form_limits_equal_the_built_matrices_at_minus_one(N):
     # the product forms of T, T*, z, y and R read at X = -1 in integers are
     # the built canonical forms evaluated there
     z, y = _curve_factors(N)
-    built = (*build_twists(N), build_z(N), build_y(N), _ratios(N))
-    for forms, mat in zip((*_twist_factors(N), z, y, _ratio_factors(N)), built):
+    mats = (*twists(N), built("Z", N), built("Y", N), _ratios(N))
+    for forms, mat in zip((*_twist_factors(N), z, y, _ratio_factors(N)), mats):
         assert form_limit(N, forms) == classical_limit(mat)
 
 
@@ -281,15 +278,15 @@ def test_twist_limits_are_the_classical_action_at_large_n(N):
 
 def _recurrence_limit(n, N):
     """M^(n) at X = -1, read off its products."""
-    return form_limit(N, _recurrence_terms(n, N, _zprime_terms(N)), _limit)
+    return form_limit(N, _recurrence_terms(n, N, _zprime_terms(N)))
 
 
 @pytest.mark.parametrize("N", range(2, 13))
 def test_sum_limits_equal_the_qx_build_at_minus_one(N):
     # z' and the M^(n) read at X = -1 off their products are the build by
     # matrix products and gcd over Q(X) evaluated there
-    zprime = build_zprime(N)
-    assert form_limit(N, _zprime_terms(N), _limit) == classical_limit(zprime)
+    zprime = built("Zprime", N)
+    assert form_limit(N, _zprime_terms(N)) == classical_limit(zprime)
     for n in range(N - 1):
         assert _recurrence_limit(n, N) == classical_limit(reference.build_m(n, N, zprime))
 
@@ -306,7 +303,7 @@ def test_recurrence_limits_follow_a_changed_curve_factor(monkeypatch, i, N):
     # Q(X), the entry of the pole too
     z, y = flipped_curve_factor(*_curve_factors(N), i)
     monkeypatch.setattr(repbuild, "_curve_factors", lambda N: (z, y))
-    zprime = build_zprime(N)
+    zprime = built("Zprime", N)
     for n in range(N - 1):
         if i == -1:
             with pytest.raises(PoleError) as want:
@@ -321,7 +318,7 @@ def test_recurrence_limits_follow_a_changed_curve_factor(monkeypatch, i, N):
 
 def test_limits_match_closed_forms_all_n():
     for N in range(2, 7):
-        t, tstar = build_twists(N)
+        t, tstar = twists(N)
         cl = closed_limits(N)
         assert classical_limit(t) == cl.that_limit
         assert classical_limit(tstar) == cl.tstar_limit
@@ -436,15 +433,17 @@ def _ratios(N):
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_build_canonical_forms_pinned(N):
-    t, tstar = build_twists(N)
-    mats = {"Z": build_z(N), "Y": build_y(N), "Zprime": build_zprime(N), "T": t,
+    t, tstar = twists(N)
+    mats = {"Z": built("Z", N), "Y": built("Y", N), "Zprime": built("Zprime", N), "T": t,
             "Tstar": tstar, "R": _ratios(N)}
     mats.update({f"M{n}": m for n, m in enumerate(recurrence_matrices(N))})
     assert {k: _digest(m) for k, m in mats.items()} == CANONICAL_DIGESTS[N]
 
 
 # T, T* and R at N = 9..12, recorded from the build that formed T by the
-# column recurrence and T* through the pairing ratios.
+# column recurrence and T* through the pairing ratios; at N = 13..16,
+# recorded from the build that read each product off its cyclotomic
+# exponents, before every entry went through `qsymbols._sum_form`.
 LARGE_N_DIGESTS = {
     9: {
         "T": "58aa39a0da7136c792328ea8fca13a2c675f9c81c642f1262b292dd333f0c4d5",
@@ -466,6 +465,26 @@ LARGE_N_DIGESTS = {
         "Tstar": "8753e6c7af74e56c1cbd676b6705df51a69283acde8387d66a34178720cdb22f",
         "R": "66b9171ffe092cc2f856f379c89a87a847c664f7d69a81c2a88d3342bd7a1661",
     },
+    13: {
+        "T": "e142443f2ba0cbc5c15c776ac9fc4c672fa87b6e3d79390d8ebb12b43c32fc1e",
+        "Tstar": "5a3ba70abccc366c56a0f7e7b093e753600ac9c1bd4883314f7585e0431f1693",
+        "R": "6939a7d4a081479b7edf5ff60e655e9a8e60581bf21ea7cd24552372890497bb",
+    },
+    14: {
+        "T": "2a512b82676ceb13747b5fa41c182623a99fee204b85b0355c6a1bdbe17018cc",
+        "Tstar": "c40d90743639d6b42ecec41fb2d0cc797f11f32542eb7647436792f195b097ee",
+        "R": "2bef8744356de7466e369d0f2e6faad0483da7d9229123c3f9ec0e14fb33af5d",
+    },
+    15: {
+        "T": "915bb4f111300b5b5b55b8556a4598ba657aca6daca95210f96616432dcbad3b",
+        "Tstar": "af58c1cd6f9ae15b5449e4c1735d2662135061df61df7a4dc4b3a373cf1b14ef",
+        "R": "bc2c4233f91c99d5e0453b8c40d35c3679d14e8d28a953c2b9dbef6d7a527aa2",
+    },
+    16: {
+        "T": "9371c64ea50d84aa031870ed2e9e4bcbcae1a4bf2840a842e2bc8b2c9791a670",
+        "Tstar": "c6dab6ace365a66d8a3127cb56206b5a74be1f580df76760070040f34ed2166d",
+        "R": "d29e0a817455164cafea188c73f3fe3457bda6ce248596eed061c2dde3f2cf74",
+    },
 }
 
 
@@ -473,27 +492,27 @@ LARGE_N_DIGESTS = {
 def test_every_built_denominator_is_monic(N):
     # with a monic den the Z[X] canonical form (no common factor, den lead > 0)
     # is the Q(X) one with den monic, so every emitted form is the same in both
-    mats = (build_z(N), build_y(N), build_zprime(N), *recurrence_matrices(N), *build_twists(N))
+    mats = (built("Z", N), built("Y", N), built("Zprime", N), *recurrence_matrices(N), *twists(N))
     for mat in (*mats, _ratios(N)):
         assert all(e.den.lead == 1 for row in mat.rows for e in row), N
 
 
-@pytest.mark.parametrize("N", range(9, 13))
+@pytest.mark.parametrize("N", range(9, 17))
 def test_twists_and_ratios_pinned_large_n(N):
-    t, tstar = build_twists(N)
+    t, tstar = twists(N)
     got = {"T": _digest(t), "Tstar": _digest(tstar), "R": _digest(_ratios(N))}
     assert got == LARGE_N_DIGESTS[N]
 
 
 @pytest.mark.parametrize("N", range(2, 13))
 def test_product_forms_equal_column_recurrence(N):
-    assert build_twists(N) == recurrence_twists(N)
+    assert twists(N) == recurrence_twists(N)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_that_columns_follow_m_hat(N):
     # T is built from its product form; this ties it back to the published M^(n).
-    t = build_twists(N)[0]
+    t = twists(N)[0]
     for n, mat in enumerate(recurrence_matrices(N)):
         col = FMatrix(tuple((row[n],) for row in t.rows))
         nxt = FMatrix(tuple((row[n + 1],) for row in t.rows))
@@ -504,11 +523,11 @@ def test_that_columns_follow_m_hat(N):
 def test_gcd_free_build_equals_qx_reference(N):
     # z, y, z' and every M^(n) from product forms equal, canonical form for
     # canonical form, the build by matrix products and gcd over Q(X)
-    z = build_z(N)
+    z = built("Z", N)
     y = reference.build_y(N, z)
     zprime = reference.build_zprime(y, z)
-    assert build_y(N) == y
-    assert build_zprime(N) == zprime
+    assert built("Y", N) == y
+    assert built("Zprime", N) == zprime
     assert recurrence_matrices(N) == tuple(reference.build_m(n, N, zprime) for n in range(N - 1))
     assert z == FMatrix(
         tuple(tuple(lambda_shifted(m, N) if l == m else qint(m) if l == m - 1 else 0
@@ -522,7 +541,7 @@ def test_integer_forms_equal_the_lcm_by_gcd(N):
     # built generators: D from the exponent maxima of the product forms is
     # the lcm of the built denominators, and each numerator over D is the
     # built entry times D over its denominator
-    for m, entries in zip(build_twists(N), _twist_factors(N)):
+    for m, entries in zip(twists(N), _twist_factors(N)):
         assert _integer_form(entries, N) == lcm_form(m)
 
 
@@ -622,18 +641,18 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
 def test_relation_checks_agree_on_generators():
     for N in range(2, 6):
         assert relation_checks(N) == (True, True)
-        assert _reference_checks(*build_twists(N)) == (True, True)
+        assert _reference_checks(*twists(N)) == (True, True)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_relation_checks_agree_with_kronecker_on_generators(N):
     assert relation_checks(N) == (True, True)
-    assert kronecker_relation_checks(*build_twists(N)) == (True, True)
+    assert kronecker_relation_checks(*twists(N)) == (True, True)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_relation_checks_negative_controls(N):
-    t, tstar = build_twists(N)
+    t, tstar = twists(N)
     rows = [list(r) for r in t.rows]
     rows[0][0] = sub(rows[0][0], 1)
     assert _integer_checks(*lcm_form(FMatrix(rows)), *lcm_form(tstar)) == (False, False)
