@@ -89,53 +89,20 @@ class ClosedLimits:
 def closed_limits(N: int) -> ClosedLimits:
     if N < 2:
         raise ValueError("N must be >= 2")
-    that = tuple(
-        tuple(
-            Fraction(2 ** (n - m) * factorial(N - 1 - m), factorial(n - m) * factorial(N - 1 - n))
-            if m <= n
-            else Fraction(0)
-            for n in range(N)
-        )
-        for m in range(N)
-    )
-    tstar = tuple(
-        tuple(
-            Fraction(
-                (-1) ** (n - m) * factorial(n),
-                2 ** (n - m) * factorial(m) * factorial(n - m),
-            )
-            if m <= n
-            else Fraction(0)
-            for m in range(N)
-        )
-        for n in range(N)
-    )
-    r = tuple(
-        tuple(
-            Fraction(
-                (-4) ** (n - m) * factorial(m) * factorial(N - 1 - m),
-                factorial(n) * factorial(N - 1 - n),
-            )
-            if n >= m
-            else 1
-            / Fraction(
-                (-4) ** (m - n) * factorial(n) * factorial(N - 1 - n),
-                factorial(m) * factorial(N - 1 - m),
-            )
-            for m in range(N)
-        )
-        for n in range(N)
-    )
+    rng = range(N)
+    g = [factorial(k) * factorial(N - 1 - k) for k in rng]
+    # T[m][n] = 2^(n-m) [N-1-m, n-m], T*[n][m] = (-1/2)^(n-m) [n, m] (m <= n)
+    # and R[n][m] = (-4)^(n-m) g(m) / g(n) with g(k) = k! (N-1-k)!
+    that = tuple(tuple(Fraction(2 ** (n - m) * comb(N - 1 - m, n - m) if m <= n else 0) for n in rng) for m in rng)
+    tstar = tuple(tuple(Fraction((-1) ** (n - m) * comb(n, m), 2 ** (n - m)) if m <= n else Fraction(0) for m in rng)
+                  for n in rng)
+    r = tuple(tuple(Fraction((-4) ** max(n - m, 0) * g[m], (-4) ** max(m - n, 0) * g[n]) for m in rng) for n in rng)
     ms = []
     for n in range(N - 1):
-        rows = []
-        for m in range(N):
-            row = [Fraction(0)] * N
-            if m >= 1:
-                row[m - 1] = Fraction(m, n + 1)
-            row[m] = Fraction(2 * (N - 2 * m - 1), n + 1)
-            if m + 1 < N:
-                row[m + 1] = Fraction(-4 * (N - m - 1), n + 1)
-            rows.append(tuple(row))
-        ms.append(tuple(rows))
+        rows = [[Fraction(0)] * N for _ in rng]
+        for m in rng:  # (n + 1) M^(n)[m][l] at l = m - 1, m, m + 1
+            for l, v in ((m - 1, m), (m, 2 * (N - 2 * m - 1)), (m + 1, -4 * (N - m - 1))):
+                if 0 <= l < N:
+                    rows[m][l] = Fraction(v, n + 1)
+        ms.append(tuple(map(tuple, rows)))
     return ClosedLimits(that, tstar, r, tuple(ms))

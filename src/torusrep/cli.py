@@ -127,11 +127,12 @@ def cmd_verify(args) -> int:
     for N in dims:
         cl = classical.closed_limits(N)
 
-        braid_ok, center_ok = repbuild.relation_checks(N)
+        twist = repbuild._twist_factors(N)
+        braid_ok, center_ok = repbuild.relation_checks(N, twist)
         checks.append((f"braid relation exact (N={N})", braid_ok))
 
         try:
-            t_lim, ts_lim = (repbuild.form_limit(N, forms) for forms in repbuild._twist_factors(N))
+            t_lim, ts_lim = (repbuild.form_limit(N, forms) for forms in twist)
             ok = (
                 t_lim == cl.that_limit
                 and ts_lim == cl.tstar_limit
@@ -150,10 +151,7 @@ def cmd_verify(args) -> int:
 
         terms = repbuild._zprime_terms(N)
         try:
-            ok = all(
-                repbuild.form_limit(N, repbuild._recurrence_terms(n, N, terms)) == cl.m_limits[n]
-                for n in range(N - 1)
-            )
+            ok = repbuild.recurrence_limits(N, terms) == cl.m_limits
         except PoleError:
             ok = False
         checks.append((f"recurrence-matrix limits exact (N={N})", ok))

@@ -1,9 +1,10 @@
 """Exact values in Q(X): dense polynomials over Z, and elements and small
 matrices of Q(X) held in canonical form.
 
-A `Poly` adds and divides exactly (by a power of X too), but never
-multiplies by another: every product needed is one of cyclotomic
-polynomials, which `qsymbols._poly` expands as one power series.
+A `Poly` divides exactly (by a power of X too), but is never added to or
+multiplied by another: every sum needed is one of coefficient lists
+(`qsymbols._sum_factors`), and every product one of cyclotomic polynomials,
+which `qsymbols._poly` expands as one power series.
 
 Coefficients are Python ints only: the representations are integral
 (Gilmer-Masbaum), and every entry built has a monic denominator. A `RatFunc`
@@ -91,15 +92,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly._raw(out)
 
     def exact_div(self, other):
         """The quotient in Z[X] of a division known to be exact, such as one by

@@ -27,17 +27,18 @@ factors (1 - X^m) that Moebius inversion gives (`_poly`, by `_times`).
 Values at X = -1 are read exactly off the factors, with nothing built over
 Q(X) (`_limit`). Write -X = e^s: (-X)^a = e^(as), {k}+ = 2 cosh(ks) and
 {k} = 2 sinh(ks). As log cosh x = x^2/2 + O(x^4) and
-log(sinh x / x) = x^2/6 + O(x^4) are even, a product sign (-X)^P prod {k}^e
-(some of its factors {k}+) is the s-jet
+log(sinh x / x) = x^2/6 + O(x^4) are even, the log of a product
+sign (-X)^P prod {k}^e (some of its factors {k}+) has no s^3 term, so the
+product is the s-jet
 
-    s^v c (1 + P s + (P^2/2 + Q) s^2 + O(s^3)),
+    s^v c (1 + P s + (P^2/2 + Q) s^2 + (P^3/6 + P Q) s^3 + O(s^4)),
 
 with v the sum of the exponents of its {k}, c = sign prod (2k)^e prod 2^e
 over its {k} and {k}+, and Q = sum e k^2/2 over its {k}+ plus sum e k^2/6
 over its {k}. A sum of products is finite at X = -1 iff no negative power of
 s survives in the sum of their jets, and its value is the coefficient of
-s^0. With s = log(1 + t) this is the convention -X = 1 + t, with the same
-orders of vanishing.
+s^0; the jet is kept to s^1, whose coefficient is -d/dX at X = -1. With
+s = log(1 + t) this is the convention -X = 1 + t, same orders of vanishing.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import PoleError
 from .field import Poly, RatFunc
@@ -136,17 +138,18 @@ def _signed(sign: int, xpow: int, exps, c) -> Poly:
     return Poly._raw([0] * xpow + [sign * x for x in c])
 
 
-def _limit(forms) -> Fraction:
-    """The value at X = -1 of the sum of the products (sign, power, factors)
-    in `forms`: the coefficient c_0 of s^0 in the sum of their
-    jets (module docstring), to which a product of order v >= -2 adds its
-    terms at s^v, s^(v+1) and s^(v+2). The coefficients are summed as
-    integers over the lcm of the products' denominators, and one Fraction is
-    made at the end. PoleError when c_-2 or c_-1 is not 0; ValueError for a
-    product of order below -2, whose s^3 term is not kept."""
-    jet, lcm = [0, 0, 0], 1  # c_-2, c_-1, c_0 times lcm
+def _limit(forms) -> tuple[Fraction, Fraction]:
+    """(c_0, c_1): the value at X = -1 of the sum of the products
+    (sign, power, factors) in `forms` and the coefficient of s^1 in the sum
+    of their jets (module docstring), to which a product of order v >= -2
+    adds its terms at s^v up to s^(v+3). The coefficients are summed as
+    integers over the lcm of the products' denominators, and two Fractions
+    are made at the end. PoleError when c_-2 or c_-1 is not 0; ValueError for
+    a product of order below -2, whose s^4 term is not kept."""
+    jet, lcm = [0, 0, 0, 0], 1  # c_-2, c_-1, c_0, c_1 times lcm
     for sign, power, factors in forms:
-        i, num, den, q = 2, sign, 6, 3 * power * power  # i = v + 2, q = 6 (P^2/2 + Q)
+        # i = v + 2, q = 6 (P^2/2 + Q), and 6 (P^3/6 + P Q) = P q - 2 P^3
+        i, num, den, q = 2, sign, 6, 3 * power * power
         for k, plus, e in factors:
             b = 2 if plus else 2 * k
             if e > 0:
@@ -162,19 +165,20 @@ def _limit(forms) -> Fraction:
             jet = [x * grow for x in jet]
             lcm *= grow
         num *= lcm // den
-        for r, x in enumerate((6, 6 * power, q)[: max(3 - i, 0)], i):
+        for r, x in enumerate((6, 6 * power, q, power * (q - 2 * power * power))[: max(4 - i, 0)], i):
             jet[r] += num * x
     if jet[0] or jet[1]:
         raise PoleError("pole at X = -1")
-    return Fraction(jet[2], lcm)
+    return Fraction(jet[2], lcm), Fraction(jet[3], lcm)
 
 
 def _over_denominator(forms):
     """(xpow, den, nums): the products (sign, power, factors) in `forms` over
-    their least common denominator
-    X^xpow prod Phi_d^den_d, whose exponents are the largest of the forms'
-    denominator exponents; each numerator, in the order of forms, is its
-    form's value times the denominator, a Poly as `_poly` gives it.
+    their least common denominator X^xpow prod Phi_d(Y)^den_d, Y = X^2, whose
+    exponents are the largest of the forms' denominator exponents; each
+    numerator, in the order of forms, is its form's value times the
+    denominator, X^t c(Y) as (t, c), c its coefficients in Y (ascending, the
+    last nonzero).
 
     Every product is worked in Y = X^2 (module docstring): its factor
     exponents f_m, of (1 - Y^m), come straight off its triples
@@ -211,11 +215,9 @@ def _over_denominator(forms):
             c = _times([1] + [0] * deg, g)
         if sum(g.values()) % 2:  # prod (Y^m - 1)^g_m = (-1)^(sum g_m) prod (1 - Y^m)^g_m
             s = -s
-        x = [0] * (a + xpow + 2 * deg + 1)
-        x[a + xpow :: 2] = [s * y for y in c]
-        nums.append(Poly._raw(x))
+        nums.append((a + xpow, c if s > 0 else [-y for y in c]))
         last = g
-    return xpow, _in_x(den), nums
+    return xpow, den, nums
 
 
 def _y_factors(sign: int, power: int, factors):
@@ -273,18 +275,21 @@ def _cyclotomic_at_two(d: int) -> int:
 def _sum_factors(forms):
     """(num, xpow, den): the sum of the products in `forms` as
     num / (X^xpow prod Phi_d^den_d) in lowest terms, 0 as (0, 0, {}). The
-    numerators over their common denominator (`_over_denominator`) are
-    added, and each Phi_d (distinct monic irreducibles) divided out of the
-    sum as often as it goes and the denominator has it, as is the power of X
-    they share: what is left is coprime, its expanded denominator monic. A
-    division is tried only where Phi_d(2) divides num(2), as it must for
-    Phi_d to divide num (num(2) = quotient(2) Phi_d(2) in Z)."""
+    numerators X^t c(X^2) over their common denominator (`_over_denominator`)
+    are interleaved and added, and each Phi_d (distinct monic irreducibles)
+    divided out of the sum as often as it goes and the denominator has it, as
+    is the power of X they share: what is left is coprime, its expanded
+    denominator monic. A division is tried only where Phi_d(2) divides num(2),
+    as Phi_d | num implies (num(2) = quotient(2) Phi_d(2) in Z)."""
     xpow, exps, nums = _over_denominator(forms)
-    num, den = sum(nums, Poly()), {}
+    x = [0] * max(t + 2 * len(c) - 1 for t, c in nums)
+    for t, c in nums:
+        x[t : t + 2 * len(c) : 2] = map(add, x[t : t + 2 * len(c) : 2], c)
+    num, den = Poly._raw(x), {}
     if num.is_zero:
         return num, 0, den
     at_two = _at_two(num)
-    for d, e in exps.items():
+    for d, e in _in_x(exps).items():
         while e and not at_two % _cyclotomic_at_two(d):
             try:
                 num = num.exact_div(_cyclotomic(d))

@@ -31,8 +31,10 @@ nothing else: the canonical form over Q(X) (`_matrix`, by
 `qsymbols._limit`) and the value at A_p (`numeric.eval_forms`). The exact
 checks read the maps of T and T* as integer forms (`_integer_form`).
 `matrices` builds over Q(X) only the matrix it emits, and only for a
-symbolic value; `verify` builds nothing over Q(X), and the certificate scans
-evaluate T and T* at A_p by recurrences (`numeric.eval_twists`).
+symbolic value; `verify` builds nothing over Q(X), reads the maps of T, T*,
+R and z' once each (the M^(n) at X = -1 off z', `recurrence_limits`), and
+the certificate scans evaluate T and T* at A_p by recurrences
+(`numeric.eval_twists`).
 """
 
 from __future__ import annotations
@@ -129,9 +131,10 @@ def forms(what: str, N: int, index: int | None = None):
     return pair[what in ("Tstar", "Y")]
 
 
-def relation_checks(N: int) -> tuple[bool, bool]:
-    """Exact checks over Q(X) of the generators of dimension N: (T T* T ==
-    T* T T*, the center C = (T T* T)^2 commutes with T and with T*).
+def relation_checks(N: int, twist) -> tuple[bool, bool]:
+    """Exact checks over Q(X) of the generators of dimension N, from the form
+    maps `twist` of T and T* (`_twist_factors`): (T T* T == T* T T*, the
+    center C = (T T* T)^2 commutes with T and with T*).
 
     Write T = P_T / D_T and T* = P_S / D_S with integer polynomial matrices P
     and D_T, D_S the least common denominators of the product forms of T and
@@ -187,22 +190,29 @@ def relation_checks(N: int) -> tuple[bool, bool]:
 
     So the verdict is exact and deterministic, with no common divisor taken
     and no probability of a wrong answer."""
-    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in _twist_factors(N))
+    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in twist)
     return _integer_checks(pt, dt, ps, ds)
 
 
 def _integer_form(forms, N: int):
     """(P, D) with P / D the N x N matrix of the form map `forms`, whose
     entries are single products (`_twist_factors`), zero off its keys: D is
-    their least common denominator, X^a prod Phi_d^e_d with a and e_d the
-    largest exponents of the products' denominators, and each entry of P its
-    product's numerator over D (`qsymbols._over_denominator`). P is a matrix
-    of integer coefficient lists (ascending degree), D one such list."""
+    their least common denominator, X^a prod Phi_d(Y)^e_d with a and e_d the
+    largest exponents of the products' denominators, expanded in Y = X^2,
+    and each entry of P its product's numerator over D
+    (`qsymbols._over_denominator`). Every polynomial f of P and D is given
+    as its halves (E, O), f = E(X^2) + X O(X^2), each a list of integer
+    coefficients in ascending degree; one of them is empty."""
     xpow, den, nums = _over_denominator(form for [form] in forms.values())
-    p = [[[] for _ in range(N)] for _ in range(N)]
+    p = [[([], [])] * N for _ in range(N)]
     for (i, j), num in zip(forms, nums):
-        p[i][j] = list(num.coeffs)
-    return p, list(_poly(1, xpow, den).coeffs)
+        p[i][j] = _halves(*num)
+    return p, _halves(xpow, list(_poly(1, 0, den).coeffs))
+
+
+def _halves(t: int, c):
+    """The halves (E, O) of X^t c(X^2)."""
+    return ([], [0] * (t // 2) + c) if t % 2 else ([0] * (t // 2) + c, [])
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum
@@ -216,14 +226,14 @@ _CHUNK = 64  # coefficients per matrix product in `_values`
 
 
 def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
-    """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), as
-    coefficient lists in ascending degree, D_T and D_S nonzero.
+    """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), every
+    polynomial as its halves (`_integer_form`), D_T and D_S nonzero.
 
     The braid identity is decided first; the center identity, which it
-    implies, only when it fails. Each row is split once into its even and
-    odd halves (`_coefficient_rows`), f(x) = E(x^2) + x O(x^2), and only the
-    halves that are not zero are evaluated, at y = x^2. Per prime, blocks of
-    the points x = 1..K are checked at once (`_check_block`). Each identity
+    implies, only when it fails. The halves are laid out once as rows
+    (`_coefficient_rows`), f(x) = E(x^2) + x O(x^2), and only those that are
+    not zero are evaluated, at y = x^2. Per prime, blocks of the points
+    x = 1..K are checked at once (`_check_block`). Each identity
     has its own K (`_spans`) and its own primes (`_height_bound`). The
     arithmetic is float64 on integers, exact because every coefficient is
     below 2^53 and every partial sum of products of residues, which lie in
@@ -276,20 +286,20 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
 
 def _coefficient_rows(pt, dt, ps, ds):
     """(where, halves): the cells (m, i, j) of the nonzero entries of P_T
-    (m = 0) and P_S (m = 1), and the float64 coefficients of those, D_T and
-    D_S split into halves, row r's coefficient of X^(2i+t) at [r, t, i]."""
+    (m = 0) and P_S (m = 1), and the float64 halves of those, D_T and D_S,
+    row r's coefficient of X^(2i+t) at [r, t, i]."""
     cells, polys = [], []
     for m, p in enumerate((pt, ps)):
         for i, row in enumerate(p):
-            for j, poly in enumerate(row):
-                if any(poly):
+            for j, (even, odd) in enumerate(row):
+                if any(even) or any(odd):
                     cells.append((m, i, j))
-                    polys.append(poly)
+                    polys.append((even, odd))
     polys += [dt, ds]
-    coeffs = np.zeros((len(polys), (max(map(len, polys)) + 1) // 2 * 2))
+    halves = np.zeros((len(polys), 2, max(len(h) for poly in polys for h in poly)))
     for r, poly in enumerate(polys):
-        coeffs[r, : len(poly)] = poly
-    halves = coeffs.reshape(len(polys), -1, 2).transpose(0, 2, 1).copy()
+        for t, h in enumerate(poly):
+            halves[r, t, : len(h)] = h
     return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), halves
 
 
@@ -345,11 +355,11 @@ def _height_bound(pt, dt, ps, ds) -> tuple[int, int]:
     """(braid, center): bounds on every coefficient of the difference of the
     two sides of each identity, ||gh||_1 <= ||g||_1 ||h||_1 through the
     matrices of entry l1-norms (numpy arrays of Python ints)."""
-    nt, ns = (np.array([[sum(map(abs, q)) for q in row] for row in p], dtype=object) for p in (pt, ps))
+    nt, ns = (np.array([[sum(map(abs, e + o)) for e, o in row] for row in p], dtype=object) for p in (pt, ps))
     tst, sts = nt @ ns @ nt, ns @ nt @ ns
     c = tst @ tst
     return (
-        (tst * sum(map(abs, ds)) + sts * sum(map(abs, dt))).max(),
+        (tst * sum(map(abs, ds[0] + ds[1])) + sts * sum(map(abs, dt[0] + dt[1]))).max(),
         max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max()),
     )
 
@@ -429,7 +439,32 @@ def form_limit(N: int, forms):
     out = [[Fraction(0)] * N for _ in range(N)]
     for (i, j), entry in sorted(forms.items()):
         try:
-            out[i][j] = _limit(entry)
+            out[i][j] = _limit(entry)[0]
         except PoleError:
             raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
     return tuple(map(tuple, out))
+
+
+def recurrence_limits(N: int, terms):
+    """M^(0), ..., M^(N-2) at X = -1 from the jets (c_0, c_1) of z''s products
+    `terms` (`_zprime_terms`, `qsymbols._limit`), read once. With s = log(-X),
+    z' = Z_0 + Z_1 s + O(s^2) and lambda_{c+n} = l_0 + l_1 s + O(s^2), M^(n) =
+    (z' - lambda_{c+n} I) / (2(n+1) s (1 + O(s^2))) is finite iff z' has no
+    negative power of s and Z_0 = l_0 I, and then M^(n)(-1) = (Z_1 - l_1 I) /
+    (2(n+1)). The PoleError names the entry `form_limit` names, n by n."""
+    jets = {(m, m): (0, 0) for m in range(N)}
+    for ij, entry in terms.items():
+        try:
+            jets[ij] = _limit(entry)
+        except PoleError:
+            jets[ij] = None
+    jets, out = sorted(jets.items()), []
+    for n in range(N - 1):
+        l0, l1 = _limit([_lambda_form(n, N)])
+        rows = [[Fraction(0)] * N for _ in range(N)]
+        for (i, j), jet in jets:
+            if jet is None or jet[0] != (l0 if i == j else 0):
+                raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
+            rows[i][j] = (jet[1] - l1 if i == j else jet[1]) / (2 * (n + 1))
+        out.append(tuple(map(tuple, rows)))
+    return tuple(out)

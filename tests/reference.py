@@ -1,8 +1,9 @@
-"""Reference implementations for the tests: polynomial multiplication, Q(X)
+"""Reference implementations for the tests: polynomial sums and products, Q(X)
 arithmetic by polynomial gcd, products of quantum integers by that arithmetic
 and by their cyclotomic exponents, monomials and the identity matrix, exact
-values at a rational point (entrywise for a matrix, naming the entry of a
-pole), the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
+values and slopes at a rational point (values entrywise for a matrix, naming
+the entry of a pole), the halves of integer polynomials that the exact checks
+take, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
 arithmetic, exact matrix inverse and word products over Q(X), the braid and
 center checks by Kronecker substitution, T and T* by the column recurrence
 through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
@@ -35,10 +36,17 @@ from torusrep.qsymbols import (
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
 
-# --- polynomial subtraction, scaling, shifts and multiplication --------------------
+# --- polynomial addition, subtraction, scaling, shifts and multiplication ----------
 #
-# Nothing in `torusrep` subtracts, scales, shifts up or multiplies
+# Nothing in `torusrep` adds, subtracts, scales, shifts up or multiplies
 # polynomials; the Q(X) reference arithmetic below does.
+
+
+def poly_add(a: Poly, b: Poly) -> Poly:
+    out = list(a.coeffs) + [0] * max(len(b.coeffs) - len(a.coeffs), 0)
+    for i, c in enumerate(b.coeffs):
+        out[i] += c
+    return Poly._raw(out)
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:
@@ -221,7 +229,7 @@ def add(a, b) -> RatFunc:
         return b if a.is_zero else a
     g = poly_gcd(a.den, b.den)
     da, db = a.den.exact_div(g), b.den.exact_div(g)
-    num = poly_mul(a.num, db) + poly_mul(b.num, da)
+    num = poly_add(poly_mul(a.num, db), poly_mul(b.num, da))
     if num.is_zero:
         return RatFunc.zero()
     h = poly_gcd(num, g)
@@ -332,6 +340,20 @@ def lcm_form(m: FMatrix):
     return [[list(poly_mul(e.num, den.exact_div(e.den)).coeffs) for e in row] for row in m.rows], list(den.coeffs)
 
 
+def halves(f):
+    """An integer polynomial f, a list of coefficients in ascending degree, as
+    the halves (E, O) that the exact checks take (`repbuild._integer_form`),
+    f = E(X^2) + X O(X^2), each cut after its last nonzero coefficient; a
+    list or tuple of such lists, or of lists of them, entry by entry."""
+    if all(isinstance(c, int) for c in f):
+        half = [list(f[t::2]) for t in (0, 1)]
+        for h in half:
+            while h and not h[-1]:
+                h.pop()
+        return tuple(half)
+    return type(f)(map(halves, f))
+
+
 def ratfunc_from_obj(obj: dict) -> RatFunc:
     return reduced(Poly([int(s) for s in obj["num"]]), Poly([int(s) for s in obj["den"]]))
 
@@ -423,6 +445,19 @@ def eval_exact(f: RatFunc, x):
     if dv == 0:
         raise PoleError(f"pole at X = {x}")
     return Fraction(horner(f.num, x)) / Fraction(dv)
+
+
+def slope_exact(f: RatFunc, x):
+    """df/dX at the rational point x, (num' den - num den') / den^2 on f's
+    canonical form; PoleError where its denominator vanishes."""
+    def derivative(p: Poly) -> Poly:
+        return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+    dv = horner(f.den, x)
+    if dv == 0:
+        raise PoleError(f"pole at X = {x}")
+    top = horner(derivative(f.num), x) * dv - horner(f.num, x) * horner(derivative(f.den), x)
+    return Fraction(top) / Fraction(dv) ** 2
 
 
 def classical_limit(mat: FMatrix):
@@ -602,7 +637,7 @@ def verify_braid(N: int) -> bool:
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
     """The braid relation for any pair over Q(X), by `relation_checks`'
     decision procedure on their (P, D) forms by lcm."""
-    return _integer_checks(*lcm_form(t), *lcm_form(tstar))[0]
+    return _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar)))[0]
 
 
 def rep_of_word(w: Word, N: int) -> FMatrix:
@@ -667,7 +702,7 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     verdict here never rests on the braid implying it."""
     pt, dt = lcm_form(t)
     ps, ds = lcm_form(tstar)
-    w = (2 * max(_height_bound(pt, dt, ps, ds))).bit_length()  # B = 2^w > 2 * bound
+    w = (2 * max(_height_bound(*halves((pt, dt, ps, ds))))).bit_length()  # B = 2^w > 2 * bound
 
     pt, ps = (np.array(_eval_matrix_at(p, w), dtype=object) for p in (pt, ps))
     tst, sts = pt @ ps @ pt, ps @ pt @ ps

@@ -232,6 +232,41 @@ def test_verify_fails_the_recurrence_limits_on_a_changed_curve_factor(capsys, mo
     assert f"FAIL  recurrence-matrix limits exact (N={N})" in out.splitlines()
 
 
+SKEIN_MUTATIONS = {
+    "X for X^-1": {"_MINUS_INV_HALF": (1, 1, [(2, False, -1)])},
+    "-X/{2} for X/{2}": {"_X_HALF": (1, 1, [(2, False, -1)])},
+    "{1} for {2}": {"_X_HALF": (-1, 1, [(1, False, -1)]), "_MINUS_INV_HALF": (1, -1, [(1, False, -1)])},
+}
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("mutation", SKEIN_MUTATIONS)
+def test_verify_fails_the_recurrence_limits_on_a_changed_skein_constant(capsys, monkeypatch, mutation, N):
+    # z' = (X yz - X^-1 zy) / {2} with one of its constants changed: only the
+    # recurrence-matrix line fails (z' stays tridiagonal whatever they are)
+    for name, value in SKEIN_MUTATIONS[mutation].items():
+        monkeypatch.setattr(repbuild, name, value)
+    code, out, err = run(capsys, "verify", "--N", str(N))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  recurrence-matrix limits exact (N={N})"
+    ]
+
+
+# sha256 of `verify --N 2..12` and of `verify --N 2..12 --format json`
+VERIFY_DIGESTS = {
+    "pretty": "bd5eb34eca7b7e8eb3999fd45b14eb9d29bb8312cc62cfa8089c0670ee76b186",
+    "json": "4f33b6cfa58596a9861679aaf113327d1e484b2d24342f3cf5dbab5b3e192cb1",
+}
+
+
+@pytest.mark.parametrize("fmt", VERIFY_DIGESTS)
+def test_verify_output_is_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "verify", "--N", "2..12", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[fmt]
+
+
 def test_verify_json_carries_the_pretty_checks(capsys):
     code, out, _ = run(capsys, "verify", "--N", "2..3", "--oracle", "--p", "5..13", "--format", "json")
     assert code == 0
@@ -401,14 +436,23 @@ def test_matrices_builds_only_what_it_emits(capsys, monkeypatch, argv, built):
 
 def test_verify_builds_each_matrix_once_per_dimension(capsys, monkeypatch):
     # nothing over Q(X): T, T* and R are read at X = -1 off their product
-    # forms and the M^(n) off their sums of products, so not one element of
-    # Q(X) is made
+    # forms and the M^(n) off z''s jets, so not one element of Q(X) is made;
+    # the form maps of T and T* and of z' are read once per N, and no M^(n)
+    # map is made
     calls = count_builds(monkeypatch)
+    for name in ("_twist_factors", "_zprime_terms", "_recurrence_terms"):
+        calls[name], real = 0, getattr(repbuild, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(repbuild, name, counted)
     made, init = [], RatFunc.__init__
     monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: made.append(args) or init(self, *args))
     code, _, _ = run(capsys, "verify", "--N", "2..5")
     assert code == 0
-    assert calls == {"_matrix": 0}
+    assert calls == {"_matrix": 0, "_twist_factors": 4, "_zprime_terms": 4, "_recurrence_terms": 0}
     assert made == []
 
 

@@ -14,6 +14,7 @@ from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
 from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
+from torusrep.qsymbols import _limit
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
@@ -29,6 +30,7 @@ from torusrep.repbuild import (
     _values,
     _zprime_terms,
     form_limit,
+    recurrence_limits,
     relation_checks,
 )
 
@@ -50,10 +52,12 @@ from reference import (
     identity,
     kronecker_relation_checks,
     lambda_shifted,
+    halves,
     lcm_form,
     monomial,
     mul,
     pairing_transpose,
+    poly_add,
     poly_mul,
     poly_scale,
     poly_shift,
@@ -64,6 +68,7 @@ from reference import (
     rep_of_word,
     rhat,
     signed_power,
+    slope_exact,
     sub,
     twists,
     verify_braid,
@@ -316,6 +321,58 @@ def test_recurrence_limits_follow_a_changed_curve_factor(monkeypatch, i, N):
             assert _recurrence_limit(n, N) == want != closed_limits(N).m_limits[n]
 
 
+@pytest.mark.parametrize("N", range(2, 13))
+def test_recurrence_limits_from_one_jet_equal_each_m_read_alone(N):
+    # every M^(n) at X = -1 from z''s jets (c_0, c_1) equals M^(n) read off
+    # its own products
+    want = tuple(form_limit(N, repbuild.forms("M", N, n)) for n in range(N - 1))
+    assert recurrence_limits(N, _zprime_terms(N)) == want
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+@pytest.mark.parametrize("i", [-1, -2], ids=["pole", "finite"])
+def test_recurrence_limits_from_one_jet_follow_a_changed_curve_factor(monkeypatch, i, N):
+    # the same PoleError entry, or the same wrong values, on both routes
+    z, y = flipped_curve_factor(*_curve_factors(N), i)
+    monkeypatch.setattr(repbuild, "_curve_factors", lambda N: (z, y))
+    if i == -1:
+        with pytest.raises(PoleError) as want:
+            [form_limit(N, repbuild.forms("M", N, n)) for n in range(N - 1)]
+        with pytest.raises(PoleError) as got:
+            recurrence_limits(N, _zprime_terms(N))
+        assert got.value.entry == want.value.entry
+    else:
+        want = tuple(form_limit(N, repbuild.forms("M", N, n)) for n in range(N - 1))
+        assert recurrence_limits(N, _zprime_terms(N)) == want != closed_limits(N).m_limits
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_recurrence_limits_name_a_pole_of_zprime_itself(N):
+    # a z' entry with a negative power of s ({1}^-1 added to its sum) is a
+    # pole of every M^(n); the entries before it in row-major order are not
+    terms = _zprime_terms(N)
+    ij = (N - 1, N - 2)
+    terms[ij] = terms[ij] + [(1, 0, [(1, False, -1)])]
+    with pytest.raises(PoleError) as want:
+        [form_limit(N, _recurrence_terms(n, N, terms)) for n in range(N - 1)]
+    with pytest.raises(PoleError) as got:
+        recurrence_limits(N, terms)
+    assert got.value.entry == want.value.entry == ij
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_limit_slope_is_minus_the_derivative_at_minus_one(N):
+    # c_1 of every entry of T, T*, R, z' and every M^(n) is -d/dX of its
+    # canonical form at X = -1 (ds/dX = 1/X for s = log(-X)); the products
+    # of the M^(n) have order -2 in s, so their s^3 terms are read too
+    names = [("T", None), ("Tstar", None), ("R", None), ("Zprime", None)]
+    names += [("M", n) for n in range(N - 1)]
+    for what, index in names:
+        forms, mat = repbuild.forms(what, N, index), built(what, N, index)
+        for (i, j), entry in forms.items():
+            assert _limit(entry)[1] == -slope_exact(mat[i][j], -1), (what, index, i, j)
+
+
 def test_limits_match_closed_forms_all_n():
     for N in range(2, 7):
         t, tstar = twists(N)
@@ -542,7 +599,7 @@ def test_integer_forms_equal_the_lcm_by_gcd(N):
     # the lcm of the built denominators, and each numerator over D is the
     # built entry times D over its denominator
     for m, entries in zip(twists(N), _twist_factors(N)):
-        assert _integer_form(entries, N) == lcm_form(m)
+        assert _integer_form(entries, N) == halves(lcm_form(m))
 
 
 # --- integer-evaluation checks against the Q(X) products ----------------------
@@ -623,8 +680,8 @@ def generator_pairs(draw):
 @settings(max_examples=40, deadline=None)
 def test_relation_checks_agree_with_qx_products(pair):
     t, tstar = pair
-    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == _reference_checks(t, tstar)
-    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == kronecker_relation_checks(t, tstar)
+    assert _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar))) == _reference_checks(t, tstar)
+    assert _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar))) == kronecker_relation_checks(t, tstar)
 
 
 def test_relation_checks_hold_on_conjugated_classical_pair():
@@ -634,19 +691,19 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
     u = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 1, 0, 1), 2))), g_inv)
     v = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 0, -1, 1), 2))), g_inv)
     v2 = fm_mul(v, v)
-    assert _integer_checks(*lcm_form(u), *lcm_form(v)) == _reference_checks(u, v) == (True, True)
-    assert _integer_checks(*lcm_form(u), *lcm_form(v2)) == _reference_checks(u, v2) == (False, False)
+    assert _integer_checks(*halves(lcm_form(u)), *halves(lcm_form(v))) == _reference_checks(u, v) == (True, True)
+    assert _integer_checks(*halves(lcm_form(u)), *halves(lcm_form(v2))) == _reference_checks(u, v2) == (False, False)
 
 
 def test_relation_checks_agree_on_generators():
     for N in range(2, 6):
-        assert relation_checks(N) == (True, True)
+        assert relation_checks(N, _twist_factors(N)) == (True, True)
         assert _reference_checks(*twists(N)) == (True, True)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_relation_checks_agree_with_kronecker_on_generators(N):
-    assert relation_checks(N) == (True, True)
+    assert relation_checks(N, _twist_factors(N)) == (True, True)
     assert kronecker_relation_checks(*twists(N)) == (True, True)
 
 
@@ -655,7 +712,7 @@ def test_relation_checks_negative_controls(N):
     t, tstar = twists(N)
     rows = [list(r) for r in t.rows]
     rows[0][0] = sub(rows[0][0], 1)
-    assert _integer_checks(*lcm_form(FMatrix(rows)), *lcm_form(tstar)) == (False, False)
+    assert _integer_checks(*halves(lcm_form(FMatrix(rows))), *halves(lcm_form(tstar))) == (False, False)
     assert kronecker_relation_checks(FMatrix(rows), tstar) == (False, False)
 
 
@@ -678,7 +735,7 @@ def test_relation_checks_fail_on_a_changed_factor(N):
 )
 def test_center_check_compares_with_both_generators(t, tstar):
     t, tstar = (FMatrix([[RatFunc(e) for e in row] for row in m]) for m in (t, tstar))
-    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == (False, False)
+    assert _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar))) == (False, False)
     assert _reference_checks(t, tstar) == kronecker_relation_checks(t, tstar) == (False, False)
 
 
@@ -726,7 +783,7 @@ def test_a_holding_braid_decides_the_center_unevaluated(monkeypatch, N, width, p
     # about half the widest span of one entry of its difference (`width`
     # degrees, the number of points before the parity was read)
     log = _blocks(monkeypatch)
-    assert relation_checks(N) == (True, True)
+    assert relation_checks(N, _twist_factors(N)) == (True, True)
     assert _points_per_prime(log, True) == {}
     assert _points_per_prime(log, False) == {float(q): _BRAID_POINTS[N] for q in _PRIMES[:primes]}
     lo, hi, single = _generator_spans(N)[0]
@@ -745,7 +802,7 @@ def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
     # the braid difference D_S - D_T = X - 1 takes K = 2 points on one prime
     # and fails in its one block; the 1 x 1 commutators vanish, K = 1
     log = _blocks(monkeypatch)
-    assert _integer_checks(ONE, [1], ONE, [0, 1]) == (False, True)
+    assert _integer_checks(*halves((ONE, [1], ONE, [0, 1]))) == (False, True)
     assert _points_per_prime(log, False) == {float(_PRIMES[0]): 2}
     assert _points_per_prime(log, True) == {float(_PRIMES[0]): 1}
 
@@ -753,7 +810,7 @@ def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
 def test_integer_checks_refuse_zero_denominators():
     # the braid implies the center only over nonzero D_T and D_S
     with pytest.raises(ValueError):
-        _integer_checks(ONE, [0], ONE, [1])
+        _integer_checks(*halves((ONE, [0], ONE, [1])))
 
 
 def test_prime_table_is_the_largest_primes_below_2_20():
@@ -794,8 +851,8 @@ def test_difference_divisible_by_all_primes_but_the_last_is_detected(k):
     m = math.prod(_PRIMES[: k - 1])
     dt, ds = [1], [1 + m]
     assert _primes_above(2 * (2 + m)) == _PRIMES[:k]  # the bound is |D_T|_1 + |D_S|_1
-    assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
-    assert _integer_checks(ONE, dt, ONE, dt) == (True, True)
+    assert _integer_checks(*halves((ONE, dt, ONE, ds))) == (False, True)
+    assert _integer_checks(*halves((ONE, dt, ONE, dt))) == (True, True)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 16])
@@ -808,9 +865,9 @@ def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
         falling = poly_mul(falling, Poly((-x, 1)))
     for v in (0, 3):
         dt = [0] * v + [1]
-        ds = list(poly_shift(falling + Poly((1,)), v).coeffs)
+        ds = list(poly_shift(poly_add(falling, Poly((1,))), v).coeffs)
         assert _points(ONE, dt, ONE, ds) == d + 1
-        assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
+        assert _integer_checks(*halves((ONE, dt, ONE, ds))) == (False, True)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7])
@@ -824,10 +881,10 @@ def test_zero_entries_never_shrink_the_points(monkeypatch, d):
     for x in range(1, d + 1):
         squares = poly_mul(squares, Poly((-x * x, 0, 1)))
     dt = [0, 0, 1]
-    ds = list(poly_shift(squares + Poly((1,)), 2).coeffs)
+    ds = list(poly_shift(poly_add(squares, Poly((1,))), 2).coeffs)
     pt = [[[1], []], [[], []]]
     assert _points(pt, dt, pt, ds) == d + 1
-    assert _integer_checks(pt, dt, pt, ds) == (False, True)
+    assert _integer_checks(*halves((pt, dt, pt, ds))) == (False, True)
     assert _points_per_prime(log, False) == {float(_PRIMES[0]): d + 1}
 
 
@@ -841,7 +898,7 @@ def test_zero_entries_never_shrink_the_points(monkeypatch, d):
 )
 def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
     with pytest.raises(TooLargeError):
-        _integer_checks(pt, dt, pt, ds)
+        _integer_checks(*halves((pt, dt, pt, ds)))
 
 
 # --- the degree spans that set the number of points ----------------------------
@@ -850,7 +907,7 @@ def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
 def _points(pt, dt, ps, ds):
     """K, the number of points `_integer_checks` evaluates at: 1 + the widest
     span of one entry, halved where the entry has one parity."""
-    spans = _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt))
+    spans = _spans(*_coefficient_rows(*halves((pt, dt, ps, ds))), len(pt))
     return 1 + max(np.where(single, (hi - lo) / 2, hi - lo).max() for lo, hi, single in spans)
 
 
@@ -921,7 +978,7 @@ def test_spans_hold_every_nonzero_coefficient(forms):
     braid = fm_sub(fm_scale(tst, d_s), fm_scale(fm_mul(fm_mul(tstar, t), tstar), d_t))
     c = fm_mul(tst, tst)
     center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
-    for (lo, hi, single), diffs in zip(_spans(*_coefficient_rows(*forms), len(pt)), ([braid], center)):
+    for (lo, hi, single), diffs in zip(_spans(*_coefficient_rows(*halves(forms)), len(pt)), ([braid], center)):
         lo, hi, single = (a.reshape(len(diffs), -1) for a in (lo, hi, single))
         for m, diff in enumerate(diffs):
             for cell, e in enumerate(e for row in diff.rows for e in row):
@@ -932,4 +989,4 @@ def test_spans_hold_every_nonzero_coefficient(forms):
                     assert all(k % 2 == lo[m, cell] % 2 for k, a in enumerate(e.num.coeffs) if a)
     # and the points they give decide both identities as the products do
     zero = [all(not e for d in diffs for row in d.rows for e in row) for diffs in ([braid], center)]
-    assert _integer_checks(*forms) == tuple(zero)
+    assert _integer_checks(*halves(forms)) == tuple(zero)
