@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import classical, numeric, repbuild
-from .errors import BadPError, NearPoleError, PoleError
+from .errors import BadPError, NearPoleError, PoleError, float_range
 from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
 from .qsymbols import _sum_form
@@ -62,7 +62,8 @@ def _rational_obj(mat):
 
 
 def _complex_obj(mat):
-    return [[{"re": float(e.real), "im": float(e.imag)} for e in row] for row in mat]
+    with float_range("a matrix entry"):
+        return [[{"re": float(e.real), "im": float(e.imag)} for e in row] for row in mat]
 
 
 def _emit(text: str, out_path):

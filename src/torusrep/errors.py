@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class PoleError(ArithmeticError):
     """Exact evaluation hit a genuine pole (denominator vanishes after reduction)."""
@@ -48,5 +50,16 @@ class ConvergenceError(RuntimeError):
 
 class TooLargeError(ValueError):
     """An input beyond a size the computation is bounded or exact for: a
-    dimension above the cap, or exact modular checks whose float64 arithmetic
-    would leave the range of exactly represented integers."""
+    dimension above the cap, exact modular checks whose float64 arithmetic
+    would leave the range of exactly represented integers, or a value beyond
+    the range of float64 (`float_range`)."""
+
+
+@contextlib.contextmanager
+def float_range(what: str):
+    """Turn an OverflowError in the block, where `what` is formed as a float,
+    into a TooLargeError naming it."""
+    try:
+        yield
+    except OverflowError:
+        raise TooLargeError(f"{what} is beyond the float range") from None

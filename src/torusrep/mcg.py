@@ -9,7 +9,7 @@ import math
 import re
 
 from .classical import SL2
-from .errors import ExponentZeroError, NotHyperbolicError, ParseError
+from .errors import ExponentZeroError, NotHyperbolicError, ParseError, float_range
 
 
 class Gen(enum.Enum):
@@ -86,8 +86,9 @@ def classify(w: Word) -> NTClass:
 
 def stretch_factor(g: SL2) -> float:
     """Dominant eigenvalue modulus (|tr| + sqrt(tr^2 - 4)) / 2 of a hyperbolic
-    element."""
+    element; TooLargeError where tr^2 is beyond the float range."""
     t = abs(g.trace)
     if t <= 2:
         raise NotHyperbolicError(f"|trace| = {t} is not > 2")
-    return (t + math.sqrt(t * t - 4)) / 2
+    with float_range("the squared trace"):
+        return (t + math.sqrt(t * t - 4)) / 2

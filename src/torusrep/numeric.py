@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .classical import hN_matrix
-from .errors import BadPError, ConvergenceError, NearPoleError, TooLargeError
+from .errors import BadPError, ConvergenceError, NearPoleError, TooLargeError, float_range
 from .mcg import Gen, NTClass, Word, classify, sl2_image, stretch_factor
 from .qsymbols import _cyclotomic, _factors, _in_x, _sum_factors, _y_cyclotomic, _y_factors
 
@@ -377,9 +377,11 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     character-normalized distance of the underlying TQFT matrices.
 
     N above `MAX_EIG_DIM` and more than `MAX_LEVELS` levels are rejected
-    before any evaluation (`check_size`)."""
+    before any evaluation (`check_size`), and a target h_N(w) beyond the
+    float range with a TooLargeError."""
     check_size(N, len(p_list))
-    target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
+    with float_range("an entry of the classical target h_N(w)"):
+        target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
     rows = []
     for block in _blocks(N, (PSetting(p, N) for p in sorted(p_list))):
         t, tstar = eval_twists(N, block, tol)
@@ -410,7 +412,8 @@ def amu_certificate(
     stretch = target = None
     if kind is NTClass.PSEUDO_ANOSOV:
         stretch = stretch_factor(sl2_image(w))
-        target = stretch ** (N - 1)
+        with float_range("the target eigenvalue stretch^(N-1)"):
+            target = stretch ** (N - 1)
     rows = tuple(convergence_table(w, N, range(2 * N + 1, p_max + 1, 2), tol))
     p0 = None
     if kind is NTClass.PSEUDO_ANOSOV:

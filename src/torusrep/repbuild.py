@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PoleError, TooLargeError
+from .errors import PoleError, TooLargeError, float_range
 from .field import FMatrix, RatFunc
 from .qsymbols import _lambda_form, _limit, _over_denominator, _poly, _rhat_form, _sum_form
 
@@ -136,19 +136,26 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
     maps `twist` of T and T* (`_twist_factors`): (T T* T == T* T T*, the
     center C = (T T* T)^2 commutes with T and with T*).
 
-    Write T = P_T / D_T and T* = P_S / D_S with integer polynomial matrices P
-    and D_T, D_S the least common denominators of the product forms of T and
-    T*, read straight from the factor lists (`_integer_form`). Then the braid
-    relation is D_S P_T P_S P_T == D_T P_S P_T P_S, and with
-    C' = (P_T P_S P_T)^2 the center commutes iff C' P_T == P_T C' and
-    C' P_S == P_S C' (both sides of a commutator share one denominator).
+    Both identities hold for T and T* iff they hold for E T E^-1 and
+    E T* E^-1, E = diag(X^floor(i/2)), and these are matrices over Q(Y),
+    Y = X^2: every symbol is X^-k times a polynomial in Y ({k} = X^-k (Y^k -
+    1) and {k}+ = X^-k (Y^k + 1) up to sign), and entry (i, j) of T and T*
+    is X^e g(Y) with e = floor(i/2) + floor(j/2) (mod 2) over its common
+    denominator, which conjugation by E takes to an even e (the symmetry
+    X -> -X of the generators). Write them P_T / D_T and P_S / D_S with P
+    integer polynomial matrices and D_T, D_S integer polynomials in Y, the
+    least common denominators of the product forms of T and T*, read straight
+    from the factor lists (`_integer_form`). Then the braid relation is
+    D_S P_T P_S P_T == D_T P_S P_T P_S, and with C' = (P_T P_S P_T)^2 the
+    center commutes iff C' P_T == P_T C' and C' P_S == P_S C' (both sides of
+    a commutator share one denominator).
 
     The braid identity implies the center one, as (T T* T)^2 is central in
     the braid group <T, T* | T T* T = T* T T*>. With A = P_T, B = P_S,
     d = D_T, e = D_S and W = ABA, suppose e ABA = d BAB. Then
     d BW = (d BAB) A = e WA and d WB = A (d BAB) = e AW, so
     d e W^2 A = d W (d BW) = d (e AW) W = d e A W^2 and
-    d W^2 B = W (e AW) = (e WA) W = d B W^2. Z[X] has no zero divisors and
+    d W^2 B = W (e AW) = (e WA) W = d B W^2. Z[Y] has no zero divisors and
     d, e are nonzero (they are denominators; `_integer_checks` refuses zero
     ones), so C' = W^2 commutes with A and with B. The center identity is
     therefore evaluated only when the braid identity fails; when it holds,
@@ -163,27 +170,15 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
       of entry norms (||gh||_1 <= ||g||_1 ||h||_1), one bound per identity
       (`_height_bound`);
     - every nonzero coefficient of an entry f of the difference has its
-      degree in the span [lo, hi] of that entry (`_spans`), so f = X^lo g
-      with deg g <= hi - lo;
-    - every symbol is X^-k times a polynomial in Y = X^2: {k} = X^-k (Y^k -
-      1) and {k}+ = X^-k (Y^k + 1) up to sign, so every entry of P_T, P_S,
-      D_T and D_S is X^t g(X^2) (`qsymbols`), and so is every product of
-      them. `_spans` follows the parity of the degrees through the products:
-      where every term of an entry f has the parity of lo, f = X^lo h(X^2)
-      with deg h <= (hi - lo)/2. Such an entry needs (hi - lo)/2 + 1 points
-      with distinct squares, and one of mixed parity (as from an arbitrary
-      integer input) hi - lo + 1 distinct points; K is the largest of these
-      over the entries of that identity's difference, and a zero entry adds
-      nothing;
-    - f is evaluated at x = 1..K modulo primes q from `_PRIMES`, taken in
-      order until their product exceeds 2 bound. As 2K < q, these are K
-      nonzero points of F_q with distinct squares (x^2 = x'^2 forces
-      x' = +-x, and 0 < x + x' < q). If f vanishes at all of them, then
-      h(x^2) = f(x) / x^lo does at K distinct points y = x^2, or g(x) at K
-      distinct points x, more than its degree: so h, or g, is 0 mod q, and q
-      divides every coefficient of f. If every prime does, so does their
-      product, and a multiple of it below the product in absolute value is
-      0;
+      degree in the span [lo, hi] of that entry (`_spans`), so f = Y^lo g
+      with deg g <= hi - lo; K is the largest hi - lo + 1 over the entries of
+      that identity's difference, and a zero entry adds nothing;
+    - f is evaluated at y = 1..K modulo primes q from `_PRIMES`, taken in
+      order until their product exceeds 2 bound. As K < q, these are K
+      distinct nonzero points of F_q. If f vanishes at all of them, then so
+      does g, at more points than its degree: so g is 0 mod q, and q divides
+      every coefficient of f. If every prime does, so does their product,
+      and a multiple of it below the product in absolute value is 0;
     - the arithmetic mod q is float64 with every partial sum below 2^53, so
       BLAS computes it exactly (`_integer_checks` states the invariants and
       raises `TooLargeError` for an input that would break one).
@@ -195,24 +190,29 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
 
 
 def _integer_form(forms, N: int):
-    """(P, D) with P / D the N x N matrix of the form map `forms`, whose
-    entries are single products (`_twist_factors`), zero off its keys: D is
-    their least common denominator, X^a prod Phi_d(Y)^e_d with a and e_d the
-    largest exponents of the products' denominators, expanded in Y = X^2,
-    and each entry of P its product's numerator over D
-    (`qsymbols._over_denominator`). Every polynomial f of P and D is given
-    as its halves (E, O), f = E(X^2) + X O(X^2), each a list of integer
-    coefficients in ascending degree; one of them is empty."""
+    """(P, D) with P / D = E M E^-1, M the N x N matrix of the form map
+    `forms`, whose entries are single products (`_twist_factors`), zero off
+    its keys, and E = diag(X^floor(i/2)), each polynomial a list of integer
+    coefficients in Y = X^2, ascending. Over the products' least common
+    denominator X^a den(Y), den = prod Phi_d^e_d with a and e_d the largest
+    exponents of their denominators, entry (i, j) of M is X^(t-a) c(Y) / den(Y)
+    with its numerator X^t c(Y) (`qsymbols._over_denominator`), so that of
+    E M E^-1 is Y^k c(Y) / den(Y), 2k = t - a + floor(i/2) - floor(j/2). P
+    and D are those numerators Y^k c and den, times the one Y^s with s >= 0
+    the least that makes every k + s >= 0. A ValueError names the first
+    entry whose 2k is odd, before anything is evaluated."""
     xpow, den, nums = _over_denominator(form for [form] in forms.values())
-    p = [[([], [])] * N for _ in range(N)]
-    for (i, j), num in zip(forms, nums):
-        p[i][j] = _halves(*num)
-    return p, _halves(xpow, list(_poly(1, 0, den).coeffs))
-
-
-def _halves(t: int, c):
-    """The halves (E, O) of X^t c(X^2)."""
-    return ([], [0] * (t // 2) + c) if t % 2 else ([0] * (t // 2) + c, [])
+    shifts = []
+    for (i, j), (t, _) in zip(forms, nums):
+        k, odd = divmod(t - xpow + i // 2 - j // 2, 2)
+        if odd:
+            raise ValueError(f"entry ({i}, {j}) is not X^(floor(i/2) + floor(j/2)) times a function of X^2")
+        shifts.append(k)
+    s = max(0, -min(shifts))
+    p = [[[]] * N for _ in range(N)]
+    for (i, j), k, (_, c) in zip(forms, shifts, nums):
+        p[i][j] = [0] * (k + s) + c
+    return p, [0] * s + list(_poly(1, 0, den).coeffs)
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum
@@ -227,56 +227,50 @@ _CHUNK = 64  # coefficients per matrix product in `_values`
 
 def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), every
-    polynomial as its halves (`_integer_form`), D_T and D_S nonzero.
+    polynomial a list of integer coefficients in ascending degree
+    (`_integer_form`), D_T and D_S nonzero; the decision holds for integer
+    polynomials in any one variable.
 
     The braid identity is decided first; the center identity, which it
-    implies, only when it fails. The halves are laid out once as rows
-    (`_coefficient_rows`), f(x) = E(x^2) + x O(x^2), and only those that are
-    not zero are evaluated, at y = x^2. Per prime, blocks of the points
-    x = 1..K are checked at once (`_check_block`). Each identity
-    has its own K (`_spans`) and its own primes (`_height_bound`). The
-    arithmetic is float64 on integers, exact because every coefficient is
-    below 2^53 and every partial sum of products of residues, which lie in
-    (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1) (q-1)^2 in the
-    evaluation (`_values`), q^2 in x^2 and in E + x O (x < q/2), N (q-1)^2 in
-    an N x N product and 2N (q-1)^2 in the difference of two, 2 (q-1)^2 in a
-    difference of scaled sides. `TooLargeError` is raised, before anything
-    is evaluated, for an input that would break one of these invariants,
-    2K < q, or the reach of the prime table for either identity, whether or
-    not the center identity is then evaluated."""
+    implies, only when it fails. The polynomials are laid out once as rows
+    (`_coefficient_rows`), and per prime, blocks of the points y = 1..K are
+    checked at once (`_check_block`). Each identity has its own K (`_spans`)
+    and its own primes (`_height_bound`). The arithmetic is float64 on
+    integers, exact because every coefficient is below 2^53 and every
+    partial sum of products of residues, which lie in (-q, q) (`_mod`),
+    stays below it: (`_CHUNK` + 1) (q-1)^2 in the evaluation (`_values`),
+    N (q-1)^2 in an N x N product and 2N (q-1)^2 in the difference of two,
+    2 (q-1)^2 in a difference of scaled sides. `TooLargeError` is raised,
+    before anything is evaluated, for an input that would break one of these
+    invariants, K < q, or the reach of the prime table for either identity,
+    whether or not the center identity is then evaluated."""
     n = len(pt)
-    where, halves = _coefficient_rows(pt, dt, ps, ds)
-    if np.abs(halves).max() >= 2**53:
+    with float_range("a coefficient of the exact checks"):
+        where, rows = _coefficient_rows(pt, dt, ps, ds)
+    if np.abs(rows).max() >= 2**53:
         raise TooLargeError("exact checks need every coefficient below 2^53")
-    points = [1 + int(max(0, ((hi - lo) / (1 + single)).max())) for lo, hi, single in _spans(where, halves, n)]
+    points = [1 + int(max(0, (hi - lo).max())) for lo, hi in _spans(where, rows, n)]
     primes = [_primes_above(2 * bound) for bound in _height_bound(pt, dt, ps, ds)]
-    if 2 * max(points) >= min(p[-1] for p in primes) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
-        raise TooLargeError("exact checks need 2K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
-    if not (halves[-2].any() and halves[-1].any()):
+    if max(points) >= min(p[-1] for p in primes) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
+        raise TooLargeError("exact checks need K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
+    if not (rows[-2].any() and rows[-1].any()):
         raise ValueError("exact checks need nonzero denominators D_T and D_S")
 
-    # the halves, row r's even one at 2r and odd one at 2r + 1 in `index`,
-    # longest first and cut after the first zero one, which stands for every
-    # zero half: value r is E_r + x O_r
-    length = _lengths(halves != 0).ravel()
-    rank = np.argsort(-length, kind="stable")
-    order = rank[: np.count_nonzero(length) + 1]
-    rows, lengths = halves.reshape(len(length), -1)[order], length[order]
-    index = np.minimum(np.argsort(rank), len(order) - 1).reshape(-1, 2).T
+    lengths = _lengths(rows != 0)
+    order = np.argsort(-lengths, kind="stable")  # longest first, as `_values` takes them
+    rows, lengths, back = rows[order], lengths[order], np.argsort(order)
     block = max(1, _BLOCK_CELLS // (n * n))
     buf = np.zeros((2, block, n, n))
 
     def holds(center: bool, points: int, primes) -> bool:
-        # per prime, blocks of the points x = 1..points at once; the first
+        # per prime, blocks of the points y = 1..points at once; the first
         # block where the identity fails decides
         for prime in primes:
             q = float(prime)
             a = _mod(rows.copy(), q)
             for start in range(1, points + 1, block):
-                x = np.arange(start, min(start + block, points + 1), dtype=np.float64)
-                v = _values(a, lengths, _mod(x * x, q), q)
-                vals = _mod(v[index[0]] + v[index[1]] * x, q)
-                if not _check_block(vals, where, buf[:, : len(x)], q, center):
+                y = np.arange(start, min(start + block, points + 1), dtype=np.float64)
+                if not _check_block(_values(a, lengths, y, q)[back], where, buf[:, : len(y)], q, center):
                     return False
         return True
 
@@ -285,81 +279,62 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
 
 
 def _coefficient_rows(pt, dt, ps, ds):
-    """(where, halves): the cells (m, i, j) of the nonzero entries of P_T
-    (m = 0) and P_S (m = 1), and the float64 halves of those, D_T and D_S,
-    row r's coefficient of X^(2i+t) at [r, t, i]."""
+    """(where, rows): the cells (m, i, j) of the nonzero entries of P_T
+    (m = 0) and P_S (m = 1), and the float64 coefficients of those, D_T and
+    D_S, row r's coefficient of degree k at [r, k]."""
     cells, polys = [], []
     for m, p in enumerate((pt, ps)):
         for i, row in enumerate(p):
-            for j, (even, odd) in enumerate(row):
-                if any(even) or any(odd):
+            for j, f in enumerate(row):
+                if any(f):
                     cells.append((m, i, j))
-                    polys.append((even, odd))
+                    polys.append(f)
     polys += [dt, ds]
-    halves = np.zeros((len(polys), 2, max(len(h) for poly in polys for h in poly)))
-    for r, poly in enumerate(polys):
-        for t, h in enumerate(poly):
-            halves[r, t, : len(h)] = h
-    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), halves
+    rows = np.zeros((len(polys), max(map(len, polys))))
+    for r, f in enumerate(polys):
+        rows[r, : len(f)] = f
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), rows
 
 
 def _lengths(nz):
-    """The number of coefficients of each half up to its last nonzero one,
+    """The number of coefficients of each row up to its last nonzero one,
     from the mask nz of the nonzero ones."""
     return (nz * np.arange(1, nz.shape[-1] + 1)).max(-1)
 
 
-_FLIP = np.array([[0, 1], [1, 0]])  # [t, u] -> the parity t + u
-
-
-def _spans(where, halves, n):
-    """[(lo, hi, single)] for the braid and the center, arrays of shape (n, n)
-    and (2, n, n): every nonzero coefficient of entry (i, j) of
+def _spans(where, rows, n):
+    """[(lo, hi)] for the braid and the center, arrays of shape (n, n) and
+    (2, n, n): every nonzero coefficient of entry (i, j) of
     D_S P_T P_S P_T - D_T P_S P_T P_S, and of C' P - P C' for P = P_T, P_S,
     has its degree in [lo, hi] at (i, j), the hull of the spans of that entry
-    on the two sides, and where single is True all of them have the parity
-    of lo and hi. Each span is kept per parity of the degree, the rows'
-    valuations lo and degrees hi go through the products as (lo, -hi), both
-    in (min, +), and a product's parity is the sum of its factors': an n x n
-    matrix of spans is the 2n x 2n one whose entry (2i + u, 2j + v) is the
-    span of parity u + v (mod 2) of entry (i, j), so its products are those
-    of the 2n x 2n matrices, and the span of parity t of (i, j) is read at
-    (2i, 2j + t). A zero entry, or a parity with no terms, has lo = inf and
+    on the two sides. The rows' valuations lo and degrees hi go through the
+    products as (lo, -hi), both in (min, +). A zero entry has lo = inf and
     hi = -inf."""
     def product(a, b):  # of (lo, -hi) stacks of span matrices, broadcast
         return (a[..., None] + b[..., None, :, :]).min(-2)
 
-    def entries(m):  # (..., 2n, 2n) -> (..., n, n, 2), the spans of each parity
-        return m.reshape(*m.shape[:-2], n, 2, n, 2)[..., 0, :, :]
-
-    nz = halves != 0
+    nz = rows != 0
     length = _lengths(nz)
-    # (lo, -hi) of each half of each row, the degrees of its first and last
-    # nonzero coefficient, as 2 x 2 blocks
-    ends = np.where(length > 0, (2 * nz.argmax(-1) + (0, 1), (2, 1) - 2 * length), np.inf)
-    blocks = ends[..., _FLIP]
-    p = np.full((2, 2, n, n, 2, 2), np.inf)  # of (P_T, P_S)
-    p[:, where[0], where[1], where[2]] = blocks[:, :-2]
-    p = p.transpose(0, 1, 2, 4, 3, 5).reshape(2, 2, 2 * n, 2 * n)
+    ends = np.where(length > 0, (nz.argmax(-1), 1 - length), np.inf)  # (lo, -hi) of each row
+    p = np.full((2, 2, n, n), np.inf)  # of (P_T, P_S)
+    p[:, where[0], where[1], where[2]] = ends[:, :-2]
     tst_sts = product(product(p, p[:, ::-1]), p)
-    d = blocks[:, :-3:-1, None, None]  # (D_S, D_T)
-    sides = (entries(tst_sts)[..., None] + d).min(-2)  # (D_S TST, D_T STS)
+    sides = tst_sts + ends[:, :-3:-1, None, None]  # (D_S TST, D_T STS)
     c = product(tst_sts[:, :1], tst_sts[:, :1])
     commutators = np.minimum(product(c, p), product(p, c))  # (C' P, P C')
-    s = np.concatenate((sides.min(1, keepdims=True), entries(commutators)), 1)
-    (lo, hi), single = s.min(-1), (s[0] < np.inf).sum(-1) == 1
-    return [(lo[0], -hi[0], single[0]), (lo[1:], -hi[1:], single[1:])]
+    s = np.concatenate((sides.min(1, keepdims=True), commutators), 1)
+    return [(s[0, 0], -s[1, 0]), (s[0, 1:], -s[1, 1:])]
 
 
 def _height_bound(pt, dt, ps, ds) -> tuple[int, int]:
     """(braid, center): bounds on every coefficient of the difference of the
     two sides of each identity, ||gh||_1 <= ||g||_1 ||h||_1 through the
     matrices of entry l1-norms (numpy arrays of Python ints)."""
-    nt, ns = (np.array([[sum(map(abs, e + o)) for e, o in row] for row in p], dtype=object) for p in (pt, ps))
+    nt, ns = (np.array([[sum(map(abs, f)) for f in row] for row in p], dtype=object) for p in (pt, ps))
     tst, sts = nt @ ns @ nt, ns @ nt @ ns
     c = tst @ tst
     return (
-        (tst * sum(map(abs, ds[0] + ds[1])) + sts * sum(map(abs, dt[0] + dt[1]))).max(),
+        (tst * sum(map(abs, ds)) + sts * sum(map(abs, dt))).max(),
         max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max()),
     )
 

@@ -2,7 +2,7 @@
 arithmetic by polynomial gcd, products of quantum integers by that arithmetic
 and by their cyclotomic exponents, monomials and the identity matrix, exact
 values and slopes at a rational point (values entrywise for a matrix, naming
-the entry of a pole), the halves of integer polynomials that the exact checks
+the entry of a pole), the integer forms in Y = X^2 that the exact checks
 take, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
 arithmetic, exact matrix inverse and word products over Q(X), the braid and
 center checks by Kronecker substitution, T and T* by the column recurrence
@@ -325,8 +325,9 @@ def fm_sub(a: FMatrix, b: FMatrix) -> FMatrix:
 
 
 def lcm_form(m: FMatrix):
-    """(P, D) with m = P / D as `repbuild._integer_form` gives them from the
-    factor lists, for any matrix over Q(X): D the lcm in Z[X] of the entry
+    """(P, D) with m = P / D, for any matrix over Q(X), the integer forms the
+    exact checks take (`conjugated_form` gives those of the generators, which
+    `repbuild._integer_form` reads off the factor lists): D the lcm in Z[X] of the entry
     denominators by gcd, P the matrix of num * (D / den) as integer
     coefficient lists. A canonical denominator may carry an integer content
     (1/(2X) has den 2X), so the gcd taken out of each product is the
@@ -340,18 +341,34 @@ def lcm_form(m: FMatrix):
     return [[list(poly_mul(e.num, den.exact_div(e.den)).coeffs) for e in row] for row in m.rows], list(den.coeffs)
 
 
-def halves(f):
-    """An integer polynomial f, a list of coefficients in ascending degree, as
-    the halves (E, O) that the exact checks take (`repbuild._integer_form`),
-    f = E(X^2) + X O(X^2), each cut after its last nonzero coefficient; a
-    list or tuple of such lists, or of lists of them, entry by entry."""
-    if all(isinstance(c, int) for c in f):
-        half = [list(f[t::2]) for t in (0, 1)]
-        for h in half:
-            while h and not h[-1]:
-                h.pop()
-        return tuple(half)
-    return type(f)(map(halves, f))
+def conjugated_form(p, d):
+    """(P', D') as `repbuild._integer_form` gives them, from the (P, D) of
+    `lcm_form` of a matrix m whose entry (i, j) is X^(floor(i/2) + floor(j/2))
+    times a function of X^2 over D: P' / D' = E m E^-1 with
+    E = diag(X^floor(i/2)), P and D both times the least X^u that makes every
+    polynomial one in Y = X^2, each a list of its coefficients in Y."""
+    def valuation(f):
+        return next(k for k, c in enumerate(f) if c)
+
+    def in_y(f, k):  # X^k f, k + valuation(f) >= 0, in Y
+        x = [0] * k + f if k >= 0 else f[-k:]
+        assert not any(x[1::2]), "terms of both parities"
+        return x[::2]
+
+    low = min([valuation(d)] + [valuation(f) + i // 2 - j // 2
+                                for i, row in enumerate(p) for j, f in enumerate(row) if any(f)])
+    u = (low - valuation(d)) % 2 - low  # the least u >= -low with u + valuation(d) even
+    return [[in_y(f, u + i // 2 - j // 2) if any(f) else [] for j, f in enumerate(row)]
+            for i, row in enumerate(p)], in_y(d, u)
+
+
+def in_y(f):
+    """(t, c) with f = X^t c(X^2), for a nonzero integer polynomial f (its
+    coefficients, ascending) whose terms have one parity: c the coefficients
+    in Y = X^2 from the lowest."""
+    t = next(k for k, c in enumerate(f) if c)
+    assert not any(f[t + 1 :: 2]), "terms of both parities"
+    return t, list(f[t::2])
 
 
 def ratfunc_from_obj(obj: dict) -> RatFunc:
@@ -637,7 +654,7 @@ def verify_braid(N: int) -> bool:
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
     """The braid relation for any pair over Q(X), by `relation_checks`'
     decision procedure on their (P, D) forms by lcm."""
-    return _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar)))[0]
+    return _integer_checks(*lcm_form(t), *lcm_form(tstar))[0]
 
 
 def rep_of_word(w: Word, N: int) -> FMatrix:
@@ -702,7 +719,7 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     verdict here never rests on the braid implying it."""
     pt, dt = lcm_form(t)
     ps, ds = lcm_form(tstar)
-    w = (2 * max(_height_bound(*halves((pt, dt, ps, ds))))).bit_length()  # B = 2^w > 2 * bound
+    w = (2 * max(_height_bound(pt, dt, ps, ds))).bit_length()  # B = 2^w > 2 * bound
 
     pt, ps = (np.array(_eval_matrix_at(p, w), dtype=object) for p in (pt, ps))
     tst, sts = pt @ ps @ pt, ps @ pt @ ps

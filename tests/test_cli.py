@@ -253,6 +253,30 @@ def test_verify_fails_the_recurrence_limits_on_a_changed_skein_constant(capsys, 
     ]
 
 
+# products added to z' at (0, 2), off its tridiagonal: {1}^2 vanishes to the
+# second order at X = -1, so the recurrence-matrix limits, which read the value
+# and the slope there, stay 0 at (0, 2)
+OFF_TRIDIAGONAL = {
+    "nonzero": [(1, 0, [(1, False, 2)])],
+    "cancelling": [(1, 0, [(1, False, 2)]), (-1, 0, [(1, False, 2)])],
+}
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+@pytest.mark.parametrize("added", OFF_TRIDIAGONAL)
+def test_verify_fails_the_tridiagonal_line_on_a_product_off_it(capsys, monkeypatch, added, N):
+    # only the tridiagonal line reads the sum at (0, 2) whole, and it FAILs
+    # iff that sum is not zero
+    terms = repbuild._zprime_terms
+    monkeypatch.setattr(repbuild, "_zprime_terms", lambda N: {**terms(N), (0, 2): OFF_TRIDIAGONAL[added]})
+    code, out, err = run(capsys, "verify", "--N", str(N))
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    if added == "nonzero":
+        assert (code, err, failed) == (1, "", [f"FAIL  recurrence matrices tridiagonal (N={N})"])
+    else:
+        assert (code, err, failed) == (0, "", [])
+
+
 # sha256 of `verify --N 2..12` and of `verify --N 2..12 --format json`
 VERIFY_DIGESTS = {
     "pretty": "bd5eb34eca7b7e8eb3999fd45b14eb9d29bb8312cc62cfa8089c0670ee76b186",
@@ -556,6 +580,24 @@ def test_scans_wider_than_the_level_cap_are_refused_at_once(capsys, argv):
     assert code == 2 and out == ""
     assert err == f"error: scan of 499999999998 levels exceeds bound {numeric.MAX_LEVELS}\n"
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("amu", "--word", f"y^{10**160} z^-1", "--N", "4", "--pmax", "11"), "the squared trace"),
+        (("amu", "--word", f"y^{10**100} z^-1", "--N", "32", "--pmax", "65"), "the target eigenvalue"),
+        (("limit", "--word", f"y^{10**400} z^-1", "--N", "4", "--p", "9..11"), "an entry of the classical target"),
+        (("matrices", "--N", "3", "--what", "hN", "--word", f"y^{10**400}", "--eval", "p=7"), "a matrix entry"),
+    ],
+    ids=["stretch", "target_eig", "limit_target", "hN_at_p"],
+)
+def test_exponents_beyond_the_float_range_are_refused(capsys, argv, what):
+    # the stretch factor, its power N-1 and h_N(w) are exact until they are
+    # made floats: there a typed error, not an OverflowError
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what}") and err.endswith("is beyond the float range\n")
 
 
 def test_level_cap_admits_the_widest_documented_scan():

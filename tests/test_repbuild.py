@@ -14,7 +14,7 @@ from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
 from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
-from torusrep.qsymbols import _limit
+from torusrep.qsymbols import _limit, _over_denominator
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
@@ -51,8 +51,8 @@ from reference import (
     fm_sub,
     identity,
     kronecker_relation_checks,
+    conjugated_form,
     lambda_shifted,
-    halves,
     lcm_form,
     monomial,
     mul,
@@ -597,9 +597,10 @@ def test_integer_forms_equal_the_lcm_by_gcd(N):
     # (P, D) read from the factor lists are those of the gcd route on the
     # built generators: D from the exponent maxima of the product forms is
     # the lcm of the built denominators, and each numerator over D is the
-    # built entry times D over its denominator
+    # built entry times D over its denominator, both conjugated by
+    # diag(X^floor(i/2)) into Y = X^2 and shifted by one Y^s
     for m, entries in zip(twists(N), _twist_factors(N)):
-        assert _integer_form(entries, N) == halves(lcm_form(m))
+        assert _integer_form(entries, N) == conjugated_form(*lcm_form(m))
 
 
 # --- integer-evaluation checks against the Q(X) products ----------------------
@@ -680,8 +681,8 @@ def generator_pairs(draw):
 @settings(max_examples=40, deadline=None)
 def test_relation_checks_agree_with_qx_products(pair):
     t, tstar = pair
-    assert _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar))) == _reference_checks(t, tstar)
-    assert _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar))) == kronecker_relation_checks(t, tstar)
+    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == _reference_checks(t, tstar)
+    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == kronecker_relation_checks(t, tstar)
 
 
 def test_relation_checks_hold_on_conjugated_classical_pair():
@@ -691,8 +692,8 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
     u = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 1, 0, 1), 2))), g_inv)
     v = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 0, -1, 1), 2))), g_inv)
     v2 = fm_mul(v, v)
-    assert _integer_checks(*halves(lcm_form(u)), *halves(lcm_form(v))) == _reference_checks(u, v) == (True, True)
-    assert _integer_checks(*halves(lcm_form(u)), *halves(lcm_form(v2))) == _reference_checks(u, v2) == (False, False)
+    assert _integer_checks(*lcm_form(u), *lcm_form(v)) == _reference_checks(u, v) == (True, True)
+    assert _integer_checks(*lcm_form(u), *lcm_form(v2)) == _reference_checks(u, v2) == (False, False)
 
 
 def test_relation_checks_agree_on_generators():
@@ -712,7 +713,7 @@ def test_relation_checks_negative_controls(N):
     t, tstar = twists(N)
     rows = [list(r) for r in t.rows]
     rows[0][0] = sub(rows[0][0], 1)
-    assert _integer_checks(*halves(lcm_form(FMatrix(rows))), *halves(lcm_form(tstar))) == (False, False)
+    assert _integer_checks(*lcm_form(FMatrix(rows)), *lcm_form(tstar)) == (False, False)
     assert kronecker_relation_checks(FMatrix(rows), tstar) == (False, False)
 
 
@@ -735,7 +736,7 @@ def test_relation_checks_fail_on_a_changed_factor(N):
 )
 def test_center_check_compares_with_both_generators(t, tstar):
     t, tstar = (FMatrix([[RatFunc(e) for e in row] for row in m]) for m in (t, tstar))
-    assert _integer_checks(*halves(lcm_form(t)), *halves(lcm_form(tstar))) == (False, False)
+    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == (False, False)
     assert _reference_checks(t, tstar) == kronecker_relation_checks(t, tstar) == (False, False)
 
 
@@ -768,8 +769,34 @@ def _points_per_prime(log, center):
     return out
 
 
-# K of the braid at each N: every entry of its difference is X^t g(X^2), so
-# K = (width - 1) / 2 + 1 points x with distinct squares x^2
+def test_generator_entries_have_the_parity_of_their_row_and_column():
+    # the precondition of `_integer_form`'s conjugation by diag(X^floor(i/2)):
+    # over its common denominator X^a den(Y), entry (i, j) of T and of T* is
+    # X^e c(Y) with e = floor(i/2) + floor(j/2) (mod 2), all 11,966 at
+    # N = 2..32
+    entries = 0
+    for N in range(2, 33):
+        for forms in _twist_factors(N):
+            xpow, _, nums = _over_denominator(form for [form] in forms.values())
+            assert all((t - xpow - i // 2 - j // 2) % 2 == 0 for (i, j), (t, _) in zip(forms, nums)), N
+            entries += len(nums)
+    assert entries == 11_966
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_an_entry_of_the_other_parity_is_refused_before_evaluation(monkeypatch, N):
+    # T[0][1] with its power of -X moved by one
+    log = _blocks(monkeypatch)
+    t, tstar = _twist_factors(N)
+    [(sign, power, factors)] = t[0, 1]
+    t = {**t, (0, 1): [(sign, power + 1, factors)]}
+    with pytest.raises(ValueError, match=r"^entry \(0, 1\) "):
+        relation_checks(N, (t, tstar))
+    assert log == []
+
+
+# K of the braid at each N: 1 + the widest span of one entry of its difference
+# in Y = X^2, (width - 1) / 2 + 1 for the widest in X (`width` degrees)
 _BRAID_POINTS = {2: 8, 3: 23, 4: 46, 5: 77, 6: 116, 7: 163, 8: 218, 12: 518}
 
 
@@ -786,8 +813,8 @@ def test_a_holding_braid_decides_the_center_unevaluated(monkeypatch, N, width, p
     assert relation_checks(N, _twist_factors(N)) == (True, True)
     assert _points_per_prime(log, True) == {}
     assert _points_per_prime(log, False) == {float(q): _BRAID_POINTS[N] for q in _PRIMES[:primes]}
-    lo, hi, single = _generator_spans(N)[0]
-    assert 1 + (hi - lo).max() == width and single[hi >= lo].all()
+    lo, hi = _generator_spans(N)[0]
+    assert 1 + 2 * (hi - lo).max() == width
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -802,7 +829,7 @@ def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
     # the braid difference D_S - D_T = X - 1 takes K = 2 points on one prime
     # and fails in its one block; the 1 x 1 commutators vanish, K = 1
     log = _blocks(monkeypatch)
-    assert _integer_checks(*halves((ONE, [1], ONE, [0, 1]))) == (False, True)
+    assert _integer_checks(ONE, [1], ONE, [0, 1]) == (False, True)
     assert _points_per_prime(log, False) == {float(_PRIMES[0]): 2}
     assert _points_per_prime(log, True) == {float(_PRIMES[0]): 1}
 
@@ -810,7 +837,7 @@ def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
 def test_integer_checks_refuse_zero_denominators():
     # the braid implies the center only over nonzero D_T and D_S
     with pytest.raises(ValueError):
-        _integer_checks(*halves((ONE, [0], ONE, [1])))
+        _integer_checks(ONE, [0], ONE, [1])
 
 
 def test_prime_table_is_the_largest_primes_below_2_20():
@@ -851,8 +878,8 @@ def test_difference_divisible_by_all_primes_but_the_last_is_detected(k):
     m = math.prod(_PRIMES[: k - 1])
     dt, ds = [1], [1 + m]
     assert _primes_above(2 * (2 + m)) == _PRIMES[:k]  # the bound is |D_T|_1 + |D_S|_1
-    assert _integer_checks(*halves((ONE, dt, ONE, ds))) == (False, True)
-    assert _integer_checks(*halves((ONE, dt, ONE, dt))) == (True, True)
+    assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
+    assert _integer_checks(ONE, dt, ONE, dt) == (True, True)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 16])
@@ -867,24 +894,23 @@ def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
         dt = [0] * v + [1]
         ds = list(poly_shift(poly_add(falling, Poly((1,))), v).coeffs)
         assert _points(ONE, dt, ONE, ds) == d + 1
-        assert _integer_checks(*halves((ONE, dt, ONE, ds))) == (False, True)
+        assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7])
 def test_zero_entries_never_shrink_the_points(monkeypatch, d):
-    # the braid difference is D_S - D_T = X^2 (X^2 - 1^2) ... (X^2 - d^2) at
-    # (0, 0) and zero (width -inf) at the other three entries: one parity,
-    # width 2d, so K = d + 1 points, and it is zero at x = 1..d, nonzero at
-    # the last point
+    # the braid difference is D_S - D_T = Y (Y - 1) ... (Y - d) at (0, 0) and
+    # zero (width -inf) at the other three entries: width d, so K = d + 1
+    # points, and it is zero at y = 1..d, nonzero at the last point
     log = _blocks(monkeypatch)
-    squares = Poly((1,))
-    for x in range(1, d + 1):
-        squares = poly_mul(squares, Poly((-x * x, 0, 1)))
-    dt = [0, 0, 1]
-    ds = list(poly_shift(poly_add(squares, Poly((1,))), 2).coeffs)
+    falling = Poly((1,))
+    for y in range(1, d + 1):
+        falling = poly_mul(falling, Poly((-y, 1)))
+    dt = [0, 1]
+    ds = list(poly_shift(poly_add(falling, Poly((1,))), 1).coeffs)
     pt = [[[1], []], [[], []]]
     assert _points(pt, dt, pt, ds) == d + 1
-    assert _integer_checks(*halves((pt, dt, pt, ds))) == (False, True)
+    assert _integer_checks(pt, dt, pt, ds) == (False, True)
     assert _points_per_prime(log, False) == {float(_PRIMES[0]): d + 1}
 
 
@@ -892,13 +918,16 @@ def test_zero_entries_never_shrink_the_points(monkeypatch, d):
     "pt, dt, ds",
     [
         (ONE, [1], [2**53]),  # a coefficient float64 cannot hold exactly
-        ([[[1] + [0] * 150_000 + [1]]], [1], [1]),  # 1 + X^150001: K = 7 * 150001 + 1 >= q
+        ([[[1] + [0] * 150_000 + [1]]], [1], [1]),  # 1 + Y^150001: K = 7 * 150001 + 1 >= q
         ([[[2**50] * 2] * 2] * 2, [1], [1]),  # a height beyond the prime table
+        (ONE, [1], [10**400]),  # one float64 cannot hold at all
     ],
 )
-def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
+def test_integer_checks_refuse_inputs_beyond_their_invariants(monkeypatch, pt, dt, ds):
+    log = _blocks(monkeypatch)
     with pytest.raises(TooLargeError):
-        _integer_checks(*halves((pt, dt, pt, ds)))
+        _integer_checks(pt, dt, pt, ds)
+    assert log == []  # before anything is evaluated
 
 
 # --- the degree spans that set the number of points ----------------------------
@@ -906,9 +935,9 @@ def test_integer_checks_refuse_inputs_beyond_their_invariants(pt, dt, ds):
 
 def _points(pt, dt, ps, ds):
     """K, the number of points `_integer_checks` evaluates at: 1 + the widest
-    span of one entry, halved where the entry has one parity."""
-    spans = _spans(*_coefficient_rows(*halves((pt, dt, ps, ds))), len(pt))
-    return 1 + max(np.where(single, (hi - lo) / 2, hi - lo).max() for lo, hi, single in spans)
+    span of one entry."""
+    spans = _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt))
+    return 1 + max((hi - lo).max() for lo, hi in spans)
 
 
 def _generator_spans(N):
@@ -921,10 +950,13 @@ def _generator_spans(N):
     [(2, 25), (3, 78), (4, 160), (5, 272), (6, 413), (7, 583), (8, 783), (12, 1875)],
 )
 def test_points_on_the_generators(N, points):
-    # one span per identity, the hull of its entries' spans: 1 + its width.
-    # 1 + max(deg D + 3 dmax, 7 dmax), with every entry taken at degree dmax
-    # and valuation 0, is 43 at N = 2, 1212 at N = 8 and 2878 at N = 12
-    assert 1 + max(hi.max() - lo.min() for lo, hi, _ in _generator_spans(N)) == points
+    # one span per identity, the hull of its entries' spans in X on the
+    # unconjugated forms (`lcm_form`): 1 + its width. 1 + max(deg D + 3 dmax,
+    # 7 dmax), with every entry taken at degree dmax and valuation 0, is 43
+    # at N = 2, 1212 at N = 8 and 2878 at N = 12
+    t, tstar = twists(N)
+    spans = _spans(*_coefficient_rows(*lcm_form(t), *lcm_form(tstar)), N)
+    assert 1 + max(hi.max() - lo.min() for lo, hi in spans) == points
 
 
 @pytest.mark.parametrize(
@@ -932,8 +964,9 @@ def test_points_on_the_generators(N, points):
     [(2, 25), (3, 77), (4, 157), (5, 267), (6, 405), (7, 571), (8, 767), (12, 1835)],
 )
 def test_points_per_entry_on_the_generators(N, points):
-    # K is 1 + the widest span of one entry, at most the hull's (above)
-    assert 1 + max((hi - lo).max() for lo, hi, _ in _generator_spans(N)) == points
+    # the widest span of one entry, at most the hull's (above): `points`
+    # degrees in X, (points - 1) / 2 + 1 in Y = X^2, where the checks run
+    assert 1 + 2 * max((hi - lo).max() for lo, hi in _generator_spans(N)) == points
 
 
 small_polys = st.lists(st.integers(min_value=-2, max_value=2), max_size=5)  # zeros at either end
@@ -949,25 +982,11 @@ def integer_forms(draw):
         st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n),
     )
     dens = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3).filter(any)
-    pt, dt, ps, ds = draw(matrices), draw(dens), draw(matrices), draw(dens)
-    if draw(st.booleans()):
-        # entry (i, j) X^((a_i + a_j) mod 2) g(X^2), D_T and D_S X^t g(X^2):
-        # every entry of each side has one parity, and so has every entry of
-        # the center's differences, and of the braid's where t is the same
-        a = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        pt, ps = ([[_spread(e, (a[i] + a[j]) % 2) for j, e in enumerate(row)] for i, row in enumerate(m)]
-                  for m in (pt, ps))
-        dt, ds = (_spread(d, draw(st.integers(0, 1))) for d in (dt, ds))
-    return pt, dt, ps, ds
-
-
-def _spread(c, t):
-    """The coefficient list of X^t c(X^2)."""
-    return [0] * t + [x for y in c for x in (y, 0)][:-1] if c else []
+    return draw(matrices), draw(dens), draw(matrices), draw(dens)
 
 
 @given(integer_forms())
-# P_T C' has a term X^6, C' P_T and C' P_S only X^7: both sides' spans count
+# P_T C' has a term Y^6, C' P_T and C' P_S only Y^7: both sides' spans count
 @example(([[[-1], [0, -1]], [[0], [0, 1]]], [1], [[[], []], [[], [0, -1]]], [1]))
 @settings(max_examples=60, deadline=None)
 def test_spans_hold_every_nonzero_coefficient(forms):
@@ -978,15 +997,12 @@ def test_spans_hold_every_nonzero_coefficient(forms):
     braid = fm_sub(fm_scale(tst, d_s), fm_scale(fm_mul(fm_mul(tstar, t), tstar), d_t))
     c = fm_mul(tst, tst)
     center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
-    for (lo, hi, single), diffs in zip(_spans(*_coefficient_rows(*halves(forms)), len(pt)), ([braid], center)):
-        lo, hi, single = (a.reshape(len(diffs), -1) for a in (lo, hi, single))
+    for (lo, hi), diffs in zip(_spans(*_coefficient_rows(*forms), len(pt)), ([braid], center)):
+        lo, hi = (a.reshape(len(diffs), -1) for a in (lo, hi))
         for m, diff in enumerate(diffs):
             for cell, e in enumerate(e for row in diff.rows for e in row):
                 assert e.den == Poly((1,))
                 assert all(lo[m, cell] <= k <= hi[m, cell] for k, a in enumerate(e.num.coeffs) if a)
-                if single[m, cell]:
-                    assert lo[m, cell] % 2 == hi[m, cell] % 2
-                    assert all(k % 2 == lo[m, cell] % 2 for k, a in enumerate(e.num.coeffs) if a)
     # and the points they give decide both identities as the products do
     zero = [all(not e for d in diffs for row in d.rows for e in row) for diffs in ([braid], center)]
-    assert _integer_checks(*halves(forms)) == tuple(zero)
+    assert _integer_checks(*forms) == tuple(zero)
