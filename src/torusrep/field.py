@@ -1,10 +1,12 @@
 """Exact values in Q(X): dense polynomials over Z, and elements and small
-matrices of Q(X) held in canonical form.
+matrices of Q(X) held in canonical form, which is how a form is printed.
 
-A `Poly` divides exactly (by a power of X too), but is never added to or
-multiplied by another: every sum needed is one of coefficient lists
-(`qsymbols._sum_factors`), and every product one of cyclotomic polynomials,
-which `qsymbols._poly` expands as one power series.
+A `Poly` divides exactly (by a power of its variable too), but is never added
+to or multiplied by another: every sum needed is one of coefficient lists in
+Y = X^2 (`qsymbols._sum_factors`), and every product one of cyclotomic
+polynomials in Y, which `qsymbols._series` expands as one power series. A
+`Poly` in X is made only to print a form, its coefficients in Y interleaved
+(`qsymbols._sum_forms`).
 
 Coefficients are Python ints only: the representations are integral
 (Gilmer-Masbaum), and every entry built has a monic denominator. A `RatFunc`
@@ -13,7 +15,7 @@ common factor, polynomial or integer, and den with a positive leading
 coefficient. For a monic den this is num and den coprime over Q with den
 monic. Nothing here computes a common divisor or does field arithmetic:
 `qsymbols` reaches the canonical form of every entry from its cyclotomic
-factors, and `repbuild` decides identities on integer polynomials.
+factors in Y, and `repbuild` decides identities on integer polynomials.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class Poly:
     @staticmethod
     def _raw(cs):
         """Unchecked constructor for int coefficients (the results of the
-        arithmetic here and of `qsymbols._poly`). Trailing zeros are trimmed."""
+        arithmetic here and of `qsymbols`). Trailing zeros are trimmed."""
         n = len(cs)
         while n and not cs[n - 1]:
             n -= 1
@@ -68,14 +70,14 @@ class Poly:
 
     @property
     def valuation(self):
-        """Multiplicity of the root X = 0 (0 for the zero polynomial)."""
+        """Multiplicity of the root 0 (0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
             if c:
                 return i
         return 0
 
     def unshift(self, k):
-        """Divide by X^k, assuming valuation >= k."""
+        """Divide by the k-th power of the variable, assuming valuation >= k."""
         if k == 0 or self.is_zero:
             return self
         return Poly._raw(self.coeffs[k:])
@@ -247,9 +249,6 @@ class FMatrix:
         if not isinstance(other, FMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from itertools import accumulate
 
 import numpy as np
 
 from .classical import hN_matrix
 from .errors import BadPError, ConvergenceError, NearPoleError, TooLargeError, float_range
 from .mcg import Gen, NTClass, Word, classify, sl2_image, stretch_factor
-from .qsymbols import _cyclotomic, _factors, _in_x, _sum_factors, _y_cyclotomic, _y_factors
+from .qsymbols import _factors, _in_x, _sum_factors, _y_cyclotomic
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MARGIN = 1e-6
@@ -219,37 +220,29 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
 def eval_forms(N: int, forms, s: PSetting, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """The float twin of `repbuild.form_limit`: the N x N complex matrix of
     the entries of the form map `forms` at A_p of level s, zero off its keys.
-    Each entry is read as (-1)^g c(X) X^a prod_m (1 - X^m)^f_m, chosen by
-    its length. A product s X^a prod_m (Y^m - 1)^f_m (`qsymbols._y_factors`)
-    has c = s, its factors (1 - X^2m)^f_m and g = sum f_m. A longer entry
-    c(X) / (X^-a prod Phi_d^-e_d) (`qsymbols._sum_factors`, with Phi_2 =
-    1 + X, which vanishes at X = -1 near A_p, divided out of c) has the
-    factors that Moebius inversion gives (`qsymbols._factors`) and g = e_1.
-    With A = exp(2 pi i t/2p), t = p + 2k, 1 - A^m = -2i sin(theta_m)
-    e^(i theta_m), theta_m = 2 pi m t/4p. So an entry is a product of sines,
-    each within an ulp or so, times sum_j c_j A^j and a phase, every angle
-    an integer over 4p reduced exactly (`_cis`). A divisor Phi_d(A) of the
-    entry's reduced denominator, |Phi_d(A)| = prod_{m | d} |1 -
-    A^m|^moebius(d/m), below `tol` in modulus raises NearPoleError for the
-    first such entry in row-major order; a factor 1 - A^m that the numerator
-    cancels is no divisor. A level too large for exact angle reduction in
-    int64 raises BadPError."""
+    Each entry is read one way, as X^a c(Y) prod_m (Y^m - 1)^f_m, Y = X^2, in
+    lowest terms (`qsymbols._sum_factors`): a product with c its sign, never
+    expanded, a longer sum with c its numerator, out of which each Y - 1,
+    which vanishes at X = -1 near A_p, is divided into f. With
+    A = exp(2 pi i t/2p), t = p + 2k, Y^m - 1 = -(1 - A^2m) and 1 - A^m =
+    -2i sin(theta_m) e^(i theta_m), theta_m = 2 pi m t/4p. So an entry is a
+    product of sines, each within an ulp or so, times sum_j c_j A^2j and a
+    phase, every angle an integer over 4p reduced exactly (`_cis`). A
+    divisor Phi_d(A) in X of the entry's denominator (`qsymbols._in_x`),
+    |Phi_d(A)| = prod_{m | d} |1 - A^m|^moebius(d/m), below `tol` in modulus
+    raises NearPoleError for the first such entry in row-major order; a
+    factor 1 - A^m that the numerator cancels is no divisor. A level too
+    large for exact angle reduction in int64 raises BadPError."""
     n, t = 4 * s.p, s.p + 2 * s.k
     if 5 * n >= 2**63:  # bounds every integer `_cis` forms
         raise BadPError(f"level p = {s.p} is too large to reduce angles exactly in 64-bit integers")
     entries = []
     for ij, entry in sorted(forms.items()):
-        if len(entry) == 1:
-            sign, a, y = _y_factors(*entry[0])
-            c, f, g = (sign,), {2 * m: e for m, e in y.items() if e}, sum(y.values())
-            den = [d for d, e in _in_x(_y_cyclotomic(y)).items() if e < 0]
-        else:
-            num, xpow, below = _sum_factors(entry)
-            a, exps = -xpow, {d: -e for d, e in below.items()}
-            while num and sum(num.coeffs[::2]) == sum(num.coeffs[1::2]):  # num(-1) = 0
-                num, exps[2] = num.exact_div(_cyclotomic(2)), exps.get(2, 0) + 1
-            c, f, g = num.coeffs, {m: e for m, e in _factors(exps).items() if e}, exps.get(1, 0)
-            den = [d for d, e in exps.items() if e < 0]
+        a, c, f = _sum_factors(entry)
+        while c and not sum(c):  # c(1) = 0: c = (Y - 1) q, q_j = -(c_0 + ... + c_j)
+            c, f = [-x for x in accumulate(c[:-1])], {**f, 1: f.get(1, 0) + 1}
+        den = [d for d, e in _in_x(_y_cyclotomic(f)).items() if e < 0]
+        g, f = sum(f.values()), {2 * m: e for m, e in f.items() if e}  # the factors 1 - X^2m
         turn = 2 * a * t + 2 * s.p * g + sum(e * (m * t - s.p) for m, e in f.items())
         entries.append((ij, c, f, turn, den))
     top = max((m for _, _, f, _, _ in entries for m in f), default=0)
@@ -262,7 +255,7 @@ def eval_forms(N: int, forms, s: PSetting, tol: float = DEFAULT_TOLERANCE) -> np
         if any(phi[d] < tol for d in den):
             raise NearPoleError(f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", entry=(i, j), point=0)
         mag = math.ldexp(math.prod(mant[m] ** e for m, e in f.items()), sum(expo[m] * e for m, e in f.items()))
-        cos, sin = _cis(np.array([(2 * x * t + turn) % n for x in range(len(c))], dtype=np.int64), n)
+        cos, sin = _cis(np.array([(4 * x * t + turn) % n for x in range(len(c))], dtype=np.int64), n)
         out[i, j] = mag * complex(cos @ c, sin @ c)  # 0 for a sum that vanishes
     return out
 

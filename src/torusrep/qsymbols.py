@@ -7,22 +7,18 @@ of unity, which is what makes them independent of the level.
 Every symbol here, and every entry of the matrices `repbuild` builds, is a
 product of the quantum integers {k} and {k}+ or a short sum of such products,
 held as a list of products (sign, power, factors); a product alone is a list
-of one. A product of symbols is X^a times a polynomial in Y = X^2: up to
-sign, {k} = X^-k (Y^k - 1) and {k}+ = X^-k (Y^k + 1) = X^-k (Y^2k - 1)/(Y^k -
-1), so {k}^e brings the factor (1 - Y^k)^e and {k}+^e brings
-(1 - Y^2k)^e (1 - Y^k)^-e (`_y_factors`). A list is put over the least
-common denominator that the cyclotomic exponents of its products give
-(`_over_denominator`, which also gives `repbuild`'s exact checks their
-integer forms), each numerator expanded as a series in Y, at half the length
-of one in X, from the factors read straight off the symbols, each from the
-previous one where that is shorter. The numerators are added and the sum is
-divided by the denominator's cyclotomic factors as far as they go
-(`_sum_factors`, which `numeric.eval_forms` reads factored; `_sum_form`
-expands it). A single product over its own least common denominator is
-already in lowest terms, so this one route gives every canonical form, and
-none computes a common divisor. A product of cyclotomic polynomials, a
-denominator or a single Phi_d, is expanded as a cut power series in the
-factors (1 - X^m) that Moebius inversion gives (`_poly`, by `_times`).
+of one. Up to sign {k} = X^-k (Y^k - 1) and {k}+ = X^-k (Y^2k - 1)/(Y^k - 1)
+with Y = X^2, so a product is X^a prod_m (Y^m - 1)^f_m (`_y_factors`), in
+lowest terms as it stands: its Phi_d(Y) are distinct monic irreducibles.
+Every reader works in Y, as lowest terms in Y are lowest terms in X (if
+u g + v h = 1 in Q[Y], substitute Y = X^2). A longer sum is put over its
+least common denominator (`_over_denominator`, which also gives `repbuild`'s
+exact checks their integer forms), and its numerators are added and divided
+by the denominator's Phi_d(Y) as far as they go (`_sum_factors`). Products
+of cyclotomic polynomials are expanded as cut power series in the factors
+(1 - Y^m), each from the previous one where that is shorter (`_series`), and
+X appears only when a form is printed (`_sum_forms`). None of this computes
+a common divisor.
 
 Values at X = -1 are read exactly off the factors, with nothing built over
 Q(X) (`_limit`). Write -X = e^s: (-X)^a = e^(as), {k}+ = 2 cosh(ks) and
@@ -74,10 +70,11 @@ def _rhat_form(n: int, m: int, N: int):
 # ---------------------------------------------------------------------------
 # cyclotomic exponents
 #
-# X^(2k) - 1 = prod_{d | 2k} Phi_d and X^(2k) + 1 = prod_{d | 4k, d !| 2k}
-# Phi_d. The Phi_d are distinct monic irreducibles, so a product of quantum
+# Y^k - 1 = prod_{d | k} Phi_d(Y) and Y^k + 1 = prod_{d | 2k, d !| k}
+# Phi_d(Y). The Phi_d are distinct monic irreducibles, so a product of quantum
 # integers is in lowest terms with its Phi_d of positive exponent above and
 # those of negative exponent below, and no division is needed to get there.
+# Every polynomial below is one in Y.
 # ---------------------------------------------------------------------------
 
 
@@ -95,20 +92,18 @@ def _moebius(n: int) -> int:
 @lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> Poly:
     """Phi_d, which `_sum_factors` divides by."""
-    return _poly(1, 0, {d: 1})
+    return _poly({d: 1})
 
 
-def _poly(sign: int, xpow: int, exps) -> Poly:
-    """sign X^xpow prod Phi_d^e_d, for xpow >= 0 and every e_d >= 0. By
-    Moebius inversion prod Phi_d^e_d = (-1)^e_1 prod_m (1 - X^m)^f_m with
-    f_m = sum_{m | d} e_d moebius(d/m) (Phi_1 = -(1 - X); `_factors`),
-    expanded as a power series cut at its degree sum m f_m (`_times`)."""
-    f = _factors(exps)
-    return _signed(sign, xpow, exps, _times([1] + [0] * sum(m * e for m, e in f.items()), f))
+def _poly(exps) -> Poly:
+    """prod Phi_d^e_d, for every e_d >= 0. By Moebius inversion
+    prod Phi_d^e_d = prod_m (Y^m - 1)^f_m with f_m = sum_{m | d} e_d
+    moebius(d/m) (`_factors`), expanded as one cut power series (`_series`)."""
+    return Poly._raw(next(_series([_factors(exps)])))
 
 
 def _factors(exps):
-    """The exponents m -> f_m of the factors (1 - X^m) of prod Phi_d^e_d."""
+    """The exponents m -> f_m of the factors (Y^m - 1) of prod Phi_d^e_d."""
     f = {}
     for d, e in exps.items():
         for m in _divisors(d):
@@ -117,9 +112,9 @@ def _factors(exps):
 
 
 def _times(c, f):
-    """The power series c times prod_m (1 - X^m)^f_m, cut at the degree of c,
-    in place: a factor (1 - X^m) subtracts the series shifted by m, its
-    inverse 1 + X^m + X^2m + ... adds it cumulatively."""
+    """The power series c times prod_m (1 - Y^m)^f_m, cut at the degree of c,
+    in place: a factor (1 - Y^m) subtracts the series shifted by m, its
+    inverse 1 + Y^m + Y^2m + ... adds it cumulatively."""
     deg = len(c) - 1
     for m, e in f.items():
         for _ in range(e):
@@ -131,11 +126,25 @@ def _times(c, f):
     return c
 
 
-def _signed(sign: int, xpow: int, exps, c) -> Poly:
-    """sign X^xpow (-1)^e_1 c, for the coefficients c of prod_m (1 - X^m)^f_m."""
-    if exps.get(1, 0) % 2:
-        sign = -sign
-    return Poly._raw([0] * xpow + [sign * x for x in c])
+def _series(maps):
+    """For each map m -> g_m in `maps` in turn, the coefficients of the
+    polynomial prod_m (Y^m - 1)^g_m, ascending. Neighbouring maps share most
+    factors (T[m][n+1] / T[m][n] is a few {k}), so each is the previous
+    series, unsigned, cut or padded to the new degree and multiplied by the
+    factors (1 - Y^m) of the difference of the two maps (`_times`), unless
+    that difference has no fewer factors than the new map, which is then
+    expanded afresh. Both are exact: the previous series is a polynomial, and
+    every step is a ring operation on power series cut at the new degree."""
+    last, c = {}, [1]
+    for g in maps:
+        deg = sum(m * e for m, e in g.items())
+        step = {m: g.get(m, 0) - last.get(m, 0) for m in g.keys() | last.keys()}
+        if sum(map(abs, step.values())) < sum(map(abs, g.values())):
+            c = _times(c[: deg + 1] + [0] * (deg + 1 - len(c)), step)
+        else:
+            c = _times([1] + [0] * deg, g)
+        last = g
+        yield [-x for x in c] if sum(g.values()) % 2 else c
 
 
 def _limit(forms) -> tuple[Fraction, Fraction]:
@@ -173,51 +182,23 @@ def _limit(forms) -> tuple[Fraction, Fraction]:
 
 
 def _over_denominator(forms):
-    """(xpow, den, nums): the products (sign, power, factors) in `forms` over
-    their least common denominator X^xpow prod Phi_d(Y)^den_d, Y = X^2, whose
-    exponents are the largest of the forms' denominator exponents; each
-    numerator, in the order of forms, is its form's value times the
-    denominator, X^t c(Y) as (t, c), c its coefficients in Y (ascending, the
-    last nonzero).
-
-    Every product is worked in Y = X^2 (module docstring): its factor
-    exponents f_m, of (1 - Y^m), come straight off its triples
-    (`_y_factors`), its cyclotomic exponents in Y are E_d = sum of f_m over
-    the multiples m of d, and the denominator's maxima are taken over these
-    once, then inverted once into the denominator's own factor exponents.
-    A numerator's factors are its form's plus the denominator's.
-
-    Neighbouring forms share most factors (T[m][n+1] / T[m][n] is a few
-    {k}), so each numerator's series in Y is the previous one cut or padded
-    to the new degree and multiplied by the factors (1 - Y^m) of the
-    difference of their exponents, unless that difference has no fewer
-    factors than the new numerator, which is then expanded afresh. Both are
-    exact: the previous series is a polynomial, and every step is a ring
-    operation on power series cut at the new degree, which is the new
-    numerator's."""
-    terms, xpow, den = [], 0, {}
-    for form in forms:
-        s, a, f = _y_factors(*form)
+    """(den, nums): the products (sign, power, factors) in `forms` over
+    their least common denominator prod Phi_d(Y)^den_d, Y = X^2: den_d is
+    the largest -E_d over the forms, E_d the sum of a form's f_m over the
+    multiples m of d (`_y_factors`, `_y_cyclotomic`). Each numerator, in the
+    order of forms, is its form's value times the denominator, X^a c(Y) as
+    (a, c), c its coefficients in Y (ascending, the last nonzero). A
+    numerator's factors are its form's plus the denominator's, inverted once
+    (`_factors`), and each is expanded from the previous numerator's
+    (`_series`)."""
+    terms, den = [_y_factors(*form) for form in forms], {}
+    for _, _, f in terms:
         for d, e in _y_cyclotomic(f).items():
             if e < -den.get(d, 0):
                 den[d] = -e
-        xpow = max(xpow, -a)
-        terms.append((s, a, f))
     base = _factors(den)
-    nums, last, c = [], {}, [1]
-    for s, a, f in terms:
-        g = {m: f.get(m, 0) + base.get(m, 0) for m in f.keys() | base.keys()}
-        deg = sum(m * e for m, e in g.items())
-        step = {m: g.get(m, 0) - last.get(m, 0) for m in g.keys() | last.keys()}
-        if sum(map(abs, step.values())) < sum(map(abs, g.values())):
-            c = _times(c[: deg + 1] + [0] * (deg + 1 - len(c)), step)
-        else:
-            c = _times([1] + [0] * deg, g)
-        if sum(g.values()) % 2:  # prod (Y^m - 1)^g_m = (-1)^(sum g_m) prod (1 - Y^m)^g_m
-            s = -s
-        nums.append((a + xpow, c if s > 0 else [-y for y in c]))
-        last = g
-    return xpow, den, nums
+    maps = [{m: f.get(m, 0) + base.get(m, 0) for m in f.keys() | base.keys()} for _, _, f in terms]
+    return den, [(a, c if s > 0 else [-y for y in c]) for (s, a, _), c in zip(terms, _series(maps))]
 
 
 def _y_factors(sign: int, power: int, factors):
@@ -256,47 +237,72 @@ def _in_x(exps):
     return out
 
 
-def _sum_form(forms) -> RatFunc:
-    """The sum of the products in `forms` in canonical form (`_sum_factors`)."""
-    num, xpow, den = _sum_factors(forms)
-    return RatFunc(num, _poly(1, xpow, den)) if num else RatFunc.zero()
-
-
 def _at_two(poly: Poly) -> int:
-    """The value of poly at X = 2."""
+    """The value of poly at 2."""
     return sum(c << i for i, c in enumerate(poly.coeffs))
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_at_two(d: int) -> int:
-    return _at_two(_cyclotomic(d))
-
-
 def _sum_factors(forms):
-    """(num, xpow, den): the sum of the products in `forms` as
-    num / (X^xpow prod Phi_d^den_d) in lowest terms, 0 as (0, 0, {}). The
-    numerators X^t c(X^2) over their common denominator (`_over_denominator`)
-    are interleaved and added, and each Phi_d (distinct monic irreducibles)
-    divided out of the sum as often as it goes and the denominator has it, as
-    is the power of X they share: what is left is coprime, its expanded
-    denominator monic. A division is tried only where Phi_d(2) divides num(2),
-    as Phi_d | num implies (num(2) = quotient(2) Phi_d(2) in Z)."""
-    xpow, exps, nums = _over_denominator(forms)
-    x = [0] * max(t + 2 * len(c) - 1 for t, c in nums)
-    for t, c in nums:
-        x[t : t + 2 * len(c) : 2] = map(add, x[t : t + 2 * len(c) : 2], c)
-    num, den = Poly._raw(x), {}
+    """(a, c, f): the sum of the products (sign, power, factors) in `forms` as
+    X^a c(Y) prod_m (Y^m - 1)^f_m, Y = X^2, in lowest terms: c its integer
+    coefficients in Y, ascending, c(0) != 0 and c prime to the denominator,
+    the Phi_d(Y) of negative exponent in prod_m (Y^m - 1)^f_m; 0 as
+    (0, [], {}). A product is read off its factors (`_y_factors`) with
+    c = [sign], in lowest terms as it stands (module docstring). A longer
+    sum is put over its least common denominator (`_over_denominator`), the
+    numerators are added in Y, and each Phi_d(Y) is divided out of the sum as
+    often as it goes and the denominator has it, as is the power of Y the sum
+    shares. A division is tried only where Phi_d(2) divides c(2), as
+    Phi_d | c implies. ValueError for a sum whose numerators' powers of X
+    differ in parity: it is not X^a times a function of Y."""
+    if len(forms) == 1:
+        s, a, f = _y_factors(*forms[0])
+        return a, [s], f
+    den, nums = _over_denominator(forms)
+    t = min(a for a, _ in nums)
+    if any((a - t) % 2 for a, _ in nums):
+        raise ValueError("a sum with powers of X of both parities is not X^a times a function of X^2")
+    c = [0] * max((a - t) // 2 + len(y) for a, y in nums)
+    for a, y in nums:
+        k = (a - t) // 2
+        c[k : k + len(y)] = map(add, c[k : k + len(y)], y)
+    num = Poly._raw(c)
     if num.is_zero:
-        return num, 0, den
+        return 0, [], {}
+    v = num.valuation
+    num = num.unshift(v)
     at_two = _at_two(num)
-    for d, e in _in_x(exps).items():
-        while e and not at_two % _cyclotomic_at_two(d):
+    for d, e in den.items():
+        phi_two = _at_two(_cyclotomic(d))
+        while e and not at_two % phi_two:
             try:
                 num = num.exact_div(_cyclotomic(d))
             except ArithmeticError:
                 break
-            at_two //= _cyclotomic_at_two(d)
+            at_two //= phi_two
             e -= 1
         den[d] = e
-    v = min(num.valuation, xpow)
-    return num.unshift(v), xpow - v, den
+    return t + 2 * v, list(num.coeffs), {m: -e for m, e in _factors(den).items()}
+
+
+def _sum_forms(entries) -> list[RatFunc]:
+    """The canonical forms over Q(X) of the sums of products in `entries`, in
+    order: X^a c(Y) prod_m (Y^m - 1)^f_m (`_sum_factors`) is X^a c(Y) up(Y) /
+    down(Y), with up and down the products of its Phi_d(Y) of positive and of
+    negative exponent, each expanded from the previous entry's (`_series`).
+    Only here are the coefficients in Y interleaved into X, with X^|a| on the
+    side the sign of a puts it."""
+    sums = [_sum_factors(forms) for forms in entries]
+    downs = [_factors({d: -e for d, e in _y_cyclotomic(f).items() if e < 0}) for _, _, f in sums]
+    ups = [{m: f.get(m, 0) + g.get(m, 0) for m in f.keys() | g.keys()} for (_, _, f), g in zip(sums, downs)]
+
+    def interleaved(c, a):  # X^max(a, 0) c(X^2)
+        return Poly._raw([0] * max(a, 0) + [x for y in c for x in (y, 0)])
+
+    out = []
+    for (a, c, _), up, down in zip(sums, _series(ups), _series(downs)):
+        num, (shorter, longer) = [0] * (len(c) + len(up) - 1), sorted((c, up), key=len)
+        for i, x in enumerate(shorter):  # c(Y) up(Y): c is a sign, or up is 1
+            num[i : i + len(longer)] = [z + x * y for z, y in zip(num[i : i + len(longer)], longer)]
+        out.append(RatFunc(interleaved(num, a), interleaved(down, -a)) if c else RatFunc.zero())
+    return out

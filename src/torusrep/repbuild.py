@@ -27,7 +27,7 @@ sign (-X)^power prod {k}^e ({k}+^e where plus) over the (k, plus, e) in
 factors; an entry of T, T*, z, y or R is a list of one. `forms` selects the
 map of the matrix `matrices --what` names. Three readers take a map and
 nothing else: the canonical form over Q(X) (`_matrix`, by
-`qsymbols._sum_form`), the value at X = -1 (`form_limit`, by
+`qsymbols._sum_forms`), the value at X = -1 (`form_limit`, by
 `qsymbols._limit`) and the value at A_p (`numeric.eval_forms`). The exact
 checks read the maps of T and T* as integer forms (`_integer_form`).
 `matrices` builds over Q(X) only the matrix it emits, and only for a
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import PoleError, TooLargeError, float_range
 from .field import FMatrix, RatFunc
-from .qsymbols import _lambda_form, _limit, _over_denominator, _poly, _rhat_form, _sum_form
+from .qsymbols import _lambda_form, _limit, _over_denominator, _poly, _rhat_form, _sum_forms
 
 _X_HALF = (-1, 1, [(2, False, -1)])  # X/{2}, X = -(-X)
 _MINUS_INV_HALF = (1, -1, [(2, False, -1)])  # -X^-1/{2}
@@ -70,10 +70,10 @@ def _ratio_factors(N: int):
 
 def _matrix(N: int, forms) -> FMatrix:
     """The N x N matrix of the canonical forms of the entries of the form map
-    `forms` (`qsymbols._sum_form`), zero off its keys."""
+    `forms` (`qsymbols._sum_forms`), zero off its keys."""
     rows = [[RatFunc.zero()] * N for _ in range(N)]
-    for (i, j), entry in forms.items():
-        rows[i][j] = _sum_form(entry)
+    for (i, j), entry in zip(forms, _sum_forms(forms.values())):
+        rows[i][j] = entry
     return FMatrix(tuple(map(tuple, rows)))
 
 
@@ -194,17 +194,17 @@ def _integer_form(forms, N: int):
     `forms`, whose entries are single products (`_twist_factors`), zero off
     its keys, and E = diag(X^floor(i/2)), each polynomial a list of integer
     coefficients in Y = X^2, ascending. Over the products' least common
-    denominator X^a den(Y), den = prod Phi_d^e_d with a and e_d the largest
-    exponents of their denominators, entry (i, j) of M is X^(t-a) c(Y) / den(Y)
-    with its numerator X^t c(Y) (`qsymbols._over_denominator`), so that of
-    E M E^-1 is Y^k c(Y) / den(Y), 2k = t - a + floor(i/2) - floor(j/2). P
-    and D are those numerators Y^k c and den, times the one Y^s with s >= 0
-    the least that makes every k + s >= 0. A ValueError names the first
-    entry whose 2k is odd, before anything is evaluated."""
-    xpow, den, nums = _over_denominator(form for [form] in forms.values())
+    denominator den(Y), den = prod Phi_d^e_d with e_d the largest exponents
+    of their denominators, entry (i, j) of M is X^a c(Y) / den(Y)
+    (`qsymbols._over_denominator`), so that of E M E^-1 is Y^k c(Y) / den(Y),
+    2k = a + floor(i/2) - floor(j/2). P and D are those numerators Y^k c and
+    den, times the one Y^s with s >= 0 the least that makes every k + s >= 0.
+    A ValueError names the first entry whose 2k is odd, before anything is
+    evaluated."""
+    den, nums = _over_denominator(form for [form] in forms.values())
     shifts = []
-    for (i, j), (t, _) in zip(forms, nums):
-        k, odd = divmod(t - xpow + i // 2 - j // 2, 2)
+    for (i, j), (a, _) in zip(forms, nums):
+        k, odd = divmod(a + i // 2 - j // 2, 2)
         if odd:
             raise ValueError(f"entry ({i}, {j}) is not X^(floor(i/2) + floor(j/2)) times a function of X^2")
         shifts.append(k)
@@ -212,7 +212,7 @@ def _integer_form(forms, N: int):
     p = [[[]] * N for _ in range(N)]
     for (i, j), k, (_, c) in zip(forms, shifts, nums):
         p[i][j] = [0] * (k + s) + c
-    return p, [0] * s + list(_poly(1, 0, den).coeffs)
+    return p, [0] * s + list(_poly(den).coeffs)
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum

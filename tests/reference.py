@@ -30,9 +30,7 @@ from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
-from torusrep.qsymbols import (
-    _cyclotomic, _divisors, _factors, _rhat_form, _signed, _sum_factors, _sum_form, _times,
-)
+from torusrep.qsymbols import _cyclotomic, _divisors, _factors, _rhat_form, _sum_forms, _times
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
 
@@ -421,7 +419,9 @@ def moebius_over_denominator(forms):
             c = _times(c[: deg + 1] + [0] * (deg + 1 - len(c)), step)
         else:
             c = _times([1] + [0] * deg, f)
-        nums.append(_signed(s, a + xpow, exps, c))
+        if exps.get(1, 0) % 2:  # prod Phi_d^e_d = (-1)^e_1 prod (1 - X^m)^f_m
+            s = -s
+        nums.append(Poly._raw([0] * (a + xpow) + [s * x for x in c]))
         last = f
     return xpow, den, nums
 
@@ -583,8 +583,23 @@ def mu(n: int) -> RatFunc:
 
 def rhat(n: int, m: int, N: int) -> RatFunc:
     """The pairing ratio rhat(n, m) in canonical form, from its product form
-    (`qsymbols._rhat_form`, `qsymbols._sum_form`)."""
-    return _sum_form([_rhat_form(n, m, N)])
+    (`qsymbols._rhat_form`, `sum_form`)."""
+    return sum_form([_rhat_form(n, m, N)])
+
+
+def sum_form(forms) -> RatFunc:
+    """The canonical form of the sum of the products in `forms`, as the build
+    gives it (`qsymbols._sum_forms`)."""
+    return _sum_forms([forms])[0]
+
+
+def sum_over_qx(forms) -> RatFunc:
+    """The sum of the products in `forms` by Q(X) arithmetic
+    (`product_over_qx`), whatever the parities of their powers of X."""
+    out = RatFunc.zero()
+    for form in forms:
+        out = add(out, product_over_qx(*form))
+    return out
 
 
 # --- T and T* by the column recurrence -----------------------------------------
@@ -980,9 +995,9 @@ def named(N: int):
 
 def predicted_form_pole(forms, s: PSetting, tol: float):
     """What `numeric.eval_forms` raises at level s, derived from each entry's
-    reduced denominator prod Phi_d^-e_d (e_d < 0): that of a single
-    product's cyclotomic exponents (`_exponents`), or a longer sum's
-    denominator with the factors 1 + X of its numerator taken off.
+    reduced denominator in X, prod Phi_d^-e_d (e_d < 0): that of a single
+    product's cyclotomic exponents (`_exponents`), or for a longer sum the
+    Phi_d that divide the denominator of its canonical form (`sum_form`).
     (message, entry) for the first entry in row-major order with a divisor
     Phi_d of |Phi_d(A_p)| below tol, Phi_d evaluated by Horner in CPython
     complex arithmetic; None if no entry has one."""
@@ -990,13 +1005,19 @@ def predicted_form_pole(forms, s: PSetting, tol: float):
         if len(entry) == 1:
             exps = _exponents(*entry[0])[2]
         else:
-            num, _, den = _sum_factors(entry)
-            exps = {d: -e for d, e in den.items()}
-            while num and horner(num, -1) == 0:
-                num, exps[2] = num.exact_div(Poly((1, 1))), exps.get(2, 0) + 1
+            den = sum_form(entry).den
+            exps = {d: -1 for d in range(1, den.degree + 1) if _divides(_cyclotomic(d), den)}
         if any(e < 0 and abs(horner(_cyclotomic(d), s.A)) < tol for d, e in exps.items()):
             return f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j)
     return None
+
+
+def _divides(a: Poly, b: Poly) -> bool:
+    try:
+        b.exact_div(a)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def predicted_near_pole(N: int, levels, tol: float):

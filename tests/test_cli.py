@@ -103,18 +103,22 @@ def test_matrices_hN_word(capsys):
 # (M2) and 4.5e-15 -> 5.5e-16 (M3). T and R were re-recorded once a single
 # product was read off its factors in Y = X^2 (`qsymbols._y_factors`), which
 # multiplies them in another order: worst entry off 50 digits 3.3e-16 ->
-# 3.7e-16 (T) and 4e-16 -> 4.8e-16 (R).
+# 3.7e-16 (T) and 4e-16 -> 4.8e-16 (R). Zprime and M0..M3 were re-recorded
+# once a sum was read in Y = X^2 (`qsymbols._sum_factors`), its numerator's
+# coefficients at A^2j and its factors Y - 1 divided out: worst entry off
+# 50 digits 8.3e-16 -> 9.6e-16 (Zprime), 9.5e-16 -> 9.5e-16 (M0),
+# 5.8e-16 -> 5e-16 (M1), 3.3e-16 -> 3.3e-16 (M2) and 5.5e-16 -> 5.5e-16 (M3).
 EVAL_DIGESTS = {
     ("T", "p=31"): "794af945057c47d0dfc287f78bcec880a18eb8793a766e6c8cff0afb45731daa",
     ("Tstar", "p=31"): "2f9d227559f2ee43a9ec5ed9b587c1fd429e857c6479984264d3678bb4973544",
     ("Z", "p=31"): "0c4760f818db6a26dd4f7c0f99db89fa7a8221166c745699a6615c9b3a1e1571",
     ("Y", "p=31"): "b1518979b96a10ecf4659a10f8176e28e509a7c8506ffa9c125d75afe910d4d3",
-    ("Zprime", "p=31"): "cd6c4db3ba21597cc70bb86a0b98ca63595356a9e3196e9a7218ea2bd5046785",
+    ("Zprime", "p=31"): "db041722fda75421689b12f407b38c995fd27619e1a2b08ebdccbab0ff074e42",
     ("R", "p=31"): "f00bbeea46dda68707a89bc4bd4e365b7c9a846dcef60cdca4c66022cd052b2f",
-    ("M0", "p=31"): "bb8198de7ac5e45b67ad46f0a41a1f275ddec34d79c5c669e8d6e0ac9f34301a",
-    ("M1", "p=31"): "8b293ef5e196e876fca29b6a9203b1d11bf491860bfe37a754122e96b53a55c9",
-    ("M2", "p=31"): "da79c1b960f49bdaea6379eca510a9046c534ec0b962fd611019dd16343cc243",
-    ("M3", "p=31"): "464188d11a6f184fec52726ae32e6355e4bb521a7f8ee4dd0b1a1db424a1d45c",
+    ("M0", "p=31"): "01e9b0be101b2607dae70a92fa17e9b5dd8e60ca615de54e65aa8005d7dd82c4",
+    ("M1", "p=31"): "450817dfff54a50c124b02b4efe8ab8aadf772a7779813e85c9fee6a767ea8a7",
+    ("M2", "p=31"): "edf6eb242a06b0e320e969da3fe2c72d719b8f794deb2d8628ff42eeb04e3cf6",
+    ("M3", "p=31"): "558a9df1c4936b06f6e3d54ef694c03db775b02c12dd18455e5d966d1e231cca",
     ("T", "x=-1"): "753b143b16f29ecd03d3706a94aefa0d91217e5067f4f9c811bf821ebfb76ce2",
     ("Tstar", "x=-1"): "f7291fa4b6ef10cf68b8b1ae0e712687bd4f74bd48646bff5ed47b68530294ca",
     ("Z", "x=-1"): "4947a98a76afda9b7b1a6afb83939a586eaf3ebf273b966f5ceb8889d8eb04cc",
@@ -266,15 +270,18 @@ OFF_TRIDIAGONAL = {
 @pytest.mark.parametrize("added", OFF_TRIDIAGONAL)
 def test_verify_fails_the_tridiagonal_line_on_a_product_off_it(capsys, monkeypatch, added, N):
     # only the tridiagonal line reads the sum at (0, 2) whole, and it FAILs
-    # iff that sum is not zero
+    # iff that sum is not zero, decided in Y with nothing built over Q(X)
     terms = repbuild._zprime_terms
     monkeypatch.setattr(repbuild, "_zprime_terms", lambda N: {**terms(N), (0, 2): OFF_TRIDIAGONAL[added]})
+    made, init = [], RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: made.append(args) or init(self, *args))
     code, out, err = run(capsys, "verify", "--N", str(N))
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     if added == "nonzero":
         assert (code, err, failed) == (1, "", [f"FAIL  recurrence matrices tridiagonal (N={N})"])
     else:
         assert (code, err, failed) == (0, "", [])
+    assert made == []
 
 
 # sha256 of `verify --N 2..12` and of `verify --N 2..12 --format json`

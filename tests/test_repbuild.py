@@ -561,6 +561,78 @@ def test_twists_and_ratios_pinned_large_n(N):
     assert got == LARGE_N_DIGESTS[N]
 
 
+# Z, Y, Zprime and every M^(n) at N = 9..12, recorded from the build that
+# expanded each entry over Q(X) (`qsymbols._sum_form` in X), before every
+# reader worked in Y = X^2.
+LARGE_N_SUM_DIGESTS = {
+    9: {
+        "Z": "2fc50fc50e1bbb4f528eb01b7e3c09b9a8132a7997367f6a1315848c66552c62",
+        "Y": "165ca41adbb522cdf21a8d4df08d92f5578bb29b32c9cdc3602043696a453497",
+        "Zprime": "2b2fd71ea14d4cc66be96282da996e45624390cd1d794f09a62be5d9f35050d1",
+        "M0": "32225a51a804737686ff39bee707ae67ada8ec1672d4edb35084a50efd34ad8e",
+        "M1": "cd0a824e87245bcaaf71f77a3bcabff742fdb0a3e37794702d19f5780f1c483d",
+        "M2": "bbd352c49fd87b4ba3c6780f5100e46e298df5ef60e7fb407a8dffa3f872a2b6",
+        "M3": "ccab8f14e8a87f56437da92478d794ef34b15648709ced06b103a4b15fbe9ef2",
+        "M4": "f028d8b352064dbfb8bac3c6212f072c32e778f2db37be2691289068b0be50ad",
+        "M5": "17ede05b2038eb776c9f99e475ae1c07254f8695caad3c9909a8e28a8b72c833",
+        "M6": "16423ee94411752c5dcb63c92b75f0f6be848a205280b358596fcd233f9ab804",
+        "M7": "4ed98ccf73b2da0332101a669354793f15a8887687fd38652129deb72dd5f4ec",
+    },
+    10: {
+        "Z": "574210ae4e73e000ee7c78eb9b7c6848f8a288900e3784e6e143405905304fc4",
+        "Y": "8b54ccea84e8de70636d7ec96fa9488cdfd60cd3a4bf248e8e93c42e94e860eb",
+        "Zprime": "16691091bcc0ef6229336a5768e002e0a989fd430a8a8fc0a1460235f3627206",
+        "M0": "fb07064d417a78de06545cf97807f00745ac12099fabf455d99c56378c027cbb",
+        "M1": "dd510a7f61ce5ce6f871c2a50633ead6a532164325e1923672d2af8d919cd1f9",
+        "M2": "8a7539f814f9e258b22ff93a9805c41db9a972b2c89d2067e2335fb1d75f017c",
+        "M3": "0976cd9e32bf32d905cf3cbca810352a2a3de952f65a5d5cdaeee9b39adee4ff",
+        "M4": "40269eb8dc6a237e2d01868970f8caf947ff361a1eefa4e6973673482dd25927",
+        "M5": "96d71e01f4c82cd916d140db19f6dcd833a67c5871a3b518e370fd7d66d73645",
+        "M6": "e5d20ef82cee9c605b70e20da0ed16cc43bc0ec1aa45022220d4e57ad85ef1f9",
+        "M7": "2053734aca54b8d1d4649147af53d7eef2a11a397cd2506f1e820d13b642c829",
+        "M8": "e11bd1edc7c0fd932994a79bb7387341ccfd264cad74ccde67e8fe66308121cd",
+    },
+    11: {
+        "Z": "845a14f211c8ceb8944e57628dee0d9fdc55341715c60e325ce00588da32da66",
+        "Y": "e9442e024572a4c8218474d71c19c6fd7b0d3b937f5877d2a17dd4c84e5aa8e5",
+        "Zprime": "ea34e365ebb6ee25c52af9bfac545d48d1f890567ff14545ea1b789ff57d06b8",
+        "M0": "5d42e6b57d0cc25754a15ddd1a34a45262c9b5843fdbf14b805469da8917283c",
+        "M1": "aee7f2a7dfb6ce99bdec4d9ac9db6dd23dee6b4ed29b094ccaa962211b1d23ef",
+        "M2": "9123639755bb5b317f3e60a4bb3fc98a48b6230d019007ea0f64c053912726cf",
+        "M3": "9cf0bd7786e7087c9c8a074cef5347172a3034e557620a60881fa92b0ff080be",
+        "M4": "855add9da22b59c393111e10279ebf07c7418cb293212146ebc4b3cd7d7ebae0",
+        "M5": "d24d122c7bade9d781c558ae0e63420c5b79959b6a165566ab1ade4f24f382b1",
+        "M6": "28c7b5f7800d7149d9164712ff5ec1a0266ca384a6350c1d8a90997943b182e3",
+        "M7": "9f5a336c18f842e591cef9aac27a8f09b699d01ca2d5dece7aa6171c5616e082",
+        "M8": "7fb8f565d285e8b208589cc0bf7a9dcc5097ee1f76867d876ef2dabbb079e1f0",
+        "M9": "66667f72f9937933c531bcebbd4b7d136812f6b9f6abc1e62b6b3baf9372bacc",
+    },
+    12: {
+        "Z": "e79b1294f46b2e567981bd0ef49d9548083b6c34eab8fbf0d10a61090b2dae5d",
+        "Y": "cad6146bb8b73fec7453c28e04d043b7d4d0a1c059db248790905bc8bcfa2c0c",
+        "Zprime": "342a1e77c2b5b1e810b000a2bb0b7d80bb141eebff03144f33666d4314e72757",
+        "M0": "5fbd160a2934dde6d593b4453f3782fda9b050bae52cf70c36606c4045b1ac68",
+        "M1": "0eee5eb4b8ea2b575a940defa490026208130ba0a2ecedb3863bdd56fd931171",
+        "M2": "eb757f5aedbd65fa9dd94e36a129e16b88f59a7087dc3bb5446f7d3c97fa8564",
+        "M3": "483f214278246eb8d59faa61080825bdc073b376b0ec75f348f670629d859f66",
+        "M4": "d419350bf118f6fc40c7f0f40c196fc1ed83c7e70620caca87c8f93b897b6472",
+        "M5": "6317c9f7272c3d14db78b5b5a80a6b36f993748485c28b159687413900cdfa76",
+        "M6": "f66843bac9f25cf034ebf2bd7693359cb0bc6ece63de49c3afc9ef25cc057b84",
+        "M7": "3d6d8f1c76a9bd3490b704410a80bb701cb821f65913bd62d19d501b2afddd54",
+        "M8": "ad0e0119d0fe4da3c3d60a6e6e8e8134078157091ea53b0af88269ad867460b2",
+        "M9": "cf9c537002ce4207fa4843b78f8acc9e4738016354af08e18c4838907c1adbae",
+        "M10": "dc9d8136f4937cb377905583d3bbd2df8306ad016314d558f92af81eb388b318",
+    },
+}
+
+
+@pytest.mark.parametrize("N", range(9, 13))
+def test_curve_and_recurrence_matrices_pinned_large_n(N):
+    mats = {"Z": built("Z", N), "Y": built("Y", N), "Zprime": built("Zprime", N)}
+    mats.update({f"M{n}": m for n, m in enumerate(recurrence_matrices(N))})
+    assert {k: _digest(m) for k, m in mats.items()} == LARGE_N_SUM_DIGESTS[N]
+
+
 @pytest.mark.parametrize("N", range(2, 13))
 def test_product_forms_equal_column_recurrence(N):
     assert twists(N) == recurrence_twists(N)
@@ -771,14 +843,14 @@ def _points_per_prime(log, center):
 
 def test_generator_entries_have_the_parity_of_their_row_and_column():
     # the precondition of `_integer_form`'s conjugation by diag(X^floor(i/2)):
-    # over its common denominator X^a den(Y), entry (i, j) of T and of T* is
+    # over its common denominator den(Y), entry (i, j) of T and of T* is
     # X^e c(Y) with e = floor(i/2) + floor(j/2) (mod 2), all 11,966 at
     # N = 2..32
     entries = 0
     for N in range(2, 33):
         for forms in _twist_factors(N):
-            xpow, _, nums = _over_denominator(form for [form] in forms.values())
-            assert all((t - xpow - i // 2 - j // 2) % 2 == 0 for (i, j), (t, _) in zip(forms, nums)), N
+            _, nums = _over_denominator(form for [form] in forms.values())
+            assert all((e - i // 2 - j // 2) % 2 == 0 for (i, j), (e, _) in zip(forms, nums)), N
             entries += len(nums)
     assert entries == 11_966
 
