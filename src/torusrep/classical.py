@@ -1,11 +1,16 @@
 """The classical target of the limit: SL2(Z) acting on homogeneous polynomials
 of degree N-1 in the rescaled basis alpha_n X^(N-n-1) Y^n, plus the factorial
-closed forms used as independent comparison targets for the X = -1 limits."""
+closed forms used as independent comparison targets for the X = -1 limits.
+
+Every matrix here is exact in the format of the X = -1 limits
+(`qsymbols.same_limit`): a pair (rows, den) of integer rows over one positive
+denominator, den = 2^(N-1) (N-1)! for h_N, as alpha_n = 2^n C(N-1, n) /
+(N-1)!. A rational is made only where one is printed."""
 
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
+from collections import namedtuple
 from math import comb, factorial
 
 
@@ -53,12 +58,12 @@ def _binomial_expand(u: int, v: int, k: int) -> list[int]:
     return [comb(k, j) * u ** (k - j) * v**j for j in range(k + 1)]
 
 
-def hN_matrix(g: SL2, N: int) -> tuple[tuple[Fraction, ...], ...]:
+def hN_matrix(g: SL2, N: int):
     """Matrix of g acting on degree-(N-1) homogeneous polynomials in the
-    rescaled basis; column n holds the coordinates of the image of basis
-    vector n, computed by exact binomial convolution; entry (m, n) is
-    alpha_n c / alpha_m with alpha_n = 2^n / (n! (N-1-n)!), formed as one
-    integer quotient."""
+    rescaled basis, as (rows, den); column n holds the coordinates of the
+    image of basis vector n, computed by exact binomial convolution; entry
+    (m, n) is alpha_n c / alpha_m with alpha_n = 2^n / (n! (N-1-n)!), which
+    is c 2^(N-1+n-m) m! (N-1-m)! C(N-1, n) over den = 2^(N-1) (N-1)!."""
     if N < 2:
         raise ValueError("N must be >= 2")
     f = [factorial(m) * factorial(N - 1 - m) for m in range(N)]
@@ -71,38 +76,29 @@ def hN_matrix(g: SL2, N: int) -> tuple[tuple[Fraction, ...], ...]:
             if ci:
                 for j, cj in enumerate(right):
                     coeff[i + j] += ci * cj
-        cols.append([Fraction(c * 2**n * f[m], 2**m * f[n]) for m, c in enumerate(coeff)])
-    return tuple(tuple(cols[n][m] for n in range(N)) for m in range(N))
+        cols.append([c * 2 ** (N - 1 + n - m) * f[m] * comb(N - 1, n) for m, c in enumerate(coeff)])
+    return tuple(tuple(cols[n][m] for n in range(N)) for m in range(N)), 2 ** (N - 1) * factorial(N - 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class ClosedLimits:
-    """Factorial closed forms of every X = -1 limit, assembled independently of
-    the symbolic construction."""
-
-    that_limit: tuple[tuple[Fraction, ...], ...]
-    tstar_limit: tuple[tuple[Fraction, ...], ...]
-    r_limit: tuple[tuple[Fraction, ...], ...]
-    m_limits: tuple[tuple[tuple[Fraction, ...], ...], ...]
+ClosedLimits = namedtuple("ClosedLimits", "that_limit tstar_limit r_limit m_limits")
 
 
 def closed_limits(N: int) -> ClosedLimits:
+    """Factorial closed forms of every X = -1 limit, assembled independently of
+    the symbolic construction, each a pair (rows, den) (module docstring)."""
     if N < 2:
         raise ValueError("N must be >= 2")
     rng = range(N)
     g = [factorial(k) * factorial(N - 1 - k) for k in rng]
-    # T[m][n] = 2^(n-m) [N-1-m, n-m], T*[n][m] = (-1/2)^(n-m) [n, m] (m <= n)
-    # and R[n][m] = (-4)^(n-m) g(m) / g(n) with g(k) = k! (N-1-k)!
-    that = tuple(tuple(Fraction(2 ** (n - m) * comb(N - 1 - m, n - m) if m <= n else 0) for n in rng) for m in rng)
-    tstar = tuple(tuple(Fraction((-1) ** (n - m) * comb(n, m), 2 ** (n - m)) if m <= n else Fraction(0) for m in rng)
+    # T[m][n] = 2^(n-m) [N-1-m, n-m], T*[n][m] = (-1/2)^(n-m) [n, m] (m <= n),
+    # R[n][m] = (-4)^(n-m) g(m) / g(n) with g(k) = k! (N-1-k)!, and (n+1) M^(n),
+    # which is m, 2(N-2m-1) and -4(N-m-1) at (m, m-1), (m, m) and (m, m+1), over
+    # 1, 2^(N-1), 4^(N-1) (N-1)! (as (N-1)! / g(n) = C(N-1, n)) and n+1
+    that = tuple(tuple(2 ** (n - m) * comb(N - 1 - m, n - m) if m <= n else 0 for n in rng) for m in rng)
+    tstar = tuple(tuple((-1) ** (n - m) * comb(n, m) * 2 ** (N - 1 - n + m) if m <= n else 0 for m in rng)
                   for n in rng)
-    r = tuple(tuple(Fraction((-4) ** max(n - m, 0) * g[m], (-4) ** max(m - n, 0) * g[n]) for m in rng) for n in rng)
-    ms = []
-    for n in range(N - 1):
-        rows = [[Fraction(0)] * N for _ in rng]
-        for m in rng:  # (n + 1) M^(n)[m][l] at l = m - 1, m, m + 1
-            for l, v in ((m - 1, m), (m, 2 * (N - 2 * m - 1)), (m + 1, -4 * (N - m - 1))):
-                if 0 <= l < N:
-                    rows[m][l] = Fraction(v, n + 1)
-        ms.append(tuple(map(tuple, rows)))
-    return ClosedLimits(that, tstar, r, tuple(ms))
+    r = tuple(tuple((-1) ** abs(n - m) * 4 ** (N - 1 + n - m) * g[m] * comb(N - 1, n) for m in rng) for n in rng)
+    band = tuple(tuple({m - 1: m, m: 2 * (N - 2 * m - 1), m + 1: -4 * (N - m - 1)}.get(l, 0) for l in rng)
+                 for m in rng)
+    return ClosedLimits((that, 1), (tstar, 2 ** (N - 1)), (r, 4 ** (N - 1) * factorial(N - 1)),
+                        tuple((band, n + 1) for n in range(N - 1)))

@@ -22,7 +22,7 @@ from . import classical, numeric, repbuild
 from .errors import BadPError, NearPoleError, PoleError, float_range
 from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
-from .qsymbols import _sum_factors
+from .qsymbols import _sum_factors, same_limit
 
 
 def canonical_json(obj) -> str:
@@ -58,7 +58,8 @@ def _parse_eval(text: str):
 
 
 def _rational_obj(mat):
-    return [[str(Fraction(e)) for e in row] for row in mat]
+    rows, den = mat
+    return [[str(Fraction(x, den)) for x in row] for row in rows]
 
 
 def _complex_obj(mat):
@@ -104,7 +105,7 @@ def cmd_matrices(args) -> int:
     if what == "hN":
         word = parse_word(args.word)
         mat = classical.hN_matrix(sl2_image(word), N)
-        obj = (_complex_obj if mode == "root" else _rational_obj)(mat)
+        obj = _complex_obj(numeric.exact_floats(mat, "a matrix entry")) if mode == "root" else _rational_obj(mat)
         header = f"# hN  N={N}  word={word}"
     else:  # symbolic: built over Q(X); otherwise read off the forms, with nothing built
         forms = repbuild.forms(what, N, args.index)
@@ -117,6 +118,16 @@ def cmd_matrices(args) -> int:
             obj = _complex_obj(numeric.eval_forms(N, forms, level, args.tolerance))
     _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
     return 0
+
+
+def _limits_agree(read, *wants) -> bool:
+    """Whether the exact matrices that `read` returns equal those of each of
+    `wants`, in order (`same_limit`); False for a pole, as for a wrong limit."""
+    try:
+        got = read()
+    except PoleError:
+        return False
+    return all(all(map(same_limit, got, want)) for want in wants)
 
 
 def cmd_verify(args) -> int:
@@ -132,29 +143,14 @@ def cmd_verify(args) -> int:
         braid_ok, center_ok = repbuild.relation_checks(N, twist)
         checks.append((f"braid relation exact (N={N})", braid_ok))
 
-        try:
-            t_lim, ts_lim = (repbuild.form_limit(N, forms) for forms in twist)
-            ok = (
-                t_lim == cl.that_limit
-                and ts_lim == cl.tstar_limit
-                and t_lim == classical.hN_matrix(classical.SL2(1, 1, 0, 1), N)
-                and ts_lim == classical.hN_matrix(classical.SL2(1, 0, -1, 1), N)
-            )
-        except PoleError:
-            ok = False
+        hn = [classical.hN_matrix(classical.SL2(*g), N) for g in ((1, 1, 0, 1), (1, 0, -1, 1))]
+        ok = _limits_agree(lambda: [repbuild.form_limit(N, forms) for forms in twist],
+                           (cl.that_limit, cl.tstar_limit), hn)
         checks.append((f"twist limits match closed forms and hN (N={N})", ok))
-
-        try:
-            ok = repbuild.form_limit(N, repbuild._ratio_factors(N)) == cl.r_limit
-        except PoleError:
-            ok = False
+        ok = _limits_agree(lambda: [repbuild.form_limit(N, repbuild._ratio_factors(N))], [cl.r_limit])
         checks.append((f"pairing-ratio limits exact (N={N})", ok))
-
         terms = repbuild._zprime_terms(N)
-        try:
-            ok = repbuild.recurrence_limits(N, terms) == cl.m_limits
-        except PoleError:
-            ok = False
+        ok = _limits_agree(lambda: repbuild.recurrence_limits(N, terms), cl.m_limits)
         checks.append((f"recurrence-matrix limits exact (N={N})", ok))
 
         # M^(n) is z' / {n+1} off the diagonal: zero exactly where z' is
@@ -316,7 +312,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (BadPError, PoleError, NearPoleError, ValueError) as err:
+    except (BadPError, PoleError, NearPoleError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -352,6 +352,14 @@ class AMUReport:
     margin: float = DEFAULT_MARGIN
 
 
+def exact_floats(mat, what: str) -> np.ndarray:
+    """The exact matrix (rows, den) in float64, x / den in Python ints being
+    correctly rounded; TooLargeError naming `what` beyond the float range."""
+    rows, den = mat
+    with float_range(what):
+        return np.array([[x / den for x in row] for row in rows])
+
+
 def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     """Per-level rows (p, spectral radius, deviation from the classical limit).
 
@@ -373,8 +381,7 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     before any evaluation (`check_size`), and a target h_N(w) beyond the
     float range with a TooLargeError."""
     check_size(N, len(p_list))
-    with float_range("an entry of the classical target h_N(w)"):
-        target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
+    target = exact_floats(hN_matrix(sl2_image(w), N), "an entry of the classical target h_N(w)")
     rows = []
     for block in _blocks(N, (PSetting(p, N) for p in sorted(p_list))):
         t, tstar = eval_twists(N, block, tol)

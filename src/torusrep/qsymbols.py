@@ -35,12 +35,16 @@ over its {k}. A sum of products is finite at X = -1 iff no negative power of
 s survives in the sum of their jets, and its value is the coefficient of
 s^0; the jet is kept to s^1, whose coefficient is -d/dX at X = -1. With
 s = log(1 + t) this is the convention -X = 1 + t, same orders of vanishing.
+
+Every exact value at X = -1 is in integers: a jet over the lcm L of its
+products' denominators, a matrix as (rows, den), integer rows over one
+positive denominator, not always the least. Matrices are compared by
+cross-multiplication (`same_limit`); a rational is made only to be printed.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -147,14 +151,13 @@ def _series(maps):
         yield [-x for x in c] if sum(g.values()) % 2 else c
 
 
-def _limit(forms) -> tuple[Fraction, Fraction]:
-    """(c_0, c_1): the value at X = -1 of the sum of the products
-    (sign, power, factors) in `forms` and the coefficient of s^1 in the sum
-    of their jets (module docstring), to which a product of order v >= -2
-    adds its terms at s^v up to s^(v+3). The coefficients are summed as
-    integers over the lcm of the products' denominators, and two Fractions
-    are made at the end. PoleError when c_-2 or c_-1 is not 0; ValueError for
-    a product of order below -2, whose s^4 term is not kept."""
+def _limit(forms) -> tuple[int, int, int]:
+    """(c_0 L, c_1 L, L): the value c_0 at X = -1 of the sum of the products
+    (sign, power, factors) in `forms` and the coefficient c_1 of s^1 in the
+    sum of their jets (module docstring), to which a product of order
+    v >= -2 adds its terms at s^v up to s^(v+3), as integers over L > 0, the
+    lcm of the products' denominators. PoleError when c_-2 or c_-1 is not 0;
+    ValueError for a product of order below -2, whose s^4 term is not kept."""
     jet, lcm = [0, 0, 0, 0], 1  # c_-2, c_-1, c_0, c_1 times lcm
     for sign, power, factors in forms:
         # i = v + 2, q = 6 (P^2/2 + Q), and 6 (P^3/6 + P Q) = P q - 2 P^3
@@ -178,7 +181,14 @@ def _limit(forms) -> tuple[Fraction, Fraction]:
             jet[r] += num * x
     if jet[0] or jet[1]:
         raise PoleError("pole at X = -1")
-    return Fraction(jet[2], lcm), Fraction(jet[3], lcm)
+    return jet[2], jet[3], lcm
+
+
+def same_limit(a, b) -> bool:
+    """Whether the exact matrices a and b at X = -1, each (rows, den), are
+    equal: entry by entry, x / d == y / e iff x e == y d."""
+    (rows_a, d), (rows_b, e) = a, b
+    return all(x * e == y * d for u, v in zip(rows_a, rows_b, strict=True) for x, y in zip(u, v, strict=True))
 
 
 def _over_denominator(forms):

@@ -39,7 +39,7 @@ the certificate scans evaluate T and T* at A_p by recurrences
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -408,38 +408,47 @@ def _mod(c, q: float):
 
 
 def form_limit(N: int, forms):
-    """The N x N matrix of the values at X = -1 of the entries of the form
-    map `forms` (`qsymbols._limit`), zero off its keys; the PoleError names
+    """(rows, den): the N x N matrix of the values at X = -1 of the entries of
+    the form map `forms` (`qsymbols._limit`), zero off its keys, as integer
+    rows over den, the lcm of the entries' denominators; the PoleError names
     the first entry with a pole in row-major order."""
-    out = [[Fraction(0)] * N for _ in range(N)]
+    jets = {}
     for (i, j), entry in sorted(forms.items()):
         try:
-            out[i][j] = _limit(entry)[0]
+            jets[i, j] = _limit(entry)
         except PoleError:
             raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
-    return tuple(map(tuple, out))
+    den = math.lcm(*(d for _, _, d in jets.values()))
+    rows = [[0] * N for _ in range(N)]
+    for (i, j), (c0, _, d) in jets.items():
+        rows[i][j] = c0 * (den // d)
+    return tuple(map(tuple, rows)), den
 
 
 def recurrence_limits(N: int, terms):
-    """M^(0), ..., M^(N-2) at X = -1 from the jets (c_0, c_1) of z''s products
-    `terms` (`_zprime_terms`, `qsymbols._limit`), read once. With s = log(-X),
-    z' = Z_0 + Z_1 s + O(s^2) and lambda_{c+n} = l_0 + l_1 s + O(s^2), M^(n) =
-    (z' - lambda_{c+n} I) / (2(n+1) s (1 + O(s^2))) is finite iff z' has no
-    negative power of s and Z_0 = l_0 I, and then M^(n)(-1) = (Z_1 - l_1 I) /
-    (2(n+1)). The PoleError names the entry `form_limit` names, n by n."""
-    jets = {(m, m): (0, 0) for m in range(N)}
+    """M^(0), ..., M^(N-2) at X = -1, each (rows, den) as `form_limit` gives,
+    from the jets (c_0, c_1) of z''s products `terms` (`_zprime_terms`,
+    `qsymbols._limit`), read once. With s = log(-X), z' = Z_0 + Z_1 s + O(s^2)
+    and lambda_{c+n} = l_0 + l_1 s + O(s^2), M^(n) = (z' - lambda_{c+n} I) /
+    (2(n+1) s (1 + O(s^2))) is finite iff z' has no negative power of s and
+    Z_0 = l_0 I, and then M^(n)(-1) = (Z_1 - l_1 I) / (2(n+1)), in integers
+    over 2(n+1) L d, L the lcm of z''s jets and d that of lambda_{c+n}'s. The
+    PoleError names the entry `form_limit` names, n by n."""
+    jets = {(m, m): (0, 0, 1) for m in range(N)}
     for ij, entry in terms.items():
         try:
             jets[ij] = _limit(entry)
         except PoleError:
             jets[ij] = None
-    jets, out = sorted(jets.items()), []
+    lcm = math.lcm(*(jet[2] for jet in jets.values() if jet))
+    jets = sorted((ij, jet and (jet[0] * (lcm // jet[2]), jet[1] * (lcm // jet[2]))) for ij, jet in jets.items())
+    out = []
     for n in range(N - 1):
-        l0, l1 = _limit([_lambda_form(n, N)])
-        rows = [[Fraction(0)] * N for _ in range(N)]
+        l0, l1, d = _limit([_lambda_form(n, N)])
+        rows = [[0] * N for _ in range(N)]
         for (i, j), jet in jets:
-            if jet is None or jet[0] != (l0 if i == j else 0):
+            if jet is None or jet[0] * d != (l0 * lcm if i == j else 0):
                 raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
-            rows[i][j] = (jet[1] - l1 if i == j else jet[1]) / (2 * (n + 1))
-        out.append(tuple(map(tuple, rows)))
+            rows[i][j] = jet[1] * d - (l1 * lcm if i == j else 0)
+        out.append((tuple(map(tuple, rows)), 2 * (n + 1) * lcm * d))
     return tuple(out)

@@ -2,8 +2,9 @@
 arithmetic by polynomial gcd, products of quantum integers by that arithmetic
 and by their cyclotomic exponents, monomials and the identity matrix, exact
 values and slopes at a rational point (values entrywise for a matrix, naming
-the entry of a pole), the integer forms in Y = X^2 that the exact checks
-take, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
+the entry of a pole), the exact values at X = -1 that the program holds in
+integers, read as Fractions, the integer forms in Y = X^2 that the exact
+checks take, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
 arithmetic, exact matrix inverse and word products over Q(X), the braid and
 center checks by Kronecker substitution, T and T* by the column recurrence
 through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
@@ -30,7 +31,7 @@ from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
-from torusrep.qsymbols import _cyclotomic, _divisors, _factors, _rhat_form, _sum_forms, _times
+from torusrep.qsymbols import _cyclotomic, _divisors, _factors, _limit, _rhat_form, _sum_forms, _times
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
 
@@ -489,6 +490,22 @@ def classical_limit(mat: FMatrix):
                 raise PoleError(f"entry ({i}, {j}) has a pole at X = -1", entry=(i, j))
         out.append(tuple(vals))
     return tuple(out)
+
+
+def fractions(limit):
+    """An exact matrix at X = -1 as the program holds it, a pair (rows, den) of
+    integer rows over a positive integer denominator, as rows of Fractions."""
+    rows, den = limit
+    assert type(den) is int and den > 0 and all(type(x) is int for row in rows for x in row)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def jet(forms):
+    """(c_0, c_1) of `qsymbols._limit`, which gives them as integers over
+    their lcm L, as Fractions."""
+    c0, c1, lcm = _limit(forms)
+    assert type(lcm) is int and lcm > 0
+    return Fraction(c0, lcm), Fraction(c1, lcm)
 
 
 # --- y, z' and M^(n) by Q(X) arithmetic -----------------------------------------

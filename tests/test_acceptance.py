@@ -22,6 +22,7 @@ from reference import (
     eval_exact,
     fm_eq,
     fm_mul,
+    fractions,
     horner_matrix,
     max_abs,
     recurrence_matrices,
@@ -51,10 +52,10 @@ def test_criterion_2_classical_limits_exact():
         cl = closed_limits(N)
         t_lim = classical_limit(t)
         ts_lim = classical_limit(tstar)
-        ok &= t_lim == cl.that_limit
-        ok &= ts_lim == cl.tstar_limit
-        ok &= t_lim == hN_matrix(SL2(1, 1, 0, 1), N)
-        ok &= ts_lim == hN_matrix(SL2(1, 0, -1, 1), N)
+        ok &= t_lim == fractions(cl.that_limit)
+        ok &= ts_lim == fractions(cl.tstar_limit)
+        ok &= t_lim == fractions(hN_matrix(SL2(1, 1, 0, 1), N))
+        ok &= ts_lim == fractions(hN_matrix(SL2(1, 0, -1, 1), N))
     t2, tstar2 = twists(2)
     ok &= classical_limit(t2) == ((1, 2), (0, 1))
     ok &= classical_limit(tstar2) == ((1, 0), (Fraction(-1, 2), 1))
@@ -121,7 +122,7 @@ def test_criterion_6_amu_certificate_desk_scale():
         ok &= rep.classification is NTClass.PSEUDO_ANOSOV
         ok &= rep.p0_observed is not None
         ok &= rep.rows[0].deviation >= 5 * rep.rows[-1].deviation
-        radius = spectral_radius(np.array([hN_matrix(g, N)], dtype=complex), [101])[0]
+        radius = spectral_radius(np.array([fractions(hN_matrix(g, N))], dtype=complex), [101])[0]
         ok &= abs(radius - golden ** (N - 1)) < 1e-9
     _report(6, "pseudo-Anosov certificate at p_max=101, N=2,3", ok)
 
@@ -134,8 +135,8 @@ def test_criterion_7_structural_suite():
         ("z^-2", "y^3 z"),
     ]
     for N in N_RANGE:
-        u = hN_matrix(SL2(1, 1, 0, 1), N)
-        v = hN_matrix(SL2(1, 0, -1, 1), N)
+        u = fractions(hN_matrix(SL2(1, 1, 0, 1), N))
+        v = fractions(hN_matrix(SL2(1, 0, -1, 1), N))
 
         def mul(a, b):
             return tuple(
@@ -145,7 +146,7 @@ def test_criterion_7_structural_suite():
 
         for wa, wb in rng_words:
             ga, gb = sl2_image(parse_word(wa)), sl2_image(parse_word(wb))
-            ok &= hN_matrix(ga * gb, N) == mul(hN_matrix(ga, N), hN_matrix(gb, N))
+            ok &= fractions(hN_matrix(ga * gb, N)) == mul(fractions(hN_matrix(ga, N)), fractions(hN_matrix(gb, N)))
         uvu = mul(mul(u, v), u)
         ok &= mul(mul(uvu, uvu), mul(uvu, uvu)) == tuple(
             tuple(Fraction(int(i == j)) for j in range(N)) for i in range(N)

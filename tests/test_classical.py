@@ -5,7 +5,7 @@ import pytest
 
 from torusrep.classical import SL2, _binomial_expand, closed_limits, hN_matrix
 
-from reference import alpha
+from reference import alpha, fractions
 
 
 def mat_mul(a, b):
@@ -14,6 +14,11 @@ def mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def hn(g, n):
+    """h_N(g) as rows of Fractions."""
+    return fractions(hN_matrix(g, n))
 
 
 def identity(n):
@@ -51,7 +56,7 @@ def test_hN_matrix_rescales_the_binomial_action_by_alpha():
         g = SL2.identity()
         for _ in range(rng.randint(0, 6)):
             g = g * rng.choice(gens)
-        h = hN_matrix(g, n_dim)
+        h = hn(g, n_dim)
         for n in range(n_dim):
             left = _binomial_expand(g.a, g.c, n_dim - 1 - n)
             right = _binomial_expand(g.b, g.d, n)
@@ -61,12 +66,12 @@ def test_hN_matrix_rescales_the_binomial_action_by_alpha():
 
 
 def test_hN_identity():
-    assert hN_matrix(SL2.identity(), 4) == identity(4)
+    assert hn(SL2.identity(), 4) == identity(4)
 
 
 def test_hN_generators_n2():
-    assert hN_matrix(TY, 2) == ((1, 2), (0, 1))
-    assert hN_matrix(TZ, 2) == ((1, 0), (Fraction(-1, 2), 1))
+    assert hn(TY, 2) == ((1, 2), (0, 1))
+    assert hn(TZ, 2) == ((1, 0), (Fraction(-1, 2), 1))
 
 
 def test_hN_homomorphism_random():
@@ -79,22 +84,20 @@ def test_hN_homomorphism_random():
             for _ in range(rng.randint(1, 5)):
                 g = g * rng.choice(gens)
                 h = h * rng.choice(gens)
-            assert hN_matrix(g * h, n_dim) == mat_mul(
-                hN_matrix(g, n_dim), hN_matrix(h, n_dim)
-            )
+            assert hn(g * h, n_dim) == mat_mul(hn(g, n_dim), hn(h, n_dim))
 
 
 def test_hN_braid_relation():
     for n_dim in range(2, 7):
-        u = hN_matrix(TY, n_dim)
-        v = hN_matrix(TZ, n_dim)
+        u = hn(TY, n_dim)
+        v = hn(TZ, n_dim)
         assert mat_mul(mat_mul(u, v), u) == mat_mul(mat_mul(v, u), v)
 
 
 def test_hN_periodicity_uvu_fourth_power():
     for n_dim in range(2, 7):
-        u = hN_matrix(TY, n_dim)
-        v = hN_matrix(TZ, n_dim)
+        u = hn(TY, n_dim)
+        v = hn(TZ, n_dim)
         uvu = mat_mul(mat_mul(u, v), u)
         fourth = mat_mul(mat_mul(uvu, uvu), mat_mul(uvu, uvu))
         assert fourth == identity(n_dim)
@@ -109,21 +112,23 @@ def test_hN_periodicity_uvu_fourth_power():
 
 def test_closed_limits_spot_values():
     cl2 = closed_limits(2)
-    assert cl2.that_limit[0][1] == 2
+    assert fractions(cl2.that_limit)[0][1] == 2
     cl3 = closed_limits(3)
-    assert cl3.r_limit[1][0] == -8
-    assert cl3.m_limits[0][1][0] == 1
-    assert cl3.m_limits[0][0][0] == 4
-    assert cl3.m_limits[0][0][1] == -8
+    assert fractions(cl3.r_limit)[1][0] == -8
+    m0 = fractions(cl3.m_limits[0])
+    assert m0[1][0] == 1
+    assert m0[0][0] == 4
+    assert m0[0][1] == -8
 
 
 def test_closed_limits_triangular():
     cl = closed_limits(5)
+    that, tstar = fractions(cl.that_limit), fractions(cl.tstar_limit)
     for m in range(5):
         for n in range(5):
             if m > n:
-                assert cl.that_limit[m][n] == 0
+                assert that[m][n] == 0
     for n in range(5):
         for m in range(5):
             if m > n:
-                assert cl.tstar_limit[n][m] == 0
+                assert tstar[n][m] == 0

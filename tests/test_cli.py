@@ -14,6 +14,7 @@ from torusrep import numeric, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.errors import TooLargeError
 from torusrep.field import RatFunc, fmatrix_to_obj
+from torusrep.qsymbols import _limit
 
 from reference import (
     changed_factor,
@@ -234,6 +235,30 @@ def test_verify_fails_the_recurrence_limits_on_a_changed_curve_factor(capsys, mo
     code, out, err = run(capsys, "verify", "--N", str(N))
     assert (code, err) == (1, "")
     assert f"FAIL  recurrence-matrix limits exact (N={N})" in out.splitlines()
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_verify_fails_the_twist_limits_on_a_changed_denominator(capsys, monkeypatch, N):
+    # T*[1][0] times {1}+^-1 ({1}+ is 2 at X = -1): its limit halves while its
+    # numerator over its own denominator stays as it was, so only a comparison
+    # that reads the denominators FAILs it. The relation checks read the true
+    # generators, so the twist line is the only one that sees the change.
+    factors, checks = repbuild._twist_factors, repbuild.relation_checks
+
+    def changed(N):
+        t, tstar = factors(N)
+        [(sign, power, f)] = tstar[1, 0]
+        return t, {**tstar, (1, 0): [(sign, power, f + [(1, True, -1)])]}
+
+    (c0, _, den), (d0, _, dden) = (_limit(twist[1][1, 0]) for twist in (factors(N), changed(N)))
+    assert (d0, dden) == (c0, 2 * den)
+    monkeypatch.setattr(repbuild, "_twist_factors", changed)
+    monkeypatch.setattr(repbuild, "relation_checks", lambda N, twist: checks(N, factors(N)))
+    code, out, err = run(capsys, "verify", "--N", str(N))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  twist limits match closed forms and hN (N={N})"
+    ]
 
 
 SKEIN_MUTATIONS = {
@@ -680,6 +705,26 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["matrix_name"] == "T"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrices", "--N", "2", "--what", "T", "--eval", "x=-1"),
+        ("verify", "--N", "2"),
+        ("amu", "--word", "y z^-1", "--N", "2", "--pmax", "9"),
+        ("limit", "--word", "y z^-1", "--N", "2", "--p", "5..9"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_to_a_path_that_cannot_be_opened_is_an_error(tmp_path, capsys, argv):
+    # a missing directory or a directory: one error line and status 2, as for
+    # every error, not a traceback and the status of a FAILed check
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f"{str(target)!r}\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calls_in_one_process_print_what_each_prints_alone(capsys):

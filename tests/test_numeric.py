@@ -30,6 +30,7 @@ from reference import (
     decimal_forms,
     decimal_twists,
     direct_oracle_matrices,
+    fractions,
     horner_matrix,
     max_abs,
     named,
@@ -164,7 +165,7 @@ def test_spectral_radius_of_hN_matches_stretch_power():
     g = sl2_image(parse_word("y z^-1"))
     lam = stretch_factor(g)
     for N in (2, 3, 4):
-        m = np.array(hN_matrix(g, N), dtype=complex)
+        m = np.array(fractions(hN_matrix(g, N)), dtype=complex)
         assert abs(spectral_radius(m[None], [0])[0] - lam ** (N - 1)) < 1e-9
 
 
@@ -280,7 +281,7 @@ def test_huge_exponent_is_cheap(capsys):
 def _rows_level_by_level(w, N, levels):
     """convergence_table's rows built one level at a time, with the same
     evaluator and the same numpy calls."""
-    target = np.array(hN_matrix(sl2_image(w), N), dtype=complex)
+    target = np.array(fractions(hN_matrix(sl2_image(w), N)), dtype=complex)
     rows = []
     for p in levels:
         t, tstar = (g[0] for g in eval_twists(N, [PSetting(p, N)]))

@@ -10,7 +10,17 @@ from torusrep.errors import PoleError
 from torusrep.field import Poly, RatFunc
 from torusrep.numeric import PSetting
 from torusrep import qsymbols
-from torusrep.qsymbols import _factors, _in_x, _lambda_form, _limit, _over_denominator, _poly, _series, _sum_factors
+from torusrep.qsymbols import (
+    _factors,
+    _in_x,
+    _lambda_form,
+    _limit,
+    _over_denominator,
+    _poly,
+    _series,
+    _sum_factors,
+    same_limit,
+)
 from torusrep.repbuild import _recurrence_terms, _twist_factors, _zprime_terms
 
 from reference import (
@@ -19,6 +29,7 @@ from reference import (
     eval_exact,
     horner_value,
     in_y,
+    jet,
     mu,
     moebius_over_denominator,
     monomial,
@@ -161,16 +172,27 @@ def test_rhat_reciprocal_symmetry():
 def test_limit_of_a_finite_form_a_zero_and_a_pole():
     # the {k} exponents sum to 0: {4}/{2} = {2}+ tends to 2
     finite = (-1, 5, [(4, False, 1), (2, False, -1)])
-    assert _limit([finite])[0] == eval_exact(sum_form([finite]), -1) == -2
+    assert jet([finite])[0] == eval_exact(sum_form([finite]), -1) == -2
     # they sum to 1: {3}/{2}+ tends to 0
     zero = (1, 0, [(3, False, 1), (2, True, -1)])
-    assert _limit([zero])[0] == eval_exact(sum_form([zero]), -1) == 0
+    assert jet([zero])[0] == eval_exact(sum_form([zero]), -1) == 0
     # they sum to -1: {3}+/({2}{4}) has a pole
     pole = (1, 0, [(3, True, 1), (2, False, -1), (4, False, -1)])
     with pytest.raises(PoleError):
         _limit([pole])
     with pytest.raises(PoleError):
         eval_exact(sum_form([pole]), -1)
+
+
+def test_same_limit_cross_multiplies():
+    # 2/4 and 1/2, neither reduced; equal numerators over other denominators;
+    # zeros over any denominators
+    assert same_limit((((2, 0), (0, 4)), 4), (((1, 0), (0, 2)), 2))
+    assert not same_limit((((1, 3), (0, 1)), 2), (((1, 3), (0, 1)), 4))
+    assert same_limit((((0, 0), (0, 0)), 3), (((0, 0), (0, 0)), 5))
+    assert not same_limit((((0, 1),), 3), (((0, 0),), 5))
+    with pytest.raises(ValueError):
+        same_limit((((1, 0),), 1), (((1,),), 1))
 
 
 factor_lists = st.lists(
@@ -193,7 +215,7 @@ def test_limit_of_a_product_is_its_canonical_form_at_minus_one(form):
     # finite from order 0 on; a pole at order -1 or -2, and below that the
     # s^3 terms the reading would need are not kept
     if _order(form) >= 0:
-        assert _limit([form])[0] == eval_exact(sum_form([form]), -1)
+        assert jet([form])[0] == eval_exact(sum_form([form]), -1)
     elif _order(form) >= -2:
         with pytest.raises(PoleError):
             _limit([form])
@@ -231,7 +253,7 @@ def test_limit_of_a_sum_whose_poles_cancel_is_its_canonical_form_at_minus_one(f,
         [_times(f, 1, a, [(2 * k, False, 1), (k, False, -1)] + inv2), _times(f, -1, a, [(j, True, 1)] + inv2)],
     ]
     for forms in sums:
-        assert _limit(forms)[0] == eval_exact(sum_over_qx(forms), -1)
+        assert jet(forms)[0] == eval_exact(sum_over_qx(forms), -1)
 
 
 @given(st.lists(product_forms.filter(lambda f: _order(f) >= -2), min_size=1, max_size=4))
@@ -243,7 +265,7 @@ def test_limit_of_a_sum_is_its_canonical_form_at_minus_one(forms):
         with pytest.raises(PoleError):
             _limit(forms)
     else:
-        assert _limit(forms)[0] == want
+        assert jet(forms)[0] == want
 
 
 def _direct_rhat(n, m, N):

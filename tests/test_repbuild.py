@@ -14,7 +14,7 @@ from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
 from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
-from torusrep.qsymbols import _limit, _over_denominator
+from torusrep.qsymbols import _over_denominator
 from torusrep.repbuild import (
     _CHUNK,
     _PRIMES,
@@ -43,6 +43,7 @@ from reference import (
     changed_factor,
     classical_limit,
     eval_exact,
+    fractions,
     flipped_curve_factor,
     fm_eq,
     fm_inv,
@@ -50,6 +51,7 @@ from reference import (
     fm_scale,
     fm_sub,
     identity,
+    jet,
     kronecker_relation_checks,
     conjugated_form,
     lambda_shifted,
@@ -261,7 +263,7 @@ def test_classical_limit_of_word_matches_hN():
     w = parse_word("y z^-1")
     g = SL2(1, 1, 0, 1) * SL2(1, 0, -1, 1).inverse()
     for N in (2, 3):
-        assert classical_limit(rep_of_word(w, N)) == hN_matrix(g, N)
+        assert classical_limit(rep_of_word(w, N)) == fractions(hN_matrix(g, N))
 
 
 @pytest.mark.parametrize("N", range(2, 17))
@@ -271,19 +273,19 @@ def test_form_limits_equal_the_built_matrices_at_minus_one(N):
     z, y = _curve_factors(N)
     mats = (*twists(N), built("Z", N), built("Y", N), _ratios(N))
     for forms, mat in zip((*_twist_factors(N), z, y, _ratio_factors(N)), mats):
-        assert form_limit(N, forms) == classical_limit(mat)
+        assert fractions(form_limit(N, forms)) == classical_limit(mat)
 
 
 @pytest.mark.parametrize("N", (24, 32))
 def test_twist_limits_are_the_classical_action_at_large_n(N):
-    t, tstar = (form_limit(N, forms) for forms in _twist_factors(N))
-    assert t == hN_matrix(SL2(1, 1, 0, 1), N)
-    assert tstar == hN_matrix(SL2(1, 0, -1, 1), N)
+    t, tstar = (fractions(form_limit(N, forms)) for forms in _twist_factors(N))
+    assert t == fractions(hN_matrix(SL2(1, 1, 0, 1), N))
+    assert tstar == fractions(hN_matrix(SL2(1, 0, -1, 1), N))
 
 
 def _recurrence_limit(n, N):
-    """M^(n) at X = -1, read off its products."""
-    return form_limit(N, _recurrence_terms(n, N, _zprime_terms(N)))
+    """M^(n) at X = -1, read off its products, as Fractions."""
+    return fractions(form_limit(N, _recurrence_terms(n, N, _zprime_terms(N))))
 
 
 @pytest.mark.parametrize("N", range(2, 13))
@@ -291,14 +293,14 @@ def test_sum_limits_equal_the_qx_build_at_minus_one(N):
     # z' and the M^(n) read at X = -1 off their products are the build by
     # matrix products and gcd over Q(X) evaluated there
     zprime = built("Zprime", N)
-    assert form_limit(N, _zprime_terms(N)) == classical_limit(zprime)
+    assert fractions(form_limit(N, _zprime_terms(N))) == classical_limit(zprime)
     for n in range(N - 1):
         assert _recurrence_limit(n, N) == classical_limit(reference.build_m(n, N, zprime))
 
 
 @pytest.mark.parametrize("N", (24, 32))
 def test_recurrence_limits_are_the_closed_forms_at_large_n(N):
-    assert [_recurrence_limit(n, N) for n in range(N - 1)] == list(closed_limits(N).m_limits)
+    assert [_recurrence_limit(n, N) for n in range(N - 1)] == list(map(fractions, closed_limits(N).m_limits))
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -318,15 +320,15 @@ def test_recurrence_limits_follow_a_changed_curve_factor(monkeypatch, i, N):
             assert got.value.entry == want.value.entry
         else:
             want = classical_limit(reference.build_m(n, N, zprime))
-            assert _recurrence_limit(n, N) == want != closed_limits(N).m_limits[n]
+            assert _recurrence_limit(n, N) == want != fractions(closed_limits(N).m_limits[n])
 
 
 @pytest.mark.parametrize("N", range(2, 13))
 def test_recurrence_limits_from_one_jet_equal_each_m_read_alone(N):
     # every M^(n) at X = -1 from z''s jets (c_0, c_1) equals M^(n) read off
     # its own products
-    want = tuple(form_limit(N, repbuild.forms("M", N, n)) for n in range(N - 1))
-    assert recurrence_limits(N, _zprime_terms(N)) == want
+    want = tuple(fractions(form_limit(N, repbuild.forms("M", N, n))) for n in range(N - 1))
+    assert tuple(map(fractions, recurrence_limits(N, _zprime_terms(N)))) == want
 
 
 @pytest.mark.parametrize("N", range(2, 13))
@@ -342,8 +344,9 @@ def test_recurrence_limits_from_one_jet_follow_a_changed_curve_factor(monkeypatc
             recurrence_limits(N, _zprime_terms(N))
         assert got.value.entry == want.value.entry
     else:
-        want = tuple(form_limit(N, repbuild.forms("M", N, n)) for n in range(N - 1))
-        assert recurrence_limits(N, _zprime_terms(N)) == want != closed_limits(N).m_limits
+        want = tuple(fractions(form_limit(N, repbuild.forms("M", N, n))) for n in range(N - 1))
+        got = tuple(map(fractions, recurrence_limits(N, _zprime_terms(N))))
+        assert got == want != tuple(map(fractions, closed_limits(N).m_limits))
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -370,17 +373,17 @@ def test_limit_slope_is_minus_the_derivative_at_minus_one(N):
     for what, index in names:
         forms, mat = repbuild.forms(what, N, index), built(what, N, index)
         for (i, j), entry in forms.items():
-            assert _limit(entry)[1] == -slope_exact(mat[i][j], -1), (what, index, i, j)
+            assert jet(entry)[1] == -slope_exact(mat[i][j], -1), (what, index, i, j)
 
 
 def test_limits_match_closed_forms_all_n():
     for N in range(2, 7):
         t, tstar = twists(N)
         cl = closed_limits(N)
-        assert classical_limit(t) == cl.that_limit
-        assert classical_limit(tstar) == cl.tstar_limit
+        assert classical_limit(t) == fractions(cl.that_limit)
+        assert classical_limit(tstar) == fractions(cl.tstar_limit)
         for n, mat in enumerate(recurrence_matrices(N)):
-            assert classical_limit(mat) == cl.m_limits[n]
+            assert classical_limit(mat) == fractions(cl.m_limits[n])
 
 
 # --- canonical forms of the build --------------------------------------------
@@ -739,8 +742,8 @@ def generator_pairs(draw):
         g_inv = fm_inv(g)
     except SingularError:
         assume(False)
-    u = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 1, 0, 1), n))), g_inv)
-    v = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 0, -1, 1), n))), g_inv)
+    u = fm_mul(fm_mul(g, FMatrix(fractions(hN_matrix(SL2(1, 1, 0, 1), n)))), g_inv)
+    v = fm_mul(fm_mul(g, FMatrix(fractions(hN_matrix(SL2(1, 0, -1, 1), n)))), g_inv)
     if kind == "perturbed":
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         rows = [list(r) for r in u.rows]
@@ -761,8 +764,8 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
     g = FMatrix([[RatFunc(Poly((1, 1)), Poly((0, 0, 1))), RatFunc(Fraction(1, 3))],
                  [RatFunc(2), RatFunc(Poly((0, 1)), Poly((1, 0, 2)))]])
     g_inv = fm_inv(g)
-    u = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 1, 0, 1), 2))), g_inv)
-    v = fm_mul(fm_mul(g, FMatrix(hN_matrix(SL2(1, 0, -1, 1), 2))), g_inv)
+    u = fm_mul(fm_mul(g, FMatrix(fractions(hN_matrix(SL2(1, 1, 0, 1), 2)))), g_inv)
+    v = fm_mul(fm_mul(g, FMatrix(fractions(hN_matrix(SL2(1, 0, -1, 1), 2)))), g_inv)
     v2 = fm_mul(v, v)
     assert _integer_checks(*lcm_form(u), *lcm_form(v)) == _reference_checks(u, v) == (True, True)
     assert _integer_checks(*lcm_form(u), *lcm_form(v2)) == _reference_checks(u, v2) == (False, False)
