@@ -8,7 +8,4 @@ per-level oracle, and produces spectral-radius certificates for pseudo-Anosov
 mapping classes.
 """
 
-from .field import FMatrix, Poly, RatFunc
-
-__all__ = ["FMatrix", "Poly", "RatFunc"]
 __version__ = "0.1.0"

@@ -14,13 +14,13 @@ Exit status is 0 iff every requested check passed and no error occurred.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 
 from . import classical, numeric, repbuild
 from .errors import BadPError, NearPoleError, PoleError, float_range
-from .field import FMatrix, fmatrix_to_obj
 from .mcg import parse_word, sl2_image
 from .qsymbols import _sum_factors, same_limit
 
@@ -67,19 +67,60 @@ def _complex_obj(mat):
         return [[{"re": float(e.real), "im": float(e.imag)} for e in row] for row in mat]
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _poly_text(coeffs) -> str:
+    """The polynomial in X with integer coefficients `coeffs`, ascending, as
+    text from its highest term."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        term = "" if k == 0 else ("X" if k == 1 else f"X^{k}")
+        if c == 1 and term:
+            s = term
+        elif c == -1 and term:
+            s = f"-{term}"
+        else:
+            s = f"{c}" if not term else f"{c}*{term}"
+        parts.append(s)
+    out = parts[0]
+    for s in parts[1:]:
+        out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+    return out
 
 
-def _matrix_text(obj, fmt: str, header: str, sym: FMatrix | None = None) -> str:
+def _form_text(num, den) -> str:
+    """The canonical form num / den (`qsymbols._sum_forms`) as text."""
+    if den == (1,):
+        return _poly_text(num)
+    ns = _poly_text(num)
+    if " " in ns:
+        ns = f"({ns})"
+    ds = _poly_text(den)
+    if " " in ds:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def _forms_obj(rows, name: str, N: int) -> dict:
+    """The canonical JSON object of N x N rows of canonical forms."""
+    return {
+        "n_rows": N,
+        "n_cols": N,
+        "entries": [[{"num": [str(c) for c in num], "den": [str(c) for c in den]} for num, den in row]
+                    for row in rows],
+        "matrix_name": name,
+        "N": N,
+    }
+
+
+def _matrix_text(obj, fmt: str, header: str, sym=None) -> str:
     if fmt == "json":
         return canonical_json(obj)
     if sym is not None:
-        lines = ["; ".join(str(e) for e in row) for row in sym.rows]
+        lines = ["; ".join(_form_text(*e) for e in row) for row in sym]
     else:
         def cell(e):
             if isinstance(e, dict):
@@ -92,7 +133,7 @@ def _matrix_text(obj, fmt: str, header: str, sym: FMatrix | None = None) -> str:
     return header + "\n" + "\n".join("  [" + line + "]" for line in lines) + "\n"
 
 
-def cmd_matrices(args) -> int:
+def cmd_matrices(args, out) -> int:
     numeric.check_size(args.N)  # before building anything
     mode, p = _parse_eval(args.eval)
     N, what = args.N, args.what
@@ -111,12 +152,12 @@ def cmd_matrices(args) -> int:
         forms = repbuild.forms(what, N, args.index)
         if mode == "symbolic":
             sym = repbuild._matrix(N, forms)
-            obj = fmatrix_to_obj(sym, name=name, N=N)
+            obj = _forms_obj(sym, name, N)
         elif mode == "classical":
             obj = _rational_obj(repbuild.form_limit(N, forms))
         else:
             obj = _complex_obj(numeric.eval_forms(N, forms, level, args.tolerance))
-    _emit(_matrix_text(obj, args.format, header, sym=sym), args.out)
+    out.write(_matrix_text(obj, args.format, header, sym=sym))
     return 0
 
 
@@ -130,7 +171,7 @@ def _limits_agree(read, *wants) -> bool:
     return all(all(map(same_limit, got, want)) for want in wants)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     dims = _parse_range(args.N)
     width = len(_parse_range(args.p, odd=True)) if args.oracle else 0
     numeric.check_size(dims[-1], width)  # both ends, before building anything
@@ -189,7 +230,7 @@ def cmd_verify(args) -> int:
         lines = [f"# verify  N={args.N}  tolerance={args.tolerance:g}"]
         lines += [f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    out.write(text)
     return 0 if all_ok else 1
 
 
@@ -229,16 +270,16 @@ def _report_text(report: numeric.AMUReport, fmt: str, tolerance: float) -> str:
     return "\n".join(head + _rows_csv(report.rows)) + "\n"
 
 
-def cmd_amu(args) -> int:
+def cmd_amu(args, out) -> int:
     word = parse_word(args.word)
     report = numeric.amu_certificate(
         word, args.N, args.pmax, margin=args.margin, tol=args.tolerance
     )
-    _emit(_report_text(report, args.format, args.tolerance), args.out)
+    out.write(_report_text(report, args.format, args.tolerance))
     return 0
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args, out) -> int:
     word = parse_word(args.word)
     levels = _parse_range(args.p, odd=True)
     if not levels:
@@ -251,7 +292,7 @@ def cmd_limit(args) -> int:
         head = [f"# word={word}  N={args.N}  tolerance={args.tolerance:g}"]
         body = _rows_csv(rows)
         text = "\n".join(head + body if args.format == "pretty" else body) + "\n"
-    _emit(text, args.out)
+    out.write(text)
     return 0
 
 
@@ -311,7 +352,9 @@ _PARSER = build_parser()  # once per process; parse_args keeps no state between 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # --out is opened before any work, as a shell redirection is
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            return args.func(args, out)
     except (BadPError, PoleError, NearPoleError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

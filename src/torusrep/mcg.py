@@ -33,9 +33,6 @@ class Word:
             g.value if e == 1 else f"{g.value}^{e}" for g, e in self.letters
         )
 
-    def __add__(self, other: Word) -> Word:
-        return Word(self.letters + other.letters)
-
 
 _TOKEN = re.compile(r"^([yz])(?:\^(-?\d+))?$")
 

@@ -14,11 +14,12 @@ Every reader works in Y, as lowest terms in Y are lowest terms in X (if
 u g + v h = 1 in Q[Y], substitute Y = X^2). A longer sum is put over its
 least common denominator (`_over_denominator`, which also gives `repbuild`'s
 exact checks their integer forms), and its numerators are added and divided
-by the denominator's Phi_d(Y) as far as they go (`_sum_factors`). Products
-of cyclotomic polynomials are expanded as cut power series in the factors
-(1 - Y^m), each from the previous one where that is shorter (`_series`), and
-X appears only when a form is printed (`_sum_forms`). None of this computes
-a common divisor.
+by the denominator's Phi_d(Y) as far as they go (`_sum_factors`, by monic
+long division, `_divided`). Products of cyclotomic polynomials are expanded
+as cut power series in the factors (1 - Y^m), each from the previous one
+where that is shorter (`_series`), and X appears only in the canonical
+forms that `cli` prints, pairs of integer coefficient tuples (`_sum_forms`).
+None of this computes a common divisor.
 
 Values at X = -1 are read exactly off the factors, with nothing built over
 Q(X) (`_limit`). Write -X = e^s: (-X)^a = e^(as), {k}+ = 2 cosh(ks) and
@@ -49,7 +50,6 @@ from functools import lru_cache
 from operator import add
 
 from .errors import PoleError
-from .field import Poly, RatFunc
 
 
 def _lambda_form(k: int, N: int):
@@ -94,16 +94,17 @@ def _moebius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> Poly:
-    """Phi_d, which `_sum_factors` divides by."""
-    return _poly({d: 1})
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """The coefficients of Phi_d, ascending, which `_sum_factors` divides by."""
+    return tuple(_poly({d: 1}))
 
 
-def _poly(exps) -> Poly:
-    """prod Phi_d^e_d, for every e_d >= 0. By Moebius inversion
-    prod Phi_d^e_d = prod_m (Y^m - 1)^f_m with f_m = sum_{m | d} e_d
-    moebius(d/m) (`_factors`), expanded as one cut power series (`_series`)."""
-    return Poly._raw(next(_series([_factors(exps)])))
+def _poly(exps) -> list[int]:
+    """The coefficients of prod Phi_d^e_d, ascending, for every e_d >= 0. By
+    Moebius inversion prod Phi_d^e_d = prod_m (Y^m - 1)^f_m with
+    f_m = sum_{m | d} e_d moebius(d/m) (`_factors`), expanded as one cut power
+    series (`_series`)."""
+    return next(_series([_factors(exps)]))
 
 
 def _factors(exps):
@@ -247,9 +248,23 @@ def _in_x(exps):
     return out
 
 
-def _at_two(poly: Poly) -> int:
-    """The value of poly at 2."""
-    return sum(c << i for i, c in enumerate(poly.coeffs))
+def _at_two(c) -> int:
+    """The value at 2 of the polynomial with coefficients c, ascending."""
+    return sum(x << i for i, x in enumerate(c))
+
+
+def _divided(c, phi):
+    """The coefficients of c / phi for the monic phi, or None where phi does
+    not divide c; both ascending, c's last nonzero."""
+    rem, n = list(c), len(phi) - 1
+    terms = [(i, b) for i, b in enumerate(phi[:-1]) if b]
+    q = [0] * max(len(rem) - n, 0)
+    for k in range(len(rem) - 1, n - 1, -1):
+        if x := rem[k]:
+            q[k - n] = x
+            for i, b in terms:
+                rem[k - n + i] -= x * b
+    return None if any(rem[:n]) else q
 
 
 def _sum_factors(forms):
@@ -276,43 +291,42 @@ def _sum_factors(forms):
     for a, y in nums:
         k = (a - t) // 2
         c[k : k + len(y)] = map(add, c[k : k + len(y)], y)
-    num = Poly._raw(c)
-    if num.is_zero:
+    nonzero = [i for i, x in enumerate(c) if x]
+    if not nonzero:
         return 0, [], {}
-    v = num.valuation
-    num = num.unshift(v)
+    v, num = nonzero[0], c[nonzero[0] : nonzero[-1] + 1]
     at_two = _at_two(num)
     for d, e in den.items():
-        phi_two = _at_two(_cyclotomic(d))
-        while e and not at_two % phi_two:
-            try:
-                num = num.exact_div(_cyclotomic(d))
-            except ArithmeticError:
-                break
-            at_two //= phi_two
-            e -= 1
+        phi = _cyclotomic(d)
+        phi_two = _at_two(phi)
+        while e and not at_two % phi_two and (q := _divided(num, phi)) is not None:
+            num, at_two, e = q, at_two // phi_two, e - 1
         den[d] = e
-    return t + 2 * v, list(num.coeffs), {m: -e for m, e in _factors(den).items()}
+    return t + 2 * v, num, {m: -e for m, e in _factors(den).items()}
 
 
-def _sum_forms(entries) -> list[RatFunc]:
+def _sum_forms(entries) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The canonical forms over Q(X) of the sums of products in `entries`, in
-    order: X^a c(Y) prod_m (Y^m - 1)^f_m (`_sum_factors`) is X^a c(Y) up(Y) /
-    down(Y), with up and down the products of its Phi_d(Y) of positive and of
-    negative exponent, each expanded from the previous entry's (`_series`).
-    Only here are the coefficients in Y interleaved into X, with X^|a| on the
-    side the sign of a puts it."""
+    order, each a pair (num, den) of integer coefficient tuples in X,
+    ascending, with no trailing zero, coprime and den monic; 0 is
+    ((), (1,)). X^a c(Y) prod_m (Y^m - 1)^f_m (`_sum_factors`) is
+    X^a c(Y) up(Y) / down(Y), with up and down the products of its Phi_d(Y)
+    of positive and of negative exponent, each expanded from the previous
+    entry's (`_series`). Only here are the coefficients in Y interleaved into
+    X, with X^|a| on the side the sign of a puts it."""
     sums = [_sum_factors(forms) for forms in entries]
     downs = [_factors({d: -e for d, e in _y_cyclotomic(f).items() if e < 0}) for _, _, f in sums]
     ups = [{m: f.get(m, 0) + g.get(m, 0) for m in f.keys() | g.keys()} for (_, _, f), g in zip(sums, downs)]
 
     def interleaved(c, a):  # X^max(a, 0) c(X^2)
-        return Poly._raw([0] * max(a, 0) + [x for y in c for x in (y, 0)])
+        out = [0] * (max(a, 0) + 2 * len(c) - 1)
+        out[max(a, 0) :: 2] = c
+        return tuple(out)
 
     out = []
     for (a, c, _), up, down in zip(sums, _series(ups), _series(downs)):
         num, (shorter, longer) = [0] * (len(c) + len(up) - 1), sorted((c, up), key=len)
         for i, x in enumerate(shorter):  # c(Y) up(Y): c is a sign, or up is 1
             num[i : i + len(longer)] = [z + x * y for z, y in zip(num[i : i + len(longer)], longer)]
-        out.append(RatFunc(interleaved(num, a), interleaved(down, -a)) if c else RatFunc.zero())
+        out.append((interleaved(num, a), interleaved(down, -a)) if c else ((), (1,)))
     return out

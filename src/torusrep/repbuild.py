@@ -44,7 +44,6 @@ import math
 import numpy as np
 
 from .errors import PoleError, TooLargeError, float_range
-from .field import FMatrix, RatFunc
 from .qsymbols import _lambda_form, _limit, _over_denominator, _poly, _rhat_form, _sum_forms
 
 _X_HALF = (-1, 1, [(2, False, -1)])  # X/{2}, X = -(-X)
@@ -68,13 +67,13 @@ def _ratio_factors(N: int):
     return {(n, m): [_rhat_form(n, m, N)] for n in range(N) for m in range(N)}
 
 
-def _matrix(N: int, forms) -> FMatrix:
-    """The N x N matrix of the canonical forms of the entries of the form map
-    `forms` (`qsymbols._sum_forms`), zero off its keys."""
-    rows = [[RatFunc.zero()] * N for _ in range(N)]
+def _matrix(N: int, forms):
+    """The N x N rows of the canonical forms (num, den) of the entries of the
+    form map `forms` (`qsymbols._sum_forms`), zero off its keys."""
+    rows = [[((), (1,))] * N for _ in range(N)]
     for (i, j), entry in zip(forms, _sum_forms(forms.values())):
         rows[i][j] = entry
-    return FMatrix(tuple(map(tuple, rows)))
+    return rows
 
 
 def _zprime_terms(N: int):
@@ -212,7 +211,7 @@ def _integer_form(forms, N: int):
     p = [[[]] * N for _ in range(N)]
     for (i, j), k, (_, c) in zip(forms, shifts, nums):
         p[i][j] = [0] * (k + s) + c
-    return p, [0] * s + list(_poly(den).coeffs)
+    return p, [0] * s + _poly(den)
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum

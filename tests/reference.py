@@ -1,5 +1,6 @@
-"""Reference implementations for the tests: polynomial sums and products, Q(X)
-arithmetic by polynomial gcd, products of quantum integers by that arithmetic
+"""Reference implementations for the tests: polynomials over Z, elements and
+matrices of Q(X) in canonical form and their JSON, polynomial sums and
+products, Q(X) arithmetic by polynomial gcd, products of quantum integers by that arithmetic
 and by their cyclotomic exponents, monomials and the identity matrix, exact
 values and slopes at a rational point (values entrywise for a matrix, naming
 the entry of a pole), the exact values at X = -1 that the program holds in
@@ -28,11 +29,192 @@ import numpy as np
 
 from torusrep import repbuild
 from torusrep.errors import BadPError, NearPoleError, PoleError
-from torusrep.field import FMatrix, Poly, RatFunc
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
 from torusrep.qsymbols import _cyclotomic, _divisors, _factors, _limit, _rhat_form, _sum_forms, _times
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
+
+
+# --- polynomials over Z, Q(X) in canonical form, and matrices over Q(X) ----------
+
+
+class Poly:
+    """A univariate polynomial over Z, stored densely by ascending degree with
+    trailing zeros trimmed."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"polynomial coefficients must be ints, got {c!r}")
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def _raw(cs):
+        """Unchecked constructor for int coefficients; trailing zeros are
+        trimmed."""
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        p = object.__new__(Poly)
+        p.coeffs = tuple(cs[:n])
+        return p
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def lead(self):
+        return self.coeffs[-1] if self.coeffs else 0
+
+    @property
+    def valuation(self):
+        """Multiplicity of the root 0 (0 for the zero polynomial)."""
+        return next((i for i, c in enumerate(self.coeffs) if c), 0)
+
+    def unshift(self, k):
+        """Divide by X^k, assuming valuation >= k."""
+        return Poly._raw(self.coeffs[k:]) if k else self
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"Poly({self.coeffs})"
+
+    def exact_div(self, other):
+        """The quotient in Z[X] of a division known to be exact, such as one by
+        a primitive divisor over Q (Gauss's lemma); ArithmeticError if the
+        division is not exact in Z[X]."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        db = other.degree
+        lb = other.lead
+        terms = [(i, bc) for i, bc in enumerate(other.coeffs[:-1]) if bc]
+        q = [0] * max(len(rem) - db, 0)
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k]
+            if c == 0:
+                continue
+            if lb == 1:
+                qc = c
+            elif lb == -1:
+                qc = -c
+            else:
+                qc = c // lb
+                if qc * lb != c:
+                    raise ArithmeticError("division was not exact")
+            q[k - db] = qc
+            shift = k - db
+            for i, bc in terms:
+                rem[shift + i] -= qc * bc
+            rem[k] = 0
+        if any(rem[:db]):
+            raise ArithmeticError("division was not exact")
+        return Poly._raw(q)
+
+
+class RatFunc:
+    """An element of Q(X) in the canonical form of Frac(Z[X]): num and den in
+    Z[X] with no common factor, polynomial or integer, and den with a positive
+    leading coefficient. The constructor takes num and den already in that
+    form and does not reduce (`reduced` does); an int or Fraction is taken as
+    the constant it is."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if isinstance(num, (int, Fraction)):
+            num, den = Poly((num.numerator,)), Poly((num.denominator,))
+        self.num = num
+        self.den = Poly((1,)) if den is None else den
+
+    @staticmethod
+    def zero():
+        return RatFunc(Poly())
+
+    @property
+    def is_zero(self):
+        return self.num.is_zero
+
+    def __bool__(self):
+        return not self.num.is_zero
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RatFunc(other)
+        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+
+    def __repr__(self):
+        return f"RatFunc({self.num.coeffs}, {self.den.coeffs})"
+
+
+class FMatrix:
+    """An immutable matrix over Q(X), a tuple of row tuples; int and Fraction
+    entries are taken as constants."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(e if isinstance(e, RatFunc) else RatFunc(e) for e in r) for r in rows)
+
+    @property
+    def n_rows(self):
+        return len(self.rows)
+
+    @property
+    def n_cols(self):
+        return len(self.rows[0]) if self.rows else 0
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other):
+        return isinstance(other, FMatrix) and self.rows == other.rows
+
+
+def form_of(pair) -> RatFunc:
+    """A canonical form (num, den) of `qsymbols._sum_forms` as a RatFunc: two
+    tuples of ints without a trailing zero (asserted)."""
+    num, den = (Poly(c) for c in pair)
+    assert (num.coeffs, den.coeffs) == pair, pair
+    return RatFunc(num, den)
+
+
+def fmatrix_of(rows) -> FMatrix:
+    """The rows of canonical forms that `repbuild._matrix` gives as an
+    FMatrix."""
+    return FMatrix(tuple(tuple(map(form_of, row)) for row in rows))
+
+
+def ratfunc_to_obj(f: RatFunc) -> dict:
+    return {"num": [str(c) for c in f.num.coeffs], "den": [str(c) for c in f.den.coeffs]}
+
+
+def fmatrix_to_obj(m: FMatrix, name: str | None = None, N: int | None = None) -> dict:
+    """The JSON object symbolic `matrices` emits, for any matrix over Q(X)."""
+    obj = {"n_rows": m.n_rows, "n_cols": m.n_cols, "entries": [[ratfunc_to_obj(e) for e in row] for row in m.rows]}
+    if name is not None:
+        obj["matrix_name"] = name
+    if N is not None:
+        obj["N"] = N
+    return obj
 
 
 # --- polynomial addition, subtraction, scaling, shifts and multiplication ----------
@@ -125,7 +307,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 # --- Q(X) arithmetic by polynomial gcd ------------------------------------------
 #
-# Every result is reduced to the canonical form of `field.RatFunc` (num and den
+# Every result is reduced to the canonical form of `RatFunc` (num and den
 # coprime in Z[X], den with a positive leading coefficient) by the gcd of the
 # primitive polynomial remainder sequence. Operands may be ints or Fractions.
 
@@ -607,7 +789,7 @@ def rhat(n: int, m: int, N: int) -> RatFunc:
 def sum_form(forms) -> RatFunc:
     """The canonical form of the sum of the products in `forms`, as the build
     gives it (`qsymbols._sum_forms`)."""
-    return _sum_forms([forms])[0]
+    return form_of(_sum_forms([forms])[0])
 
 
 def sum_over_qx(forms) -> RatFunc:
@@ -636,7 +818,7 @@ def pairing_transpose(N: int, a: FMatrix) -> FMatrix:
 def built(what: str, N: int, index: int | None = None) -> FMatrix:
     """The matrix that symbolic `matrices --what` emits: the canonical forms
     (`repbuild._matrix`) of its form map (`repbuild.forms`)."""
-    return repbuild._matrix(N, repbuild.forms(what, N, index))
+    return fmatrix_of(repbuild._matrix(N, repbuild.forms(what, N, index)))
 
 
 def twists(N: int) -> tuple[FMatrix, FMatrix]:
@@ -1023,8 +1205,8 @@ def predicted_form_pole(forms, s: PSetting, tol: float):
             exps = _exponents(*entry[0])[2]
         else:
             den = sum_form(entry).den
-            exps = {d: -1 for d in range(1, den.degree + 1) if _divides(_cyclotomic(d), den)}
-        if any(e < 0 and abs(horner(_cyclotomic(d), s.A)) < tol for d, e in exps.items()):
+            exps = {d: -1 for d in range(1, den.degree + 1) if _divides(Poly(_cyclotomic(d)), den)}
+        if any(e < 0 and abs(horner(Poly(_cyclotomic(d)), s.A)) < tol for d, e in exps.items()):
             return f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j)
     return None
 

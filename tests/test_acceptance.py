@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 
 from torusrep.classical import SL2, closed_limits, hN_matrix
-from torusrep.field import FMatrix, RatFunc
 from torusrep.mcg import NTClass, parse_word, sl2_image
 from torusrep.numeric import (
     PSetting,
@@ -17,6 +16,8 @@ from torusrep.numeric import (
 )
 
 from reference import (
+    FMatrix,
+    RatFunc,
     braid_holds,
     classical_limit,
     eval_exact,

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import torusrep
-from torusrep import numeric, repbuild
+from torusrep import numeric, qsymbols, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.errors import TooLargeError
-from torusrep.field import RatFunc, fmatrix_to_obj
 from torusrep.qsymbols import _limit
 
 from reference import (
@@ -22,6 +21,7 @@ from reference import (
     decimal_forms,
     flipped_curve_factor,
     fmatrix_from_obj,
+    fmatrix_to_obj,
     named,
     relative_error,
     twists,
@@ -140,6 +140,41 @@ def test_evaluated_matrices_pinned(capsys, what, ev):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_DIGESTS[what, ev]
+
+
+# SHA-256 of symbolic `matrices --N 5 --what W --format F` for every W (M with
+# --index 0..3), in the two formats that print the canonical forms as text
+TEXT_DIGESTS = {
+    ("T", "pretty"): "df4b0853b31c3064e442bc1e0d68519a3bbe60c7a93156a84f9df5bbb635ed61",
+    ("Tstar", "pretty"): "37b06c2494745b77600fdce89fe9b5e9c16a393c20dd8d49276c0649ef8697da",
+    ("Z", "pretty"): "5a881b788b350777cb42fcd73834170f4067381b395cfe0ce849978262ca3119",
+    ("Y", "pretty"): "9a4110fb4c53012cb1390de73ec8df991eebd86b3e6357bae3dc5cb4955a1e8d",
+    ("Zprime", "pretty"): "be623d633254085bb927567268a6c3af86c89806a48c990fa8812eaf8e247483",
+    ("R", "pretty"): "0558fde245c5bcf516f91672bf1ae0f66f8cb967474cb9376fe8fbd0d6174100",
+    ("M0", "pretty"): "2f550549d89775dae627b4ce45987e5ff8764282064335691e3598bdf8a924ff",
+    ("M1", "pretty"): "c78f936d874458003f456a0f29be4bab6be7730f9fd70da65fcdf8e177f43ebe",
+    ("M2", "pretty"): "6da1e917740b4145a51f9025d9fac179c7225c3545cf6f26021cb98f53633d18",
+    ("M3", "pretty"): "ce65b267b7bc5042d86263e8072a56c420e3a732ded30fb7174bafbb3eed2af5",
+    ("T", "csv"): "7fd7ff30a737c9cb558d6c9ef7058a1c35c081e0f0e6aaf3e0aae5a0e383d09d",
+    ("Tstar", "csv"): "e71e75dac8fbfde2e3b7f27e49b23dabb021403752a99189787e3be329b3931c",
+    ("Z", "csv"): "6f2cabef7e9883d363a1075a7e70863e29d57012e853c31fd02b8079d5e46cc6",
+    ("Y", "csv"): "6ec9bc7d74a6aa76c4692c668d4f76a2d3086fa66192b198c7449b500cd88dd0",
+    ("Zprime", "csv"): "accc3acb17a2eaccd63d8d4b391d7935cff3d88e43913b7d0a8eb5d80db24a11",
+    ("R", "csv"): "bcf31932d4b776cfe7d345e846d777a321ab5aa2005bb686d9863d80626b0392",
+    ("M0", "csv"): "05bbe08b44e9e210de0bd369cf03804355f5bf0d6c45c663ff6c8236650a17cb",
+    ("M1", "csv"): "1cfa2b66df528b588ad9a2de42efcb256b015b4ce99c29d88afe036a3701ebfc",
+    ("M2", "csv"): "077cdd2b83acf4229d5dd9328c4a3d14d709948b8cd281bbb5b1153e90d18b8a",
+    ("M3", "csv"): "367b27ed282790f068fb9ab7c8e1c136394167c7838fd1ef756e8f0da89b0546",
+}
+
+
+@pytest.mark.parametrize("what, fmt", list(TEXT_DIGESTS))
+def test_symbolic_text_pinned(capsys, what, fmt):
+    argv = ["matrices", "--format", fmt, "--N", "5"]
+    argv += ["--what", "M", "--index", what[1:]] if what.startswith("M") else ["--what", what]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[what, fmt]
 
 
 def test_matrices_twists_at_root_are_accurate(capsys):
@@ -298,8 +333,7 @@ def test_verify_fails_the_tridiagonal_line_on_a_product_off_it(capsys, monkeypat
     # iff that sum is not zero, decided in Y with nothing built over Q(X)
     terms = repbuild._zprime_terms
     monkeypatch.setattr(repbuild, "_zprime_terms", lambda N: {**terms(N), (0, 2): OFF_TRIDIAGONAL[added]})
-    made, init = [], RatFunc.__init__
-    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    made = sum_forms_calls(monkeypatch)
     code, out, err = run(capsys, "verify", "--N", str(N))
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     if added == "nonzero":
@@ -446,6 +480,20 @@ def test_margin_only_on_amu(capsys, argv):
     assert "unrecognized arguments: --margin" in capsys.readouterr().err
 
 
+def sum_forms_calls(monkeypatch):
+    """Record the calls of `qsymbols._sum_forms`, the one maker of canonical
+    forms over Q(X), at both places it is bound."""
+    calls, real = [], qsymbols._sum_forms
+
+    def recorded(entries):
+        calls.append(entries)
+        return real(entries)
+
+    for owner in (qsymbols, repbuild):
+        monkeypatch.setattr(owner, "_sum_forms", recorded)
+    return calls
+
+
 def count_builds(monkeypatch):
     """Count the calls of `repbuild._matrix`, the one build over Q(X)."""
     calls, build = {"_matrix": 0}, repbuild._matrix
@@ -504,8 +552,7 @@ def test_verify_builds_each_matrix_once_per_dimension(capsys, monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(repbuild, name, counted)
-    made, init = [], RatFunc.__init__
-    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    made = sum_forms_calls(monkeypatch)
     code, _, _ = run(capsys, "verify", "--N", "2..5")
     assert code == 0
     assert calls == {"_matrix": 0, "_twist_factors": 4, "_zprime_terms": 4, "_recurrence_terms": 0}
@@ -725,6 +772,24 @@ def test_out_to_a_path_that_cannot_be_opened_is_an_error(tmp_path, capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.endswith(f"{str(target)!r}\n") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_is_opened_before_any_work(tmp_path, capsys, monkeypatch):
+    # as by a shell redirection, a path that cannot be opened is refused
+    # before the work starts: at N = 32 neither the exact checks nor the
+    # symbolic build of R is begun
+    started = sum_forms_calls(monkeypatch)
+
+    def refused(*args):
+        started.append(args)
+        raise AssertionError("the exact checks ran before --out was opened")
+
+    monkeypatch.setattr(repbuild, "relation_checks", refused)
+    target = tmp_path / "missing" / "x"
+    for argv in (("verify", "--N", "32"), ("matrices", "--N", "32", "--what", "R")):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out, started) == (2, "", [])
+        assert err.startswith("error: ") and err.endswith(f"{str(target)!r}\n") and err.count("\n") == 1
 
 
 def test_calls_in_one_process_print_what_each_prints_alone(capsys):

@@ -67,7 +67,7 @@ def test_sl2_image_homomorphism_random():
         u = " ".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
         v = " ".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
         wu, wv = parse_word(u), parse_word(v)
-        assert sl2_image(wu + wv) == sl2_image(wu) * sl2_image(wv)
+        assert sl2_image(parse_word(f"{u} {v}")) == sl2_image(wu) * sl2_image(wv)
         assert (
             sl2_image(wu).a * sl2_image(wu).d - sl2_image(wu).b * sl2_image(wu).c == 1
         )
@@ -89,8 +89,7 @@ def test_classify_conjugation_invariant():
     rng = random.Random(11)
     alphabet = ["y", "z", "y^-1", "z^-1"]
     for base in ("y z^-1", "y", "y z y"):
-        w = parse_word(base)
-        want = classify(w)
+        want = classify(parse_word(base))
         for _ in range(10):
             u = [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
             inv = []
@@ -98,7 +97,7 @@ def test_classify_conjugation_invariant():
                 g, _, e = tok.partition("^")
                 e = -int(e) if e else -1
                 inv.append(f"{g}^{e}" if e != 1 else g)
-            conj = parse_word(" ".join(u)) + w + parse_word(" ".join(inv))
+            conj = parse_word(" ".join([*u, base, *inv]))
             assert classify(conj) is want
 
 
@@ -125,10 +124,10 @@ def test_chi_p_values():
 
 
 def test_chi_p_multiplicative_and_exponent_sum_only():
-    u, v = parse_word("y z"), parse_word("z^-1 y^2")
+    u, v, uv = parse_word("y z"), parse_word("z^-1 y^2"), parse_word("y z z^-1 y^2")
     p, n_dim = 13, 3
     assert abs(
-        chi_p(u + v, p, n_dim) - chi_p(u, p, n_dim) * chi_p(v, p, n_dim)
+        chi_p(uv, p, n_dim) - chi_p(u, p, n_dim) * chi_p(v, p, n_dim)
     ) < 1e-12
     w_same_sum = parse_word("y^3")  # exponent sum 3, same as "y z y"
     assert abs(chi_p(w_same_sum, p, n_dim) - chi_p(parse_word("y z y"), p, n_dim)) < 1e-12

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from torusrep import repbuild
 from torusrep.classical import SL2, closed_limits, hN_matrix
 from torusrep.errors import PoleError, TooLargeError
-from torusrep.field import FMatrix, Poly, RatFunc, fmatrix_to_obj
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import _over_denominator
 from torusrep.repbuild import (
@@ -36,6 +35,9 @@ from torusrep.repbuild import (
 
 import reference
 from reference import (
+    FMatrix,
+    Poly,
+    RatFunc,
     SingularError,
     add,
     braid_holds,
@@ -43,6 +45,7 @@ from reference import (
     changed_factor,
     classical_limit,
     eval_exact,
+    fmatrix_to_obj,
     fractions,
     flipped_curve_factor,
     fm_eq,
