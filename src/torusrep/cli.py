@@ -352,6 +352,7 @@ _PARSER = build_parser()  # once per process; parse_args keeps no state between 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        numeric.check_bound("tolerance", args.tolerance)
         # --out is opened before any work, as a shell redirection is
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             return args.func(args, out)

@@ -56,12 +56,17 @@ def parse_word(text: str) -> Word:
 
 
 def sl2_image(w: Word) -> SL2:
-    """Project to SL2(Z): t_y -> (1 1; 0 1), t_z -> (1 0; -1 1); both powers
-    have closed forms."""
-    out = SL2.identity()
+    """Project to SL2(Z): t_y -> (1 1; 0 1), t_z -> (1 0; -1 1). Both powers
+    have closed forms, (1 e; 0 1) and (1 0; -e 1), so a letter changes one
+    column of the running product, kept in plain ints; one SL2 (with its
+    determinant check) is built at the end."""
+    a, b, c, d = 1, 0, 0, 1
     for gen, e in w.letters:
-        out = out * (SL2(1, e, 0, 1) if gen is Gen.TY else SL2(1, 0, -e, 1))
-    return out
+        if gen is Gen.TY:  # times (1 e; 0 1)
+            b, d = a * e + b, c * e + d
+        else:  # times (1 0; -e 1)
+            a, c = a - b * e, c - d * e
+    return SL2(a, b, c, d)
 
 
 class NTClass(enum.Enum):

@@ -308,6 +308,15 @@ def check_size(N: int, levels: int = 0) -> None:
         raise TooLargeError(f"scan of {levels} levels exceeds bound {MAX_LEVELS}")
 
 
+def check_bound(name: str, value: float) -> None:
+    """Reject a margin or tolerance that is negative or not finite: a NaN
+    compares false with everything, and a negative or infinite bound makes
+    every comparison with it go one way, so each would void its guard or
+    certificate silently."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def spectral_radius(m: np.ndarray, levels):
     """The L largest eigenvalue moduli of an L x n x n stack of small dense
     complex matrices (n at most `MAX_EIG_DIM`), from one `eigvals` call. A
@@ -365,12 +374,16 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
 
     Levels go in blocks (`block_levels`). Each block evaluates T and T* at its
     roots A_p from their closed product forms (`eval_twists`; nothing exact is
-    built, nothing is Horner evaluated), inverts one where a letter has a
-    negative exponent, and forms the word on the stack of levels:
-    `matrix_power` per letter (cost logarithmic in the exponent) and `@`
-    across letters. One stacked `spectral_radius` call (ValueError naming p
-    if not finite) and one max|M_p - h_N(w)| reduction give the rows, bit for
-    bit those of one level at a time.
+    built, nothing is Horner evaluated) and forms the word on the stack of
+    levels: `matrix_power` per letter (cost logarithmic in the exponent) and
+    `@` across letters. An inverse letter needs no solve: over Q(X),
+    G(X)^-1 = E G(X^-1) E for G = T and T*, E = diag((-1)^i) (the bar
+    involution of Blanchet-Habegger-Masbaum-Vogel), and X^-1 = conj(X) on the
+    unit circle while the coefficients are real, so at A_p the inverse is
+    E conj(G) E: a conjugation and sign flips, exact in floats, formed once
+    per generator and block. One stacked `spectral_radius` call (ValueError
+    naming p if not finite) and one max|M_p - h_N(w)| reduction give the
+    rows, bit for bit those of one level at a time.
 
     The symbolic representation already carries the character rescaling (its
     generators are the matrices of the rescaled twists), so evaluating at A_p
@@ -382,15 +395,17 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     float range with a TooLargeError."""
     check_size(N, len(p_list))
     target = exact_floats(hN_matrix(sl2_image(w), N), "an entry of the classical target h_N(w)")
+    signs = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))  # E X E = signs * X
     rows = []
     for block in _blocks(N, (PSetting(p, N) for p in sorted(p_list))):
         t, tstar = eval_twists(N, block, tol)
+        bases = {(Gen.TY, 1): t, (Gen.TZ, 1): tstar}
         m_p = np.eye(N, dtype=complex)
         for gen, exp in w.letters:
-            base = t if gen is Gen.TY else tstar
-            if exp < 0:
-                base = np.linalg.inv(base)
-            m_p = m_p @ np.linalg.matrix_power(base, abs(exp))
+            key = (gen, 1 if exp > 0 else -1)
+            if key not in bases:  # G^-1 = E conj(G) E
+                bases[key] = signs * bases[gen, 1].conj()
+            m_p = m_p @ np.linalg.matrix_power(bases[key], abs(exp))
         m_p = np.broadcast_to(m_p, (len(block), N, N))  # the empty word too
         ps = [s.p for s in block]
         deviations = np.abs(m_p - target).max(axis=(1, 2))
@@ -405,7 +420,9 @@ def amu_certificate(
     margin: float = DEFAULT_MARGIN,
     tol: float = DEFAULT_TOLERANCE,
 ) -> AMUReport:
-    """Scan all odd levels in [2N+1, p_max] and report the certificate."""
+    """Scan all odd levels in [2N+1, p_max] and report the certificate; a
+    negative or non-finite margin is refused first (`check_bound`)."""
+    check_bound("margin", margin)
     if p_max < 2 * N + 1:
         raise BadPError(f"p_max = {p_max} below the smallest level {2 * N + 1}")
     kind = classify(w)

@@ -6,9 +6,9 @@ values and slopes at a rational point (values entrywise for a matrix, naming
 the entry of a pole), the exact values at X = -1 that the program holds in
 integers, read as Fractions, the integer forms in Y = X^2 that the exact
 checks take, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
-arithmetic, exact matrix inverse and word products over Q(X), the braid and
-center checks by Kronecker substitution, T and T* by the column recurrence
-through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
+arithmetic, exact matrix inverse, the substitution X -> X^-1 and word
+products over Q(X), the braid and center checks by Kronecker substitution,
+T and T* by the column recurrence through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
 products, the rescaling character, the q-factorial, the twist eigenvalue and
 the pairing ratio over Q(X), complex values by Horner's rule, symbolic
 matrices and the form maps of `repbuild` evaluated at A_p in decimal
@@ -495,6 +495,16 @@ def fm_mul(a: FMatrix, b: FMatrix) -> FMatrix:
             row.append(acc)
         out.append(tuple(row))
     return FMatrix(tuple(out))
+
+
+def bar(f: RatFunc) -> RatFunc:
+    """f(X^-1) in canonical form: num(X^-1)/den(X^-1) is the reversed
+    numerator over the reversed denominator times X^(deg den - deg num)."""
+    if f.is_zero:
+        return f
+    num, den = Poly(f.num.coeffs[::-1]), Poly(f.den.coeffs[::-1])
+    shift = f.den.degree - f.num.degree
+    return reduced(poly_shift(num, shift), den) if shift >= 0 else reduced(num, poly_shift(den, -shift))
 
 
 def fm_scale(m: FMatrix, s) -> FMatrix:

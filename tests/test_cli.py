@@ -13,6 +13,7 @@ import torusrep
 from torusrep import numeric, qsymbols, repbuild
 from torusrep.cli import canonical_json, main
 from torusrep.errors import TooLargeError
+from torusrep.mcg import parse_word
 from torusrep.qsymbols import _limit
 
 from reference import (
@@ -677,6 +678,33 @@ def test_exponents_beyond_the_float_range_are_refused(capsys, argv, what):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {what}") and err.endswith("is beyond the float range\n")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_negative_or_non_finite_margin_and_tolerance_are_refused(capsys, monkeypatch, value):
+    # `amu --margin -1` certified p0_observed = 5 at a spectral radius of 1,
+    # and a NaN or negative tolerance voided every near-pole guard: each is
+    # refused before anything is built or evaluated
+    started = sum_forms_calls(monkeypatch)
+
+    def refused(*args):
+        started.append(args)
+        raise AssertionError("work began before the bound was checked")
+
+    for owner, name in ((numeric, "eval_twists"), (numeric, "eval_forms"), (repbuild, "relation_checks")):
+        monkeypatch.setattr(owner, name, refused)
+    amu = ("amu", "--word", "y z^-1", "--N", "2", "--pmax", "5")
+    cases = [((*amu, "--margin", value), "margin")] + [
+        ((*argv, "--tolerance", value), "tolerance")
+        for argv in (amu, ("limit", "--word", "y z^-1", "--N", "2", "--p", "5..9"), ("verify", "--N", "2"),
+                     ("matrices", "--N", "2", "--what", "T", "--eval", "p=7"))
+    ]
+    for argv, name in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, started) == (2, "", []), argv
+        assert err == f"error: {name} must be finite and >= 0, got {float(value)}\n", argv
+    with pytest.raises(ValueError, match="margin must be finite"):
+        numeric.amu_certificate(parse_word("y z^-1"), 2, 5, margin=float(value))
 
 
 def test_level_cap_admits_the_widest_documented_scan():

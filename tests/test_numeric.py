@@ -1,6 +1,8 @@
 import cmath
 import math
 import time
+from decimal import localcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,15 +27,20 @@ from torusrep.numeric import (
 )
 
 from reference import (
+    FMatrix,
+    bar,
     chi_p,
     decimal_at_root,
     decimal_forms,
     decimal_twists,
     direct_oracle_matrices,
+    fm_mul,
     fractions,
     horner_matrix,
+    identity,
     max_abs,
     named,
+    neg,
     oracle_m_matrices,
     oracle_z_matrix,
     predicted_form_pole,
@@ -280,8 +287,10 @@ def test_huge_exponent_is_cheap(capsys):
 
 def _rows_level_by_level(w, N, levels):
     """convergence_table's rows built one level at a time, with the same
-    evaluator and the same numpy calls."""
+    evaluator and the same numpy calls, but an inverse letter formed as the
+    matrix product E conj(G) E, E = diag((-1)^i)."""
     target = np.array(fractions(hN_matrix(sl2_image(w), N)), dtype=complex)
+    e = np.diag((-1.0) ** np.arange(N))
     rows = []
     for p in levels:
         t, tstar = (g[0] for g in eval_twists(N, [PSetting(p, N)]))
@@ -289,13 +298,13 @@ def _rows_level_by_level(w, N, levels):
         for gen, exp in w.letters:
             base = t if gen.name == "TY" else tstar
             if exp < 0:
-                base = np.linalg.inv(base)
+                base = e @ base.conj() @ e
             m = m @ np.linalg.matrix_power(base, abs(exp))
         rows.append((p, spectral_radius(m[None], [p]).item(), max_abs(m - target)))
     return rows
 
 
-@pytest.mark.parametrize("word, N", [("y z^-1", 3), ("y^3 z^-2 y", 4), ("z^5 y^-7", 2)])
+@pytest.mark.parametrize("word, N", [("y z^-1", 3), ("y^3 z^-2 y", 4), ("z^5 y^-7", 2), ("y^-2 z y^-3", 3)])
 def test_convergence_table_equals_level_by_level(word, N, monkeypatch):
     w = parse_word(word)
     levels = range(2 * N + 1, 2 * N + 1 + 2 * (64 + 5), 2)
@@ -307,6 +316,100 @@ def test_convergence_table_equals_level_by_level(word, N, monkeypatch):
         assert [len(b) for b in blocks] == ([69] if size > 69 else [64, 5])
         rows = convergence_table(w, N, levels)
         assert [(r.p, r.spectral_radius, r.deviation) for r in rows] == want, size
+
+
+def test_scans_invert_no_matrix_numerically(monkeypatch, capsys):
+    # inverse letters of both generators are read off eval_twists' stack as
+    # E conj(G) E: no LAPACK inverse is taken on either scan
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg.inv was called")
+
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    assert main(["amu", "--word", "y z^-2 y^-3 z", "--N", "5", "--pmax", "41"]) == 0
+    assert main(["limit", "--word", "z^-1 y^-2 z^3", "--N", "4", "--p", "9..61"]) == 0
+    assert "p0_observed=" in capsys.readouterr().out
+
+
+# --- inverse letters in closed form: G(X)^-1 = E G(X^-1) E, E = diag((-1)^i) --
+#
+# Each check is run with E = diag(e^i) for e = -1, where it holds, and for
+# e = 1 (E = I), where it must fail.
+
+
+def _signs(N: int, e: float) -> np.ndarray:
+    """E M E = _signs(N, e) * M entrywise, for E = diag(e^i)."""
+    return e ** np.add.outer(np.arange(N), np.arange(N))
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_closed_form_inverse_is_exact_over_qx(N):
+    for g in twists(N):
+        for e, holds in ((-1, True), (1, False)):
+            inv = FMatrix(tuple(tuple(bar(x) if e ** (i + j) > 0 else neg(bar(x)) for j, x in enumerate(row))
+                                for i, row in enumerate(g.rows)))
+            assert (fm_mul(g, inv) == identity(N)) is holds, (N, e)
+
+
+@lru_cache(maxsize=None)
+def _decimal_pair(N: int, p: int):
+    """T and T* at A_p and at its conjugate A_p^-1 (k = 1 and k = p - 1) in
+    50 digits, as maps (i, j) -> (re, im) of their nonzero entries."""
+    return decimal_twists(N, p, 1), decimal_twists(N, p, p - 1)
+
+
+def _decimal_residual(g, h, e: int):
+    """max|G E H E - I| / (max|G| max|H|), in 60-digit arithmetic, for two
+    maps (i, j) -> (re, im) of Decimals holding the nonzero entries."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rows = {}
+        for (l, j), v in h.items():
+            rows.setdefault(l, []).append((j, v))
+        out = {}
+        for (i, l), (ar, ai) in g.items():
+            for j, (br, bi) in rows.get(l, ()):
+                s, (re, im) = e ** (l + j), out.get((i, j), (0, 0))
+                out[i, j] = re + s * (ar * br - ai * bi), im + s * (ar * bi + ai * br)
+
+        def size(entries):
+            return max((re * re + im * im).sqrt() for re, im in entries)
+
+        residual = size((re - (i == j), im) for (i, j), (re, im) in out.items())
+        return residual / (size(g.values()) * size(h.values()))
+
+
+@pytest.mark.parametrize("N", [16, 24, 32])
+def test_closed_form_inverse_holds_in_50_digits(N):
+    for p in (2 * N + 1, 101, 2001):
+        for g, h in zip(*_decimal_pair(N, p)):
+            for e, holds in ((-1, True), (1, False)):
+                assert (_decimal_residual(g, h, e) <= 1e-40) is holds, (N, p, e)
+
+
+@pytest.mark.parametrize("N", [*range(2, 13), 16, 24, 32])
+def test_closed_form_inverse_holds_in_floats(N):
+    # |G E conj(G) E - I| <= 6.7e-16 |G| |conj(G)| over this grid
+    levels = [PSetting(p, N, k) for p in (2 * N + 1, 2 * N + 3, 4 * N + 1, 101, 2001)
+              for k in sorted({1, 2, (p - 1) // 2})]
+    for g in eval_twists(N, levels):
+        for e, holds in ((-1.0, True), (1.0, False)):
+            inv = _signs(N, e) * g.conj()
+            residual = np.abs(g @ inv - np.eye(N)).max(axis=(1, 2))
+            size = np.abs(g).max(axis=(1, 2)) * np.abs(inv).max(axis=(1, 2))
+            assert ((residual <= 1e-15 * size) == holds).all(), (N, e)
+
+
+@pytest.mark.parametrize("N, p", [(24, 61), (32, 65), (32, 2001)])
+def test_closed_form_inverse_matches_50_digits_where_lapack_does_not(N, p):
+    # numpy.linalg.inv(T*) is 2.7e-6, 9.7e-5 and 1.3e-2 off entrywise here,
+    # cond(T*) reaching 1.5e10 at p = 2001
+    tstar = eval_twists(N, [PSetting(p, N)])[1][0]
+    exact = {(i, j): (re, im) if (i + j) % 2 == 0 else (-re, -im)  # E T*(A^-1) E
+             for (i, j), (re, im) in _decimal_pair(N, p)[1][1].items()}
+    for e, holds in ((-1.0, True), (1.0, False)):
+        inv = _signs(N, e) * tstar.conj()
+        assert (max(relative_error(inv[ij], v) for ij, v in exact.items()) <= 1e-13) is holds, e
+        assert not any(inv[i, j] for i in range(N) for j in range(N) if (i, j) not in exact)
 
 
 def test_blocks_are_sized_by_matrix_entries():
