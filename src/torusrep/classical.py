@@ -27,21 +27,6 @@ class SL2:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant must be 1: {self}")
 
-    @staticmethod
-    def identity() -> SL2:
-        return SL2(1, 0, 0, 1)
-
-    def __mul__(self, other: SL2) -> SL2:
-        return SL2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> SL2:
-        return SL2(self.d, -self.b, -self.c, self.a)
-
     @property
     def trace(self) -> int:
         return self.a + self.d

@@ -18,7 +18,6 @@ evaluated at A_p.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 from itertools import accumulate
@@ -39,7 +38,8 @@ _QUARTER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
 
 @dataclasses.dataclass(frozen=True)
 class PSetting:
-    """One level: odd p >= 2N+1 with the derived color shift and root."""
+    """One level: odd p >= 2N+1 and a root index k coprime to p, which give
+    the root A_p (module docstring), with the derived color shift c."""
 
     p: int
     N: int
@@ -61,18 +61,12 @@ class PSetting:
     def c(self) -> int:
         return self.d - self.N
 
-    @property
-    def A(self) -> complex:
-        """A_p = -exp(2 pi i k/p): a primitive 2p-th root of unity with
-        (-A_p)^p = 1, tending to -1 as p grows (for k = 1)."""
-        return -cmath.exp(2j * cmath.pi * self.k / self.p)
-
 
 def _oracle_block(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     """The raw construction behind `oracle_matrices` for a block of levels
-    (PSettings of dimension N): (z, ratios, zprime, M, T, Tstar), each an
-    L x N x N complex array with the level first, except M: a function taking
-    n to the stack of M^(n), formed on each call, so that memory is O(L N^2).
+    (PSettings of dimension N): (T, Tstar), two L x N x N complex arrays with
+    the level first. z, the ratios and z' are L x N x N too, and each stack of
+    M^(n) is formed in turn and dropped, so that memory is O(L N^2).
 
     The symbols are the raw ones at A_p, with the color shift c appearing
     literally: (-A)^n = exp(i w n), w = 2 pi k/p, the exponent never reduced,
@@ -126,16 +120,14 @@ def _oracle_block(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     a = -power(1)[:, :, None]  # A = -(-A)
     zprime = (a * (y @ z) - (z @ y) / a) / low[:, 1, None, None]
 
-    def m_stack(n):  # M^(n), formed when asked: one stack alive at a time
-        return (zprime - lam[:, n, None, None] * np.eye(N)) / low[:, n, None, None]
-
     cols = [np.zeros((len(levels), N, 1), dtype=complex)]
     cols[0][:, 0] = 1.0
-    for n in range(N - 1):
-        cols.append(m_stack(n) @ cols[-1])
+    for n in range(N - 1):  # one stack of M^(n) alive at a time
+        m_n = (zprime - lam[:, n, None, None] * np.eye(N)) / low[:, n, None, None]
+        cols.append(m_n @ cols[-1])
     t = np.concatenate(cols, axis=2)
     tstar = t.transpose(0, 2, 1) / ratios  # tstar[n, m] = t[m, n] / R(n, m)
-    return z, ratios, zprime, m_stack, t, tstar
+    return t, tstar
 
 
 def oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
@@ -144,7 +136,7 @@ def oracle_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
     the color shift appearing literally, the raw factorial pairing ratios in
     their telescoped form, the skein-relation twist and the column
     recurrence. Returns two N x N complex arrays."""
-    _, _, _, _, t, tstar = _oracle_block(s.N, [s], tol)
+    t, tstar = _oracle_block(s.N, [s], tol)
     return t[0], tstar[0]
 
 
@@ -170,11 +162,12 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
         T[m][n+1]  = T[m][n] (-A)^-(N-1-m) {N-1-n} {2N-1-n}+ / {n+1-m},
         T*[n+1][m] = -T*[n][m] (-A)^-(N-1-m) {N-1-n} {n+1} / ({n+1-m} {2N-2n-2}).
 
-    With -A_p = exp(i w), w = 2 pi k/p, {j} = 2i sin(w j) and {j}+ = 2 cos(w j),
-    each angle reduced exactly (`_cis`). The i's cancel, so each step but its
-    power of -A is a real ratio, an entry is the running product (`cumprod`)
-    of its row's ratios, and one unit complex (-A)^e(m,n) that T and T* share
-    gives its phase. A ratio carries at most 7 relative errors of size eps
+    With -A_p = exp(i w), w = 2 pi k/p, {j} = 2i sin(w j) and {j}+ = 2 cos(w j).
+    The i's cancel, so each step but its power of -A is a real ratio, an entry
+    is the running product (`cumprod`) of its row's ratios, and one unit
+    complex (-A)^e(m,n) that T and T* share gives its phase. The 2N angles
+    w j, j < 2N, and the N(N+1)/2 phases are reduced exactly in one `_cis`
+    call. A ratio carries at most 7 relative errors of size eps
     (a reduced sine or cosine, or one operation), so an entry n - m steps
     from the diagonal is within about (8 (n - m) + 2) eps relative, to first
     order (Higham, ch. 3), whatever p is. Every operation is element-wise
@@ -191,7 +184,11 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
         raise BadPError(f"level p = {top} is too large to reduce angles exactly in 64-bit integers")
     p = np.array([s.p for s in levels])[:, None]
     k = np.array([s.k % s.p for s in levels])[:, None]
-    cos, sin = _cis(k * np.arange(2 * N), p)  # column j: w j
+    m, n = np.arange(N)[:, None], np.arange(N)  # the step into T[m][n], T*[n][m]
+    rows, cols = np.nonzero(n >= m)
+    phases = -rows * (2 * N - 1 - rows) - (N - 1 - rows) * (cols - rows)  # e(m, n), n >= m
+    cos, sin = _cis(k * np.concatenate((np.arange(2 * N), phases)), p)  # column j < 2N: w j
+    (cos, re), (sin, im) = np.split(cos, [2 * N], axis=1), np.split(sin, [2 * N], axis=1)
     j = np.arange(1, N)
     low, even = (np.abs(2 * sin[:, d]) < tol for d in (j, 2 * N - 2 * j))
     failing = np.flatnonzero(low.any(axis=1) | even.any(axis=1))
@@ -204,13 +201,10 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
         msg = f"{name} entry {entry}: a divisor is below {tol:g} at p = {levels[lvl].p}"
         raise NearPoleError(msg, entry=entry, point=lvl)
 
-    m, n = np.arange(N)[:, None], np.arange(N)  # the step into T[m][n], T*[n][m]
     upper, col = n > m, np.maximum(n, 1)
     ratio = sin[:, None, N - n] / sin[:, np.where(upper, n - m, 1)]  # {N-n}/{n-m}
     steps = np.array([2 * cos[:, 2 * N - col], -sin[:, col] / sin[:, 2 * N - 2 * col]])
     mags = np.cumprod(np.where(upper, ratio * steps[:, :, None], 1.0), axis=-1)
-    rows, cols = np.nonzero(n >= m)
-    re, im = _cis(k * (-rows * (2 * N - 1 - rows) - (N - 1 - rows) * (cols - rows)), p)
     gens = np.zeros((2, len(levels), N, N), dtype=complex)
     for gen, mag, (i, j) in zip(gens, mags[:, :, rows, cols], ((rows, cols), (cols, rows))):
         gen.real[:, i, j], gen.imag[:, i, j] = mag * re, mag * im
@@ -285,7 +279,7 @@ def oracle_deviation(N: int, levels, tol: float = DEFAULT_TOLERANCE) -> float:
         pairs, errors = [], []
         for evaluate in (eval_twists, _oracle_block):
             try:
-                pairs.append(evaluate(N, block, tol)[-2:])
+                pairs.append(evaluate(N, block, tol))
             except NearPoleError as err:
                 errors.append(err)
         if errors:  # min keeps the closed form's error at a tie

@@ -220,7 +220,10 @@ _PRIMES = (
     1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
     1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309,
 )
-_BLOCK_CELLS = 2**13  # a block has 2^13 // N^2 points (128 at N = 8), which bounds its arrays
+# A block has at most 2^17 // N^2 points (2048 at N = 8, one block per prime
+# there; 128 at N = 32), which bounds its arrays. Of 2^13..2^17, 2^17 took
+# `verify --N 24` and `--N 32` the least time as processes, `--N 16` the most.
+_BLOCK_CELLS = 2**17
 _CHUNK = 64  # coefficients per matrix product in `_values`
 
 
@@ -233,7 +236,9 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     The braid identity is decided first; the center identity, which it
     implies, only when it fails. The polynomials are laid out once as rows
     (`_coefficient_rows`), and per prime, blocks of the points y = 1..K are
-    checked at once (`_check_block`). Each identity has its own K (`_spans`)
+    checked at once (`_check_block`), each of at most `_BLOCK_CELLS` // N^2
+    points and no more than the larger K: the block size bounds the arrays,
+    not any sum. Each identity has its own K (`_spans`)
     and its own primes (`_height_bound`). The arithmetic is float64 on
     integers, exact because every coefficient is below 2^53 and every
     partial sum of products of residues, which lie in (-q, q) (`_mod`),
@@ -258,7 +263,7 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     lengths = _lengths(rows != 0)
     order = np.argsort(-lengths, kind="stable")  # longest first, as `_values` takes them
     rows, lengths, back = rows[order], lengths[order], np.argsort(order)
-    block = max(1, _BLOCK_CELLS // (n * n))
+    block = max(1, min(_BLOCK_CELLS // (n * n), max(points)))
     buf = np.zeros((2, block, n, n))
 
     def holds(center: bool, points: int, primes) -> bool:

@@ -8,9 +8,9 @@ integers, read as Fractions, the integer forms in Y = X^2 that the exact
 checks take, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
 arithmetic, exact matrix inverse, the substitution X -> X^-1 and word
 products over Q(X), the braid and center checks by Kronecker substitution,
-T and T* by the column recurrence through M^(n), the oracle's z and M^(n), the oracle from direct raw factorial
+T and T* by the column recurrence through M^(n), the oracle from direct raw factorial
 products, the rescaling character, the q-factorial, the twist eigenvalue and
-the pairing ratio over Q(X), complex values by Horner's rule, symbolic
+the pairing ratio over Q(X), the root A_p of a level, complex values by Horner's rule, symbolic
 matrices and the form maps of `repbuild` evaluated at A_p in decimal
 arithmetic, the near-pole errors those maps predict, the basis rescaling
 alpha_n of the classical target, and the entrywise max-modulus norm of a
@@ -30,7 +30,7 @@ import numpy as np
 from torusrep import repbuild
 from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.mcg import Gen, Word
-from torusrep.numeric import DEFAULT_TOLERANCE, PSetting, _oracle_block
+from torusrep.numeric import DEFAULT_TOLERANCE, PSetting
 from torusrep.qsymbols import _cyclotomic, _divisors, _factors, _limit, _rhat_form, _sum_forms, _times
 from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
 
@@ -622,6 +622,12 @@ def moebius_over_denominator(forms):
 # --- values at a point by Horner's rule -----------------------------------------
 
 
+def root(s: PSetting) -> complex:
+    """A_p = -exp(2 pi i k/p) of level s: a primitive 2p-th root of unity with
+    (-A_p)^p = 1, tending to -1 as p grows (for k = 1)."""
+    return -cmath.exp(2j * cmath.pi * s.k / s.p)
+
+
 def horner(poly: Poly, x):
     """poly at x by Horner's rule: exact for an int or Fraction x, CPython
     complex arithmetic for a complex one."""
@@ -965,20 +971,6 @@ def _eval_matrix_at(p, w: int):
     return [[_eval_at(q, w) for q in row] for row in p]
 
 
-# --- the oracle's intermediate matrices -----------------------------------------
-
-
-def oracle_m_matrices(s: PSetting, tol: float = DEFAULT_TOLERANCE):
-    """The oracle's recurrence matrices M^(n), for structural spot checks."""
-    m_stack = _oracle_block(s.N, [s], tol)[3]
-    return [m_stack(n)[0] for n in range(s.N - 1)]
-
-
-def oracle_z_matrix(s: PSetting, tol: float = DEFAULT_TOLERANCE):
-    """The oracle's curve-operator matrix, for spot checks of the eigenvalues."""
-    return _oracle_block(s.N, [s], tol)[0][0]
-
-
 # --- the oracle from direct raw factorial products ------------------------------
 
 
@@ -1216,7 +1208,7 @@ def predicted_form_pole(forms, s: PSetting, tol: float):
         else:
             den = sum_form(entry).den
             exps = {d: -1 for d in range(1, den.degree + 1) if _divides(Poly(_cyclotomic(d)), den)}
-        if any(e < 0 and abs(horner(Poly(_cyclotomic(d)), s.A)) < tol for d, e in exps.items()):
+        if any(e < 0 and abs(horner(Poly(_cyclotomic(d)), root(s))) < tol for d, e in exps.items()):
             return f"entry ({i}, {j}): a divisor is below {tol:g} at p = {s.p}", (i, j)
     return None
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torusrep.classical import SL2, _binomial_expand, closed_limits, hN_matrix
+from torusrep.mcg import Gen, Word, sl2_image
 
 from reference import alpha, fractions
 
@@ -29,14 +30,14 @@ TY = SL2(1, 1, 0, 1)
 TZ = SL2(1, 0, -1, 1)
 
 
+def random_letters(rng, lo, hi):
+    """Between lo and hi letters, each a generator to the power +-1."""
+    return tuple((rng.choice((Gen.TY, Gen.TZ)), rng.choice((1, -1))) for _ in range(rng.randint(lo, hi)))
+
+
 def test_sl2_validation():
     with pytest.raises(ValueError):
         SL2(1, 1, 1, 1)
-
-
-def test_sl2_inverse():
-    g = TY * TZ
-    assert g * g.inverse() == SL2.identity()
 
 
 def test_alpha_values():
@@ -51,11 +52,8 @@ def test_hN_matrix_rescales_the_binomial_action_by_alpha():
     # entry (m, n) is alpha_n / alpha_m times the Y^m coefficient of
     # (aX + cY)^(N-1-n) (bX + dY)^n, three Fraction operations apart
     rng = random.Random(11)
-    gens = [TY, TZ, TY.inverse(), TZ.inverse()]
     for n_dim in range(2, 9):
-        g = SL2.identity()
-        for _ in range(rng.randint(0, 6)):
-            g = g * rng.choice(gens)
+        g = sl2_image(Word(random_letters(rng, 0, 6)))
         h = hn(g, n_dim)
         for n in range(n_dim):
             left = _binomial_expand(g.a, g.c, n_dim - 1 - n)
@@ -66,7 +64,7 @@ def test_hN_matrix_rescales_the_binomial_action_by_alpha():
 
 
 def test_hN_identity():
-    assert hn(SL2.identity(), 4) == identity(4)
+    assert hn(SL2(1, 0, 0, 1), 4) == identity(4)
 
 
 def test_hN_generators_n2():
@@ -75,16 +73,14 @@ def test_hN_generators_n2():
 
 
 def test_hN_homomorphism_random():
+    # h_N of the image of a product of random words is the product of theirs,
+    # so this also checks the product that `sl2_image` forms
     rng = random.Random(7)
-    gens = [TY, TZ, TY.inverse(), TZ.inverse()]
     for n_dim in (2, 3, 4):
         for _ in range(8):
-            g = SL2.identity()
-            h = SL2.identity()
-            for _ in range(rng.randint(1, 5)):
-                g = g * rng.choice(gens)
-                h = h * rng.choice(gens)
-            assert hn(g * h, n_dim) == mat_mul(hn(g, n_dim), hn(h, n_dim))
+            u, v = random_letters(rng, 1, 5), random_letters(rng, 1, 5)
+            g, h = sl2_image(Word(u)), sl2_image(Word(v))
+            assert hn(sl2_image(Word(u + v)), n_dim) == mat_mul(hn(g, n_dim), hn(h, n_dim))
 
 
 def test_hN_braid_relation():

@@ -43,6 +43,7 @@ from reference import (
     qint_plus,
     reciprocal,
     rhat,
+    root,
     signed_power,
     sub,
     sum_form,
@@ -108,7 +109,7 @@ def test_lambda_matches_raw_eigenvalue_at_roots():
     # -{2(c+k)+2}+ at A_p equals the reflected form; literal c on the left.
     for N, p in ((2, 7), (3, 11), (4, 23)):
         s = PSetting(p, N)
-        a = s.A
+        a = root(s)
         for k in range(N):
             n = s.c + k
             raw = -(((-a) ** (2 * n + 2)) + ((-a) ** (-(2 * n + 2))))
@@ -125,7 +126,7 @@ def test_reflection_identities_numeric():
     # {x+2c} = -{2N+1-x} and {x+2c}+ = {2N+1-x}+ at A_p, any odd p >= 2N+1
     for N, p in ((2, 5), (2, 7), (3, 7), (3, 31), (5, 11)):
         s = PSetting(p, N)
-        w = -s.A
+        w = -root(s)
 
         def qd(t):
             return w**t - w**-t
@@ -413,7 +414,7 @@ def test_rhat_matches_raw_factorial_ratio():
     # The telescoped product against the raw factorial formula with literal c;
     # this pins the double-factorial termination convention.
     def raw_ratio(n, m, s):
-        w = -s.A
+        w = -root(s)
 
         def qd(t):
             return w**t - w**-t
@@ -449,14 +450,14 @@ def test_rhat_matches_raw_factorial_ratio():
         s = PSetting(p, N)
         for n in range(N):
             for m in range(N):
-                sym = horner_value(rhat(n, m, N), s.A)
+                sym = horner_value(rhat(n, m, N), root(s))
                 raw = raw_ratio(n, m, s)
                 assert abs(sym - raw) < 1e-9, (N, p, n, m)
 
 
 def test_primitive_root_is_primitive_2pth():
     for p in (5, 7, 11, 25):
-        a = PSetting(p, 2).A
+        a = root(PSetting(p, 2))
         assert abs(a ** (2 * p) - 1) < 1e-10
         assert abs((-a) ** p - 1) < 1e-10  # the reflection-enabling property
         assert abs(a**p - 1) > 0.5  # order exactly 2p, not p

@@ -264,7 +264,7 @@ def test_classical_limit_pole_reports_entry():
 
 def test_classical_limit_of_word_matches_hN():
     w = parse_word("y z^-1")
-    g = SL2(1, 1, 0, 1) * SL2(1, 0, -1, 1).inverse()
+    g = SL2(2, 1, 1, 1)  # (1 1; 0 1) (1 0; 1 1)
     for N in (2, 3):
         assert classical_limit(rep_of_word(w, N)) == fractions(hN_matrix(g, N))
 
@@ -901,6 +901,23 @@ def test_a_failing_braid_evaluates_the_center(monkeypatch, N):
     t, tstar = changed_factor(*_twist_factors(N), N)
     assert _integer_checks(*_integer_form(t, N), *_integer_form(tstar, N)) == (False, False)
     assert _points_per_prime(log, True)
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_relation_checks_do_not_depend_on_the_block_size(monkeypatch, N):
+    # on the generators and with a changed factor, the verdicts with one point
+    # per block are those with one block for all K points of each prime
+    log = _blocks(monkeypatch)
+    cases = (_twist_factors(N), changed_factor(*_twist_factors(N), N))
+    for twist, want in zip(cases, ((True, True), (False, False))):
+        for cells in (1, 2**20):
+            monkeypatch.setattr(repbuild, "_BLOCK_CELLS", cells)
+            log.clear()
+            assert relation_checks(N, twist) == want, cells
+            if cells == 1:
+                assert {k for _, _, k in log} == {1}
+            else:
+                assert len(log) == len({(center, q) for center, q, _ in log})
 
 
 def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
