@@ -9,23 +9,20 @@ denominator, den = 2^(N-1) (N-1)! for h_N, as alpha_n = 2^n C(N-1, n) /
 
 from __future__ import annotations
 
-import dataclasses
 from collections import namedtuple
 from math import comb, factorial
 
 
-@dataclasses.dataclass(frozen=True)
-class SL2:
+class SL2(namedtuple("SL2", "a b c d")):
     """A 2x2 integer matrix of determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        self = super().__new__(cls, a, b, c, d)
+        if a * d - b * c != 1:
             raise ValueError(f"determinant must be 1: {self}")
+        return self
 
     @property
     def trace(self) -> int:

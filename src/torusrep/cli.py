@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import classical, numeric, repbuild
-from .errors import BadPError, NearPoleError, PoleError, float_range
+from .errors import BadPError, ConvergenceError, NearPoleError, PoleError, float_range
 from .mcg import parse_word, sl2_image
 from .qsymbols import _sum_factors, same_limit
 
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         # --out is opened before any work, as a shell redirection is
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             return args.func(args, out)
-    except (BadPError, PoleError, NearPoleError, ValueError, OSError) as err:
+    except (BadPError, PoleError, NearPoleError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

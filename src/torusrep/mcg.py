@@ -3,10 +3,10 @@ and Nielsen-Thurston classification by trace."""
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import re
+from collections import namedtuple
 
 from .classical import SL2
 from .errors import ExponentZeroError, NotHyperbolicError, ParseError, float_range
@@ -17,16 +17,16 @@ class Gen(enum.Enum):
     TZ = "z"
 
 
-@dataclasses.dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "letters")):
     """A mapping class given as an ordered sequence of (generator, exponent)
     letters; the leftmost letter is leftmost in any matrix product."""
 
-    letters: tuple[tuple[Gen, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(e == 0 for _, e in self.letters):
+    def __new__(cls, letters: tuple[tuple[Gen, int], ...]):
+        if any(e == 0 for _, e in letters):
             raise ValueError("letter exponents must be nonzero")
+        return super().__new__(cls, letters)
 
     def __str__(self):
         return " ".join(

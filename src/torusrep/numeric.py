@@ -18,9 +18,10 @@ evaluated at A_p.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections import namedtuple
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,22 +37,20 @@ MAX_LEVELS = 100_000
 _QUARTER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
 
 
-@dataclasses.dataclass(frozen=True)
-class PSetting:
+class PSetting(namedtuple("PSetting", "p N k")):
     """One level: odd p >= 2N+1 and a root index k coprime to p, which give
     the root A_p (module docstring), with the derived color shift c."""
 
-    p: int
-    N: int
-    k: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 2:
-            raise BadPError(f"N must be >= 2, got {self.N}")
-        if self.p % 2 == 0 or self.p < 2 * self.N + 1:
-            raise BadPError(f"need odd p >= 2N+1 = {2 * self.N + 1}, got p = {self.p}")
-        if math.gcd(self.k, self.p) != 1:
-            raise BadPError(f"root index k = {self.k} is not coprime to p = {self.p}")
+    def __new__(cls, p: int, N: int, k: int = 1):
+        if N < 2:
+            raise BadPError(f"N must be >= 2, got {N}")
+        if p % 2 == 0 or p < 2 * N + 1:
+            raise BadPError(f"need odd p >= 2N+1 = {2 * N + 1}, got p = {p}")
+        if math.gcd(k, p) != 1:
+            raise BadPError(f"root index k = {k} is not coprime to p = {p}")
+        return super().__new__(cls, p, N, k)
 
     @property
     def d(self) -> int:
@@ -331,15 +330,13 @@ def spectral_radius(m: np.ndarray, levels):
     return np.abs(eigs).max(axis=-1)
 
 
-@dataclasses.dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     p: int
     spectral_radius: float
     deviation: float
 
 
-@dataclasses.dataclass(frozen=True)
-class AMUReport:
+class AMUReport(NamedTuple):
     """Certificate data for one word at one dimension. `p0_observed` is the
     smallest scanned level from which the spectral radius clears 1 + margin
     through the whole remaining scan; it is an empirical observation about the

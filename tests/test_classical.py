@@ -36,8 +36,18 @@ def random_letters(rng, lo, hi):
 
 
 def test_sl2_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         SL2(1, 1, 1, 1)
+    assert type(err.value) is ValueError and str(err.value) == "determinant must be 1: [[1, 1], [1, 1]]"
+    with pytest.raises(ValueError, match=r"^determinant must be 1: \[\[2, 0\], \[0, 2\]\]$"):
+        SL2(a=2, b=0, c=0, d=2)
+    g = SL2(2, 1, 1, 1)
+    assert g == SL2(a=2, b=1, c=1, d=1) and hash(g) == hash(SL2(2, 1, 1, 1)) and g != TY
+    assert repr(g) == "SL2(a=2, b=1, c=1, d=1)" and str(g) == "[[2, 1], [1, 1]]"
+    for field in "abcd":
+        with pytest.raises(AttributeError):
+            setattr(g, field, 0)
+    assert (g.a, g.b, g.c, g.d, g.trace) == (2, 1, 1, 1, 3)
 
 
 def test_alpha_values():

@@ -738,6 +738,60 @@ def test_amu_pretty_and_json(capsys):
     assert len(obj["rows"]) == len(range(5, 32, 2))
 
 
+AMU_KEYS = {"word", "N", "classification", "stretch", "target_eig", "margin", "tolerance", "p0_observed", "rows"}
+LIMIT_KEYS = {"word", "N", "tolerance", "rows"}
+
+
+@pytest.mark.parametrize("word", ["y z^-1", "y"], ids=["pseudo-Anosov", "reducible"])
+@pytest.mark.parametrize(
+    "argv, keys",
+    [(("amu", "--pmax", "15"), AMU_KEYS), (("limit", "--p", "5..15"), LIMIT_KEYS)],
+    ids=["amu", "limit"],
+)
+def test_scan_json_schema(capsys, word, argv, keys):
+    # the keys and value types that `bench/refcheck.py` and other readers of
+    # the JSON rely on: exactly these top-level keys, and rows of an int
+    # level and two floats
+    code, out, _ = run(capsys, argv[0], "--word", word, "--N", "2", *argv[1:], "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert set(obj) == keys
+    assert obj["word"] == word and obj["N"] == 2 and obj["tolerance"] == 1e-12
+    assert [row["p"] for row in obj["rows"]] == list(range(5, 16, 2))
+    for row in obj["rows"]:
+        assert set(row) == {"p", "spectral_radius", "deviation"}
+        assert type(row["p"]) is int
+        assert type(row["spectral_radius"]) is float and type(row["deviation"]) is float
+    if argv[0] == "amu":
+        assert type(obj["margin"]) is float
+        if word == "y":
+            assert (obj["classification"], obj["stretch"], obj["target_eig"], obj["p0_observed"]) == (
+                "ReducibleOrCentral", None, None, None)
+        else:
+            assert obj["classification"] == "PseudoAnosov" and type(obj["p0_observed"]) is int
+            assert type(obj["stretch"]) is float and type(obj["target_eig"]) is float
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("amu", "--word", "y z^-1", "--N", "3", "--pmax", "11"),
+        ("limit", "--word", "y z^-1", "--N", "3", "--p", "7..11"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_eigenvalue_solver_failure_is_an_error(capsys, monkeypatch, argv):
+    # LAPACK failing to converge is an error (status 2, one line), not a
+    # traceback with the status of a FAILed check
+    def failed(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failed)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: eigenvalue solver failed: Eigenvalues did not converge\n"
+
+
 def test_amu_non_pa_has_no_p0(capsys):
     code, out, _ = run(
         capsys, "amu", "--word", "y", "--N", "2", "--pmax", "31", "--format", "json"

@@ -49,8 +49,17 @@ def test_parse_errors_carry_position():
 
 
 def test_word_rejects_zero_exponent():
-    with pytest.raises(ValueError):
-        Word(((Gen.TY, 0),))
+    for letters in (((Gen.TY, 0),), ((Gen.TY, 1), (Gen.TZ, 0))):
+        with pytest.raises(ValueError) as err:
+            Word(letters)
+        assert type(err.value) is ValueError and str(err.value) == "letter exponents must be nonzero"
+    w = Word(((Gen.TY, 1), (Gen.TZ, -1)))
+    assert w == parse_word("y z^-1") and hash(w) == hash(Word(letters=((Gen.TY, 1), (Gen.TZ, -1))))
+    assert w != parse_word("z^-1 y")
+    assert repr(w) == "Word(letters=((<Gen.TY: 'y'>, 1), (<Gen.TZ: 'z'>, -1)))" and str(w) == "y z^-1"
+    with pytest.raises(AttributeError):
+        w.letters = ()
+    assert w.letters == ((Gen.TY, 1), (Gen.TZ, -1))
 
 
 def test_sl2_image_generators_and_products():

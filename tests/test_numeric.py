@@ -14,7 +14,9 @@ from torusrep.cli import main
 from torusrep.mcg import NTClass, parse_word, sl2_image, stretch_factor
 from torusrep import numeric, repbuild
 from torusrep.numeric import (
+    AMUReport,
     PSetting,
+    TableRow,
     amu_certificate,
     block_levels,
     convergence_table,
@@ -56,12 +58,48 @@ GOLDEN = (3 + math.sqrt(5)) / 2
 def test_psetting_validation_and_derived():
     s = PSetting(11, 3)
     assert s.d == 5 and s.c == 2
-    with pytest.raises(BadPError):
-        PSetting(10, 3)
-    with pytest.raises(BadPError):
-        PSetting(5, 3)  # p < 2N+1
-    with pytest.raises(BadPError):
-        PSetting(9, 2, k=3)  # k not coprime to p
+    assert s == PSetting(11, 3, k=1) and hash(s) == hash(PSetting(p=11, N=3))
+    assert s != PSetting(11, 3, k=2)
+    assert repr(s) == "PSetting(p=11, N=3, k=1)"
+    for field in ("p", "N", "k"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, 13)
+    assert s == PSetting(11, 3)
+    for args, kwargs, message in (
+        ((10, 3), {}, "need odd p >= 2N+1 = 7, got p = 10"),
+        ((5, 3), {}, "need odd p >= 2N+1 = 7, got p = 5"),  # p < 2N+1
+        ((9, 2), {"k": 3}, "root index k = 3 is not coprime to p = 9"),
+        ((11, 1), {}, "N must be >= 2, got 1"),
+        ((4, 1), {}, "N must be >= 2, got 1"),  # N is checked first
+    ):
+        with pytest.raises(BadPError) as err:
+            PSetting(*args, **kwargs)
+        assert type(err.value) is BadPError and str(err.value) == message
+
+
+def test_scan_records_are_frozen_values():
+    # rows and reports compare and hash by their fields, refuse assignment,
+    # and print as Name(field=value, ...)
+    row = TableRow(5, 1.5, 0.25)
+    assert row == TableRow(p=5, spectral_radius=1.5, deviation=0.25)
+    assert hash(row) == hash(TableRow(5, 1.5, 0.25)) and row != TableRow(7, 1.5, 0.25)
+    assert repr(row) == "TableRow(p=5, spectral_radius=1.5, deviation=0.25)"
+    report = AMUReport(parse_word("y"), 2, NTClass.REDUCIBLE_OR_CENTRAL, None, None, (row,), None)
+    assert report.margin == numeric.DEFAULT_MARGIN
+    twin = AMUReport(word=parse_word("y"), N=2, classification=NTClass.REDUCIBLE_OR_CENTRAL, stretch=None,
+                     target_eig=None, rows=(TableRow(5, 1.5, 0.25),), p0_observed=None, margin=1e-6)
+    assert report == twin and hash(report) == hash(twin)
+    assert report != AMUReport(parse_word("y"), 2, NTClass.REDUCIBLE_OR_CENTRAL, None, None, (row,), None, 1e-3)
+    assert repr(report) == (
+        "AMUReport(word=Word(letters=((<Gen.TY: 'y'>, 1),)), N=2, "
+        "classification=<NTClass.REDUCIBLE_OR_CENTRAL: 'ReducibleOrCentral'>, stretch=None, "
+        "target_eig=None, rows=(TableRow(p=5, spectral_radius=1.5, deviation=0.25),), "
+        "p0_observed=None, margin=1e-06)"
+    )
+    for record, field in ((row, "p"), (row, "deviation"), (report, "rows"), (report, "margin")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert row == TableRow(5, 1.5, 0.25) and report == twin
 
 
 def test_oracle_column0_is_e():
