@@ -187,7 +187,7 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     rows, cols = np.nonzero(n >= m)
     phases = -rows * (2 * N - 1 - rows) - (N - 1 - rows) * (cols - rows)  # e(m, n), n >= m
     cos, sin = _cis(k * np.concatenate((np.arange(2 * N), phases)), p)  # column j < 2N: w j
-    (cos, re), (sin, im) = np.split(cos, [2 * N], axis=1), np.split(sin, [2 * N], axis=1)
+    re, im, cos, sin = cos[:, 2 * N :], sin[:, 2 * N :], cos[:, : 2 * N], sin[:, : 2 * N]
     j = np.arange(1, N)
     low, even = (np.abs(2 * sin[:, d]) < tol for d in (j, 2 * N - 2 * j))
     failing = np.flatnonzero(low.any(axis=1) | even.any(axis=1))
@@ -391,13 +391,14 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     for block in _blocks(N, (PSetting(p, N) for p in sorted(p_list))):
         t, tstar = eval_twists(N, block, tol)
         bases = {(Gen.TY, 1): t, (Gen.TZ, 1): tstar}
-        m_p = np.eye(N, dtype=complex)
-        for gen, exp in w.letters:
+        m_p = np.eye(N, dtype=complex)  # the empty word's, broadcast below
+        for i, (gen, exp) in enumerate(w.letters):
             key = (gen, 1 if exp > 0 else -1)
             if key not in bases:  # G^-1 = E conj(G) E
                 bases[key] = signs * bases[gen, 1].conj()
-            m_p = m_p @ np.linalg.matrix_power(bases[key], abs(exp))
-        m_p = np.broadcast_to(m_p, (len(block), N, N))  # the empty word too
+            power = np.linalg.matrix_power(bases[key], abs(exp))
+            m_p = m_p @ power if i else power
+        m_p = np.broadcast_to(m_p, (len(block), N, N))
         ps = [s.p for s in block]
         deviations = np.abs(m_p - target).max(axis=(1, 2))
         rows += map(TableRow, ps, spectral_radius(m_p, ps).tolist(), deviations.tolist())

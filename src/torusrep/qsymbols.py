@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .errors import PoleError
 
@@ -123,32 +123,37 @@ def _times(c, f):
     deg = len(c) - 1
     for m, e in f.items():
         for _ in range(e):
-            for i in range(deg, m - 1, -1):
-                c[i] -= c[i - m]
+            c[m:] = map(sub, c[m:], c[: len(c) - m])
         for _ in range(-e):
             for i in range(m, deg + 1):
                 c[i] += c[i - m]
     return c
 
 
-def _series(maps):
+def _expand(maps, start=(1,)):
     """For each map m -> g_m in `maps` in turn, the coefficients of the
-    polynomial prod_m (Y^m - 1)^g_m, ascending. Neighbouring maps share most
-    factors (T[m][n+1] / T[m][n] is a few {k}), so each is the previous
-    series, unsigned, cut or padded to the new degree and multiplied by the
-    factors (1 - Y^m) of the difference of the two maps (`_times`), unless
-    that difference has no fewer factors than the new map, which is then
-    expanded afresh. Both are exact: the previous series is a polynomial, and
-    every step is a ring operation on power series cut at the new degree."""
-    last, c = {}, [1]
+    polynomial start(Y) prod_m (1 - Y^m)^g_m, ascending (start 1 unless
+    given). Neighbouring maps share most factors (T[m][n+1] / T[m][n] is a
+    few {k}), so each is the previous series cut or padded to the new degree
+    times the factors (1 - Y^m) of the difference of the two maps
+    (`_times`), unless that difference has no fewer factors than the new
+    map, which then multiplies `start` afresh. Both are exact: the previous
+    series is a polynomial, every step a ring operation cut at its degree."""
+    last, c = {}, start
     for g in maps:
-        deg = sum(m * e for m, e in g.items())
+        deg = len(start) - 1 + sum(m * e for m, e in g.items())
         step = {m: g.get(m, 0) - last.get(m, 0) for m in g.keys() | last.keys()}
         if sum(map(abs, step.values())) < sum(map(abs, g.values())):
             c = _times(c[: deg + 1] + [0] * (deg + 1 - len(c)), step)
         else:
-            c = _times([1] + [0] * deg, g)
+            c = _times([*start[: deg + 1]] + [0] * (deg + 1 - len(start)), g)
         last = g
+        yield c
+
+
+def _series(maps):
+    """`_expand`'s series for the list `maps`, signed: prod_m (Y^m - 1)^g_m."""
+    for g, c in zip(maps, _expand(maps)):
         yield [-x for x in c] if sum(g.values()) % 2 else c
 
 
@@ -199,17 +204,18 @@ def _over_denominator(forms):
     multiples m of d (`_y_factors`, `_y_cyclotomic`). Each numerator, in the
     order of forms, is its form's value times the denominator, X^a c(Y) as
     (a, c), c its coefficients in Y (ascending, the last nonzero). A
-    numerator's factors are its form's plus the denominator's, inverted once
-    (`_factors`), and each is expanded from the previous numerator's
-    (`_series`)."""
+    numerator's factors are its form's plus the denominator's (`_factors`),
+    which cancel in the step from the previous numerator or are the series
+    it starts from (`_expand`); its sign is applied once."""
     terms, den = [_y_factors(*form) for form in forms], {}
     for _, _, f in terms:
         for d, e in _y_cyclotomic(f).items():
             if e < -den.get(d, 0):
                 den[d] = -e
     base = _factors(den)
-    maps = [{m: f.get(m, 0) + base.get(m, 0) for m in f.keys() | base.keys()} for _, _, f in terms]
-    return den, [(a, c if s > 0 else [-y for y in c]) for (s, a, _), c in zip(terms, _series(maps))]
+    start, odd = next(_expand([base])), sum(base.values()) % 2
+    nums = zip(terms, _expand([f for _, _, f in terms], start))
+    return den, [(a, [-y for y in c] if (s < 0) != (sum(f.values()) + odd) % 2 else c) for (s, a, f), c in nums]
 
 
 def _y_factors(sign: int, power: int, factors):

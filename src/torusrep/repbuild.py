@@ -166,7 +166,8 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
 
     - every coefficient of f is at most `bound` in absolute value, the sum of
       the l1-norms of the two sides, bounded through the nonnegative matrices
-      of entry norms (||gh||_1 <= ||g||_1 ||h||_1), one bound per identity
+      of entry norms (||gh||_1 <= ||g||_1 ||h||_1), one bound per identity,
+      in float64 with a slack that keeps it above the exact one
       (`_height_bound`);
     - every nonzero coefficient of an entry f of the difference has its
       degree in the span [lo, hi] of that entry (`_spans`), so f = Y^lo g
@@ -191,15 +192,15 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
 def _integer_form(forms, N: int):
     """(P, D) with P / D = E M E^-1, M the N x N matrix of the form map
     `forms`, whose entries are single products (`_twist_factors`), zero off
-    its keys, and E = diag(X^floor(i/2)), each polynomial a list of integer
-    coefficients in Y = X^2, ascending. Over the products' least common
-    denominator den(Y), den = prod Phi_d^e_d with e_d the largest exponents
-    of their denominators, entry (i, j) of M is X^a c(Y) / den(Y)
+    its keys, and E = diag(X^floor(i/2)), each polynomial Y^v c(Y) in Y = X^2
+    as (v, c), c its integer coefficients from the lowest nonzero one,
+    ascending, and 0 as (0, []). Over the products' least common denominator
+    den(Y) = prod Phi_d^e_d, e_d the largest exponents of their
+    denominators, entry (i, j) of M is X^a c(Y) / den(Y)
     (`qsymbols._over_denominator`), so that of E M E^-1 is Y^k c(Y) / den(Y),
-    2k = a + floor(i/2) - floor(j/2). P and D are those numerators Y^k c and
-    den, times the one Y^s with s >= 0 the least that makes every k + s >= 0.
-    A ValueError names the first entry whose 2k is odd, before anything is
-    evaluated."""
+    2k = a + floor(i/2) - floor(j/2). P and D are those numerators and den
+    times the one Y^s, s >= 0 the least that makes every k + s >= 0: (k + s, c)
+    and (s, den). A ValueError names the first entry whose 2k is odd."""
     den, nums = _over_denominator(form for [form] in forms.values())
     shifts = []
     for (i, j), (a, _) in zip(forms, nums):
@@ -208,10 +209,10 @@ def _integer_form(forms, N: int):
             raise ValueError(f"entry ({i}, {j}) is not X^(floor(i/2) + floor(j/2)) times a function of X^2")
         shifts.append(k)
     s = max(0, -min(shifts))
-    p = [[[]] * N for _ in range(N)]
+    p = [[(0, [])] * N for _ in range(N)]
     for (i, j), k, (_, c) in zip(forms, shifts, nums):
-        p[i][j] = [0] * (k + s) + c
-    return p, [0] * s + _poly(den)
+        p[i][j] = (k + s, c)
+    return p, (s, _poly(den))
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum
@@ -220,50 +221,53 @@ _PRIMES = (
     1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
     1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309,
 )
-# A block has at most 2^17 // N^2 points (2048 at N = 8, one block per prime
-# there; 128 at N = 32), which bounds its arrays. Of 2^13..2^17, 2^17 took
-# `verify --N 24` and `--N 32` the least time as processes, `--N 16` the most.
+# A block has at most 2^17 // max(N^2, top + 1) points (1899 at N = 8, 106 at
+# N = 32), which bounds its arrays. Of 2^13..2^17, 2^17 took `verify --N 24`
+# and `--N 32` the least time as processes, `--N 16` the most.
 _BLOCK_CELLS = 2**17
 _CHUNK = 64  # coefficients per matrix product in `_values`
 
 
 def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), every
-    polynomial a list of integer coefficients in ascending degree
-    (`_integer_form`), D_T and D_S nonzero; the decision holds for integer
-    polynomials in any one variable.
+    polynomial Y^v c(Y) as (v, c), v >= 0 and c its integer coefficients,
+    ascending (`_integer_form`), D_T and D_S nonzero; the decision holds for
+    integer polynomials in any one variable.
 
     The braid identity is decided first; the center identity, which it
-    implies, only when it fails. The polynomials are laid out once as rows
-    (`_coefficient_rows`), and per prime, blocks of the points y = 1..K are
-    checked at once (`_check_block`), each of at most `_BLOCK_CELLS` // N^2
-    points and no more than the larger K: the block size bounds the arrays,
-    not any sum. Each identity has its own K (`_spans`)
-    and its own primes (`_height_bound`). The arithmetic is float64 on
-    integers, exact because every coefficient is below 2^53 and every
-    partial sum of products of residues, which lie in (-q, q) (`_mod`),
-    stays below it: (`_CHUNK` + 1) (q-1)^2 in the evaluation (`_values`),
-    N (q-1)^2 in an N x N product and 2N (q-1)^2 in the difference of two,
-    2 (q-1)^2 in a difference of scaled sides. `TooLargeError` is raised,
-    before anything is evaluated, for an input that would break one of these
-    invariants, K < q, or the reach of the prime table for either identity,
-    whether or not the center identity is then evaluated."""
+    implies, only when it fails. The c's are laid out once as rows
+    (`_coefficient_rows`) and scanned once for their nonzero mask, lengths
+    and l1 norms, and per prime, blocks of the points y = 1..K are checked
+    at once (`_check_block`), each of at most `_BLOCK_CELLS` //
+    max(N^2, top + 1) points, top the largest v, and no more than the larger
+    K: the block size bounds the arrays, y^0..y^top among them, not any sum.
+    Each identity has its own K (`_spans`) and its own primes
+    (`_height_bound`). The arithmetic is float64 on integers, exact because
+    every coefficient is below 2^53 and every partial sum of products of
+    residues, which lie in (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1)
+    (q-1)^2 in the evaluation (`_values`), N (q-1)^2 in an N x N product and
+    2N (q-1)^2 in the difference of two, 2 (q-1)^2 in a difference of scaled
+    sides. `TooLargeError` is raised, before anything is evaluated, for an
+    input that would break one of these invariants, K < q, top < q, or the
+    reach of the prime table for either identity, whether or not the center
+    identity is then evaluated."""
     n = len(pt)
-    with float_range("a coefficient of the exact checks"):
-        where, rows = _coefficient_rows(pt, dt, ps, ds)
-    if np.abs(rows).max() >= 2**53:
+    with float_range("a coefficient or valuation of the exact checks"):
+        where, lows, rows = _coefficient_rows(pt, dt, ps, ds)
+    size = np.abs(rows)
+    if size.max() >= 2**53:
         raise TooLargeError("exact checks need every coefficient below 2^53")
-    points = [1 + int(max(0, (hi - lo).max())) for lo, hi in _spans(where, rows, n)]
-    primes = [_primes_above(2 * bound) for bound in _height_bound(pt, dt, ps, ds)]
-    if max(points) >= min(p[-1] for p in primes) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
-        raise TooLargeError("exact checks need K < q and 2N (q-1)^2 < 2^53 for q near 2^20")
-    if not (rows[-2].any() and rows[-1].any()):
-        raise ValueError("exact checks need nonzero denominators D_T and D_S")
+    lengths = ((size > 0) * np.arange(1, size.shape[1] + 1)).max(-1)  # up to the last nonzero
+    points = [1 + int(max(0, (hi - lo).max())) for lo, hi in _spans(where, lows, lengths, n)]
+    primes = [_primes_above(2 * bound) for bound in _height_bound(size.sum(-1), where, n)]
+    if max(*points, lows.max()) >= min(map(min, primes)) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
+        raise TooLargeError("exact checks need K < q, valuations below q and 2N (q-1)^2 < 2^53 for q near 2^20")
+    if not (lengths[-2] and lengths[-1]) or lows.min() < 0:
+        raise ValueError("exact checks need nonzero denominators D_T and D_S and no negative valuation")
 
-    lengths = _lengths(rows != 0)
     order = np.argsort(-lengths, kind="stable")  # longest first, as `_values` takes them
-    rows, lengths, back = rows[order], lengths[order], np.argsort(order)
-    block = max(1, min(_BLOCK_CELLS // (n * n), max(points)))
+    rows, lengths, lows, back = rows[order], lengths[order], lows[order], np.argsort(order)
+    block = max(1, min(_BLOCK_CELLS // max(n * n, int(lows.max()) + 1), max(points)))
     buf = np.zeros((2, block, n, n))
 
     def holds(center: bool, points: int, primes) -> bool:
@@ -274,7 +278,7 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
             a = _mod(rows.copy(), q)
             for start in range(1, points + 1, block):
                 y = np.arange(start, min(start + block, points + 1), dtype=np.float64)
-                if not _check_block(_values(a, lengths, y, q)[back], where, buf[:, : len(y)], q, center):
+                if not _check_block(_values(a, lengths, lows, y, q)[back], where, buf[:, : len(y)], q, center):
                     return False
         return True
 
@@ -283,43 +287,37 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
 
 
 def _coefficient_rows(pt, dt, ps, ds):
-    """(where, rows): the cells (m, i, j) of the nonzero entries of P_T
-    (m = 0) and P_S (m = 1), and the float64 coefficients of those, D_T and
-    D_S, row r's coefficient of degree k at [r, k]."""
+    """(where, lows, rows): the cells (m, i, j) of the nonzero entries of P_T
+    (m = 0) and P_S (m = 1), the valuations v of those, D_T and D_S, and
+    the float64 coefficients of their c's, row r's coefficient of Y^(v + k)
+    at [r, k]."""
     cells, polys = [], []
     for m, p in enumerate((pt, ps)):
         for i, row in enumerate(p):
             for j, f in enumerate(row):
-                if any(f):
+                if any(f[1]):
                     cells.append((m, i, j))
                     polys.append(f)
     polys += [dt, ds]
-    rows = np.zeros((len(polys), max(map(len, polys))))
-    for r, f in enumerate(polys):
-        rows[r, : len(f)] = f
-    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), rows
+    rows = np.zeros((len(polys), max(len(c) for _, c in polys)))
+    for r, (_, c) in enumerate(polys):
+        rows[r, : len(c)] = c
+    lows = np.array([v for v, _ in polys], dtype=np.intp)
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), lows, rows
 
 
-def _lengths(nz):
-    """The number of coefficients of each row up to its last nonzero one,
-    from the mask nz of the nonzero ones."""
-    return (nz * np.arange(1, nz.shape[-1] + 1)).max(-1)
-
-
-def _spans(where, rows, n):
+def _spans(where, lows, lengths, n):
     """[(lo, hi)] for the braid and the center, arrays of shape (n, n) and
     (2, n, n): every nonzero coefficient of entry (i, j) of
     D_S P_T P_S P_T - D_T P_S P_T P_S, and of C' P - P C' for P = P_T, P_S,
     has its degree in [lo, hi] at (i, j), the hull of the spans of that entry
-    on the two sides. The rows' valuations lo and degrees hi go through the
-    products as (lo, -hi), both in (min, +). A zero entry has lo = inf and
-    hi = -inf."""
+    on the two sides. Row r spans lows[r]..lows[r] + lengths[r] - 1, and the
+    spans go through the products as (lo, -hi), both in (min, +). A zero
+    entry has lo = inf and hi = -inf."""
     def product(a, b):  # of (lo, -hi) stacks of span matrices, broadcast
         return (a[..., None] + b[..., None, :, :]).min(-2)
 
-    nz = rows != 0
-    length = _lengths(nz)
-    ends = np.where(length > 0, (nz.argmax(-1), 1 - length), np.inf)  # (lo, -hi) of each row
+    ends = np.where(lengths > 0, (lows, 1 - lows - lengths), np.inf)  # (lo, -hi) of each row
     p = np.full((2, 2, n, n), np.inf)  # of (P_T, P_S)
     p[:, where[0], where[1], where[2]] = ends[:, :-2]
     tst_sts = product(product(p, p[:, ::-1]), p)
@@ -330,17 +328,23 @@ def _spans(where, rows, n):
     return [(s[0, 0], -s[1, 0]), (s[0, 1:], -s[1, 1:])]
 
 
-def _height_bound(pt, dt, ps, ds) -> tuple[int, int]:
+def _height_bound(norms, where, n) -> tuple[float, float]:
     """(braid, center): bounds on every coefficient of the difference of the
     two sides of each identity, ||gh||_1 <= ||g||_1 ||h||_1 through the
-    matrices of entry l1-norms (numpy arrays of Python ints)."""
-    nt, ns = (np.array([[sum(map(abs, f)) for f in row] for row in p], dtype=object) for p in (pt, ps))
+    matrices of entry l1-norms, `norms` those of the rows at `where`, D_T's
+    and D_S's. In float64 on nonnegative terms, each is within a relative
+    7 gamma_L + gamma_(6N+4) < 2^-30 of the exact one (Higham, ch. 3; L <=
+    K < 2^20 coefficients a row, N < 2^12), so times 1 + 2^-30 it bounds
+    it: a Python float, which `_primes_above` compares with ints exactly,
+    and inf beyond the prime table."""
+    nt = np.zeros((2, n, n))
+    nt[where] = norms[:-2]
+    nt, ns = nt
     tst, sts = nt @ ns @ nt, ns @ nt @ ns
     c = tst @ tst
-    return (
-        (tst * sum(map(abs, ds)) + sts * sum(map(abs, dt))).max(),
-        max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max()),
-    )
+    braid = (tst * norms[-1] + sts * norms[-2]).max()
+    center = max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max())
+    return float(braid) * (1 + 2**-30), float(center) * (1 + 2**-30)
 
 
 def _check_block(vals, where, buf, q: float, center: bool) -> bool:
@@ -362,7 +366,7 @@ def _check_block(vals, where, buf, q: float, center: bool) -> bool:
     return not _mod(commutators, q).any()
 
 
-def _primes_above(height: int) -> tuple[int, ...]:
+def _primes_above(height: float) -> tuple[int, ...]:
     """The shortest prefix of `_PRIMES` whose product exceeds `height`."""
     prod = 1
     for k, q in enumerate(_PRIMES, 1):
@@ -372,20 +376,22 @@ def _primes_above(height: int) -> tuple[int, ...]:
     raise TooLargeError("exact checks need a height bound within reach of the prime table")
 
 
-def _values(a, lengths, x, q: float):
+def _values(a, lengths, lows, x, q: float):
     """The rows of a (coefficients mod q, ascending) at the points x, mod q,
-    row r zero from its coefficient lengths[r] on, lengths descending:
-    Horner in x^s over chunks of s = `_CHUNK` coefficients, each chunk one
-    matrix product with x^0..x^(s-1) on the rows that reach it, which come
-    first. Unlike one product with the whole Vandermonde matrix, this keeps
-    the arrays and BLAS's packed copies at s rows, whatever the degree."""
+    row r zero from its coefficient lengths[r] on, lengths descending, and
+    times x^lows[r]: Horner in x^s over chunks of s = `_CHUNK` coefficients,
+    each chunk one matrix product with x^0..x^(s-1) on the rows that reach
+    it, which come first, then each row times its x^lows[r] from the same powers.
+    Unlike one product with the whole Vandermonde matrix, this keeps the
+    arrays and BLAS's packed copies at s rows, whatever the degree."""
     s = min(_CHUNK, a.shape[1])
-    # x^0..x^s by doubling: rows k..2k-2 are rows 1..k-1 times row k-1 (x < q)
-    powers = np.empty((s + 1, len(x)))
+    top = max(s, int(lows.max()))
+    # x^0..x^top by doubling: rows k..2k-2 are rows 1..k-1 times row k-1 (x < q)
+    powers = np.empty((top + 1, len(x)))
     powers[0], powers[1] = 1.0, x
     k = 2
-    while k <= s:
-        step = min(k - 1, s + 1 - k)
+    while k <= top:
+        step = min(k - 1, top + 1 - k)
         _mod(np.multiply(powers[1 : step + 1], powers[k - 1], out=powers[k : k + step]), q)
         k += step
     starts = range((a.shape[1] - 1) // s * s, -1, -s)
@@ -396,7 +402,8 @@ def _values(a, lengths, x, q: float):
         part *= powers[s]
         part += a[:r, k : k + s] @ powers[: min(s, a.shape[1] - k)]
         _mod(part, q)
-    return acc
+    acc *= powers[lows]
+    return _mod(acc, q)
 
 
 def _mod(c, q: float):

@@ -5,7 +5,8 @@ and by their cyclotomic exponents, monomials and the identity matrix, exact
 values and slopes at a rational point (values entrywise for a matrix, naming
 the entry of a pole), the exact values at X = -1 that the program holds in
 integers, read as Fractions, the integer forms in Y = X^2 that the exact
-checks take, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
+checks take, in coefficient lists and as the checks hold them, and their
+height bounds in Python integers, the eigenvalue lambda_{c+k}, the build of y, z' and M^(n) by that
 arithmetic, exact matrix inverse, the substitution X -> X^-1 and word
 products over Q(X), the braid and center checks by Kronecker substitution,
 T and T* by the column recurrence through M^(n), the oracle from direct raw factorial
@@ -32,7 +33,7 @@ from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting
 from torusrep.qsymbols import _cyclotomic, _divisors, _factors, _limit, _rhat_form, _sum_forms, _times
-from torusrep.repbuild import _height_bound, _integer_checks, _twist_factors
+from torusrep.repbuild import _integer_checks, _twist_factors
 
 
 # --- polynomials over Z, Q(X) in canonical form, and matrices over Q(X) ----------
@@ -553,6 +554,26 @@ def conjugated_form(p, d):
             for i, row in enumerate(p)], in_y(d, u)
 
 
+def held(p, d):
+    """(P, D) given as coefficient lists, ascending (`lcm_form`,
+    `conjugated_form`), as the exact checks hold them
+    (`repbuild._integer_form`): each polynomial f = Y^v c(Y) as (v, c), v
+    the degree of its lowest nonzero coefficient and c its coefficients from
+    there on; 0 as (0, c) with c all zero, [] for an empty list."""
+    def one(f):
+        v = next((k for k, x in enumerate(f) if x), 0)
+        return v, list(f[v:])
+
+    return [[one(f) for f in row] for row in p], one(d)
+
+
+def padded(f):
+    """The coefficient list, ascending, of the polynomial (v, c) = Y^v c(Y)
+    that the exact checks hold: [] for 0, else v zeros and c."""
+    v, c = f
+    return [0] * v + list(c) if any(c) else []
+
+
 def in_y(f):
     """(t, c) with f = X^t c(X^2), for a nonzero integer polynomial f (its
     coefficients, ascending) whose terms have one parity: c the coefficients
@@ -884,7 +905,7 @@ def verify_braid(N: int) -> bool:
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
     """The braid relation for any pair over Q(X), by `relation_checks`'
     decision procedure on their (P, D) forms by lcm."""
-    return _integer_checks(*lcm_form(t), *lcm_form(tstar))[0]
+    return _integer_checks(*held(*lcm_form(t)), *held(*lcm_form(tstar)))[0]
 
 
 def rep_of_word(w: Word, N: int) -> FMatrix:
@@ -949,7 +970,7 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     verdict here never rests on the braid implying it."""
     pt, dt = lcm_form(t)
     ps, ds = lcm_form(tstar)
-    w = (2 * max(_height_bound(pt, dt, ps, ds))).bit_length()  # B = 2^w > 2 * bound
+    w = (2 * max(exact_height_bound(*held(pt, dt), *held(ps, ds)))).bit_length()  # B = 2^w > 2 * bound
 
     pt, ps = (np.array(_eval_matrix_at(p, w), dtype=object) for p in (pt, ps))
     tst, sts = pt @ ps @ pt, ps @ pt @ ps
@@ -957,6 +978,21 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     c = tst @ tst
     center = (c @ pt == pt @ c).all() and (c @ ps == ps @ c).all()
     return bool(braid), bool(center)
+
+
+def exact_height_bound(pt, dt, ps, ds) -> tuple[int, int]:
+    """(braid, center): `repbuild._height_bound` in Python integers, from the
+    integer forms as the exact checks hold them, each polynomial (v, c): the
+    bounds on every coefficient of the difference of the two sides of each
+    identity, ||gh||_1 <= ||g||_1 ||h||_1 through the matrices of entry
+    l1-norms (numpy arrays of Python ints)."""
+    nt, ns = (np.array([[sum(map(abs, c)) for _, c in row] for row in p], dtype=object) for p in (pt, ps))
+    tst, sts = nt @ ns @ nt, ns @ nt @ ns
+    c = tst @ tst
+    return (
+        (tst * sum(map(abs, ds[1])) + sts * sum(map(abs, dt[1]))).max(),
+        max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max()),
+    )
 
 
 def _eval_at(coeffs, w: int) -> int:

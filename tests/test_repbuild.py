@@ -15,10 +15,12 @@ from torusrep.errors import PoleError, TooLargeError
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import _over_denominator
 from torusrep.repbuild import (
+    _BLOCK_CELLS,
     _CHUNK,
     _PRIMES,
     _coefficient_rows,
     _curve_factors,
+    _height_bound,
     _integer_checks,
     _integer_form,
     _primes_above,
@@ -45,6 +47,7 @@ from reference import (
     changed_factor,
     classical_limit,
     eval_exact,
+    exact_height_bound,
     fmatrix_to_obj,
     fractions,
     flipped_curve_factor,
@@ -53,6 +56,7 @@ from reference import (
     fm_mul,
     fm_scale,
     fm_sub,
+    held,
     identity,
     jet,
     kronecker_relation_checks,
@@ -61,6 +65,7 @@ from reference import (
     lcm_form,
     monomial,
     mul,
+    padded,
     pairing_transpose,
     poly_add,
     poly_mul,
@@ -676,12 +681,18 @@ def test_integer_forms_equal_the_lcm_by_gcd(N):
     # built generators: D from the exponent maxima of the product forms is
     # the lcm of the built denominators, and each numerator over D is the
     # built entry times D over its denominator, both conjugated by
-    # diag(X^floor(i/2)) into Y = X^2 and shifted by one Y^s
+    # diag(X^floor(i/2)) into Y = X^2 and shifted by one Y^s, each held from
+    # its lowest nonzero coefficient
     for m, entries in zip(twists(N), _twist_factors(N)):
-        assert _integer_form(entries, N) == conjugated_form(*lcm_form(m))
+        assert _integer_form(entries, N) == held(*conjugated_form(*lcm_form(m)))
 
 
 # --- integer-evaluation checks against the Q(X) products ----------------------
+
+
+def _checks(pt, dt, ps, ds):
+    """`_integer_checks` on integer forms given as coefficient lists."""
+    return _integer_checks(*held(pt, dt), *held(ps, ds))
 
 
 def _reference_checks(t, tstar):
@@ -759,8 +770,8 @@ def generator_pairs(draw):
 @settings(max_examples=40, deadline=None)
 def test_relation_checks_agree_with_qx_products(pair):
     t, tstar = pair
-    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == _reference_checks(t, tstar)
-    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == kronecker_relation_checks(t, tstar)
+    assert _checks(*lcm_form(t), *lcm_form(tstar)) == _reference_checks(t, tstar)
+    assert _checks(*lcm_form(t), *lcm_form(tstar)) == kronecker_relation_checks(t, tstar)
 
 
 def test_relation_checks_hold_on_conjugated_classical_pair():
@@ -770,8 +781,8 @@ def test_relation_checks_hold_on_conjugated_classical_pair():
     u = fm_mul(fm_mul(g, FMatrix(fractions(hN_matrix(SL2(1, 1, 0, 1), 2)))), g_inv)
     v = fm_mul(fm_mul(g, FMatrix(fractions(hN_matrix(SL2(1, 0, -1, 1), 2)))), g_inv)
     v2 = fm_mul(v, v)
-    assert _integer_checks(*lcm_form(u), *lcm_form(v)) == _reference_checks(u, v) == (True, True)
-    assert _integer_checks(*lcm_form(u), *lcm_form(v2)) == _reference_checks(u, v2) == (False, False)
+    assert _checks(*lcm_form(u), *lcm_form(v)) == _reference_checks(u, v) == (True, True)
+    assert _checks(*lcm_form(u), *lcm_form(v2)) == _reference_checks(u, v2) == (False, False)
 
 
 def test_relation_checks_agree_on_generators():
@@ -791,7 +802,7 @@ def test_relation_checks_negative_controls(N):
     t, tstar = twists(N)
     rows = [list(r) for r in t.rows]
     rows[0][0] = sub(rows[0][0], 1)
-    assert _integer_checks(*lcm_form(FMatrix(rows)), *lcm_form(tstar)) == (False, False)
+    assert _checks(*lcm_form(FMatrix(rows)), *lcm_form(tstar)) == (False, False)
     assert kronecker_relation_checks(FMatrix(rows), tstar) == (False, False)
 
 
@@ -814,7 +825,7 @@ def test_relation_checks_fail_on_a_changed_factor(N):
 )
 def test_center_check_compares_with_both_generators(t, tstar):
     t, tstar = (FMatrix([[RatFunc(e) for e in row] for row in m]) for m in (t, tstar))
-    assert _integer_checks(*lcm_form(t), *lcm_form(tstar)) == (False, False)
+    assert _checks(*lcm_form(t), *lcm_form(tstar)) == (False, False)
     assert _reference_checks(t, tstar) == kronecker_relation_checks(t, tstar) == (False, False)
 
 
@@ -924,7 +935,7 @@ def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
     # the braid difference D_S - D_T = X - 1 takes K = 2 points on one prime
     # and fails in its one block; the 1 x 1 commutators vanish, K = 1
     log = _blocks(monkeypatch)
-    assert _integer_checks(ONE, [1], ONE, [0, 1]) == (False, True)
+    assert _checks(ONE, [1], ONE, [0, 1]) == (False, True)
     assert _points_per_prime(log, False) == {float(_PRIMES[0]): 2}
     assert _points_per_prime(log, True) == {float(_PRIMES[0]): 1}
 
@@ -932,7 +943,7 @@ def test_a_failing_braid_with_a_holding_center_evaluates_both(monkeypatch):
 def test_integer_checks_refuse_zero_denominators():
     # the braid implies the center only over nonzero D_T and D_S
     with pytest.raises(ValueError):
-        _integer_checks(ONE, [0], ONE, [1])
+        _checks(ONE, [0], ONE, [1])
 
 
 def test_prime_table_is_the_largest_primes_below_2_20():
@@ -948,9 +959,12 @@ def test_prime_table_is_the_largest_primes_below_2_20():
 def test_values_match_horner_mod_q(terms):
     rng = random.Random(terms)
     q = _PRIMES[-1]
-    # rows longest first, zero past their lengths: the longest has `terms`
+    # rows longest first, zero past their lengths: the longest has `terms`;
+    # each row r stands for Y^lows[r] times its coefficients, the lows below
+    # and above the chunk and the longest row
     lengths = sorted([terms] + [rng.randrange(terms + 1) for _ in range(4)], reverse=True)
     rows = [[rng.randrange(q) for _ in range(k)] + [0] * (terms - k) for k in lengths]
+    lows = [0, 1, rng.randrange(3 * _CHUNK), 3 * _CHUNK + terms, rng.randrange(terms + 1)]
     x = [0, 1, 2, rng.randrange(q), q - 1]
 
     def horner(row, v):
@@ -959,8 +973,9 @@ def test_values_match_horner_mod_q(terms):
             acc = (acc * v + c) % q
         return acc
 
-    got = _values(np.array(rows, dtype=np.float64), np.array(lengths), np.array(x, dtype=np.float64), float(q))
-    assert got.tolist() == [[horner(row, v) for v in x] for row in rows]
+    a, x = np.array(rows, dtype=np.float64), np.array(x, dtype=np.float64)
+    got = _values(a, np.array(lengths), np.array(lows), x, float(q))
+    assert got.tolist() == [[horner(padded((low, row)), v) for v in x] for low, row in zip(lows, rows)]
 
 
 # The decision on integer forms, 1 x 1: with P_T = P_S = 1 the braid sides are
@@ -973,8 +988,8 @@ def test_difference_divisible_by_all_primes_but_the_last_is_detected(k):
     m = math.prod(_PRIMES[: k - 1])
     dt, ds = [1], [1 + m]
     assert _primes_above(2 * (2 + m)) == _PRIMES[:k]  # the bound is |D_T|_1 + |D_S|_1
-    assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
-    assert _integer_checks(ONE, dt, ONE, dt) == (True, True)
+    assert _checks(ONE, dt, ONE, ds) == (False, True)
+    assert _checks(ONE, dt, ONE, dt) == (True, True)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 16])
@@ -989,7 +1004,7 @@ def test_difference_vanishing_at_all_points_but_the_last_is_detected(d):
         dt = [0] * v + [1]
         ds = list(poly_shift(poly_add(falling, Poly((1,))), v).coeffs)
         assert _points(ONE, dt, ONE, ds) == d + 1
-        assert _integer_checks(ONE, dt, ONE, ds) == (False, True)
+        assert _checks(ONE, dt, ONE, ds) == (False, True)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7])
@@ -1005,7 +1020,7 @@ def test_zero_entries_never_shrink_the_points(monkeypatch, d):
     ds = list(poly_shift(poly_add(falling, Poly((1,))), 1).coeffs)
     pt = [[[1], []], [[], []]]
     assert _points(pt, dt, pt, ds) == d + 1
-    assert _integer_checks(pt, dt, pt, ds) == (False, True)
+    assert _checks(pt, dt, pt, ds) == (False, True)
     assert _points_per_prime(log, False) == {float(_PRIMES[0]): d + 1}
 
 
@@ -1021,23 +1036,58 @@ def test_zero_entries_never_shrink_the_points(monkeypatch, d):
 def test_integer_checks_refuse_inputs_beyond_their_invariants(monkeypatch, pt, dt, ds):
     log = _blocks(monkeypatch)
     with pytest.raises(TooLargeError):
-        _integer_checks(pt, dt, pt, ds)
+        _checks(pt, dt, pt, ds)
     assert log == []  # before anything is evaluated
+
+
+def test_integer_checks_refuse_a_valuation_beyond_q_before_evaluation(monkeypatch):
+    # a valuation allocates nothing in the forms, but the powers y^0..y^v of
+    # a block do: so v >= q is refused before anything is evaluated, even
+    # where K is 1, and v = 10^400 beyond the int64 range too
+    log = _blocks(monkeypatch)
+    one = (0, [1])
+    below_q = r"^exact checks need K < q, valuations below q and "
+    for v, message in ((_PRIMES[0], below_q), (10**7, below_q), (10**400, r"valuation .* beyond the float range$")):
+        with pytest.raises(TooLargeError, match=message):
+            _integer_checks([[(v, [1])]], (v, [1]), [[one]], one)
+        assert log == []
+    with pytest.raises(ValueError, match="no negative valuation"):
+        _integer_checks([[(-1, [1])]], one, [[one]], one)
+    assert log == []
+
+
+def test_integer_checks_run_a_large_valuation_in_blocks_of_bounded_size(monkeypatch):
+    # v = 2^18 > _BLOCK_CELLS: one point a block, whose powers y^0..y^v take
+    # v + 1 cells; the sides differ by Y^(2v) (1 + Y) - Y^(2v), K = 2
+    log = _blocks(monkeypatch)
+    v, one = 2**18, (0, [1])
+    assert v > _BLOCK_CELLS
+    assert _integer_checks([[(v, [1])]], (v, [1]), [[one]], one) == (True, True)
+    assert _integer_checks([[(v, [1])]], (v, [1]), [[one]], (0, [1, 1])) == (False, True)
+    assert {k for _, _, k in log} == {1}
 
 
 # --- the degree spans that set the number of points ----------------------------
 
 
+def _forms_spans(pt, dt, ps, ds):
+    """`_spans` of integer forms held as the exact checks hold them, with the
+    lengths `_integer_checks` scans the rows for."""
+    where, lows, rows = _coefficient_rows(pt, dt, ps, ds)
+    lengths = ((rows != 0) * np.arange(1, rows.shape[1] + 1)).max(-1)
+    return _spans(where, lows, lengths, len(pt))
+
+
 def _points(pt, dt, ps, ds):
-    """K, the number of points `_integer_checks` evaluates at: 1 + the widest
-    span of one entry."""
-    spans = _spans(*_coefficient_rows(pt, dt, ps, ds), len(pt))
+    """K, the number of points `_integer_checks` evaluates at, for integer
+    forms given as coefficient lists: 1 + the widest span of one entry."""
+    spans = _forms_spans(*held(pt, dt), *held(ps, ds))
     return 1 + max((hi - lo).max() for lo, hi in spans)
 
 
 def _generator_spans(N):
     (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in _twist_factors(N))
-    return _spans(*_coefficient_rows(pt, dt, ps, ds), N)
+    return _forms_spans(pt, dt, ps, ds)
 
 
 @pytest.mark.parametrize(
@@ -1050,7 +1100,7 @@ def test_points_on_the_generators(N, points):
     # 7 dmax), with every entry taken at degree dmax and valuation 0, is 43
     # at N = 2, 1212 at N = 8 and 2878 at N = 12
     t, tstar = twists(N)
-    spans = _spans(*_coefficient_rows(*lcm_form(t), *lcm_form(tstar)), N)
+    spans = _forms_spans(*held(*lcm_form(t)), *held(*lcm_form(tstar)))
     assert 1 + max(hi.max() - lo.min() for lo, hi in spans) == points
 
 
@@ -1092,7 +1142,7 @@ def test_spans_hold_every_nonzero_coefficient(forms):
     braid = fm_sub(fm_scale(tst, d_s), fm_scale(fm_mul(fm_mul(tstar, t), tstar), d_t))
     c = fm_mul(tst, tst)
     center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
-    for (lo, hi), diffs in zip(_spans(*_coefficient_rows(*forms), len(pt)), ([braid], center)):
+    for (lo, hi), diffs in zip(_forms_spans(*held(pt, dt), *held(ps, ds)), ([braid], center)):
         lo, hi = (a.reshape(len(diffs), -1) for a in (lo, hi))
         for m, diff in enumerate(diffs):
             for cell, e in enumerate(e for row in diff.rows for e in row):
@@ -1100,4 +1150,32 @@ def test_spans_hold_every_nonzero_coefficient(forms):
                 assert all(lo[m, cell] <= k <= hi[m, cell] for k, a in enumerate(e.num.coeffs) if a)
     # and the points they give decide both identities as the products do
     zero = [all(not e for d in diffs for row in d.rows for e in row) for diffs in ([braid], center)]
-    assert _integer_checks(*forms) == tuple(zero)
+    assert _checks(*forms) == tuple(zero)
+
+
+# --- the height bound in float64 -----------------------------------------------
+
+
+def _float_bounds(pt, dt, ps, ds):
+    """`_height_bound` from the rows `_integer_checks` lays out."""
+    where, _, rows = _coefficient_rows(pt, dt, ps, ds)
+    return _height_bound(np.abs(rows).sum(-1), where, len(pt))
+
+
+@pytest.mark.parametrize("N", range(2, 33))
+def test_float_height_bound_is_above_the_exact_one_with_the_same_primes(N):
+    forms = [x for entries in _twist_factors(N) for x in _integer_form(entries, N)]
+    for bound, exact in zip(_float_bounds(*forms), exact_height_bound(*forms)):
+        assert bound >= exact, N  # a Python float against an int, compared exactly
+        assert _primes_above(2 * bound) == _primes_above(2 * exact), N
+
+
+@given(integer_forms())
+# coefficients near 2^52: every product rounds
+@example(([[[2**52 - 1] * 3] * 3] * 3, [2**52 - 1] * 3, [[[2**52 - 3] * 3] * 3] * 3, [1]))
+@settings(max_examples=100, deadline=None)
+def test_float_height_bound_is_above_the_exact_one(forms):
+    pt, dt, ps, ds = forms
+    forms = [*held(pt, dt), *held(ps, ds)]
+    for bound, exact in zip(_float_bounds(*forms), exact_height_bound(*forms)):
+        assert bound >= exact
