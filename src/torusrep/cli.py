@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import classical, numeric, repbuild
-from .errors import BadPError, ConvergenceError, NearPoleError, PoleError, float_range
+from .errors import BadPError, ConvergenceError, NearPoleError, PoleError
 from .mcg import parse_word, sl2_image
 from .qsymbols import _sum_factors, same_limit
 
@@ -63,44 +63,29 @@ def _rational_obj(mat):
 
 
 def _complex_obj(mat):
-    with float_range("a matrix entry"):
-        return [[{"re": float(e.real), "im": float(e.imag)} for e in row] for row in mat]
+    """The float64 matrix `mat` as JSON pairs (`float` of a float64 is exact)."""
+    return [[{"re": float(e.real), "im": float(e.imag)} for e in row] for row in mat]
 
 
 def _poly_text(coeffs) -> str:
     """The polynomial in X with integer coefficients `coeffs`, ascending, as
-    text from its highest term."""
-    if not coeffs:
-        return "0"
+    text from its highest term: each nonzero term once, as " + t" or " - t",
+    joined, and the lead " + " dropped or " - " made "-"; 0 for none."""
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        term = "" if k == 0 else ("X" if k == 1 else f"X^{k}")
-        if c == 1 and term:
-            s = term
-        elif c == -1 and term:
-            s = f"-{term}"
-        else:
-            s = f"{c}" if not term else f"{c}*{term}"
-        parts.append(s)
-    out = parts[0]
-    for s in parts[1:]:
-        out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-    return out
+        if c := coeffs[k]:
+            x, a = "" if k == 0 else "X" if k == 1 else f"X^{k}", abs(c)
+            term = f"{a}*{x}" if x and a != 1 else x or str(a)
+            parts.append(f" {'-' if c < 0 else '+'} {term}")
+    text = "".join(parts)
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
 
 def _form_text(num, den) -> str:
     """The canonical form num / den (`qsymbols._sum_forms`) as text."""
     if den == (1,):
         return _poly_text(num)
-    ns = _poly_text(num)
-    if " " in ns:
-        ns = f"({ns})"
-    ds = _poly_text(den)
-    if " " in ds:
-        ds = f"({ds})"
+    ns, ds = (f"({t})" if " " in t else t for t in map(_poly_text, (num, den)))
     return f"{ns}/{ds}"
 
 
@@ -234,48 +219,27 @@ def cmd_verify(args, out) -> int:
     return 0 if all_ok else 1
 
 
-def _rows_obj(rows) -> list[dict]:
-    return [{"p": r.p, "spectral_radius": r.spectral_radius, "deviation": r.deviation} for r in rows]
-
-
-def _rows_csv(rows) -> list[str]:
-    return ["p,spectral_radius,deviation"] + [
-        f"{r.p},{r.spectral_radius:.12g},{r.deviation:.12g}" for r in rows
-    ]
-
-
-def _report_text(report: numeric.AMUReport, fmt: str, tolerance: float) -> str:
+def _scan_text(fmt: str, obj: dict, head: list[str], rows) -> str:
+    """The rows (p, spectral radius, deviation) of a scan: canonical JSON of
+    `obj` with the rows, else the `head` lines, the CSV header and one line
+    per row."""
     if fmt == "json":
-        obj = {
-            "word": str(report.word),
-            "N": report.N,
-            "classification": report.classification.value,
-            "stretch": report.stretch,
-            "target_eig": report.target_eig,
-            "margin": report.margin,
-            "tolerance": tolerance,
-            "p0_observed": report.p0_observed,
-            "rows": _rows_obj(report.rows),
-        }
-        return canonical_json(obj)
-    head = [
-        f"# word={report.word}  N={report.N}  classification={report.classification.value}",
-        f"# margin={report.margin:g}  tolerance={tolerance:g}",
-    ]
-    if report.stretch is not None:
-        head.append(
-            f"# stretch={report.stretch:.12g}  target_eig={report.target_eig:.12g}"
-        )
-    head.append(f"# p0_observed={report.p0_observed}")
-    return "\n".join(head + _rows_csv(report.rows)) + "\n"
+        return canonical_json({**obj, "rows": [row._asdict() for row in rows]})
+    body = [f"{r.p},{r.spectral_radius:.12g},{r.deviation:.12g}" for r in rows]
+    return "\n".join([*head, "p,spectral_radius,deviation", *body]) + "\n"
 
 
 def cmd_amu(args, out) -> int:
     word = parse_word(args.word)
-    report = numeric.amu_certificate(
-        word, args.N, args.pmax, margin=args.margin, tol=args.tolerance
-    )
-    out.write(_report_text(report, args.format, args.tolerance))
+    r = numeric.amu_certificate(word, args.N, args.pmax, margin=args.margin, tol=args.tolerance)
+    kind, tolerance = r.classification.value, args.tolerance
+    obj = {"word": str(r.word), "N": r.N, "classification": kind, "stretch": r.stretch,
+           "target_eig": r.target_eig, "margin": r.margin, "tolerance": tolerance, "p0_observed": r.p0_observed}
+    head = [f"# word={r.word}  N={r.N}  classification={kind}", f"# margin={r.margin:g}  tolerance={tolerance:g}"]
+    if r.stretch is not None:
+        head.append(f"# stretch={r.stretch:.12g}  target_eig={r.target_eig:.12g}")
+    head.append(f"# p0_observed={r.p0_observed}")
+    out.write(_scan_text(args.format, obj, head, r.rows))
     return 0
 
 
@@ -285,14 +249,9 @@ def cmd_limit(args, out) -> int:
     if not levels:
         raise BadPError(f"--p {args.p} holds no odd level")
     rows = numeric.convergence_table(word, args.N, levels, args.tolerance)
-    if args.format == "json":
-        obj = {"word": str(word), "N": args.N, "tolerance": args.tolerance, "rows": _rows_obj(rows)}
-        text = canonical_json(obj)
-    else:
-        head = [f"# word={word}  N={args.N}  tolerance={args.tolerance:g}"]
-        body = _rows_csv(rows)
-        text = "\n".join(head + body if args.format == "pretty" else body) + "\n"
-    out.write(text)
+    head = [f"# word={word}  N={args.N}  tolerance={args.tolerance:g}"] if args.format == "pretty" else []
+    obj = {"word": str(word), "N": args.N, "tolerance": args.tolerance}
+    out.write(_scan_text(args.format, obj, head, rows))
     return 0
 
 

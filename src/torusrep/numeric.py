@@ -181,22 +181,22 @@ def eval_twists(N: int, levels, tol: float = DEFAULT_TOLERANCE):
     top = max((s.p for s in levels), default=0)
     if top * (8 * N * N + 20) >= 2**63:  # bounds every integer formed below
         raise BadPError(f"level p = {top} is too large to reduce angles exactly in 64-bit integers")
-    p = np.array([s.p for s in levels])[:, None]
-    k = np.array([s.k % s.p for s in levels])[:, None]
+    p, k = np.array([(s.p, s.k % s.p) for s in levels]).reshape(-1, 2).T[..., None]  # L x 1 each
     m, n = np.arange(N)[:, None], np.arange(N)  # the step into T[m][n], T*[n][m]
     rows, cols = np.nonzero(n >= m)
     phases = -rows * (2 * N - 1 - rows) - (N - 1 - rows) * (cols - rows)  # e(m, n), n >= m
     cos, sin = _cis(k * np.concatenate((np.arange(2 * N), phases)), p)  # column j < 2N: w j
     re, im, cos, sin = cos[:, 2 * N :], sin[:, 2 * N :], cos[:, : 2 * N], sin[:, : 2 * N]
     j = np.arange(1, N)
-    low, even = (np.abs(2 * sin[:, d]) < tol for d in (j, 2 * N - 2 * j))
-    failing = np.flatnonzero(low.any(axis=1) | even.any(axis=1))
-    if failing.size:
-        lvl = int(failing[0])
-        if low[lvl].any():
-            name, entry = "T", (0, 1 + int(np.argmax(low[lvl])))
+    divisors = np.abs(2 * sin[:, np.concatenate((j, 2 * N - 2 * j))])  # {j}, then {2N-2j}
+    if divisors.size and divisors.min() < tol:
+        small = divisors < tol
+        lvl = int(np.flatnonzero(small.any(axis=1))[0])
+        low, even = small[lvl, : N - 1], small[lvl, N - 1 :]
+        if low.any():
+            name, entry = "T", (0, 1 + int(np.argmax(low)))
         else:
-            name, entry = "T*", (1 + int(np.argmax(even[lvl])), 0)
+            name, entry = "T*", (1 + int(np.argmax(even)), 0)
         msg = f"{name} entry {entry}: a divisor is below {tol:g} at p = {levels[lvl].p}"
         raise NearPoleError(msg, entry=entry, point=lvl)
 
@@ -313,19 +313,19 @@ def check_bound(name: str, value: float) -> None:
 def spectral_radius(m: np.ndarray, levels):
     """The L largest eigenvalue moduli of an L x n x n stack of small dense
     complex matrices (n at most `MAX_EIG_DIM`), from one `eigvals` call. A
-    non-finite stack raises ValueError naming the level p in `levels` of its
-    first non-finite matrix."""
+    non-finite stack, which `eigvals` refuses, raises ValueError naming the
+    level p in `levels` of its first non-finite matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"stack of square matrices required, got shape {m.shape}")
     if m.shape[-1] > MAX_EIG_DIM:
         raise ValueError(f"dimension {m.shape[-1]} exceeds bound {MAX_EIG_DIM}")
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
-        raise ValueError(f"matrix has non-finite entries at p = {levels[np.argmin(finite)]}")
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as err:
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        if not finite.all():
+            raise ValueError(f"matrix has non-finite entries at p = {levels[np.argmin(finite)]}") from None
         raise ConvergenceError(f"eigenvalue solver failed: {err}") from None
     return np.abs(eigs).max(axis=-1)
 
@@ -386,19 +386,21 @@ def convergence_table(w: Word, N: int, p_list, tol: float = DEFAULT_TOLERANCE):
     float range with a TooLargeError."""
     check_size(N, len(p_list))
     target = exact_floats(hN_matrix(sl2_image(w), N), "an entry of the classical target h_N(w)")
-    signs = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))  # E X E = signs * X
     rows = []
     for block in _blocks(N, (PSetting(p, N) for p in sorted(p_list))):
         t, tstar = eval_twists(N, block, tol)
         bases = {(Gen.TY, 1): t, (Gen.TZ, 1): tstar}
-        m_p = np.eye(N, dtype=complex)  # the empty word's, broadcast below
-        for i, (gen, exp) in enumerate(w.letters):
+        m_p = None
+        for gen, exp in w.letters:
             key = (gen, 1 if exp > 0 else -1)
-            if key not in bases:  # G^-1 = E conj(G) E
-                bases[key] = signs * bases[gen, 1].conj()
+            if key not in bases:  # G^-1 = E conj(G) E: conj(G) with its odd-(i + j) entries negated
+                inv = bases[key] = bases[gen, 1].conj()
+                inv[:, 1::2, ::2] *= -1
+                inv[:, ::2, 1::2] *= -1
             power = np.linalg.matrix_power(bases[key], abs(exp))
-            m_p = m_p @ power if i else power
-        m_p = np.broadcast_to(m_p, (len(block), N, N))
+            m_p = power if m_p is None else m_p @ power
+        if m_p is None:  # the empty word
+            m_p = np.broadcast_to(np.eye(N, dtype=complex), (len(block), N, N))
         ps = [s.p for s in block]
         deviations = np.abs(m_p - target).max(axis=(1, 2))
         rows += map(TableRow, ps, spectral_radius(m_p, ps).tolist(), deviations.tolist())

@@ -331,8 +331,7 @@ def _sum_forms(entries) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
     out = []
     for (a, c, _), up, down in zip(sums, _series(ups), _series(downs)):
-        num, (shorter, longer) = [0] * (len(c) + len(up) - 1), sorted((c, up), key=len)
-        for i, x in enumerate(shorter):  # c(Y) up(Y): c is a sign, or up is 1
-            num[i : i + len(longer)] = [z + x * y for z, y in zip(num[i : i + len(longer)], longer)]
+        # c(Y) up(Y): a product's c is its sign, and a longer sum has no factor above (`_sum_factors`)
+        num = [c[0] * y for y in up] if len(c) == 1 else c
         out.append((interleaved(num, a), interleaved(down, -a)) if c else ((), (1,)))
     return out

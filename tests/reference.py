@@ -1,6 +1,6 @@
 """Reference implementations for the tests: polynomials over Z, elements and
-matrices of Q(X) in canonical form and their JSON, polynomial sums and
-products, Q(X) arithmetic by polynomial gcd, products of quantum integers by that arithmetic
+matrices of Q(X) in canonical form, their JSON and the text of a polynomial,
+polynomial sums and products, Q(X) arithmetic by polynomial gcd, products of quantum integers by that arithmetic
 and by their cyclotomic exponents, monomials and the identity matrix, exact
 values and slopes at a rational point (values entrywise for a matrix, naming
 the entry of a pole), the exact values at X = -1 that the program holds in
@@ -216,6 +216,31 @@ def fmatrix_to_obj(m: FMatrix, name: str | None = None, N: int | None = None) ->
     if N is not None:
         obj["N"] = N
     return obj
+
+
+def poly_text(coeffs) -> str:
+    """The polynomial in X with integer coefficients `coeffs`, ascending, as
+    text from its highest term: each term written with its own sign, then
+    joined with " + " or " - " (IndexError for a nonempty all-zero list)."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        term = "" if k == 0 else ("X" if k == 1 else f"X^{k}")
+        if c == 1 and term:
+            s = term
+        elif c == -1 and term:
+            s = f"-{term}"
+        else:
+            s = f"{c}" if not term else f"{c}*{term}"
+        parts.append(s)
+    out = parts[0]
+    for s in parts[1:]:
+        out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+    return out
 
 
 # --- polynomial addition, subtraction, scaling, shifts and multiplication ----------

@@ -8,10 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusrep
 from torusrep import numeric, qsymbols, repbuild
-from torusrep.cli import canonical_json, main
+from torusrep.cli import _poly_text, canonical_json, main
 from torusrep.errors import TooLargeError
 from torusrep.mcg import parse_word
 from torusrep.qsymbols import _limit
@@ -24,6 +26,7 @@ from reference import (
     fmatrix_from_obj,
     fmatrix_to_obj,
     named,
+    poly_text,
     relative_error,
     twists,
     what_argv,
@@ -817,6 +820,39 @@ def test_limit_csv_header(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "p,spectral_radius,deviation"
     assert len(lines) == 1 + len(range(5, 22, 2))
+
+
+@pytest.mark.parametrize("argv", [("amu", "--pmax", "21"), ("limit", "--p", "7..21")], ids=lambda argv: argv[0])
+def test_scan_text_contract(capsys, argv):
+    # pretty and csv: the # lines (amu in both formats, limit in pretty
+    # only), the csv header, then the json rows to 12 significant digits
+    cmd, *span = argv
+    out = {fmt: run(capsys, cmd, "--word", "y z^-1", "--N", "3", *span, "--format", fmt)[1]
+           for fmt in ("pretty", "csv", "json")}
+    rows = [(r["p"], f"{r['spectral_radius']:.12g}", f"{r['deviation']:.12g}") for r in json.loads(out["json"])["rows"]]
+    assert [r[0] for r in rows] == list(range(7, 22, 2))
+    for fmt in ("pretty", "csv"):
+        lines = out[fmt].splitlines()
+        n_head = sum(line.startswith("#") for line in lines)
+        assert all(line.startswith("#") for line in lines[:n_head])
+        assert (n_head > 0) == (cmd == "amu" or fmt == "pretty")
+        assert lines[n_head] == "p,spectral_radius,deviation"
+        assert [(int(p), rho, dev) for p, rho, dev in (line.split(",") for line in lines[n_head + 1 :])] == rows
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [([], "0"), ([0, 0], "0"), ([-1], "-1"), ([0, -1], "-X"), ([3, 0, -2], "-2*X^2 + 3"),
+     ([10**20, 1], "X + 100000000000000000000")],
+)
+def test_poly_text_cases(coeffs, text):
+    assert _poly_text(coeffs) == text
+
+
+@given(st.lists(st.integers(), max_size=8).filter(lambda c: not c or any(c)))
+@settings(max_examples=300, deadline=None)
+def test_poly_text_equals_the_reference_printer(coeffs):
+    assert _poly_text(coeffs) == poly_text(coeffs)
 
 
 def test_limit_deterministic(capsys):

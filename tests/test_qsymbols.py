@@ -18,9 +18,10 @@ from torusrep.qsymbols import (
     _poly,
     _series,
     _sum_factors,
+    _y_cyclotomic,
     same_limit,
 )
-from torusrep.repbuild import _recurrence_terms, _twist_factors, _zprime_terms
+from torusrep.repbuild import _recurrence_terms, _twist_factors, _zprime_terms, forms
 
 from reference import (
     Poly,
@@ -391,6 +392,18 @@ def test_a_sum_of_both_parities_is_refused():
             _sum_factors(forms)
         with pytest.raises(ValueError, match="parit"):
             sum_form(forms)
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_every_entry_is_a_signed_product_or_a_sum_with_nothing_above(N):
+    # what lets `_sum_forms` scale up(Y) by c(Y) instead of multiplying them:
+    # in every map the program builds, an entry's c is one coefficient, or it
+    # has no Phi_d of positive exponent, so up(Y) = 1
+    maps = [forms(what, N) for what in ("T", "Tstar", "Z", "Y", "Zprime", "R")]
+    maps += [forms("M", N, n) for n in range(N - 1)]
+    for entry in (entry for m in maps for entry in m.values()):
+        _, c, f = _sum_factors(entry)
+        assert len(c) == 1 or max(_y_cyclotomic(f).values(), default=0) <= 0, entry
 
 
 @pytest.mark.parametrize("N", range(2, 13))
