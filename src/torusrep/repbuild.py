@@ -185,22 +185,23 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
 
     So the verdict is exact and deterministic, with no common divisor taken
     and no probability of a wrong answer."""
-    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in twist)
-    return _integer_checks(pt, dt, ps, ds)
+    (pt, dt), (ps, ds) = map(_integer_form, twist)
+    return _integer_checks(N, pt, dt, ps, ds)
 
 
-def _integer_form(forms, N: int):
-    """(P, D) with P / D = E M E^-1, M the N x N matrix of the form map
-    `forms`, whose entries are single products (`_twist_factors`), zero off
-    its keys, and E = diag(X^floor(i/2)), each polynomial Y^v c(Y) in Y = X^2
-    as (v, c), c its integer coefficients from the lowest nonzero one,
-    ascending, and 0 as (0, []). Over the products' least common denominator
-    den(Y) = prod Phi_d^e_d, e_d the largest exponents of their
-    denominators, entry (i, j) of M is X^a c(Y) / den(Y)
-    (`qsymbols._over_denominator`), so that of E M E^-1 is Y^k c(Y) / den(Y),
-    2k = a + floor(i/2) - floor(j/2). P and D are those numerators and den
-    times the one Y^s, s >= 0 the least that makes every k + s >= 0: (k + s, c)
-    and (s, den). A ValueError names the first entry whose 2k is odd."""
+def _integer_form(forms):
+    """(P, D) with P / D = E M E^-1, M the matrix of the form map `forms`,
+    whose entries are single products (`_twist_factors`), zero off its keys,
+    and E = diag(X^floor(i/2)), each polynomial Y^v c(Y) in Y = X^2 as
+    (v, c), c its integer coefficients, ascending, from the lowest nonzero
+    one to the highest; P is the map (i, j) -> (v, c) on the keys of `forms`.
+    Over the products' least common denominator den(Y) = prod Phi_d^e_d, e_d
+    the largest exponents of their denominators, entry (i, j) of M is
+    X^a c(Y) / den(Y) (`qsymbols._over_denominator`), so that of E M E^-1 is
+    Y^k c(Y) / den(Y), 2k = a + floor(i/2) - floor(j/2). P and D are those
+    numerators and den times the one Y^s, s >= 0 the least that makes every
+    k + s >= 0: (k + s, c) and (s, den). A ValueError names the first entry
+    whose 2k is odd."""
     den, nums = _over_denominator(form for [form] in forms.values())
     shifts = []
     for (i, j), (a, _) in zip(forms, nums):
@@ -209,10 +210,7 @@ def _integer_form(forms, N: int):
             raise ValueError(f"entry ({i}, {j}) is not X^(floor(i/2) + floor(j/2)) times a function of X^2")
         shifts.append(k)
     s = max(0, -min(shifts))
-    p = [[(0, [])] * N for _ in range(N)]
-    for (i, j), k, (_, c) in zip(forms, shifts, nums):
-        p[i][j] = (k + s, c)
-    return p, (s, _poly(den))
+    return {ij: (k + s, c) for ij, k, (_, c) in zip(forms, shifts, nums)}, (s, _poly(den))
 
 
 # The largest primes below 2^20, in descending order: (q-1)^2 < 2^40, so a sum
@@ -228,21 +226,23 @@ _BLOCK_CELLS = 2**17
 _CHUNK = 64  # coefficients per matrix product in `_values`
 
 
-def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
-    """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S), every
-    polynomial Y^v c(Y) as (v, c), v >= 0 and c its integer coefficients,
-    ascending (`_integer_form`), D_T and D_S nonzero; the decision holds for
-    integer polynomials in any one variable.
+def _integer_checks(n: int, pt, dt, ps, ds) -> tuple[bool, bool]:
+    """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S) of
+    dimension n, every polynomial Y^v c(Y) as (v, c), v >= 0 and c its
+    integer coefficients, ascending, from a nonzero one to a nonzero one,
+    P_T and P_S maps (i, j) -> (v, c) of their nonzero entries and D_T, D_S
+    nonzero (`_integer_form`); the decision holds for integer polynomials in
+    any one variable.
 
     The braid identity is decided first; the center identity, which it
-    implies, only when it fails. The c's are laid out once as rows
-    (`_coefficient_rows`) and scanned once for their nonzero mask, lengths
-    and l1 norms, and per prime, blocks of the points y = 1..K are checked
-    at once (`_check_block`), each of at most `_BLOCK_CELLS` //
-    max(N^2, top + 1) points, top the largest v, and no more than the larger
-    K: the block size bounds the arrays, y^0..y^top among them, not any sum.
-    Each identity has its own K (`_spans`) and its own primes
-    (`_height_bound`). The arithmetic is float64 on integers, exact because
+    implies, only when it fails. The c's are laid out once as rows, each
+    row's length len(c) (`_coefficient_rows`), and scanned once for their
+    largest coefficient and l1 norms, and per prime, blocks of the points
+    y = 1..K are checked at once (`_check_block`), each of at most
+    `_BLOCK_CELLS` // max(N^2, top + 1) points, top the largest v, and no
+    more than the larger K: the block size bounds the arrays, y^0..y^top
+    among them, not any sum. Each identity has its own K (`_spans`) and its
+    own primes (`_height_bound`). The arithmetic is float64 on integers, exact because
     every coefficient is below 2^53 and every partial sum of products of
     residues, which lie in (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1)
     (q-1)^2 in the evaluation (`_values`), N (q-1)^2 in an N x N product and
@@ -251,18 +251,16 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
     input that would break one of these invariants, K < q, top < q, or the
     reach of the prime table for either identity, whether or not the center
     identity is then evaluated."""
-    n = len(pt)
     with float_range("a coefficient or valuation of the exact checks"):
-        where, lows, rows = _coefficient_rows(pt, dt, ps, ds)
+        where, lows, lengths, rows = _coefficient_rows(pt, dt, ps, ds)
     size = np.abs(rows)
     if size.max() >= 2**53:
         raise TooLargeError("exact checks need every coefficient below 2^53")
-    lengths = ((size > 0) * np.arange(1, size.shape[1] + 1)).max(-1)  # up to the last nonzero
     points = [1 + int(max(0, (hi - lo).max())) for lo, hi in _spans(where, lows, lengths, n)]
     primes = [_primes_above(2 * bound) for bound in _height_bound(size.sum(-1), where, n)]
     if max(*points, lows.max()) >= min(map(min, primes)) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
         raise TooLargeError("exact checks need K < q, valuations below q and 2N (q-1)^2 < 2^53 for q near 2^20")
-    if not (lengths[-2] and lengths[-1]) or lows.min() < 0:
+    if not (any(dt[1]) and any(ds[1])) or lows.min() < 0:
         raise ValueError("exact checks need nonzero denominators D_T and D_S and no negative valuation")
 
     order = np.argsort(-lengths, kind="stable")  # longest first, as `_values` takes them
@@ -287,23 +285,18 @@ def _integer_checks(pt, dt, ps, ds) -> tuple[bool, bool]:
 
 
 def _coefficient_rows(pt, dt, ps, ds):
-    """(where, lows, rows): the cells (m, i, j) of the nonzero entries of P_T
-    (m = 0) and P_S (m = 1), the valuations v of those, D_T and D_S, and
-    the float64 coefficients of their c's, row r's coefficient of Y^(v + k)
-    at [r, k]."""
-    cells, polys = [], []
-    for m, p in enumerate((pt, ps)):
-        for i, row in enumerate(p):
-            for j, f in enumerate(row):
-                if any(f[1]):
-                    cells.append((m, i, j))
-                    polys.append(f)
-    polys += [dt, ds]
-    rows = np.zeros((len(polys), max(len(c) for _, c in polys)))
+    """(where, lows, lengths, rows): the cells (m, i, j) of the entries of
+    P_T (m = 0) and P_S (m = 1), the valuations v and the lengths of the c's
+    of those, D_T and D_S, and the float64 coefficients of the c's, row r's
+    coefficient of Y^(v + k) at [r, k], zero from lengths[r] on."""
+    cells = [(m, i, j) for m, p in enumerate((pt, ps)) for i, j in p]
+    polys = [*pt.values(), *ps.values(), dt, ds]
+    lengths = np.array([len(c) for _, c in polys], dtype=np.intp)
+    rows = np.zeros((len(polys), lengths.max()))
     for r, (_, c) in enumerate(polys):
         rows[r, : len(c)] = c
     lows = np.array([v for v, _ in polys], dtype=np.intp)
-    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), lows, rows
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), lows, lengths, rows
 
 
 def _spans(where, lows, lengths, n):
@@ -317,7 +310,7 @@ def _spans(where, lows, lengths, n):
     def product(a, b):  # of (lo, -hi) stacks of span matrices, broadcast
         return (a[..., None] + b[..., None, :, :]).min(-2)
 
-    ends = np.where(lengths > 0, (lows, 1 - lows - lengths), np.inf)  # (lo, -hi) of each row
+    ends = np.array((lows, 1 - lows - lengths))  # (lo, -hi) of each row
     p = np.full((2, 2, n, n), np.inf)  # of (P_T, P_S)
     p[:, where[0], where[1], where[2]] = ends[:, :-2]
     tst_sts = product(product(p, p[:, ::-1]), p)

@@ -582,14 +582,15 @@ def conjugated_form(p, d):
 def held(p, d):
     """(P, D) given as coefficient lists, ascending (`lcm_form`,
     `conjugated_form`), as the exact checks hold them
-    (`repbuild._integer_form`): each polynomial f = Y^v c(Y) as (v, c), v
+    (`repbuild._integer_form`): P as the map (i, j) -> (v, c) of its nonzero
+    entries, row-major, and D as (v, c), each polynomial f = Y^v c(Y) with v
     the degree of its lowest nonzero coefficient and c its coefficients from
-    there on; 0 as (0, c) with c all zero, [] for an empty list."""
+    there to the highest nonzero one; a zero D as (0, [])."""
     def one(f):
-        v = next((k for k, x in enumerate(f) if x), 0)
-        return v, list(f[v:])
+        nonzero = [k for k, x in enumerate(f) if x]
+        return (nonzero[0], list(f[nonzero[0] : nonzero[-1] + 1])) if nonzero else (0, [])
 
-    return [[one(f) for f in row] for row in p], one(d)
+    return {(i, j): one(f) for i, row in enumerate(p) for j, f in enumerate(row) if any(f)}, one(d)
 
 
 def padded(f):
@@ -930,7 +931,7 @@ def verify_braid(N: int) -> bool:
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
     """The braid relation for any pair over Q(X), by `relation_checks`'
     decision procedure on their (P, D) forms by lcm."""
-    return _integer_checks(*held(*lcm_form(t)), *held(*lcm_form(tstar)))[0]
+    return _integer_checks(len(t.rows), *held(*lcm_form(t)), *held(*lcm_form(tstar)))[0]
 
 
 def rep_of_word(w: Word, N: int) -> FMatrix:
@@ -995,7 +996,7 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     verdict here never rests on the braid implying it."""
     pt, dt = lcm_form(t)
     ps, ds = lcm_form(tstar)
-    w = (2 * max(exact_height_bound(*held(pt, dt), *held(ps, ds)))).bit_length()  # B = 2^w > 2 * bound
+    w = (2 * max(exact_height_bound(len(pt), *held(pt, dt), *held(ps, ds)))).bit_length()  # B = 2^w > 2 * bound
 
     pt, ps = (np.array(_eval_matrix_at(p, w), dtype=object) for p in (pt, ps))
     tst, sts = pt @ ps @ pt, ps @ pt @ ps
@@ -1005,13 +1006,16 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     return bool(braid), bool(center)
 
 
-def exact_height_bound(pt, dt, ps, ds) -> tuple[int, int]:
+def exact_height_bound(n, pt, dt, ps, ds) -> tuple[int, int]:
     """(braid, center): `repbuild._height_bound` in Python integers, from the
-    integer forms as the exact checks hold them, each polynomial (v, c): the
-    bounds on every coefficient of the difference of the two sides of each
-    identity, ||gh||_1 <= ||g||_1 ||h||_1 through the matrices of entry
-    l1-norms (numpy arrays of Python ints)."""
-    nt, ns = (np.array([[sum(map(abs, c)) for _, c in row] for row in p], dtype=object) for p in (pt, ps))
+    integer forms of dimension n as the exact checks hold them (`held`), each
+    polynomial (v, c): the bounds on every coefficient of the difference of
+    the two sides of each identity, ||gh||_1 <= ||g||_1 ||h||_1 through the
+    matrices of entry l1-norms (numpy arrays of Python ints)."""
+    nt, ns = np.zeros((2, n, n), dtype=object)
+    for norms, p in ((nt, pt), (ns, ps)):
+        for ij, (_, c) in p.items():
+            norms[ij] = sum(map(abs, c))
     tst, sts = nt @ ns @ nt, ns @ nt @ ns
     c = tst @ tst
     return (

@@ -684,7 +684,27 @@ def test_integer_forms_equal_the_lcm_by_gcd(N):
     # diag(X^floor(i/2)) into Y = X^2 and shifted by one Y^s, each held from
     # its lowest nonzero coefficient
     for m, entries in zip(twists(N), _twist_factors(N)):
-        assert _integer_form(entries, N) == held(*conjugated_form(*lcm_form(m)))
+        assert _integer_form(entries) == held(*conjugated_form(*lcm_form(m)))
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_integer_forms_are_maps_of_trimmed_entries(N):
+    # the map of P has exactly the keys of the form map, and every c of P and
+    # D starts and ends nonzero, so that len(c) is the length the checks use
+    for entries in _twist_factors(N):
+        p, d = _integer_form(entries)
+        assert list(p) == list(entries)
+        assert all(c[0] and c[-1] for _, c in [*p.values(), d])
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_integer_form_coefficients_have_one_sign_a_row(N):
+    # every row of P_T, P_S, D_T and D_S has its coefficients of one sign, so
+    # its l1 norm is |c(1)|, a value the factor lists give without expanding
+    for entries in _twist_factors(N):
+        p, d = _integer_form(entries)
+        for _, c in [*p.values(), d]:
+            assert min(c) >= 0 or max(c) <= 0
 
 
 # --- integer-evaluation checks against the Q(X) products ----------------------
@@ -692,7 +712,7 @@ def test_integer_forms_equal_the_lcm_by_gcd(N):
 
 def _checks(pt, dt, ps, ds):
     """`_integer_checks` on integer forms given as coefficient lists."""
-    return _integer_checks(*held(pt, dt), *held(ps, ds))
+    return _integer_checks(len(pt), *held(pt, dt), *held(ps, ds))
 
 
 def _reference_checks(t, tstar):
@@ -811,7 +831,7 @@ def test_relation_checks_fail_on_a_changed_factor(N):
     # T[0][1] with its factor {2N-1}+ read as {2N-1}, on the lists the
     # checks read: both identities fail
     t, tstar = changed_factor(*_twist_factors(N), N)
-    assert _integer_checks(*_integer_form(t, N), *_integer_form(tstar, N)) == (False, False)
+    assert _integer_checks(N, *_integer_form(t), *_integer_form(tstar)) == (False, False)
 
 
 @pytest.mark.parametrize(
@@ -910,7 +930,7 @@ def test_a_holding_braid_decides_the_center_unevaluated(monkeypatch, N, width, p
 def test_a_failing_braid_evaluates_the_center(monkeypatch, N):
     log = _blocks(monkeypatch)
     t, tstar = changed_factor(*_twist_factors(N), N)
-    assert _integer_checks(*_integer_form(t, N), *_integer_form(tstar, N)) == (False, False)
+    assert _integer_checks(N, *_integer_form(t), *_integer_form(tstar)) == (False, False)
     assert _points_per_prime(log, True)
 
 
@@ -1049,10 +1069,10 @@ def test_integer_checks_refuse_a_valuation_beyond_q_before_evaluation(monkeypatc
     below_q = r"^exact checks need K < q, valuations below q and "
     for v, message in ((_PRIMES[0], below_q), (10**7, below_q), (10**400, r"valuation .* beyond the float range$")):
         with pytest.raises(TooLargeError, match=message):
-            _integer_checks([[(v, [1])]], (v, [1]), [[one]], one)
+            _integer_checks(1, {(0, 0): (v, [1])}, (v, [1]), {(0, 0): one}, one)
         assert log == []
     with pytest.raises(ValueError, match="no negative valuation"):
-        _integer_checks([[(-1, [1])]], one, [[one]], one)
+        _integer_checks(1, {(0, 0): (-1, [1])}, one, {(0, 0): one}, one)
     assert log == []
 
 
@@ -1062,32 +1082,31 @@ def test_integer_checks_run_a_large_valuation_in_blocks_of_bounded_size(monkeypa
     log = _blocks(monkeypatch)
     v, one = 2**18, (0, [1])
     assert v > _BLOCK_CELLS
-    assert _integer_checks([[(v, [1])]], (v, [1]), [[one]], one) == (True, True)
-    assert _integer_checks([[(v, [1])]], (v, [1]), [[one]], (0, [1, 1])) == (False, True)
+    pt, ps = {(0, 0): (v, [1])}, {(0, 0): one}
+    assert _integer_checks(1, pt, (v, [1]), ps, one) == (True, True)
+    assert _integer_checks(1, pt, (v, [1]), ps, (0, [1, 1])) == (False, True)
     assert {k for _, _, k in log} == {1}
 
 
 # --- the degree spans that set the number of points ----------------------------
 
 
-def _forms_spans(pt, dt, ps, ds):
-    """`_spans` of integer forms held as the exact checks hold them, with the
-    lengths `_integer_checks` scans the rows for."""
-    where, lows, rows = _coefficient_rows(pt, dt, ps, ds)
-    lengths = ((rows != 0) * np.arange(1, rows.shape[1] + 1)).max(-1)
-    return _spans(where, lows, lengths, len(pt))
+def _forms_spans(n, pt, dt, ps, ds):
+    """`_spans` of integer forms of dimension n held as the exact checks hold
+    them, from the rows `_integer_checks` lays out."""
+    where, lows, lengths, _ = _coefficient_rows(pt, dt, ps, ds)
+    return _spans(where, lows, lengths, n)
 
 
 def _points(pt, dt, ps, ds):
     """K, the number of points `_integer_checks` evaluates at, for integer
     forms given as coefficient lists: 1 + the widest span of one entry."""
-    spans = _forms_spans(*held(pt, dt), *held(ps, ds))
+    spans = _forms_spans(len(pt), *held(pt, dt), *held(ps, ds))
     return 1 + max((hi - lo).max() for lo, hi in spans)
 
 
 def _generator_spans(N):
-    (pt, dt), (ps, ds) = (_integer_form(entries, N) for entries in _twist_factors(N))
-    return _forms_spans(pt, dt, ps, ds)
+    return _forms_spans(N, *(x for entries in _twist_factors(N) for x in _integer_form(entries)))
 
 
 @pytest.mark.parametrize(
@@ -1100,7 +1119,7 @@ def test_points_on_the_generators(N, points):
     # 7 dmax), with every entry taken at degree dmax and valuation 0, is 43
     # at N = 2, 1212 at N = 8 and 2878 at N = 12
     t, tstar = twists(N)
-    spans = _forms_spans(*held(*lcm_form(t)), *held(*lcm_form(tstar)))
+    spans = _forms_spans(N, *held(*lcm_form(t)), *held(*lcm_form(tstar)))
     assert 1 + max(hi.max() - lo.min() for lo, hi in spans) == points
 
 
@@ -1142,7 +1161,7 @@ def test_spans_hold_every_nonzero_coefficient(forms):
     braid = fm_sub(fm_scale(tst, d_s), fm_scale(fm_mul(fm_mul(tstar, t), tstar), d_t))
     c = fm_mul(tst, tst)
     center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
-    for (lo, hi), diffs in zip(_forms_spans(*held(pt, dt), *held(ps, ds)), ([braid], center)):
+    for (lo, hi), diffs in zip(_forms_spans(len(pt), *held(pt, dt), *held(ps, ds)), ([braid], center)):
         lo, hi = (a.reshape(len(diffs), -1) for a in (lo, hi))
         for m, diff in enumerate(diffs):
             for cell, e in enumerate(e for row in diff.rows for e in row):
@@ -1156,16 +1175,16 @@ def test_spans_hold_every_nonzero_coefficient(forms):
 # --- the height bound in float64 -----------------------------------------------
 
 
-def _float_bounds(pt, dt, ps, ds):
+def _float_bounds(n, pt, dt, ps, ds):
     """`_height_bound` from the rows `_integer_checks` lays out."""
-    where, _, rows = _coefficient_rows(pt, dt, ps, ds)
-    return _height_bound(np.abs(rows).sum(-1), where, len(pt))
+    where, _, _, rows = _coefficient_rows(pt, dt, ps, ds)
+    return _height_bound(np.abs(rows).sum(-1), where, n)
 
 
 @pytest.mark.parametrize("N", range(2, 33))
 def test_float_height_bound_is_above_the_exact_one_with_the_same_primes(N):
-    forms = [x for entries in _twist_factors(N) for x in _integer_form(entries, N)]
-    for bound, exact in zip(_float_bounds(*forms), exact_height_bound(*forms)):
+    forms = [x for entries in _twist_factors(N) for x in _integer_form(entries)]
+    for bound, exact in zip(_float_bounds(N, *forms), exact_height_bound(N, *forms)):
         assert bound >= exact, N  # a Python float against an int, compared exactly
         assert _primes_above(2 * bound) == _primes_above(2 * exact), N
 
@@ -1176,6 +1195,6 @@ def test_float_height_bound_is_above_the_exact_one_with_the_same_primes(N):
 @settings(max_examples=100, deadline=None)
 def test_float_height_bound_is_above_the_exact_one(forms):
     pt, dt, ps, ds = forms
-    forms = [*held(pt, dt), *held(ps, ds)]
+    forms = [len(pt), *held(pt, dt), *held(ps, ds)]
     for bound, exact in zip(_float_bounds(*forms), exact_height_bound(*forms)):
         assert bound >= exact
