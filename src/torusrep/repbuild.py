@@ -29,7 +29,9 @@ map of the matrix `matrices --what` names. Three readers take a map and
 nothing else: the canonical form over Q(X) (`_matrix`, by
 `qsymbols._sum_forms`), the value at X = -1 (`form_limit`, by
 `qsymbols._limit`) and the value at A_p (`numeric.eval_forms`). The exact
-checks read the maps of T and T* as integer forms (`_integer_form`).
+checks read the maps of T and T* as integer forms (`_integer_form`), named T
+and S in the two short programs that describe the braid relation and the
+center (`_BRAID`, `_CENTER`), which one walk reads (`_walk`).
 `matrices` builds over Q(X) only the matrix it emits, and only for a
 symbolic value; `verify` builds nothing over Q(X), reads the maps of T, T*,
 R and z' once each (the M^(n) at X = -1 off z', `recurrence_limits`), and
@@ -39,6 +41,7 @@ the certificate scans evaluate T and T* at A_p by recurrences
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -130,6 +133,12 @@ def forms(what: str, N: int, index: int | None = None):
     return pair[what in ("Tstar", "Y")]
 
 
+# The identities of the exact checks, as programs over the integer forms T
+# and S of T and T* (`relation_checks`, `_walk`)
+_BRAID = ("U=ST", "W=TU", "V=US"), ("W=V",)  # D_S TST = D_T STS
+_CENTER = ("U=ST", "W=TU", "C=WW"), ("CT=TC", "CS=SC")  # C = (TST)^2
+
+
 def relation_checks(N: int, twist) -> tuple[bool, bool]:
     """Exact checks over Q(X) of the generators of dimension N, from the form
     maps `twist` of T and T* (`_twist_factors`): (T T* T == T* T T*, the
@@ -144,10 +153,15 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
     X -> -X of the generators). Write them P_T / D_T and P_S / D_S with P
     integer polynomial matrices and D_T, D_S integer polynomials in Y, the
     least common denominators of the product forms of T and T*, read straight
-    from the factor lists (`_integer_form`). Then the braid relation is
-    D_S P_T P_S P_T == D_T P_S P_T P_S, and with C' = (P_T P_S P_T)^2 the
-    center commutes iff C' P_T == P_T C' and C' P_S == P_S C' (both sides of
-    a commutator share one denominator).
+    from the factor lists (`_integer_form`), and name them T and S.
+
+    Each identity is a program over these names (`_walk`): steps that name
+    the product of a word, and equations between two words, each side times
+    the D_g of every generator g it holds fewer copies of than the other
+    side, once a copy. The braid is U = ST, W = TU, V = US with W = V, that
+    is D_S P_T P_S P_T == D_T P_S P_T P_S (`_BRAID`); the center is U = ST,
+    W = TU, C = WW with CT = TC and CS = SC, C' = (P_T P_S P_T)^2 commuting
+    with P_T and with P_S (`_CENTER`).
 
     The braid identity implies the center one, as (T T* T)^2 is central in
     the braid group <T, T* | T T* T = T* T T*>. With A = P_T, B = P_S,
@@ -155,38 +169,35 @@ def relation_checks(N: int, twist) -> tuple[bool, bool]:
     d BW = (d BAB) A = e WA and d WB = A (d BAB) = e AW, so
     d e W^2 A = d W (d BW) = d (e AW) W = d e A W^2 and
     d W^2 B = W (e AW) = (e WA) W = d B W^2. Z[Y] has no zero divisors and
-    d, e are nonzero (they are denominators; `_integer_checks` refuses zero
-    ones), so C' = W^2 commutes with A and with B. The center identity is
+    d, e are nonzero (they are denominators; `_decide` refuses zero ones),
+    so C' = W^2 commutes with A and with B. The center identity is
     therefore evaluated only when the braid identity fails; when it holds,
-    the center verdict is True by this proof.
+    the center verdict is True by this proof (`_integer_checks`).
 
-    Each identity says that a difference f of two integer polynomials
-    vanishes, entry by entry, and is decided by multipoint evaluation modulo
-    primes (`_integer_checks`):
+    Each equation says that a difference f of two integer polynomial
+    matrices vanishes, entry by entry, and is decided by multipoint
+    evaluation modulo primes (`_decide`), from one walk over the program
+    under three products:
 
-    - every coefficient of f is at most `bound` in absolute value, the sum of
-      the l1-norms of the two sides, bounded through the nonnegative matrices
-      of entry norms (||gh||_1 <= ||g||_1 ||h||_1), one bound per identity,
-      in float64 with a slack that keeps it above the exact one
-      (`_height_bound`);
-    - every nonzero coefficient of an entry f of the difference has its
-      degree in the span [lo, hi] of that entry (`_spans`), so f = Y^lo g
-      with deg g <= hi - lo; K is the largest hi - lo + 1 over the entries of
-      that identity's difference, and a zero entry adds nothing;
-    - f is evaluated at y = 1..K modulo primes q from `_PRIMES`, taken in
-      order until their product exceeds 2 bound. As K < q, these are K
-      distinct nonzero points of F_q. If f vanishes at all of them, then so
-      does g, at more points than its degree: so g is 0 mod q, and q divides
-      every coefficient of f. If every prime does, so does their product,
-      and a multiple of it below the product in absolute value is 0;
-    - the arithmetic mod q is float64 with every partial sum below 2^53, so
-      BLAS computes it exactly (`_integer_checks` states the invariants and
-      raises `TooLargeError` for an input that would break one).
+    - (min, +) products of the entries' valuation spans put every nonzero
+      coefficient of an entry of f in degrees lo..hi, so the entry is
+      Y^lo g with deg g <= hi - lo; K is the largest hi - lo + 1 over the
+      entries of the program's equations (`_reach`);
+    - float64 products of the matrices of entry l1 norms
+      (||gh||_1 <= ||g||_1 ||h||_1) bound every coefficient of f by
+      `bound`, with a slack that keeps it above the exact one (`_reach`);
+    - batched products mod q evaluate f at y = 1..K modulo primes q from
+      `_PRIMES`, taken in order until their product exceeds 2 bound. As
+      K < q, these are K distinct nonzero points of F_q. If f vanishes at
+      all of them, then so does g, at more points than its degree: so g is
+      0 mod q, and q divides every coefficient of f. If every prime does, so
+      does their product, and a multiple of it below the product in absolute
+      value is 0. The arithmetic is float64 with every partial sum below
+      2^53, so BLAS computes it exactly (`_decide`).
 
     So the verdict is exact and deterministic, with no common divisor taken
     and no probability of a wrong answer."""
-    (pt, dt), (ps, ds) = map(_integer_form, twist)
-    return _integer_checks(N, pt, dt, ps, ds)
+    return _integer_checks(N, dict(zip("TS", map(_integer_form, twist))))
 
 
 def _integer_form(forms):
@@ -226,71 +237,82 @@ _BLOCK_CELLS = 2**17
 _CHUNK = 64  # coefficients per matrix product in `_values`
 
 
-def _integer_checks(n: int, pt, dt, ps, ds) -> tuple[bool, bool]:
-    """`relation_checks` on the integer forms (P_T, D_T, P_S, D_S) of
-    dimension n, every polynomial Y^v c(Y) as (v, c), v >= 0 and c its
-    integer coefficients, ascending, from a nonzero one to a nonzero one,
-    P_T and P_S maps (i, j) -> (v, c) of their nonzero entries and D_T, D_S
-    nonzero (`_integer_form`); the decision holds for integer polynomials in
-    any one variable.
+def _integer_checks(n: int, forms) -> tuple[bool, bool]:
+    """`relation_checks` on the integer forms {"T": (P_T, D_T), "S": (P_S,
+    D_S)} of dimension n (`_integer_form`): the braid identity is decided
+    first, and the center identity, which it implies, only when it fails."""
+    verdicts = _decide(n, forms, (_BRAID, _CENTER))
+    braid = next(verdicts)
+    return braid, braid or next(verdicts)
 
-    The braid identity is decided first; the center identity, which it
-    implies, only when it fails. The c's are laid out once as rows, each
-    row's length len(c) (`_coefficient_rows`), and scanned once for their
-    largest coefficient and l1 norms, and per prime, blocks of the points
-    y = 1..K are checked at once (`_check_block`), each of at most
-    `_BLOCK_CELLS` // max(N^2, top + 1) points, top the largest v, and no
-    more than the larger K: the block size bounds the arrays, y^0..y^top
-    among them, not any sum. Each identity has its own K (`_spans`) and its
-    own primes (`_height_bound`). The arithmetic is float64 on integers, exact because
-    every coefficient is below 2^53 and every partial sum of products of
-    residues, which lie in (-q, q) (`_mod`), stays below it: (`_CHUNK` + 1)
-    (q-1)^2 in the evaluation (`_values`), N (q-1)^2 in an N x N product and
-    2N (q-1)^2 in the difference of two, 2 (q-1)^2 in a difference of scaled
-    sides. `TooLargeError` is raised, before anything is evaluated, for an
-    input that would break one of these invariants, K < q, top < q, or the
-    reach of the prime table for either identity, whether or not the center
-    identity is then evaluated."""
+
+def _decide(n: int, forms, programs):
+    """An iterator of whether each of `programs` (`_walk`) holds, each
+    evaluated when it is asked for, over `forms`, a map from one-letter
+    names to integer forms (P, D) of dimension n, every polynomial Y^v c(Y)
+    as (v, c), v >= 0 and c its integer coefficients, ascending, from a
+    nonzero one to a nonzero one, P the map (i, j) -> (v, c) of its nonzero
+    entries and D nonzero (`_integer_form`); the decision holds for integer
+    polynomials in any one variable.
+
+    The c's are laid out once as rows, each row's length len(c)
+    (`_coefficient_rows`), and scanned once for their largest coefficient
+    and l1 norms. Each program has its own K and primes (`_reach`), and per
+    prime, blocks of the points y = 1..K are checked at once (`_holds`),
+    each of at most `_BLOCK_CELLS` // max(N^2, top + 1) points, top the
+    largest v, and no more than the largest K: the block size bounds the
+    arrays, y^0..y^top among them, not any sum. The arithmetic is float64
+    on integers, exact because every coefficient is below 2^53 and every
+    partial sum of products of residues, which lie in (-q, q) (`_mod`),
+    stays below it: (`_CHUNK` + 1) (q-1)^2 in the evaluation (`_values`),
+    N (q-1)^2 in a reduced N x N product, 2 (q-1)^2 in the difference of two
+    sides, each a residue, or one times the reduced product of its
+    denominators. `TooLargeError` is raised, before anything is evaluated,
+    for an input that would break one of these invariants (asked with the
+    margin 2N), K < q, top < q, the slack of a height bound or the reach of
+    the prime table, for any of the programs, evaluated or not."""
     with float_range("a coefficient or valuation of the exact checks"):
-        where, lows, lengths, rows = _coefficient_rows(pt, dt, ps, ds)
+        where, lows, lengths, rows = _coefficient_rows(forms.values())
     size = np.abs(rows)
     if size.max() >= 2**53:
         raise TooLargeError("exact checks need every coefficient below 2^53")
-    points = [1 + int(max(0, (hi - lo).max())) for lo, hi in _spans(where, lows, lengths, n)]
-    primes = [_primes_above(2 * bound) for bound in _height_bound(size.sum(-1), where, n)]
+    spans = _generators(forms, where, np.stack((lows, 1 - lows - lengths), -1), np.full((len(forms), 2, n, n), np.inf))
+    norms = _generators(forms, where, size.sum(-1), np.zeros((len(forms), n, n)))
+    reach = [_reach(program, spans, norms, n, rows.shape[1]) for program in programs]
+    points = [1 + int(max(0, *(-h.sum(0).min() for h in hulls))) for hulls, _ in reach]  # 1 + max(hi - lo)
+    primes = [_primes_above(2 * bound) for _, bound in reach]
     if max(*points, lows.max()) >= min(map(min, primes)) or max(2 * n, _CHUNK + 1) * (_PRIMES[0] - 1) ** 2 >= 2**53:
         raise TooLargeError("exact checks need K < q, valuations below q and 2N (q-1)^2 < 2^53 for q near 2^20")
-    if not (any(dt[1]) and any(ds[1])) or lows.min() < 0:
-        raise ValueError("exact checks need nonzero denominators D_T and D_S and no negative valuation")
+    if not all(any(c) for _, (_, c) in forms.values()) or lows.min() < 0:
+        raise ValueError("exact checks need nonzero denominators and no negative valuation")
 
     order = np.argsort(-lengths, kind="stable")  # longest first, as `_values` takes them
     rows, lengths, lows, back = rows[order], lengths[order], lows[order], np.argsort(order)
     block = max(1, min(_BLOCK_CELLS // max(n * n, int(lows.max()) + 1), max(points)))
-    buf = np.zeros((2, block, n, n))
+    buf = np.zeros((len(forms), block, n, n))  # zero off the entries of the P's
 
-    def holds(center: bool, points: int, primes) -> bool:
+    def holds(program, points: int, primes) -> bool:
         # per prime, blocks of the points y = 1..points at once; the first
-        # block where the identity fails decides
-        for prime in primes:
-            q = float(prime)
+        # block where an equation fails decides
+        for q in map(float, primes):
             a = _mod(rows.copy(), q)
             for start in range(1, points + 1, block):
                 y = np.arange(start, min(start + block, points + 1), dtype=np.float64)
-                if not _check_block(_values(a, lengths, lows, y, q)[back], where, buf[:, : len(y)], q, center):
+                if not _holds(program, _generators(forms, where, _values(a, lengths, lows, y, q)[back], buf[:, : len(y)]), q):
                     return False
         return True
 
-    braid = holds(False, points[0], primes[0])
-    return braid, braid or holds(True, points[1], primes[1])
+    return map(holds, programs, points, primes)
 
 
-def _coefficient_rows(pt, dt, ps, ds):
-    """(where, lows, lengths, rows): the cells (m, i, j) of the entries of
-    P_T (m = 0) and P_S (m = 1), the valuations v and the lengths of the c's
-    of those, D_T and D_S, and the float64 coefficients of the c's, row r's
-    coefficient of Y^(v + k) at [r, k], zero from lengths[r] on."""
-    cells = [(m, i, j) for m, p in enumerate((pt, ps)) for i, j in p]
-    polys = [*pt.values(), *ps.values(), dt, ds]
+def _coefficient_rows(forms):
+    """(where, lows, lengths, rows): the cells (m, i, j) of the entries of the
+    P of the m-th integer form (P, D) of `forms`, the valuations v and the
+    lengths of the c's of those and then of each D, and the float64
+    coefficients of the c's, row r's coefficient of Y^(v + k) at [r, k],
+    zero from lengths[r] on."""
+    cells = [(m, i, j) for m, (p, _) in enumerate(forms) for i, j in p]
+    polys = [c for p, _ in forms for c in p.values()] + [d for _, d in forms]
     lengths = np.array([len(c) for _, c in polys], dtype=np.intp)
     rows = np.zeros((len(polys), lengths.max()))
     for r, (_, c) in enumerate(polys):
@@ -299,64 +321,79 @@ def _coefficient_rows(pt, dt, ps, ds):
     return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), lows, lengths, rows
 
 
-def _spans(where, lows, lengths, n):
-    """[(lo, hi)] for the braid and the center, arrays of shape (n, n) and
-    (2, n, n): every nonzero coefficient of entry (i, j) of
-    D_S P_T P_S P_T - D_T P_S P_T P_S, and of C' P - P C' for P = P_T, P_S,
-    has its degree in [lo, hi] at (i, j), the hull of the spans of that entry
-    on the two sides. Row r spans lows[r]..lows[r] + lengths[r] - 1, and the
-    spans go through the products as (lo, -hi), both in (min, +). A zero
-    entry has lo = inf and hi = -inf."""
-    def product(a, b):  # of (lo, -hi) stacks of span matrices, broadcast
-        return (a[..., None] + b[..., None, :, :]).min(-2)
-
-    ends = np.array((lows, 1 - lows - lengths))  # (lo, -hi) of each row
-    p = np.full((2, 2, n, n), np.inf)  # of (P_T, P_S)
-    p[:, where[0], where[1], where[2]] = ends[:, :-2]
-    tst_sts = product(product(p, p[:, ::-1]), p)
-    sides = tst_sts + ends[:, :-3:-1, None, None]  # (D_S TST, D_T STS)
-    c = product(tst_sts[:, :1], tst_sts[:, :1])
-    commutators = np.minimum(product(c, p), product(p, c))  # (C' P, P C')
-    s = np.concatenate((sides.min(1, keepdims=True), commutators), 1)
-    return [(s[0, 0], -s[1, 0]), (s[0, 1:], -s[1, 1:])]
+def _generators(names, where, values, out):
+    """name -> (P, D) for the forms `names` from `values`, one row per row of
+    `_coefficient_rows`: each P an (..., n, n) array of `out`, which takes
+    the values of its entries at `where` and keeps what it holds off them,
+    and each D shaped to scale it."""
+    out[where[0], ..., where[1], where[2]] = values[: len(where[0])]
+    return {name: (out[m], d[..., None, None]) for m, (name, d) in enumerate(zip(names, values[len(where[0]) :]))}
 
 
-def _height_bound(norms, where, n) -> tuple[float, float]:
-    """(braid, center): bounds on every coefficient of the difference of the
-    two sides of each identity, ||gh||_1 <= ||g||_1 ||h||_1 through the
-    matrices of entry l1-norms, `norms` those of the rows at `where`, D_T's
-    and D_S's. In float64 on nonnegative terms, each is within a relative
-    7 gamma_L + gamma_(6N+4) < 2^-30 of the exact one (Higham, ch. 3; L <=
-    K < 2^20 coefficients a row, N < 2^12), so times 1 + 2^-30 it bounds
-    it: a Python float, which `_primes_above` compares with ints exactly,
-    and inf beyond the prime table."""
-    nt = np.zeros((2, n, n))
-    nt[where] = norms[:-2]
-    nt, ns = nt
-    tst, sts = nt @ ns @ nt, ns @ nt @ ns
-    c = tst @ tst
-    braid = (tst * norms[-1] + sts * norms[-2]).max()
-    center = max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max())
-    return float(braid) * (1 + 2**-30), float(center) * (1 + 2**-30)
+def _walk(program, gens, product, scale):
+    """The two sides of each equation of `program`, in order, from `gens`,
+    the map name -> (P, D) of its generators. A program is a pair (steps,
+    equations) of strings over one-letter names (`_BRAID`): a step "U=ST"
+    names the `product` of the values of its word, left to right, formed
+    once; an equation "W=V" gives two sides, each the value of its word
+    `scale`d by the `product` of the D of every generator it holds fewer
+    copies of than the other side, once a copy, if there is one, as a word
+    holding c_g copies of each generator g is P_w / prod D_g^c_g."""
+    steps, equations = program
+    vals = {name: (p, name) for name, (p, _) in gens.items()}
+
+    def value(word):  # (its product, the generators it holds, a copy a letter)
+        return functools.reduce(lambda a, b: (product(a[0], b[0]), a[1] + b[1]), map(vals.__getitem__, word))
+
+    for name, word in (step.split("=") for step in steps):
+        vals[name] = value(word)
+    for equation in equations:
+        sides = [value(word) for word in equation.split("=")]
+        dens = [[d for g, (_, d) in gens.items() for _ in range(theirs.count(g) - mine.count(g))]
+                for (_, mine), (_, theirs) in zip(sides, sides[::-1])]
+        yield [scale(v, functools.reduce(product, ds)) if ds else v for (v, _), ds in zip(sides, dens)]
 
 
-def _check_block(vals, where, buf, q: float, center: bool) -> bool:
-    """The braid identity, or the center identity if `center`, at one block of
-    points, from the values mod q of the nonzero entries of P_T and P_S (rows
-    of vals, at `where`) and of D_T and D_S (its last two rows); buf holds the
-    stacks of P_T and P_S, whose zero entries stay zero. The arrays of a
-    block are freed when it returns."""
-    buf[where[0], :, where[1], where[2]] = vals[:-2]
-    p_t, p_s = buf
-    d_t, d_s = vals[-2:, :, None, None]
-    u = _mod(p_s @ p_t, q)
-    tst = _mod(p_t @ u, q)
-    if not center:
-        return not _mod(tst * d_s - _mod(u @ p_s, q) * d_t, q).any()
-    c = _mod(tst @ tst, q)
-    commutators = c @ buf  # C P_T and C P_S
-    commutators -= buf @ c
-    return not _mod(commutators, q).any()
+def _product(a, b, q: float | None = None):
+    """a @ b for stacks of float64 matrices, the engine's one matrix product:
+    reduced by `_mod` when q is given (values mod q), as rounded when it is
+    not (norms)."""
+    return a @ b if q is None else _mod(a @ b, q)
+
+
+def _reach(program, spans, norms, n: int, width: int):
+    """(hulls, bound) of `program` (`_walk`) from its generators' (lo, -hi)
+    valuation spans `spans` and entry l1 norms `norms` (`_generators`), of
+    dimension n, with at most `width` coefficients a row. `hulls` holds, for
+    each equation, the (lo, -hi) hull of its two sides' spans, by (min, +)
+    products: every nonzero coefficient of an entry of their difference has
+    its degree in lo..hi, and a zero entry has lo = inf and hi = -inf.
+
+    The bound, on every coefficient of such a difference, is the largest
+    over the equations of the sum of the two sides' norms, by float64
+    products, times 1 + 2^-30. Every term is nonnegative, so a computed norm
+    is at least (1 - u)^m times the exact one, u = 2^-53 and m the roundings
+    on its longest path, which the walk counts: width - 1 in a row norm, n
+    in a product beyond those of its factors (one in a product of two
+    denominators, counted as n), one in a scaling, and two for the sum of
+    two sides and the final factor. So the bound is above the exact one
+    while gamma_m = m u / (1 - m u) <= 2^-30 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3); past that `TooLargeError`
+    is raised, before any float64 product. The bound is a Python float,
+    which `_primes_above` compares with ints exactly, and inf beyond the
+    prime table."""
+    m = 2 + max(map(max, _walk(program, dict.fromkeys(norms, (width - 1,) * 2), lambda a, b: a + b + n, lambda a, d: a + d + 1)))
+    if (2**30 + 1) * m >= 2**53:  # gamma_m >= 2^-30
+        raise TooLargeError("exact checks need a float64 height bound within 2^-30 of the exact one")
+    hulls = [np.minimum(*sides) for sides in _walk(program, spans, lambda a, b: (a[..., None] + b[..., None, :, :]).min(-2), np.add)]
+    return hulls, (1 + 2**-30) * max(float(np.add(*sides).max()) for sides in _walk(program, norms, _product, np.multiply))
+
+
+def _holds(program, gens, q: float) -> bool:
+    """Whether every equation of `program` holds mod q at one block of
+    points, from the values mod q of its generators `gens` (`_generators`);
+    the arrays of a block are freed when it returns."""
+    return not any(_mod(a - b, q).any() for a, b in _walk(program, gens, functools.partial(_product, q=q), np.multiply))
 
 
 def _primes_above(height: float) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from torusrep.errors import BadPError, NearPoleError, PoleError
 from torusrep.mcg import Gen, Word
 from torusrep.numeric import DEFAULT_TOLERANCE, PSetting
 from torusrep.qsymbols import _cyclotomic, _divisors, _factors, _limit, _rhat_form, _sum_forms, _times
-from torusrep.repbuild import _integer_checks, _twist_factors
+from torusrep.repbuild import _BRAID, _CENTER, _integer_checks, _twist_factors, _walk
 
 
 # --- polynomials over Z, Q(X) in canonical form, and matrices over Q(X) ----------
@@ -593,6 +593,13 @@ def held(p, d):
     return {(i, j): one(f) for i, row in enumerate(p) for j, f in enumerate(row) if any(f)}, one(d)
 
 
+def held_pair(pt, dt, ps, ds):
+    """The integer forms (P_T, D_T) and (P_S, D_S) of a pair, given as
+    coefficient lists, held (`held`) and named T and S, as the exact checks'
+    programs name T and T* (`repbuild._BRAID`)."""
+    return {"T": held(pt, dt), "S": held(ps, ds)}
+
+
 def padded(f):
     """The coefficient list, ascending, of the polynomial (v, c) = Y^v c(Y)
     that the exact checks hold: [] for 0, else v zeros and c."""
@@ -931,7 +938,7 @@ def verify_braid(N: int) -> bool:
 def braid_holds(t: FMatrix, tstar: FMatrix) -> bool:
     """The braid relation for any pair over Q(X), by `relation_checks`'
     decision procedure on their (P, D) forms by lcm."""
-    return _integer_checks(len(t.rows), *held(*lcm_form(t)), *held(*lcm_form(tstar)))[0]
+    return _integer_checks(len(t.rows), held_pair(*lcm_form(t), *lcm_form(tstar)))[0]
 
 
 def rep_of_word(w: Word, N: int) -> FMatrix:
@@ -996,7 +1003,8 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     verdict here never rests on the braid implying it."""
     pt, dt = lcm_form(t)
     ps, ds = lcm_form(tstar)
-    w = (2 * max(exact_height_bound(len(pt), *held(pt, dt), *held(ps, ds)))).bit_length()  # B = 2^w > 2 * bound
+    forms = held_pair(pt, dt, ps, ds)
+    w = (2 * max(exact_height_bound(len(pt), forms, p) for p in (_BRAID, _CENTER))).bit_length()  # B = 2^w > 2 * bound
 
     pt, ps = (np.array(_eval_matrix_at(p, w), dtype=object) for p in (pt, ps))
     tst, sts = pt @ ps @ pt, ps @ pt @ ps
@@ -1006,22 +1014,20 @@ def kronecker_relation_checks(t: FMatrix, tstar: FMatrix) -> tuple[bool, bool]:
     return bool(braid), bool(center)
 
 
-def exact_height_bound(n, pt, dt, ps, ds) -> tuple[int, int]:
-    """(braid, center): `repbuild._height_bound` in Python integers, from the
-    integer forms of dimension n as the exact checks hold them (`held`), each
-    polynomial (v, c): the bounds on every coefficient of the difference of
-    the two sides of each identity, ||gh||_1 <= ||g||_1 ||h||_1 through the
-    matrices of entry l1-norms (numpy arrays of Python ints)."""
-    nt, ns = np.zeros((2, n, n), dtype=object)
-    for norms, p in ((nt, pt), (ns, ps)):
+def exact_height_bound(n, forms, program) -> int:
+    """`repbuild._reach`'s height bound of `program` in Python integers, by
+    the same walk (`repbuild._walk`) over the matrices of entry l1-norms of
+    the integer forms `forms` of dimension n, name -> (P, D) as the exact
+    checks hold them (`held`), numpy arrays of Python ints: a bound on every
+    coefficient of the difference of the two sides of each equation,
+    ||gh||_1 <= ||g||_1 ||h||_1."""
+    gens = {}
+    for name, (p, (_, d)) in forms.items():
+        norms = np.zeros((n, n), dtype=object)
         for ij, (_, c) in p.items():
             norms[ij] = sum(map(abs, c))
-    tst, sts = nt @ ns @ nt, ns @ nt @ ns
-    c = tst @ tst
-    return (
-        (tst * sum(map(abs, ds[1])) + sts * sum(map(abs, dt[1]))).max(),
-        max((c @ nt + nt @ c).max(), (c @ ns + ns @ c).max()),
-    )
+        gens[name] = norms, np.array([[sum(map(abs, d))]], dtype=object)  # 1 x 1, as products of denominators take it
+    return max((a + b).max() for a, b in _walk(program, gens, lambda a, b: a @ b, lambda a, d: a * d))
 
 
 def _eval_at(coeffs, w: int) -> int:

@@ -16,21 +16,26 @@ from torusrep.mcg import parse_word
 from torusrep.qsymbols import _over_denominator
 from torusrep.repbuild import (
     _BLOCK_CELLS,
+    _BRAID,
+    _CENTER,
     _CHUNK,
     _PRIMES,
     _coefficient_rows,
     _curve_factors,
-    _height_bound,
+    _decide,
+    _generators,
     _integer_checks,
     _integer_form,
     _primes_above,
     _ratio_factors,
-    _spans,
+    _reach,
     _twist_factors,
     _recurrence_terms,
     _values,
+    _walk,
     _zprime_terms,
     form_limit,
+    forms,
     recurrence_limits,
     relation_checks,
 )
@@ -48,6 +53,7 @@ from reference import (
     classical_limit,
     eval_exact,
     exact_height_bound,
+    fmatrix_of,
     fmatrix_to_obj,
     fractions,
     flipped_curve_factor,
@@ -57,6 +63,7 @@ from reference import (
     fm_scale,
     fm_sub,
     held,
+    held_pair,
     identity,
     jet,
     kronecker_relation_checks,
@@ -712,7 +719,13 @@ def test_integer_form_coefficients_have_one_sign_a_row(N):
 
 def _checks(pt, dt, ps, ds):
     """`_integer_checks` on integer forms given as coefficient lists."""
-    return _integer_checks(len(pt), *held(pt, dt), *held(ps, ds))
+    return _integer_checks(len(pt), held_pair(pt, dt, ps, ds))
+
+
+def _generator_forms(twist):
+    """The integer forms of the form maps `twist` of T and T*, named as
+    `relation_checks` names them."""
+    return dict(zip("TS", map(_integer_form, twist)))
 
 
 def _reference_checks(t, tstar):
@@ -830,8 +843,7 @@ def test_relation_checks_negative_controls(N):
 def test_relation_checks_fail_on_a_changed_factor(N):
     # T[0][1] with its factor {2N-1}+ read as {2N-1}, on the lists the
     # checks read: both identities fail
-    t, tstar = changed_factor(*_twist_factors(N), N)
-    assert _integer_checks(N, *_integer_form(t), *_integer_form(tstar)) == (False, False)
+    assert _integer_checks(N, _generator_forms(changed_factor(*_twist_factors(N), N))) == (False, False)
 
 
 @pytest.mark.parametrize(
@@ -859,14 +871,14 @@ def test_kronecker_reference_bounds_both_identities():
 
 
 def _blocks(monkeypatch):
-    """Patch `_check_block` to log (center, q, points) per block it checks."""
-    log, check = [], repbuild._check_block
+    """Patch `_holds` to log (center, q, points) per block it checks."""
+    log, check = [], repbuild._holds
 
-    def logged(vals, where, buf, q, center):
-        log.append((center, q, vals.shape[1]))
-        return check(vals, where, buf, q, center)
+    def logged(program, gens, q):
+        log.append((program is _CENTER, q, len(gens["T"][0])))
+        return check(program, gens, q)
 
-    monkeypatch.setattr(repbuild, "_check_block", logged)
+    monkeypatch.setattr(repbuild, "_holds", logged)
     return log
 
 
@@ -929,8 +941,7 @@ def test_a_holding_braid_decides_the_center_unevaluated(monkeypatch, N, width, p
 @pytest.mark.parametrize("N", range(2, 9))
 def test_a_failing_braid_evaluates_the_center(monkeypatch, N):
     log = _blocks(monkeypatch)
-    t, tstar = changed_factor(*_twist_factors(N), N)
-    assert _integer_checks(N, *_integer_form(t), *_integer_form(tstar)) == (False, False)
+    assert _integer_checks(N, _generator_forms(changed_factor(*_twist_factors(N), N))) == (False, False)
     assert _points_per_prime(log, True)
 
 
@@ -1069,10 +1080,10 @@ def test_integer_checks_refuse_a_valuation_beyond_q_before_evaluation(monkeypatc
     below_q = r"^exact checks need K < q, valuations below q and "
     for v, message in ((_PRIMES[0], below_q), (10**7, below_q), (10**400, r"valuation .* beyond the float range$")):
         with pytest.raises(TooLargeError, match=message):
-            _integer_checks(1, {(0, 0): (v, [1])}, (v, [1]), {(0, 0): one}, one)
+            _integer_checks(1, {"T": ({(0, 0): (v, [1])}, (v, [1])), "S": ({(0, 0): one}, one)})
         assert log == []
     with pytest.raises(ValueError, match="no negative valuation"):
-        _integer_checks(1, {(0, 0): (-1, [1])}, one, {(0, 0): one}, one)
+        _integer_checks(1, {"T": ({(0, 0): (-1, [1])}, one), "S": ({(0, 0): one}, one)})
     assert log == []
 
 
@@ -1083,30 +1094,41 @@ def test_integer_checks_run_a_large_valuation_in_blocks_of_bounded_size(monkeypa
     v, one = 2**18, (0, [1])
     assert v > _BLOCK_CELLS
     pt, ps = {(0, 0): (v, [1])}, {(0, 0): one}
-    assert _integer_checks(1, pt, (v, [1]), ps, one) == (True, True)
-    assert _integer_checks(1, pt, (v, [1]), ps, (0, [1, 1])) == (False, True)
+    assert _integer_checks(1, {"T": (pt, (v, [1])), "S": (ps, one)}) == (True, True)
+    assert _integer_checks(1, {"T": (pt, (v, [1])), "S": (ps, (0, [1, 1]))}) == (False, True)
     assert {k for _, _, k in log} == {1}
 
 
 # --- the degree spans that set the number of points ----------------------------
 
 
-def _forms_spans(n, pt, dt, ps, ds):
-    """`_spans` of integer forms of dimension n held as the exact checks hold
-    them, from the rows `_integer_checks` lays out."""
-    where, lows, lengths, _ = _coefficient_rows(pt, dt, ps, ds)
-    return _spans(where, lows, lengths, n)
+def _reached(n, forms, program):
+    """The spans and the float64 height bound of `program` on the integer
+    forms `forms` of dimension n, held as the exact checks hold them, from
+    the rows `_decide` lays out: the (lo, hi) spans of the entries of each
+    equation's difference, stacked, and the float64 height bound (`_reach`)."""
+    where, lows, lengths, rows = _coefficient_rows(forms.values())
+    spans = _generators(forms, where, np.stack((lows, 1 - lows - lengths), -1), np.full((len(forms), 2, n, n), np.inf))
+    norms = _generators(forms, where, np.abs(rows).sum(-1), np.zeros((len(forms), n, n)))
+    hulls, bound = _reach(program, spans, norms, n, rows.shape[1])
+    lo, minus_hi = np.moveaxis(np.array(hulls), 1, 0)
+    return (lo, -minus_hi), bound
+
+
+def _forms_spans(n, forms):
+    """[(lo, hi)] of the braid and the center (`_reached`)."""
+    return [_reached(n, forms, program)[0] for program in (_BRAID, _CENTER)]
 
 
 def _points(pt, dt, ps, ds):
     """K, the number of points `_integer_checks` evaluates at, for integer
     forms given as coefficient lists: 1 + the widest span of one entry."""
-    spans = _forms_spans(len(pt), *held(pt, dt), *held(ps, ds))
+    spans = _forms_spans(len(pt), held_pair(pt, dt, ps, ds))
     return 1 + max((hi - lo).max() for lo, hi in spans)
 
 
 def _generator_spans(N):
-    return _forms_spans(N, *(x for entries in _twist_factors(N) for x in _integer_form(entries)))
+    return _forms_spans(N, _generator_forms(_twist_factors(N)))
 
 
 @pytest.mark.parametrize(
@@ -1119,7 +1141,7 @@ def test_points_on_the_generators(N, points):
     # 7 dmax), with every entry taken at degree dmax and valuation 0, is 43
     # at N = 2, 1212 at N = 8 and 2878 at N = 12
     t, tstar = twists(N)
-    spans = _forms_spans(N, *held(*lcm_form(t)), *held(*lcm_form(tstar)))
+    spans = _forms_spans(N, held_pair(*lcm_form(t), *lcm_form(tstar)))
     assert 1 + max(hi.max() - lo.min() for lo, hi in spans) == points
 
 
@@ -1161,7 +1183,7 @@ def test_spans_hold_every_nonzero_coefficient(forms):
     braid = fm_sub(fm_scale(tst, d_s), fm_scale(fm_mul(fm_mul(tstar, t), tstar), d_t))
     c = fm_mul(tst, tst)
     center = [fm_sub(fm_mul(c, p), fm_mul(p, c)) for p in (t, tstar)]
-    for (lo, hi), diffs in zip(_forms_spans(len(pt), *held(pt, dt), *held(ps, ds)), ([braid], center)):
+    for (lo, hi), diffs in zip(_forms_spans(len(pt), held_pair(*forms)), ([braid], center)):
         lo, hi = (a.reshape(len(diffs), -1) for a in (lo, hi))
         for m, diff in enumerate(diffs):
             for cell, e in enumerate(e for row in diff.rows for e in row):
@@ -1175,16 +1197,19 @@ def test_spans_hold_every_nonzero_coefficient(forms):
 # --- the height bound in float64 -----------------------------------------------
 
 
-def _float_bounds(n, pt, dt, ps, ds):
-    """`_height_bound` from the rows `_integer_checks` lays out."""
-    where, _, _, rows = _coefficient_rows(pt, dt, ps, ds)
-    return _height_bound(np.abs(rows).sum(-1), where, n)
+# Three identities, each one equation between two words: a twist commutes
+# with the operator of its own curve, here X^-1 y and X^-1 z (`_hat`), and T*
+# does not commute with X^-1 y
+_TY = (), ("TY=YT",)
+_SZ = (), ("SZ=ZS",)
+_SY = (), ("SY=YS",)
 
 
 @pytest.mark.parametrize("N", range(2, 33))
 def test_float_height_bound_is_above_the_exact_one_with_the_same_primes(N):
-    forms = [x for entries in _twist_factors(N) for x in _integer_form(entries)]
-    for bound, exact in zip(_float_bounds(N, *forms), exact_height_bound(N, *forms)):
+    forms = _generator_forms(_twist_factors(N))
+    for program in (_BRAID, _CENTER):
+        bound, exact = _reached(N, forms, program)[1], exact_height_bound(N, forms, program)
         assert bound >= exact, N  # a Python float against an int, compared exactly
         assert _primes_above(2 * bound) == _primes_above(2 * exact), N
 
@@ -1195,6 +1220,67 @@ def test_float_height_bound_is_above_the_exact_one_with_the_same_primes(N):
 @settings(max_examples=100, deadline=None)
 def test_float_height_bound_is_above_the_exact_one(forms):
     pt, dt, ps, ds = forms
-    forms = [len(pt), *held(pt, dt), *held(ps, ds)]
-    for bound, exact in zip(_float_bounds(*forms), exact_height_bound(*forms)):
-        assert bound >= exact
+    pair = list(held_pair(pt, dt, ps, ds).values())
+    for program, names in ((_BRAID, "TS"), (_CENTER, "TS"), (_TY, "TY"), (_SZ, "SZ"), (_SY, "SY"), (((), ("TT=S",)), "TS")):
+        named = dict(zip(names, pair))
+        assert _reached(len(pt), named, program)[1] >= exact_height_bound(len(pt), named, program)
+
+
+def test_a_height_bound_past_its_slack_is_refused_before_evaluation(monkeypatch):
+    # a side of 2^10 copies of a 1 x 1 form whose widest row, D's, has L
+    # coefficients: L - 1 roundings in each norm, one in each of the 2^10 - 1
+    # products, and two for the sum and the final factor make m = 2^10 L + 1,
+    # so gamma_m reaches 2^-30 from L = 2^13; one coefficient fewer is decided
+    log = _blocks(monkeypatch)
+    program = (), ("T" * 2**10 + "=" + "T" * 2**10,)
+
+    def form(length):
+        return {"T": ({(0, 0): (0, [1])}, (0, [1] + [0] * (length - 2) + [1]))}
+
+    with pytest.raises(TooLargeError, match="height bound within 2\\^-30"):
+        next(_decide(1, form(2**13), [program]))
+    assert log == []
+    assert list(_decide(1, form(2**13 - 1), [program])) == [True]
+    assert log
+
+
+# --- identities as programs ----------------------------------------------------
+
+
+def test_programs_derive_their_scalar_factors():
+    # the walk in words: a side is scaled by the D of every generator it
+    # holds fewer copies of than the other side, once a copy, so the braid
+    # is D_S TST = D_T STS, and a commutator's sides hold the same copies
+    gens = {"T": ("T", "d_T "), "S": ("S", "d_S ")}
+
+    def walk(program):
+        return list(_walk(program, gens, lambda a, b: a + b, lambda a, d: d + a))
+
+    assert walk(_BRAID) == [["d_S TST", "d_T STS"]]
+    assert walk(_CENTER) == [["TSTTSTT", "TTSTTST"], ["TSTTSTS", "STSTTST"]]
+    assert walk(((), ("TTS=S",))) == [["TTS", "d_T d_T S"]]
+
+
+@pytest.mark.parametrize("ps, holds", [([1, 2, 1], True), ([1, 1], False)])
+def test_a_side_scaled_by_two_copies_of_a_denominator(ps, holds):
+    # T = (1 + Y) / Y and S = P_S / Y^2: T^2 = S iff Y^2 (1 + Y)^2 = Y^2 P_S,
+    # the side TT times D_S and the side S times D_T twice
+    forms = {"T": ({(0, 0): (0, [1, 1])}, (1, [1])), "S": ({(0, 0): (0, ps)}, (2, [1]))}
+    assert list(_decide(1, forms, [((), ("TT=S",))])) == [holds]
+
+
+def _hat(N, what):
+    """The form map of X^-1 M for the curve operator M = y or z (`forms`),
+    which `_integer_form` takes, though it refuses y and z: their entry
+    (0, 0) has the other parity."""
+    return {ij: [(-s, a - 1, f)] for ij, [(s, a, f)] in forms(what, N).items()}
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("program, twist, curve, holds", [(_TY, "T", "Y", True), (_SZ, "Tstar", "Z", True), (_SY, "Tstar", "Y", False)])
+def test_engine_decides_commutations_as_the_qx_products(N, program, twist, curve, holds):
+    # the first two letters of the equation name the twist and the operator
+    maps = forms(twist, N), _hat(N, curve)
+    [verdict] = _decide(N, dict(zip(program[1][0][:2], map(_integer_form, maps))), [program])
+    a, b = (fmatrix_of(repbuild._matrix(N, m)) for m in maps)
+    assert verdict == fm_eq(fm_mul(a, b), fm_mul(b, a)) == holds

@@ -54,10 +54,11 @@ def test_no_dataclasses_in_src():
 
 def test_no_object_arrays_in_src():
     # numpy arrays of Python ints run every operation through the
-    # interpreter: `repbuild._height_bound` with nine object-dtype matrix
-    # products took 0.33 ms at N = 8 and 43 ms at N = 32, against 0.02 and
-    # 5.7 ms, row norms included, in float64 with a proven slack (2-vCPU VM,
-    # one BLAS thread); as a grep, docstrings and comments included
+    # interpreter: the exact checks' height bound with nine object-dtype
+    # matrix products took 0.33 ms at N = 8 and 43 ms at N = 32, against
+    # 0.02 and 5.7 ms, row norms included, in float64 with a proven slack
+    # (2-vCPU VM, one BLAS thread); as a grep, docstrings and comments
+    # included
     for path in SOURCES:
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             assert "dtype=object" not in line, f"{path.name}:{lineno}: {line.strip()}"
@@ -70,3 +71,20 @@ def test_no_matrix_inverse_in_src():
     for path in SOURCES:
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             assert "linalg.inv" not in line, f"{path.name}:{lineno}: {line.strip()}"
+
+
+def test_matrix_products_in_repbuild_are_the_engine_and_the_evaluation():
+    # an identity of the exact checks is a program that one walk reads
+    # (`repbuild._walk`): the engine's one matrix product step (`_product`)
+    # and `_values`' chunk product are the only `@` in repbuild.py, so an
+    # identity's shape written out again as products of matrices fails here
+    tree = ast.parse((Path(torusrep.__file__).parent / "repbuild.py").read_text())
+    owners = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.MatMult)
+    ]
+    assert set(owners) == {"_product", "_values"}, owners
+    assert len(owners) == sum(isinstance(node, ast.MatMult) for node in ast.walk(tree))  # none outside a function
