@@ -249,11 +249,9 @@ def _integer_checks(n: int, forms) -> tuple[bool, bool]:
 def _decide(n: int, forms, programs):
     """An iterator of whether each of `programs` (`_walk`) holds, each
     evaluated when it is asked for, over `forms`, a map from one-letter
-    names to integer forms (P, D) of dimension n, every polynomial Y^v c(Y)
-    as (v, c), v >= 0 and c its integer coefficients, ascending, from a
-    nonzero one to a nonzero one, P the map (i, j) -> (v, c) of its nonzero
-    entries and D nonzero (`_integer_form`); the decision holds for integer
-    polynomials in any one variable.
+    names to integer forms (P, D) of dimension n as `_integer_form` gives
+    them, D nonzero; the decision holds for integer polynomials in any one
+    variable.
 
     The c's are laid out once as rows, each row's length len(c)
     (`_coefficient_rows`), and scanned once for their largest coefficient
